@@ -21,7 +21,10 @@ from . import tables
 from .errors import (
     CocycleViolation,
     DidNotStabilize,
+    InvalidDatum,
+    InvalidIdeal,
     InvariantViolation,
+    KindMismatch,
     SizeBound,
     ValidationError,
 )
@@ -241,8 +244,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError,
-            KeyError) as exc:
+    except (ValidationError, KindMismatch, InvalidDatum, InvalidIdeal,
+            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SizeBound, DidNotStabilize) as exc:

@@ -13,7 +13,7 @@ from . import contexts as cx
 from . import corpus
 from .contexts import CellDatum, LocalizationPath, identity_path
 from .errors import ValidationError
-from .tables import FiniteAlgebra, Hom, validate
+from .tables import FiniteAlgebra, Hom, is_hom, validate
 
 
 def algebra_to_dict(A: FiniteAlgebra) -> dict:
@@ -53,9 +53,16 @@ def hom_from_dict(d: dict) -> Hom:
     try:
         source = _resolve_algebra(d["source"])
         target = _resolve_algebra(d["target"])
-        return Hom(source, target, tuple(d["map"]))
+        mapping = d["map"]
     except KeyError as exc:
         raise ValidationError(f"hom object misses field {exc}", d) from exc
+    if not isinstance(mapping, list) or not all(
+            type(v) is int for v in mapping):
+        raise ValidationError("hom map is not a list of element indices", d)
+    f = Hom(source, target, tuple(mapping))
+    if not is_hom(f):
+        raise ValidationError("hom map is not a homomorphism", d)
+    return f
 
 
 def hom_to_dict(f: Hom) -> dict:

@@ -30,8 +30,9 @@ from .errors import (
 RING = "ring"
 MONOID = "monoid"
 
-# Above this size the O(n^3) law checks are skipped on construction; such
-# algebras only arise as intermediates and are re-validated in the tests.
+# Products, limits, subalgebras and ring tensors re-run the law checks on
+# results up to this size; the ring tensor also refuses more generators.
+# Input is checked at every size, and quotients check their congruence.
 FULL_CHECK_MAX = 64
 
 DEFAULT_SIZE_BOUND = 4096
@@ -115,7 +116,53 @@ def _check_table(name: str, table, n: int) -> None:
                 raise ValidationError(f"{name} table entry {v!r} out of range")
 
 
+def _generators(table, unit: int) -> list[int]:
+    """Greedy generators G of the magma `table`, for Light's test.
+
+    Closing {unit} under x -> table[x][g] for g in G reaches every element;
+    costs O(n * |G|).  `unit` must be a checked identity of `table`.
+    """
+    n = len(table)
+    seen = [False] * n
+    seen[unit] = True
+    reached = [unit]
+    gens: list[int] = []
+    while len(reached) < n:
+        g = seen.index(False)
+        gens.append(g)
+        todo = [(x, g) for x in reached]
+        while todo:
+            x, h = todo.pop()
+            y = table[x][h]
+            if not seen[y]:
+                seen[y] = True
+                reached.append(y)
+                todo.extend((y, k) for k in gens)
+    return gens
+
+
+def _check_assoc(name, table, gens, elements) -> None:
+    """Light's test: (x*y)*g = x*(y*g) for all x, y and each g in `gens`.
+
+    The g passing it form a submagma (containing the identity), so checking
+    a generating set proves associativity in O(n^2 * |gens|).  For the ring
+    multiplication `gens` may be additive generators once distributivity
+    holds, since the passing g are then closed under addition.
+    """
+    for g in gens:
+        col = [row[g] for row in table]
+        for x, row in enumerate(table):
+            for y in range(len(table)):
+                if col[row[y]] != row[col[y]]:
+                    raise NonAssociative(
+                        f"{name} not associative at "
+                        f"({elements[x]},{elements[y]},{elements[g]})",
+                        (x, y, g),
+                    )
+
+
 def _check_laws(kind, elements, mul, add, zero, one) -> None:
+    """Full axiom check at every size, in O(n^2 * |generators|)."""
     n = len(elements)
     rng = range(n)
     for i in rng:
@@ -128,45 +175,36 @@ def _check_laws(kind, elements, mul, add, zero, one) -> None:
     for i in rng:
         if mul[one][i] != i:
             raise BadUnit(f"one * {elements[i]} != {elements[i]}", (i,))
-    if n <= FULL_CHECK_MAX:
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                        raise NonAssociative(
-                            "mul not associative at "
-                            f"({elements[i]},{elements[j]},{elements[k]})",
-                            (i, j, k),
-                        )
-    if kind == RING:
-        for i in rng:
-            for j in rng:
-                if add[i][j] != add[j][i]:
-                    raise NonCommutative(
-                        f"add({elements[i]},{elements[j]}) not commutative", (i, j)
+    if kind != RING:
+        _check_assoc("mul", mul, _generators(mul, one), elements)
+        return
+    for i in rng:
+        for j in rng:
+            if add[i][j] != add[j][i]:
+                raise NonCommutative(
+                    f"add({elements[i]},{elements[j]}) not commutative", (i, j)
+                )
+    for i in rng:
+        if add[zero][i] != i:
+            raise BadUnit(f"zero + {elements[i]} != {elements[i]}", (i,))
+    for i in rng:
+        if zero not in add[i]:
+            raise ValidationError(f"{elements[i]} has no additive inverse", (i,))
+    gens = _generators(add, zero)
+    _check_assoc("add", add, gens, elements)
+    # x*(y+g) = x*y + x*g for additive generators g: the passing g are
+    # closed under addition, so this is full distributivity
+    for g in gens:
+        for x, row in enumerate(mul):
+            xg = row[g]
+            for y in rng:
+                if row[add[y][g]] != add[row[y]][xg]:
+                    raise NoDistributivity(
+                        "distributivity fails at "
+                        f"({elements[x]},{elements[y]},{elements[g]})",
+                        (x, y, g),
                     )
-        for i in rng:
-            if add[zero][i] != i:
-                raise BadUnit(f"zero + {elements[i]} != {elements[i]}", (i,))
-        for i in rng:
-            if zero not in add[i]:
-                raise ValidationError(f"{elements[i]} has no additive inverse", (i,))
-        if n <= FULL_CHECK_MAX:
-            for i in rng:
-                for j in rng:
-                    for k in rng:
-                        if add[add[i][j]][k] != add[i][add[j][k]]:
-                            raise NonAssociative(
-                                "add not associative at "
-                                f"({elements[i]},{elements[j]},{elements[k]})",
-                                (i, j, k),
-                            )
-                        if mul[i][add[j][k]] != add[mul[i][j]][mul[i][k]]:
-                            raise NoDistributivity(
-                                "distributivity fails at "
-                                f"({elements[i]},{elements[j]},{elements[k]})",
-                                (i, j, k),
-                            )
+    _check_assoc("mul", mul, gens, elements)
 
 
 def _finish(kind, elements, mul, add, zero, one, check=True):
@@ -376,22 +414,40 @@ def congruence_closure(A: FiniteAlgebra, pairs) -> tuple[int, ...]:
 
 
 def quotient_by_sig(A: FiniteAlgebra, sig) -> tuple[FiniteAlgebra, Hom]:
-    """Quotient by a partition that is already a congruence."""
-    sig = tuple(sig)
+    """Quotient by a congruence given as a partition sig, in O(n^2).
+
+    A quotient of a valid algebra by a congruence is valid, so the laws are
+    not re-checked; instead every element must act like its class
+    representative in each table, or InvariantViolation is raised.
+    """
+    sig = normalize_sig(sig)
+    if sig == tuple(range(A.size)):
+        return A, identity(A)
     k = max(sig) + 1
-    reps = [sig.index(c) for c in range(k)]
-    labels = []
-    for c in range(k):
-        members = [A.elements[i] for i in range(A.size) if sig[i] == c]
-        labels.append(min(members))
-    mul = [[sig[A.mul[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    add = None
-    if A.is_ring:
-        add = [[sig[A.add[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
+    reps = [-1] * k
+    labels = [""] * k
+    for i, c in enumerate(sig):
+        if reps[c] < 0:
+            reps[c] = i
+            labels[c] = A.elements[i]
+        else:
+            labels[c] = min(labels[c], A.elements[i])
+
+    def class_table(name, table):
+        classes = [tuple(map(sig.__getitem__, row)) for row in table]
+        for x, c in enumerate(sig):
+            if classes[x] != classes[reps[c]]:
+                raise InvariantViolation(
+                    f"partition is not a congruence: {name} separates "
+                    f"{A.elements[x]} from {A.elements[reps[c]]}",
+                )
+        return [[classes[r][s] for s in reps] for r in reps]
+
     Q, pos = _finish(
-        A.kind, labels, mul, add,
+        A.kind, labels, class_table("mul", A.mul),
+        class_table("add", A.add) if A.is_ring else None,
         sig[A.zero] if A.is_ring else None, sig[A.one],
-        check=A.size <= FULL_CHECK_MAX,
+        check=False,
     )
     proj = Hom(A, Q, tuple(pos[c] for c in sig))
     return Q, proj
@@ -440,17 +496,23 @@ def quotient(A: FiniteAlgebra, ideal_or_pairs) -> tuple[FiniteAlgebra, Hom]:
         if I.carrier != A or not I.is_valid():
             raise InvalidIdeal("not a valid ideal of this algebra")
         if A.is_ring:
-            pairs = [(i, A.zero) for i in I.members]
-        else:
-            # Rees quotient: collapse the ideal to a single (absorbing) class
-            mem = sorted(I.members)
-            pairs = [(mem[0], m) for m in mem[1:]]
+            # the classes are the cosets x + I, numbered by first element
+            cls = [-1] * A.size
+            k = 0
+            for x in range(A.size):
+                if cls[x] < 0:
+                    for m in I.members:
+                        cls[A.add[x][m]] = k
+                    k += 1
+            return quotient_by_sig(A, cls)
+        # Rees quotient: collapse the ideal to a single (absorbing) class
+        mem = sorted(I.members)
+        pairs = [(mem[0], m) for m in mem[1:]]
     else:
         pairs = list(ideal_or_pairs)
         if pairs and isinstance(pairs[0], int):
             raise InvalidIdeal("expected an Ideal or an iterable of index pairs")
-    sig = congruence_closure(A, pairs)
-    return quotient_by_sig(A, sig)
+    return quotient_by_sig(A, congruence_closure(A, pairs))
 
 
 def invert_element(A: FiniteAlgebra, a: int) -> tuple[FiniteAlgebra, Hom]:
@@ -481,7 +543,8 @@ def pushout(f: Hom, g: Hom, size_bound: int = DEFAULT_SIZE_BOUND):
     congruence quotient of the other target; otherwise the coproduct is
     computed directly (monoids on K x L, rings as a bounded tensor product).
     """
-    assert f.source == g.source, "pushout legs must share their source"
+    if f.source != g.source:
+        raise InvariantViolation("pushout legs must share their source")
     if f.is_surjective:
         return _pushout_surjective(f, g)
     if g.is_surjective:
@@ -490,6 +553,11 @@ def pushout(f: Hom, g: Hom, size_bound: int = DEFAULT_SIZE_BOUND):
     if f.source.kind == MONOID:
         return _monoid_pushout(f, g, size_bound)
     return _ring_tensor(f, g, size_bound)
+
+
+def _require_homs(*injections: Hom) -> None:
+    if not all(is_hom(f) for f in injections):
+        raise InvariantViolation("pushout injection is not a homomorphism")
 
 
 def _pushout_surjective(f: Hom, g: Hom):
@@ -505,7 +573,7 @@ def _pushout_surjective(f: Hom, g: Hom):
     sig = congruence_closure(L, pairs)
     Q, proj = quotient_by_sig(L, sig)
     in_K = Hom(f.target, Q, tuple(proj.map[by_class[k]] for k in range(f.target.size)))
-    assert is_hom(in_K)
+    _require_homs(in_K)
     return Q, in_K, proj
 
 
@@ -525,7 +593,7 @@ def _monoid_pushout(f: Hom, g: Hom, size_bound: int):
     Q, proj = quotient_by_sig(P, sig)
     in_K = Hom(K, Q, tuple(proj.map[idx[(k, L.one)]] for k in range(K.size)))
     in_L = Hom(L, Q, tuple(proj.map[idx[(K.one, l)]] for l in range(L.size)))
-    assert is_hom(in_K) and is_hom(in_L)
+    _require_homs(in_K, in_L)
     return Q, in_K, in_L
 
 
@@ -687,7 +755,7 @@ def _ring_tensor(f: Hom, g: Hom, size_bound: int):
     Q, pos = _finish(RING, labels, mul, add, zero, one, check=size <= FULL_CHECK_MAX)
     in_K = Hom(K, Q, tuple(pos[index[pi(basis(gen(k, L.one)))]] for k in range(K.size)))
     in_L = Hom(L, Q, tuple(pos[index[pi(basis(gen(K.one, l)))]] for l in range(L.size)))
-    assert is_hom(in_K) and is_hom(in_L)
+    _require_homs(in_K, in_L)
     return Q, in_K, in_L
 
 
@@ -700,7 +768,8 @@ def product(kind: str, algebras) -> tuple[FiniteAlgebra, list[Hom]]:
     algebras = list(algebras)
     if not algebras:
         return terminal(kind), []
-    assert all(a.kind == kind for a in algebras)
+    if any(a.kind != kind for a in algebras):
+        raise InvariantViolation(f"product of {kind}s given another kind")
     sizes = [a.size for a in algebras]
     total = 1
     for s in sizes:
@@ -762,7 +831,8 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
             elems.append(t)
     index = {e: i for i, e in enumerate(elems)}
     one_t = tuple(o.one for o in objects)
-    assert one_t in index, "limit does not contain the unit family"
+    if one_t not in index:
+        raise InvariantViolation("limit does not contain the unit family")
     if len(objects) == 1:
         labels = [objects[0].elements[e[0]] for e in elems]
     else:
@@ -797,7 +867,8 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
 
 
 def equalizer(f: Hom, g: Hom) -> tuple[FiniteAlgebra, Hom]:
-    assert f.source == g.source and f.target == g.target
+    if f.source != g.source or f.target != g.target:
+        raise InvariantViolation("equalizer of non-parallel homs")
     subset = [i for i in range(f.source.size) if f.map[i] == g.map[i]]
     return subalgebra(f.source, subset)
 
@@ -805,12 +876,14 @@ def equalizer(f: Hom, g: Hom) -> tuple[FiniteAlgebra, Hom]:
 def subalgebra(A: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, Hom]:
     subset = sorted(set(subset))
     sset = set(subset)
-    assert A.one in sset and (not A.is_ring or A.zero in sset)
+    if A.one not in sset or (A.is_ring and A.zero not in sset):
+        raise InvariantViolation("subset misses a distinguished element")
     for i in subset:
         for j in subset:
-            assert A.mul[i][j] in sset, "subset not closed under mul"
-            if A.is_ring:
-                assert A.add[i][j] in sset, "subset not closed under add"
+            if A.mul[i][j] not in sset:
+                raise InvariantViolation("subset not closed under mul")
+            if A.is_ring and A.add[i][j] not in sset:
+                raise InvariantViolation("subset not closed under add")
     index = {v: i for i, v in enumerate(subset)}
     labels = [A.elements[i] for i in subset]
     mul = [[index[A.mul[i][j]] for j in subset] for i in subset]

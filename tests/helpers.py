@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 from conespec import corpus, tables
 from conespec.spectrum import Presheaf, sort_opens
 from conespec.tables import Hom
@@ -52,3 +54,24 @@ def random_presheaf(rng) -> Presheaf:
                 restrictions[(U, V)] = Hom(sections[U], sections[V],
                                            tuple(mapping))
     return Presheaf(A.kind, n_points, opens, sections, restrictions)
+
+
+def large_nonassociative_monoid(n: int = 65):
+    """Labels and mul table of a commutative, unital, non-associative magma.
+
+    Index 0 is the unit and every other product is index 1, except
+    2*2 = 3 and 2*3 = 2, so (2*2)*3 = 1 while 2*(2*3) = 3.
+    """
+    mul = [[1] * n for _ in range(n)]
+    for i in range(n):
+        mul[0][i] = mul[i][0] = i
+    mul[2][2] = 3
+    mul[2][3] = mul[3][2] = 2
+    return [f"m{i:02d}" for i in range(n)], mul
+
+
+def subprocess_env() -> dict:
+    """Environment in which a child interpreter imports this conespec."""
+    src = os.path.dirname(os.path.dirname(tables.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path)

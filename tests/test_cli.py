@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from conespec import contexts as C
 from conespec import cli, corpus, io as cio
 from conespec.tables import all_homs, identity
+from helpers import large_nonassociative_monoid, subprocess_env
 
 ZAR = C.get_context("zariski")
 Z6 = corpus.zn(6)
@@ -147,3 +150,32 @@ def test_cli_rounds_exit_3(tmp_path):
     inp = write(tmp_path, "z12.json", cio.algebra_to_dict(corpus.zn(12)))
     assert cli.main(["spec", "--input", inp, "--rounds", "1",
                      "--out-dir", str(tmp_path)]) == 3
+
+
+def test_cli_rejects_maps_that_are_not_homs_exit_2(tmp_path):
+    f = all_homs(Z6, corpus.zn(2))[0]
+    too_long = cio.hom_to_dict(f)
+    too_long["map"].append(0)
+    constant = {"source": "z6", "target": "z2", "map": [0] * 6}
+    for name, doc in [("long.json", too_long), ("const.json", constant)]:
+        hom = write(tmp_path, name, doc)
+        assert cli.main(["check", "--property", "geometric-iso",
+                         "--hom", hom]) == 2
+
+
+def test_cli_rejects_65_element_nonassociative_table(tmp_path):
+    labels, mul = large_nonassociative_monoid(65)
+    inp = write(tmp_path, "na65.json", {"kind": "monoid", "elements": labels,
+                                        "mul": mul, "one": 0})
+    assert cli.main(["check", "--context", "deitmar", "--property",
+                     "reduced", "--input", inp]) == 2
+
+
+def test_cli_kind_mismatch_exit_2_without_traceback(tmp_path):
+    inp = write(tmp_path, "e2.json", cio.algebra_to_dict(corpus.flag_monoid()))
+    out = subprocess.run(
+        [sys.executable, "-m", "conespec.cli", "spec", "--context", "zariski",
+         "--input", inp, "--out-dir", str(tmp_path)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr

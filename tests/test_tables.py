@@ -9,19 +9,29 @@ bijection search for isomorphism testing.
 from __future__ import annotations
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conespec import corpus, tables
-from conespec.errors import NonCommutative, SizeBound, ValidationError
+from conespec.errors import (
+    InvariantViolation,
+    NoDistributivity,
+    NonAssociative,
+    NonCommutative,
+    SizeBound,
+    ValidationError,
+)
 from conespec.tables import (
     MONOID,
     RING,
     Hom,
     all_homs,
     compose,
+    congruence_closure,
     equalizer,
     find_isomorphism,
     hom,
@@ -37,6 +47,7 @@ from conespec.tables import (
     subalgebra,
     validate,
 )
+from helpers import large_nonassociative_monoid, subprocess_env
 
 Z2, Z3, Z4, Z6, Z12 = (corpus.zn(n) for n in (2, 3, 4, 6, 12))
 
@@ -133,6 +144,98 @@ def test_validate_rejects_empty():
         validate(MONOID, [], [], one=0)
 
 
+def test_validate_checks_associativity_above_64_elements():
+    labels, mul = large_nonassociative_monoid(65)
+    with pytest.raises(NonAssociative):
+        validate(MONOID, labels, mul, one=0)
+
+
+def test_validate_checks_distributivity_above_64_elements():
+    Z65 = corpus.zn(65)
+    two, three, seven = (Z65.elements.index(x) for x in ("2", "3", "7"))
+    mul = [list(row) for row in Z65.mul]
+    mul[two][three] = mul[three][two] = seven
+    with pytest.raises(NoDistributivity):
+        validate(RING, Z65.elements, mul, add=Z65.add, zero=Z65.zero,
+                 one=Z65.one)
+
+
+def test_validate_rejects_distributive_nonassociative_ring():
+    # F2^3 on the basis 1, a, b with a*a = b, a*b = 0, b*b = 1: bilinear,
+    # commutative and unital, but (a*a)*b = 1 while a*(a*b) = 0
+    basis_mul = {(0, 0): 1, (0, 1): 2, (0, 2): 4, (1, 1): 4, (1, 2): 0,
+                 (2, 2): 1}
+
+    def mul(u, v):
+        out = 0
+        for i in range(3):
+            for j in range(3):
+                if u >> i & 1 and v >> j & 1:
+                    out ^= basis_mul[min(i, j), max(i, j)]
+        return out
+
+    with pytest.raises(NonAssociative):
+        validate(RING, [str(u) for u in range(8)],
+                 [[mul(u, v) for v in range(8)] for u in range(8)],
+                 add=[[u ^ v for v in range(8)] for u in range(8)],
+                 zero=0, one=1)
+
+
+def brute_force_laws_hold(kind, mul, add, zero, one):
+    """Every axiom over every triple, the O(n^3) reference for validate."""
+    n = len(mul)
+    r = range(n)
+    ops = [mul] + ([add] if kind == RING else [])
+    if any(t[x][y] != t[y][x] for t in ops for x in r for y in r):
+        return False
+    if any(mul[one][x] != x for x in r):
+        return False
+    if any(t[t[x][y]][z] != t[x][t[y][z]] for t in ops
+           for x in r for y in r for z in r):
+        return False
+    if kind == MONOID:
+        return True
+    return (all(add[zero][x] == x and zero in add[x] for x in r)
+            and all(mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
+                    for x in r for y in r for z in r))
+
+
+def laws_accepted(kind, mul, add=None, zero=None, one=0):
+    try:
+        validate(kind, [str(i) for i in range(len(mul))], mul, add=add,
+                 zero=zero, one=one)
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_light_test_matches_brute_force_on_monoid_tables(n, data):
+    # commutative with unit 0, so only associativity is in question
+    mul = [[0] * n for _ in range(n)]
+    for x in range(n):
+        mul[0][x] = mul[x][0] = x
+        for y in range(max(x, 1), n):
+            mul[x][y] = mul[y][x] = data.draw(st.integers(0, n - 1))
+    assert laws_accepted(MONOID, mul) == brute_force_laws_hold(
+        MONOID, mul, None, None, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(corpus.zariski_corpus()), st.data())
+def test_light_test_matches_brute_force_on_mutated_rings(A, data):
+    n = A.size
+    mul = [list(row) for row in A.mul]
+    add = [list(row) for row in A.add]
+    for _ in range(data.draw(st.integers(0, 2))):
+        table = data.draw(st.sampled_from([mul, add]))
+        x, y, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        table[x][y] = table[y][x] = v
+    assert laws_accepted(RING, mul, add, A.zero, A.one) == \
+        brute_force_laws_hold(RING, mul, add, A.zero, A.one)
+
+
 def test_operation_outputs_revalidate():
     outputs = []
     outputs.append(invert_element(Z6, 3)[0])
@@ -163,6 +266,46 @@ def test_quotient_by_zero_ideal_is_identity():
     I = tables.ideal_generated(Z6, [])
     Q, proj = quotient(Z6, I)
     assert Q == Z6 and proj == identity(Z6)
+
+
+def test_quotient_by_sig_rejects_non_congruences():
+    # {0, 1} merged: 1 + 1 = 2 is then not merged with 0 + 1 = 1
+    with pytest.raises(InvariantViolation):
+        quotient_by_sig(Z6, (0, 0, 1, 2, 3, 4))
+    # x ~ -x respects mul but not add
+    with pytest.raises(InvariantViolation, match="add"):
+        quotient_by_sig(Z6, (0, 1, 2, 3, 2, 1))
+    # in {1, x, y = x^2}, merging 1 with x would force x = x*1 ~ x*x = y
+    with pytest.raises(InvariantViolation):
+        quotient_by_sig(corpus.nilpotent_monoid(), (0, 0, 1))
+
+
+def test_quotient_by_identity_partition_returns_the_algebra():
+    for A in corpus.zariski_corpus() + corpus.deitmar_corpus():
+        Q, proj = quotient_by_sig(A, range(A.size))
+        assert Q is A and proj == identity(A)
+
+
+def all_ideals(A):
+    found = {tables.ideal_generated(A, []).members}
+    frontier = list(found)
+    while frontier:
+        I = frontier.pop()
+        for x in range(A.size):
+            J = tables.ideal_generated(A, sorted(I | {x})).members
+            if J not in found:
+                found.add(J)
+                frontier.append(J)
+    return [tables.Ideal(A, J) for J in sorted(found, key=sorted)]
+
+
+def test_coset_quotient_matches_congruence_closure():
+    for A in corpus.zariski_corpus():  # contains the domain corpus
+        for I in all_ideals(A):
+            Q, proj = quotient(A, I)
+            sig = congruence_closure(A, [(i, A.zero) for i in I.members])
+            assert (Q, proj) == quotient_by_sig(A, sig)
+            assert Q.size == len(coset_quotient_oracle(A, I.members))
 
 
 def test_quotient_f2x2_by_x():
@@ -369,3 +512,23 @@ def test_subalgebra_and_image_factorization():
     epi, mono = tables.image_factorization(f)
     assert compose(epi, mono) == f
     assert epi.is_surjective and mono.is_injective
+
+
+def test_invariants_hold_under_python_O():
+    script = (
+        "from conespec import corpus, tables\n"
+        "from conespec.errors import InvariantViolation\n"
+        "Z6 = corpus.zn(6)\n"
+        "for call in (lambda: tables.quotient_by_sig(Z6, (0, 0, 1, 2, 3, 4)),\n"
+        "             lambda: tables.subalgebra(Z6, [0, 1, 2])):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InvariantViolation:\n"
+        "        print('raised')\n"
+        "print(__debug__)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env=subprocess_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["raised", "raised", "False"]
