@@ -74,9 +74,16 @@ def cmd_spec(args) -> int:
     return EXIT_OK
 
 
+# the file options each property reads; the others read only --input
+_PROPERTY_FILES = {"geometric-iso": ("hom",), "flat-cover": ("input", "cover")}
+
+
 def cmd_check(args) -> int:
     ctx = cx.get_context(args.context)
     prop = args.property
+    for name in _PROPERTY_FILES.get(prop, ("input",)):
+        if getattr(args, name) is None:
+            raise ValidationError(f"--property {prop} needs --{name}", name)
     if prop == "geometric-iso":
         f = cio.hom_from_dict(cio.load_json(args.hom))
         verdict, cert = red.geometric_iso(ctx, f)
@@ -139,6 +146,10 @@ def _load_gluing(ctx, doc) -> gl.GluingSpec:
     overlaps = []
     for ov in doc["overlaps"]:
         i, j = ov["i"], ov["j"]
+        for v in (i, j):
+            if type(v) is not int or not 0 <= v < len(charts):
+                raise ValidationError(f"overlap chart index {v!r} out of range",
+                                      ov)
         k_i = cio.path_from_dict(ctx, charts[i], ov["k_i"])
         k_j = cio.path_from_dict(ctx, charts[j], ov["k_j"])
         if "iso" in ov:
@@ -253,6 +264,9 @@ def main(argv=None) -> int:
         return EXIT_BOUND
     except (InvariantViolation, CocycleViolation) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_BUG
+    except Exception as exc:  # so that exit code 1 only means "false"
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_BUG
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import tables
 from .errors import DidNotStabilize, InvalidDatum, InvariantViolation, KindMismatch
-from .tables import MONOID, RING, FiniteAlgebra, Hom, compose, identity, is_hom
+from .tables import MONOID, RING, FiniteAlgebra, Hom, compose, identity
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,15 @@ def _reflects_invertibility(f: Hom) -> bool:
                if f.map[r] in f.target.units)
 
 
+def _primitive_idempotents(A: FiniteAlgebra) -> list[int]:
+    """Nonzero idempotents e with no idempotent strictly between 0 and e.
+
+    They cut A into its local factors eA, one per point of Spec A.
+    """
+    return [e for e in sorted(A.idempotents) if e != A.zero
+            and {f for f in A.idempotents if A.mul[e][f] == f} == {A.zero, e}]
+
+
 class ZariskiContext(SpectralContext):
     name = "zariski"
     kind = RING
@@ -129,12 +138,7 @@ class ZariskiContext(SpectralContext):
         if A.is_trivial:
             return []
         out = []
-        for e in sorted(A.idempotents):
-            if e == A.zero:
-                continue
-            below = {f for f in A.idempotents if A.mul[e][f] == f}
-            if below != {A.zero, e}:
-                continue
+        for e in _primitive_idempotents(A):
             if e == A.one:
                 out.append(identity_path(A))
             else:
@@ -186,12 +190,7 @@ class DomainContext(SpectralContext):
         if A.is_trivial:
             return []
         out = []
-        for e in sorted(A.idempotents):
-            if e == A.zero:
-                continue
-            below = {f for f in A.idempotents if A.mul[e][f] == f}
-            if below != {A.zero, e}:
-                continue
+        for e in _primitive_idempotents(A):
             # p = preimage of the maximal ideal of the local factor eA
             eA = sorted({A.mul[e][r] for r in range(A.size)})
             units_eA = {x for x in eA if any(A.mul[x][y] == e for y in eA)}
@@ -234,28 +233,28 @@ class DeitmarContext(SpectralContext):
         return tables.invert_element(A, a)
 
     def faces(self, A) -> list[frozenset[int]]:
-        """Saturated submonoids; their complements are the prime ideals."""
-        self.accepts(A)
-        import itertools
+        """Saturated submonoids; their complements are the prime ideals.
 
-        rest = [i for i in range(A.size) if i != A.one]
-        out = []
-        for k in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, k):
-                F = frozenset((A.one,) + extra)
-                closed = all(A.mul[x][y] in F for x in F for y in F)
-                saturated = all(
-                    (x in F and y in F)
-                    for x in range(A.size) for y in range(A.size)
-                    if A.mul[x][y] in F
-                )
-                if closed and saturated:
-                    out.append(F)
+        The faces are the sets F(a) of divisors of powers of a: F(a) is a
+        face, and a face F is F(a) for a the product of its elements.
+        """
+        self.accepts(A)
+        multiples = [set(row) for row in A.mul]
+        out = set()
+        for a in range(A.size):
+            powers = {A.one}
+            p = a
+            while p not in powers:
+                powers.add(p)
+                p = A.mul[p][a]
+            out.add(frozenset(x for x in range(A.size)
+                              if not multiples[x].isdisjoint(powers)))
         return sorted(out, key=lambda F: (len(F), sorted(F)))
 
     def local_forms_direct(self, A):
+        faces = self.faces(A)
         out = {}
-        for F in self.faces(A):
+        for F in faces:
             path = identity_path(A)
             for a in sorted(F):
                 img = path.composite.map[a]
@@ -263,7 +262,7 @@ class DeitmarContext(SpectralContext):
                     continue
                 path = extend_path(self, path, CellDatum(self.name, (img,)), "right")
             out.setdefault(path.sig, path)
-        if len(out) != len(self.faces(A)):
+        if len(out) != len(faces):
             raise InvariantViolation("points do not match the prime ideals")
         return sorted(out.values(), key=lambda p: p.sig)
 
@@ -297,34 +296,24 @@ def extend_path(ctx, path: LocalizationPath, datum: CellDatum, branch: str,
     )
 
 
-def factor_through(k: LocalizationPath, p: LocalizationPath) -> Hom | None:
-    """The map under R from target(k) to target(p), if p factors through k."""
-    assert k.source == p.source
-    mapping = [-1] * k.target.size
-    for r in range(k.source.size):
-        x = k.composite.map[r]
-        y = p.composite.map[r]
-        if mapping[x] == -1:
-            mapping[x] = y
-        elif mapping[x] != y:
-            return None
-    h = Hom(k.target, p.target, tuple(mapping))
-    if not is_hom(h):  # pragma: no cover - cannot happen for quotient maps
-        raise InvariantViolation("factoring class map is not a hom")
-    return h
-
-
-def enumerate_localizations(ctx, R) -> dict[tuple, LocalizationPath]:
+def enumerate_localizations(ctx, R, max_rounds: int | None = None
+                            ) -> dict[tuple, LocalizationPath]:
     """All finite localizations of R up to iso over R, keyed by signature.
 
     Breadth-first over single-cell attachments; the first (hence shortest,
     lexicographically least in discovery order) path represents its class.
+    With `max_rounds`, raises DidNotStabilize if a round after that many
+    still finds new classes.
     """
     ctx.accepts(R)
     start = identity_path(R)
     found = {start.sig: start}
     frontier = [start]
+    rounds = 0
     while frontier:
+        rounds += 1
+        if max_rounds is not None and rounds > max_rounds:
+            raise DidNotStabilize(max_rounds)
         new = []
         for path in frontier:
             for datum in ctx.cell_data(path.target):
@@ -352,31 +341,11 @@ def saturate_bounded(ctx, R, max_rounds: int | None = None) -> list[Localization
     deduplicating by signature; local targets among the stable reachable set
     are the local forms.
     """
-    ctx.accepts(R)
     if max_rounds is None:
         max_rounds = R.size + 2
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    start = identity_path(R)
-    found = {start.sig: start}
-    frontier = [start]
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if rounds > max_rounds:
-            raise DidNotStabilize(max_rounds)
-        new = []
-        for path in frontier:
-            for datum in ctx.cell_data(path.target):
-                for branch in BRANCHES:
-                    Q, step = ctx.attach(path.target, datum, branch)
-                    if step.is_bijective:
-                        continue
-                    ext = extend_path(ctx, path, datum, branch, (Q, step))
-                    if ext.sig not in found:
-                        found[ext.sig] = ext
-                        new.append(ext)
-        frontier = new
+    found = enumerate_localizations(ctx, R, max_rounds)
     locs = [p for p in found.values() if ctx.is_local(p.target)]
     return sorted(locs, key=lambda p: p.sig)
 
@@ -407,24 +376,11 @@ def factorize(ctx, f: Hom, shuffle_seed: int | None = None):
             Q, step = ctx.attach(K, datum, branch)
             if step.is_bijective:
                 continue
-            # g factors through the step iff the step's kernel refines g's
-            classes: dict[int, int] = {}
-            ok = True
-            for x in range(K.size):
-                c = step.map[x]
-                if c in classes:
-                    if g.map[classes[c]] != g.map[x]:
-                        ok = False
-                        break
-                else:
-                    classes[c] = x
-            if not ok:
+            h = tables.induced(step, g)
+            if h is None:
                 continue
             path = extend_path(ctx, path, datum, branch, (Q, step))
-            g = Hom(Q, g.target, tuple(
-                g.map[classes[c]] for c in range(Q.size)
-            ))
-            assert is_hom(g)
+            g = h
             progressed = True
             break
         if not progressed:
@@ -442,19 +398,8 @@ def multi_reflection(ctx, f: Hom):
     """
     hits = []
     for p in local_forms(ctx, f.source):
-        mapping = [-1] * p.target.size
-        ok = True
-        for r in range(f.source.size):
-            x = p.composite.map[r]
-            if mapping[x] == -1:
-                mapping[x] = f.map[r]
-            elif mapping[x] != f.map[r]:
-                ok = False
-                break
-        if not ok:
-            continue
-        h = Hom(p.target, f.target, tuple(mapping))
-        if is_hom(h) and ctx.is_admissible(h):
+        h = tables.induced(p.composite, f)
+        if h is not None and ctx.is_admissible(h):
             hits.append((p, h))
     if len(hits) != 1:
         raise InvariantViolation(

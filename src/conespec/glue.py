@@ -70,29 +70,21 @@ def glue(ctx, g: GluingSpec) -> SpectralSpace:
             raise CocycleViolation("overlap identification is not an isomorphism")
         opens_by_overlap.append((Ui, Uj))
 
-    # identify points
-    uf = {}
-
-    def find(x):
-        while uf.get(x, x) != x:
-            uf[x] = uf.get(uf[x], uf[x])
-            x = uf[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            uf[max(rx, ry)] = min(rx, ry)
-
+    # identify points; all_points is sorted, so each class is named by its
+    # least chart point, the root the union-find keeps
     all_points = [(i, p) for i, X in enumerate(spaces)
                   for p in range(X.n_points)]
+    number = {x: n for n, x in enumerate(all_points)}
+    uf = tables._UF(len(all_points))
     for ov, (Ui, Uj) in zip(g.overlaps, opens_by_overlap):
         pts_i, pts_j = sorted(Ui), sorted(Uj)
         for a, p in enumerate(pts_i):
-            union((ov.i, p), (ov.j, pts_j[ov.iso.point_map[a]]))
-    classes = sorted({find(x) for x in all_points})
+            uf.union(number[(ov.i, p)],
+                     number[(ov.j, pts_j[ov.iso.point_map[a]])])
+    roots = [uf.find(n) for n in range(len(all_points))]
+    classes = sorted(set(roots))
     index = {c: n for n, c in enumerate(classes)}
-    glob = {x: index[find(x)] for x in all_points}
+    glob = {x: index[r] for x, r in zip(all_points, roots)}
 
     # each chart must embed: no two of its points may collapse
     for i, X in enumerate(spaces):
@@ -120,10 +112,9 @@ def glue(ctx, g: GluingSpec) -> SpectralSpace:
                        {p: a for a, p in enumerate(pts_i)},
                        {p: a for a, p in enumerate(pts_j)}))
 
-    sections = {}
-    luts = {}
+    sections, traces_of, cones, lookups = {}, {}, {}, {}
     for S in opens:
-        traces = [trace(S, i) for i in range(len(spaces))]
+        traces = traces_of[S] = [trace(S, i) for i in range(len(spaces))]
         P, projs = tables.product(spaces[0].kind,
                                   [spaces[i].sections(traces[i])
                                    for i in range(len(spaces))])
@@ -145,34 +136,34 @@ def glue(ctx, g: GluingSpec) -> SpectralSpace:
                 members.append(x)
         L, incl = tables.subalgebra(P, members)
         sections[S] = L
-        luts[S] = (traces, projs, incl,
-                   {tuple(pr.map[incl.map[e]] for pr in projs): e
-                    for e in range(L.size)})
+        cones[S] = [compose(incl, pr) for pr in projs]
+        lookups[S] = tables.cone_lookup(L, cones[S])
 
     restrictions = {}
     for S in opens:
-        tS, projsS, inclS, _ = luts[S]
+        tS, coneS = traces_of[S], cones[S]
         for T in opens:
             if T == S or not T < S:
                 continue
-            tT, projsT, inclT, lutT = luts[T]
+            tT = traces_of[T]
             mapping = []
             for e in range(sections[S].size):
                 vals = tuple(
-                    spaces[i].sheaf.res(tS[i], tT[i]).map[
-                        projsS[i].map[inclS.map[e]]]
+                    spaces[i].sheaf.res(tS[i], tT[i]).map[coneS[i].map[e]]
                     for i in range(len(spaces))
                 )
-                mapping.append(lutT[vals])
+                mapping.append(lookups[T][vals])
             h = Hom(sections[S], sections[T], tuple(mapping))
-            assert is_hom(h)
+            if not is_hom(h):
+                raise InvariantViolation("glued restriction is not a hom")
             restrictions[(S, T)] = h
 
     sheaf = Presheaf(spaces[0].kind, n, opens, sections, restrictions)
     X = SpectralSpace(
         ctx_name=ctx.name,
         kind=spaces[0].kind,
-        point_labels=tuple(f"c{i}p{p}" for (i, p) in classes),
+        point_labels=tuple(f"c{i}p{p}" for (i, p) in
+                           (all_points[c] for c in classes)),
         sheaf=sheaf,
     )
     _check_glued(ctx, X, spaces, glob)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import contexts as cx
 from . import tables
-from .contexts import LocalizationPath, factor_through, local_forms
+from .contexts import LocalizationPath, local_forms
 from .errors import InvariantViolation
 from .tables import FiniteAlgebra, Hom, compose, is_hom, product, pushout
 
@@ -34,7 +34,8 @@ class Hyperopcover:
 def is_opcover(ctx, c: Opcover) -> bool:
     """Every local form of the base factors through some component."""
     for p in local_forms(ctx, c.base):
-        if not any(factor_through(k, p) is not None for k in c.components):
+        if not any(tables.induced(k.composite, p.composite) is not None
+                   for k in c.components):
             return False
     return True
 
@@ -64,20 +65,16 @@ def h0(K: Hyperopcover):
     members = [x for x in range(P0.size)
                if all(d0.map[x] == d1.map[x] for d0, d1 in conditions)]
     E, incl = tables.subalgebra(P0, members)
-    plut = {}
-    for e in range(E.size):
-        plut[incl.map[e]] = e
-    p0lut = {}
-    for x in range(P0.size):
-        p0lut[tuple(pr.map[x] for pr in projs)] = x
+    lookup = tables.cone_lookup(E, [compose(incl, pr) for pr in projs])
     mapping = []
     for r in range(base.size):
-        x = p0lut[tuple(k.composite.map[r] for k in comps)]
-        if x not in plut:
+        key = tuple(k.composite.map[r] for k in comps)
+        if key not in lookup:
             raise InvariantViolation("base does not land in the cover limit")
-        mapping.append(plut[x])
+        mapping.append(lookup[key])
     eta = Hom(base, E, tuple(mapping))
-    assert is_hom(eta)
+    if not is_hom(eta):
+        raise InvariantViolation("map into the cover limit is not a hom")
     return E, eta
 
 
@@ -101,7 +98,8 @@ def enumerate_opcovers(ctx, R: FiniteAlgebra, max_components: int | None = None)
     locs = list(cx.enumerate_localizations(ctx, R).values())
     forms = local_forms(ctx, R)
     hits = [frozenset(i for i, p in enumerate(forms)
-                      if factor_through(k, p) is not None) for k in locs]
+                      if tables.induced(k.composite, p.composite) is not None)
+            for k in locs]
     everything = frozenset(range(len(forms)))
     out = []
     top = max_components if max_components is not None else len(locs)
@@ -118,7 +116,8 @@ def pushout_opcover(ctx, c: Opcover, f: Hom) -> Opcover:
     Components are re-identified with localization classes of the target, so
     the result carries genuine localization paths.
     """
-    assert f.source == c.base
+    if f.source != c.base:
+        raise InvariantViolation("pushed map does not start at the cover base")
     S = f.target
     locs = cx.enumerate_localizations(ctx, S)
     pushed = []

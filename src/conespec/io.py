@@ -29,27 +29,41 @@ def algebra_to_dict(A: FiniteAlgebra) -> dict:
     return out
 
 
+def _rows(d: dict, key: str) -> list:
+    rows = d.get(key)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValidationError(f"algebra field {key!r} is not a list of rows", d)
+    return rows
+
+
 def algebra_from_dict(d: dict) -> FiniteAlgebra:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValidationError("not an algebra object", d)
     one = d.get("one", d.get("unit"))
     if one is None:
         raise ValidationError("missing identity index", d)
+    zero = d.get("zero")
+    if type(one) is not int or (zero is not None and type(zero) is not int):
+        raise ValidationError("identity or zero is not an element index", d)
+    if not isinstance(d.get("elements"), list):
+        raise ValidationError("algebra field 'elements' is not a list", d)
     return validate(
-        d["kind"], list(d["elements"]),
-        [list(r) for r in d["mul"]],
-        add=[list(r) for r in d["add"]] if "add" in d else None,
-        zero=d.get("zero"), one=one,
+        d["kind"], d["elements"], _rows(d, "mul"),
+        add=_rows(d, "add") if "add" in d else None, zero=zero, one=one,
     )
 
 
 def _resolve_algebra(spec) -> FiniteAlgebra:
     if isinstance(spec, str):
+        if spec not in corpus.names():
+            raise ValidationError(f"unknown corpus algebra {spec!r}", spec)
         return corpus.by_name(spec)
     return algebra_from_dict(spec)
 
 
 def hom_from_dict(d: dict) -> Hom:
+    if not isinstance(d, dict):
+        raise ValidationError("not a hom object", d)
     try:
         source = _resolve_algebra(d["source"])
         target = _resolve_algebra(d["target"])
@@ -79,10 +93,23 @@ def path_to_dict(p: LocalizationPath) -> dict:
 
 
 def path_from_dict(ctx, R: FiniteAlgebra, d: dict) -> LocalizationPath:
+    """Read a localization path, checking each step against its context."""
+    steps = d.get("steps", []) if isinstance(d, dict) else None
+    if not isinstance(steps, list) or not all(isinstance(s, dict) for s in steps):
+        raise ValidationError("path is not an object with a list of steps", d)
     path = identity_path(R)
-    for step in d.get("steps", []):
-        datum = CellDatum(ctx.name, tuple(step["datum"]))
-        path = cx.extend_path(ctx, path, datum, step["branch"])
+    for step in steps:
+        data, branch = step.get("datum"), step.get("branch")
+        if branch not in cx.BRANCHES:
+            raise ValidationError(f"unknown branch {branch!r}", step)
+        if not isinstance(data, list) or not all(type(v) is int for v in data):
+            raise ValidationError("step datum is not a list of element indices",
+                                  step)
+        # the cell data of a context fix the arity, range and relation of a datum
+        datum = CellDatum(ctx.name, tuple(data))
+        if datum not in ctx.cell_data(path.target):
+            raise ValidationError(f"{data} is not a {ctx.name} cell datum", step)
+        path = cx.extend_path(ctx, path, datum, branch)
     return path
 
 

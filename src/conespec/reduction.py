@@ -28,12 +28,10 @@ class ReductionResult:
 
 
 def reduce(ctx, R: FiniteAlgebra, cls: str = "admissible") -> ReductionResult:
-    canonical = ell(ctx, R)
     if cls == "admissible":
-        path, g = factorize(ctx, canonical)
-        return ReductionResult(cls, path.target, path.composite, g)
+        return ReductionResult(cls, *sp.reduce_admissible(ctx, R))
     if cls == "mono":
-        epi, mono = tables.image_factorization(canonical)
+        epi, mono = tables.image_factorization(ell(ctx, R))
         return ReductionResult(cls, epi.target, epi, mono)
     raise ValueError(f"unknown factorization class {cls!r}")
 
@@ -82,7 +80,8 @@ def is_fixed_point(ctx, R: FiniteAlgebra) -> bool:
 
 def check_flat_wrt_cover(ctx, p: LocalizationPath, cover: hc.Opcover) -> bool:
     """Pushout along p commutes with the Čech limit of this cover."""
-    assert p.source == cover.base
+    if p.source != cover.base:
+        raise InvariantViolation("localization does not start at the cover base")
     H, eta = hc.cech_h0(ctx, cover)
     _, _, side1 = pushout(eta, p.composite)        # p_*(H0 K)
     pushed = hc.pushout_opcover(ctx, cover, p.composite)

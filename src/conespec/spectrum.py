@@ -58,17 +58,6 @@ def check_topology(opens, n_points) -> None:
                 raise InvariantViolation("opens not closed under union/intersection")
 
 
-def _lookup_by_cone(section, cone_homs):
-    """Map a tuple of cone values to the unique element carrying them."""
-    table = {}
-    for y in range(section.size):
-        key = tuple(h.map[y] for h in cone_homs)
-        if key in table:
-            raise InvariantViolation("cone does not separate limit elements")
-        table[key] = y
-    return table
-
-
 def plus_construction(F: Presheaf):
     """One application of the plus construction.
 
@@ -96,7 +85,7 @@ def plus_construction(F: Presheaf):
         L, cone = tables.limit(F.kind, objects, arrows)
         new_sections[U] = L
         cones[U] = (pts, pair_opens, cone)
-        lookup = _lookup_by_cone(L, cone)
+        lookup = tables.cone_lookup(L, cone)
         theta_map = []
         for x in range(F.sections[U].size):
             key = tuple(F.res(U, min_open[p]).map[x] for p in pts) + tuple(
@@ -104,7 +93,8 @@ def plus_construction(F: Presheaf):
             )
             theta_map.append(lookup[key])
         thetas[U] = Hom(F.sections[U], L, tuple(theta_map))
-        assert is_hom(thetas[U])
+        if not is_hom(thetas[U]):
+            raise InvariantViolation("plus-construction unit is not a hom")
     new_restrictions = {}
     for U in F.opens:
         ptsU, pairsU, coneU = cones[U]
@@ -112,7 +102,7 @@ def plus_construction(F: Presheaf):
             if V == U or not V < U:
                 continue
             ptsV, pairsV, coneV = cones[V]
-            lookup = _lookup_by_cone(new_sections[V], coneV)
+            lookup = tables.cone_lookup(new_sections[V], coneV)
             posU = {p: i for i, p in enumerate(ptsU)}
             mapping = []
             for x in range(new_sections[U].size):
@@ -126,7 +116,8 @@ def plus_construction(F: Presheaf):
                                       + tuple(pair_key)])
             new_restrictions[(U, V)] = Hom(new_sections[U], new_sections[V],
                                            tuple(mapping))
-            assert is_hom(new_restrictions[(U, V)])
+            if not is_hom(new_restrictions[(U, V)]):
+                raise InvariantViolation("plus-construction restriction is not a hom")
     G = Presheaf(F.kind, F.n_points, F.opens, new_sections, new_restrictions)
     return G, thetas
 
@@ -293,7 +284,8 @@ def validate_apmap(ctx, m: APMap) -> None:
             raise InvariantViolation("point map is not continuous")
     for U in T.opens:
         h = m.section_maps[U]
-        assert h.source == T.sections(U) and h.target == S.sections(m.preimage(U))
+        if h.source != T.sections(U) or h.target != S.sections(m.preimage(U)):
+            raise InvariantViolation("section map between the wrong sections")
         for V in T.opens:
             if V < U:
                 left = compose(h, S.sheaf.res(m.preimage(U), m.preimage(V)))
@@ -312,7 +304,8 @@ def identity_apmap(X: SpectralSpace) -> APMap:
 
 def compose_apmaps(f: APMap, g: APMap) -> APMap:
     """g after f: an APMap from f.source to g.target."""
-    assert f.target is g.source or f.target == g.source
+    if f.target is not g.source and f.target != g.source:
+        raise InvariantViolation("maps of spaces not composable")
     point_map = tuple(g.point_map[f.point_map[i]]
                       for i in range(f.source.n_points))
     section_maps = {}
@@ -323,7 +316,8 @@ def compose_apmaps(f: APMap, g: APMap) -> APMap:
 
 
 def invert_apmap(m: APMap) -> APMap:
-    assert m.is_iso
+    if not m.is_iso:
+        raise InvariantViolation("only an isomorphism of spaces has an inverse")
     inv_points = [0] * m.target.n_points
     for i, q in enumerate(m.point_map):
         inv_points[q] = i
@@ -340,24 +334,12 @@ def invert_apmap(m: APMap) -> APMap:
 _SPEC_CACHE: dict = {}
 
 
-def _refines(k_sig, p_sig) -> bool:
-    """k's kernel refines p's: p factors through k."""
-    seen = {}
-    for a, b in zip(k_sig, p_sig):
-        if a in seen:
-            if seen[a] != b:
-                return False
-        else:
-            seen[a] = b
-    return True
-
-
 def distinguished_open(ctx, R, k: LocalizationPath, forms=None) -> frozenset:
     """Pts k: the local forms factoring through k."""
     if forms is None:
         forms = local_forms(ctx, R)
-    ksig = k.sig
-    return frozenset(i for i, p in enumerate(forms) if _refines(ksig, p.sig))
+    return frozenset(i for i, p in enumerate(forms)
+                     if tables.induced(k.composite, p.composite) is not None)
 
 
 def _sig_pairs(sig):
@@ -372,20 +354,10 @@ def _sig_pairs(sig):
 
 
 def _class_map(c_from: Hom, c_to: Hom) -> Hom:
-    """Induced map between two quotient-like targets of a common source.
-
-    Requires c_from surjective with kernel refining c_to's kernel.
-    """
-    mapping = [-1] * c_from.target.size
-    for r in range(c_from.source.size):
-        x, y = c_from.map[r], c_to.map[r]
-        if mapping[x] == -1:
-            mapping[x] = y
-        elif mapping[x] != y:
-            raise InvariantViolation("restriction between sections undefined")
-    h = Hom(c_from.target, c_to.target, tuple(mapping))
-    if not is_hom(h):
-        raise InvariantViolation("induced class map is not a hom")
+    """The induced map, which the theorem at hand says must exist."""
+    h = tables.induced(c_from, c_to)
+    if h is None:
+        raise InvariantViolation("restriction between sections undefined")
     return h
 
 
@@ -447,11 +419,12 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
         L, cone = tables.limit(R.kind, objects, arrows)
         sections[U] = L
         kan_cones[U] = dict(zip(subs, cone))
-        lookup = _lookup_by_cone(L, cone)
+        lookup = tables.cone_lookup(L, cone)
         canonical[U] = Hom(R, L, tuple(
             lookup[tuple(canonical[W].map[r] for W in subs)] for r in range(R.size)
         ))
-        assert is_hom(canonical[U])
+        if not is_hom(canonical[U]):
+            raise InvariantViolation("canonical map into a limit is not a hom")
     # restriction maps
     restrictions = {}
     for U in opens:
@@ -469,13 +442,14 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
                               for W in subsV}
                 else:
                     coords = {W: kan_cones[U][W] for W in subsV}
-                lookup = _lookup_by_cone(sections[V],
-                                         [kan_cones[V][W] for W in subsV])
+                lookup = tables.cone_lookup(sections[V],
+                                            [kan_cones[V][W] for W in subsV])
                 res = Hom(sections[U], sections[V], tuple(
                     lookup[tuple(coords[W].map[x] for W in subsV)]
                     for x in range(sections[U].size)
                 ))
-                assert is_hom(res)
+                if not is_hom(res):
+                    raise InvariantViolation("restriction into a limit is not a hom")
             restrictions[(U, V)] = res
     F = Presheaf(R.kind, n, opens, sections, restrictions)
     sheaf, theta, single = sheafify(F)
@@ -524,31 +498,18 @@ def ell(ctx, R) -> Hom:
     """The canonical map R -> product of all local-form targets."""
     forms = local_forms(ctx, R)
     P, projs = tables.product(R.kind, [p.target for p in forms])
-    lookup = {}
-    for i in range(P.size):
-        lookup[tuple(pr.map[i] for pr in projs)] = i
+    lookup = tables.cone_lookup(P, projs)
     mapping = tuple(
         lookup[tuple(p.composite.map[r] for p in forms)] for r in range(R.size)
     )
     h = Hom(R, P, mapping)
-    assert is_hom(h)
+    if not is_hom(h):
+        raise InvariantViolation("canonical map into the product is not a hom")
     return h
 
 
 # ---------------------------------------------------------------------------
 # the contravariant action and open embeddings
-
-
-def _stalk_tuple_lookup(X: SpectralSpace, pre: frozenset):
-    pts = sorted(pre)
-    lut = {}
-    alg = X.sections(pre)
-    for y in range(alg.size):
-        key = tuple(X.sheaf.res(pre, X.min_open(j)).map[y] for j in pts)
-        if key in lut:
-            raise InvariantViolation("sheaf sections not separated by stalks")
-        lut[key] = y
-    return pts, lut
 
 
 def spec_map(ctx, f: Hom) -> APMap:
@@ -576,7 +537,9 @@ def spec_map(ctx, f: Hom) -> APMap:
     section_maps = {}
     for U in Y.opens:
         pre = frozenset(j for j, i in enumerate(point_map) if i in U)
-        pts, lut = _stalk_tuple_lookup(X, pre)
+        pts = sorted(pre)
+        lut = tables.cone_lookup(
+            X.sections(pre), [X.sheaf.res(pre, X.min_open(j)) for j in pts])
         mapping = []
         for x in range(Y.sections(U).size):
             key = tuple(
@@ -622,7 +585,8 @@ def restrict(X: SpectralSpace, U: frozenset) -> SpectralSpace:
 
 def corestrict_to_open(m: APMap, U: frozenset, XU: SpectralSpace | None = None) -> APMap:
     """View an APMap whose point image lies in U as a map into restrict(.., U)."""
-    assert set(m.point_map) <= set(U)
+    if not set(m.point_map) <= set(U):
+        raise InvariantViolation("point image does not lie in the open")
     target = XU if XU is not None else restrict(m.target, U)
     pts = sorted(U)
     reindex = {p: i for i, p in enumerate(pts)}

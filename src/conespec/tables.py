@@ -13,6 +13,7 @@ computation is on indices.  Canonical element order sorts by
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,9 @@ MONOID = "monoid"
 FULL_CHECK_MAX = 64
 
 DEFAULT_SIZE_BOUND = 4096
+
+# products and limits refuse to scan more candidate families than this
+SEARCH_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,8 @@ class FiniteAlgebra:
         return self.mul[i][j]
 
     def a(self, i: int, j: int) -> int:
-        assert self.add is not None
+        if self.add is None:
+            raise InvariantViolation("a monoid has no addition")
         return self.add[i][j]
 
     @cached_property
@@ -80,7 +85,8 @@ class FiniteAlgebra:
     @cached_property
     def neg(self) -> tuple[int, ...]:
         """Additive inverse table (rings only)."""
-        assert self.add is not None and self.zero is not None
+        if self.add is None or self.zero is None:
+            raise InvariantViolation("a monoid has no additive inverses")
         out = []
         for i in range(self.size):
             out.append(self.add[i].index(self.zero))
@@ -307,7 +313,8 @@ class Hom:
         return self.is_surjective and self.is_injective
 
     def inverse(self) -> "Hom":
-        assert self.is_bijective
+        if not self.is_bijective:
+            raise InvariantViolation("only a bijective hom has an inverse")
         inv = [0] * self.target.size
         for i, v in enumerate(self.map):
             inv[v] = i
@@ -360,8 +367,28 @@ def identity(A: FiniteAlgebra) -> Hom:
 
 def compose(f: Hom, g: Hom) -> Hom:
     """g after f (source of g must be target of f)."""
-    assert f.target == g.source, "homs not composable"
+    if f.target != g.source:
+        raise InvariantViolation("homs not composable")
     return Hom(f.source, g.target, tuple(g.map[v] for v in f.map))
+
+
+def induced(c_from: Hom, c_to: Hom) -> Hom | None:
+    """The h with compose(c_from, h) == c_to, or None if there is none.
+
+    c_from must be a surjection out of the source of c_to.  Then h exists
+    iff the kernel of c_from refines that of c_to, and it is a hom because
+    c_from is a quotient map, so the result is not re-checked.
+    """
+    if c_from.source != c_to.source or not c_from.is_surjective:
+        raise InvariantViolation(
+            "induced map needs a surjection out of the common source")
+    mapping = [-1] * c_from.target.size
+    for x, y in zip(c_from.map, c_to.map):
+        if mapping[x] == -1:
+            mapping[x] = y
+        elif mapping[x] != y:
+            return None
+    return Hom(c_from.target, c_to.target, tuple(mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -766,47 +793,11 @@ def _ring_tensor(f: Hom, g: Hom, size_bound: int):
 def product(kind: str, algebras) -> tuple[FiniteAlgebra, list[Hom]]:
     """Componentwise product; the empty product is the terminal algebra."""
     algebras = list(algebras)
-    if not algebras:
-        return terminal(kind), []
     if any(a.kind != kind for a in algebras):
         raise InvariantViolation(f"product of {kind}s given another kind")
-    sizes = [a.size for a in algebras]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > 10**6:
-        raise SizeBound("product carrier too large", 10**6)
-    elems = list(itertools.product(*[range(s) for s in sizes]))
-    index = {e: i for i, e in enumerate(elems)}
-    if len(algebras) == 1:
-        labels = [algebras[0].elements[e[0]] for e in elems]
-    else:
-        labels = [
-            "(" + ",".join(a.elements[v] for a, v in zip(algebras, e)) + ")"
-            for e in elems
-        ]
-    mul = [
-        [index[tuple(a.mul[x][y] for a, x, y in zip(algebras, e1, e2))] for e2 in elems]
-        for e1 in elems
-    ]
-    add = None
-    zero = None
-    if kind == RING:
-        add = [
-            [index[tuple(a.add[x][y] for a, x, y in zip(algebras, e1, e2))]
-             for e2 in elems]
-            for e1 in elems
-        ]
-        zero = index[tuple(a.zero for a in algebras)]
-    one = index[tuple(a.one for a in algebras)]
-    P, pos = _finish(kind, labels, mul, add, zero, one, check=total <= FULL_CHECK_MAX)
-    projs = []
-    inv = [0] * total
-    for old, new in enumerate(pos):
-        inv[new] = old
-    for i, a in enumerate(algebras):
-        projs.append(Hom(P, a, tuple(elems[inv[new]][i] for new in range(total))))
-    return P, projs
+    if math.prod(a.size for a in algebras) > SEARCH_MAX:
+        raise SizeBound("product carrier too large", SEARCH_MAX)
+    return limit(kind, algebras, [])
 
 
 def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
@@ -820,11 +811,8 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
     if not objects:
         return terminal(kind), []
     sizes = [o.size for o in objects]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > 10**6:
-        raise SizeBound("limit search space too large", 10**6)
+    if math.prod(sizes) > SEARCH_MAX:
+        raise SizeBound("limit search space too large", SEARCH_MAX)
     elems = []
     for t in itertools.product(*[range(s) for s in sizes]):
         if all(h.map[t[i]] == t[j] for (i, j, h) in arrows):
@@ -864,6 +852,17 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
         for i, o in enumerate(objects)
     ]
     return Lm, cone
+
+
+def cone_lookup(A: FiniteAlgebra, cone) -> dict:
+    """Map the family of cone values of each element of A back to it."""
+    table = {}
+    for y in range(A.size):
+        key = tuple(h.map[y] for h in cone)
+        if key in table:
+            raise InvariantViolation("cone does not separate elements")
+        table[key] = y
+    return table
 
 
 def equalizer(f: Hom, g: Hom) -> tuple[FiniteAlgebra, Hom]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 
 from conespec import corpus, tables
@@ -54,6 +55,22 @@ def random_presheaf(rng) -> Presheaf:
                 restrictions[(U, V)] = Hom(sections[U], sections[V],
                                            tuple(mapping))
     return Presheaf(A.kind, n_points, opens, sections, restrictions)
+
+
+def faces_by_subset_search(A) -> list[frozenset[int]]:
+    """Oracle: the saturated submonoids of a monoid, by trying every subset."""
+    rest = [i for i in range(A.size) if i != A.one]
+    out = []
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            F = frozenset((A.one,) + extra)
+            closed = all(A.mul[x][y] in F for x in F for y in F)
+            saturated = all((x in F and y in F)
+                            for x in range(A.size) for y in range(A.size)
+                            if A.mul[x][y] in F)
+            if closed and saturated:
+                out.append(F)
+    return sorted(out, key=lambda F: (len(F), sorted(F)))
 
 
 def large_nonassociative_monoid(n: int = 65):

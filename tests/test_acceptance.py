@@ -153,7 +153,7 @@ def test_criterion_7_hyperopcover_suite():
                 joined = compose(l_.composite, in_l)
                 pj = frozenset(
                     i for i, p in enumerate(forms)
-                    if sp._refines(joined.kernel_sig(), p.sig))
+                    if tables.induced(joined, p.composite) is not None)
                 assert pk & pl == pj
     for A in corpus.domain_corpus():
         if A.size == 1:

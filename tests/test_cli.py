@@ -179,3 +179,83 @@ def test_cli_kind_mismatch_exit_2_without_traceback(tmp_path):
         env=subprocess_env(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
+
+
+def e2_gluing(**overlap) -> dict:
+    """Two e2 charts glued where e is invertible; `overlap` overrides fields."""
+    dei = C.get_context("deitmar")
+    ko = next(k for k in C.enumerate_localizations(dei, corpus.flag_monoid())
+              .values() if k.target.size == 1)
+    ov = {"i": 0, "j": 1, "k_i": cio.path_to_dict(ko),
+          "k_j": cio.path_to_dict(ko)}
+    ov.update(overlap)
+    return {"context": "deitmar",
+            "charts": [{"algebra": "e2"}, {"algebra": "e2"}], "overlaps": [ov]}
+
+
+def test_cli_glue_rejects_overlap_index_out_of_range(tmp_path, capsys):
+    for bad in ({"j": 5}, {"i": -1}, {"j": "1"}, {"i": True}):
+        inp = write(tmp_path, "bad.json", e2_gluing(**bad))
+        assert cli.main(["glue", "--input", inp, "--out-dir", str(tmp_path)]) == 2
+        assert "overlap chart index" in capsys.readouterr().err
+
+
+def test_cli_path_rejects_unknown_branch(tmp_path, capsys):
+    step = {"datum": [1], "branch": "sideways"}
+    inp = write(tmp_path, "bad.json", e2_gluing(k_j={"steps": [step]}))
+    assert cli.main(["glue", "--input", inp, "--out-dir", str(tmp_path)]) == 2
+    assert "unknown branch 'sideways'" in capsys.readouterr().err
+
+
+def test_cli_path_rejects_datum_wrong_for_context(tmp_path, capsys):
+    # deitmar data have one element index; e2 has two elements
+    for datum in ([1, 0], [], [2], [0.0], "1"):
+        step = {"datum": datum, "branch": "right"}
+        inp = write(tmp_path, "bad.json", e2_gluing(k_i={"steps": [step]}))
+        assert cli.main(["glue", "--input", inp,
+                         "--out-dir", str(tmp_path)]) == 2
+        assert "datum" in capsys.readouterr().err
+    # zariski data are pairs (r, s) with r + s = 1
+    z6 = write(tmp_path, "z6.json", cio.algebra_to_dict(Z6))
+    cover = write(tmp_path, "cover.json", {"components": [
+        {"steps": [{"datum": [2, 2], "branch": "left"}]}]})
+    assert cli.main(["check", "--property", "flat-cover", "--input", z6,
+                     "--cover", cover]) == 2
+
+
+def test_cli_unknown_corpus_name_exit_2(tmp_path, capsys):
+    hom = write(tmp_path, "z7.json", {"source": "z7", "target": "z2",
+                                      "map": [0] * 7})
+    assert cli.main(["check", "--property", "geometric-iso", "--hom", hom]) == 2
+    assert "unknown corpus algebra 'z7'" in capsys.readouterr().err
+
+
+def test_cli_rejects_malformed_table_fields(tmp_path):
+    good = cio.algebra_to_dict(Z6)
+    for field, value in [("mul", 5), ("mul", [5]), ("add", "x"),
+                         ("elements", 6), ("one", "1"), ("zero", [0])]:
+        inp = write(tmp_path, "bad.json", dict(good, **{field: value}))
+        assert cli.main(["spec", "--input", inp,
+                         "--out-dir", str(tmp_path)]) == 2, field
+
+
+def test_cli_check_requires_the_files_its_property_reads(tmp_path, capsys):
+    z6 = write(tmp_path, "z6.json", cio.algebra_to_dict(Z6))
+    for argv in (["--property", "reduced"],
+                 ["--property", "geometric-iso", "--input", z6],
+                 ["--property", "flat-cover", "--input", z6]):
+        assert cli.main(["check", *argv]) == 2
+        assert "needs --" in capsys.readouterr().err
+
+
+def test_cli_unexpected_error_exit_4_one_line(tmp_path, capsys, monkeypatch):
+    from conespec import spectrum as sp
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(sp, "build_spec", boom)
+    inp = write(tmp_path, "z6.json", cio.algebra_to_dict(Z6))
+    assert cli.main(["spec", "--input", inp, "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "boom" in err

@@ -3,12 +3,15 @@ local-form enumeration and the bounded saturation cross-oracle."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from conespec import contexts as C
 from conespec import corpus, tables
 from conespec.errors import DidNotStabilize, KindMismatch
-from conespec.tables import all_homs, compose, identity, isomorphic
+from conespec.tables import MONOID, all_homs, compose, identity, isomorphic
+from helpers import faces_by_subset_search
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -240,3 +243,33 @@ def test_enumerate_localizations_targets():
     assert sorted(p.target.size for p in locs.values()) == [1, 2, 3, 6]
     locs12 = C.enumerate_localizations(ZAR, Z12)
     assert sorted(p.target.size for p in locs12.values()) == [1, 3, 4, 12]
+
+
+def test_faces_match_subset_search():
+    monoids = corpus.deitmar_corpus()
+    pairs = [tables.product(MONOID, [A, B])[0]
+             for A, B in itertools.combinations_with_replacement(monoids, 2)
+             if A.size * B.size <= 12]
+    for M in monoids + pairs:
+        assert DEI.faces(M) == faces_by_subset_search(M), M.elements
+
+
+def test_induced_exists_exactly_when_the_kernel_refines():
+    for ctx, algebras in [
+        (ZAR, corpus.zariski_corpus()),
+        (DOM, corpus.domain_corpus()),
+        (DEI, corpus.deitmar_corpus()),
+    ]:
+        for A in algebras:
+            locs = list(C.enumerate_localizations(ctx, A).values())
+            for k in locs:
+                for p in locs:
+                    refines = all(
+                        p.composite.map[r] == p.composite.map[s]
+                        for r in range(A.size) for s in range(A.size)
+                        if k.composite.map[r] == k.composite.map[s])
+                    h = tables.induced(k.composite, p.composite)
+                    assert (h is not None) == refines
+                    if h is not None:
+                        assert tables.is_hom(h)
+                        assert compose(k.composite, h) == p.composite

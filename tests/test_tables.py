@@ -464,6 +464,24 @@ def test_pullback_z6_over_z2():
 # ------------------------------------------------------------------ isomorphism
 
 
+def test_induced_checks_its_hypothesis():
+    proj = all_homs(Z6, Z2)[0]
+    assert tables.induced(identity(Z6), proj) == proj
+    assert tables.induced(proj, identity(Z6)) is None
+    incl = Hom(Z2, Z6, (0, 3))
+    with pytest.raises(InvariantViolation):
+        tables.induced(incl, incl)           # not surjective
+    with pytest.raises(InvariantViolation):
+        tables.induced(proj, identity(Z3))   # different sources
+
+
+def test_cone_lookup_rejects_a_cone_that_does_not_separate():
+    P, projs = product(RING, [Z2, Z3])
+    assert tables.cone_lookup(P, projs)[(1, 2)] == P.elements.index("(1,2)")
+    with pytest.raises(InvariantViolation):
+        tables.cone_lookup(P, projs[:1])
+
+
 def test_find_isomorphism_matches_bijection_oracle():
     cases = [
         (product(RING, [Z2, Z3])[0], Z6),
@@ -520,7 +538,8 @@ def test_invariants_hold_under_python_O():
         "from conespec.errors import InvariantViolation\n"
         "Z6 = corpus.zn(6)\n"
         "for call in (lambda: tables.quotient_by_sig(Z6, (0, 0, 1, 2, 3, 4)),\n"
-        "             lambda: tables.subalgebra(Z6, [0, 1, 2])):\n"
+        "             lambda: tables.subalgebra(Z6, [0, 1, 2]),\n"
+        "             lambda: tables.all_homs(Z6, corpus.zn(2))[0].inverse()):\n"
         "    try:\n"
         "        call()\n"
         "    except InvariantViolation:\n"
@@ -531,4 +550,4 @@ def test_invariants_hold_under_python_O():
                          env=subprocess_env(), capture_output=True, text=True,
                          timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised", "raised", "False"]
+    assert out.stdout.split() == ["raised", "raised", "raised", "False"]
