@@ -59,9 +59,9 @@ def cmd_spec(args) -> int:
     ctx = cx.get_context(args.context)
     R = cio.algebra_from_dict(cio.load_json(args.input))
     _check_bounds(args, R)
-    if args.rounds is not None:
-        cx.saturate_bounded(ctx, R, max_rounds=args.rounds)
-    X = sp.build_spec(ctx, R)
+    # --rounds bounds the localization search that build_spec then reuses
+    locs = cx.enumerate_localizations(ctx, R, max_rounds=args.rounds)
+    X = sp.build_spec(ctx, R, locs)
     stem = _stem(args.input)
     _write(args.out_dir, f"{stem}.topology.dot", cio.specialization_dot(X))
     _write(args.out_dir, f"{stem}.sections.json",
@@ -120,9 +120,9 @@ def cmd_check(args) -> int:
             certificate = {"counit": list(eps.map),
                            "global_sections": eps.target.size}
         elif prop == "flat-cover":
-            cover_doc = cio.load_json(args.cover)
+            cover_doc = cio.load_object(args.cover)
             comps = tuple(cio.path_from_dict(ctx, R, p)
-                          for p in cover_doc["components"])
+                          for p in cio.list_field(cover_doc, "components"))
             cover = hc.Opcover(ctx.name, R, comps)
             if not hc.is_opcover(ctx, cover):
                 raise ValidationError("component family is not an opcover",
@@ -142,9 +142,10 @@ def cmd_check(args) -> int:
 
 
 def _load_gluing(ctx, doc) -> gl.GluingSpec:
-    charts = tuple(cio._resolve_algebra(c["algebra"]) for c in doc["charts"])
+    charts = tuple(cio._resolve_algebra(c["algebra"])
+                   for c in cio.list_field(doc, "charts", dict))
     overlaps = []
-    for ov in doc["overlaps"]:
+    for ov in cio.list_field(doc, "overlaps", dict):
         i, j = ov["i"], ov["j"]
         for v in (i, j):
             if type(v) is not int or not 0 <= v < len(charts):
@@ -168,7 +169,7 @@ def _load_gluing(ctx, doc) -> gl.GluingSpec:
 
 
 def cmd_glue(args) -> int:
-    doc = cio.load_json(args.input)
+    doc = cio.load_object(args.input)
     ctx = cx.get_context(doc.get("context", args.context))
     X = gl.glue(ctx, _load_gluing(ctx, doc))
     stem = _stem(args.input)
@@ -186,7 +187,7 @@ def _space_from_input(ctx, doc):
 
 
 def cmd_nerve(args) -> int:
-    doc = cio.load_json(args.input)
+    doc = cio.load_object(args.input)
     ctx = cx.get_context(doc.get("context", args.context))
     X = _space_from_input(ctx, doc)
     if args.site != "default":

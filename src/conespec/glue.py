@@ -184,16 +184,21 @@ def _check_glued(ctx, X, spaces, glob):
 
 
 def is_affine(ctx, X: SpectralSpace):
-    """(verdict, witness): is X isomorphic to Spec of its global sections?"""
+    """(verdict, witness): is X isomorphic to Spec of its global sections?
+
+    Spec is built only when its point count, the number of local forms of
+    the global sections, matches X; its stalks are the form targets.
+    """
     gamma = X.sections(X.total)
-    Y = build_spec(ctx, gamma)
-    m = sp.spaces_isomorphic(Y, X)
-    if m is not None:
-        return True, m
+    forms = local_forms(ctx, gamma)
+    if len(forms) == X.n_points:
+        m = sp.spaces_isomorphic(build_spec(ctx, gamma), X)
+        if m is not None:
+            return True, m
     return False, {
-        "points": (X.n_points, Y.n_points),
+        "points": (X.n_points, len(forms)),
         "stalks": (sorted(X.stalk(p).size for p in range(X.n_points)),
-                   sorted(Y.stalk(p).size for p in range(Y.n_points))),
+                   sorted(p.target.size for p in forms)),
     }
 
 

@@ -146,3 +146,21 @@ def specialization_dot(X) -> str:
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_object(path: str) -> dict:
+    """A JSON document whose top level must be an object."""
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path} does not hold a JSON object", doc)
+    return doc
+
+
+def list_field(d: dict, key: str, item=object) -> list:
+    """d[key], which must be a list of `item` values."""
+    value = d[key]
+    if not isinstance(value, list):
+        raise ValidationError(f"field {key!r} is not a list", d)
+    if not all(isinstance(v, item) for v in value):
+        raise ValidationError(f"field {key!r} holds an item of the wrong type", d)
+    return value

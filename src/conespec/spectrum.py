@@ -30,10 +30,14 @@ class Presheaf:
     opens: tuple[frozenset, ...]
     sections: dict
     restrictions: dict  # (U, V) -> Hom for V subset of U
+    identities: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def res(self, U, V) -> Hom:
         if U == V:
-            return identity(self.sections[U])
+            if U not in self.identities:
+                self.identities[U] = identity(self.sections[U])
+            return self.identities[U]
         return self.restrictions[(U, V)]
 
     def min_open(self, p: int) -> frozenset:
@@ -361,12 +365,14 @@ def _class_map(c_from: Hom, c_to: Hom) -> Hom:
     return h
 
 
-def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
+def build_spec(ctx, R: FiniteAlgebra, locs=None) -> SpectralSpace:
+    """Spec R; `locs` is `enumerate_localizations(ctx, R)` if already known."""
     key = (ctx.name, R)
     if key in _SPEC_CACHE:
         return _SPEC_CACHE[key]
     forms = tuple(local_forms(ctx, R))
-    locs = cx.enumerate_localizations(ctx, R)
+    if locs is None:
+        locs = cx.enumerate_localizations(ctx, R)
     n = len(forms)
 
     # distinguished opens and the canonical presheaf on them
@@ -486,11 +492,24 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
 
 
 def reduce_admissible(ctx, R):
-    """Factor the map into the product of local forms through a localization.
+    """Factor ell: R -> product of local forms through a localization.
 
-    Returns (red R, unit: R -> red R, admissible residual).
+    Returns (red R, unit: R -> red R, admissible residual).  The factoring
+    is computed for the quotient map q: R -> R/ker ell, the image of ell up
+    to isomorphism, so the product is never built.  That gives the same
+    factoring: each step of `factorize` only asks whether a kernel refines
+    that of the map, and q has the kernel of ell; the residuals then differ
+    by the inclusion R/ker ell -> product, and both admissibility notions
+    survive it.  Injectivity (domain) depends on the kernel alone.  For
+    reflecting units (zariski, deitmar): in a finite monoid the units of a
+    submonoid are its elements that are units of the ambient monoid, since
+    an inverse is a power.  So the residual lands in R/ker ell.
     """
-    path, g = factorize(ctx, ell(ctx, R))
+    forms = local_forms(ctx, R)
+    sig = tables.normalize_sig(tuple(p.composite.map[r] for p in forms)
+                               for r in range(R.size))
+    _, to_image = tables.quotient_by_sig(R, sig)
+    path, g = factorize(ctx, to_image)
     return path.target, path.composite, g
 
 

@@ -38,7 +38,7 @@ FULL_CHECK_MAX = 64
 
 DEFAULT_SIZE_BOUND = 4096
 
-# products and limits refuse to scan more candidate families than this
+# a product carrier, and the partial families a limit visits, stay below this
 SEARCH_MAX = 10**6
 
 
@@ -800,6 +800,91 @@ def product(kind: str, algebras) -> tuple[FiniteAlgebra, list[Hom]]:
     return limit(kind, algebras, [])
 
 
+def _search_plan(sizes, arrows):
+    """Order the objects for the join, with each one's arrow constraints.
+
+    Next comes the object with the most arrows to those already placed,
+    ties going to the lower index.  For each object the plan lists the
+    arrows from placed objects, which force its value, the arrows into
+    placed objects, which restrict it to a preimage, and its loops; plus,
+    when no arrow forces it, the preimages along its first arrow into.
+    """
+    n = len(sizes)
+    incident = [[] for _ in range(n)]
+    for i, j, h in arrows:
+        incident[i].append((i, j, h))
+        if j != i:
+            incident[j].append((i, j, h))
+    links = [0] * n
+    placed = [False] * n
+    plan = []
+    for _ in range(n):
+        v = max((u for u in range(n) if not placed[u]),
+                key=lambda u: (links[u], -u))
+        placed[v] = True
+        forced, into, loops = [], [], []
+        for i, j, h in incident[v]:
+            other = j if i == v else i
+            if i == j:
+                loops.append(h)
+            elif not placed[other]:
+                links[other] += 1
+            elif j == v:
+                forced.append((i, h))
+            else:
+                into.append((j, h))
+        pre = None
+        if into and not forced:
+            j, h = into[0]
+            pre = [[] for _ in range(sizes[j])]
+            for x, y in enumerate(h.map):
+                pre[y].append(x)
+        plan.append((v, forced, into, loops, pre))
+    return plan
+
+
+def _compatible_families(sizes, arrows) -> list[tuple[int, ...]]:
+    """The families compatible with every arrow, in lexicographic order.
+
+    A backtracking join along `_search_plan`: an object's value is forced
+    by an arrow from a placed object, else drawn from the preimage of a
+    placed target's value along an arrow into it, else free.  Raises
+    SizeBound once more than SEARCH_MAX partial families are visited.
+    """
+    n = len(sizes)
+    plan = _search_plan(sizes, arrows)
+    t = [0] * n
+    out = []
+    visited = 0
+
+    def extend(depth):
+        nonlocal visited
+        if depth == n:
+            out.append(tuple(t))
+            return
+        v, forced, into, loops, pre = plan[depth]
+        if forced:
+            i, h = forced[0]
+            candidates = (h.map[t[i]],)
+        elif pre is not None:
+            candidates = pre[t[into[0][0]]]
+        else:
+            candidates = range(sizes[v])
+        for x in candidates:
+            if all(h.map[t[i]] == x for i, h in forced) \
+                    and all(h.map[x] == t[j] for j, h in into) \
+                    and all(h.map[x] == x for h in loops):
+                visited += 1
+                if visited > SEARCH_MAX:
+                    raise SizeBound("limit search space too large", SEARCH_MAX)
+                t[v] = x
+                extend(depth + 1)
+
+    extend(0)
+    out.sort()
+    return out
+
+
 def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
     """Limit of a finite diagram.
 
@@ -810,13 +895,7 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
     objects = list(objects)
     if not objects:
         return terminal(kind), []
-    sizes = [o.size for o in objects]
-    if math.prod(sizes) > SEARCH_MAX:
-        raise SizeBound("limit search space too large", SEARCH_MAX)
-    elems = []
-    for t in itertools.product(*[range(s) for s in sizes]):
-        if all(h.map[t[i]] == t[j] for (i, j, h) in arrows):
-            elems.append(t)
+    elems = _compatible_families([o.size for o in objects], arrows)
     index = {e: i for i, e in enumerate(elems)}
     one_t = tuple(o.one for o in objects)
     if one_t not in index:

@@ -1,13 +1,13 @@
-"""Shared test utilities: small topologies and randomized presheaves."""
+"""Shared test utilities: small topologies, randomized presheaves, oracles."""
 
 from __future__ import annotations
 
 import itertools
 import os
 
-from conespec import corpus, tables
+from conespec import contexts, corpus, tables
 from conespec.spectrum import Presheaf, sort_opens
-from conespec.tables import Hom
+from conespec.tables import RING, Hom
 
 
 def small_topologies():
@@ -92,3 +92,46 @@ def subprocess_env() -> dict:
     src = os.path.dirname(os.path.dirname(tables.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return dict(os.environ, PYTHONPATH=path)
+
+
+def corpus_by_context():
+    """Every (context, algebra) pair of the corpus check suites."""
+    return ([(contexts.get_context("zariski"), A) for A in corpus.zariski_corpus()]
+            + [(contexts.get_context("domain"), A) for A in corpus.domain_corpus()]
+            + [(contexts.get_context("deitmar"), A) for A in corpus.deitmar_corpus()])
+
+
+def limit_by_product_scan(kind, objects, arrows):
+    """Oracle: a finite limit by scanning every family of the product.
+
+    The families compatible with every arrow, in product order, become the
+    elements; the operations act componentwise.
+    """
+    objects = list(objects)
+    if not objects:
+        return tables.terminal(kind), []
+    elems = [t for t in itertools.product(*[range(o.size) for o in objects])
+             if all(h.map[t[i]] == t[j] for (i, j, h) in arrows)]
+    index = {e: i for i, e in enumerate(elems)}
+    if len(objects) == 1:
+        labels = [objects[0].elements[e[0]] for e in elems]
+    else:
+        labels = ["(" + ",".join(o.elements[v] for o, v in zip(objects, e)) + ")"
+                  for e in elems]
+
+    def table(op):
+        return [[index[tuple(op(o)[x][y] for o, x, y in zip(objects, e1, e2))]
+                 for e2 in elems] for e1 in elems]
+
+    ring = kind == RING
+    L, pos = tables._finish(
+        kind, labels, table(lambda o: o.mul),
+        table(lambda o: o.add) if ring else None,
+        index[tuple(o.zero for o in objects)] if ring else None,
+        index[tuple(o.one for o in objects)])
+    inv = [0] * len(elems)
+    for old, new in enumerate(pos):
+        inv[new] = old
+    cone = [Hom(L, o, tuple(elems[inv[new]][i] for new in range(len(elems))))
+            for i, o in enumerate(objects)]
+    return L, cone

@@ -223,6 +223,57 @@ def test_cli_path_rejects_datum_wrong_for_context(tmp_path, capsys):
                      "--cover", cover]) == 2
 
 
+def test_cli_rejects_wrongly_shaped_gluing_documents(tmp_path, capsys):
+    for doc in ([1, 2], {"charts": 5, "overlaps": []},
+                {"charts": [5], "overlaps": []}):
+        inp = write(tmp_path, "bad.json", doc)
+        for command in ("glue", "nerve"):
+            assert cli.main([command, "--input", inp]) == 2
+            assert capsys.readouterr().err.startswith("input error")
+
+
+def test_cli_flat_cover_rejects_components_that_are_not_a_list(tmp_path, capsys):
+    z6 = write(tmp_path, "z6.json", cio.algebra_to_dict(Z6))
+    cover = write(tmp_path, "cover.json", {"components": 5})
+    assert cli.main(["check", "--property", "flat-cover", "--input", z6,
+                     "--cover", cover]) == 2
+    assert "field 'components' is not a list" in capsys.readouterr().err
+
+
+def test_cli_spec_rounds_runs_one_localization_search(tmp_path, monkeypatch):
+    from conespec import spectrum as sp
+
+    calls = []
+    real_search = C.enumerate_localizations
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(C, "enumerate_localizations", counting)
+    inp = write(tmp_path, "z12.json", cio.algebra_to_dict(corpus.zn(12)))
+    for rounds in ([], ["--rounds", "20"]):
+        monkeypatch.setattr(sp, "_SPEC_CACHE", {})
+        calls.clear()
+        assert cli.main(["spec", "--input", inp, "--out-dir", str(tmp_path),
+                         *rounds]) == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("names, printed", [
+    ("chain3,nil3", "points=6 opens=10 epsilon=iso"),
+    ("chain3,chain3", "points=9 opens=20 epsilon=iso"),
+])
+def test_cli_spec_of_chain3_products(tmp_path, capsys, names, printed):
+    # Spec of a product monoid is the product of the chart spaces: a 3-chain
+    # times a 2- or 3-chain, whose opens are the up-sets of the grid
+    M = corpus.monoid_product(*names.split(","))
+    inp = write(tmp_path, "m.json", cio.algebra_to_dict(M))
+    assert cli.main(["spec", "--context", "deitmar", "--input", inp,
+                     "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.strip() == printed
+
+
 def test_cli_unknown_corpus_name_exit_2(tmp_path, capsys):
     hom = write(tmp_path, "z7.json", {"source": "z7", "target": "z2",
                                       "map": [0] * 7})

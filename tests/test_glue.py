@@ -10,6 +10,7 @@ from conespec.errors import CocycleViolation
 from conespec.tables import all_homs, isomorphic
 
 ZAR = C.get_context("zariski")
+DOM = C.get_context("domain")
 DEI = C.get_context("deitmar")
 
 Z6 = corpus.zn(6)
@@ -61,6 +62,42 @@ def test_glue_along_total_gives_chart_back():
     X = gl.glue(DEI, gl.GluingSpec("deitmar", (M, M), (ov,)))
     Y = sp.build_spec(DEI, M)
     assert sp.spaces_isomorphic(X, Y) is not None
+
+
+def test_is_affine_agrees_with_the_full_comparison(f1_p1, doubled_z6):
+    M = corpus.flag_monoid()
+    ident = loc_by_size(DEI, M, 2)
+    along_total = gl.glue(DEI, gl.GluingSpec("deitmar", (M, M), (
+        gl.make_overlap(DEI, (M, M), 0, 1, ident, ident),)))
+    k = loc_by_size(DOM, Z6, 3)
+    domain_z6 = gl.glue(DOM, gl.GluingSpec("domain", (Z6, Z6), (
+        gl.make_overlap(DOM, (Z6, Z6), 0, 1, k, k),)))
+    verdicts = []
+    for ctx, X in [(DEI, f1_p1), (ZAR, doubled_z6), (DEI, along_total),
+                   (DOM, domain_z6)]:
+        verdict, witness = gl.is_affine(ctx, X)
+        Y = sp.build_spec(ctx, X.sections(X.total))
+        assert verdict == (sp.spaces_isomorphic(Y, X) is not None)
+        if not verdict:
+            assert witness == {
+                "points": (X.n_points, Y.n_points),
+                "stalks": (sorted(X.stalk(p).size for p in range(X.n_points)),
+                           sorted(Y.stalk(p).size for p in range(Y.n_points))),
+            }
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_doubled_e2xe2_has_seven_points_and_is_not_affine():
+    # Spec of its global sections, e2^4, has 16 points: decided by the count
+    M = corpus.by_name("e2xe2")
+    k = loc_by_size(DEI, M, 1)
+    X = gl.glue(DEI, gl.GluingSpec("deitmar", (M, M), (
+        gl.make_overlap(DEI, (M, M), 0, 1, k, k),)))
+    assert X.n_points == 7
+    verdict, witness = gl.is_affine(DEI, X)
+    assert not verdict
+    assert witness["points"] == (7, 16)
 
 
 def test_doubled_z6_is_affine(doubled_z6):

@@ -11,6 +11,8 @@ from conespec import corpus, hypercover as hc, reduction as red, spectrum as sp
 from conespec import tables
 from conespec.tables import all_homs, compose, identity, isomorphic
 
+from helpers import corpus_by_context
+
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
 DEI = C.get_context("deitmar")
@@ -55,6 +57,19 @@ def test_mono_reduction_is_image():
         assert r.unit.is_surjective and r.factor_witness.is_injective
         if red.is_mono_reduced(ctx, A):
             assert r.unit.is_bijective
+
+
+def test_reduce_admissible_matches_factorizing_ell():
+    for ctx, A in corpus_by_context():
+        ell = sp.ell(ctx, A)
+        path, g = C.factorize(ctx, ell)
+        algebra, unit, witness = sp.reduce_admissible(ctx, A)
+        assert unit.kernel_sig() == path.sig
+        assert (algebra, unit) == (path.target, path.composite)
+        # the residual lands in R/ker ell, which ell embeds in the product
+        _, q = tables.quotient_by_sig(A, ell.kernel_sig())
+        incl = tables.induced(q, ell)
+        assert incl.is_injective and compose(witness, incl) == g
 
 
 def test_reduction_idempotent():

@@ -12,11 +12,11 @@ import random
 import pytest
 
 from conespec import contexts as C
-from conespec import corpus, spectrum as sp
+from conespec import corpus, spectrum as sp, tables
 from conespec.errors import InvariantViolation
 from conespec.tables import all_homs, compose, identity, is_hom
 
-from helpers import random_presheaf
+from helpers import corpus_by_context, limit_by_product_scan, random_presheaf
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -26,6 +26,25 @@ Z2, Z3, Z4, Z6, Z12 = (corpus.zn(n) for n in (2, 3, 4, 6, 12))
 
 
 # -------------------------------------------------------------- specific spaces
+
+
+def test_spec_limits_match_product_scan(monkeypatch):
+    """Every Kan-extension and plus-construction limit of the corpus specs."""
+    calls = []
+    real_limit = tables.limit
+
+    def recording(kind, objects, arrows):
+        out = real_limit(kind, objects, arrows)
+        calls.append((kind, objects, arrows, out))
+        return out
+
+    monkeypatch.setattr(tables, "limit", recording)
+    monkeypatch.setattr(sp, "_SPEC_CACHE", {})
+    for ctx, A in corpus_by_context():
+        sp.build_spec(ctx, A)
+    assert len(calls) > 50
+    for kind, objects, arrows, out in calls:
+        assert out == limit_by_product_scan(kind, objects, arrows)
 
 
 def test_spec_z6_zariski():

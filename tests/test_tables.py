@@ -47,7 +47,11 @@ from conespec.tables import (
     subalgebra,
     validate,
 )
-from helpers import large_nonassociative_monoid, subprocess_env
+from helpers import (
+    large_nonassociative_monoid,
+    limit_by_product_scan,
+    subprocess_env,
+)
 
 Z2, Z3, Z4, Z6, Z12 = (corpus.zn(n) for n in (2, 3, 4, 6, 12))
 
@@ -459,6 +463,43 @@ def test_pullback_z6_over_z2():
         (a, b) for a in range(6) for b in range(6) if q.map[a] == q.map[b]
     ]
     assert len(raw) == 18
+
+
+_DIAGRAM_POOL = {
+    MONOID: [corpus.trivial_monoid(), corpus.flag_monoid(),
+             corpus.cyclic_group_monoid(2), corpus.cyclic_group_monoid(3),
+             corpus.chain_monoid(), corpus.nilpotent_monoid()],
+    RING: [corpus.trivial_ring(), Z2, Z3, corpus.zn(4), Z6, corpus.f2x2()],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([MONOID, RING]), st.data())
+def test_limit_matches_product_scan_on_random_diagrams(kind, data):
+    pool = _DIAGRAM_POOL[kind]
+    objects = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    arrows = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        i = data.draw(st.integers(0, len(objects) - 1))
+        j = data.draw(st.integers(0, len(objects) - 1))
+        homs = all_homs(objects[i], objects[j])
+        if homs:
+            arrows.append((i, j, data.draw(st.sampled_from(homs))))
+    assert limit(kind, objects, arrows) == \
+        limit_by_product_scan(kind, objects, arrows)
+
+
+def test_limit_bound_counts_visited_families(monkeypatch):
+    # a chain of five identities: 3 values per object are visited, 15 in
+    # all, while the product of the objects has 3^5 = 243 families
+    M = corpus.chain_monoid()
+    arrows = [(i, i + 1, identity(M)) for i in range(4)]
+    monkeypatch.setattr(tables, "SEARCH_MAX", 15)
+    L, _ = limit(MONOID, [M] * 5, arrows)
+    assert L.size == 3
+    monkeypatch.setattr(tables, "SEARCH_MAX", 14)
+    with pytest.raises(SizeBound, match="limit search space too large"):
+        limit(MONOID, [M] * 5, arrows)
 
 
 # ------------------------------------------------------------------ isomorphism
