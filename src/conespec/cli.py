@@ -153,18 +153,18 @@ def _load_gluing(ctx, doc) -> gl.GluingSpec:
                                       ov)
         k_i = cio.path_from_dict(ctx, charts[i], ov["k_i"])
         k_j = cio.path_from_dict(ctx, charts[j], ov["k_j"])
+        g = None
         if "iso" in ov:
-            g = tables.Hom(k_j.target, k_i.target, tuple(ov["iso"]["map"]))
+            iso = ov["iso"]
+            mapping = iso.get("map") if isinstance(iso, dict) else None
+            if not isinstance(mapping, list) or not all(
+                    type(v) is int for v in mapping):
+                raise ValidationError(
+                    "overlap iso is not {\"map\": [element indices]}", ov)
+            g = tables.Hom(k_j.target, k_i.target, tuple(mapping))
             if not tables.is_hom(g) or not g.is_bijective:
                 raise ValidationError("overlap iso is not an isomorphism", ov)
-            Ui, emb_i = sp.open_embedding_data(ctx, charts[i], k_i)
-            Uj, emb_j = sp.open_embedding_data(ctx, charts[j], k_j)
-            mid = sp.spec_map(ctx, g)
-            iso = sp.compose_apmaps(sp.compose_apmaps(emb_i, mid),
-                                    sp.invert_apmap(emb_j))
-            overlaps.append(gl.Overlap(i, j, k_i, k_j, iso))
-        else:
-            overlaps.append(gl.make_overlap(ctx, charts, i, j, k_i, k_j))
+        overlaps.append(gl.make_overlap(ctx, charts, i, j, k_i, k_j, g))
     return gl.GluingSpec(ctx.name, charts, tuple(overlaps))
 
 

@@ -19,7 +19,7 @@ from .contexts import LocalizationPath, factorize, local_forms
 from .errors import CocycleViolation, InvariantViolation
 from .spectrum import APMap, Presheaf, SpectralSpace, build_spec, compose_apmaps, \
     restrict, sort_opens, spec_map
-from .tables import FiniteAlgebra, Hom, all_homs, compose, is_hom
+from .tables import FiniteAlgebra, Hom, all_homs, compose
 
 
 @dataclass
@@ -39,25 +39,25 @@ class GluingSpec:
 
 
 def make_overlap(ctx, charts, i: int, j: int,
-                 k_i: LocalizationPath, k_j: LocalizationPath) -> Overlap:
+                 k_i: LocalizationPath, k_j: LocalizationPath,
+                 g: Hom | None = None) -> Overlap:
     """Build the overlap by composing the two open-embedding isos.
 
-    Requires target(k_i) and target(k_j) to have isomorphic spectra; the
-    identification goes through Spec of the overlap algebra.
+    The identification goes through Spec of the overlap algebra: along
+    Spec g for an isomorphism g: target(k_j) -> target(k_i) when one is
+    given, else along any isomorphism of the two spectra, which must exist.
     """
     Ui, emb_i = sp.open_embedding_data(ctx, charts[i], k_i)
     Uj, emb_j = sp.open_embedding_data(ctx, charts[j], k_j)
-    Ki = build_spec(ctx, k_i.target)
-    Kj = build_spec(ctx, k_j.target)
-    mid = sp.spaces_isomorphic(Ki, Kj)
-    if mid is None:
-        raise InvariantViolation("overlap spectra are not isomorphic")
+    if g is not None:
+        mid = spec_map(ctx, g)
+    else:
+        mid = sp.spaces_isomorphic(build_spec(ctx, k_i.target),
+                                   build_spec(ctx, k_j.target))
+        if mid is None:
+            raise InvariantViolation("overlap spectra are not isomorphic")
     iso = compose_apmaps(compose_apmaps(emb_i, mid), sp.invert_apmap(emb_j))
     return Overlap(i, j, k_i, k_j, iso)
-
-
-def _chart_open(ctx, R, k) -> frozenset:
-    return sp.distinguished_open(ctx, R, k, None)
 
 
 def glue(ctx, g: GluingSpec) -> SpectralSpace:
@@ -146,17 +146,10 @@ def glue(ctx, g: GluingSpec) -> SpectralSpace:
             if T == S or not T < S:
                 continue
             tT = traces_of[T]
-            mapping = []
-            for e in range(sections[S].size):
-                vals = tuple(
-                    spaces[i].sheaf.res(tS[i], tT[i]).map[coneS[i].map[e]]
-                    for i in range(len(spaces))
-                )
-                mapping.append(lookups[T][vals])
-            h = Hom(sections[S], sections[T], tuple(mapping))
-            if not is_hom(h):
-                raise InvariantViolation("glued restriction is not a hom")
-            restrictions[(S, T)] = h
+            restrictions[(S, T)] = tables.lift(
+                sections[S], sections[T], lookups[T],
+                [compose(coneS[i], spaces[i].sheaf.res(tS[i], tT[i]))
+                 for i in range(len(spaces))])
 
     sheaf = Presheaf(spaces[0].kind, n, opens, sections, restrictions)
     X = SpectralSpace(

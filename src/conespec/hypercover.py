@@ -14,7 +14,7 @@ from . import contexts as cx
 from . import tables
 from .contexts import LocalizationPath, local_forms
 from .errors import InvariantViolation
-from .tables import FiniteAlgebra, Hom, compose, is_hom, product, pushout
+from .tables import FiniteAlgebra, Hom, compose, product, pushout
 
 
 @dataclass
@@ -66,16 +66,7 @@ def h0(K: Hyperopcover):
                if all(d0.map[x] == d1.map[x] for d0, d1 in conditions)]
     E, incl = tables.subalgebra(P0, members)
     lookup = tables.cone_lookup(E, [compose(incl, pr) for pr in projs])
-    mapping = []
-    for r in range(base.size):
-        key = tuple(k.composite.map[r] for k in comps)
-        if key not in lookup:
-            raise InvariantViolation("base does not land in the cover limit")
-        mapping.append(lookup[key])
-    eta = Hom(base, E, tuple(mapping))
-    if not is_hom(eta):
-        raise InvariantViolation("map into the cover limit is not a hom")
-    return E, eta
+    return E, tables.lift(base, E, lookup, [k.composite for k in comps])
 
 
 def cech_h0(ctx, c: Opcover):

@@ -16,7 +16,7 @@ from . import contexts as cx
 from . import tables
 from .contexts import LocalizationPath, factorize, local_forms
 from .errors import InvariantViolation
-from .tables import FiniteAlgebra, Hom, compose, identity, is_hom
+from .tables import FiniteAlgebra, Hom, compose, identity
 
 
 # ---------------------------------------------------------------------------
@@ -88,40 +88,25 @@ def plus_construction(F: Presheaf):
             arrows.append((b, base + k, F.res(min_open[pts[b]], W)))
         L, cone = tables.limit(F.kind, objects, arrows)
         new_sections[U] = L
-        cones[U] = (pts, pair_opens, cone)
         lookup = tables.cone_lookup(L, cone)
-        theta_map = []
-        for x in range(F.sections[U].size):
-            key = tuple(F.res(U, min_open[p]).map[x] for p in pts) + tuple(
-                F.res(U, W).map[x] for (_, _, W) in pair_opens
-            )
-            theta_map.append(lookup[key])
-        thetas[U] = Hom(F.sections[U], L, tuple(theta_map))
-        if not is_hom(thetas[U]):
-            raise InvariantViolation("plus-construction unit is not a hom")
+        cones[U] = (pts, pair_opens, cone, lookup)
+        thetas[U] = tables.lift(F.sections[U], L, lookup,
+                                [F.res(U, min_open[p]) for p in pts]
+                                + [F.res(U, W) for (_, _, W) in pair_opens])
     new_restrictions = {}
     for U in F.opens:
-        ptsU, pairsU, coneU = cones[U]
+        ptsU, _, coneU, _ = cones[U]
+        posU = {p: i for i, p in enumerate(ptsU)}
         for V in F.opens:
             if V == U or not V < U:
                 continue
-            ptsV, pairsV, coneV = cones[V]
-            lookup = tables.cone_lookup(new_sections[V], coneV)
-            posU = {p: i for i, p in enumerate(ptsU)}
-            mapping = []
-            for x in range(new_sections[U].size):
-                # V's pair coordinates recomputed through U's point coordinates
-                pair_key = []
-                for (a, b, W) in pairsV:
-                    pa = ptsV[a]
-                    val = F.res(min_open[pa], W).map[coneU[posU[pa]].map[x]]
-                    pair_key.append(val)
-                mapping.append(lookup[tuple(coneU[posU[p]].map[x] for p in ptsV)
-                                      + tuple(pair_key)])
-            new_restrictions[(U, V)] = Hom(new_sections[U], new_sections[V],
-                                           tuple(mapping))
-            if not is_hom(new_restrictions[(U, V)]):
-                raise InvariantViolation("plus-construction restriction is not a hom")
+            ptsV, pairsV, _, lookupV = cones[V]
+            # V's pair coordinates recomputed through U's point coordinates
+            legs = [coneU[posU[p]] for p in ptsV] + [
+                compose(coneU[posU[ptsV[a]]], F.res(min_open[ptsV[a]], W))
+                for (a, _, W) in pairsV]
+            new_restrictions[(U, V)] = tables.lift(
+                new_sections[U], new_sections[V], lookupV, legs)
     G = Presheaf(F.kind, F.n_points, F.opens, new_sections, new_restrictions)
     return G, thetas
 
@@ -411,7 +396,7 @@ def build_spec(ctx, R: FiniteAlgebra, locs=None) -> SpectralSpace:
     # right Kan extension on the non-distinguished opens
     basis_opens = set(by_open)
     sub_basis = {U: [W for W in opens if W in basis_opens and W <= U] for U in opens}
-    kan_cones = {}
+    kan_cones, kan_lookups = {}, {}
     for U in opens:
         if U in basis_opens:
             continue
@@ -425,12 +410,9 @@ def build_spec(ctx, R: FiniteAlgebra, locs=None) -> SpectralSpace:
         L, cone = tables.limit(R.kind, objects, arrows)
         sections[U] = L
         kan_cones[U] = dict(zip(subs, cone))
-        lookup = tables.cone_lookup(L, cone)
-        canonical[U] = Hom(R, L, tuple(
-            lookup[tuple(canonical[W].map[r] for W in subs)] for r in range(R.size)
-        ))
-        if not is_hom(canonical[U]):
-            raise InvariantViolation("canonical map into a limit is not a hom")
+        kan_lookups[U] = tables.cone_lookup(L, cone)
+        canonical[U] = tables.lift(R, L, kan_lookups[U],
+                                   [canonical[W] for W in subs])
     # restriction maps
     restrictions = {}
     for U in opens:
@@ -441,21 +423,12 @@ def build_spec(ctx, R: FiniteAlgebra, locs=None) -> SpectralSpace:
                 res = _class_map(canonical[U], canonical[V])
             elif U not in basis_opens and V in basis_opens:
                 res = kan_cones[U][V]
+            elif U in basis_opens:
+                res = tables.lift(sections[U], sections[V], kan_lookups[V], [
+                    _class_map(canonical[U], canonical[W]) for W in sub_basis[V]])
             else:
-                subsV = sub_basis[V]
-                if U in basis_opens:
-                    coords = {W: _class_map(canonical[U], canonical[W])
-                              for W in subsV}
-                else:
-                    coords = {W: kan_cones[U][W] for W in subsV}
-                lookup = tables.cone_lookup(sections[V],
-                                            [kan_cones[V][W] for W in subsV])
-                res = Hom(sections[U], sections[V], tuple(
-                    lookup[tuple(coords[W].map[x] for W in subsV)]
-                    for x in range(sections[U].size)
-                ))
-                if not is_hom(res):
-                    raise InvariantViolation("restriction into a limit is not a hom")
+                res = tables.lift(sections[U], sections[V], kan_lookups[V],
+                                  [kan_cones[U][W] for W in sub_basis[V]])
             restrictions[(U, V)] = res
     F = Presheaf(R.kind, n, opens, sections, restrictions)
     sheaf, theta, single = sheafify(F)
@@ -517,14 +490,8 @@ def ell(ctx, R) -> Hom:
     """The canonical map R -> product of all local-form targets."""
     forms = local_forms(ctx, R)
     P, projs = tables.product(R.kind, [p.target for p in forms])
-    lookup = tables.cone_lookup(P, projs)
-    mapping = tuple(
-        lookup[tuple(p.composite.map[r] for p in forms)] for r in range(R.size)
-    )
-    h = Hom(R, P, mapping)
-    if not is_hom(h):
-        raise InvariantViolation("canonical map into the product is not a hom")
-    return h
+    return tables.lift(R, P, tables.cone_lookup(P, projs),
+                       [p.composite for p in forms])
 
 
 # ---------------------------------------------------------------------------
@@ -559,21 +526,10 @@ def spec_map(ctx, f: Hom) -> APMap:
         pts = sorted(pre)
         lut = tables.cone_lookup(
             X.sections(pre), [X.sheaf.res(pre, X.min_open(j)) for j in pts])
-        mapping = []
-        for x in range(Y.sections(U).size):
-            key = tuple(
-                stalk_section_maps[j].map[
-                    Y.sheaf.res(U, Y.min_open(point_map[j])).map[x]
-                ]
-                for j in pts
-            )
-            if key not in lut:
-                raise InvariantViolation("section image not realized in the sheaf")
-            mapping.append(lut[key])
-        h = Hom(Y.sections(U), X.sections(pre), tuple(mapping))
-        if not is_hom(h):
-            raise InvariantViolation("induced section map is not a hom")
-        section_maps[U] = h
+        section_maps[U] = tables.lift(Y.sections(U), X.sections(pre), lut, [
+            compose(Y.sheaf.res(U, Y.min_open(point_map[j])),
+                    stalk_section_maps[j])
+            for j in pts])
     m = APMap(X, Y, point_map, section_maps)
     validate_apmap(ctx, m)
     return m

@@ -31,9 +31,10 @@ from .errors import (
 RING = "ring"
 MONOID = "monoid"
 
-# Products, limits, subalgebras and ring tensors re-run the law checks on
-# results up to this size; the ring tensor also refuses more generators.
-# Input is checked at every size, and quotients check their congruence.
+# The ring tensor re-runs the law checks on results up to this size and
+# refuses more generators: its validity rests on the Smith-form code, not on
+# a closure argument.  Input is checked at every size; quotients, limits and
+# subalgebras check the hypotheses that make their results valid.
 FULL_CHECK_MAX = 64
 
 DEFAULT_SIZE_BOUND = 4096
@@ -104,9 +105,6 @@ class FiniteAlgebra:
         if self.zero is not None:
             d.add(self.zero)
         return frozenset(d)
-
-    def label(self, i: int) -> str:
-        return self.elements[i]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +211,7 @@ def _check_laws(kind, elements, mul, add, zero, one) -> None:
     _check_assoc("mul", mul, gens, elements)
 
 
-def _finish(kind, elements, mul, add, zero, one, check=True):
+def _finish(kind, elements, mul, add, zero, one):
     """Canonicalize element order and build the value.
 
     Returns (algebra, pos) where pos[i] is the new index of old element i.
@@ -233,8 +231,6 @@ def _finish(kind, elements, mul, add, zero, one, check=True):
         new_add = tuple(tuple(pos[add[i][j]] for j in order) for i in order)
     new_zero = pos[zero] if zero is not None else None
     new_one = pos[one]
-    if check:
-        _check_laws(kind, new_elements, new_mul, new_add, new_zero, new_one)
     alg = FiniteAlgebra(
         kind=kind,
         elements=new_elements,
@@ -277,7 +273,7 @@ def validate(kind, elements, mul, add=None, zero=None, one=None, unit=None):
     add = tuple(tuple(row) for row in add) if add is not None else None
     # run law checks before canonicalizing so witnesses use input indices
     _check_laws(kind, elements, mul, add, zero, one)
-    alg, _ = _finish(kind, elements, mul, add, zero, one, check=False)
+    alg, _ = _finish(kind, elements, mul, add, zero, one)
     return alg
 
 
@@ -352,13 +348,6 @@ def is_hom(f: Hom) -> bool:
             if A.is_ring and m[A.add[i][j]] != B.add[m[i]][m[j]]:
                 return False
     return True
-
-
-def hom(source, target, mapping, check=True) -> Hom:
-    f = Hom(source, target, tuple(mapping))
-    if check and not is_hom(f):
-        raise ValidationError("mapping is not a homomorphism")
-    return f
 
 
 def identity(A: FiniteAlgebra) -> Hom:
@@ -474,7 +463,6 @@ def quotient_by_sig(A: FiniteAlgebra, sig) -> tuple[FiniteAlgebra, Hom]:
         A.kind, labels, class_table("mul", A.mul),
         class_table("add", A.add) if A.is_ring else None,
         sig[A.zero] if A.is_ring else None, sig[A.one],
-        check=False,
     )
     proj = Hom(A, Q, tuple(pos[c] for c in sig))
     return Q, proj
@@ -582,11 +570,6 @@ def pushout(f: Hom, g: Hom, size_bound: int = DEFAULT_SIZE_BOUND):
     return _ring_tensor(f, g, size_bound)
 
 
-def _require_homs(*injections: Hom) -> None:
-    if not all(is_hom(f) for f in injections):
-        raise InvariantViolation("pushout injection is not a homomorphism")
-
-
 def _pushout_surjective(f: Hom, g: Hom):
     L = g.target
     by_class: dict = {}
@@ -600,7 +583,6 @@ def _pushout_surjective(f: Hom, g: Hom):
     sig = congruence_closure(L, pairs)
     Q, proj = quotient_by_sig(L, sig)
     in_K = Hom(f.target, Q, tuple(proj.map[by_class[k]] for k in range(f.target.size)))
-    _require_homs(in_K)
     return Q, in_K, proj
 
 
@@ -620,7 +602,6 @@ def _monoid_pushout(f: Hom, g: Hom, size_bound: int):
     Q, proj = quotient_by_sig(P, sig)
     in_K = Hom(K, Q, tuple(proj.map[idx[(k, L.one)]] for k in range(K.size)))
     in_L = Hom(L, Q, tuple(proj.map[idx[(K.one, l)]] for l in range(L.size)))
-    _require_homs(in_K, in_L)
     return Q, in_K, in_L
 
 
@@ -779,10 +760,13 @@ def _ring_tensor(f: Hom, g: Hom, size_bound: int):
     zero = index[tuple(0 for _ in d)]
     one = index[pi(basis(gen(K.one, L.one)))]
     labels = [f"t{i}" for i in range(size)]
-    Q, pos = _finish(RING, labels, mul, add, zero, one, check=size <= FULL_CHECK_MAX)
+    if size <= FULL_CHECK_MAX:
+        _check_laws(RING, labels, mul, add, zero, one)
+    Q, pos = _finish(RING, labels, mul, add, zero, one)
     in_K = Hom(K, Q, tuple(pos[index[pi(basis(gen(k, L.one)))]] for k in range(K.size)))
     in_L = Hom(L, Q, tuple(pos[index[pi(basis(gen(K.one, l)))]] for l in range(L.size)))
-    _require_homs(in_K, in_L)
+    if not (is_hom(in_K) and is_hom(in_L)):
+        raise InvariantViolation("pushout injection is not a homomorphism")
     return Q, in_K, in_L
 
 
@@ -890,16 +874,16 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
 
     `objects` is a list of algebras, `arrows` a list of (i, j, Hom) meaning a
     diagram arrow objects[i] -> objects[j].  The limit is the subalgebra of
-    the product consisting of families compatible with every arrow.
+    the product consisting of families compatible with every arrow.  When
+    the arrows are homs that subset is closed under the operations, and so
+    inherits every law; closure is checked as the tables are built, else
+    InvariantViolation.
     """
     objects = list(objects)
     if not objects:
         return terminal(kind), []
     elems = _compatible_families([o.size for o in objects], arrows)
     index = {e: i for i, e in enumerate(elems)}
-    one_t = tuple(o.one for o in objects)
-    if one_t not in index:
-        raise InvariantViolation("limit does not contain the unit family")
     if len(objects) == 1:
         labels = [objects[0].elements[e[0]] for e in elems]
     else:
@@ -907,22 +891,24 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
             "(" + ",".join(o.elements[v] for o, v in zip(objects, e)) + ")"
             for e in elems
         ]
-    mul = [
-        [index[tuple(o.mul[x][y] for o, x, y in zip(objects, e1, e2))] for e2 in elems]
-        for e1 in elems
-    ]
-    add = None
-    zero = None
-    if kind == RING:
-        add = [
-            [index[tuple(o.add[x][y] for o, x, y in zip(objects, e1, e2))]
-             for e2 in elems]
+
+    def table(op):
+        return [
+            [index[tuple(t[x][y] for t, x, y in zip(op, e1, e2))] for e2 in elems]
             for e1 in elems
         ]
-        zero = index[tuple(o.zero for o in objects)]
-    one = index[one_t]
-    Lm, pos = _finish(kind, labels, mul, add, zero, one,
-                      check=len(elems) <= FULL_CHECK_MAX)
+
+    try:
+        one = index[tuple(o.one for o in objects)]
+        mul = table([o.mul for o in objects])
+        add = zero = None
+        if kind == RING:
+            zero = index[tuple(o.zero for o in objects)]
+            add = table([o.add for o in objects])
+    except KeyError:
+        raise InvariantViolation(
+            "limit is not closed under the operations") from None
+    Lm, pos = _finish(kind, labels, mul, add, zero, one)
     inv = [0] * len(elems)
     for old, new in enumerate(pos):
         inv[new] = old
@@ -944,6 +930,22 @@ def cone_lookup(A: FiniteAlgebra, cone) -> dict:
     return table
 
 
+def lift(source: FiniteAlgebra, L: FiniteAlgebra, lookup: dict, legs) -> Hom:
+    """The map source -> L whose composites with L's cone are `legs`.
+
+    `lookup` is `cone_lookup(L, cone)` and each leg a hom out of `source`
+    into the matching cone object.  The map exists iff every family of leg
+    values lies in L, else InvariantViolation; it is a hom because the cone
+    separates and the legs are homs, so the result is not re-checked.
+    """
+    maps = [h.map for h in legs]
+    try:
+        return Hom(source, L, tuple(lookup[tuple(m[x] for m in maps)]
+                                    for x in range(source.size)))
+    except KeyError:
+        raise InvariantViolation("family does not lie in the limit") from None
+
+
 def equalizer(f: Hom, g: Hom) -> tuple[FiniteAlgebra, Hom]:
     if f.source != g.source or f.target != g.target:
         raise InvariantViolation("equalizer of non-parallel homs")
@@ -952,6 +954,11 @@ def equalizer(f: Hom, g: Hom) -> tuple[FiniteAlgebra, Hom]:
 
 
 def subalgebra(A: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, Hom]:
+    """The subset as an algebra, with its inclusion.
+
+    A subset holding the distinguished elements and closed under the
+    operations inherits every law of A, so only that is checked.
+    """
     subset = sorted(set(subset))
     sset = set(subset)
     if A.one not in sset or (A.is_ring and A.zero not in sset):
@@ -967,27 +974,12 @@ def subalgebra(A: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, Hom]:
     mul = [[index[A.mul[i][j]] for j in subset] for i in subset]
     add = [[index[A.add[i][j]] for j in subset] for i in subset] if A.is_ring else None
     S, pos = _finish(A.kind, labels, mul, add,
-                     index[A.zero] if A.is_ring else None, index[A.one],
-                     check=len(subset) <= FULL_CHECK_MAX)
+                     index[A.zero] if A.is_ring else None, index[A.one])
     inv = [0] * len(subset)
     for old, new in enumerate(pos):
         inv[new] = old
     incl = Hom(S, A, tuple(subset[inv[new]] for new in range(len(subset))))
     return S, incl
-
-
-def generated(A: FiniteAlgebra, seed) -> set[int]:
-    known = set(seed) | set(A.distinguished)
-    changed = True
-    while changed:
-        changed = False
-        for i in list(known):
-            for j in list(known):
-                for v in ([A.mul[i][j]] + ([A.add[i][j]] if A.is_ring else [])):
-                    if v not in known:
-                        known.add(v)
-                        changed = True
-    return known
 
 
 def image_factorization(f: Hom) -> tuple[Hom, Hom]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -15,6 +16,8 @@ from helpers import large_nonassociative_monoid, subprocess_env
 
 ZAR = C.get_context("zariski")
 Z6 = corpus.zn(6)
+GOLDEN_GLUING = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "golden", "inputs", "doubled-z6.json")
 
 
 def write(tmp_path, name, payload):
@@ -230,6 +233,32 @@ def test_cli_rejects_wrongly_shaped_gluing_documents(tmp_path, capsys):
         for command in ("glue", "nerve"):
             assert cli.main([command, "--input", inp]) == 2
             assert capsys.readouterr().err.startswith("input error")
+
+
+def test_cli_glue_overlap_iso(tmp_path, capsys):
+    with open(GOLDEN_GLUING, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    ov = doc["overlaps"][0]
+    n = cio.path_from_dict(ZAR, Z6, ov["k_i"]).target.size
+    for bad in (5, {"map": 7}, {"map": [0, "a"]}, {"map": [0] * n}):
+        ov["iso"] = bad
+        inp = write(tmp_path, "bad.json", doc)
+        assert cli.main(["glue", "--input", inp, "--out-dir", str(tmp_path)]) == 2
+        assert "overlap iso is not" in capsys.readouterr().err
+    # the identity of the overlap algebra glues as the isomorphism search does
+    runs = []
+    for name in ("searched", "given"):
+        if name == "given":
+            ov["iso"] = {"map": list(range(n))}
+        else:
+            del ov["iso"]
+        (tmp_path / name).mkdir()
+        inp = write(tmp_path / name, "doubled-z6.json", doc)
+        out = tmp_path / name / "out"
+        assert cli.main(["glue", "--input", inp, "--out-dir", str(out)]) == 0
+        runs.append((capsys.readouterr(),
+                     sorted((f.name, f.read_bytes()) for f in out.iterdir())))
+    assert runs[0] == runs[1]
 
 
 def test_cli_flat_cover_rejects_components_that_are_not_a_list(tmp_path, capsys):

@@ -47,6 +47,26 @@ def test_spec_limits_match_product_scan(monkeypatch):
         assert out == limit_by_product_scan(kind, objects, arrows)
 
 
+def test_lift_matches_the_lookup_route_on_every_spec_limit(monkeypatch):
+    """Each map into a limit of the corpus specs, built key by key instead."""
+    real_lift = tables.lift
+    calls = []
+
+    def by_lookup(source, L, lookup, legs):
+        f = tables.Hom(source, L, tuple(
+            lookup[tuple(h.map[x] for h in legs)] for x in range(source.size)))
+        assert is_hom(f)
+        assert real_lift(source, L, lookup, legs) == f
+        calls.append(f)
+        return f
+
+    monkeypatch.setattr(tables, "lift", by_lookup)
+    monkeypatch.setattr(sp, "_SPEC_CACHE", {})
+    for ctx, A in corpus_by_context():
+        sp.build_spec(ctx, A)
+    assert len(calls) > 50
+
+
 def test_spec_z6_zariski():
     X = sp.build_spec(ZAR, Z6)
     assert X.n_points == 2

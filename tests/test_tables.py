@@ -34,7 +34,6 @@ from conespec.tables import (
     congruence_closure,
     equalizer,
     find_isomorphism,
-    hom,
     identity,
     invert_element,
     is_hom,
@@ -502,6 +501,15 @@ def test_limit_bound_counts_visited_families(monkeypatch):
         limit(MONOID, [M] * 5, arrows)
 
 
+def test_limit_rejects_an_arrow_that_is_not_a_hom():
+    # the bijection of Z/6 swapping 2 and 4 preserves neither operation
+    swap = Hom(Z6, Z6, (0, 1, 4, 3, 2, 5))
+    for objects, arrows in (([Z6, Z6], [(0, 1, swap)]), ([Z6], [(0, 0, swap)])):
+        with pytest.raises(InvariantViolation,
+                           match="limit is not closed under the operations"):
+            limit(RING, objects, arrows)
+
+
 # ------------------------------------------------------------------ isomorphism
 
 
@@ -521,6 +529,22 @@ def test_cone_lookup_rejects_a_cone_that_does_not_separate():
     assert tables.cone_lookup(P, projs)[(1, 2)] == P.elements.index("(1,2)")
     with pytest.raises(InvariantViolation):
         tables.cone_lookup(P, projs[:1])
+
+
+def test_lift_is_the_map_into_the_limit():
+    P, projs = product(RING, [Z2, Z3])
+    legs = [all_homs(Z6, Z2)[0], all_homs(Z6, Z3)[0]]
+    f = tables.lift(Z6, P, tables.cone_lookup(P, projs), legs)
+    assert f.is_bijective and [compose(f, pr) for pr in projs] == legs
+
+
+def test_lift_rejects_a_family_outside_the_limit():
+    A = corpus.ring_product(2, 2)
+    swap = next(h for h in all_homs(A, A) if h != identity(A))
+    # the diagonal of A x A holds no family (a, swap(a)) with a != swap(a)
+    L, cone = limit(RING, [A, A], [(0, 1, identity(A))])
+    with pytest.raises(InvariantViolation, match="does not lie in the limit"):
+        tables.lift(A, L, tables.cone_lookup(L, cone), [identity(A), swap])
 
 
 def test_find_isomorphism_matches_bijection_oracle():
@@ -580,7 +604,8 @@ def test_invariants_hold_under_python_O():
         "Z6 = corpus.zn(6)\n"
         "for call in (lambda: tables.quotient_by_sig(Z6, (0, 0, 1, 2, 3, 4)),\n"
         "             lambda: tables.subalgebra(Z6, [0, 1, 2]),\n"
-        "             lambda: tables.all_homs(Z6, corpus.zn(2))[0].inverse()):\n"
+        "             lambda: tables.all_homs(Z6, corpus.zn(2))[0].inverse(),\n"
+        "             lambda: tables.lift(Z6, Z6, {}, [tables.identity(Z6)])):\n"
         "    try:\n"
         "        call()\n"
         "    except InvariantViolation:\n"
@@ -591,4 +616,5 @@ def test_invariants_hold_under_python_O():
                          env=subprocess_env(), capture_output=True, text=True,
                          timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["raised", "raised", "raised", "False"]
+    assert out.stdout.split() == ["raised", "raised", "raised", "raised",
+                                  "False"]
