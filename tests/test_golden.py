@@ -32,6 +32,8 @@ CASES = {
                        "--out-dir", "OUT"],
     "spec-deitmar-e2xe2": ["spec", "--context", "deitmar", "--input",
                            "@e2xe2.json", "--out-dir", "OUT"],
+    "spec-deitmar-chain3xe2": ["spec", "--context", "deitmar", "--input",
+                               "@chain3xe2.json", "--out-dir", "OUT"],
     "check-reduced-domain-f2x2": ["check", "--context", "domain", "--property",
                                   "reduced", "--input", "@f2x2.json"],
     "check-reduced-zariski-z12": ["check", "--context", "zariski", "--property",
