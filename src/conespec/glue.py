@@ -97,12 +97,16 @@ def glue(ctx, g: GluingSpec) -> SpectralSpace:
         return frozenset(p for p in range(spaces[i].n_points)
                          if glob[(i, p)] in S)
 
-    opens = []
-    for bits in itertools.product((0, 1), repeat=n):
-        S = frozenset(k for k in range(n) if bits[k])
-        if all(trace(S, i) in set(spaces[i].opens) for i in range(len(spaces))):
-            opens.append(S)
-    opens = sort_opens(opens)
+    # every open is the union of the images of its chart traces
+    candidates = {frozenset()}
+    for i, X in enumerate(spaces):
+        for V in X.opens:
+            image = frozenset(glob[(i, p)] for p in V)
+            candidates |= {S | image for S in candidates}
+    chart_opens = [set(X.opens) for X in spaces]
+    opens = sort_opens(S for S in candidates
+                       if all(trace(S, i) in chart_opens[i]
+                              for i in range(len(spaces))))
 
     # overlap compatibility data at section level
     remaps = []

@@ -1,8 +1,8 @@
 """Distinguished opcovers, Čech hyperopcovers, and the limit H0.
 
-Only levels 0 and 1 are ever materialized; H0 is the equalizer of the two
-face maps from the product of the level-0 components into the product of the
-level-1 components over all ordered pairs.
+Only levels 0 and 1 are ever materialized; H0 is one finite limit of the
+level-0 components and the level-1 components over all ordered pairs, along
+the two face maps into each level-1 component.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from . import contexts as cx
 from . import tables
 from .contexts import LocalizationPath, local_forms
 from .errors import InvariantViolation
-from .tables import FiniteAlgebra, Hom, compose, product, pushout
+from .tables import FiniteAlgebra, Hom, compose, pushout
 
 
 @dataclass
@@ -51,22 +51,24 @@ def kernel_hyperopcover(ctx, c: Opcover) -> Hyperopcover:
 
 
 def h0(K: Hyperopcover):
-    """(limit, induced map from the base) of the truncated diagram."""
+    """(limit, induced map from the base) of the truncated diagram.
+
+    One limit: the level-0 targets, then each level-1 leg target with its
+    two face arrows in0∘leg from i0 and in1∘leg from i1.  The level-0
+    coordinates determine the rest, so the map from the base is lifted
+    through them alone.
+    """
     comps = K.level0.components
-    base = K.level0.base
-    P0, projs = product(base.kind, [k.target for k in comps])
-    conditions = []
+    objects = [k.target for k in comps]
+    arrows = []
     for (i0, i1), (_, in0, in1, legs) in sorted(K.level1.items()):
         for leg in legs:
-            conditions.append((compose(projs[i0], compose(in0, leg)),
-                               compose(projs[i1], compose(in1, leg))))
-    # the equalizer of the two face maps, componentwise; the product of the
-    # level-1 objects is never materialized
-    members = [x for x in range(P0.size)
-               if all(d0.map[x] == d1.map[x] for d0, d1 in conditions)]
-    E, incl = tables.subalgebra(P0, members)
-    lookup = tables.cone_lookup(E, [compose(incl, pr) for pr in projs])
-    return E, tables.lift(base, E, lookup, [k.composite for k in comps])
+            arrows.append((i0, len(objects), compose(in0, leg)))
+            arrows.append((i1, len(objects), compose(in1, leg)))
+            objects.append(leg.target)
+    E, cone = tables.limit(K.level0.base.kind, objects, arrows)
+    lookup = tables.cone_lookup(E, cone[:len(comps)])
+    return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])
 
 
 def cech_h0(ctx, c: Opcover):

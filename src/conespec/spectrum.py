@@ -4,7 +4,9 @@ The points of Spec R are the isomorphism classes of local forms; the topology
 is generated by the distinguished opens Pts k (local forms factoring through a
 finite localization k).  The canonical presheaf assigns red K to Pts k, taking
 the join over all localizations with the same point set; other opens get the
-right-Kan-extension limit; the structure sheaf is its sheafification.
+right-Kan-extension limit; the structure sheaf is its sheafification, built
+on this finite T0 space as the limit of the stalks over the specialization
+poset of each open.
 """
 
 from __future__ import annotations
@@ -62,129 +64,47 @@ def check_topology(opens, n_points) -> None:
                 raise InvariantViolation("opens not closed under union/intersection")
 
 
-def plus_construction(F: Presheaf):
-    """One application of the plus construction.
+def sheafify(F: Presheaf):
+    """The sheaf with the stalks of F, as limits over the specialization poset.
 
-    On a finite space the refinement poset of covers of U has the cover by
-    minimal opens as its finest element, so the Heller-Rowe colimit collapses
-    to H0 of that cover.
+    On a finite T0 space a sheaf is fixed by its stalks F(U_p) at the minimal
+    opens: G(U) is the limit of F(U_p), p in U, along F(U_p) -> F(U_q) for
+    q in U_p (Hasse edges suffice).  Each pair a < b of points of U adds the
+    object F(U_a & U_b) with one arrow from a; it forces an extra coordinate
+    without adding a constraint, so labels list point coordinates, then pair
+    coordinates.  Returns (sheaf, theta, single) where theta maps old sections
+    to new and `single` records whether every theta is injective, i.e. F was
+    separated (a single plus construction would have sufficed).
     """
     min_open = {p: F.min_open(p) for p in range(F.n_points)}
-    new_sections = {}
-    cones = {}
-    thetas = {}
+    # the Hasse edges: q in U_p, q != p, with no r strictly between
+    below = {}
+    for p, Up in min_open.items():
+        below[p] = [q for q in sorted(Up) if q != p and not any(
+            r not in (p, q) and q in min_open[r] for r in Up)]
+    sections, cones, lookups, theta = {}, {}, {}, {}
     for U in F.opens:
         pts = sorted(U)
-        pair_opens = []
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                pair_opens.append((a, b, min_open[pts[a]] & min_open[pts[b]]))
+        pos = {p: a for a, p in enumerate(pts)}
         objects = [F.sections[min_open[p]] for p in pts]
-        arrows = []
-        base = len(objects)
-        for k, (a, b, W) in enumerate(pair_opens):
-            objects.append(F.sections[W])
-            arrows.append((a, base + k, F.res(min_open[pts[a]], W)))
-            arrows.append((b, base + k, F.res(min_open[pts[b]], W)))
+        arrows = [(pos[p], pos[q], F.res(min_open[p], min_open[q]))
+                  for p in pts for q in below[p]]
+        for a, p in enumerate(pts):
+            for q in pts[a + 1:]:
+                W = min_open[p] & min_open[q]
+                arrows.append((a, len(objects), F.res(min_open[p], W)))
+                objects.append(F.sections[W])
         L, cone = tables.limit(F.kind, objects, arrows)
-        new_sections[U] = L
-        lookup = tables.cone_lookup(L, cone)
-        cones[U] = (pts, pair_opens, cone, lookup)
-        thetas[U] = tables.lift(F.sections[U], L, lookup,
-                                [F.res(U, min_open[p]) for p in pts]
-                                + [F.res(U, W) for (_, _, W) in pair_opens])
-    new_restrictions = {}
-    for U in F.opens:
-        ptsU, _, coneU, _ = cones[U]
-        posU = {p: i for i, p in enumerate(ptsU)}
-        for V in F.opens:
-            if V == U or not V < U:
-                continue
-            ptsV, pairsV, _, lookupV = cones[V]
-            # V's pair coordinates recomputed through U's point coordinates
-            legs = [coneU[posU[p]] for p in ptsV] + [
-                compose(coneU[posU[ptsV[a]]], F.res(min_open[ptsV[a]], W))
-                for (a, _, W) in pairsV]
-            new_restrictions[(U, V)] = tables.lift(
-                new_sections[U], new_sections[V], lookupV, legs)
-    G = Presheaf(F.kind, F.n_points, F.opens, new_sections, new_restrictions)
-    return G, thetas
-
-
-def is_separated(F: Presheaf) -> bool:
-    """Monopresheaf test against the finest (minimal-open) covers."""
-    for U in F.opens:
-        pts = sorted(U)
-        seen = set()
-        for x in range(F.sections[U].size):
-            key = tuple(F.res(U, F.min_open(p)).map[x] for p in pts)
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
-
-
-def sheafify(F: Presheaf):
-    """Sheafification by the plus construction.
-
-    Returns (sheaf, theta, single) where theta maps old sections to new and
-    `single` records whether the monopresheaf shortcut applied (one plus).
-    """
-    single = is_separated(F)
-    G, th1 = plus_construction(F)
-    if single:
-        return G, th1, True
-    H, th2 = plus_construction(G)
-    theta = {U: compose(th1[U], th2[U]) for U in F.opens}
-    return H, theta, False
-
-
-def covers_of(F: Presheaf, U, cap: int = 12):
-    subs = [W for W in F.opens if W <= U and W]
-    if len(subs) <= cap:
-        for k in range(1, len(subs) + 1):
-            for fam in itertools.combinations(subs, k):
-                if frozenset().union(*fam) == U:
-                    yield list(fam)
-    else:
-        mins = sorted({F.min_open(p) for p in U}, key=sorted)
-        yield mins
-        for a in range(len(subs)):
-            for b in range(a, len(subs)):
-                if subs[a] | subs[b] == U:
-                    yield [subs[a], subs[b]]
-
-
-def satisfies_sheaf_condition(F: Presheaf, cap: int = 12) -> bool:
-    # the empty open is covered by the empty family
-    if F.sections[frozenset()].size != 1:
-        return False
-    for U in F.opens:
-        for cover in covers_of(F, U, cap):
-            families = []
-            ranges = [range(F.sections[W].size) for W in cover]
-            for fam in itertools.product(*ranges):
-                ok = True
-                for a in range(len(cover)):
-                    for b in range(a + 1, len(cover)):
-                        W = cover[a] & cover[b]
-                        if F.res(cover[a], W).map[fam[a]] != \
-                                F.res(cover[b], W).map[fam[b]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    families.append(fam)
-            images = set()
-            for x in range(F.sections[U].size):
-                key = tuple(F.res(U, W).map[x] for W in cover)
-                if key in images:
-                    return False
-                images.add(key)
-            if images != set(families):
-                return False
-    return True
+        sections[U] = L
+        cones[U] = dict(zip(pts, cone))
+        lookups[U] = tables.cone_lookup(L, cone[:len(pts)])
+        theta[U] = tables.lift(F.sections[U], L, lookups[U],
+                               [F.res(U, min_open[p]) for p in pts])
+    restrictions = {(U, V): tables.lift(sections[U], sections[V], lookups[V],
+                                        [cones[U][p] for p in sorted(V)])
+                    for U in F.opens for V in F.opens if V < U}
+    G = Presheaf(F.kind, F.n_points, F.opens, sections, restrictions)
+    return G, theta, all(t.is_injective for t in theta.values())
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +149,9 @@ class SpectralSpace:
         return self.sheaf.sections[U]
 
     def specialization_order(self):
-        """Pairs (p, q) with p in the closure of {q}."""
-        out = []
-        for p in range(self.n_points):
-            for q in range(self.n_points):
-                if p != q and all(q in U for U in self.opens if p in U):
-                    out.append((p, q))
-        return out
+        """Pairs (p, q) with p in the closure of {q}, i.e. q in U_p."""
+        return [(p, q) for p in range(self.n_points)
+                for q in sorted(self.min_open(p)) if q != p]
 
 
 @dataclass

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 
-from conespec import contexts, corpus, tables
+from conespec import contexts, corpus, spectrum as sp, tables
 from conespec.spectrum import Presheaf, sort_opens
 from conespec.tables import RING, Hom
 
@@ -135,3 +135,173 @@ def limit_by_product_scan(kind, objects, arrows):
     cone = [Hom(L, o, tuple(elems[inv[new]][i] for new in range(len(elems))))
             for i, o in enumerate(objects)]
     return L, cone
+
+
+def plus_construction(F: Presheaf):
+    """Oracle: one application of the plus construction.
+
+    On a finite space the refinement poset of covers of U has the cover by
+    minimal opens as its finest element, so the Heller-Rowe colimit collapses
+    to H0 of that cover.
+    """
+    min_open = {p: F.min_open(p) for p in range(F.n_points)}
+    new_sections = {}
+    cones = {}
+    thetas = {}
+    for U in F.opens:
+        pts = sorted(U)
+        pair_opens = []
+        for a in range(len(pts)):
+            for b in range(a + 1, len(pts)):
+                pair_opens.append((a, b, min_open[pts[a]] & min_open[pts[b]]))
+        objects = [F.sections[min_open[p]] for p in pts]
+        arrows = []
+        base = len(objects)
+        for k, (a, b, W) in enumerate(pair_opens):
+            objects.append(F.sections[W])
+            arrows.append((a, base + k, F.res(min_open[pts[a]], W)))
+            arrows.append((b, base + k, F.res(min_open[pts[b]], W)))
+        L, cone = tables.limit(F.kind, objects, arrows)
+        new_sections[U] = L
+        lookup = tables.cone_lookup(L, cone)
+        cones[U] = (pts, pair_opens, cone, lookup)
+        thetas[U] = tables.lift(F.sections[U], L, lookup,
+                                [F.res(U, min_open[p]) for p in pts]
+                                + [F.res(U, W) for (_, _, W) in pair_opens])
+    new_restrictions = {}
+    for U in F.opens:
+        ptsU, _, coneU, _ = cones[U]
+        posU = {p: i for i, p in enumerate(ptsU)}
+        for V in F.opens:
+            if V == U or not V < U:
+                continue
+            ptsV, pairsV, _, lookupV = cones[V]
+            # V's pair coordinates recomputed through U's point coordinates
+            legs = [coneU[posU[p]] for p in ptsV] + [
+                tables.compose(coneU[posU[ptsV[a]]], F.res(min_open[ptsV[a]], W))
+                for (a, _, W) in pairsV]
+            new_restrictions[(U, V)] = tables.lift(
+                new_sections[U], new_sections[V], lookupV, legs)
+    G = Presheaf(F.kind, F.n_points, F.opens, new_sections, new_restrictions)
+    return G, thetas
+
+
+def is_separated(F: Presheaf) -> bool:
+    """Oracle: monopresheaf test against the finest (minimal-open) covers."""
+    for U in F.opens:
+        pts = sorted(U)
+        seen = set()
+        for x in range(F.sections[U].size):
+            key = tuple(F.res(U, F.min_open(p)).map[x] for p in pts)
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
+
+def sheafify_by_plus(F: Presheaf):
+    """Oracle: sheafification by the plus construction, applied twice when F
+    is not separated.  Returns (sheaf, theta, single) like `sheafify`."""
+    single = is_separated(F)
+    G, th1 = plus_construction(F)
+    if single:
+        return G, th1, True
+    H, th2 = plus_construction(G)
+    return H, {U: tables.compose(th1[U], th2[U]) for U in F.opens}, False
+
+
+def covers_of(F: Presheaf, U, cap: int = 12):
+    """Covers of U by nonempty opens: all of them up to `cap` opens below U,
+    else the minimal-open cover and the covering pairs."""
+    subs = [W for W in F.opens if W <= U and W]
+    if len(subs) <= cap:
+        for k in range(1, len(subs) + 1):
+            for fam in itertools.combinations(subs, k):
+                if frozenset().union(*fam) == U:
+                    yield list(fam)
+    else:
+        mins = sorted({F.min_open(p) for p in U}, key=sorted)
+        yield mins
+        for a in range(len(subs)):
+            for b in range(a, len(subs)):
+                if subs[a] | subs[b] == U:
+                    yield [subs[a], subs[b]]
+
+
+def satisfies_sheaf_condition(F: Presheaf, cap: int = 12) -> bool:
+    """Oracle: the sheaf condition, by enumerating covers and families."""
+    # the empty open is covered by the empty family
+    if F.sections[frozenset()].size != 1:
+        return False
+    for U in F.opens:
+        for cover in covers_of(F, U, cap):
+            families = []
+            ranges = [range(F.sections[W].size) for W in cover]
+            for fam in itertools.product(*ranges):
+                ok = True
+                for a in range(len(cover)):
+                    for b in range(a + 1, len(cover)):
+                        W = cover[a] & cover[b]
+                        if F.res(cover[a], W).map[fam[a]] != \
+                                F.res(cover[b], W).map[fam[b]]:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if ok:
+                    families.append(fam)
+            images = set()
+            for x in range(F.sections[U].size):
+                key = tuple(F.res(U, W).map[x] for W in cover)
+                if key in images:
+                    return False
+                images.add(key)
+            if images != set(families):
+                return False
+    return True
+
+
+def h0_by_product_scan(K):
+    """Oracle: Čech H0 as the families of the product of the level-0
+    targets that satisfy every face condition, with the map from the base."""
+    comps = K.level0.components
+    P0, projs = tables.product(K.level0.base.kind, [k.target for k in comps])
+    conditions = []
+    for (i0, i1), (_, in0, in1, legs) in sorted(K.level1.items()):
+        for leg in legs:
+            conditions.append((tables.compose(projs[i0], tables.compose(in0, leg)),
+                               tables.compose(projs[i1], tables.compose(in1, leg))))
+    members = [x for x in range(P0.size)
+               if all(d0.map[x] == d1.map[x] for d0, d1 in conditions)]
+    E, incl = tables.subalgebra(P0, members)
+    lookup = tables.cone_lookup(E, [tables.compose(incl, pr) for pr in projs])
+    return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])
+
+
+def glued_opens_by_subset_scan(ctx, g):
+    """Oracle: the opens of the glued space, by trying every point subset.
+
+    Chart points are identified along the overlaps and the classes numbered
+    by least chart point, as `glue.glue` does; a subset is open when its
+    trace in every chart is open.
+    """
+    spaces = [sp.build_spec(ctx, R) for R in g.charts]
+    points = [(i, p) for i, X in enumerate(spaces) for p in range(X.n_points)]
+    where = {x: n for n, x in enumerate(points)}
+    uf = tables._UF(len(points))
+    for ov in g.overlaps:
+        pts_i = sorted(sp.distinguished_open(ctx, g.charts[ov.i], ov.k_i,
+                                             spaces[ov.i].forms))
+        pts_j = sorted(sp.distinguished_open(ctx, g.charts[ov.j], ov.k_j,
+                                             spaces[ov.j].forms))
+        for a, p in enumerate(pts_i):
+            uf.union(where[(ov.i, p)], where[(ov.j, pts_j[ov.iso.point_map[a]])])
+    roots = [uf.find(n) for n in range(len(points))]
+    number = {r: c for c, r in enumerate(sorted(set(roots)))}
+    glob = {x: number[r] for x, r in zip(points, roots)}
+    opens = []
+    for k in range(len(number) + 1):
+        for S in itertools.combinations(range(len(number)), k):
+            if all(frozenset(p for p in range(X.n_points) if glob[(i, p)] in S)
+                   in set(X.opens) for i, X in enumerate(spaces)):
+                opens.append(frozenset(S))
+    return sort_opens(opens)

@@ -10,7 +10,7 @@ from conespec import corpus, glue as gl, hypercover as hc, io as cio, \
     reduction as red, spectrum as sp, tables
 from conespec.tables import all_homs, compose, isomorphic
 
-from helpers import random_presheaf
+from helpers import random_presheaf, satisfies_sheaf_condition
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -211,14 +211,14 @@ def test_criterion_9_sheafification():
         if A.size == 1:
             continue
         X = sp.build_spec(ZAR, A)
-        assert sp.satisfies_sheaf_condition(X.presheaf)
+        assert satisfies_sheaf_condition(X.presheaf)
         assert X.single_plus and all(
             X.theta[U].is_bijective for U in X.opens)
     rng = random.Random(19)
     for _ in range(20):
         F = random_presheaf(rng)
         G, theta, _ = sp.sheafify(F)
-        assert sp.satisfies_sheaf_condition(G)
+        assert satisfies_sheaf_condition(G)
         G2, theta2, single2 = sp.sheafify(G)
         assert single2 and all(theta2[U].is_bijective for U in G.opens)
         for p in range(F.n_points):

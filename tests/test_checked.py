@@ -70,8 +70,7 @@ def doubled(ctx, A, k):
 def test_theorem_backed_results_pass_the_full_checks(checked):
     for ctx, A in corpus_by_context():
         sp.build_spec(ctx, A)
-        # covers of up to two components: all of them take about 45 s
-        for cover in hc.enumerate_opcovers(ctx, A, max_components=2):
+        for cover in hc.enumerate_opcovers(ctx, A):
             hc.cech_h0(ctx, cover)
         for k in C.enumerate_localizations(ctx, A).values():
             if not k.composite.is_bijective:

@@ -9,6 +9,8 @@ from conespec import corpus, hypercover as hc, tables
 from conespec.errors import InvariantViolation
 from conespec.tables import all_homs, compose, isomorphic
 
+from helpers import corpus_by_context, h0_by_product_scan
+
 ZAR = C.get_context("zariski")
 DEI = C.get_context("deitmar")
 DOM = C.get_context("domain")
@@ -132,3 +134,18 @@ def test_jointly_monic_families_cover_reduced_domain_rings():
                 )
                 if jointly_monic:
                     assert hc.is_opcover(DOM, hc.Opcover("domain", A, fam))
+
+
+def test_h0_matches_the_product_scan_oracle():
+    """Corpus opcovers of at most three components: H0 agrees with the
+    equalizer inside the product, up to the isomorphism compatible with eta."""
+    n = 0
+    for ctx, A in corpus_by_context():
+        for cover in hc.enumerate_opcovers(ctx, A, max_components=3):
+            K = hc.kernel_hyperopcover(ctx, cover)
+            E, eta = hc.h0(K)
+            E2, eta2 = h0_by_product_scan(K)
+            assert any(compose(eta, iso) == eta2
+                       for iso in tables.iter_isomorphisms(E, E2))
+            n += 1
+    assert n > 100

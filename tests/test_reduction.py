@@ -11,7 +11,7 @@ from conespec import corpus, hypercover as hc, reduction as red, spectrum as sp
 from conespec import tables
 from conespec.tables import all_homs, compose, identity, isomorphic
 
-from helpers import corpus_by_context
+from helpers import corpus_by_context, satisfies_sheaf_condition
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -167,7 +167,7 @@ def test_canonical_presheaf_sheafness_matches_fixed_point_zariski():
         if A.size == 1:
             continue
         X = sp.build_spec(ZAR, A)
-        assert sp.satisfies_sheaf_condition(X.presheaf) == red.is_fixed_point(ZAR, A)
+        assert satisfies_sheaf_condition(X.presheaf) == red.is_fixed_point(ZAR, A)
 
 
 def test_distop_lattice_bijection():

@@ -1,8 +1,9 @@
 """Spectra as spaces with a structure sheaf, and maps between them.
 
-The sheaf condition checker (`satisfies_sheaf_condition`) enumerates covers
-and compatible families directly and is independent of the plus construction,
-so it serves as the oracle for sheafification.
+Sheafification has two oracles in `helpers`: the sheaf condition checker
+(`satisfies_sheaf_condition`), which enumerates covers and compatible families
+directly, and the plus construction (`sheafify_by_plus`), which builds the
+sheaf as H0 of the minimal-open covers, twice when F is not separated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from conespec import corpus, spectrum as sp, tables
 from conespec.errors import InvariantViolation
 from conespec.tables import all_homs, compose, identity, is_hom
 
-from helpers import corpus_by_context, limit_by_product_scan, random_presheaf
+from helpers import (corpus_by_context, limit_by_product_scan, random_presheaf,
+                     satisfies_sheaf_condition, sheafify_by_plus)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -29,7 +31,7 @@ Z2, Z3, Z4, Z6, Z12 = (corpus.zn(n) for n in (2, 3, 4, 6, 12))
 
 
 def test_spec_limits_match_product_scan(monkeypatch):
-    """Every Kan-extension and plus-construction limit of the corpus specs."""
+    """Every Kan-extension and stalk limit of the corpus specs."""
     calls = []
     real_limit = tables.limit
 
@@ -126,13 +128,13 @@ def test_structure_sheaves_satisfy_sheaf_condition():
     ]:
         for A in algebras:
             X = sp.build_spec(ctx, A)
-            assert sp.satisfies_sheaf_condition(X.sheaf), (ctx.name, A.elements)
+            assert satisfies_sheaf_condition(X.sheaf), (ctx.name, A.elements)
 
 
 def test_zariski_canonical_presheaves_already_sheaves():
     for A in corpus.zariski_corpus():
         X = sp.build_spec(ZAR, A)
-        assert sp.satisfies_sheaf_condition(X.presheaf)
+        assert satisfies_sheaf_condition(X.presheaf)
         assert X.single_plus
         assert all(X.theta[U].is_bijective for U in X.opens)
 
@@ -154,7 +156,7 @@ def test_sheafify_randomized_presheaves():
     for _ in range(12):
         F = random_presheaf(rng)
         G, theta, single = sp.sheafify(F)
-        assert sp.satisfies_sheaf_condition(G)
+        assert satisfies_sheaf_condition(G)
         if single:
             seen_single = True
         else:
@@ -166,6 +168,41 @@ def test_sheafify_randomized_presheaves():
         for p in range(F.n_points):
             assert theta[F.min_open(p)].is_bijective
     assert seen_double and seen_single
+
+
+def test_sheafify_matches_the_plus_oracle_on_every_corpus_spec():
+    """Same sections (labels included), restrictions, theta and flag."""
+    for ctx, A in corpus_by_context():
+        F = sp.build_spec(ctx, A).presheaf
+        G, theta, single = sp.sheafify(F)
+        H, theta_plus, single_plus = sheafify_by_plus(F)
+        assert G == H, (ctx.name, A.elements)
+        assert theta == theta_plus and single == single_plus
+
+
+def test_sheafify_matches_the_plus_oracle_on_random_presheaves():
+    """Plus is applied twice when F is not separated; the sizes agree."""
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(40):
+        F = random_presheaf(rng)
+        G, theta, single = sp.sheafify(F)
+        H, _, single_plus = sheafify_by_plus(F)
+        assert single == single_plus
+        assert {U: A.size for U, A in G.sections.items()} == \
+            {U: A.size for U, A in H.sections.items()}
+        if single:
+            assert G == H
+        seen.add(single)
+    assert seen == {True, False}
+
+
+def test_specialization_order_matches_the_open_scan():
+    for ctx, A in corpus_by_context():
+        X = sp.build_spec(ctx, A)
+        assert X.specialization_order() == [
+            (p, q) for p in range(X.n_points) for q in range(X.n_points)
+            if p != q and all(q in U for U in X.opens if p in U)]
 
 
 def test_sheafify_trivializes_empty_sections():
