@@ -101,12 +101,10 @@ def glue(ctx, g: GluingSpec) -> SpectralSpace:
     candidates = {frozenset()}
     for i, X in enumerate(spaces):
         for V in X.opens:
-            image = frozenset(glob[(i, p)] for p in V)
-            candidates |= {S | image for S in candidates}
+            candidates |= {S | {glob[(i, p)] for p in V} for S in candidates}
     chart_opens = [set(X.opens) for X in spaces]
-    opens = sort_opens(S for S in candidates
-                       if all(trace(S, i) in chart_opens[i]
-                              for i in range(len(spaces))))
+    opens = sort_opens(S for S in candidates if all(
+        trace(S, i) in chart_opens[i] for i in range(len(spaces))))
 
     # overlap compatibility data at section level
     remaps = []

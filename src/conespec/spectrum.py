@@ -69,26 +69,21 @@ def sheafify(F: Presheaf):
 
     On a finite T0 space a sheaf is fixed by its stalks F(U_p) at the minimal
     opens: G(U) is the limit of F(U_p), p in U, along F(U_p) -> F(U_q) for
-    q in U_p (Hasse edges suffice).  Each pair a < b of points of U adds the
-    object F(U_a & U_b) with one arrow from a; it forces an extra coordinate
-    without adding a constraint, so labels list point coordinates, then pair
+    q in U_p, q != p.  Each pair a < b of points of U adds the object
+    F(U_a & U_b) with one arrow from a; it forces an extra coordinate without
+    adding a constraint, so labels list point coordinates, then pair
     coordinates.  Returns (sheaf, theta, single) where theta maps old sections
     to new and `single` records whether every theta is injective, i.e. F was
     separated (a single plus construction would have sufficed).
     """
     min_open = {p: F.min_open(p) for p in range(F.n_points)}
-    # the Hasse edges: q in U_p, q != p, with no r strictly between
-    below = {}
-    for p, Up in min_open.items():
-        below[p] = [q for q in sorted(Up) if q != p and not any(
-            r not in (p, q) and q in min_open[r] for r in Up)]
     sections, cones, lookups, theta = {}, {}, {}, {}
     for U in F.opens:
         pts = sorted(U)
         pos = {p: a for a, p in enumerate(pts)}
         objects = [F.sections[min_open[p]] for p in pts]
         arrows = [(pos[p], pos[q], F.res(min_open[p], min_open[q]))
-                  for p in pts for q in below[p]]
+                  for p in pts for q in sorted(min_open[p]) if q != p]
         for a, p in enumerate(pts):
             for q in pts[a + 1:]:
                 W = min_open[p] & min_open[q]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 
-from conespec import contexts, corpus, spectrum as sp, tables
+from conespec import contexts, corpus, tables
 from conespec.spectrum import Presheaf, sort_opens
 from conespec.tables import RING, Hom
 
@@ -18,14 +18,15 @@ def small_topologies():
     return [(2, sort_opens(sier)), (2, sort_opens(disc2)), (3, sort_opens(wedge3))]
 
 
-def random_presheaf(rng) -> Presheaf:
+def random_presheaf(rng, topology=None) -> Presheaf:
     """A presheaf of quotients of a fixed base algebra.
 
     Each point carries a random batch of pairs; the congruence at an open is
     generated by the batches of the points outside it, so restrictions along
-    shrinking opens are the induced class maps.
+    shrinking opens are the induced class maps.  The topology, a pair
+    (n_points, opens), is drawn from `small_topologies` unless given.
     """
-    n_points, opens = small_topologies()[rng.randrange(3)]
+    n_points, opens = topology or small_topologies()[rng.randrange(3)]
     A = [corpus.zn(6), corpus.zn(4), corpus.f2x2(),
          corpus.flag_monoid(), corpus.chain_monoid()][rng.randrange(5)]
     batches = []
@@ -198,6 +199,7 @@ def is_separated(F: Presheaf) -> bool:
             seen.add(key)
     return True
 
+
 def sheafify_by_plus(F: Presheaf):
     """Oracle: sheafification by the plus construction, applied twice when F
     is not separated.  Returns (sheaf, theta, single) like `sheafify`."""
@@ -276,32 +278,3 @@ def h0_by_product_scan(K):
     lookup = tables.cone_lookup(E, [tables.compose(incl, pr) for pr in projs])
     return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])
 
-
-def glued_opens_by_subset_scan(ctx, g):
-    """Oracle: the opens of the glued space, by trying every point subset.
-
-    Chart points are identified along the overlaps and the classes numbered
-    by least chart point, as `glue.glue` does; a subset is open when its
-    trace in every chart is open.
-    """
-    spaces = [sp.build_spec(ctx, R) for R in g.charts]
-    points = [(i, p) for i, X in enumerate(spaces) for p in range(X.n_points)]
-    where = {x: n for n, x in enumerate(points)}
-    uf = tables._UF(len(points))
-    for ov in g.overlaps:
-        pts_i = sorted(sp.distinguished_open(ctx, g.charts[ov.i], ov.k_i,
-                                             spaces[ov.i].forms))
-        pts_j = sorted(sp.distinguished_open(ctx, g.charts[ov.j], ov.k_j,
-                                             spaces[ov.j].forms))
-        for a, p in enumerate(pts_i):
-            uf.union(where[(ov.i, p)], where[(ov.j, pts_j[ov.iso.point_map[a]])])
-    roots = [uf.find(n) for n in range(len(points))]
-    number = {r: c for c, r in enumerate(sorted(set(roots)))}
-    glob = {x: number[r] for x, r in zip(points, roots)}
-    opens = []
-    for k in range(len(number) + 1):
-        for S in itertools.combinations(range(len(number)), k):
-            if all(frozenset(p for p in range(X.n_points) if glob[(i, p)] in S)
-                   in set(X.opens) for i, X in enumerate(spaces)):
-                opens.append(frozenset(S))
-    return sort_opens(opens)

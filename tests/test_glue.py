@@ -9,8 +9,6 @@ from conespec import corpus, glue as gl, hypercover as hc, spectrum as sp, table
 from conespec.errors import CocycleViolation
 from conespec.tables import all_homs, isomorphic
 
-from helpers import corpus_by_context, glued_opens_by_subset_scan
-
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
 DEI = C.get_context("deitmar")
@@ -109,25 +107,6 @@ def test_doubled_z6_is_affine(doubled_z6):
     assert isomorphic(gamma, corpus.ring_product(2, 3, 3))
     verdict, witness = gl.is_affine(ZAR, X)
     assert verdict and witness.is_iso
-
-
-def test_glued_opens_match_the_subset_scan():
-    """Two copies of each corpus algebra glued along each proper
-    localization, and three e2 charts glued at their open point."""
-    gluings = []
-    for ctx, A in corpus_by_context():
-        for k in C.enumerate_localizations(ctx, A).values():
-            if not k.composite.is_bijective:
-                gluings.append((ctx, gl.GluingSpec(ctx.name, (A, A), (
-                    gl.make_overlap(ctx, (A, A), 0, 1, k, k),))))
-    M = corpus.flag_monoid()
-    k = loc_by_size(DEI, M, 1)
-    gluings.append((DEI, gl.GluingSpec("deitmar", (M, M, M), tuple(
-        gl.make_overlap(DEI, (M, M, M), i, j, k, k)
-        for i, j in [(0, 1), (0, 2), (1, 2)]))))
-    for ctx, g in gluings:
-        assert gl.glue(ctx, g).opens == glued_opens_by_subset_scan(ctx, g)
-    assert len(gluings) > 20
 
 
 def test_glued_stalks_are_local(f1_p1, doubled_z6):

@@ -197,6 +197,25 @@ def test_sheafify_matches_the_plus_oracle_on_random_presheaves():
     assert seen == {True, False}
 
 
+def test_sheafify_matches_the_plus_oracle_on_deep_posets():
+    """Quotient presheaves on a chain of three points and on a chain that
+    forks into two closed points, so that specializations compose."""
+    chain = [frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})]
+    fork = chain + [frozenset({0, 1, 3}), frozenset({0, 1, 2, 3})]
+    rng = random.Random(5)
+    seen = set()
+    for topology in [(3, sp.sort_opens(chain)), (4, sp.sort_opens(fork))] * 15:
+        F = random_presheaf(rng, topology)
+        G, theta, single = sp.sheafify(F)
+        H, _, single_plus = sheafify_by_plus(F)
+        assert satisfies_sheaf_condition(G)
+        assert single == single_plus
+        assert {U: A.size for U, A in G.sections.items()} == \
+            {U: A.size for U, A in H.sections.items()}
+        seen.add(single)
+    assert seen == {True, False}
+
+
 def test_specialization_order_matches_the_open_scan():
     for ctx, A in corpus_by_context():
         X = sp.build_spec(ctx, A)
