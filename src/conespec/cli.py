@@ -48,10 +48,10 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _check_bounds(args, R) -> None:
+def _check_bounds(args, *algebras) -> None:
     if args.size_bound < 1 or (args.rounds is not None and args.rounds < 1):
         raise ValidationError("bounds must be at least 1", args.size_bound)
-    if R.size > args.size_bound:
+    if any(R.size > args.size_bound for R in algebras):
         raise SizeBound("input algebra exceeds the size bound", args.size_bound)
 
 
@@ -86,6 +86,7 @@ def cmd_check(args) -> int:
             raise ValidationError(f"--property {prop} needs --{name}", name)
     if prop == "geometric-iso":
         f = cio.hom_from_dict(cio.load_json(args.hom))
+        _check_bounds(args, f.source, f.target)
         verdict, cert = red.geometric_iso(ctx, f)
         if verdict:
             certificate = {"isos": [list(h.map) for h in cert["isos"]]}
@@ -96,6 +97,7 @@ def cmd_check(args) -> int:
             certificate = {"extra_form_sig": list(cert["extra_form_sig"])}
     else:
         R = cio.algebra_from_dict(cio.load_json(args.input))
+        _check_bounds(args, R)
         if prop == "reduced":
             verdict = red.is_reduced(ctx, R)
             h = sp.ell(ctx, R)
@@ -127,7 +129,7 @@ def cmd_check(args) -> int:
             if not hc.is_opcover(ctx, cover):
                 raise ValidationError("component family is not an opcover",
                                       cover_doc)
-            locs = cx.enumerate_localizations(ctx, R)
+            locs = cx.enumerate_localizations(ctx, R, max_rounds=args.rounds)
             per_form = []
             for p in cx.local_forms(ctx, R):
                 loc = locs[p.sig]
@@ -141,9 +143,10 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict else EXIT_FALSE
 
 
-def _load_gluing(ctx, doc) -> gl.GluingSpec:
+def _load_gluing(ctx, doc, args) -> gl.GluingSpec:
     charts = tuple(cio._resolve_algebra(c["algebra"])
                    for c in cio.list_field(doc, "charts", dict))
+    _check_bounds(args, *charts)
     overlaps = []
     for ov in cio.list_field(doc, "overlaps", dict):
         i, j = ov["i"], ov["j"]
@@ -171,7 +174,7 @@ def _load_gluing(ctx, doc) -> gl.GluingSpec:
 def cmd_glue(args) -> int:
     doc = cio.load_object(args.input)
     ctx = cx.get_context(doc.get("context", args.context))
-    X = gl.glue(ctx, _load_gluing(ctx, doc))
+    X = gl.glue(ctx, _load_gluing(ctx, doc, args))
     stem = _stem(args.input)
     _write(args.out_dir, f"{stem}.space.json", cio.dumps(cio.space_to_dict(X)))
     _write(args.out_dir, f"{stem}.topology.dot", cio.specialization_dot(X))
@@ -180,16 +183,18 @@ def cmd_glue(args) -> int:
     return EXIT_OK
 
 
-def _space_from_input(ctx, doc):
+def _space_from_input(ctx, doc, args):
     if "charts" in doc:
-        return gl.glue(ctx, _load_gluing(ctx, doc))
-    return sp.build_spec(ctx, cio.algebra_from_dict(doc))
+        return gl.glue(ctx, _load_gluing(ctx, doc, args))
+    R = cio.algebra_from_dict(doc)
+    _check_bounds(args, R)
+    return sp.build_spec(ctx, R)
 
 
 def cmd_nerve(args) -> int:
     doc = cio.load_object(args.input)
     ctx = cx.get_context(doc.get("context", args.context))
-    X = _space_from_input(ctx, doc)
+    X = _space_from_input(ctx, doc, args)
     if args.site != "default":
         raise ValidationError(f"unknown site {args.site!r}", args.site)
     site = tuple(A for A in gl.default_site(ctx) if A.size <= args.site_max)

@@ -16,6 +16,9 @@ admissible.  Three contexts are provided:
 Because localizations of finite table algebras are surjective, the kernel
 partition of the composite identifies a finite localization up to
 isomorphism over its source; that signature is the dedup key everywhere.
+Each context gives the signature of one attachment (`attach_sig`) without
+building its quotient, so the localization search and `factorize` compare
+signatures first and build a quotient only for a class they keep.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 from . import tables
 from .errors import DidNotStabilize, InvalidDatum, InvariantViolation, KindMismatch
-from .tables import MONOID, RING, FiniteAlgebra, Hom, compose, identity
+from .tables import MONOID, RING, FiniteAlgebra, Hom, compose, identity, normalize_sig
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,31 @@ class SpectralContext:
     def cell_data(self, A: FiniteAlgebra) -> list[CellDatum]:
         raise NotImplementedError
 
-    def attach(self, A, datum, branch):
+    def attach_sig(self, A, datum, branch) -> tuple[int, ...]:
+        """Kernel partition of the attachment map out of A (not built)."""
         raise NotImplementedError
+
+    def victim(self, datum, branch):
+        """The element an attachment kills or inverts; None for the identity.
+
+        A branch of a pair datum acts on the pair's matching entry.
+        """
+        return datum.data[0 if branch == "left" else 1]
+
+    def attach(self, A, datum, branch):
+        """The attachment as (quotient, quotient map)."""
+        return tables.quotient_by_sig(A, self.attach_sig(A, datum, branch))
+
+    def attachments(self, A):
+        """The (datum, branch) pairs of A in scan order, skipping any whose
+        victim an earlier pair already had, since its step would be the same."""
+        seen = set()
+        for datum in self.cell_data(A):
+            for branch in BRANCHES:
+                v = self.victim(datum, branch)
+                if v not in seen:
+                    seen.add(v)
+                    yield datum, branch
 
     def local_forms_direct(self, A) -> list[LocalizationPath]:
         """Context-specific enumeration (the prime-ideal route)."""
@@ -127,11 +153,11 @@ class ZariskiContext(SpectralContext):
             out.append(CellDatum(self.name, (r, s)))
         return out
 
-    def attach(self, A, datum, branch):
+    def attach_sig(self, A, datum, branch):
         r, s = datum.data
         if A.add[r][s] != A.one:
             raise InvalidDatum("r + s must equal 1")
-        return tables.invert_element(A, r if branch == "left" else s)
+        return tables.inversion_sig(A, self.victim(datum, branch))
 
     def local_forms_direct(self, A):
         self.accepts(A)
@@ -178,12 +204,12 @@ class DomainContext(SpectralContext):
             if A.mul[a][b] == A.zero
         ]
 
-    def attach(self, A, datum, branch):
+    def attach_sig(self, A, datum, branch):
         a, b = datum.data
         if A.mul[a][b] != A.zero:
             raise InvalidDatum("a * b must equal 0")
-        victim = a if branch == "left" else b
-        return tables.quotient(A, tables.ideal_generated(A, [victim]))
+        return tables.ideal_sig(
+            tables.principal_ideal(A, self.victim(datum, branch)))
 
     def local_forms_direct(self, A):
         self.accepts(A)
@@ -226,11 +252,15 @@ class DeitmarContext(SpectralContext):
         self.accepts(A)
         return [CellDatum(self.name, (a,)) for a in range(A.size)]
 
-    def attach(self, A, datum, branch):
+    def victim(self, datum, branch):
+        # the left branch is the trivial cone component
+        return None if branch == "left" else datum.data[0]
+
+    def attach_sig(self, A, datum, branch):
         (a,) = datum.data
-        if branch == "left":  # the trivial cone component
-            return A, identity(A)
-        return tables.invert_element(A, a)
+        if branch == "left":
+            return tuple(range(A.size))
+        return tables.inversion_sig(A, a)
 
     def faces(self, A) -> list[frozenset[int]]:
         """Saturated submonoids; their complements are the prime ideals.
@@ -296,14 +326,26 @@ def extend_path(ctx, path: LocalizationPath, datum: CellDatum, branch: str,
     )
 
 
+def _is_identity_sig(sig) -> bool:
+    return max(sig) + 1 == len(sig)
+
+
+def _refines(sig, values) -> bool:
+    """Whether the partition `sig` refines the kernel of `values`."""
+    image: dict = {}
+    return all(image.setdefault(c, y) == y for c, y in zip(sig, values))
+
+
 def enumerate_localizations(ctx, R, max_rounds: int | None = None
                             ) -> dict[tuple, LocalizationPath]:
     """All finite localizations of R up to iso over R, keyed by signature.
 
     Breadth-first over single-cell attachments; the first (hence shortest,
     lexicographically least in discovery order) path represents its class.
-    With `max_rounds`, raises DidNotStabilize if a round after that many
-    still finds new classes.
+    An attachment's signature over R is its step signature read through the
+    path's map, so only a new class has its quotient built.  With
+    `max_rounds`, raises DidNotStabilize if a round after that many still
+    finds new classes.
     """
     ctx.accepts(R)
     start = identity_path(R)
@@ -316,15 +358,16 @@ def enumerate_localizations(ctx, R, max_rounds: int | None = None
             raise DidNotStabilize(max_rounds)
         new = []
         for path in frontier:
-            for datum in ctx.cell_data(path.target):
-                for branch in BRANCHES:
-                    Q, step = ctx.attach(path.target, datum, branch)
-                    if step.is_bijective:
-                        continue
-                    ext = extend_path(ctx, path, datum, branch, (Q, step))
-                    if ext.sig not in found:
-                        found[ext.sig] = ext
-                        new.append(ext)
+            K = path.target
+            for datum, branch in ctx.attachments(K):
+                step_sig = ctx.attach_sig(K, datum, branch)
+                if _is_identity_sig(step_sig):
+                    continue
+                sig = normalize_sig(step_sig[x] for x in path.composite.map)
+                if sig not in found:
+                    found[sig] = extend_path(ctx, path, datum, branch,
+                                             tables.quotient_by_sig(K, step_sig))
+                    new.append(found[sig])
         frontier = new
     return found
 
@@ -332,22 +375,6 @@ def enumerate_localizations(ctx, R, max_rounds: int | None = None
 def local_forms(ctx, R) -> list[LocalizationPath]:
     """One local form per isomorphism class over R (direct enumeration)."""
     return ctx.local_forms_direct(R)
-
-
-def saturate_bounded(ctx, R, max_rounds: int | None = None) -> list[LocalizationPath]:
-    """Bounded cone small object argument.
-
-    Attaches every cell along every datum with every branch, round by round,
-    deduplicating by signature; local targets among the stable reachable set
-    are the local forms.
-    """
-    if max_rounds is None:
-        max_rounds = R.size + 2
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    found = enumerate_localizations(ctx, R, max_rounds)
-    locs = [p for p in found.values() if ctx.is_local(p.target)]
-    return sorted(locs, key=lambda p: p.sig)
 
 
 # ---------------------------------------------------------------------------
@@ -368,22 +395,19 @@ def factorize(ctx, f: Hom, shuffle_seed: int | None = None):
     g = f
     while True:
         K = path.target
-        options = [(d, b) for d in ctx.cell_data(K) for b in BRANCHES]
+        options = list(ctx.attachments(K))
         if rng is not None:
             rng.shuffle(options)
-        progressed = False
         for datum, branch in options:
-            Q, step = ctx.attach(K, datum, branch)
-            if step.is_bijective:
+            # g factors through the step iff the step's kernel refines g's
+            sig = ctx.attach_sig(K, datum, branch)
+            if _is_identity_sig(sig) or not _refines(sig, g.map):
                 continue
-            h = tables.induced(step, g)
-            if h is None:
-                continue
+            Q, step = tables.quotient_by_sig(K, sig)
             path = extend_path(ctx, path, datum, branch, (Q, step))
-            g = h
-            progressed = True
+            g = tables.induced(step, g)
             break
-        if not progressed:
+        else:
             break
     if not ctx.is_admissible(g):
         raise InvariantViolation("residual factor is not admissible")

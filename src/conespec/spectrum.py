@@ -242,17 +242,6 @@ def distinguished_open(ctx, R, k: LocalizationPath, forms=None) -> frozenset:
                      if tables.induced(k.composite, p.composite) is not None)
 
 
-def _sig_pairs(sig):
-    by_class: dict = {}
-    pairs = []
-    for i, c in enumerate(sig):
-        if c in by_class:
-            pairs.append((by_class[c], i))
-        else:
-            by_class[c] = i
-    return pairs
-
-
 def _class_map(c_from: Hom, c_to: Hom) -> Hom:
     """The induced map, which the theorem at hand says must exist."""
     h = tables.induced(c_from, c_to)
@@ -296,10 +285,7 @@ def build_spec(ctx, R: FiniteAlgebra, locs=None) -> SpectralSpace:
     sections = {}
     canonical = {}
     for U, paths in by_open.items():
-        pairs = []
-        for p in paths:
-            pairs.extend(_sig_pairs(p.sig))
-        sig = tables.congruence_closure(R, pairs)
+        sig = tables.join_sigs(R.size, [p.sig for p in paths])
         RU, proj = tables.quotient_by_sig(R, sig)
         red, unit, _ = reduce_admissible(ctx, RU)
         sections[U] = red

@@ -12,6 +12,7 @@ computation is on indices.  Canonical element order sorts by
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -404,6 +405,20 @@ class _UF:
         return True
 
 
+def join_sigs(n: int, sigs) -> tuple[int, ...]:
+    """The join of congruences on n elements, given as partition sigs.
+
+    Congruences form a sublattice of the equivalence relations, so their
+    join is the transitive closure of their union: no closure sweep needed.
+    """
+    uf = _UF(n)
+    for sig in sigs:
+        first: dict = {}
+        for i, c in enumerate(sig):
+            uf.union(first.setdefault(c, i), i)
+    return normalize_sig(uf.find(i) for i in range(n))
+
+
 def congruence_closure(A: FiniteAlgebra, pairs) -> tuple[int, ...]:
     """Smallest congruence containing `pairs`, as a normalized partition sig."""
     n = A.size
@@ -485,6 +500,25 @@ class Ideal:
         return all(A.mul[i][r] in I for i in I for r in range(A.size))
 
 
+def principal_ideal(A: FiniteAlgebra, g: int) -> Ideal:
+    """gA, which is already an ideal: in a ring ga + gb = g(a + b)."""
+    return Ideal(A, frozenset(A.mul[g]))
+
+
+def ideal_sig(I: Ideal) -> tuple[int, ...]:
+    """The partition of a ring into the cosets x + I, numbered by first
+    element (so normalized).  I is not re-validated."""
+    A = I.carrier
+    cls = [-1] * A.size
+    k = 0
+    for x in range(A.size):
+        if cls[x] < 0:
+            for m in I.members:
+                cls[A.add[x][m]] = k
+            k += 1
+    return tuple(cls)
+
+
 def ideal_generated(A: FiniteAlgebra, gens) -> Ideal:
     if A.is_ring:
         base = {A.mul[g][r] for g in gens for r in range(A.size)}
@@ -511,15 +545,7 @@ def quotient(A: FiniteAlgebra, ideal_or_pairs) -> tuple[FiniteAlgebra, Hom]:
         if I.carrier != A or not I.is_valid():
             raise InvalidIdeal("not a valid ideal of this algebra")
         if A.is_ring:
-            # the classes are the cosets x + I, numbered by first element
-            cls = [-1] * A.size
-            k = 0
-            for x in range(A.size):
-                if cls[x] < 0:
-                    for m in I.members:
-                        cls[A.add[x][m]] = k
-                    k += 1
-            return quotient_by_sig(A, cls)
+            return quotient_by_sig(A, ideal_sig(I))
         # Rees quotient: collapse the ideal to a single (absorbing) class
         mem = sorted(I.members)
         pairs = [(mem[0], m) for m in mem[1:]]
@@ -530,21 +556,23 @@ def quotient(A: FiniteAlgebra, ideal_or_pairs) -> tuple[FiniteAlgebra, Hom]:
     return quotient_by_sig(A, congruence_closure(A, pairs))
 
 
-def invert_element(A: FiniteAlgebra, a: int) -> tuple[FiniteAlgebra, Hom]:
-    """Universal map making `a` invertible.
+def inversion_sig(A: FiniteAlgebra, a: int) -> tuple[int, ...]:
+    """The congruence that makes `a` invertible, as a partition sig.
 
-    For a finite algebra the localization congruence is x ~ y iff e*x = e*y,
-    where e is the idempotent power of a; the result may be trivial.
+    For a finite algebra it is x ~ y iff e*x = e*y, where e is the
+    idempotent power of a; the quotient may be trivial.
     """
     e = a
     for _ in range(2 * A.size + 2):
         if A.mul[e][e] == e:
-            break
+            return normalize_sig(A.mul[e])
         e = A.mul[e][a]
-    else:  # pragma: no cover - impossible for finite tables
-        raise InvariantViolation("no idempotent power found")
-    sig = normalize_sig(A.mul[e][x] for x in range(A.size))
-    return quotient_by_sig(A, sig)
+    raise InvariantViolation("no idempotent power found")  # pragma: no cover
+
+
+def invert_element(A: FiniteAlgebra, a: int) -> tuple[FiniteAlgebra, Hom]:
+    """Universal map making `a` invertible."""
+    return quotient_by_sig(A, inversion_sig(A, a))
 
 
 # ---------------------------------------------------------------------------
@@ -788,10 +816,12 @@ def _search_plan(sizes, arrows):
     """Order the objects for the join, with each one's arrow constraints.
 
     Next comes the object with the most arrows to those already placed,
-    ties going to the lower index.  For each object the plan lists the
-    arrows from placed objects, which force its value, the arrows into
-    placed objects, which restrict it to a preimage, and its loops; plus,
-    when no arrow forces it, the preimages along its first arrow into.
+    ties going to the lower index: the least (-links, index) on a heap whose
+    stale entries, left behind when links grow, are skipped.  For each
+    object the plan lists the arrows from placed objects, which force its
+    value, the arrows into placed objects, which restrict it to a preimage,
+    and its loops; plus, when no arrow forces it, the preimages along its
+    first arrow into.
     """
     n = len(sizes)
     incident = [[] for _ in range(n)]
@@ -801,10 +831,13 @@ def _search_plan(sizes, arrows):
             incident[j].append((i, j, h))
     links = [0] * n
     placed = [False] * n
+    heap = [(0, u) for u in range(n)]
     plan = []
     for _ in range(n):
-        v = max((u for u in range(n) if not placed[u]),
-                key=lambda u: (links[u], -u))
+        while True:
+            key, v = heapq.heappop(heap)
+            if not placed[v] and -key == links[v]:
+                break
         placed[v] = True
         forced, into, loops = [], [], []
         for i, j, h in incident[v]:
@@ -813,6 +846,7 @@ def _search_plan(sizes, arrows):
                 loops.append(h)
             elif not placed[other]:
                 links[other] += 1
+                heapq.heappush(heap, (-links[other], other))
             elif j == v:
                 forced.append((i, h))
             else:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 
 from conespec import contexts, corpus, tables
+from conespec.errors import DidNotStabilize, InvariantViolation
 from conespec.spectrum import Presheaf, sort_opens
 from conespec.tables import RING, Hom
 
@@ -278,3 +280,117 @@ def h0_by_product_scan(K):
     lookup = tables.cone_lookup(E, [tables.compose(incl, pr) for pr in projs])
     return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])
 
+
+
+def enumerate_localizations_by_quotient(ctx, R, max_rounds=None):
+    """Oracle: the localization search that builds every attachment's
+    quotient, dedups by the composite's signature, and skips bijective steps.
+    """
+    ctx.accepts(R)
+    start = contexts.identity_path(R)
+    found = {start.sig: start}
+    frontier = [start]
+    rounds = 0
+    while frontier:
+        rounds += 1
+        if max_rounds is not None and rounds > max_rounds:
+            raise DidNotStabilize(max_rounds)
+        new = []
+        for path in frontier:
+            for datum in ctx.cell_data(path.target):
+                for branch in contexts.BRANCHES:
+                    Q, step = ctx.attach(path.target, datum, branch)
+                    if step.is_bijective:
+                        continue
+                    ext = contexts.extend_path(ctx, path, datum, branch,
+                                               (Q, step))
+                    if ext.sig not in found:
+                        found[ext.sig] = ext
+                        new.append(ext)
+        frontier = new
+    return found
+
+
+def saturate_bounded(ctx, R, max_rounds=None):
+    """Oracle: the bounded cone small object argument.
+
+    Attaches every cell along every datum with every branch, round by round,
+    deduplicating by signature; local targets among the stable reachable set
+    are the local forms.
+    """
+    if max_rounds is None:
+        max_rounds = R.size + 2
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    found = contexts.enumerate_localizations(ctx, R, max_rounds)
+    locs = [p for p in found.values() if ctx.is_local(p.target)]
+    return sorted(locs, key=lambda p: p.sig)
+
+
+def factorize_by_quotient(ctx, f, shuffle_seed=None):
+    """Oracle: `factorize` building every candidate quotient and asking
+    `induced` whether f factors through it."""
+    ctx.accepts(f.source)
+    ctx.accepts(f.target)
+    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    path = contexts.identity_path(f.source)
+    g = f
+    while True:
+        K = path.target
+        options = [(d, b) for d in ctx.cell_data(K) for b in contexts.BRANCHES]
+        if rng is not None:
+            rng.shuffle(options)
+        progressed = False
+        for datum, branch in options:
+            Q, step = ctx.attach(K, datum, branch)
+            if step.is_bijective:
+                continue
+            h = tables.induced(step, g)
+            if h is None:
+                continue
+            path = contexts.extend_path(ctx, path, datum, branch, (Q, step))
+            g = h
+            progressed = True
+            break
+        if not progressed:
+            break
+    if not ctx.is_admissible(g):
+        raise InvariantViolation("residual factor is not admissible")
+    return path, g
+
+
+def search_plan_by_scan(sizes, arrows):
+    """Oracle: `tables._search_plan` choosing each next object by a scan of
+    every unplaced object for the most links, ties to the lower index."""
+    n = len(sizes)
+    incident = [[] for _ in range(n)]
+    for i, j, h in arrows:
+        incident[i].append((i, j, h))
+        if j != i:
+            incident[j].append((i, j, h))
+    links = [0] * n
+    placed = [False] * n
+    plan = []
+    for _ in range(n):
+        v = max((u for u in range(n) if not placed[u]),
+                key=lambda u: (links[u], -u))
+        placed[v] = True
+        forced, into, loops = [], [], []
+        for i, j, h in incident[v]:
+            other = j if i == v else i
+            if i == j:
+                loops.append(h)
+            elif not placed[other]:
+                links[other] += 1
+            elif j == v:
+                forced.append((i, h))
+            else:
+                into.append((j, h))
+        pre = None
+        if into and not forced:
+            j, h = into[0]
+            pre = [[] for _ in range(sizes[j])]
+            for x, y in enumerate(h.map):
+                pre[y].append(x)
+        plan.append((v, forced, into, loops, pre))
+    return plan

@@ -10,7 +10,8 @@ from conespec import corpus, glue as gl, hypercover as hc, io as cio, \
     reduction as red, spectrum as sp, tables
 from conespec.tables import all_homs, compose, isomorphic
 
-from helpers import random_presheaf, satisfies_sheaf_condition
+from helpers import (random_presheaf, satisfies_sheaf_condition,
+                     saturate_bounded)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -126,7 +127,7 @@ def test_criterion_6_saturation_matches_local_forms():
         for A in algebras:
             assert A.size <= 12
             direct = {p.sig for p in C.local_forms(ctx, A)}
-            bounded = {p.sig for p in C.saturate_bounded(ctx, A)}
+            bounded = {p.sig for p in saturate_bounded(ctx, A)}
             assert direct == bounded
     print("criterion 6 PASS: bounded saturation matches local forms")
 

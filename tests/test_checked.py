@@ -1,10 +1,11 @@
 """Checked mode: every theorem-backed construction re-verified as it is built.
 
-The library does not re-check maps into limits, limits, subalgebras or
-pushouts by surjections, since a theorem guarantees each of them.  Here those
-constructors are wrapped, wherever they are bound, and every result is
-checked the hard way: the full law checks on each algebra, and `is_hom` on
-each lifted map, cone leg, inclusion and pushout injection.
+The library does not re-check maps into limits, limits, subalgebras,
+pushouts by surjections or principal ideals, since a theorem guarantees each
+of them.  Here those constructors are wrapped, wherever they are bound, and
+every result is checked the hard way: the full law checks on each algebra,
+`is_hom` on each lifted map, cone leg, inclusion and pushout injection, and
+`Ideal.is_valid` on each principal ideal the domain context quotients by.
 """
 
 from __future__ import annotations
@@ -28,8 +29,13 @@ def homs(*fs):
         assert tables.is_hom(f)
 
 
+def ideal(I):
+    assert I.is_valid()
+
+
 CHECKS = {
     "lift": homs,
+    "principal_ideal": ideal,
     "limit": lambda r: (laws(r[0]), homs(*r[1])),
     "subalgebra": lambda r: (laws(r[0]), homs(r[1])),
     "pushout": lambda r: (laws(r[0]), homs(*r[1:])),

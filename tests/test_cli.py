@@ -155,6 +155,52 @@ def test_cli_rounds_exit_3(tmp_path):
                      "--out-dir", str(tmp_path)]) == 3
 
 
+GOLDEN_INPUTS = os.path.dirname(GOLDEN_GLUING)
+
+# one command per subcommand and input kind; each input algebra has 6 elements
+# (z6, and the charts of doubled-z6) or 2 (e2, the charts of p1-f1)
+BOUNDED_COMMANDS = {
+    "check-input": (["check", "--property", "reduced", "--input", "z6.json"], 6),
+    "check-hom": (["check", "--property", "geometric-iso",
+                   "--hom", "z6-to-z2.json"], 6),
+    "glue": (["glue", "--input", "doubled-z6.json"], 6),
+    "nerve-charts": (["nerve", "--input", "p1-f1.json"], 2),
+}
+
+
+def _golden_argv(argv, tmp_path):
+    files = {"--input", "--hom", "--cover"}
+    return [os.path.join(GOLDEN_INPUTS, a) if prev in files else a
+            for prev, a in zip([None] + argv, argv)] + (
+        ["--out-dir", str(tmp_path)] if argv[0] == "glue" else [])
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_COMMANDS))
+def test_cli_size_bound_applies_to_every_input_algebra(tmp_path, capsys, name):
+    argv, size = BOUNDED_COMMANDS[name]
+    argv = _golden_argv(argv, tmp_path)
+    assert cli.main(argv + ["--size-bound", str(size - 1)]) == 3
+    assert "exceeds the size bound" in capsys.readouterr().err
+    for bad in (["--size-bound", "0"], ["--rounds", "0"]):
+        assert cli.main(argv + bad) == 2
+        assert "bounds must be at least 1" in capsys.readouterr().err
+    assert cli.main(argv + ["--size-bound", str(size)]) in (0, 1)
+
+
+def test_cli_nerve_of_an_algebra_applies_the_size_bound(tmp_path):
+    inp = write(tmp_path, "z6.json", cio.algebra_to_dict(Z6))
+    assert cli.main(["nerve", "--input", inp, "--size-bound", "5"]) == 3
+    assert cli.main(["nerve", "--input", inp, "--size-bound", "0"]) == 2
+
+
+def test_cli_flat_cover_applies_rounds(tmp_path, capsys):
+    argv = _golden_argv(["check", "--property", "flat-cover", "--input",
+                         "z6.json", "--cover", "z6-cover.json"], tmp_path)
+    assert cli.main(argv + ["--rounds", "1"]) == 3
+    assert "did not stabilize within 1 rounds" in capsys.readouterr().err
+    assert cli.main(argv + ["--rounds", "2"]) == 0
+
+
 def test_cli_rejects_maps_that_are_not_homs_exit_2(tmp_path):
     f = all_homs(Z6, corpus.zn(2))[0]
     too_long = cio.hom_to_dict(f)

@@ -11,7 +11,7 @@ from conespec import contexts as C
 from conespec import corpus, tables
 from conespec.errors import DidNotStabilize, KindMismatch
 from conespec.tables import MONOID, all_homs, compose, identity, isomorphic
-from helpers import faces_by_subset_search
+from helpers import faces_by_subset_search, saturate_bounded
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -157,13 +157,13 @@ def test_saturate_agrees_with_local_forms_everywhere():
     ]:
         for A in algebras:
             direct = {p.sig for p in C.local_forms(ctx, A)}
-            bounded = {p.sig for p in C.saturate_bounded(ctx, A)}
+            bounded = {p.sig for p in saturate_bounded(ctx, A)}
             assert direct == bounded, (ctx.name, A.elements)
 
 
 def test_saturate_bound_error():
     with pytest.raises(DidNotStabilize):
-        C.saturate_bounded(ZAR, Z12, max_rounds=1)
+        saturate_bounded(ZAR, Z12, max_rounds=1)
 
 
 def test_factorize_examples():

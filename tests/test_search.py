@@ -1,0 +1,123 @@
+"""The signature-first localization search against the quotient-first oracles.
+
+`enumerate_localizations` and `factorize` decide on attachment signatures and
+build a quotient only for what they keep; the oracles in `helpers` build every
+candidate's quotient.  Both must give the same classes, in the same order,
+with the same representative paths, and the same factorizations.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from conespec import contexts as C
+from conespec import corpus, spectrum as sp, tables
+
+from helpers import (corpus_by_context, enumerate_localizations_by_quotient,
+                     factorize_by_quotient, search_plan_by_scan)
+
+ZAR = C.get_context("zariski")
+DOM = C.get_context("domain")
+DEI = C.get_context("deitmar")
+
+CASES = corpus_by_context() + [
+    (ZAR, corpus.zn(60)), (DOM, corpus.zn(60)),
+    (ZAR, corpus.ring_product(2, 3, 2, 2)), (DOM, corpus.ring_product(2, 3, 2, 2)),
+    (DEI, corpus.monoid_product("e2", "e2", "e2")),
+    (DEI, corpus.monoid_product("chain3", "nil3")),
+]
+IDS = [f"{ctx.name}-{A.size}-{i}" for i, (ctx, A) in enumerate(CASES)]
+
+
+@pytest.mark.parametrize("ctx, A", CASES, ids=IDS)
+def test_search_matches_the_quotient_first_oracle(ctx, A):
+    new = C.enumerate_localizations(ctx, A)
+    old = enumerate_localizations_by_quotient(ctx, A)
+    assert list(new) == list(old)
+    for sig, path in new.items():
+        assert path.steps == old[sig].steps
+        assert path.target == old[sig].target
+        assert path.composite == old[sig].composite
+
+
+@pytest.mark.parametrize("ctx, A", CASES, ids=IDS)
+def test_factorize_matches_the_oracle_on_reduce_admissible_inputs(
+        ctx, A, monkeypatch):
+    inputs = []
+
+    def recording(ctx, f, *args, **kwargs):
+        inputs.append(f)
+        return C.factorize(ctx, f, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "_SPEC_CACHE", {})
+    monkeypatch.setattr(sp, "factorize", recording)
+    sp.build_spec(ctx, A)
+    assert inputs or A.is_trivial
+    for f in inputs:
+        path, g = C.factorize(ctx, f)
+        old_path, old_g = factorize_by_quotient(ctx, f)
+        assert path.steps == old_path.steps
+        assert path.target == old_path.target
+        assert g == old_g
+
+
+def _attach_kernel_by_definition(ctx, A, datum, branch):
+    """The kernel of one attachment, from the definitions: inverting a
+    identifies x and y iff a^k x = a^k y for some k; killing v is the
+    quotient by the ideal that v generates, closed under addition."""
+    v = ctx.victim(datum, branch)
+    if v is None:
+        return tuple(range(A.size))
+    if ctx is DOM:
+        return tables.quotient(A, tables.ideal_generated(A, [v]))[1].kernel_sig()
+    powers = [A.power(v, k) for k in range(A.size + 1)]
+    rep = []
+    for x in range(A.size):
+        rep.append(next(y for y in range(x + 1) if any(
+            A.mul[p][x] == A.mul[p][y] for p in powers)))
+    return tables.normalize_sig(rep)
+
+
+@pytest.mark.parametrize("ctx, A", corpus_by_context(),
+                         ids=[f"{c.name}-{i}" for i, (c, _) in
+                              enumerate(corpus_by_context())])
+def test_attach_sig_is_the_kernel_of_attach(ctx, A):
+    for datum in ctx.cell_data(A):
+        for branch in C.BRANCHES:
+            sig = ctx.attach_sig(A, datum, branch)
+            assert sig == ctx.attach(A, datum, branch)[1].kernel_sig()
+            assert sig == _attach_kernel_by_definition(ctx, A, datum, branch)
+
+
+@pytest.mark.parametrize("ctx, A", corpus_by_context(),
+                         ids=[f"{c.name}-{i}" for i, (c, _) in
+                              enumerate(corpus_by_context())])
+def test_join_of_localization_kernels_is_their_congruence_closure(ctx, A):
+    sigs = list(C.enumerate_localizations(ctx, A))
+    for s1 in sigs:
+        for s2 in sigs:
+            pairs = [(i, j) for s in (s1, s2) for i in range(A.size)
+                     for j in range(A.size) if s[i] == s[j]]
+            assert tables.join_sigs(A.size, [s1, s2]) == \
+                tables.congruence_closure(A, pairs)
+
+
+def test_search_plan_matches_the_scan_on_every_spec_limit(monkeypatch):
+    diagrams = []
+    real_limit = tables.limit
+
+    def recording(kind, objects, arrows):
+        objects = list(objects)
+        diagrams.append(([o.size for o in objects], list(arrows)))
+        return real_limit(kind, objects, arrows)
+
+    monkeypatch.setattr(sp, "_SPEC_CACHE", {})
+    monkeypatch.setattr(tables, "limit", recording)
+    for ctx, A in corpus_by_context() + [
+            (DEI, corpus.monoid_product("chain3", "chain3", "e2"))]:
+        sp.build_spec(ctx, A)
+    assert len(diagrams) > 100
+    assert max(len(sizes) for sizes, _ in diagrams) >= 18
+    for sizes, arrows in diagrams:
+        assert tables._search_plan(sizes, arrows) == \
+            search_plan_by_scan(sizes, arrows)
