@@ -22,7 +22,6 @@ from .errors import (
     CocycleViolation,
     DidNotStabilize,
     InvalidDatum,
-    InvalidIdeal,
     InvariantViolation,
     KindMismatch,
     SizeBound,
@@ -205,7 +204,8 @@ def cmd_nerve(args) -> int:
         pointwise = [locs[p.sig] for p in cx.local_forms(ctx, A)]
         if pointwise:
             covers.append((s, hc.Opcover(ctx.name, A, tuple(pointwise))))
-    sheaf_ok = all(gl.nerve_sheaf_condition(ctx, X, site[s], c)
+    sheaf_ok = all(gl.nerve_sheaf_condition(ctx, X, site[s], c,
+                                             at_A=table.values[s])
                    for s, c in covers)
     report = {
         "site": [list(A.elements) for A in site],
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, KindMismatch, InvalidDatum, InvalidIdeal,
+    except (ValidationError, KindMismatch, InvalidDatum,
             FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

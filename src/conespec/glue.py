@@ -238,41 +238,44 @@ def nerve(ctx, X: SpectralSpace, site) -> NerveTable:
 def check_nerve_functorial(ctx, table: NerveTable) -> None:
     """Site homs act on nerve values, compatibly with composition."""
     site = table.site
+    keys = [{_apmap_key(m) for m in table.values[b]} for b in range(len(site))]
     for a, A in enumerate(site):
         for b, B in enumerate(site):
             for f in all_homs(A, B):
                 mf = spec_map(ctx, f)
-                keys = {_apmap_key(m) for m in table.values[b]}
                 for phi in table.values[a]:
                     acted = compose_apmaps(mf, phi)
-                    if _apmap_key(acted) not in keys:
+                    if _apmap_key(acted) not in keys[b]:
                         raise InvariantViolation("nerve action leaves the table")
 
 
 def nerve_sheaf_condition(ctx, X: SpectralSpace, A: FiniteAlgebra,
-                          cover: hc.Opcover) -> bool:
-    """N(X)(A) must equal the compatible families over the cover."""
-    SA = build_spec(ctx, A)
-    at_A = sp.enumerate_apmaps(ctx, SA, X)
+                          cover: hc.Opcover, at_A=None) -> bool:
+    """N(X)(A) must equal the compatible families over the cover.
+
+    `at_A` is N(X)(A), the maps Spec A -> X, if already known.
+    """
+    if at_A is None:
+        at_A = sp.enumerate_apmaps(ctx, build_spec(ctx, A), X)
     comp_maps = [spec_map(ctx, k.composite) for k in cover.components]
     at_K = [sp.enumerate_apmaps(ctx, m.source, X) for m in comp_maps]
-    pair_data = {}
+    # each family member's key, and its key after each pair's pushout leg
+    keys = [[_apmap_key(phi) for phi in maps] for maps in at_K]
+    pair_keys = []
     for t, kt in enumerate(cover.components):
         for u, ku in enumerate(cover.components):
             if t < u:
                 _, in_t, in_u = tables.pushout(kt.composite, ku.composite)
-                pair_data[(t, u)] = (spec_map(ctx, in_t), spec_map(ctx, in_u))
+                mt, mu = spec_map(ctx, in_t), spec_map(ctx, in_u)
+                pair_keys.append((
+                    t, u,
+                    [_apmap_key(compose_apmaps(mt, phi)) for phi in at_K[t]],
+                    [_apmap_key(compose_apmaps(mu, phi)) for phi in at_K[u]]))
     families = []
-    for fam in itertools.product(*at_K):
-        ok = True
-        for (t, u), (mt, mu) in pair_data.items():
-            left = compose_apmaps(mt, fam[t])
-            right = compose_apmaps(mu, fam[u])
-            if _apmap_key(left) != _apmap_key(right):
-                ok = False
-                break
-        if ok:
-            families.append(tuple(_apmap_key(f) for f in fam))
+    for fam in itertools.product(*(range(len(maps)) for maps in at_K)):
+        if all(left[fam[t]] == right[fam[u]]
+               for t, u, left, right in pair_keys):
+            families.append(tuple(keys[t][x] for t, x in enumerate(fam)))
     images = set()
     for phi in at_A:
         key = tuple(_apmap_key(compose_apmaps(m, phi)) for m in comp_maps)
@@ -429,12 +432,13 @@ def scheme_equivalence_probe(ctx, X: SpectralSpace, Y: SpectralSpace, site):
     NX = nerve(ctx, X, site)
     NY = nerve(ctx, Y, site)
     nats = natural_transformations(ctx, NX, NY)
+    keyed = [{_apmap_key(v): idx for idx, v in enumerate(NY.values[s])}
+             for s in range(len(site))]
     induced = set()
     for m in homs:
         tr = []
         for s in range(len(site)):
-            keyed = {_apmap_key(v): idx for idx, v in enumerate(NY.values[s])}
-            tr.append(tuple(keyed[_apmap_key(compose_apmaps(phi, m))]
+            tr.append(tuple(keyed[s][_apmap_key(compose_apmaps(phi, m))]
                             for phi in NX.values[s]))
         induced.add(tuple(tr))
     return {

@@ -179,8 +179,9 @@ class APMap:
 
 def validate_apmap(ctx, m: APMap) -> None:
     S, T = m.source, m.target
+    s_opens = set(S.opens)
     for U in T.opens:
-        if m.preimage(U) not in set(S.opens):
+        if m.preimage(U) not in s_opens:
             raise InvariantViolation("point map is not continuous")
     for U in T.opens:
         h = m.section_maps[U]
@@ -510,62 +511,76 @@ def is_spec_iso(ctx, f: Hom) -> bool:
 
 
 def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
-    """All maps S -> X, by exhaustive search.
+    """All maps S -> X, searched on the minimal opens of X only.
 
-    Continuous point maps are paired with compatible families of section
-    maps; candidates at minimal opens are pruned by stalk admissibility
-    before larger opens are considered.
+    Each continuous point map pm is paired with a hom O_X(U_q) ->
+    O_S(pre U_q) at every minimal open U_q of X, visited in ascending order:
+    it must commute with the smaller minimal opens already chosen, and its
+    stalk map at each i over q must be admissible.  That fixes the map.  Any
+    other open W is the union of the U_q < W, and O_S(pre W) is the limit of
+    the stalks of S, so the map at W is the unique lift of the legs
+    O_X(W) -> O_X(U_pm(i)) -> stalk of S at i, i in pre W.  The family lies
+    in that limit because the chosen homs commute, and the lift commutes
+    with every restriction because stalks separate sections.  So the maps
+    come out as a search over every open finds them, in the same order.
     """
     if S.kind != X.kind:
         return []
     out = []
     s_opens = set(S.opens)
-    x_opens_asc = list(X.opens)  # sorted ascending by construction
+    x_min = [X.min_open(q) for q in range(X.n_points)]
+    s_min = [S.min_open(i) for i in range(S.n_points)]
+    minimal = [U for U in X.opens if U in x_min]  # ascending
+    below = {U: [V for V in minimal if V < U] for U in minimal}
+    lookups: dict = {}  # open of S -> cone_lookup along its stalks
     for pm in itertools.product(range(X.n_points), repeat=S.n_points):
         pre = {U: frozenset(i for i, q in enumerate(pm) if q in U)
                for U in X.opens}
         if any(pre[U] not in s_opens for U in X.opens):
             continue
-        min_points = {}
-        for i in range(S.n_points):
-            min_points.setdefault(X.min_open(pm[i]), []).append(i)
+        over = {U: [] for U in minimal}
+        for i, q in enumerate(pm):
+            over[x_min[q]].append(i)
         assigned: dict = {}
+        stalks: list = [None] * S.n_points
 
         def candidates(U):
             for h in tables.all_homs(X.sections(U), S.sections(pre[U])):
-                ok = True
-                for V in x_opens_asc:
-                    if V in assigned and V < U:
-                        left = compose(h, S.sheaf.res(pre[U], pre[V]))
-                        right = compose(X.sheaf.res(U, V), assigned[V])
-                        if left != right:
-                            ok = False
-                            break
-                if not ok:
+                if any(compose(h, S.sheaf.res(pre[U], pre[V]))
+                       != compose(X.sheaf.res(U, V), assigned[V])
+                       for V in below[U]):
                     continue
-                if U in min_points:
-                    for i in min_points[U]:
-                        stalk = compose(h, S.sheaf.res(pre[U], S.min_open(i)))
-                        if not ctx.is_admissible(stalk):
-                            ok = False
-                            break
-                if ok:
-                    yield h
+                st = []
+                for i in over[U]:
+                    st.append(compose(h, S.sheaf.res(pre[U], s_min[i])))
+                    if not ctx.is_admissible(st[-1]):
+                        break
+                else:
+                    yield h, st
+
+        def lift(W):
+            P = pre[W]
+            pts = sorted(P)
+            if P not in lookups:
+                lookups[P] = tables.cone_lookup(
+                    S.sections(P), [S.sheaf.res(P, s_min[i]) for i in pts])
+            return tables.lift(X.sections(W), S.sections(P), lookups[P], [
+                compose(X.sheaf.res(W, x_min[pm[i]]), stalks[i]) for i in pts])
 
         def rec(idx):
-            if idx == len(x_opens_asc):
-                out.append(APMap(S, X, pm,
-                                 {U: assigned[U] for U in x_opens_asc}))
+            if idx == len(minimal):
+                out.append(APMap(S, X, pm, {
+                    U: assigned[U] if U in assigned else lift(U)
+                    for U in X.opens}))
                 return
-            U = x_opens_asc[idx]
-            for h in candidates(U):
+            U = minimal[idx]
+            for h, st in candidates(U):
                 assigned[U] = h
+                for i, s in zip(over[U], st):
+                    stalks[i] = s
                 rec(idx + 1)
-                del assigned[U]
 
         rec(0)
-    for m in out:
-        validate_apmap(ctx, m)
     return out
 
 

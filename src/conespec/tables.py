@@ -20,7 +20,6 @@ from functools import cached_property
 
 from .errors import (
     BadUnit,
-    InvalidIdeal,
     InvariantViolation,
     NoDistributivity,
     NonAssociative,
@@ -519,43 +518,6 @@ def ideal_sig(I: Ideal) -> tuple[int, ...]:
     return tuple(cls)
 
 
-def ideal_generated(A: FiniteAlgebra, gens) -> Ideal:
-    if A.is_ring:
-        base = {A.mul[g][r] for g in gens for r in range(A.size)}
-        base.add(A.zero)
-        # additive closure
-        members = set(base)
-        frontier = True
-        while frontier:
-            frontier = False
-            for i in list(members):
-                for j in base:
-                    v = A.add[i][j]
-                    if v not in members:
-                        members.add(v)
-                        frontier = True
-        return Ideal(A, frozenset(members))
-    return Ideal(A, frozenset(A.mul[g][r] for g in gens for r in range(A.size)))
-
-
-def quotient(A: FiniteAlgebra, ideal_or_pairs) -> tuple[FiniteAlgebra, Hom]:
-    """Quotient by an Ideal (ring) or by congruence-generating pairs."""
-    if isinstance(ideal_or_pairs, Ideal):
-        I = ideal_or_pairs
-        if I.carrier != A or not I.is_valid():
-            raise InvalidIdeal("not a valid ideal of this algebra")
-        if A.is_ring:
-            return quotient_by_sig(A, ideal_sig(I))
-        # Rees quotient: collapse the ideal to a single (absorbing) class
-        mem = sorted(I.members)
-        pairs = [(mem[0], m) for m in mem[1:]]
-    else:
-        pairs = list(ideal_or_pairs)
-        if pairs and isinstance(pairs[0], int):
-            raise InvalidIdeal("expected an Ideal or an iterable of index pairs")
-    return quotient_by_sig(A, congruence_closure(A, pairs))
-
-
 def inversion_sig(A: FiniteAlgebra, a: int) -> tuple[int, ...]:
     """The congruence that makes `a` invertible, as a partition sig.
 
@@ -568,11 +530,6 @@ def inversion_sig(A: FiniteAlgebra, a: int) -> tuple[int, ...]:
             return normalize_sig(A.mul[e])
         e = A.mul[e][a]
     raise InvariantViolation("no idempotent power found")  # pragma: no cover
-
-
-def invert_element(A: FiniteAlgebra, a: int) -> tuple[FiniteAlgebra, Hom]:
-    """Universal map making `a` invertible."""
-    return quotient_by_sig(A, inversion_sig(A, a))
 
 
 # ---------------------------------------------------------------------------

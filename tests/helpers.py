@@ -6,9 +6,9 @@ import itertools
 import os
 import random
 
-from conespec import contexts, corpus, tables
-from conespec.errors import DidNotStabilize, InvariantViolation
-from conespec.spectrum import Presheaf, sort_opens
+from conespec import contexts, corpus, glue, tables
+from conespec.errors import DidNotStabilize, InvalidIdeal, InvariantViolation
+from conespec.spectrum import APMap, Presheaf, sort_opens, validate_apmap
 from conespec.tables import RING, Hom
 
 
@@ -102,6 +102,16 @@ def corpus_by_context():
     return ([(contexts.get_context("zariski"), A) for A in corpus.zariski_corpus()]
             + [(contexts.get_context("domain"), A) for A in corpus.domain_corpus()]
             + [(contexts.get_context("deitmar"), A) for A in corpus.deitmar_corpus()])
+
+
+def glued_row(ctx, A, k, n_charts=2):
+    """n copies of A glued in a row along Pts k, by the identity of k's
+    target on each overlap."""
+    charts = (A,) * n_charts
+    overlaps = tuple(glue.make_overlap(ctx, charts, i, i + 1, k, k,
+                                       tables.identity(k.target))
+                     for i in range(n_charts - 1))
+    return glue.GluingSpec(ctx.name, charts, overlaps)
 
 
 def limit_by_product_scan(kind, objects, arrows):
@@ -394,3 +404,94 @@ def search_plan_by_scan(sizes, arrows):
                 pre[y].append(x)
         plan.append((v, forced, into, loops, pre))
     return plan
+
+
+def ideal_generated(A, gens) -> tables.Ideal:
+    """Oracle: the ideal generated by `gens`, closed under addition in a
+    ring by a loop (a principal ideal needs none: `tables.principal_ideal`)."""
+    if A.is_ring:
+        base = {A.mul[g][r] for g in gens for r in range(A.size)}
+        base.add(A.zero)
+        members = set(base)
+        frontier = True
+        while frontier:
+            frontier = False
+            for i in list(members):
+                for j in base:
+                    v = A.add[i][j]
+                    if v not in members:
+                        members.add(v)
+                        frontier = True
+        return tables.Ideal(A, frozenset(members))
+    return tables.Ideal(A, frozenset(A.mul[g][r] for g in gens
+                                     for r in range(A.size)))
+
+
+def quotient(A, ideal_or_pairs):
+    """Oracle: the quotient by an Ideal (validated; a Rees quotient for
+    monoids) or by the congruence that index pairs generate."""
+    if isinstance(ideal_or_pairs, tables.Ideal):
+        I = ideal_or_pairs
+        if I.carrier != A or not I.is_valid():
+            raise InvalidIdeal("not a valid ideal of this algebra")
+        if A.is_ring:
+            return tables.quotient_by_sig(A, tables.ideal_sig(I))
+        mem = sorted(I.members)
+        pairs = [(mem[0], m) for m in mem[1:]]
+    else:
+        pairs = list(ideal_or_pairs)
+        if pairs and isinstance(pairs[0], int):
+            raise InvalidIdeal("expected an Ideal or an iterable of index pairs")
+    return tables.quotient_by_sig(A, tables.congruence_closure(A, pairs))
+
+
+def invert_element(A, a):
+    """Oracle: the universal map making `a` invertible."""
+    return tables.quotient_by_sig(A, tables.inversion_sig(A, a))
+
+
+def enumerate_apmaps_by_opens(ctx, S, X):
+    """Oracle: `spectrum.enumerate_apmaps` searching every open of X, each
+    open taking every hom that commutes with the smaller opens already
+    chosen, and every result re-validated."""
+    if S.kind != X.kind:
+        return []
+    out = []
+    s_opens = set(S.opens)
+    x_opens_asc = list(X.opens)
+    for pm in itertools.product(range(X.n_points), repeat=S.n_points):
+        pre = {U: frozenset(i for i, q in enumerate(pm) if q in U)
+               for U in X.opens}
+        if any(pre[U] not in s_opens for U in X.opens):
+            continue
+        min_points = {}
+        for i in range(S.n_points):
+            min_points.setdefault(X.min_open(pm[i]), []).append(i)
+        assigned: dict = {}
+
+        def candidates(U):
+            for h in tables.all_homs(X.sections(U), S.sections(pre[U])):
+                ok = all(
+                    tables.compose(h, S.sheaf.res(pre[U], pre[V]))
+                    == tables.compose(X.sheaf.res(U, V), assigned[V])
+                    for V in x_opens_asc if V in assigned and V < U)
+                if ok and all(ctx.is_admissible(tables.compose(
+                        h, S.sheaf.res(pre[U], S.min_open(i))))
+                        for i in min_points.get(U, ())):
+                    yield h
+
+        def rec(idx):
+            if idx == len(x_opens_asc):
+                out.append(APMap(S, X, pm,
+                                 {U: assigned[U] for U in x_opens_asc}))
+                return
+            U = x_opens_asc[idx]
+            for h in candidates(U):
+                assigned[U] = h
+                rec(idx + 1)
+                del assigned[U]
+
+        rec(0)
+    for m in out:
+        validate_apmap(ctx, m)
+    return out

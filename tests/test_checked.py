@@ -4,8 +4,9 @@ The library does not re-check maps into limits, limits, subalgebras,
 pushouts by surjections or principal ideals, since a theorem guarantees each
 of them.  Here those constructors are wrapped, wherever they are bound, and
 every result is checked the hard way: the full law checks on each algebra,
-`is_hom` on each lifted map, cone leg, inclusion and pushout injection, and
-`Ideal.is_valid` on each principal ideal the domain context quotients by.
+`is_hom` on each lifted map, cone leg, inclusion and pushout injection,
+`Ideal.is_valid` on each principal ideal the domain context quotients by,
+and `validate_apmap` on each map of spaces that `enumerate_apmaps` finds.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import sys
 import pytest
 
 from conespec import contexts as C
-from conespec import glue as gl, hypercover as hc, spectrum as sp, tables
+from conespec import corpus, glue as gl, hypercover as hc, spectrum as sp, tables
 
-from helpers import corpus_by_context
+from helpers import corpus_by_context, glued_row
 
 
 def laws(A):
@@ -33,12 +34,20 @@ def ideal(I):
     assert I.is_valid()
 
 
+def apmaps(ms, args):
+    ctx = args[0]
+    for m in ms:
+        sp.validate_apmap(ctx, m)
+
+
+# name -> (defining module, check of (result, call arguments))
 CHECKS = {
-    "lift": homs,
-    "principal_ideal": ideal,
-    "limit": lambda r: (laws(r[0]), homs(*r[1])),
-    "subalgebra": lambda r: (laws(r[0]), homs(r[1])),
-    "pushout": lambda r: (laws(r[0]), homs(*r[1:])),
+    "lift": (tables, lambda r, args: homs(r)),
+    "principal_ideal": (tables, lambda r, args: ideal(r)),
+    "limit": (tables, lambda r, args: (laws(r[0]), homs(*r[1]))),
+    "subalgebra": (tables, lambda r, args: (laws(r[0]), homs(r[1]))),
+    "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
+    "enumerate_apmaps": (sp, apmaps),
 }
 
 
@@ -48,29 +57,22 @@ def checked(monkeypatch):
     fired = dict.fromkeys(CHECKS, 0)
     modules = [m for name, m in sys.modules.items()
                if name == "conespec" or name.startswith("conespec.")]
-    for name, check in CHECKS.items():
-        real = getattr(tables, name)
+    for name, (home, check) in CHECKS.items():
+        real = getattr(home, name)
 
         def wrapper(*args, real=real, name=name, check=check, **kwargs):
             result = real(*args, **kwargs)
-            check(result)
+            check(result, args)
             fired[name] += 1
             return result
 
-        # rebind the name in every module that imported it, tables included
+        # rebind the name in every module that imported it, its own included
         for mod in modules:
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, wrapper)
     # build every space afresh, so that each construction runs checked
     monkeypatch.setattr(sp, "_SPEC_CACHE", {})
     return fired
-
-
-def doubled(ctx, A, k):
-    """Two copies of A glued along Pts k, with the identity of k's target."""
-    ov = gl.make_overlap(ctx, (A, A), 0, 1, k, k,
-                         tables.identity(k.target))
-    return gl.GluingSpec(ctx.name, (A, A), (ov,))
 
 
 def test_theorem_backed_results_pass_the_full_checks(checked):
@@ -80,5 +82,13 @@ def test_theorem_backed_results_pass_the_full_checks(checked):
             hc.cech_h0(ctx, cover)
         for k in C.enumerate_localizations(ctx, A).values():
             if not k.composite.is_bijective:
-                gl.glue(ctx, doubled(ctx, A, k))
+                gl.glue(ctx, glued_row(ctx, A, k))
+    # nerves of P^1 over F1 and of Z/6 doubled at the point (2)
+    for name, A, size in (("deitmar", corpus.flag_monoid(), 1),
+                          ("zariski", corpus.zn(6), 2)):
+        ctx = C.get_context(name)
+        k = next(k for k in C.enumerate_localizations(ctx, A).values()
+                 if k.target.size == size)
+        X = gl.glue(ctx, glued_row(ctx, A, k))
+        gl.nerve(ctx, X, gl.default_site(ctx, 3))
     assert all(checked.values()), checked

@@ -11,7 +11,7 @@ from conespec import contexts as C
 from conespec import corpus, tables
 from conespec.errors import DidNotStabilize, KindMismatch
 from conespec.tables import MONOID, all_homs, compose, identity, isomorphic
-from helpers import faces_by_subset_search, saturate_bounded
+from helpers import faces_by_subset_search, invert_element, saturate_bounded
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -79,7 +79,7 @@ def test_admissibility():
 def test_attach_matches_invert_and_quotient():
     datum = C.CellDatum("zariski", (3, 4))  # 3 + 4 = 1 in Z/6
     Q, step = ZAR.attach(Z6, datum, "left")
-    Qo, stepo = tables.invert_element(Z6, 3)
+    Qo, stepo = invert_element(Z6, 3)
     assert Q == Qo and step == stepo and Q.size == 2
 
     P22 = corpus.ring_product(2, 2)

@@ -44,6 +44,9 @@ CASES = {
                             "@z6.json", "--cover", "@z6-cover.json"],
     "glue-doubled-z6": ["glue", "--input", "@doubled-z6.json", "--out-dir", "OUT"],
     "nerve-p1-f1": ["nerve", "--input", "@p1-f1.json", "--site-max", "3"],
+    "nerve-deitmar-e2-three-charts": ["nerve", "--input",
+                                      "@e2-three-charts.json", "--site-max",
+                                      "4"],
 }
 
 

@@ -11,7 +11,7 @@ from conespec import corpus, hypercover as hc, reduction as red, spectrum as sp
 from conespec import tables
 from conespec.tables import all_homs, compose, identity, isomorphic
 
-from helpers import corpus_by_context, satisfies_sheaf_condition
+from helpers import corpus_by_context, quotient, satisfies_sheaf_condition
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -24,7 +24,7 @@ def nilradical_quotient_oracle(A):
     """A modulo its nilpotent elements, by direct computation."""
     nil = [x for x in range(A.size)
            if any(A.power(x, k) == A.zero for k in range(1, A.size + 1))]
-    Q, _ = tables.quotient(A, tables.Ideal(A, frozenset(nil)))
+    Q, _ = quotient(A, tables.Ideal(A, frozenset(nil)))
     return Q
 
 

@@ -14,7 +14,8 @@ from conespec import contexts as C
 from conespec import corpus, spectrum as sp, tables
 
 from helpers import (corpus_by_context, enumerate_localizations_by_quotient,
-                     factorize_by_quotient, search_plan_by_scan)
+                     factorize_by_quotient, ideal_generated, quotient,
+                     search_plan_by_scan)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -69,7 +70,7 @@ def _attach_kernel_by_definition(ctx, A, datum, branch):
     if v is None:
         return tuple(range(A.size))
     if ctx is DOM:
-        return tables.quotient(A, tables.ideal_generated(A, [v]))[1].kernel_sig()
+        return quotient(A, ideal_generated(A, [v]))[1].kernel_sig()
     powers = [A.power(v, k) for k in range(A.size + 1)]
     rep = []
     for x in range(A.size):

@@ -35,20 +35,21 @@ from conespec.tables import (
     equalizer,
     find_isomorphism,
     identity,
-    invert_element,
     is_hom,
     isomorphic,
     limit,
     product,
     pushout,
-    quotient,
     quotient_by_sig,
     subalgebra,
     validate,
 )
 from helpers import (
+    ideal_generated,
+    invert_element,
     large_nonassociative_monoid,
     limit_by_product_scan,
+    quotient,
     subprocess_env,
 )
 
@@ -242,7 +243,7 @@ def test_light_test_matches_brute_force_on_mutated_rings(A, data):
 def test_operation_outputs_revalidate():
     outputs = []
     outputs.append(invert_element(Z6, 3)[0])
-    outputs.append(quotient(Z6, tables.ideal_generated(Z6, [3]))[0])
+    outputs.append(quotient(Z6, ideal_generated(Z6, [3]))[0])
     outputs.append(product(RING, [Z2, Z3])[0])
     p2 = invert_element(Z6, 3)[1]
     p3 = invert_element(Z6, 2)[1]
@@ -256,7 +257,7 @@ def test_operation_outputs_revalidate():
 
 
 def test_quotient_z6_by_3():
-    I = tables.ideal_generated(Z6, [Z6.elements.index("3")])
+    I = ideal_generated(Z6, [Z6.elements.index("3")])
     assert sorted(Z6.elements[i] for i in I.members) == ["0", "3"]
     Q, proj = quotient(Z6, I)
     cosets = coset_quotient_oracle(Z6, I.members)
@@ -266,7 +267,7 @@ def test_quotient_z6_by_3():
 
 
 def test_quotient_by_zero_ideal_is_identity():
-    I = tables.ideal_generated(Z6, [])
+    I = ideal_generated(Z6, [])
     Q, proj = quotient(Z6, I)
     assert Q == Z6 and proj == identity(Z6)
 
@@ -290,12 +291,12 @@ def test_quotient_by_identity_partition_returns_the_algebra():
 
 
 def all_ideals(A):
-    found = {tables.ideal_generated(A, []).members}
+    found = {ideal_generated(A, []).members}
     frontier = list(found)
     while frontier:
         I = frontier.pop()
         for x in range(A.size):
-            J = tables.ideal_generated(A, sorted(I | {x})).members
+            J = ideal_generated(A, sorted(I | {x})).members
             if J not in found:
                 found.add(J)
                 frontier.append(J)
@@ -313,7 +314,7 @@ def test_coset_quotient_matches_congruence_closure():
 
 def test_quotient_f2x2_by_x():
     A = corpus.f2x2()
-    I = tables.ideal_generated(A, [A.elements.index("x")])
+    I = ideal_generated(A, [A.elements.index("x")])
     Q, proj = quotient(A, I)
     assert len(coset_quotient_oracle(A, I.members)) == 2
     assert isomorphic(Q, Z2)
@@ -578,7 +579,7 @@ def test_find_isomorphism_reflexive_and_symmetric():
 def test_quotient_then_project_commutes(n, data):
     A = corpus.zn(n)
     g = data.draw(st.integers(min_value=0, max_value=n - 1))
-    I = tables.ideal_generated(A, [g])
+    I = ideal_generated(A, [g])
     Q, proj = quotient(A, I)
     i = data.draw(st.integers(min_value=0, max_value=n - 1))
     j = data.draw(st.integers(min_value=0, max_value=n - 1))
