@@ -204,8 +204,7 @@ def cmd_nerve(args) -> int:
         pointwise = [locs[p.sig] for p in cx.local_forms(ctx, A)]
         if pointwise:
             covers.append((s, hc.Opcover(ctx.name, A, tuple(pointwise))))
-    sheaf_ok = all(gl.nerve_sheaf_condition(ctx, X, site[s], c,
-                                             at_A=table.values[s])
+    sheaf_ok = all(gl.nerve_sheaf_condition(ctx, X, c, table.values[s])
                    for s, c in covers)
     report = {
         "site": [list(A.elements) for A in site],

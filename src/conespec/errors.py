@@ -36,10 +36,6 @@ class BadUnit(ValidationError):
     pass
 
 
-class InvalidIdeal(ConespecError):
-    pass
-
-
 class InvalidDatum(ConespecError):
     pass
 

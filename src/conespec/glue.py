@@ -249,14 +249,13 @@ def check_nerve_functorial(ctx, table: NerveTable) -> None:
                         raise InvariantViolation("nerve action leaves the table")
 
 
-def nerve_sheaf_condition(ctx, X: SpectralSpace, A: FiniteAlgebra,
-                          cover: hc.Opcover, at_A=None) -> bool:
-    """N(X)(A) must equal the compatible families over the cover.
+def nerve_sheaf_condition(ctx, X: SpectralSpace, cover: hc.Opcover,
+                          at_A: list) -> bool:
+    """N(X)(A) must equal the compatible families over the cover of A.
 
-    `at_A` is N(X)(A), the maps Spec A -> X, if already known.
+    A is the cover's base and `at_A` is N(X)(A), the maps Spec A -> X, as
+    the nerve table holds it.
     """
-    if at_A is None:
-        at_A = sp.enumerate_apmaps(ctx, build_spec(ctx, A), X)
     comp_maps = [spec_map(ctx, k.composite) for k in cover.components]
     at_K = [sp.enumerate_apmaps(ctx, m.source, X) for m in comp_maps]
     # each family member's key, and its key after each pair's pushout leg

@@ -396,6 +396,28 @@ def ell(ctx, R) -> Hom:
 # the contravariant action and open embeddings
 
 
+def _sections_from_stalks(S: SpectralSpace, X: SpectralSpace, pm, stalks,
+                          lookups: dict) -> dict:
+    """Section maps of the map S -> X with point map pm and stalk maps
+    stalks[i]: O_X(U_pm(i)) -> O_S(U_i).
+
+    O_S(pre W) is the limit of the stalks of S at the points of pre W, so the
+    map at W is the unique lift of the legs O_X(W) -> O_X(U_pm(i)) -> stalk
+    of S at i.  `lookups` caches one cone lookup per open of S.
+    """
+    x_min = {q: X.min_open(q) for q in set(pm)}
+    section_maps = {}
+    for W in X.opens:
+        P = frozenset(i for i, q in enumerate(pm) if q in W)
+        pts = sorted(P)
+        if P not in lookups:
+            lookups[P] = tables.cone_lookup(
+                S.sections(P), [S.sheaf.res(P, S.min_open(i)) for i in pts])
+        section_maps[W] = tables.lift(X.sections(W), S.sections(P), lookups[P], [
+            compose(X.sheaf.res(W, x_min[pm[i]]), stalks[i]) for i in pts])
+    return section_maps
+
+
 def spec_map(ctx, f: Hom) -> APMap:
     """The induced map Spec S -> Spec R for f: R -> S."""
     Y = build_spec(ctx, f.source)
@@ -418,17 +440,8 @@ def spec_map(ctx, f: Hom) -> APMap:
             X.stalk_iso[j].inverse(),
         ))
     point_map = tuple(point_map)
-    section_maps = {}
-    for U in Y.opens:
-        pre = frozenset(j for j, i in enumerate(point_map) if i in U)
-        pts = sorted(pre)
-        lut = tables.cone_lookup(
-            X.sections(pre), [X.sheaf.res(pre, X.min_open(j)) for j in pts])
-        section_maps[U] = tables.lift(Y.sections(U), X.sections(pre), lut, [
-            compose(Y.sheaf.res(U, Y.min_open(point_map[j])),
-                    stalk_section_maps[j])
-            for j in pts])
-    m = APMap(X, Y, point_map, section_maps)
+    m = APMap(X, Y, point_map,
+              _sections_from_stalks(X, Y, point_map, stalk_section_maps, {}))
     validate_apmap(ctx, m)
     return m
 
@@ -516,13 +529,13 @@ def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
     Each continuous point map pm is paired with a hom O_X(U_q) ->
     O_S(pre U_q) at every minimal open U_q of X, visited in ascending order:
     it must commute with the smaller minimal opens already chosen, and its
-    stalk map at each i over q must be admissible.  That fixes the map.  Any
-    other open W is the union of the U_q < W, and O_S(pre W) is the limit of
-    the stalks of S, so the map at W is the unique lift of the legs
-    O_X(W) -> O_X(U_pm(i)) -> stalk of S at i, i in pre W.  The family lies
-    in that limit because the chosen homs commute, and the lift commutes
-    with every restriction because stalks separate sections.  So the maps
-    come out as a search over every open finds them, in the same order.
+    stalk map at each i over q must be admissible.  That fixes the map: its
+    stalk maps determine it, and `_sections_from_stalks` builds it, as in
+    `spec_map`.  At a minimal open the lift is the chosen hom; at any other
+    open W the family of legs lies in the limit O_S(pre W) because the
+    chosen homs commute, and the lift commutes with every restriction
+    because stalks separate sections.  So the maps come out as a search over
+    every open finds them, in the same order.
     """
     if S.kind != X.kind:
         return []
@@ -558,20 +571,10 @@ def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
                 else:
                     yield h, st
 
-        def lift(W):
-            P = pre[W]
-            pts = sorted(P)
-            if P not in lookups:
-                lookups[P] = tables.cone_lookup(
-                    S.sections(P), [S.sheaf.res(P, s_min[i]) for i in pts])
-            return tables.lift(X.sections(W), S.sections(P), lookups[P], [
-                compose(X.sheaf.res(W, x_min[pm[i]]), stalks[i]) for i in pts])
-
         def rec(idx):
             if idx == len(minimal):
-                out.append(APMap(S, X, pm, {
-                    U: assigned[U] if U in assigned else lift(U)
-                    for U in X.opens}))
+                out.append(APMap(S, X, pm, _sections_from_stalks(
+                    S, X, pm, stalks, lookups)))
                 return
             U = minimal[idx]
             for h, st in candidates(U):

@@ -7,7 +7,7 @@ import os
 import random
 
 from conespec import contexts, corpus, glue, tables
-from conespec.errors import DidNotStabilize, InvalidIdeal, InvariantViolation
+from conespec.errors import DidNotStabilize, InvariantViolation
 from conespec.spectrum import APMap, Presheaf, sort_opens, validate_apmap
 from conespec.tables import RING, Hom
 
@@ -433,7 +433,7 @@ def quotient(A, ideal_or_pairs):
     if isinstance(ideal_or_pairs, tables.Ideal):
         I = ideal_or_pairs
         if I.carrier != A or not I.is_valid():
-            raise InvalidIdeal("not a valid ideal of this algebra")
+            raise InvariantViolation("not a valid ideal of this algebra")
         if A.is_ring:
             return tables.quotient_by_sig(A, tables.ideal_sig(I))
         mem = sorted(I.members)
@@ -441,7 +441,7 @@ def quotient(A, ideal_or_pairs):
     else:
         pairs = list(ideal_or_pairs)
         if pairs and isinstance(pairs[0], int):
-            raise InvalidIdeal("expected an Ideal or an iterable of index pairs")
+            raise InvariantViolation("expected an Ideal or an iterable of index pairs")
     return tables.quotient_by_sig(A, tables.congruence_closure(A, pairs))
 
 

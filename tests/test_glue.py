@@ -165,12 +165,14 @@ def test_nerve_sheaf_condition_on_covers(f1_p1):
     k2 = loc_by_size(ZAR, Z6, 2)
     k3 = loc_by_size(ZAR, Z6, 3)
     X6 = sp.build_spec(ZAR, Z6)
-    assert gl.nerve_sheaf_condition(ZAR, X6, Z6,
-                                    hc.Opcover("zariski", Z6, (k2, k3)))
+    assert gl.nerve_sheaf_condition(ZAR, X6,
+                                    hc.Opcover("zariski", Z6, (k2, k3)),
+                                    sp.enumerate_apmaps(ZAR, X6, X6))
     M = corpus.flag_monoid()
     comps = tuple(C.enumerate_localizations(DEI, M).values())
-    assert gl.nerve_sheaf_condition(DEI, f1_p1, M,
-                                    hc.Opcover("deitmar", M, comps))
+    assert gl.nerve_sheaf_condition(
+        DEI, f1_p1, hc.Opcover("deitmar", M, comps),
+        sp.enumerate_apmaps(DEI, sp.build_spec(DEI, M), f1_p1))
 
 
 # -------------------------------------------------------------- open subfunctor
