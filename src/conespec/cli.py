@@ -191,21 +191,24 @@ def _space_from_input(ctx, doc, args):
 
 
 def cmd_nerve(args) -> int:
+    if args.site != "default":
+        raise ValidationError(f"unknown site {args.site!r}", args.site)
+    if args.site_max < 1:
+        raise ValidationError("--site-max must be at least 1", args.site_max)
     doc = cio.load_object(args.input)
     ctx = cx.get_context(doc.get("context", args.context))
     X = _space_from_input(ctx, doc, args)
-    if args.site != "default":
-        raise ValidationError(f"unknown site {args.site!r}", args.site)
     site = tuple(A for A in gl.default_site(ctx) if A.size <= args.site_max)
     table = gl.nerve(ctx, X, site)
     covers = []
-    for s, A in enumerate(site):
+    for A in site:
         locs = cx.enumerate_localizations(ctx, A)
         pointwise = [locs[p.sig] for p in cx.local_forms(ctx, A)]
         if pointwise:
-            covers.append((s, hc.Opcover(ctx.name, A, tuple(pointwise))))
-    sheaf_ok = all(gl.nerve_sheaf_condition(ctx, X, c, table.values[s])
-                   for s, c in covers)
+            covers.append(hc.Opcover(ctx.name, A, tuple(pointwise)))
+    # N(X)(K) per algebra K, shared by the sheaf checks so each is computed once
+    values = {A: table.values[s] for s, A in enumerate(site)}
+    sheaf_ok = all(gl.nerve_sheaf_condition(ctx, X, c, values) for c in covers)
     report = {
         "site": [list(A.elements) for A in site],
         "counts": {str(s): len(table.values[s]) for s in range(len(site))},

@@ -106,40 +106,15 @@ def glue(ctx, g: GluingSpec) -> SpectralSpace:
     opens = sort_opens(S for S in candidates if all(
         trace(S, i) in chart_opens[i] for i in range(len(spaces))))
 
-    # overlap compatibility data at section level
-    remaps = []
-    for ov, (Ui, Uj) in zip(g.overlaps, opens_by_overlap):
-        pts_i, pts_j = sorted(Ui), sorted(Uj)
-        remaps.append((ov, Ui, Uj,
-                       {p: a for a, p in enumerate(pts_i)},
-                       {p: a for a, p in enumerate(pts_j)}))
-
+    # per overlap: its opens on charts i and j, and chart j's points of U_j
+    # numbered as in the target of the overlap's iso
+    remaps = [(ov, Ui, Uj, {p: a for a, p in enumerate(sorted(Uj))})
+              for ov, (Ui, Uj) in zip(g.overlaps, opens_by_overlap)]
     sections, traces_of, cones, lookups = {}, {}, {}, {}
     for S in opens:
         traces = traces_of[S] = [trace(S, i) for i in range(len(spaces))]
-        P, projs = tables.product(spaces[0].kind,
-                                  [spaces[i].sections(traces[i])
-                                   for i in range(len(spaces))])
-        members = []
-        for x in range(P.size):
-            vals = [pr.map[x] for pr in projs]
-            ok = True
-            for ov, Ui, Uj, ri, rj in remaps:
-                Wi = traces[ov.i] & Ui
-                Wj = traces[ov.j] & Uj
-                Wj_r = frozenset(rj[p] for p in Wj)
-                h = ov.iso.section_maps[Wj_r]
-                si = spaces[ov.i].sheaf.res(traces[ov.i], Wi).map[vals[ov.i]]
-                sj = spaces[ov.j].sheaf.res(traces[ov.j], Wj).map[vals[ov.j]]
-                if h.map[sj] != si:
-                    ok = False
-                    break
-            if ok:
-                members.append(x)
-        L, incl = tables.subalgebra(P, members)
-        sections[S] = L
-        cones[S] = [compose(incl, pr) for pr in projs]
-        lookups[S] = tables.cone_lookup(L, cones[S])
+        sections[S], cones[S] = _glued_sections(spaces, remaps, traces)
+        lookups[S] = tables.cone_lookup(sections[S], cones[S])
 
     restrictions = {}
     for S in opens:
@@ -163,6 +138,32 @@ def glue(ctx, g: GluingSpec) -> SpectralSpace:
     )
     _check_glued(ctx, X, spaces, glob)
     return X
+
+
+def _glued_sections(spaces, remaps, traces):
+    """The sections over the open with chart traces `traces`, with their cone
+    of chart projections.
+
+    They are the chart-section families that agree on every overlap W_i:
+    the limit of the charts and one object O_i(W_i) per overlap, reached
+    from chart i by restriction and from chart j by restriction then the
+    overlap's section map.  The overlap coordinates are functions of the
+    chart coordinates, so dropping them keeps the families distinct.
+    """
+    nc = len(spaces)
+    objects = [spaces[i].sections(traces[i]) for i in range(nc)]
+    arrows = []
+    for ov, Ui, Uj, rj in remaps:
+        Wi, Wj = traces[ov.i] & Ui, traces[ov.j] & Uj
+        h = ov.iso.section_maps[frozenset(rj[p] for p in Wj)]
+        arrows.append((ov.i, len(objects),
+                       spaces[ov.i].sheaf.res(traces[ov.i], Wi)))
+        arrows.append((ov.j, len(objects),
+                       compose(spaces[ov.j].sheaf.res(traces[ov.j], Wj), h)))
+        objects.append(spaces[ov.i].sections(Wi))
+    families = tables._compatible_families([o.size for o in objects], arrows)
+    return tables.limit_from_families(spaces[0].kind, objects[:nc],
+                                      [f[:nc] for f in families])
 
 
 def _check_glued(ctx, X, spaces, glob):
@@ -227,37 +228,32 @@ def _apmap_key(m: APMap):
 
 
 def nerve(ctx, X: SpectralSpace, site) -> NerveTable:
+    """N(X) on the site: the maps Spec S -> X for each site object S.
+
+    Site homs act by precomposition with their Spec maps; the action stays
+    in the table since each value is the complete set of maps.
+    """
     values = {}
     for s, S in enumerate(site):
         values[s] = sp.enumerate_apmaps(ctx, build_spec(ctx, S), X)
-    table = NerveTable(ctx.name, tuple(site), values, X)
-    check_nerve_functorial(ctx, table)
-    return table
-
-
-def check_nerve_functorial(ctx, table: NerveTable) -> None:
-    """Site homs act on nerve values, compatibly with composition."""
-    site = table.site
-    keys = [{_apmap_key(m) for m in table.values[b]} for b in range(len(site))]
-    for a, A in enumerate(site):
-        for b, B in enumerate(site):
-            for f in all_homs(A, B):
-                mf = spec_map(ctx, f)
-                for phi in table.values[a]:
-                    acted = compose_apmaps(mf, phi)
-                    if _apmap_key(acted) not in keys[b]:
-                        raise InvariantViolation("nerve action leaves the table")
+    return NerveTable(ctx.name, tuple(site), values, X)
 
 
 def nerve_sheaf_condition(ctx, X: SpectralSpace, cover: hc.Opcover,
-                          at_A: list) -> bool:
+                          values: dict) -> bool:
     """N(X)(A) must equal the compatible families over the cover of A.
 
-    A is the cover's base and `at_A` is N(X)(A), the maps Spec A -> X, as
-    the nerve table holds it.
+    A is the cover's base.  `values` maps an algebra K to N(X)(K), the maps
+    Spec K -> X; each value it lacks, A's or a component's, is computed and
+    stored there, so that callers sharing one dict compute each value once.
     """
+    def at(K):
+        if K not in values:
+            values[K] = sp.enumerate_apmaps(ctx, build_spec(ctx, K), X)
+        return values[K]
+
     comp_maps = [spec_map(ctx, k.composite) for k in cover.components]
-    at_K = [sp.enumerate_apmaps(ctx, m.source, X) for m in comp_maps]
+    at_K = [at(k.target) for k in cover.components]
     # each family member's key, and its key after each pair's pushout leg
     keys = [[_apmap_key(phi) for phi in maps] for maps in at_K]
     pair_keys = []
@@ -276,7 +272,7 @@ def nerve_sheaf_condition(ctx, X: SpectralSpace, cover: hc.Opcover,
                for t, u, left, right in pair_keys):
             families.append(tuple(keys[t][x] for t, x in enumerate(fam)))
     images = set()
-    for phi in at_A:
+    for phi in at(cover.base):
         key = tuple(_apmap_key(compose_apmaps(m, phi)) for m in comp_maps)
         if key in images:
             return False

@@ -440,10 +440,8 @@ def spec_map(ctx, f: Hom) -> APMap:
             X.stalk_iso[j].inverse(),
         ))
     point_map = tuple(point_map)
-    m = APMap(X, Y, point_map,
-              _sections_from_stalks(X, Y, point_map, stalk_section_maps, {}))
-    validate_apmap(ctx, m)
-    return m
+    return APMap(X, Y, point_map,
+                 _sections_from_stalks(X, Y, point_map, stalk_section_maps, {}))
 
 
 def restrict(X: SpectralSpace, U: frozenset) -> SpectralSpace:

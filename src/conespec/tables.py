@@ -865,15 +865,25 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
 
     `objects` is a list of algebras, `arrows` a list of (i, j, Hom) meaning a
     diagram arrow objects[i] -> objects[j].  The limit is the subalgebra of
-    the product consisting of families compatible with every arrow.  When
-    the arrows are homs that subset is closed under the operations, and so
-    inherits every law; closure is checked as the tables are built, else
-    InvariantViolation.
+    the product consisting of families compatible with every arrow.
     """
     objects = list(objects)
     if not objects:
         return terminal(kind), []
-    elems = _compatible_families([o.size for o in objects], arrows)
+    return limit_from_families(
+        kind, objects, _compatible_families([o.size for o in objects], arrows))
+
+
+def limit_from_families(kind: str, objects,
+                        elems) -> tuple[FiniteAlgebra, list[Hom]]:
+    """The families `elems` of the nonempty list `objects`, as an algebra
+    with its cone of coordinate projections.
+
+    The families must be distinct and closed under the componentwise
+    operations, as those compatible with a diagram of homs are; then they
+    inherit every law.  Closure is checked as the tables are built, else
+    InvariantViolation.
+    """
     index = {e: i for i, e in enumerate(elems)}
     if len(objects) == 1:
         labels = [objects[0].elements[e[0]] for e in elems]

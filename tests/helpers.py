@@ -7,6 +7,7 @@ import os
 import random
 
 from conespec import contexts, corpus, glue, tables
+from conespec import spectrum as sp
 from conespec.errors import DidNotStabilize, InvariantViolation
 from conespec.spectrum import APMap, Presheaf, sort_opens, validate_apmap
 from conespec.tables import RING, Hom
@@ -112,6 +113,44 @@ def glued_row(ctx, A, k, n_charts=2):
                                        tables.identity(k.target))
                      for i in range(n_charts - 1))
     return glue.GluingSpec(ctx.name, charts, overlaps)
+
+
+def glued_sections_by_product(spaces, remaps, traces):
+    """Oracle: `glue._glued_sections` by scanning the product of the chart
+    sections, keeping the families whose restrictions agree across every
+    overlap, and taking them as a subalgebra of the product."""
+    P, projs = tables.product(spaces[0].kind, [spaces[i].sections(traces[i])
+                                               for i in range(len(spaces))])
+    overlaps = []
+    for ov, Ui, Uj, rj in remaps:
+        Wi, Wj = traces[ov.i] & Ui, traces[ov.j] & Uj
+        overlaps.append((ov.i, ov.j,
+                         spaces[ov.i].sheaf.res(traces[ov.i], Wi).map,
+                         spaces[ov.j].sheaf.res(traces[ov.j], Wj).map,
+                         ov.iso.section_maps[frozenset(rj[p] for p in Wj)].map))
+    members = []
+    for x in range(P.size):
+        vals = [pr.map[x] for pr in projs]
+        if all(h[res_j[vals[j]]] == res_i[vals[i]]
+               for i, j, res_i, res_j, h in overlaps):
+            members.append(x)
+    L, incl = tables.subalgebra(P, members)
+    return L, [tables.compose(incl, pr) for pr in projs]
+
+
+def check_nerve_functorial(ctx, table) -> None:
+    """Site homs act on nerve values: each value precomposed with the Spec
+    map of a site hom lies in the table, else InvariantViolation."""
+    site = table.site
+    keys = [{glue._apmap_key(m) for m in table.values[b]}
+            for b in range(len(site))]
+    for a, A in enumerate(site):
+        for b, B in enumerate(site):
+            for f in tables.all_homs(A, B):
+                mf = sp.spec_map(ctx, f)
+                for phi in table.values[a]:
+                    if glue._apmap_key(sp.compose_apmaps(mf, phi)) not in keys[b]:
+                        raise InvariantViolation("nerve action leaves the table")
 
 
 def limit_by_product_scan(kind, objects, arrows):

@@ -201,8 +201,7 @@ def test_criterion_8_gluing_and_nerve():
             comps = tuple(locs[p.sig] for p in C.local_forms(ctx, A))
             if comps:
                 assert gl.nerve_sheaf_condition(
-                    ctx, X, hc.Opcover(ctx.name, A, comps),
-                    sp.enumerate_apmaps(ctx, sp.build_spec(ctx, A), X))
+                    ctx, X, hc.Opcover(ctx.name, A, comps), {})
     assert gl.affine_communication_check(DEI, P1)
     assert gl.affine_communication_check(ZAR, D)
     print("criterion 8 PASS: gluing and functor-of-points suite")

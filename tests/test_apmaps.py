@@ -70,6 +70,7 @@ def test_minimal_open_search_matches_the_search_over_every_open(glued):
 
 def test_nerve_sheaf_condition_judges_the_maps_it_is_given(glued):
     site = gl.default_site(DEI, 3)
+    judged = 0
     for X in glued.values():
         for A in site:
             locs = C.enumerate_localizations(DEI, A)
@@ -77,8 +78,15 @@ def test_nerve_sheaf_condition_judges_the_maps_it_is_given(glued):
                 locs[p.sig] for p in C.local_forms(DEI, A)))
             if not cover.components:
                 continue
-            at_A = sp.enumerate_apmaps(DEI, sp.build_spec(DEI, A), X)
-            assert gl.nerve_sheaf_condition(DEI, X, cover, at_A)
-            # a value missing one map is no longer the set of families
-            if at_A:
-                assert not gl.nerve_sheaf_condition(DEI, X, cover, at_A[1:])
+            values = {}
+            assert gl.nerve_sheaf_condition(DEI, X, cover, values)
+            assert values[A] == sp.enumerate_apmaps(DEI, sp.build_spec(DEI, A), X)
+            # a component value missing one map no longer holds every family
+            # that comes from N(X)(A)
+            for K in values:
+                if K != A and values[K]:
+                    cut = dict(values)
+                    cut[K] = values[K][1:]
+                    assert not gl.nerve_sheaf_condition(DEI, X, cover, cut)
+                    judged += 1
+    assert judged > 0

@@ -193,6 +193,24 @@ def test_cli_nerve_of_an_algebra_applies_the_size_bound(tmp_path):
     assert cli.main(["nerve", "--input", inp, "--size-bound", "0"]) == 2
 
 
+def test_cli_nerve_rejects_site_arguments_before_any_work(monkeypatch, capsys):
+    inp = os.path.join(GOLDEN_INPUTS, "p1-f1.json")
+    real = cli._space_from_input
+
+    def no_work(*args):
+        raise AssertionError("the input was built before the site was checked")
+
+    monkeypatch.setattr(cli, "_space_from_input", no_work)
+    for bad, message in ((["--site", "tiny"], "unknown site 'tiny'"),
+                         (["--site-max", "0"], "--site-max must be at least 1"),
+                         (["--site-max", "-2"], "--site-max must be at least 1")):
+        assert cli.main(["nerve", "--input", inp] + bad) == 2
+        assert message in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_space_from_input", real)
+    assert cli.main(["nerve", "--input", inp, "--site-max", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["sheaf_condition"] == "PASS"
+
+
 def test_cli_flat_cover_applies_rounds(tmp_path, capsys):
     argv = _golden_argv(["check", "--property", "flat-cover", "--input",
                          "z6.json", "--cover", "z6-cover.json"], tmp_path)

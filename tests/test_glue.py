@@ -9,6 +9,8 @@ from conespec import corpus, glue as gl, hypercover as hc, spectrum as sp, table
 from conespec.errors import CocycleViolation
 from conespec.tables import all_homs, isomorphic
 
+from helpers import corpus_by_context, glued_row, glued_sections_by_product
+
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
 DEI = C.get_context("deitmar")
@@ -127,6 +129,62 @@ def test_glue_collapsing_chart_raises():
             0, 0, ident, ident, swapped),)))
 
 
+def _gluings():
+    """Two copies of each corpus algebra glued along each localization that
+    is not an iso, three e2 charts in a row, the named doublings (P^1 over
+    F1, chain3 and Z/12, which the corpus rows include), and one gluing
+    along a nontrivial automorphism of the overlap."""
+    for ctx, A in corpus_by_context():
+        for k in C.enumerate_localizations(ctx, A).values():
+            if not k.composite.is_bijective:
+                yield ctx, glued_row(ctx, A, k)
+    e2, chain3, z12 = corpus.flag_monoid(), corpus.chain_monoid(), corpus.zn(12)
+    yield DEI, glued_row(DEI, e2, loc_by_size(DEI, e2, 1))
+    yield DEI, glued_row(DEI, e2, loc_by_size(DEI, e2, 1), 3)
+    yield DEI, glued_row(DEI, chain3, loc_by_size(DEI, chain3, 1))
+    yield ZAR, glued_row(ZAR, z12, loc_by_size(ZAR, z12, 3))
+    # C3 x e2 doubled where (1, e) is inverted, along the automorphism g -> g^2
+    # of the overlap C3, so that the overlap's section maps move elements
+    A, _ = tables.product("monoid", [corpus.cyclic_group_monoid(3), e2])
+    k = loc_by_size(DEI, A, 3)
+    swap = next(g for g in tables.iter_isomorphisms(k.target, k.target)
+                if g != tables.identity(k.target))
+    yield DEI, gl.GluingSpec("deitmar", (A, A), (
+        gl.make_overlap(DEI, (A, A), 0, 1, k, k, swap),))
+
+
+def test_glued_sections_match_the_product_scan(monkeypatch):
+    """The family search gives the sections, cones and restrictions that
+    the product of the chart sections filtered by the overlaps gives."""
+    real = gl._glued_sections
+
+    def glue_with(build, ctx, g):
+        built = []
+
+        def recording(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(gl, "_glued_sections", recording)
+        return gl.glue(ctx, g), built
+
+    opens = 0
+    for ctx, g in _gluings():
+        X, new = glue_with(real, ctx, g)
+        Y, old = glue_with(glued_sections_by_product, ctx, g)
+        assert len(new) == len(old) == len(X.opens)
+        for (L, cone), (M, cone_m) in zip(new, old):
+            assert L.elements == M.elements
+            assert (L.mul, L.add) == (M.mul, M.add)
+            assert (L.one, L.zero) == (M.one, M.zero)
+            assert cone == cone_m
+        assert X.opens == Y.opens
+        assert X.sheaf.sections == Y.sheaf.sections
+        assert X.sheaf.restrictions == Y.sheaf.restrictions
+        opens += len(X.opens)
+    assert opens > 200
+
+
 # ----------------------------------------------------------------------- nerves
 
 
@@ -165,14 +223,16 @@ def test_nerve_sheaf_condition_on_covers(f1_p1):
     k2 = loc_by_size(ZAR, Z6, 2)
     k3 = loc_by_size(ZAR, Z6, 3)
     X6 = sp.build_spec(ZAR, Z6)
+    values = {}
     assert gl.nerve_sheaf_condition(ZAR, X6,
-                                    hc.Opcover("zariski", Z6, (k2, k3)),
-                                    sp.enumerate_apmaps(ZAR, X6, X6))
+                                    hc.Opcover("zariski", Z6, (k2, k3)), values)
+    # N(X)(K) for the base and each component, each computed once
+    assert set(values) == {Z6, k2.target, k3.target}
+    assert values[Z6] == sp.enumerate_apmaps(ZAR, X6, X6)
     M = corpus.flag_monoid()
     comps = tuple(C.enumerate_localizations(DEI, M).values())
     assert gl.nerve_sheaf_condition(
-        DEI, f1_p1, hc.Opcover("deitmar", M, comps),
-        sp.enumerate_apmaps(DEI, sp.build_spec(DEI, M), f1_p1))
+        DEI, f1_p1, hc.Opcover("deitmar", M, comps), {})
 
 
 # -------------------------------------------------------------- open subfunctor

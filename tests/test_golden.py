@@ -43,6 +43,8 @@ CASES = {
     "check-flat-cover-z6": ["check", "--property", "flat-cover", "--input",
                             "@z6.json", "--cover", "@z6-cover.json"],
     "glue-doubled-z6": ["glue", "--input", "@doubled-z6.json", "--out-dir", "OUT"],
+    "glue-deitmar-doubled-e2xe2": ["glue", "--input", "@doubled-e2xe2.json",
+                                   "--out-dir", "OUT"],
     "nerve-p1-f1": ["nerve", "--input", "@p1-f1.json", "--site-max", "3"],
     "nerve-deitmar-e2-three-charts": ["nerve", "--input",
                                       "@e2-three-charts.json", "--site-max",
