@@ -161,7 +161,7 @@ def _glued_sections(spaces, remaps, traces):
         arrows.append((ov.j, len(objects),
                        compose(spaces[ov.j].sheaf.res(traces[ov.j], Wj), h)))
         objects.append(spaces[ov.i].sections(Wi))
-    families = tables._compatible_families([o.size for o in objects], arrows)
+    families = tables.compatible_families([o.size for o in objects], arrows)
     return tables.limit_from_families(spaces[0].kind, objects[:nc],
                                       [f[:nc] for f in families])
 

@@ -177,27 +177,6 @@ class APMap:
         return all(h.is_bijective for h in self.section_maps.values())
 
 
-def validate_apmap(ctx, m: APMap) -> None:
-    S, T = m.source, m.target
-    s_opens = set(S.opens)
-    for U in T.opens:
-        if m.preimage(U) not in s_opens:
-            raise InvariantViolation("point map is not continuous")
-    for U in T.opens:
-        h = m.section_maps[U]
-        if h.source != T.sections(U) or h.target != S.sections(m.preimage(U)):
-            raise InvariantViolation("section map between the wrong sections")
-        for V in T.opens:
-            if V < U:
-                left = compose(h, S.sheaf.res(m.preimage(U), m.preimage(V)))
-                right = compose(T.sheaf.res(U, V), m.section_maps[V])
-                if left != right:
-                    raise InvariantViolation("section maps ignore restriction")
-    for i in range(S.n_points):
-        if not ctx.is_admissible(m.stalk_map(i)):
-            raise InvariantViolation("stalk map is not admissible")
-
-
 def identity_apmap(X: SpectralSpace) -> APMap:
     return APMap(X, X, tuple(range(X.n_points)),
                  {U: identity(X.sections(U)) for U in X.opens})

@@ -818,8 +818,12 @@ def _search_plan(sizes, arrows):
     return plan
 
 
-def _compatible_families(sizes, arrows) -> list[tuple[int, ...]]:
+def compatible_families(sizes, arrows) -> list[tuple[int, ...]]:
     """The families compatible with every arrow, in lexicographic order.
+
+    `sizes` are the object sizes and `arrows` are (i, j, Hom) as in `limit`;
+    a family is a tuple of one element index per object.  `limit` is this
+    search followed by `limit_from_families`.
 
     A backtracking join along `_search_plan`: an object's value is forced
     by an arrow from a placed object, else drawn from the preimage of a
@@ -871,7 +875,7 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
     if not objects:
         return terminal(kind), []
     return limit_from_families(
-        kind, objects, _compatible_families([o.size for o in objects], arrows))
+        kind, objects, compatible_families([o.size for o in objects], arrows))
 
 
 def limit_from_families(kind: str, objects,

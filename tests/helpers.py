@@ -9,7 +9,7 @@ import random
 from conespec import contexts, corpus, glue, tables
 from conespec import spectrum as sp
 from conespec.errors import DidNotStabilize, InvariantViolation
-from conespec.spectrum import APMap, Presheaf, sort_opens, validate_apmap
+from conespec.spectrum import APMap, Presheaf, sort_opens
 from conespec.tables import RING, Hom
 
 
@@ -136,6 +136,30 @@ def glued_sections_by_product(spaces, remaps, traces):
             members.append(x)
     L, incl = tables.subalgebra(P, members)
     return L, [tables.compose(incl, pr) for pr in projs]
+
+
+def validate_apmap(ctx, m: APMap) -> None:
+    """m is a map of spaces: its point map is continuous, its section maps
+    run between the right sections and commute with restriction, and its
+    stalk maps are admissible; else InvariantViolation."""
+    S, T = m.source, m.target
+    s_opens = set(S.opens)
+    for U in T.opens:
+        if m.preimage(U) not in s_opens:
+            raise InvariantViolation("point map is not continuous")
+    for U in T.opens:
+        h = m.section_maps[U]
+        if h.source != T.sections(U) or h.target != S.sections(m.preimage(U)):
+            raise InvariantViolation("section map between the wrong sections")
+        for V in T.opens:
+            if V < U:
+                left = tables.compose(h, S.sheaf.res(m.preimage(U), m.preimage(V)))
+                right = tables.compose(T.sheaf.res(U, V), m.section_maps[V])
+                if left != right:
+                    raise InvariantViolation("section maps ignore restriction")
+    for i in range(S.n_points):
+        if not ctx.is_admissible(m.stalk_map(i)):
+            raise InvariantViolation("stalk map is not admissible")
 
 
 def check_nerve_functorial(ctx, table) -> None:

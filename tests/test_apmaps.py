@@ -90,3 +90,22 @@ def test_nerve_sheaf_condition_judges_the_maps_it_is_given(glued):
                     assert not gl.nerve_sheaf_condition(DEI, X, cover, cut)
                     judged += 1
     assert judged > 0
+
+
+def test_nerve_sheaf_condition_rejects_a_base_value_missing_a_map():
+    # Z/6 is not local, so no component of its cover has target Z/6 and
+    # N(X)(Z/6) is a dict entry of its own: cutting one map from it leaves a
+    # compatible family that comes from no map Spec Z/6 -> X
+    ZAR = C.get_context("zariski")
+    Z6 = corpus.zn(6)
+    k2, k3 = (next(k for k in C.enumerate_localizations(ZAR, Z6).values()
+                   if k.target.size == n) for n in (2, 3))
+    cover = hc.Opcover("zariski", Z6, (k2, k3))
+    ov = gl.make_overlap(ZAR, (Z6, Z6), 0, 1, k2, k2)
+    for X in (sp.build_spec(ZAR, Z6),
+              gl.glue(ZAR, gl.GluingSpec("zariski", (Z6, Z6), (ov,)))):
+        values = {}
+        assert gl.nerve_sheaf_condition(ZAR, X, cover, values)
+        assert Z6 not in (k2.target, k3.target) and values[Z6]
+        values[Z6] = values[Z6][1:]
+        assert not gl.nerve_sheaf_condition(ZAR, X, cover, values)

@@ -22,7 +22,8 @@ from conespec import corpus, glue as gl, hypercover as hc, reduction as red
 from conespec import spectrum as sp, tables
 from conespec.errors import InvariantViolation
 
-from helpers import check_nerve_functorial, corpus_by_context, glued_row
+from helpers import (check_nerve_functorial, corpus_by_context, glued_row,
+                     validate_apmap)
 from test_golden import CASES, read_expected, run_case
 
 
@@ -42,7 +43,7 @@ def ideal(I):
 def apmaps(ms, args):
     ctx = args[0]
     for m in ms:
-        sp.validate_apmap(ctx, m)
+        validate_apmap(ctx, m)
 
 
 # name -> (defining module, check of (result, call arguments))
@@ -55,7 +56,7 @@ CHECKS = {
     "subalgebra": (tables, lambda r, args: (laws(r[0]), homs(r[1]))),
     "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
     "enumerate_apmaps": (sp, apmaps),
-    "spec_map": (sp, lambda r, args: sp.validate_apmap(args[0], r)),
+    "spec_map": (sp, lambda r, args: validate_apmap(args[0], r)),
     "nerve": (gl, lambda r, args: check_nerve_functorial(args[0], r)),
 }
 
@@ -132,7 +133,7 @@ def test_validate_apmap_rejects_a_corrupted_stalk_map():
     ctx = C.get_context("deitmar")
     M = corpus.flag_monoid()
     m = sp.spec_map(ctx, tables.identity(M))
-    sp.validate_apmap(ctx, m)
+    validate_apmap(ctx, m)
     # the closed point's stalk is the total sections; sending e to the unit
     # is a hom, but not a local one
     total = m.target.total
@@ -142,4 +143,4 @@ def test_validate_apmap_rejects_a_corrupted_stalk_map():
     bad = sp.APMap(m.source, m.target, m.point_map,
                    {**m.section_maps, total: collapse})
     with pytest.raises(InvariantViolation, match="not admissible"):
-        sp.validate_apmap(ctx, bad)
+        validate_apmap(ctx, bad)

