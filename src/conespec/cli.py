@@ -145,6 +145,8 @@ def cmd_check(args) -> int:
 def _load_gluing(ctx, doc, args) -> gl.GluingSpec:
     charts = tuple(cio._resolve_algebra(c["algebra"])
                    for c in cio.list_field(doc, "charts", dict))
+    if not charts:
+        raise ValidationError("a gluing needs at least one chart", doc)
     _check_bounds(args, *charts)
     overlaps = []
     for ov in cio.list_field(doc, "overlaps", dict):
@@ -263,14 +265,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, KindMismatch, InvalidDatum,
+    except (ValidationError, KindMismatch, InvalidDatum, CocycleViolation,
             FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SizeBound, DidNotStabilize) as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (InvariantViolation, CocycleViolation) as exc:
+    except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_BUG
     except Exception as exc:  # so that exit code 1 only means "false"

@@ -305,7 +305,7 @@ _CONTEXTS = {
 
 
 def get_context(name: str) -> SpectralContext:
-    if name not in _CONTEXTS:
+    if not isinstance(name, str) or name not in _CONTEXTS:
         raise KindMismatch(f"unknown context {name!r}")
     return _CONTEXTS[name]
 

@@ -45,7 +45,7 @@ class KindMismatch(ConespecError):
 
 
 class SizeBound(ConespecError):
-    """A congruence-closure construction exceeded the configured size bound."""
+    """A product, a limit search or the CLI's input check exceeded its bound."""
 
     def __init__(self, message: str, bound: int):
         super().__init__(message)

@@ -55,7 +55,7 @@ def make_overlap(ctx, charts, i: int, j: int,
         mid = sp.spaces_isomorphic(build_spec(ctx, k_i.target),
                                    build_spec(ctx, k_j.target))
         if mid is None:
-            raise InvariantViolation("overlap spectra are not isomorphic")
+            raise CocycleViolation("overlap spectra are not isomorphic")
     iso = compose_apmaps(compose_apmaps(emb_i, mid), sp.invert_apmap(emb_j))
     return Overlap(i, j, k_i, k_j, iso)
 

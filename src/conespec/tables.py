@@ -8,6 +8,9 @@ categorical properties stay exhaustively checkable.
 Element labels are strings used only at the I/O boundary; internal
 computation is on indices.  Canonical element order sorts by
 (is-distinguished, label), distinguished elements first.
+
+Input is checked at every size; quotients, limits and subalgebras check the
+hypotheses that make their results valid.
 """
 
 from __future__ import annotations
@@ -30,14 +33,6 @@ from .errors import (
 
 RING = "ring"
 MONOID = "monoid"
-
-# The ring tensor re-runs the law checks on results up to this size and
-# refuses more generators: its validity rests on the Smith-form code, not on
-# a closure argument.  Input is checked at every size; quotients, limits and
-# subalgebras check the hypotheses that make their results valid.
-FULL_CHECK_MAX = 64
-
-DEFAULT_SIZE_BOUND = 4096
 
 # a product carrier, and the partial families a limit visits, stay below this
 SEARCH_MAX = 10**6
@@ -116,7 +111,7 @@ def _check_table(name: str, table, n: int) -> None:
         raise ValidationError(f"{name} table is not {n}x{n}")
     for row in table:
         for v in row:
-            if not isinstance(v, int) or not (0 <= v < n):
+            if type(v) is not int or not (0 <= v < n):
                 raise ValidationError(f"{name} table entry {v!r} out of range")
 
 
@@ -536,12 +531,12 @@ def inversion_sig(A: FiniteAlgebra, a: int) -> tuple[int, ...]:
 # pushouts
 
 
-def pushout(f: Hom, g: Hom, size_bound: int = DEFAULT_SIZE_BOUND):
-    """Pushout K +_R L of f: R->K and g: R->L.
+def pushout(f: Hom, g: Hom):
+    """Pushout K +_R L of f: R->K and g: R->L, one of them surjective.
 
-    Returns (Q, in_K, in_L).  When one leg is surjective the pushout is a
-    congruence quotient of the other target; otherwise the coproduct is
-    computed directly (monoids on K x L, rings as a bounded tensor product).
+    Returns (Q, in_K, in_L).  Along a surjection the pushout is a congruence
+    quotient of the other target; every pushout the constructions take is
+    along a localization, which is a surjection of finite tables.
     """
     if f.source != g.source:
         raise InvariantViolation("pushout legs must share their source")
@@ -550,9 +545,7 @@ def pushout(f: Hom, g: Hom, size_bound: int = DEFAULT_SIZE_BOUND):
     if g.is_surjective:
         Q, in_L, in_K = _pushout_surjective(g, f)
         return Q, in_K, in_L
-    if f.source.kind == MONOID:
-        return _monoid_pushout(f, g, size_bound)
-    return _ring_tensor(f, g, size_bound)
+    raise InvariantViolation("pushout needs a surjective leg")
 
 
 def _pushout_surjective(f: Hom, g: Hom):
@@ -569,190 +562,6 @@ def _pushout_surjective(f: Hom, g: Hom):
     Q, proj = quotient_by_sig(L, sig)
     in_K = Hom(f.target, Q, tuple(proj.map[by_class[k]] for k in range(f.target.size)))
     return Q, in_K, proj
-
-
-def _monoid_pushout(f: Hom, g: Hom, size_bound: int):
-    K, L = f.target, g.target
-    if K.size * L.size > size_bound:
-        raise SizeBound("monoid pushout carrier exceeds bound", size_bound)
-    P, projs = product(MONOID, [K, L])
-    idx = {}
-    for i in range(P.size):
-        idx[(projs[0].map[i], projs[1].map[i])] = i
-    pairs = [
-        (idx[(f.map[r], L.one)], idx[(K.one, g.map[r])])
-        for r in range(f.source.size)
-    ]
-    sig = congruence_closure(P, pairs)
-    Q, proj = quotient_by_sig(P, sig)
-    in_K = Hom(K, Q, tuple(proj.map[idx[(k, L.one)]] for k in range(K.size)))
-    in_L = Hom(L, Q, tuple(proj.map[idx[(K.one, l)]] for l in range(L.size)))
-    return Q, in_K, in_L
-
-
-def _smith_diagonalize(rows, n):
-    """Diagonalize the row lattice of `rows` in Z^n by unimodular changes.
-
-    Returns (d, winv) with d the n diagonal entries and winv such that a
-    residue vector y lifts to y @ winv in the original coordinates; the
-    image of x in the quotient is (x @ w) mod d, with w tracked internally.
-    """
-    A = [list(r) for r in rows]
-    W = [[int(i == j) for j in range(n)] for i in range(n)]
-    Winv = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in W:
-            r[i], r[j] = r[j], r[i]
-        Winv[i], Winv[j] = Winv[j], Winv[i]
-
-    def col_add(i, j, k):  # col j += k * col i
-        for r in A:
-            r[j] += k * r[i]
-        for r in W:
-            r[j] += k * r[i]
-        Winv[i] = [a - k * b for a, b in zip(Winv[i], Winv[j])]
-
-    m = len(A)
-    t = 0
-    for t in range(n):
-        # find a pivot in the submatrix
-        pr = pc = -1
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if best is None:
-            break
-        A[pr], A[t] = A[t], A[pr]
-        if pc != t:
-            col_swap(t, pc)
-        while True:
-            # clear column t with row ops
-            for i in range(m):
-                if i != t and A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-            if any(A[i][t] for i in range(m) if i != t):
-                # a smaller remainder appeared; promote it
-                for i in range(m):
-                    if i != t and A[i][t]:
-                        A[i], A[t] = A[t], A[i]
-                        break
-                continue
-            # clear row t with col ops
-            for j in range(n):
-                if j != t and A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_add(t, j, -q)
-            if any(A[t][j] for j in range(n) if j != t):
-                for j in range(n):
-                    if j != t and A[t][j]:
-                        col_swap(t, j)
-                        break
-                continue
-            break
-    d = []
-    for i in range(n):
-        v = abs(A[i][i]) if i < m else 0
-        d.append(v)
-    return d, W, Winv
-
-
-def _ring_tensor(f: Hom, g: Hom, size_bound: int):
-    R, K, L = f.source, f.target, g.target
-    n = K.size * L.size
-    if n > FULL_CHECK_MAX:
-        raise SizeBound("ring tensor pushout generator count exceeds bound", n)
-
-    def gen(k, l):
-        return k * L.size + l
-
-    rows = set()
-    for k1 in range(K.size):
-        for k2 in range(K.size):
-            for l in range(L.size):
-                row = [0] * n
-                row[gen(K.add[k1][k2], l)] += 1
-                row[gen(k1, l)] -= 1
-                row[gen(k2, l)] -= 1
-                if any(row):
-                    rows.add(tuple(row))
-    for k in range(K.size):
-        for l1 in range(L.size):
-            for l2 in range(L.size):
-                row = [0] * n
-                row[gen(k, L.add[l1][l2])] += 1
-                row[gen(k, l1)] -= 1
-                row[gen(k, l2)] -= 1
-                if any(row):
-                    rows.add(tuple(row))
-    for r in range(R.size):
-        for k in range(K.size):
-            for l in range(L.size):
-                row = [0] * n
-                row[gen(K.mul[f.map[r]][k], l)] += 1
-                row[gen(k, L.mul[g.map[r]][l])] -= 1
-                if any(row):
-                    rows.add(tuple(row))
-    d, W, Winv = _smith_diagonalize(sorted(rows), n)
-    if any(di == 0 for di in d):
-        raise InvariantViolation("tensor product of finite rings not finite")
-
-    def pi(x):
-        return tuple(
-            sum(x[i] * W[i][j] for i in range(n) if x[i]) % d[j] for j in range(n)
-        )
-
-    def lift(y):
-        return [sum(y[i] * Winv[i][j] for i in range(n) if y[i]) for j in range(n)]
-
-    total = 1
-    for di in d:
-        total *= di
-        if total > size_bound:
-            raise SizeBound("ring pushout exceeds size bound", size_bound)
-    elems = list(itertools.product(*[range(di) for di in d]))
-    index = {e: i for i, e in enumerate(elems)}
-
-    def basis(i):
-        x = [0] * n
-        x[i] = 1
-        return x
-
-    def mul_elt(y1, y2):
-        x1, x2 = lift(y1), lift(y2)
-        acc = [0] * n
-        for i in range(n):
-            if not x1[i]:
-                continue
-            ki, li = divmod(i, L.size)
-            for j in range(n):
-                if not x2[j]:
-                    continue
-                kj, lj = divmod(j, L.size)
-                acc[gen(K.mul[ki][kj], L.mul[li][lj])] += x1[i] * x2[j]
-        return pi(acc)
-
-    size = len(elems)
-    add = [[index[tuple((a + b) % di for a, b, di in zip(e1, e2, d))]
-            for e2 in elems] for e1 in elems]
-    mul = [[index[mul_elt(e1, e2)] for e2 in elems] for e1 in elems]
-    zero = index[tuple(0 for _ in d)]
-    one = index[pi(basis(gen(K.one, L.one)))]
-    labels = [f"t{i}" for i in range(size)]
-    if size <= FULL_CHECK_MAX:
-        _check_laws(RING, labels, mul, add, zero, one)
-    Q, pos = _finish(RING, labels, mul, add, zero, one)
-    in_K = Hom(K, Q, tuple(pos[index[pi(basis(gen(k, L.one)))]] for k in range(K.size)))
-    in_L = Hom(L, Q, tuple(pos[index[pi(basis(gen(K.one, l)))]] for l in range(L.size)))
-    if not (is_hom(in_K) and is_hom(in_L)):
-        raise InvariantViolation("pushout injection is not a homomorphism")
-    return Q, in_K, in_L
 
 
 # ---------------------------------------------------------------------------
@@ -949,13 +758,6 @@ def lift(source: FiniteAlgebra, L: FiniteAlgebra, lookup: dict, legs) -> Hom:
                                     for x in range(source.size)))
     except KeyError:
         raise InvariantViolation("family does not lie in the limit") from None
-
-
-def equalizer(f: Hom, g: Hom) -> tuple[FiniteAlgebra, Hom]:
-    if f.source != g.source or f.target != g.target:
-        raise InvariantViolation("equalizer of non-parallel homs")
-    subset = [i for i in range(f.source.size) if f.map[i] == g.map[i]]
-    return subalgebra(f.source, subset)
 
 
 def subalgebra(A: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, Hom]:

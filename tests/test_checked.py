@@ -1,8 +1,8 @@
 """Checked mode: every theorem-backed construction re-verified as it is built.
 
 The library does not re-check maps into limits, limits, subalgebras,
-pushouts by surjections, principal ideals, Spec maps or the site action on
-nerves, since a theorem guarantees each of them.  Here those constructors
+pushouts (each along a surjection), principal ideals, Spec maps or the site
+action on nerves, since a theorem guarantees each of them.  Here those constructors
 are wrapped, wherever they are bound, and every result is checked the hard
 way: the full law checks on each algebra, `is_hom` on each lifted map, cone
 leg, inclusion and pushout injection, `Ideal.is_valid` on each principal

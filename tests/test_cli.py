@@ -291,12 +291,35 @@ def test_cli_path_rejects_datum_wrong_for_context(tmp_path, capsys):
 
 
 def test_cli_rejects_wrongly_shaped_gluing_documents(tmp_path, capsys):
+    z6 = {"algebra": "z6"}
     for doc in ([1, 2], {"charts": 5, "overlaps": []},
-                {"charts": [5], "overlaps": []}):
+                {"charts": [5], "overlaps": []}, {"charts": [], "overlaps": []},
+                {"context": ["zariski"], "charts": [z6], "overlaps": []},
+                {"context": {"name": "zariski"}, "charts": [z6], "overlaps": []}):
         inp = write(tmp_path, "bad.json", doc)
         for command in ("glue", "nerve"):
             assert cli.main([command, "--input", inp]) == 2
             assert capsys.readouterr().err.startswith("input error")
+
+
+def test_cli_rejects_inconsistent_overlaps(tmp_path, capsys):
+    whole = {"steps": []}
+    e2xe2 = {"algebra": "e2xe2"}
+    # Spec Z/6 has two points, the open where 3 is inverted only one
+    one_point = {"context": "zariski", "charts": [{"algebra": "z6"}] * 2,
+                 "overlaps": [{"i": 0, "j": 1, "k_i": whole, "k_j": {
+                     "steps": [{"branch": "left", "datum": [3, 4]}]}}]}
+    # gluing along the identity and along the swap identifies two points
+    twice = {"context": "deitmar", "charts": [e2xe2, e2xe2],
+             "overlaps": [{"i": 0, "j": 1, "k_i": whole, "k_j": whole},
+                          {"i": 0, "j": 1, "k_i": whole, "k_j": whole,
+                           "iso": {"map": [0, 2, 1, 3]}}]}
+    for doc, message in ((one_point, "overlap spectra are not isomorphic"),
+                         (twice, "overlap identifications collapse a chart")):
+        inp = write(tmp_path, "bad.json", doc)
+        for command in ("glue", "nerve"):
+            assert cli.main([command, "--input", inp]) == 2
+            assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_cli_glue_overlap_iso(tmp_path, capsys):
@@ -377,7 +400,9 @@ def test_cli_unknown_corpus_name_exit_2(tmp_path, capsys):
 def test_cli_rejects_malformed_table_fields(tmp_path):
     good = cio.algebra_to_dict(Z6)
     for field, value in [("mul", 5), ("mul", [5]), ("add", "x"),
-                         ("elements", 6), ("one", "1"), ("zero", [0])]:
+                         ("elements", 6), ("one", "1"), ("zero", [0]),
+                         ("mul", [[True if v == 1 else v for v in row]
+                                  for row in good["mul"]])]:
         inp = write(tmp_path, "bad.json", dict(good, **{field: value}))
         assert cli.main(["spec", "--input", inp,
                          "--out-dir", str(tmp_path)]) == 2, field
