@@ -58,9 +58,7 @@ def cmd_spec(args) -> int:
     ctx = cx.get_context(args.context)
     R = cio.algebra_from_dict(cio.load_json(args.input))
     _check_bounds(args, R)
-    # --rounds bounds the localization search that build_spec then reuses
-    locs = cx.enumerate_localizations(ctx, R, max_rounds=args.rounds)
-    X = sp.build_spec(ctx, R, locs)
+    X = sp.build_spec(ctx, R)
     stem = _stem(args.input)
     _write(args.out_dir, f"{stem}.topology.dot", cio.specialization_dot(X))
     _write(args.out_dir, f"{stem}.sections.json",
@@ -206,7 +204,9 @@ def cmd_nerve(args) -> int:
     for A in site:
         locs = cx.enumerate_localizations(ctx, A)
         pointwise = [locs[p.sig] for p in cx.local_forms(ctx, A)]
-        if pointwise:
+        # an identity component fixes every compatible family, so such a
+        # cover always meets the sheaf condition
+        if pointwise and not any(k.is_identity_class for k in pointwise):
             covers.append(hc.Opcover(ctx.name, A, tuple(pointwise)))
     # N(X)(K) per algebra K, shared by the sheaf checks so each is computed once
     values = {A: table.values[s] for s, A in enumerate(site)}

@@ -1,9 +1,11 @@
 """Gluing spectra along open subspaces, and the functor-of-points layer.
 
-A glued space is the colimit of its charts: points are identified along the
-overlap isomorphisms, opens are the subsets whose trace in every chart is
-open, and sections over an open are the compatible families of chart
-sections.
+A glued space is the colimit of its charts.  Its points are the chart points
+identified along the overlap isomorphisms.  The minimal open of a point holds
+the minimal open of each of its chart points, and the stalk there is the
+chart-section families that agree on every overlap.  The space is
+`spectrum.sheaf_from_stalks` of these stalks along the restrictions between
+them, so its opens are the sets whose trace in every chart is open.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import contexts as cx
 from . import hypercover as hc
 from . import spectrum as sp
 from . import tables
 from .contexts import LocalizationPath, factorize, local_forms
 from .errors import CocycleViolation, InvariantViolation
-from .spectrum import APMap, Presheaf, SpectralSpace, build_spec, compose_apmaps, \
-    restrict, sort_opens, spec_map
+from .spectrum import APMap, SpectralSpace, build_spec, compose_apmaps, \
+    restrict, spec_map
 from .tables import FiniteAlgebra, Hom, all_homs, compose
 
 
@@ -92,49 +93,47 @@ def glue(ctx, g: GluingSpec) -> SpectralSpace:
             raise CocycleViolation("overlap identifications collapse a chart")
 
     n = len(classes)
+    nc = len(spaces)
+    chart_points = [[] for _ in range(n)]
+    for (i, p), c in glob.items():
+        chart_points[c].append((i, p))
 
-    def trace(S, i):
-        return frozenset(p for p in range(spaces[i].n_points)
-                         if glob[(i, p)] in S)
-
-    # every open is the union of the images of its chart traces
-    candidates = {frozenset()}
-    for i, X in enumerate(spaces):
-        for V in X.opens:
-            candidates |= {S | {glob[(i, p)] for p in V} for S in candidates}
-    chart_opens = [set(X.opens) for X in spaces]
-    opens = sort_opens(S for S in candidates if all(
-        trace(S, i) in chart_opens[i] for i in range(len(spaces))))
+    # the minimal open of c: the least set holding, with each of its points,
+    # that point's minimal open in every chart that contains it
+    mins = []
+    for c in range(n):
+        U, todo = set(), [c]
+        while todo:
+            d = todo.pop()
+            if d not in U:
+                U.add(d)
+                todo.extend(glob[(i, q)] for i, p in chart_points[d]
+                            for q in spaces[i].min_open(p))
+        mins.append(U)
 
     # per overlap: its opens on charts i and j, and chart j's points of U_j
     # numbered as in the target of the overlap's iso
     remaps = [(ov, Ui, Uj, {p: a for a, p in enumerate(sorted(Uj))})
               for ov, (Ui, Uj) in zip(g.overlaps, opens_by_overlap)]
-    sections, traces_of, cones, lookups = {}, {}, {}, {}
-    for S in opens:
-        traces = traces_of[S] = [trace(S, i) for i in range(len(spaces))]
-        sections[S], cones[S] = _glued_sections(spaces, remaps, traces)
-        lookups[S] = tables.cone_lookup(sections[S], cones[S])
-
-    restrictions = {}
-    for S in opens:
-        tS, coneS = traces_of[S], cones[S]
-        for T in opens:
-            if T == S or not T < S:
-                continue
-            tT = traces_of[T]
-            restrictions[(S, T)] = tables.lift(
-                sections[S], sections[T], lookups[T],
-                [compose(coneS[i], spaces[i].sheaf.res(tS[i], tT[i]))
-                 for i in range(len(spaces))])
-
-    sheaf = Presheaf(spaces[0].kind, n, opens, sections, restrictions)
+    traces = [[frozenset(p for p in range(spaces[i].n_points)
+                         if glob[(i, p)] in U) for i in range(nc)]
+              for U in mins]
+    stalks, cones, lookups = [], [], []
+    for t in traces:
+        L, cone = _glued_sections(spaces, remaps, t)
+        stalks.append(L)
+        cones.append(cone)
+        lookups.append(tables.cone_lookup(L, cone))
+    # the restriction from U_c to U_d, lifted from the chart projections
+    maps = {(c, d): tables.lift(stalks[c], stalks[d], lookups[d], [
+        compose(cones[c][i], spaces[i].sheaf.res(traces[c][i], traces[d][i]))
+        for i in range(nc)]) for c, U in enumerate(mins) for d in U - {c}}
     X = SpectralSpace(
         ctx_name=ctx.name,
         kind=spaces[0].kind,
         point_labels=tuple(f"c{i}p{p}" for (i, p) in
                            (all_points[c] for c in classes)),
-        sheaf=sheaf,
+        sheaf=sp.sheaf_from_stalks(spaces[0].kind, stalks, maps),
     )
     _check_glued(ctx, X, spaces, glob)
     return X
@@ -347,22 +346,21 @@ def affine_opens(ctx, X: SpectralSpace):
     return out
 
 
-def _distinguished_in(X, U, witness):
+def _distinguished_in(ctx, U, witness):
     """Subsets of U that are distinguished opens of the affine model.
 
     The witness is an iso Spec(sections over U) -> restrict(X, U); push each
-    basis open forward along its point map.
+    distinguished open forward along its point map.
     """
-    Y = witness.source
     pts = sorted(U)
     return {frozenset(pts[witness.point_map[q]] for q in V)
-            for V in Y.basis}
+            for V in sp.distinguished_opens(ctx, witness.source.base)}
 
 
 def affine_communication_check(ctx, X: SpectralSpace) -> bool:
     """Any point in two affine opens lies in a common distinguished open."""
     aff = affine_opens(ctx, X)
-    dist = {U: _distinguished_in(X, U, w) for U, w in aff.items()}
+    dist = {U: _distinguished_in(ctx, U, w) for U, w in aff.items()}
     for U in aff:
         for V in aff:
             for p in U & V:

@@ -99,9 +99,8 @@ def distop_lattice_bijection(ctx, R: FiniteAlgebra) -> bool:
     """Distinguished opens of Spec R and Spec(red R) match along the unit."""
     res = reduce(ctx, R)
     m = sp.spec_map(ctx, res.unit)
-    X, Y = m.target, m.source           # X = Spec R, Y = Spec red R
-    basis_R = set(X.basis)
-    basis_red = set(Y.basis)
+    basis_R = sp.distinguished_opens(ctx, R)
+    basis_red = sp.distinguished_opens(ctx, res.algebra)
     image = {U: m.preimage(U) for U in basis_R}
     if set(image.values()) != basis_red:
         return False

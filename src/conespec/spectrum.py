@@ -1,12 +1,13 @@
 """Spec as a finite space with a structure sheaf, and maps between such spaces.
 
-The points of Spec R are the isomorphism classes of local forms; the topology
-is generated by the distinguished opens Pts k (local forms factoring through a
-finite localization k).  The canonical presheaf assigns red K to Pts k, taking
-the join over all localizations with the same point set; other opens get the
-right-Kan-extension limit; the structure sheaf is its sheafification, built
-on this finite T0 space as the limit of the stalks over the specialization
-poset of each open.
+The points of Spec R are the isomorphism classes of local forms R -> T_p.
+The minimal open U_p of a point p holds the forms q that p's form factors
+through (its distinguished open), and the opens are the unions of the U_p.
+On a finite T0 space a sheaf is fixed by its stalks and the specialization
+maps between them (Barmak, LNM 2032, 2011; Curry, 2014), so the structure
+sheaf is `sheaf_from_stalks` of the targets T_p along the induced maps
+T_p -> T_q: O(U) is the limit of the T_p over the points p of U, and a
+section lists its stalk coordinates.
 """
 
 from __future__ import annotations
@@ -22,25 +23,41 @@ from .tables import FiniteAlgebra, Hom, compose, identity
 
 
 # ---------------------------------------------------------------------------
-# presheaves on a finite open lattice
+# sheaves on a finite T0 space
 
 
 @dataclass
 class Presheaf:
+    """A sheaf on a finite T0 space, by its sections and their stalk cones.
+
+    `cones[U]` maps each point p of U, in ascending order, to the projection
+    of O(U) onto the stalk at p.  The cone separates sections, so the
+    restriction O(U) -> O(V) is the lift of U's legs at the points of V; it
+    is built on its first read and kept.
+    """
     kind: str
     n_points: int
     opens: tuple[frozenset, ...]
-    sections: dict
-    restrictions: dict  # (U, V) -> Hom for V subset of U
-    identities: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    sections: dict          # open -> O(U)
+    cones: dict             # open -> {p: Hom(O(U), stalk at p)}
+    _lookups: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    _res: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
+
+    def lookup(self, U) -> dict:
+        """`tables.cone_lookup` of O(U) along its stalk cone."""
+        if U not in self._lookups:
+            self._lookups[U] = tables.cone_lookup(self.sections[U],
+                                                  list(self.cones[U].values()))
+        return self._lookups[U]
 
     def res(self, U, V) -> Hom:
-        if U == V:
-            if U not in self.identities:
-                self.identities[U] = identity(self.sections[U])
-            return self.identities[U]
-        return self.restrictions[(U, V)]
+        if (U, V) not in self._res:
+            self._res[(U, V)] = tables.lift(
+                self.sections[U], self.sections[V], self.lookup(V),
+                [self.cones[U][p] for p in self.cones[V]])
+        return self._res[(U, V)]
 
     def min_open(self, p: int) -> frozenset:
         best = None
@@ -54,52 +71,29 @@ def sort_opens(opens) -> tuple[frozenset, ...]:
     return tuple(sorted(opens, key=lambda U: (len(U), sorted(U))))
 
 
-def check_topology(opens, n_points) -> None:
-    oset = set(opens)
-    if frozenset() not in oset or frozenset(range(n_points)) not in oset:
-        raise InvariantViolation("topology misses the empty or total open")
-    for U in oset:
-        for V in oset:
-            if U | V not in oset or U & V not in oset:
-                raise InvariantViolation("opens not closed under union/intersection")
+def sheaf_from_stalks(kind: str, stalks, maps: dict) -> Presheaf:
+    """The sheaf with stalks `stalks[p]` and specialization maps `maps`.
 
-
-def sheafify(F: Presheaf):
-    """The sheaf with the stalks of F, as limits over the specialization poset.
-
-    On a finite T0 space a sheaf is fixed by its stalks F(U_p) at the minimal
-    opens: G(U) is the limit of F(U_p), p in U, along F(U_p) -> F(U_q) for
-    q in U_p, q != p.  Each pair a < b of points of U adds the object
-    F(U_a & U_b) with one arrow from a; it forces an extra coordinate without
-    adding a constraint, so labels list point coordinates, then pair
-    coordinates.  Returns (sheaf, theta, single) where theta maps old sections
-    to new and `single` records whether every theta is injective, i.e. F was
-    separated (a single plus construction would have sufficed).
+    `maps[(p, q)]` is the map stalks[p] -> stalks[q] for each q != p of the
+    minimal open U_p, which is p with those q; the maps must commute.  The
+    opens are the unions of the U_p, and O(U) is the limit of the stalks at
+    the points of U along the maps between them, with its cone of stalk
+    projections.
     """
-    min_open = {p: F.min_open(p) for p in range(F.n_points)}
-    sections, cones, lookups, theta = {}, {}, {}, {}
-    for U in F.opens:
+    mins = [frozenset([p]) | {q for (a, q) in maps if a == p}
+            for p in range(len(stalks))]
+    opens = {frozenset()}
+    for U in mins:
+        opens |= {V | U for V in opens}
+    opens = sort_opens(opens)
+    sections, cones = {}, {}
+    for U in opens:
         pts = sorted(U)
         pos = {p: a for a, p in enumerate(pts)}
-        objects = [F.sections[min_open[p]] for p in pts]
-        arrows = [(pos[p], pos[q], F.res(min_open[p], min_open[q]))
-                  for p in pts for q in sorted(min_open[p]) if q != p]
-        for a, p in enumerate(pts):
-            for q in pts[a + 1:]:
-                W = min_open[p] & min_open[q]
-                arrows.append((a, len(objects), F.res(min_open[p], W)))
-                objects.append(F.sections[W])
-        L, cone = tables.limit(F.kind, objects, arrows)
-        sections[U] = L
+        arrows = [(pos[p], pos[q], h) for (p, q), h in maps.items() if p in U]
+        sections[U], cone = tables.limit(kind, [stalks[p] for p in pts], arrows)
         cones[U] = dict(zip(pts, cone))
-        lookups[U] = tables.cone_lookup(L, cone[:len(pts)])
-        theta[U] = tables.lift(F.sections[U], L, lookups[U],
-                               [F.res(U, min_open[p]) for p in pts])
-    restrictions = {(U, V): tables.lift(sections[U], sections[V], lookups[V],
-                                        [cones[U][p] for p in sorted(V)])
-                    for U in F.opens for V in F.opens if V < U}
-    G = Presheaf(F.kind, F.n_points, F.opens, sections, restrictions)
-    return G, theta, all(t.is_injective for t in theta.values())
+    return Presheaf(kind, len(stalks), opens, sections, cones)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +109,8 @@ class SpectralSpace:
     # Spec-only data (None on glued spaces)
     base: FiniteAlgebra | None = None
     forms: tuple[LocalizationPath, ...] | None = None
-    basis: dict | None = None            # open -> representative localization
     canonical: dict | None = None        # open -> Hom(base, section)
     stalk_iso: dict | None = None        # point -> Hom(stalk section, local target)
-    single_plus: bool | None = None
-    presheaf: Presheaf | None = None     # canonical presheaf before sheafification
-    theta: dict | None = None            # open -> Hom into the sheafified sections
 
     @property
     def n_points(self) -> int:
@@ -222,120 +212,43 @@ def distinguished_open(ctx, R, k: LocalizationPath, forms=None) -> frozenset:
                      if tables.induced(k.composite, p.composite) is not None)
 
 
-def _class_map(c_from: Hom, c_to: Hom) -> Hom:
-    """The induced map, which the theorem at hand says must exist."""
-    h = tables.induced(c_from, c_to)
-    if h is None:
-        raise InvariantViolation("restriction between sections undefined")
-    return h
+def distinguished_opens(ctx, R) -> set[frozenset]:
+    """The distinguished opens Pts k of Spec R, over every localization k."""
+    forms = local_forms(ctx, R)
+    return {distinguished_open(ctx, R, k, forms)
+            for k in cx.enumerate_localizations(ctx, R).values()}
 
 
-def build_spec(ctx, R: FiniteAlgebra, locs=None) -> SpectralSpace:
-    """Spec R; `locs` is `enumerate_localizations(ctx, R)` if already known."""
+def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
+    """Spec R from its stalks: the local-form targets, along the maps that
+    one form induces on another.
+
+    The canonical map R -> O(U) lifts the form composites at the points of
+    U, and the stalk iso at p is the projection of O(U_p) onto T_p.
+    """
     key = (ctx.name, R)
     if key in _SPEC_CACHE:
         return _SPEC_CACHE[key]
     forms = tuple(local_forms(ctx, R))
-    if locs is None:
-        locs = cx.enumerate_localizations(ctx, R)
-    n = len(forms)
-
-    # distinguished opens and the canonical presheaf on them
-    by_open: dict = {}
-    for sig, path in locs.items():
-        U = distinguished_open(ctx, R, path, forms)
-        by_open.setdefault(U, []).append(path)
-    basis = {}
-    for U, paths in by_open.items():
-        basis[U] = min(paths, key=lambda p: (len(p.steps), p.sig))
-
-    opens = set(by_open) | {frozenset(), frozenset(range(n))}
-    changed = True
-    while changed:
-        changed = False
-        for U in list(opens):
-            for V in list(opens):
-                for W in (U | V, U & V):
-                    if W not in opens:
-                        opens.add(W)
-                        changed = True
-    opens = sort_opens(opens)
-    check_topology(opens, n)
-
-    sections = {}
-    canonical = {}
-    for U, paths in by_open.items():
-        sig = tables.join_sigs(R.size, [p.sig for p in paths])
-        RU, proj = tables.quotient_by_sig(R, sig)
-        red, unit, _ = reduce_admissible(ctx, RU)
-        sections[U] = red
-        canonical[U] = compose(proj, unit)
-    # right Kan extension on the non-distinguished opens
-    basis_opens = set(by_open)
-    sub_basis = {U: [W for W in opens if W in basis_opens and W <= U] for U in opens}
-    kan_cones, kan_lookups = {}, {}
-    for U in opens:
-        if U in basis_opens:
-            continue
-        subs = sub_basis[U]
-        objects = [sections[W] for W in subs]
-        arrows = []
-        for a, Wa in enumerate(subs):
-            for b, Wb in enumerate(subs):
-                if Wb < Wa:
-                    arrows.append((a, b, _class_map(canonical[Wa], canonical[Wb])))
-        L, cone = tables.limit(R.kind, objects, arrows)
-        sections[U] = L
-        kan_cones[U] = dict(zip(subs, cone))
-        kan_lookups[U] = tables.cone_lookup(L, cone)
-        canonical[U] = tables.lift(R, L, kan_lookups[U],
-                                   [canonical[W] for W in subs])
-    # restriction maps
-    restrictions = {}
-    for U in opens:
-        for V in opens:
-            if V == U or not V < U:
-                continue
-            if U in basis_opens and V in basis_opens:
-                res = _class_map(canonical[U], canonical[V])
-            elif U not in basis_opens and V in basis_opens:
-                res = kan_cones[U][V]
-            elif U in basis_opens:
-                res = tables.lift(sections[U], sections[V], kan_lookups[V], [
-                    _class_map(canonical[U], canonical[W]) for W in sub_basis[V]])
-            else:
-                res = tables.lift(sections[U], sections[V], kan_lookups[V],
-                                  [kan_cones[U][W] for W in sub_basis[V]])
-            restrictions[(U, V)] = res
-    F = Presheaf(R.kind, n, opens, sections, restrictions)
-    sheaf, theta, single = sheafify(F)
-    canonical = {U: compose(canonical[U], theta[U]) for U in opens}
-
-    stalk_iso = {}
-    for i, form in enumerate(forms):
-        Up = F.min_open(i)
-        found = None
-        for iso in tables.iter_isomorphisms(sheaf.sections[Up], form.target):
-            if compose(canonical[Up], iso) == form.composite:
-                found = iso
-                break
-        if found is None:
-            raise InvariantViolation("stalk does not match the local form")
-        stalk_iso[i] = found
-
+    maps = {}
+    for p, q in itertools.permutations(range(len(forms)), 2):
+        h = tables.induced(forms[p].composite, forms[q].composite)
+        if h is not None:
+            maps[(p, q)] = h
+    sheaf = sheaf_from_stalks(R.kind, [f.target for f in forms], maps)
+    canonical = {U: tables.lift(R, sheaf.sections[U], sheaf.lookup(U),
+                                [forms[p].composite for p in sheaf.cones[U]])
+                 for U in sheaf.opens}
     space = SpectralSpace(
         ctx_name=ctx.name,
         kind=R.kind,
-        point_labels=tuple(f"p{i}" for i in range(n)),
+        point_labels=tuple(f"p{i}" for i in range(len(forms))),
         sheaf=sheaf,
         base=R,
         forms=forms,
-        basis=basis,
         canonical=canonical,
-        stalk_iso=stalk_iso,
-        single_plus=single,
-        presheaf=F,
-        theta=theta,
+        stalk_iso={p: sheaf.cones[sheaf.min_open(p)][p]
+                   for p in range(len(forms))},
     )
     _SPEC_CACHE[key] = space
     return space
@@ -375,25 +288,24 @@ def ell(ctx, R) -> Hom:
 # the contravariant action and open embeddings
 
 
-def _sections_from_stalks(S: SpectralSpace, X: SpectralSpace, pm, stalks,
-                          lookups: dict) -> dict:
+def _sections_from_stalks(S: SpectralSpace, X: SpectralSpace, pm,
+                          stalks) -> dict:
     """Section maps of the map S -> X with point map pm and stalk maps
     stalks[i]: O_X(U_pm(i)) -> O_S(U_i).
 
     O_S(pre W) is the limit of the stalks of S at the points of pre W, so the
-    map at W is the unique lift of the legs O_X(W) -> O_X(U_pm(i)) -> stalk
-    of S at i.  `lookups` caches one cone lookup per open of S.
+    map at W is the unique lift of the legs O_X(W) -> O_X(U_pm(i)) -> O_S(U_i)
+    -> stalk of S at i.
     """
     x_min = {q: X.min_open(q) for q in set(pm)}
+    legs = [compose(stalks[i], S.sheaf.cones[S.min_open(i)][i])
+            for i in range(S.n_points)]
     section_maps = {}
     for W in X.opens:
         P = frozenset(i for i, q in enumerate(pm) if q in W)
-        pts = sorted(P)
-        if P not in lookups:
-            lookups[P] = tables.cone_lookup(
-                S.sections(P), [S.sheaf.res(P, S.min_open(i)) for i in pts])
-        section_maps[W] = tables.lift(X.sections(W), S.sections(P), lookups[P], [
-            compose(X.sheaf.res(W, x_min[pm[i]]), stalks[i]) for i in pts])
+        section_maps[W] = tables.lift(
+            X.sections(W), S.sections(P), S.sheaf.lookup(P),
+            [compose(X.sheaf.res(W, x_min[pm[i]]), legs[i]) for i in sorted(P)])
     return section_maps
 
 
@@ -409,8 +321,8 @@ def spec_map(ctx, f: Hom) -> APMap:
         if len(hit) != 1:
             raise InvariantViolation("localization part is not a local form")
         i = hit[0]
-        ident = _class_map(path.composite, Y.forms[i].composite)
-        if not ident.is_bijective:
+        ident = tables.induced(path.composite, Y.forms[i].composite)
+        if ident is None or not ident.is_bijective:
             raise InvariantViolation("local form identification not an iso")
         point_map.append(i)
         # stalk section map O_Y-stalk(i) -> O_X-stalk(j)
@@ -420,7 +332,7 @@ def spec_map(ctx, f: Hom) -> APMap:
         ))
     point_map = tuple(point_map)
     return APMap(X, Y, point_map,
-                 _sections_from_stalks(X, Y, point_map, stalk_section_maps, {}))
+                 _sections_from_stalks(X, Y, point_map, stalk_section_maps))
 
 
 def restrict(X: SpectralSpace, U: frozenset) -> SpectralSpace:
@@ -431,13 +343,12 @@ def restrict(X: SpectralSpace, U: frozenset) -> SpectralSpace:
     def remap(V):
         return frozenset(reindex[p] for p in V)
 
-    opens = sort_opens(remap(V) for V in X.opens if V <= U)
-    sections = {remap(V): X.sections(V) for V in X.opens if V <= U}
-    restrictions = {}
-    for (A, B), h in X.sheaf.restrictions.items():
-        if A <= U and B <= U:
-            restrictions[(remap(A), remap(B))] = h
-    sheaf = Presheaf(X.kind, len(pts), opens, sections, restrictions)
+    inside = [V for V in X.opens if V <= U]
+    sheaf = Presheaf(X.kind, len(pts), sort_opens(map(remap, inside)),
+                     {remap(V): X.sections(V) for V in inside},
+                     {remap(V): {reindex[p]: h
+                                 for p, h in X.sheaf.cones[V].items()}
+                      for V in inside})
     return SpectralSpace(
         ctx_name=X.ctx_name,
         kind=X.kind,
@@ -522,7 +433,6 @@ def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
     s_min = [S.min_open(i) for i in range(S.n_points)]
     minimal = [U for U in X.opens if U in x_min]  # ascending
     below = {U: [V for V in minimal if V < U] for U in minimal}
-    lookups: dict = {}  # open of S -> cone_lookup along its stalks
     for pm in itertools.product(range(X.n_points), repeat=S.n_points):
         pre = {U: frozenset(i for i, q in enumerate(pm) if q in U)
                for U in X.opens}
@@ -550,8 +460,8 @@ def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
 
         def rec(idx):
             if idx == len(minimal):
-                out.append(APMap(S, X, pm, _sections_from_stalks(
-                    S, X, pm, stalks, lookups)))
+                out.append(APMap(S, X, pm,
+                                 _sections_from_stalks(S, X, pm, stalks)))
                 return
             U = minimal[idx]
             for h, st in candidates(U):

@@ -20,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 
 from .errors import (
     BadUnit,
@@ -707,10 +708,11 @@ def limit_from_families(kind: str, objects,
         ]
 
     def table(op):
-        return [
-            [index[tuple(t[x][y] for t, x, y in zip(op, e1, e2))] for e2 in elems]
-            for e1 in elems
-        ]
+        out = []
+        for e1 in elems:
+            rows = [t[x] for t, x in zip(op, e1)]
+            out.append([index[tuple(map(getitem, rows, e2))] for e2 in elems])
+        return out
 
     try:
         one = index[tuple(o.one for o in objects)]

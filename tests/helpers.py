@@ -5,12 +5,31 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from dataclasses import dataclass
 
 from conespec import contexts, corpus, glue, tables
 from conespec import spectrum as sp
 from conespec.errors import DidNotStabilize, InvariantViolation
-from conespec.spectrum import APMap, Presheaf, sort_opens
+from conespec.spectrum import APMap, sort_opens
 from conespec.tables import RING, Hom
+
+
+@dataclass
+class TablePresheaf:
+    """A presheaf on a finite space with every restriction (U, V), V < U,
+    given in a dict."""
+    kind: str
+    n_points: int
+    opens: tuple[frozenset, ...]
+    sections: dict
+    restrictions: dict
+
+    def res(self, U, V) -> Hom:
+        if U == V:
+            return tables.identity(self.sections[U])
+        return self.restrictions[(U, V)]
+
+    min_open = sp.Presheaf.min_open
 
 
 def small_topologies():
@@ -21,7 +40,7 @@ def small_topologies():
     return [(2, sort_opens(sier)), (2, sort_opens(disc2)), (3, sort_opens(wedge3))]
 
 
-def random_presheaf(rng, topology=None) -> Presheaf:
+def random_presheaf(rng, topology=None) -> TablePresheaf:
     """A presheaf of quotients of a fixed base algebra.
 
     Each point carries a random batch of pairs; the congruence at an open is
@@ -58,7 +77,7 @@ def random_presheaf(rng, topology=None) -> Presheaf:
                     mapping[projs[U].map[r]] = projs[V].map[r]
                 restrictions[(U, V)] = Hom(sections[U], sections[V],
                                            tuple(mapping))
-    return Presheaf(A.kind, n_points, opens, sections, restrictions)
+    return TablePresheaf(A.kind, n_points, opens, sections, restrictions)
 
 
 def faces_by_subset_search(A) -> list[frozenset[int]]:
@@ -213,7 +232,7 @@ def limit_by_product_scan(kind, objects, arrows):
     return L, cone
 
 
-def plus_construction(F: Presheaf):
+def plus_construction(F):
     """Oracle: one application of the plus construction.
 
     On a finite space the refinement poset of covers of U has the cover by
@@ -258,11 +277,123 @@ def plus_construction(F: Presheaf):
                 for (a, _, W) in pairsV]
             new_restrictions[(U, V)] = tables.lift(
                 new_sections[U], new_sections[V], lookupV, legs)
-    G = Presheaf(F.kind, F.n_points, F.opens, new_sections, new_restrictions)
+    G = TablePresheaf(F.kind, F.n_points, F.opens, new_sections,
+                      new_restrictions)
     return G, thetas
 
 
-def is_separated(F: Presheaf) -> bool:
+def sheafify(F):
+    """Oracle half: the sheaf with the stalks of F, by
+    `spectrum.sheaf_from_stalks` on the F(U_p) and the restrictions between
+    them.  Returns (sheaf, theta, single): theta maps F to the sheaf, and
+    `single` records whether every theta is injective, i.e. F was separated
+    (a single plus construction would have sufficed)."""
+    mins = [F.min_open(p) for p in range(F.n_points)]
+    G = sp.sheaf_from_stalks(F.kind, [F.sections[U] for U in mins], {
+        (p, q): F.res(mins[p], mins[q])
+        for p in range(F.n_points) for q in mins[p] if q != p})
+    assert G.opens == F.opens
+    theta = {U: tables.lift(F.sections[U], G.sections[U], G.lookup(U),
+                            [F.res(U, mins[p]) for p in sorted(U)])
+             for U in F.opens}
+    return G, theta, all(t.is_injective for t in theta.values())
+
+
+def _class_map(c_from: Hom, c_to: Hom) -> Hom:
+    h = tables.induced(c_from, c_to)
+    if h is None:
+        raise InvariantViolation("restriction between sections undefined")
+    return h
+
+
+def canonical_presheaf(ctx, R):
+    """Oracle half: the paper's canonical presheaf on Spec R.
+
+    The opens are generated by the distinguished opens Pts k under union and
+    intersection.  A distinguished open U gets red K for K the quotient of
+    R by the join of the kernels of the localizations k with Pts k = U;
+    every other open gets the right Kan extension, the limit of the
+    distinguished opens inside it.  Returns (F, canonical), with canonical[U]
+    the map R -> F(U).
+    """
+    forms = tuple(contexts.local_forms(ctx, R))
+    n = len(forms)
+    by_open: dict = {}
+    for path in contexts.enumerate_localizations(ctx, R).values():
+        U = sp.distinguished_open(ctx, R, path, forms)
+        by_open.setdefault(U, []).append(path)
+    opens = set(by_open) | {frozenset(), frozenset(range(n))}
+    changed = True
+    while changed:
+        changed = False
+        for U in list(opens):
+            for V in list(opens):
+                for W in (U | V, U & V):
+                    if W not in opens:
+                        opens.add(W)
+                        changed = True
+    opens = sort_opens(opens)
+
+    sections, canonical = {}, {}
+    for U, paths in by_open.items():
+        sig = tables.join_sigs(R.size, [p.sig for p in paths])
+        RU, proj = tables.quotient_by_sig(R, sig)
+        red, unit, _ = sp.reduce_admissible(ctx, RU)
+        sections[U] = red
+        canonical[U] = tables.compose(proj, unit)
+    # right Kan extension on the other opens
+    sub_basis = {U: [W for W in opens if W in by_open and W <= U]
+                 for U in opens}
+    kan_cones, kan_lookups = {}, {}
+    for U in opens:
+        if U in by_open:
+            continue
+        subs = sub_basis[U]
+        arrows = [(a, b, _class_map(canonical[Wa], canonical[Wb]))
+                  for a, Wa in enumerate(subs) for b, Wb in enumerate(subs)
+                  if Wb < Wa]
+        L, cone = tables.limit(R.kind, [sections[W] for W in subs], arrows)
+        sections[U] = L
+        kan_cones[U] = dict(zip(subs, cone))
+        kan_lookups[U] = tables.cone_lookup(L, cone)
+        canonical[U] = tables.lift(R, L, kan_lookups[U],
+                                   [canonical[W] for W in subs])
+    restrictions = {}
+    for U in opens:
+        for V in opens:
+            if not V < U:
+                continue
+            if V in by_open:
+                res = _class_map(canonical[U], canonical[V]) if U in by_open \
+                    else kan_cones[U][V]
+            else:
+                legs = [_class_map(canonical[U], canonical[W]) if U in by_open
+                        else kan_cones[U][W] for W in sub_basis[V]]
+                res = tables.lift(sections[U], sections[V], kan_lookups[V],
+                                  legs)
+            restrictions[(U, V)] = res
+    return TablePresheaf(R.kind, n, opens, sections, restrictions), canonical
+
+
+def spec_by_definition(ctx, R):
+    """Oracle: Spec R as the sheafified canonical presheaf.  Returns
+    (F, sheaf, canonical, single) with canonical[U] the map R -> sheaf(U)."""
+    F, canonical = canonical_presheaf(ctx, R)
+    G, theta, single = sheafify(F)
+    return F, G, {U: tables.compose(canonical[U], theta[U])
+                  for U in F.opens}, single
+
+
+def isomorphic_sheaves(G, H) -> bool:
+    """Whether the (pre)sheaves G and H on one space are isomorphic, by
+    `spectrum.spaces_isomorphic` on the spaces they make."""
+    def space(F):
+        return sp.SpectralSpace("", F.kind, ("",) * F.n_points, F)
+
+    return sp.spaces_isomorphic(space(G), space(H)) is not None
+
+
+def is_separated(F) -> bool:
     """Oracle: monopresheaf test against the finest (minimal-open) covers."""
     for U in F.opens:
         pts = sorted(U)
@@ -275,7 +406,7 @@ def is_separated(F: Presheaf) -> bool:
     return True
 
 
-def sheafify_by_plus(F: Presheaf):
+def sheafify_by_plus(F):
     """Oracle: sheafification by the plus construction, applied twice when F
     is not separated.  Returns (sheaf, theta, single) like `sheafify`."""
     single = is_separated(F)
@@ -286,7 +417,7 @@ def sheafify_by_plus(F: Presheaf):
     return H, {U: tables.compose(th1[U], th2[U]) for U in F.opens}, False
 
 
-def covers_of(F: Presheaf, U, cap: int = 12):
+def covers_of(F, U, cap: int = 12):
     """Covers of U by nonempty opens: all of them up to `cap` opens below U,
     else the minimal-open cover and the covering pairs."""
     subs = [W for W in F.opens if W <= U and W]
@@ -304,7 +435,7 @@ def covers_of(F: Presheaf, U, cap: int = 12):
                     yield [subs[a], subs[b]]
 
 
-def satisfies_sheaf_condition(F: Presheaf, cap: int = 12) -> bool:
+def satisfies_sheaf_condition(F, cap: int = 12) -> bool:
     """Oracle: the sheaf condition, by enumerating covers and families."""
     # the empty open is covered by the empty family
     if F.sections[frozenset()].size != 1:

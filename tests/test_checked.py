@@ -1,14 +1,15 @@
 """Checked mode: every theorem-backed construction re-verified as it is built.
 
 The library does not re-check maps into limits, limits, subalgebras,
-pushouts (each along a surjection), principal ideals, Spec maps or the site
-action on nerves, since a theorem guarantees each of them.  Here those constructors
-are wrapped, wherever they are bound, and every result is checked the hard
-way: the full law checks on each algebra, `is_hom` on each lifted map, cone
-leg, inclusion and pushout injection, `Ideal.is_valid` on each principal
-ideal the domain context quotients by, `validate_apmap` on each map of
-spaces that `enumerate_apmaps` finds and on each `spec_map`, and
-`check_nerve_functorial` on each nerve table.
+pushouts (each along a surjection), principal ideals, spectra, Spec maps or
+the site action on nerves, since a theorem guarantees each of them.  Here
+those constructors are wrapped, wherever they are bound, and every result is
+checked the hard way: the full law checks on each algebra, `is_hom` on each
+lifted map, cone leg, inclusion and pushout injection, `Ideal.is_valid` on
+each principal ideal the domain context quotients by, `spec_checks` on each
+`build_spec`, `validate_apmap` on each map of spaces that `enumerate_apmaps`
+finds and on each `spec_map`, and `check_nerve_functorial` on each nerve
+table.
 """
 
 from __future__ import annotations
@@ -40,6 +41,18 @@ def ideal(I):
     assert I.is_valid()
 
 
+def spec_checks(X):
+    """The opens of Spec R form a topology, and each stalk is its local
+    form's target under R."""
+    opens = set(X.opens)
+    assert {frozenset(), X.total} <= opens
+    assert all(U | V in opens and U & V in opens for U in opens for V in opens)
+    for p, form in enumerate(X.forms):
+        iso = X.stalk_iso[p]
+        assert iso.is_bijective and tables.is_hom(iso)
+        assert tables.compose(X.canonical[X.min_open(p)], iso) == form.composite
+
+
 def apmaps(ms, args):
     ctx = args[0]
     for m in ms:
@@ -55,6 +68,7 @@ CHECKS = {
                             lambda r, args: (laws(r[0]), homs(*r[1]))),
     "subalgebra": (tables, lambda r, args: (laws(r[0]), homs(r[1]))),
     "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
+    "build_spec": (sp, lambda r, args: spec_checks(r)),
     "enumerate_apmaps": (sp, apmaps),
     "spec_map": (sp, lambda r, args: validate_apmap(args[0], r)),
     "nerve": (gl, lambda r, args: check_nerve_functorial(args[0], r)),

@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from argparse import Namespace
 
 import pytest
 
 from conespec import contexts as C
-from conespec import cli, corpus, io as cio
+from conespec import cli, corpus, glue as gl, hypercover as hc, io as cio
 from conespec.tables import all_homs, identity
 from helpers import large_nonassociative_monoid, subprocess_env
 
@@ -147,12 +148,6 @@ def test_cli_input_error_exit_2(tmp_path):
 def test_cli_size_bound_exit_3(tmp_path):
     inp = write(tmp_path, "z6.json", cio.algebra_to_dict(Z6))
     assert cli.main(["spec", "--input", inp, "--size-bound", "4"]) == 3
-
-
-def test_cli_rounds_exit_3(tmp_path):
-    inp = write(tmp_path, "z12.json", cio.algebra_to_dict(corpus.zn(12)))
-    assert cli.main(["spec", "--input", inp, "--rounds", "1",
-                     "--out-dir", str(tmp_path)]) == 3
 
 
 GOLDEN_INPUTS = os.path.dirname(GOLDEN_GLUING)
@@ -357,6 +352,8 @@ def test_cli_flat_cover_rejects_components_that_are_not_a_list(tmp_path, capsys)
 
 
 def test_cli_spec_rounds_runs_one_localization_search(tmp_path, monkeypatch):
+    """`spec` builds Spec from the local forms and runs no localization
+    search, so `--rounds` bounds nothing there."""
     from conespec import spectrum as sp
 
     calls = []
@@ -373,7 +370,7 @@ def test_cli_spec_rounds_runs_one_localization_search(tmp_path, monkeypatch):
         calls.clear()
         assert cli.main(["spec", "--input", inp, "--out-dir", str(tmp_path),
                          *rounds]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 0
 
 
 @pytest.mark.parametrize("names, printed", [
@@ -428,3 +425,22 @@ def test_cli_unexpected_error_exit_4_one_line(tmp_path, capsys, monkeypatch):
     assert cli.main(["spec", "--input", inp, "--out-dir", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "boom" in err
+
+
+@pytest.mark.parametrize("name, site_max", [("p1-f1.json", 3),
+                                            ("e2-three-charts.json", 4)])
+def test_nerve_covers_with_an_identity_component_hold(name, site_max):
+    """`nerve` skips the pointwise covers that have an identity component;
+    the sheaf condition holds on every one of them."""
+    doc = cio.load_object(os.path.join(GOLDEN_INPUTS, name))
+    ctx = C.get_context(doc["context"])
+    X = cli._space_from_input(ctx, doc, Namespace(size_bound=4096, rounds=None))
+    skipped = 0
+    for A in gl.default_site(ctx, site_max):
+        locs = C.enumerate_localizations(ctx, A)
+        comps = tuple(locs[p.sig] for p in C.local_forms(ctx, A))
+        if any(k.is_identity_class for k in comps):
+            skipped += 1
+            cover = hc.Opcover(ctx.name, A, comps)
+            assert gl.nerve_sheaf_condition(ctx, X, cover, {})
+    assert skipped > 0

@@ -11,7 +11,8 @@ from conespec import corpus, hypercover as hc, reduction as red, spectrum as sp
 from conespec import tables
 from conespec.tables import all_homs, compose, identity, isomorphic
 
-from helpers import corpus_by_context, quotient, satisfies_sheaf_condition
+from helpers import (canonical_presheaf, corpus_by_context, quotient,
+                     satisfies_sheaf_condition)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -166,8 +167,8 @@ def test_canonical_presheaf_sheafness_matches_fixed_point_zariski():
     for A in corpus.zariski_corpus():
         if A.size == 1:
             continue
-        X = sp.build_spec(ZAR, A)
-        assert satisfies_sheaf_condition(X.presheaf) == red.is_fixed_point(ZAR, A)
+        F, _ = canonical_presheaf(ZAR, A)
+        assert satisfies_sheaf_condition(F) == red.is_fixed_point(ZAR, A)
 
 
 def test_distop_lattice_bijection():
