@@ -23,28 +23,44 @@ signatures first and build a quotient only for a class they keep.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
 from . import tables
 from .errors import DidNotStabilize, InvalidDatum, InvariantViolation, KindMismatch
 from .tables import MONOID, RING, FiniteAlgebra, Hom, compose, identity, normalize_sig
 
 
-@dataclass(frozen=True)
 class CellDatum:
-    context: str
-    data: tuple[int, ...]
+    def __init__(self, context: str, data: tuple[int, ...]):
+        self.context = context
+        self.data = data
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.context, self.data) == (other.context, other.data)
+
+    def __hash__(self):
+        return hash((self.context, self.data))
 
 
-@dataclass(frozen=True)
 class LocalizationPath:
     """A finite composite of single-cell attachments."""
 
-    source: FiniteAlgebra
-    steps: tuple[tuple[CellDatum, str], ...]
-    target: FiniteAlgebra
-    composite: Hom
+    def __init__(self, source: FiniteAlgebra,
+                 steps: tuple[tuple[CellDatum, str], ...],
+                 target: FiniteAlgebra, composite: Hom):
+        self.source = source
+        self.steps = steps
+        self.target = target
+        self.composite = composite
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.steps, self.target, self.composite) ==
+                (other.source, other.steps, other.target, other.composite))
+
+    def __hash__(self):
+        return hash((self.source, self.steps, self.target, self.composite))
 
     @property
     def sig(self) -> tuple[int, ...]:
@@ -390,7 +406,10 @@ def factorize(ctx, f: Hom, shuffle_seed: int | None = None):
     """
     ctx.accepts(f.source)
     ctx.accepts(f.target)
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+    rng = None
+    if shuffle_seed is not None:
+        import random
+        rng = random.Random(shuffle_seed)
     path = identity_path(f.source)
     g = f
     while True:

@@ -8,7 +8,6 @@ the two face maps into each level-1 component.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import contexts as cx
 from . import tables
@@ -17,18 +16,19 @@ from .errors import InvariantViolation
 from .tables import FiniteAlgebra, Hom, compose, pushout
 
 
-@dataclass
 class Opcover:
-    ctx_name: str
-    base: FiniteAlgebra
-    components: tuple[LocalizationPath, ...]
+    def __init__(self, ctx_name: str, base: FiniteAlgebra,
+                 components: tuple[LocalizationPath, ...]):
+        self.ctx_name = ctx_name
+        self.base = base
+        self.components = components
 
 
-@dataclass
 class Hyperopcover:
-    level0: Opcover
-    # (i0, i1) -> (pushout algebra, in0, in1, level-1 legs out of the pushout)
-    level1: dict
+    def __init__(self, level0: Opcover, level1: dict):
+        self.level0 = level0
+        # (i0, i1) -> (pushout algebra, in0, in1, level-1 legs out of the pushout)
+        self.level1 = level1
 
 
 def is_opcover(ctx, c: Opcover) -> bool:

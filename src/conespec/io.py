@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 
 from . import contexts as cx
-from . import corpus
 from .contexts import CellDatum, LocalizationPath, identity_path
 from .errors import ValidationError
 from .tables import FiniteAlgebra, Hom, is_hom, validate
@@ -55,6 +54,8 @@ def algebra_from_dict(d: dict) -> FiniteAlgebra:
 
 def _resolve_algebra(spec) -> FiniteAlgebra:
     if isinstance(spec, str):
+        from . import corpus
+
         if spec not in corpus.names():
             raise ValidationError(f"unknown corpus algebra {spec!r}", spec)
         return corpus.by_name(spec)

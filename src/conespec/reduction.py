@@ -8,8 +8,6 @@ direct comparison of spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import hypercover as hc
 from . import spectrum as sp
 from . import tables
@@ -19,12 +17,13 @@ from .spectrum import build_spec, ell
 from .tables import FiniteAlgebra, Hom, compose, pushout
 
 
-@dataclass
 class ReductionResult:
-    cls: str                    # "admissible" or "mono"
-    algebra: FiniteAlgebra
-    unit: Hom
-    factor_witness: Hom
+    def __init__(self, cls: str, algebra: FiniteAlgebra, unit: Hom,
+                 factor_witness: Hom):
+        self.cls = cls                  # "admissible" or "mono"
+        self.algebra = algebra
+        self.unit = unit
+        self.factor_witness = factor_witness
 
 
 def reduce(ctx, R: FiniteAlgebra, cls: str = "admissible") -> ReductionResult:

@@ -13,7 +13,6 @@ section lists its stalk coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import contexts as cx
 from . import tables
@@ -26,7 +25,6 @@ from .tables import FiniteAlgebra, Hom, compose, identity
 # sheaves on a finite T0 space
 
 
-@dataclass
 class Presheaf:
     """A sheaf on a finite T0 space, by its sections and their stalk cones.
 
@@ -35,15 +33,16 @@ class Presheaf:
     restriction O(U) -> O(V) is the lift of U's legs at the points of V; it
     is built on its first read and kept.
     """
-    kind: str
-    n_points: int
-    opens: tuple[frozenset, ...]
-    sections: dict          # open -> O(U)
-    cones: dict             # open -> {p: Hom(O(U), stalk at p)}
-    _lookups: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
-    _res: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
+
+    def __init__(self, kind: str, n_points: int, opens: tuple[frozenset, ...],
+                 sections: dict, cones: dict):
+        self.kind = kind
+        self.n_points = n_points
+        self.opens = opens
+        self.sections = sections    # open -> O(U)
+        self.cones = cones          # open -> {p: Hom(O(U), stalk at p)}
+        self._lookups = {}
+        self._res = {}
 
     def lookup(self, U) -> dict:
         """`tables.cone_lookup` of O(U) along its stalk cone."""
@@ -100,17 +99,22 @@ def sheaf_from_stalks(kind: str, stalks, maps: dict) -> Presheaf:
 # spectral spaces
 
 
-@dataclass
 class SpectralSpace:
-    ctx_name: str
-    kind: str
-    point_labels: tuple[str, ...]
-    sheaf: Presheaf
-    # Spec-only data (None on glued spaces)
-    base: FiniteAlgebra | None = None
-    forms: tuple[LocalizationPath, ...] | None = None
-    canonical: dict | None = None        # open -> Hom(base, section)
-    stalk_iso: dict | None = None        # point -> Hom(stalk section, local target)
+    def __init__(self, ctx_name: str, kind: str, point_labels: tuple[str, ...],
+                 sheaf: Presheaf,
+                 # Spec-only data (None on glued spaces)
+                 base: FiniteAlgebra | None = None,
+                 forms: tuple[LocalizationPath, ...] | None = None,
+                 canonical: dict | None = None,
+                 stalk_iso: dict | None = None):
+        self.ctx_name = ctx_name
+        self.kind = kind
+        self.point_labels = point_labels
+        self.sheaf = sheaf
+        self.base = base
+        self.forms = forms
+        self.canonical = canonical      # open -> Hom(base, section)
+        self.stalk_iso = stalk_iso      # point -> Hom(stalk section, local target)
 
     @property
     def n_points(self) -> int:
@@ -139,12 +143,23 @@ class SpectralSpace:
                 for q in sorted(self.min_open(p)) if q != p]
 
 
-@dataclass
 class APMap:
-    source: SpectralSpace
-    target: SpectralSpace
-    point_map: tuple[int, ...]
-    section_maps: dict  # target open U -> Hom(O_T(U), O_S(preimage U))
+    def __init__(self, source: SpectralSpace, target: SpectralSpace,
+                 point_map: tuple[int, ...], section_maps: dict):
+        self.source = source
+        self.target = target
+        self.point_map = point_map
+        # target open U -> Hom(O_T(U), O_S(preimage U))
+        self.section_maps = section_maps
+
+    def __eq__(self, other):
+        """Field by field, so that lists of maps compare; the spaces
+        themselves compare by identity."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.point_map, self.section_maps)
+                == (other.source, other.target, other.point_map,
+                    other.section_maps))
 
     def preimage(self, U) -> frozenset:
         return frozenset(i for i, q in enumerate(self.point_map) if q in U)
@@ -174,7 +189,7 @@ def identity_apmap(X: SpectralSpace) -> APMap:
 
 def compose_apmaps(f: APMap, g: APMap) -> APMap:
     """g after f: an APMap from f.source to g.target."""
-    if f.target is not g.source and f.target != g.source:
+    if f.target is not g.source:
         raise InvariantViolation("maps of spaces not composable")
     point_map = tuple(g.point_map[f.point_map[i]]
                       for i in range(f.source.n_points))

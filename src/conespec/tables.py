@@ -1,9 +1,10 @@
 """Finite commutative rings and monoids as closed operation tables.
 
 Everything downstream (contexts, spectra, gluing) works with the two value
-types defined here: `FiniteAlgebra` and `Hom`.  All values are immutable;
-every construction normalizes its result to a fresh table immediately, so
-categorical properties stay exhaustively checkable.
+types defined here: `FiniteAlgebra` and `Hom`.  Values are never mutated
+and compare and hash by their fields; every construction normalizes its
+result to a fresh table immediately, so categorical properties stay
+exhaustively checkable.
 
 Element labels are strings used only at the I/O boundary; internal
 computation is on indices.  Canonical element order sorts by
@@ -18,7 +19,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
 
@@ -39,14 +39,29 @@ MONOID = "monoid"
 SEARCH_MAX = 10**6
 
 
-@dataclass(frozen=True)
 class FiniteAlgebra:
-    kind: str
-    elements: tuple[str, ...]
-    mul: tuple[tuple[int, ...], ...]
-    one: int
-    add: tuple[tuple[int, ...], ...] | None = None
-    zero: int | None = None
+    def __init__(self, kind: str, elements: tuple[str, ...],
+                 mul: tuple[tuple[int, ...], ...], one: int,
+                 add: tuple[tuple[int, ...], ...] | None = None,
+                 zero: int | None = None):
+        self.kind = kind
+        self.elements = elements
+        self.mul = mul
+        self.one = one
+        self.add = add
+        self.zero = zero
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.elements, self.mul, self.one, self.add,
+                 self.zero) ==
+                (other.kind, other.elements, other.mul, other.one, other.add,
+                 other.zero))
+
+    def __hash__(self):
+        return hash((self.kind, self.elements, self.mul, self.one, self.add,
+                     self.zero))
 
     @property
     def size(self) -> int:
@@ -283,11 +298,21 @@ def terminal(kind: str) -> FiniteAlgebra:
 # homomorphisms
 
 
-@dataclass(frozen=True)
 class Hom:
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    map: tuple[int, ...]
+    def __init__(self, source: FiniteAlgebra, target: FiniteAlgebra,
+                 map: tuple[int, ...]):
+        self.source = source
+        self.target = target
+        self.map = map
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.map) ==
+                (other.source, other.target, other.map))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.map))
 
     def __call__(self, i: int) -> int:
         return self.map[i]
@@ -478,10 +503,18 @@ def quotient_by_sig(A: FiniteAlgebra, sig) -> tuple[FiniteAlgebra, Hom]:
     return Q, proj
 
 
-@dataclass(frozen=True)
 class Ideal:
-    carrier: FiniteAlgebra
-    members: frozenset[int]
+    def __init__(self, carrier: FiniteAlgebra, members: frozenset[int]):
+        self.carrier = carrier
+        self.members = members
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier, self.members) == (other.carrier, other.members)
+
+    def __hash__(self):
+        return hash((self.carrier, self.members))
 
     def is_valid(self) -> bool:
         A, I = self.carrier, self.members

@@ -41,13 +41,14 @@ def ideal(I):
     assert I.is_valid()
 
 
-def spec_checks(X):
-    """The opens of Spec R form a topology, and each stalk is its local
-    form's target under R."""
+def spec_checks(ctx, X):
+    """The opens of Spec R form a topology, and each stalk is local and is
+    its local form's target under R."""
     opens = set(X.opens)
     assert {frozenset(), X.total} <= opens
     assert all(U | V in opens and U & V in opens for U in opens for V in opens)
     for p, form in enumerate(X.forms):
+        assert ctx.is_local(X.stalk(p))
         iso = X.stalk_iso[p]
         assert iso.is_bijective and tables.is_hom(iso)
         assert tables.compose(X.canonical[X.min_open(p)], iso) == form.composite
@@ -68,7 +69,7 @@ CHECKS = {
                             lambda r, args: (laws(r[0]), homs(*r[1]))),
     "subalgebra": (tables, lambda r, args: (laws(r[0]), homs(r[1]))),
     "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
-    "build_spec": (sp, lambda r, args: spec_checks(r)),
+    "build_spec": (sp, lambda r, args: spec_checks(args[0], r)),
     "enumerate_apmaps": (sp, apmaps),
     "spec_map": (sp, lambda r, args: validate_apmap(args[0], r)),
     "nerve": (gl, lambda r, args: check_nerve_functorial(args[0], r)),

@@ -6,7 +6,7 @@ import pytest
 
 from conespec import contexts as C
 from conespec import corpus, glue as gl, hypercover as hc, spectrum as sp, tables
-from conespec.errors import CocycleViolation
+from conespec.errors import CocycleViolation, InvariantViolation
 from conespec.tables import all_homs, isomorphic
 
 from helpers import corpus_by_context, glued_row, glued_sections_by_product
@@ -115,6 +115,27 @@ def test_glued_stalks_are_local(f1_p1, doubled_z6):
     for ctx, X in [(DEI, f1_p1), (ZAR, doubled_z6)]:
         for p in range(X.n_points):
             assert ctx.is_local(X.stalk(p))
+
+
+def test_glue_rejects_a_glued_stalk_that_is_not_local(monkeypatch):
+    k = loc_by_size(ZAR, Z6, 2)
+    g = gl.GluingSpec("zariski", (Z6, Z6),
+                      (gl.make_overlap(ZAR, (Z6, Z6), 0, 1, k, k),))
+    glued = []
+
+    def recording(*args, real=sp.sheaf_from_stalks):
+        glued.append(real(*args))
+        return glued[-1]
+
+    def is_local(self, A, real=type(ZAR).is_local):
+        if any(A is S for F in glued for S in F.sections.values()):
+            return False
+        return real(self, A)
+
+    monkeypatch.setattr(sp, "sheaf_from_stalks", recording)
+    monkeypatch.setattr(type(ZAR), "is_local", is_local)
+    with pytest.raises(InvariantViolation, match="glued stalk is not local"):
+        gl.glue(ZAR, g)
 
 
 def test_glue_collapsing_chart_raises():
