@@ -157,9 +157,9 @@ def _glued_sections(spaces, remaps, traces):
         Wi, Wj = traces[ov.i] & Ui, traces[ov.j] & Uj
         h = ov.iso.section_maps[frozenset(rj[p] for p in Wj)]
         arrows.append((ov.i, len(objects),
-                       spaces[ov.i].sheaf.res(traces[ov.i], Wi)))
+                       spaces[ov.i].sheaf.res(traces[ov.i], Wi).map))
         arrows.append((ov.j, len(objects),
-                       compose(spaces[ov.j].sheaf.res(traces[ov.j], Wj), h)))
+                       compose(spaces[ov.j].sheaf.res(traces[ov.j], Wj), h).map))
         objects.append(spaces[ov.i].sections(Wi))
     families = tables.compatible_families([o.size for o in objects], arrows)
     return tables.limit_from_families(spaces[0].kind, objects[:nc],
@@ -248,24 +248,8 @@ def nerve_sheaf_condition(ctx, X: SpectralSpace, cover: hc.Opcover,
         return values[K]
 
     comp_maps = [spec_map(ctx, k.composite) for k in cover.components]
-    at_K = [at(k.target) for k in cover.components]
-    # each family member's key, and its key after each pair's pushout leg
-    keys = [[_apmap_key(phi) for phi in maps] for maps in at_K]
-    pair_keys = []
-    for t, kt in enumerate(cover.components):
-        for u, ku in enumerate(cover.components):
-            if t < u:
-                _, in_t, in_u = tables.pushout(kt.composite, ku.composite)
-                mt, mu = spec_map(ctx, in_t), spec_map(ctx, in_u)
-                pair_keys.append((
-                    t, u,
-                    [_apmap_key(compose_apmaps(mt, phi)) for phi in at_K[t]],
-                    [_apmap_key(compose_apmaps(mu, phi)) for phi in at_K[u]]))
-    families = []
-    for fam in itertools.product(*(range(len(maps)) for maps in at_K)):
-        if all(left[fam[t]] == right[fam[u]]
-               for t, u, left, right in pair_keys):
-            families.append(tuple(keys[t][x] for t, x in enumerate(fam)))
+    families = _nerve_families(ctx, cover,
+                               [at(k.target) for k in cover.components])
     images = set()
     for phi in at(cover.base):
         key = tuple(_apmap_key(compose_apmaps(m, phi)) for m in comp_maps)
@@ -273,6 +257,34 @@ def nerve_sheaf_condition(ctx, X: SpectralSpace, cover: hc.Opcover,
             return False
         images.add(key)
     return images == set(families)
+
+
+def _nerve_families(ctx, cover: hc.Opcover, at_K) -> list[tuple]:
+    """The families of maps Spec K_t -> X, one from each at_K[t], that agree
+    after the pushout legs of every pair of components, in lexicographic
+    order of their indices; each is the tuple of its maps' keys.
+
+    One join: the components, and one object per pair t < u holding the
+    keys that either side reaches after its leg.  Those coordinates are
+    functions of the component coordinates, so dropping them keeps the
+    families distinct.
+    """
+    nc = len(cover.components)
+    sizes = [len(maps) for maps in at_K]
+    arrows = []
+    for t, u in itertools.combinations(range(nc), 2):
+        _, in_t, in_u = tables.pushout(cover.components[t].composite,
+                                       cover.components[u].composite)
+        mt, mu = spec_map(ctx, in_t), spec_map(ctx, in_u)
+        left = [_apmap_key(compose_apmaps(mt, phi)) for phi in at_K[t]]
+        right = [_apmap_key(compose_apmaps(mu, phi)) for phi in at_K[u]]
+        index = {k: n for n, k in enumerate(dict.fromkeys(left + right))}
+        arrows.append((t, len(sizes), [index[k] for k in left]))
+        arrows.append((u, len(sizes), [index[k] for k in right]))
+        sizes.append(len(index))
+    keys = [[_apmap_key(phi) for phi in maps] for maps in at_K]
+    return [tuple(keys[t][x] for t, x in enumerate(f[:nc]))
+            for f in tables.compatible_families(sizes, arrows)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,48 +383,37 @@ def affine_communication_check(ctx, X: SpectralSpace) -> bool:
 
 
 def natural_transformations(ctx, NX: NerveTable, NY: NerveTable):
-    """All natural maps NX -> NY over the common site, by backtracking."""
+    """All natural maps NX -> NY over the common site, by one family search.
+
+    Its objects are the pairs (s, m), m in NX(s), each ranging over the
+    indices of NY(s); each site hom f: a -> b and each m in NX(a) give the
+    arrow (a, m) -> (b, f.m) along f's action on NY(a).  A natural map is
+    one tuple of image indices per site object, and they come out in
+    lexicographic order.
+    """
     site = NX.site
     n = len(site)
     x_keys = [{_apmap_key(m): idx for idx, m in enumerate(NX.values[s])}
               for s in range(n)]
     y_keys = [{_apmap_key(m): idx for idx, m in enumerate(NY.values[s])}
               for s in range(n)]
-    actions = []  # (a, b, x action as index map, y action as index map)
+    offset = list(itertools.accumulate(
+        (len(NX.values[s]) for s in range(n)), initial=0))
+    sizes = [len(NY.values[s]) for s in range(n) for _ in NX.values[s]]
+    arrows = []
     for a in range(n):
+        if not NX.values[a]:
+            continue    # no arrow leaves an empty NX(a)
         for b in range(n):
             for f in all_homs(site[a], site[b]):
                 mf = spec_map(ctx, f)
-                xa = [x_keys[b][_apmap_key(compose_apmaps(mf, m))]
-                      for m in NX.values[a]]
                 ya = [y_keys[b][_apmap_key(compose_apmaps(mf, m))]
                       for m in NY.values[a]]
-                actions.append((a, b, xa, ya))
-    results = []
-    assignment: list = [None] * n
-
-    def natural_so_far():
-        for a, b, xa, ya in actions:
-            if assignment[a] is None or assignment[b] is None:
-                continue
-            if any(assignment[b][xa[i]] != ya[assignment[a][i]]
-                   for i in range(len(xa))):
-                return False
-        return True
-
-    def rec(s):
-        if s == n:
-            results.append(tuple(assignment))
-            return
-        for cand in itertools.product(range(len(NY.values[s])),
-                                      repeat=len(NX.values[s])):
-            assignment[s] = cand
-            if natural_so_far():
-                rec(s + 1)
-        assignment[s] = None
-
-    rec(0)
-    return results
+                for i, m in enumerate(NX.values[a]):
+                    fm = x_keys[b][_apmap_key(compose_apmaps(mf, m))]
+                    arrows.append((offset[a] + i, offset[b] + fm, ya))
+    return [tuple(fam[offset[s]:offset[s + 1]] for s in range(n))
+            for fam in tables.compatible_families(sizes, arrows)]
 
 
 def scheme_equivalence_probe(ctx, X: SpectralSpace, Y: SpectralSpace, site):
@@ -423,16 +424,14 @@ def scheme_equivalence_probe(ctx, X: SpectralSpace, Y: SpectralSpace, site):
     nats = natural_transformations(ctx, NX, NY)
     keyed = [{_apmap_key(v): idx for idx, v in enumerate(NY.values[s])}
              for s in range(len(site))]
-    induced = set()
-    for m in homs:
-        tr = []
-        for s in range(len(site)):
-            tr.append(tuple(keyed[s][_apmap_key(compose_apmaps(phi, m))]
-                            for phi in NX.values[s]))
-        induced.add(tuple(tr))
+    # the transformation each map induces; the nats are distinct and sorted
+    induced = sorted(
+        tuple(tuple(keyed[s][_apmap_key(compose_apmaps(phi, m))]
+                    for phi in NX.values[s]) for s in range(len(site)))
+        for m in homs)
     return {
         "site_size": len(site),
         "n_homs": len(homs),
-        "n_nats": len(set(nats)),
-        "bijective": len(homs) == len(set(nats)) and induced == set(nats),
+        "n_nats": len(nats),
+        "bijective": induced == nats,
     }

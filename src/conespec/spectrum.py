@@ -440,19 +440,28 @@ def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
     because stalks separate sections.  So the maps come out as a search over
     every open finds them, in the same order.
     """
+    return list(_maps_on_minimal_opens(
+        S, X, itertools.product(range(X.n_points), repeat=S.n_points),
+        tables.all_homs, ctx.is_admissible))
+
+
+def _maps_on_minimal_opens(S, X, point_maps, homs, admissible):
+    """The maps S -> X over the point maps `point_maps`, whose hom at each
+    minimal open U comes from `homs(O_X(U), O_S(pre U))` and whose stalk
+    maps pass `admissible`, in the order `enumerate_apmaps` describes."""
     if S.kind != X.kind:
-        return []
-    out = []
-    s_opens = set(S.opens)
+        return
     x_min = [X.min_open(q) for q in range(X.n_points)]
     s_min = [S.min_open(i) for i in range(S.n_points)]
     minimal = [U for U in X.opens if U in x_min]  # ascending
     below = {U: [V for V in minimal if V < U] for U in minimal}
-    for pm in itertools.product(range(X.n_points), repeat=S.n_points):
+    for pm in point_maps:
+        # continuous: each minimal open U_i lands in U_pm(i), since every
+        # open of a finite space is the union of its points' minimal opens
+        if any(pm[j] not in x_min[q] for q, U in zip(pm, s_min) for j in U):
+            continue
         pre = {U: frozenset(i for i, q in enumerate(pm) if q in U)
                for U in X.opens}
-        if any(pre[U] not in s_opens for U in X.opens):
-            continue
         over = {U: [] for U in minimal}
         for i, q in enumerate(pm):
             over[x_min[q]].append(i)
@@ -460,7 +469,7 @@ def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
         stalks: list = [None] * S.n_points
 
         def candidates(U):
-            for h in tables.all_homs(X.sections(U), S.sections(pre[U])):
+            for h in homs(X.sections(U), S.sections(pre[U])):
                 if any(compose(h, S.sheaf.res(pre[U], pre[V]))
                        != compose(X.sheaf.res(U, V), assigned[V])
                        for V in below[U]):
@@ -468,60 +477,38 @@ def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
                 st = []
                 for i in over[U]:
                     st.append(compose(h, S.sheaf.res(pre[U], s_min[i])))
-                    if not ctx.is_admissible(st[-1]):
+                    if not admissible(st[-1]):
                         break
                 else:
                     yield h, st
 
         def rec(idx):
             if idx == len(minimal):
-                out.append(APMap(S, X, pm,
-                                 _sections_from_stalks(S, X, pm, stalks)))
+                yield APMap(S, X, pm, _sections_from_stalks(S, X, pm, stalks))
                 return
             U = minimal[idx]
             for h, st in candidates(U):
                 assigned[U] = h
                 for i, s in zip(over[U], st):
                     stalks[i] = s
-                rec(idx + 1)
+                yield from rec(idx + 1)
 
-        rec(0)
-    return out
+        yield from rec(0)
 
 
 def iter_space_isos(X: SpectralSpace, Y: SpectralSpace):
-    """Isomorphisms X -> Y (as APMaps X -> Y), exhaustively."""
-    if X.kind != Y.kind or X.n_points != Y.n_points:
+    """Isomorphisms X -> Y (as APMaps X -> Y), by the minimal-open search.
+
+    With as many opens on each side, a continuous bijection of points is a
+    homeomorphism, and isomorphisms on the minimal opens lift to
+    isomorphisms on every open; an isomorphism is admissible in every
+    context.
+    """
+    if X.n_points != Y.n_points or len(X.opens) != len(Y.opens):
         return
-    y_opens_asc = list(Y.opens)
-    for pm in itertools.permutations(range(Y.n_points), X.n_points):
-        img_opens = {frozenset(pm[i] for i in U) for U in X.opens}
-        if img_opens != set(Y.opens):
-            continue
-        pre = {U: frozenset(i for i in range(X.n_points) if pm[i] in U)
-               for U in Y.opens}
-        assigned: dict = {}
-
-        def rec(idx):
-            if idx == len(y_opens_asc):
-                yield APMap(X, Y, pm, dict(assigned))
-                return
-            U = y_opens_asc[idx]
-            for h in tables.iter_isomorphisms(Y.sections(U), X.sections(pre[U])):
-                ok = True
-                for V in y_opens_asc[:idx]:
-                    if V < U:
-                        left = compose(h, X.sheaf.res(pre[U], pre[V]))
-                        right = compose(Y.sheaf.res(U, V), assigned[V])
-                        if left != right:
-                            ok = False
-                            break
-                if ok:
-                    assigned[U] = h
-                    yield from rec(idx + 1)
-                    del assigned[U]
-
-        yield from rec(0)
+    yield from _maps_on_minimal_opens(
+        X, Y, itertools.permutations(range(Y.n_points)),
+        tables.iter_isomorphisms, lambda h: True)
 
 
 def spaces_isomorphic(X: SpectralSpace, Y: SpectralSpace) -> APMap | None:

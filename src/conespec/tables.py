@@ -655,7 +655,7 @@ def _search_plan(sizes, arrows):
         if into and not forced:
             j, h = into[0]
             pre = [[] for _ in range(sizes[j])]
-            for x, y in enumerate(h.map):
+            for x, y in enumerate(h):
                 pre[y].append(x)
         plan.append((v, forced, into, loops, pre))
     return plan
@@ -664,9 +664,11 @@ def _search_plan(sizes, arrows):
 def compatible_families(sizes, arrows) -> list[tuple[int, ...]]:
     """The families compatible with every arrow, in lexicographic order.
 
-    `sizes` are the object sizes and `arrows` are (i, j, Hom) as in `limit`;
-    a family is a tuple of one element index per object.  `limit` is this
-    search followed by `limit_from_families`.
+    The objects are finite sets {0, .., sizes[i] - 1}, and an arrow (i, j,
+    map) is a map of them: map[x] is the image in object j of element x of
+    object i.  A family is a tuple of one element per object with
+    map[t[i]] == t[j] for every arrow.  `limit` is this search, on the
+    index maps of its homs, followed by `limit_from_families`.
 
     A backtracking join along `_search_plan`: an object's value is forced
     by an arrow from a placed object, else drawn from the preimage of a
@@ -687,15 +689,15 @@ def compatible_families(sizes, arrows) -> list[tuple[int, ...]]:
         v, forced, into, loops, pre = plan[depth]
         if forced:
             i, h = forced[0]
-            candidates = (h.map[t[i]],)
+            candidates = (h[t[i]],)
         elif pre is not None:
             candidates = pre[t[into[0][0]]]
         else:
             candidates = range(sizes[v])
         for x in candidates:
-            if all(h.map[t[i]] == x for i, h in forced) \
-                    and all(h.map[x] == t[j] for j, h in into) \
-                    and all(h.map[x] == x for h in loops):
+            if all(h[t[i]] == x for i, h in forced) \
+                    and all(h[x] == t[j] for j, h in into) \
+                    and all(h[x] == x for h in loops):
                 visited += 1
                 if visited > SEARCH_MAX:
                     raise SizeBound("limit search space too large", SEARCH_MAX)
@@ -717,8 +719,8 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
     objects = list(objects)
     if not objects:
         return terminal(kind), []
-    return limit_from_families(
-        kind, objects, compatible_families([o.size for o in objects], arrows))
+    return limit_from_families(kind, objects, compatible_families(
+        [o.size for o in objects], [(i, j, h.map) for i, j, h in arrows]))
 
 
 def limit_from_families(kind: str, objects,

@@ -386,11 +386,12 @@ def spec_by_definition(ctx, R):
 
 def isomorphic_sheaves(G, H) -> bool:
     """Whether the (pre)sheaves G and H on one space are isomorphic, by
-    `spectrum.spaces_isomorphic` on the spaces they make."""
+    `space_isos_by_opens` on the spaces they make (a TablePresheaf has no
+    stalk cones for the minimal-open search to lift into)."""
     def space(F):
         return sp.SpectralSpace("", F.kind, ("",) * F.n_points, F)
 
-    return sp.spaces_isomorphic(space(G), space(H)) is not None
+    return next(space_isos_by_opens(space(G), space(H)), None) is not None
 
 
 def is_separated(F) -> bool:
@@ -594,7 +595,7 @@ def search_plan_by_scan(sizes, arrows):
         if into and not forced:
             j, h = into[0]
             pre = [[] for _ in range(sizes[j])]
-            for x, y in enumerate(h.map):
+            for x, y in enumerate(h):
                 pre[y].append(x)
         plan.append((v, forced, into, loops, pre))
     return plan
@@ -689,3 +690,110 @@ def enumerate_apmaps_by_opens(ctx, S, X):
     for m in out:
         validate_apmap(ctx, m)
     return out
+
+
+def space_isos_by_opens(X, Y):
+    """Oracle: `spectrum.iter_space_isos` choosing an isomorphism at every
+    open of Y, each commuting with the smaller opens already chosen."""
+    if X.kind != Y.kind or X.n_points != Y.n_points:
+        return
+    y_opens_asc = list(Y.opens)
+    for pm in itertools.permutations(range(Y.n_points), X.n_points):
+        img_opens = {frozenset(pm[i] for i in U) for U in X.opens}
+        if img_opens != set(Y.opens):
+            continue
+        pre = {U: frozenset(i for i in range(X.n_points) if pm[i] in U)
+               for U in Y.opens}
+        assigned: dict = {}
+
+        def rec(idx):
+            if idx == len(y_opens_asc):
+                yield APMap(X, Y, pm, dict(assigned))
+                return
+            U = y_opens_asc[idx]
+            for h in tables.iter_isomorphisms(Y.sections(U), X.sections(pre[U])):
+                ok = True
+                for V in y_opens_asc[:idx]:
+                    if V < U:
+                        left = tables.compose(h, X.sheaf.res(pre[U], pre[V]))
+                        right = tables.compose(Y.sheaf.res(U, V), assigned[V])
+                        if left != right:
+                            ok = False
+                            break
+                if ok:
+                    assigned[U] = h
+                    yield from rec(idx + 1)
+                    del assigned[U]
+
+        yield from rec(0)
+
+
+def natural_transformations_by_product(ctx, NX, NY):
+    """Oracle: `glue.natural_transformations` trying every assignment of
+    each site object in turn, and checking naturality on the site objects
+    assigned so far."""
+    key = glue._apmap_key
+    site = NX.site
+    n = len(site)
+    x_keys = [{key(m): idx for idx, m in enumerate(NX.values[s])}
+              for s in range(n)]
+    y_keys = [{key(m): idx for idx, m in enumerate(NY.values[s])}
+              for s in range(n)]
+    actions = []  # (a, b, x action as index map, y action as index map)
+    for a in range(n):
+        for b in range(n):
+            for f in tables.all_homs(site[a], site[b]):
+                mf = sp.spec_map(ctx, f)
+                xa = [x_keys[b][key(sp.compose_apmaps(mf, m))]
+                      for m in NX.values[a]]
+                ya = [y_keys[b][key(sp.compose_apmaps(mf, m))]
+                      for m in NY.values[a]]
+                actions.append((a, b, xa, ya))
+    results = []
+    assignment: list = [None] * n
+
+    def natural_so_far():
+        for a, b, xa, ya in actions:
+            if assignment[a] is None or assignment[b] is None:
+                continue
+            if any(assignment[b][xa[i]] != ya[assignment[a][i]]
+                   for i in range(len(xa))):
+                return False
+        return True
+
+    def rec(s):
+        if s == n:
+            results.append(tuple(assignment))
+            return
+        for cand in itertools.product(range(len(NY.values[s])),
+                                      repeat=len(NX.values[s])):
+            assignment[s] = cand
+            if natural_so_far():
+                rec(s + 1)
+        assignment[s] = None
+
+    rec(0)
+    return results
+
+
+def nerve_families_by_product(ctx, cover, at_K):
+    """Oracle: `glue._nerve_families` scanning the product of the component
+    values for the families that agree after every pair's pushout legs."""
+    key = glue._apmap_key
+    keys = [[key(phi) for phi in maps] for maps in at_K]
+    pair_keys = []
+    for t, kt in enumerate(cover.components):
+        for u, ku in enumerate(cover.components):
+            if t < u:
+                _, in_t, in_u = tables.pushout(kt.composite, ku.composite)
+                mt, mu = sp.spec_map(ctx, in_t), sp.spec_map(ctx, in_u)
+                pair_keys.append((
+                    t, u,
+                    [key(sp.compose_apmaps(mt, phi)) for phi in at_K[t]],
+                    [key(sp.compose_apmaps(mu, phi)) for phi in at_K[u]]))
+    families = []
+    for fam in itertools.product(*(range(len(maps)) for maps in at_K)):
+        if all(left[fam[t]] == right[fam[u]]
+               for t, u, left, right in pair_keys):
+            families.append(tuple(keys[t][x] for t, x in enumerate(fam)))
+    return families

@@ -1,0 +1,177 @@
+"""The functor of points by the two searches of the library, against the
+brute-force oracles, and the scheme-equivalence probe on the full site.
+
+`natural_transformations` and the nerve sheaf families are joins of
+`tables.compatible_families`, and `iter_space_isos` is the minimal-open map
+search; the oracles in `helpers` try every assignment, scan the product of
+the component values and choose an isomorphism at every open.  Each pair
+must give the same results in the same order.
+"""
+
+from __future__ import annotations
+
+import os
+from argparse import Namespace
+
+import pytest
+
+from conespec import cli, corpus, glue as gl, hypercover as hc, io as cio
+from conespec import contexts as C
+from conespec import spectrum as sp
+from conespec import tables
+from conespec.errors import SizeBound
+
+from helpers import (corpus_by_context, natural_transformations_by_product,
+                     nerve_families_by_product, space_isos_by_opens)
+
+ZAR = C.get_context("zariski")
+DOM = C.get_context("domain")
+DEI = C.get_context("deitmar")
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "golden", "inputs")
+
+
+def golden_space(name):
+    doc = cio.load_object(os.path.join(GOLDEN_INPUTS, name))
+    ctx = C.get_context(doc.get("context", "zariski"))
+    return ctx, cli._space_from_input(
+        ctx, doc, Namespace(size_bound=4096, rounds=None))
+
+
+def corpus_spaces(max_size=None):
+    """Spec of every corpus algebra, or of those of at most `max_size`
+    elements, by context."""
+    out = {}
+    for ctx, A in corpus_by_context():
+        if max_size is None or A.size <= max_size:
+            out.setdefault(ctx.name, []).append(sp.build_spec(ctx, A))
+    return out
+
+
+# the oracle tries |NY(s)|^|NX(s)| assignments at each site object s, and
+# runs only where that stays below this: deitmar Spec e2 -> Spec e2xe2 has
+# 16^4 = 65,536 at e2xe2
+ORACLE_WIDTH = 1_000
+
+
+def test_natural_transformations_match_the_product_oracle(monkeypatch):
+    # both act by the Spec maps of the site homs, the bulk of their time;
+    # build each once for all the pairs
+    memo, real = {}, sp.spec_map
+
+    def spec_map(ctx, f):
+        if (ctx.name, f) not in memo:
+            memo[ctx.name, f] = real(ctx, f)
+        return memo[ctx.name, f]
+
+    monkeypatch.setattr(gl, "spec_map", spec_map)
+    monkeypatch.setattr(sp, "spec_map", spec_map)
+    pairs = found = 0
+    for name, group in corpus_spaces(max_size=4).items():
+        ctx = C.get_context(name)
+        site = gl.default_site(ctx, 4)
+        nerves = [gl.nerve(ctx, X, site) for X in group]
+        for NX in nerves:
+            for NY in nerves:
+                if any(len(NY.values[s]) ** len(NX.values[s]) > ORACLE_WIDTH
+                       for s in range(len(site))):
+                    continue
+                nats = gl.natural_transformations(ctx, NX, NY)
+                assert nats == natural_transformations_by_product(ctx, NX, NY)
+                pairs += 1
+                found += len(nats)
+    assert pairs > 100 and found > 100
+
+
+def test_nerve_families_match_the_product_oracle():
+    covers = 0
+    for name in ("p1-f1.json", "e2-three-charts.json", "z12.json"):
+        ctx, X = golden_space(name)
+        values = {}
+        for A in gl.default_site(ctx, 4):
+            for cover in hc.enumerate_opcovers(ctx, A, 3):
+                for k in cover.components:
+                    if k.target not in values:
+                        values[k.target] = sp.enumerate_apmaps(
+                            ctx, sp.build_spec(ctx, k.target), X)
+                at_K = [values[k.target] for k in cover.components]
+                assert gl._nerve_families(ctx, cover, at_K) == \
+                    nerve_families_by_product(ctx, cover, at_K)
+                covers += 1
+    assert covers > 50
+
+
+def test_space_isos_match_the_search_over_every_open():
+    pairs = found = 0
+    groups = corpus_spaces()
+    groups["deitmar"] += [
+        sp.build_spec(DEI, corpus.monoid_product("e2", "e2", "e2")),
+        sp.build_spec(DEI, corpus.monoid_product("chain3", "e2"))]
+    for group in groups.values():
+        for X in group:
+            for Y in group:
+                isos = list(sp.iter_space_isos(X, Y))
+                old = list(space_isos_by_opens(X, Y))
+                assert [m.point_map for m in isos] == \
+                    [m.point_map for m in old]
+                for m, o in zip(isos, old):
+                    assert m.source is X and m.target is Y
+                    assert m.section_maps == o.section_maps
+                pairs += 1
+                found += len(isos)
+    assert pairs > 200 and found > 40
+
+
+def test_natural_transformations_stop_at_the_search_bound(monkeypatch):
+    X = sp.build_spec(DEI, corpus.monoid_product("e2", "e2"))
+    site = gl.default_site(DEI, 4)
+    NX = gl.nerve(DEI, X, site)
+    assert len(gl.natural_transformations(DEI, NX, NX)) == 16
+    monkeypatch.setattr(tables, "SEARCH_MAX", 10)
+    with pytest.raises(SizeBound, match="limit search space too large"):
+        gl.natural_transformations(DEI, NX, NX)
+
+
+def test_probe_on_e2xe2_to_e2_counts_the_four_maps():
+    X = sp.build_spec(DEI, corpus.monoid_product("e2", "e2"))
+    Y = sp.build_spec(DEI, corpus.flag_monoid())
+    rep = gl.scheme_equivalence_probe(DEI, X, Y, gl.default_site(DEI, 4))
+    assert (rep["n_homs"], rep["n_nats"], rep["bijective"]) == (4, 4, True)
+
+
+# Z/9 has 9 elements and the site stops at 8, so Yoneda does not apply: no
+# map of spaces, yet one natural transformation.  Artifacts of the
+# truncated site, not counterexamples.
+NOT_BIJECTIVE = {("zariski", corpus.zn(9), corpus.zn(n)) for n in (3, 6, 12)}
+
+
+def probe_cases():
+    """The golden gluings and Spec of every deitmar corpus monoid, each with
+    itself, and every zariski and domain corpus pair."""
+    for name in ("p1-f1.json", "e2-three-charts.json", "doubled-z6.json"):
+        ctx, X = golden_space(name)
+        yield ctx, name, X, X
+    for A in corpus.deitmar_corpus():
+        X = sp.build_spec(DEI, A)
+        yield DEI, ("deitmar", A, A), X, X
+    for ctx, pool in ((ZAR, corpus.zariski_corpus()),
+                      (DOM, corpus.domain_corpus())):
+        for A in pool:
+            for B in pool:
+                yield ctx, (ctx.name, A, B), \
+                    sp.build_spec(ctx, A), sp.build_spec(ctx, B)
+
+
+def test_scheme_equivalence_probe_on_the_full_site():
+    sites = {ctx.name: gl.default_site(ctx) for ctx in (ZAR, DOM, DEI)}
+    failing = set()
+    n = 0
+    for ctx, label, X, Y in probe_cases():
+        rep = gl.scheme_equivalence_probe(ctx, X, Y, sites[ctx.name])
+        if not rep["bijective"]:
+            assert (rep["n_homs"], rep["n_nats"]) == (0, 1), label
+            failing.add(label)
+        n += 1
+    assert failing == NOT_BIJECTIVE
+    assert n == 3 + 7 + 11 * 11 + 8 * 8
