@@ -216,12 +216,6 @@ def default_site(ctx, max_size: int = 8):
     return tuple(A for A in pool if A.size <= max_size)
 
 
-def _apmap_key(m: APMap):
-    return (m.point_map,
-            tuple(sorted((tuple(sorted(U)), h.map)
-                         for U, h in m.section_maps.items())))
-
-
 def nerve(ctx, X: SpectralSpace, site) -> NerveTable:
     """N(X) on the site: the maps Spec S -> X for each site object S.
 
@@ -252,7 +246,7 @@ def nerve_sheaf_condition(ctx, X: SpectralSpace, cover: hc.Opcover,
                                [at(k.target) for k in cover.components])
     images = set()
     for phi in at(cover.base):
-        key = tuple(_apmap_key(compose_apmaps(m, phi)) for m in comp_maps)
+        key = tuple(compose_apmaps(m, phi).key for m in comp_maps)
         if key in images:
             return False
         images.add(key)
@@ -276,13 +270,13 @@ def _nerve_families(ctx, cover: hc.Opcover, at_K) -> list[tuple]:
         _, in_t, in_u = tables.pushout(cover.components[t].composite,
                                        cover.components[u].composite)
         mt, mu = spec_map(ctx, in_t), spec_map(ctx, in_u)
-        left = [_apmap_key(compose_apmaps(mt, phi)) for phi in at_K[t]]
-        right = [_apmap_key(compose_apmaps(mu, phi)) for phi in at_K[u]]
+        left = [compose_apmaps(mt, phi).key for phi in at_K[t]]
+        right = [compose_apmaps(mu, phi).key for phi in at_K[u]]
         index = {k: n for n, k in enumerate(dict.fromkeys(left + right))}
         arrows.append((t, len(sizes), [index[k] for k in left]))
         arrows.append((u, len(sizes), [index[k] for k in right]))
         sizes.append(len(index))
-    keys = [[_apmap_key(phi) for phi in maps] for maps in at_K]
+    keys = [[phi.key for phi in maps] for maps in at_K]
     return [tuple(keys[t][x] for t, x in enumerate(f[:nc]))
             for f in tables.compatible_families(sizes, arrows)]
 
@@ -331,8 +325,8 @@ def nerve_matches_representable(ctx, R: FiniteAlgebra, site) -> bool:
         maps = table.values[s]
         if len(homs) != len(maps):
             return False
-        keys = {_apmap_key(spec_map(ctx, f)) for f in homs}
-        if keys != {_apmap_key(m) for m in maps}:
+        keys = {spec_map(ctx, f).key for f in homs}
+        if keys != {m.key for m in maps}:
             return False
     # naturality: the bijection commutes with the site action for free since
     # both sides act by composition with spec maps
@@ -393,9 +387,9 @@ def natural_transformations(ctx, NX: NerveTable, NY: NerveTable):
     """
     site = NX.site
     n = len(site)
-    x_keys = [{_apmap_key(m): idx for idx, m in enumerate(NX.values[s])}
+    x_keys = [{m.key: idx for idx, m in enumerate(NX.values[s])}
               for s in range(n)]
-    y_keys = [{_apmap_key(m): idx for idx, m in enumerate(NY.values[s])}
+    y_keys = [{m.key: idx for idx, m in enumerate(NY.values[s])}
               for s in range(n)]
     offset = list(itertools.accumulate(
         (len(NX.values[s]) for s in range(n)), initial=0))
@@ -407,10 +401,10 @@ def natural_transformations(ctx, NX: NerveTable, NY: NerveTable):
         for b in range(n):
             for f in all_homs(site[a], site[b]):
                 mf = spec_map(ctx, f)
-                ya = [y_keys[b][_apmap_key(compose_apmaps(mf, m))]
+                ya = [y_keys[b][compose_apmaps(mf, m).key]
                       for m in NY.values[a]]
                 for i, m in enumerate(NX.values[a]):
-                    fm = x_keys[b][_apmap_key(compose_apmaps(mf, m))]
+                    fm = x_keys[b][compose_apmaps(mf, m).key]
                     arrows.append((offset[a] + i, offset[b] + fm, ya))
     return [tuple(fam[offset[s]:offset[s + 1]] for s in range(n))
             for fam in tables.compatible_families(sizes, arrows)]
@@ -422,11 +416,11 @@ def scheme_equivalence_probe(ctx, X: SpectralSpace, Y: SpectralSpace, site):
     NX = nerve(ctx, X, site)
     NY = nerve(ctx, Y, site)
     nats = natural_transformations(ctx, NX, NY)
-    keyed = [{_apmap_key(v): idx for idx, v in enumerate(NY.values[s])}
+    keyed = [{v.key: idx for idx, v in enumerate(NY.values[s])}
              for s in range(len(site))]
     # the transformation each map induces; the nats are distinct and sorted
     induced = sorted(
-        tuple(tuple(keyed[s][_apmap_key(compose_apmaps(phi, m))]
+        tuple(tuple(keyed[s][compose_apmaps(phi, m).key]
                     for phi in NX.values[s]) for s in range(len(site)))
         for m in homs)
     return {

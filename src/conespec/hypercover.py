@@ -13,7 +13,7 @@ from . import contexts as cx
 from . import tables
 from .contexts import LocalizationPath, local_forms
 from .errors import InvariantViolation
-from .tables import FiniteAlgebra, Hom, compose, pushout
+from .tables import FiniteAlgebra, Hom, pushout
 
 
 class Opcover:
@@ -27,7 +27,7 @@ class Opcover:
 class Hyperopcover:
     def __init__(self, level0: Opcover, level1: dict):
         self.level0 = level0
-        # (i0, i1) -> (pushout algebra, in0, in1, level-1 legs out of the pushout)
+        # (i0, i1) -> (pushout algebra, in0, in1)
         self.level1 = level1
 
 
@@ -45,27 +45,25 @@ def kernel_hyperopcover(ctx, c: Opcover) -> Hyperopcover:
     level1 = {}
     for i0, k0 in enumerate(c.components):
         for i1, k1 in enumerate(c.components):
-            P, in0, in1 = pushout(k0.composite, k1.composite)
-            level1[(i0, i1)] = (P, in0, in1, [tables.identity(P)])
+            level1[(i0, i1)] = pushout(k0.composite, k1.composite)
     return Hyperopcover(c, level1)
 
 
 def h0(K: Hyperopcover):
     """(limit, induced map from the base) of the truncated diagram.
 
-    One limit: the level-0 targets, then each level-1 leg target with its
-    two face arrows in0∘leg from i0 and in1∘leg from i1.  The level-0
-    coordinates determine the rest, so the map from the base is lifted
-    through them alone.
+    One limit: the level-0 targets, then each level-1 pushout with its two
+    face arrows in0 from i0 and in1 from i1.  The level-0 coordinates
+    determine the rest, so the map from the base is lifted through them
+    alone.
     """
     comps = K.level0.components
     objects = [k.target for k in comps]
     arrows = []
-    for (i0, i1), (_, in0, in1, legs) in sorted(K.level1.items()):
-        for leg in legs:
-            arrows.append((i0, len(objects), compose(in0, leg)))
-            arrows.append((i1, len(objects), compose(in1, leg)))
-            objects.append(leg.target)
+    for (i0, i1), (P, in0, in1) in sorted(K.level1.items()):
+        arrows.append((i0, len(objects), in0))
+        arrows.append((i1, len(objects), in1))
+        objects.append(P)
     E, cone = tables.limit(K.level0.base.kind, objects, arrows)
     lookup = tables.cone_lookup(E, cone[:len(comps)])
     return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])

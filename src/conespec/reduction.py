@@ -50,9 +50,9 @@ def geometric_iso(ctx, f: Hom):
     must give back that target.  The certificate is the family of comparison
     isos, or the first failing local form.
     """
-    R = f.source
+    forms = local_forms(ctx, f.source)
     witnesses = []
-    for idx, p in enumerate(local_forms(ctx, R)):
+    for idx, p in enumerate(forms):
         _, _, in_p = pushout(f, p.composite)
         res = reduce(ctx, in_p.target)
         comp = compose(in_p, res.unit)
@@ -62,7 +62,7 @@ def geometric_iso(ctx, f: Hom):
     # surjectivity on points: every local form of S must come from one of R
     for q in local_forms(ctx, f.target):
         path, _ = factorize(ctx, compose(f, q.composite))
-        if not any(path.sig == p.sig for p in local_forms(ctx, R)):
+        if not any(path.sig == p.sig for p in forms):
             return False, {"extra_form_sig": path.sig}
     return True, {"isos": witnesses}
 

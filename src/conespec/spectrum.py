@@ -12,6 +12,7 @@ section lists its stalk coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import contexts as cx
@@ -144,34 +145,47 @@ class SpectralSpace:
 
 
 class APMap:
+    """A map of spaces S -> T by its point map and its stalk maps.
+
+    `stalks[i]` is the map O_T(U_pm(i)) -> O_S(U_i).  Stalks fix a sheaf on
+    a finite T0 space, so they fix the map; its section maps, target open
+    W -> Hom(O_T(W), O_S(pre W)), are lifted from them on their first read.
+    """
+
     def __init__(self, source: SpectralSpace, target: SpectralSpace,
-                 point_map: tuple[int, ...], section_maps: dict):
+                 point_map: tuple[int, ...], stalks: tuple[Hom, ...]):
         self.source = source
         self.target = target
         self.point_map = point_map
-        # target open U -> Hom(O_T(U), O_S(preimage U))
-        self.section_maps = section_maps
+        self.stalks = stalks
 
     def __eq__(self, other):
         """Field by field, so that lists of maps compare; the spaces
         themselves compare by identity."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.source, self.target, self.point_map, self.section_maps)
+        return ((self.source, self.target, self.point_map, self.stalks)
                 == (other.source, other.target, other.point_map,
-                    other.section_maps))
+                    other.stalks))
+
+    @property
+    def key(self) -> tuple:
+        """Hashable, and equal for two maps between the same spaces exactly
+        when the maps are."""
+        return self.point_map, tuple(h.map for h in self.stalks)
+
+    @functools.cached_property
+    def section_maps(self) -> dict:
+        return _sections_from_stalks(self.source, self.target,
+                                     self.point_map, self.stalks)
 
     def preimage(self, U) -> frozenset:
         return frozenset(i for i, q in enumerate(self.point_map) if q in U)
 
-    def stalk_map(self, i: int) -> Hom:
-        Ustar = self.target.min_open(self.point_map[i])
-        pre = self.preimage(Ustar)
-        return compose(self.section_maps[Ustar],
-                       self.source.sheaf.res(pre, self.source.min_open(i)))
-
     @property
     def is_iso(self) -> bool:
+        """A homeomorphism with bijective stalk maps; under a homeomorphism
+        the stalk map at i is the section map at U_pm(i)."""
         if sorted(set(self.point_map)) != list(range(self.target.n_points)):
             return False
         if len(set(self.point_map)) != self.source.n_points:
@@ -179,25 +193,22 @@ class APMap:
         pre = {self.preimage(U) for U in self.target.opens}
         if pre != set(self.source.opens):
             return False
-        return all(h.is_bijective for h in self.section_maps.values())
+        return all(h.is_bijective for h in self.stalks)
 
 
 def identity_apmap(X: SpectralSpace) -> APMap:
     return APMap(X, X, tuple(range(X.n_points)),
-                 {U: identity(X.sections(U)) for U in X.opens})
+                 tuple(identity(X.stalk(p)) for p in range(X.n_points)))
 
 
 def compose_apmaps(f: APMap, g: APMap) -> APMap:
-    """g after f: an APMap from f.source to g.target."""
+    """g after f: an APMap from f.source to g.target, stalk by stalk."""
     if f.target is not g.source:
         raise InvariantViolation("maps of spaces not composable")
-    point_map = tuple(g.point_map[f.point_map[i]]
-                      for i in range(f.source.n_points))
-    section_maps = {}
-    for U in g.target.opens:
-        V = g.preimage(U)
-        section_maps[U] = compose(g.section_maps[U], f.section_maps[V])
-    return APMap(f.source, g.target, point_map, section_maps)
+    return APMap(f.source, g.target,
+                 tuple(g.point_map[q] for q in f.point_map),
+                 tuple(compose(g.stalks[q], h)
+                       for q, h in zip(f.point_map, f.stalks)))
 
 
 def invert_apmap(m: APMap) -> APMap:
@@ -206,10 +217,8 @@ def invert_apmap(m: APMap) -> APMap:
     inv_points = [0] * m.target.n_points
     for i, q in enumerate(m.point_map):
         inv_points[q] = i
-    section_maps = {}
-    for U in m.target.opens:
-        section_maps[m.preimage(U)] = m.section_maps[U].inverse()
-    return APMap(m.target, m.source, tuple(inv_points), section_maps)
+    return APMap(m.target, m.source, tuple(inv_points),
+                 tuple(m.stalks[i].inverse() for i in inv_points))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +338,7 @@ def spec_map(ctx, f: Hom) -> APMap:
     Y = build_spec(ctx, f.source)
     X = build_spec(ctx, f.target)
     point_map = []
-    stalk_section_maps = []
+    stalks = []
     for j, q in enumerate(X.forms):
         path, g = factorize(ctx, compose(f, q.composite))
         hit = [i for i, p in enumerate(Y.forms) if p.sig == path.sig]
@@ -340,14 +349,12 @@ def spec_map(ctx, f: Hom) -> APMap:
         if ident is None or not ident.is_bijective:
             raise InvariantViolation("local form identification not an iso")
         point_map.append(i)
-        # stalk section map O_Y-stalk(i) -> O_X-stalk(j)
-        stalk_section_maps.append(compose(
+        # the stalk map O_Y-stalk(i) -> O_X-stalk(j)
+        stalks.append(compose(
             compose(Y.stalk_iso[i], compose(ident.inverse(), g)),
             X.stalk_iso[j].inverse(),
         ))
-    point_map = tuple(point_map)
-    return APMap(X, Y, point_map,
-                 _sections_from_stalks(X, Y, point_map, stalk_section_maps))
+    return APMap(X, Y, tuple(point_map), tuple(stalks))
 
 
 def restrict(X: SpectralSpace, U: frozenset) -> SpectralSpace:
@@ -377,16 +384,10 @@ def corestrict_to_open(m: APMap, U: frozenset, XU: SpectralSpace | None = None) 
     if not set(m.point_map) <= set(U):
         raise InvariantViolation("point image does not lie in the open")
     target = XU if XU is not None else restrict(m.target, U)
-    pts = sorted(U)
-    reindex = {p: i for i, p in enumerate(pts)}
-
-    def remap(V):
-        return frozenset(reindex[p] for p in V)
-
-    point_map = tuple(reindex[q] for q in m.point_map)
-    section_maps = {remap(V): m.section_maps[V]
-                    for V in m.target.opens if V <= U}
-    return APMap(m.source, target, point_map, section_maps)
+    reindex = {p: i for i, p in enumerate(sorted(U))}
+    # the sections of `target` are those of m.target, so the stalks carry over
+    return APMap(m.source, target, tuple(reindex[q] for q in m.point_map),
+                 m.stalks)
 
 
 def open_embedding_data(ctx, R: FiniteAlgebra, k: LocalizationPath):
@@ -433,12 +434,12 @@ def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
     O_S(pre U_q) at every minimal open U_q of X, visited in ascending order:
     it must commute with the smaller minimal opens already chosen, and its
     stalk map at each i over q must be admissible.  That fixes the map: its
-    stalk maps determine it, and `_sections_from_stalks` builds it, as in
-    `spec_map`.  At a minimal open the lift is the chosen hom; at any other
-    open W the family of legs lies in the limit O_S(pre W) because the
-    chosen homs commute, and the lift commutes with every restriction
-    because stalks separate sections.  So the maps come out as a search over
-    every open finds them, in the same order.
+    stalk maps determine it, as in `spec_map`.  Its lifted section map at a
+    minimal open is the chosen hom; at any other open W the family of legs
+    lies in the limit O_S(pre W) because the chosen homs commute, and the
+    lift commutes with every restriction because stalks separate sections.
+    So the maps come out as a search over every open finds them, in the same
+    order.
     """
     return list(_maps_on_minimal_opens(
         S, X, itertools.product(range(X.n_points), repeat=S.n_points),
@@ -484,7 +485,7 @@ def _maps_on_minimal_opens(S, X, point_maps, homs, admissible):
 
         def rec(idx):
             if idx == len(minimal):
-                yield APMap(S, X, pm, _sections_from_stalks(S, X, pm, stalks))
+                yield APMap(S, X, pm, tuple(stalks))
                 return
             U = minimal[idx]
             for h, st in candidates(U):

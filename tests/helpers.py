@@ -158,14 +158,20 @@ def glued_sections_by_product(spaces, remaps, traces):
 
 
 def validate_apmap(ctx, m: APMap) -> None:
-    """m is a map of spaces: its point map is continuous, its section maps
-    run between the right sections and commute with restriction, and its
-    stalk maps are admissible; else InvariantViolation."""
+    """m is a map of spaces: its point map is continuous, its stalk maps run
+    between the right stalks and are admissible, and its section maps run
+    between the right sections and commute with restriction; else
+    InvariantViolation."""
     S, T = m.source, m.target
     s_opens = set(S.opens)
     for U in T.opens:
         if m.preimage(U) not in s_opens:
             raise InvariantViolation("point map is not continuous")
+    for i, h in enumerate(m.stalks):
+        if h.source != T.stalk(m.point_map[i]) or h.target != S.stalk(i):
+            raise InvariantViolation("stalk map between the wrong stalks")
+        if not ctx.is_admissible(h):
+            raise InvariantViolation("stalk map is not admissible")
     for U in T.opens:
         h = m.section_maps[U]
         if h.source != T.sections(U) or h.target != S.sections(m.preimage(U)):
@@ -176,23 +182,64 @@ def validate_apmap(ctx, m: APMap) -> None:
                 right = tables.compose(T.sheaf.res(U, V), m.section_maps[V])
                 if left != right:
                     raise InvariantViolation("section maps ignore restriction")
-    for i in range(S.n_points):
-        if not ctx.is_admissible(m.stalk_map(i)):
-            raise InvariantViolation("stalk map is not admissible")
+
+
+def apmap_from_sections(S, X, pm, section_maps) -> APMap:
+    """The map S -> X with point map pm and a hom at every open of X, by
+    its stalk maps; the section maps it lifts from them must be the given
+    ones, in the same order."""
+    stalks = []
+    for i, q in enumerate(pm):
+        U = X.min_open(q)
+        pre = frozenset(j for j, r in enumerate(pm) if r in U)
+        stalks.append(tables.compose(section_maps[U],
+                                     S.sheaf.res(pre, S.min_open(i))))
+    m = APMap(S, X, tuple(pm), tuple(stalks))
+    assert list(m.section_maps.items()) == list(section_maps.items())
+    return m
+
+
+def compose_apmaps_by_opens(f: APMap, g: APMap) -> APMap:
+    """Oracle: `spectrum.compose_apmaps` composing the section maps open by
+    open."""
+    if f.target is not g.source:
+        raise InvariantViolation("maps of spaces not composable")
+    point_map = tuple(g.point_map[f.point_map[i]]
+                      for i in range(f.source.n_points))
+    section_maps = {}
+    for U in g.target.opens:
+        V = g.preimage(U)
+        section_maps[U] = tables.compose(g.section_maps[U], f.section_maps[V])
+    return apmap_from_sections(f.source, g.target, point_map, section_maps)
+
+
+def invert_apmap_by_opens(m: APMap) -> APMap:
+    """Oracle: `spectrum.invert_apmap` inverting the section maps open by
+    open."""
+    if not m.is_iso:
+        raise InvariantViolation("only an isomorphism of spaces has an inverse")
+    inv_points = [0] * m.target.n_points
+    for i, q in enumerate(m.point_map):
+        inv_points[q] = i
+    section_maps = {}
+    for U in m.target.opens:
+        section_maps[m.preimage(U)] = m.section_maps[U].inverse()
+    return apmap_from_sections(m.target, m.source, inv_points,
+                               {V: section_maps[V] for V in m.source.opens})
 
 
 def check_nerve_functorial(ctx, table) -> None:
     """Site homs act on nerve values: each value precomposed with the Spec
     map of a site hom lies in the table, else InvariantViolation."""
     site = table.site
-    keys = [{glue._apmap_key(m) for m in table.values[b]}
+    keys = [{m.key for m in table.values[b]}
             for b in range(len(site))]
     for a, A in enumerate(site):
         for b, B in enumerate(site):
             for f in tables.all_homs(A, B):
                 mf = sp.spec_map(ctx, f)
                 for phi in table.values[a]:
-                    if glue._apmap_key(sp.compose_apmaps(mf, phi)) not in keys[b]:
+                    if sp.compose_apmaps(mf, phi).key not in keys[b]:
                         raise InvariantViolation("nerve action leaves the table")
 
 
@@ -475,10 +522,9 @@ def h0_by_product_scan(K):
     comps = K.level0.components
     P0, projs = tables.product(K.level0.base.kind, [k.target for k in comps])
     conditions = []
-    for (i0, i1), (_, in0, in1, legs) in sorted(K.level1.items()):
-        for leg in legs:
-            conditions.append((tables.compose(projs[i0], tables.compose(in0, leg)),
-                               tables.compose(projs[i1], tables.compose(in1, leg))))
+    for (i0, i1), (_, in0, in1) in sorted(K.level1.items()):
+        conditions.append((tables.compose(projs[i0], in0),
+                           tables.compose(projs[i1], in1)))
     members = [x for x in range(P0.size)
                if all(d0.map[x] == d1.map[x] for d0, d1 in conditions)]
     E, incl = tables.subalgebra(P0, members)
@@ -677,8 +723,8 @@ def enumerate_apmaps_by_opens(ctx, S, X):
 
         def rec(idx):
             if idx == len(x_opens_asc):
-                out.append(APMap(S, X, pm,
-                                 {U: assigned[U] for U in x_opens_asc}))
+                out.append(apmap_from_sections(
+                    S, X, pm, {U: assigned[U] for U in x_opens_asc}))
                 return
             U = x_opens_asc[idx]
             for h in candidates(U):
@@ -708,7 +754,7 @@ def space_isos_by_opens(X, Y):
 
         def rec(idx):
             if idx == len(y_opens_asc):
-                yield APMap(X, Y, pm, dict(assigned))
+                yield apmap_from_sections(X, Y, pm, dict(assigned))
                 return
             U = y_opens_asc[idx]
             for h in tables.iter_isomorphisms(Y.sections(U), X.sections(pre[U])):
@@ -732,21 +778,20 @@ def natural_transformations_by_product(ctx, NX, NY):
     """Oracle: `glue.natural_transformations` trying every assignment of
     each site object in turn, and checking naturality on the site objects
     assigned so far."""
-    key = glue._apmap_key
     site = NX.site
     n = len(site)
-    x_keys = [{key(m): idx for idx, m in enumerate(NX.values[s])}
+    x_keys = [{m.key: idx for idx, m in enumerate(NX.values[s])}
               for s in range(n)]
-    y_keys = [{key(m): idx for idx, m in enumerate(NY.values[s])}
+    y_keys = [{m.key: idx for idx, m in enumerate(NY.values[s])}
               for s in range(n)]
     actions = []  # (a, b, x action as index map, y action as index map)
     for a in range(n):
         for b in range(n):
             for f in tables.all_homs(site[a], site[b]):
                 mf = sp.spec_map(ctx, f)
-                xa = [x_keys[b][key(sp.compose_apmaps(mf, m))]
+                xa = [x_keys[b][sp.compose_apmaps(mf, m).key]
                       for m in NX.values[a]]
-                ya = [y_keys[b][key(sp.compose_apmaps(mf, m))]
+                ya = [y_keys[b][sp.compose_apmaps(mf, m).key]
                       for m in NY.values[a]]
                 actions.append((a, b, xa, ya))
     results = []
@@ -779,8 +824,7 @@ def natural_transformations_by_product(ctx, NX, NY):
 def nerve_families_by_product(ctx, cover, at_K):
     """Oracle: `glue._nerve_families` scanning the product of the component
     values for the families that agree after every pair's pushout legs."""
-    key = glue._apmap_key
-    keys = [[key(phi) for phi in maps] for maps in at_K]
+    keys = [[phi.key for phi in maps] for maps in at_K]
     pair_keys = []
     for t, kt in enumerate(cover.components):
         for u, ku in enumerate(cover.components):
@@ -789,8 +833,8 @@ def nerve_families_by_product(ctx, cover, at_K):
                 mt, mu = sp.spec_map(ctx, in_t), sp.spec_map(ctx, in_u)
                 pair_keys.append((
                     t, u,
-                    [key(sp.compose_apmaps(mt, phi)) for phi in at_K[t]],
-                    [key(sp.compose_apmaps(mu, phi)) for phi in at_K[u]]))
+                    [sp.compose_apmaps(mt, phi).key for phi in at_K[t]],
+                    [sp.compose_apmaps(mu, phi).key for phi in at_K[u]]))
     families = []
     for fam in itertools.product(*(range(len(maps)) for maps in at_K)):
         if all(left[fam[t]] == right[fam[u]]

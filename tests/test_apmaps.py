@@ -4,7 +4,9 @@ over every open.
 `enumerate_apmaps` chooses homs only at the minimal opens of the target and
 lifts the rest into limits of stalks; the oracle in `helpers` chooses a hom
 at every open and re-validates each result.  Both must give the same maps,
-in the same order, with the same section maps.
+in the same order, with the same section maps.  Maps compose and invert
+stalk by stalk; the oracles in `helpers` compose and invert their section
+maps open by open, and must give the same section maps.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ import pytest
 
 from conespec import contexts as C
 from conespec import corpus, glue as gl, hypercover as hc, spectrum as sp
+from conespec import tables
 
-from helpers import corpus_by_context, enumerate_apmaps_by_opens, glued_row
+from helpers import (compose_apmaps_by_opens, corpus_by_context,
+                     enumerate_apmaps_by_opens, glued_row,
+                     invert_apmap_by_opens)
+from test_points import golden_space
 
 DEI = C.get_context("deitmar")
 
@@ -64,8 +70,61 @@ def test_minimal_open_search_matches_the_search_over_every_open(glued):
             assert m.source is S and m.target is X
             assert m.point_map == o.point_map
             assert list(m.section_maps.items()) == list(o.section_maps.items())
+        # keys tell maps apart exactly as their section maps do
+        for m in new:
+            for n in new:
+                assert (m.key == n.key) == (m.section_maps == n.section_maps)
         found += len(new)
     assert found > 500
+
+
+def test_stalkwise_composition_and_inverse_match_the_open_by_open_oracles(
+        monkeypatch):
+    compared = []
+
+    def compare(new, old):
+        assert new.point_map == old.point_map
+        assert new.section_maps == old.section_maps
+        compared.append(new)
+
+    # every composite and inverse that builds the overlap isos of the golden
+    # gluings, each overlap iso the last composite of its overlap
+    def recording(real, oracle):
+        def wrapper(*args):
+            result = real(*args)
+            compare(result, oracle(*args))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(gl, "compose_apmaps", recording(
+        sp.compose_apmaps, compose_apmaps_by_opens))
+    monkeypatch.setattr(sp, "invert_apmap", recording(
+        sp.invert_apmap, invert_apmap_by_opens))
+    gluings = {name: golden_space(name) for name in (
+        "p1-f1.json", "e2-three-charts.json", "doubled-z6.json",
+        "doubled-e2xe2.json")}
+    overlap_steps = len(compared)
+    # every site-hom Spec map composed with every nerve value of the golden
+    # nerve inputs, on their golden sites
+    for name, site_max in (("p1-f1.json", 3), ("e2-three-charts.json", 4)):
+        ctx, X = gluings[name]
+        site = gl.default_site(ctx, site_max)
+        table = gl.nerve(ctx, X, site)
+        for a, A in enumerate(site):
+            for b, B in enumerate(site):
+                for f in tables.all_homs(A, B):
+                    mf = sp.spec_map(ctx, f)
+                    for phi in table.values[a]:
+                        compare(sp.compose_apmaps(mf, phi),
+                                compose_apmaps_by_opens(mf, phi))
+    # and the inverse of every automorphism of deitmar Spec e2xe2, four of
+    # whose points the factor swap permutes
+    X = sp.build_spec(DEI, corpus.monoid_product("e2", "e2"))
+    autos = list(sp.iter_space_isos(X, X))
+    for m in autos:
+        compare(sp.invert_apmap(m), invert_apmap_by_opens(m))
+    assert overlap_steps > 20 and len(compared) - overlap_steps > 500
+    assert any(m.point_map != tuple(range(X.n_points)) for m in autos)
 
 
 def test_nerve_sheaf_condition_judges_the_maps_it_is_given(glued):

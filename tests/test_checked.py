@@ -8,8 +8,10 @@ checked the hard way: the full law checks on each algebra, `is_hom` on each
 lifted map, cone leg, inclusion and pushout injection, `Ideal.is_valid` on
 each principal ideal the domain context quotients by, `spec_checks` on each
 `build_spec`, `validate_apmap` on each map of spaces that `enumerate_apmaps`
-finds and on each `spec_map`, and `check_nerve_functorial` on each nerve
-table.
+finds and on each `spec_map`, `compose_apmaps` and `invert_apmap`, and
+`check_nerve_functorial` on each nerve table.  A map of spaces holds its
+stalk maps and lifts its section maps on their first read, so validating it
+runs each of those lifts checked.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ def apmaps(ms, args):
         validate_apmap(ctx, m)
 
 
+def apmap(m, args):
+    """A map built from other maps, validated in the context of its spaces."""
+    validate_apmap(C.get_context(m.source.ctx_name), m)
+
+
 # name -> (defining module, check of (result, call arguments))
 CHECKS = {
     "lift": (tables, lambda r, args: homs(r)),
@@ -72,6 +79,8 @@ CHECKS = {
     "build_spec": (sp, lambda r, args: spec_checks(args[0], r)),
     "enumerate_apmaps": (sp, apmaps),
     "spec_map": (sp, lambda r, args: validate_apmap(args[0], r)),
+    "compose_apmaps": (sp, apmap),
+    "invert_apmap": (sp, apmap),
     "nerve": (gl, lambda r, args: check_nerve_functorial(args[0], r)),
 }
 
@@ -125,7 +134,8 @@ def test_theorem_backed_results_pass_the_full_checks(checked):
 def test_checked_cli_runs_match_the_golden_outputs(checked, name):
     assert run_case(CASES[name]) == read_expected(name)
     fired = [n for n, count in checked.items() if count]
-    assert {"spec_map", "limit_from_families", "lift"} <= set(fired)
+    assert {"spec_map", "compose_apmaps", "invert_apmap", "limit_from_families",
+            "lift"} <= set(fired)
     if name.startswith("nerve"):
         assert checked["nerve"] == 1 and checked["enumerate_apmaps"] > 0
 
@@ -151,11 +161,12 @@ def test_validate_apmap_rejects_a_corrupted_stalk_map():
     validate_apmap(ctx, m)
     # the closed point's stalk is the total sections; sending e to the unit
     # is a hom, but not a local one
-    total = m.target.total
-    G, H = m.target.sections(total), m.source.sections(total)
+    i = next(i for i in range(m.source.n_points)
+             if m.source.min_open(i) == m.source.total)
+    G, H = m.stalks[i].source, m.stalks[i].target
     collapse = tables.Hom(G, H, (H.one,) * G.size)
-    assert tables.is_hom(collapse) and collapse != m.section_maps[total]
+    assert tables.is_hom(collapse) and collapse != m.stalks[i]
     bad = sp.APMap(m.source, m.target, m.point_map,
-                   {**m.section_maps, total: collapse})
+                   m.stalks[:i] + (collapse,) + m.stalks[i + 1:])
     with pytest.raises(InvariantViolation, match="not admissible"):
         validate_apmap(ctx, bad)

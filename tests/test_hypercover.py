@@ -39,7 +39,7 @@ def test_cech_pairwise_pushouts():
     k2 = by_size(ZAR, Z6, 2)
     k3 = by_size(ZAR, Z6, 3)
     K = hc.kernel_hyperopcover(ZAR, hc.Opcover("zariski", Z6, (k2, k3)))
-    sizes = {pair: P.size for pair, (P, _, _, _) in K.level1.items()}
+    sizes = {pair: P.size for pair, (P, _, _) in K.level1.items()}
     assert sizes == {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 3}
 
 

@@ -49,10 +49,9 @@ def test_value_types_compare_and_hash_by_their_fields(cls, fields):
 
 def test_apmaps_compare_field_wise():
     m = sp.spec_map(ZAR, tables.identity(Z6))
-    copy = sp.APMap(m.source, m.target, m.point_map, dict(m.section_maps))
+    copy = sp.APMap(m.source, m.target, m.point_map, tuple(list(m.stalks)))
     assert [m, copy] == [copy, m]
-    swapped = sp.APMap(m.source, m.target, m.point_map[::-1],
-                       m.section_maps)
+    swapped = sp.APMap(m.source, m.target, m.point_map[::-1], m.stalks)
     assert [m] != [swapped]
     with pytest.raises(TypeError):
         sp.APMap(m.source, m.target, m.point_map)

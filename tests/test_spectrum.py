@@ -339,7 +339,7 @@ def test_validate_apmap_rejects_discontinuous_point_map():
     m = sp.identity_apmap(X)
     flipped = tuple(reversed(m.point_map))  # swaps the open and closed point
     with pytest.raises(InvariantViolation):
-        validate_apmap(DEI, sp.APMap(X, X, flipped, m.section_maps))
+        validate_apmap(DEI, sp.APMap(X, X, flipped, m.stalks))
 
 
 def test_restrict_total_is_identity_shape():
