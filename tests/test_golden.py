@@ -38,6 +38,14 @@ CASES = {
                                   "reduced", "--input", "@f2x2.json"],
     "check-reduced-zariski-z12": ["check", "--context", "zariski", "--property",
                                   "reduced", "--input", "@z12.json"],
+    "check-reduced-domain-z12": ["check", "--context", "domain", "--property",
+                                 "reduced", "--input", "@z12.json"],
+    "check-mono-reduced-domain-z12": ["check", "--context", "domain",
+                                      "--property", "mono-reduced", "--input",
+                                      "@z12.json"],
+    "check-fixed-point-deitmar-e2xe2": ["check", "--context", "deitmar",
+                                        "--property", "fixed-point", "--input",
+                                        "@e2xe2.json"],
     "check-geometric-iso-z6-z2": ["check", "--property", "geometric-iso",
                                   "--hom", "@z6-to-z2.json"],
     "check-flat-cover-z6": ["check", "--property", "flat-cover", "--input",
