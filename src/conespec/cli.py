@@ -95,11 +95,11 @@ def cmd_check(args) -> int:
     else:
         R = cio.algebra_from_dict(cio.load_json(args.input))
         _check_bounds(args, R)
-        if prop == "reduced":
-            verdict = red.is_reduced(ctx, R)
-            h = sp.ell(ctx, R)
+        if prop in ("reduced", "mono-reduced"):
+            verdict, h = red.reduced(
+                ctx, R, "admissible" if prop == "reduced" else "mono")
             certificate = {"canonical_map": list(h.map)}
-            if not verdict:
+            if prop == "reduced" and not verdict:
                 collisions = [(x, y) for x in range(R.size)
                               for y in range(x + 1, R.size)
                               if h.map[x] == h.map[y]]
@@ -109,13 +109,8 @@ def cmd_check(args) -> int:
                                collisions[0][1] if collisions else None)
                 certificate["witness"] = R.elements[witness] \
                     if witness is not None else None
-        elif prop == "mono-reduced":
-            verdict = red.is_mono_reduced(ctx, R)
-            certificate = {"canonical_map": list(sp.ell(ctx, R).map)}
         elif prop == "fixed-point":
-            X = sp.build_spec(ctx, R)
-            _, eps = sp.global_sections(X)
-            verdict = eps.is_bijective
+            verdict, eps = red.fixed_point(ctx, R)
             certificate = {"counit": list(eps.map),
                            "global_sections": eps.target.size}
         elif prop == "flat-cover":
@@ -127,10 +122,8 @@ def cmd_check(args) -> int:
                 raise ValidationError("component family is not an opcover",
                                       cover_doc)
             locs = cx.enumerate_localizations(ctx, R, max_rounds=args.rounds)
-            per_form = []
-            for p in cx.local_forms(ctx, R):
-                loc = locs[p.sig]
-                per_form.append(red.check_flat_wrt_cover(ctx, loc, cover))
+            per_form = [red.check_flat_wrt_cover(ctx, locs[p.sig], cover)
+                        for p in cover.forms]
             verdict = all(per_form)
             certificate = {"per_form": per_form}
         else:

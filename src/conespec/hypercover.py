@@ -7,6 +7,7 @@ the two face maps into each level-1 component.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import contexts as cx
@@ -17,11 +18,23 @@ from .tables import FiniteAlgebra, Hom, pushout
 
 
 class Opcover:
+    """A family of localizations of `base`.  The local forms of the base and
+    the Čech H0 depend on the cover alone, so each is built on first read
+    and kept."""
+
     def __init__(self, ctx_name: str, base: FiniteAlgebra,
                  components: tuple[LocalizationPath, ...]):
         self.ctx_name = ctx_name
         self.base = base
         self.components = components
+
+    @functools.cached_property
+    def forms(self) -> list[LocalizationPath]:
+        return local_forms(cx.get_context(self.ctx_name), self.base)
+
+    @functools.cached_property
+    def cech_h0(self):
+        return h0(kernel_hyperopcover(self))
 
 
 class Hyperopcover:
@@ -33,14 +46,14 @@ class Hyperopcover:
 
 def is_opcover(ctx, c: Opcover) -> bool:
     """Every local form of the base factors through some component."""
-    for p in local_forms(ctx, c.base):
+    for p in c.forms:
         if not any(tables.induced(k.composite, p.composite) is not None
                    for k in c.components):
             return False
     return True
 
 
-def kernel_hyperopcover(ctx, c: Opcover) -> Hyperopcover:
+def kernel_hyperopcover(c: Opcover) -> Hyperopcover:
     """The Čech form: level 1 is the bare pairwise pushout."""
     level1 = {}
     for i0, k0 in enumerate(c.components):
@@ -70,8 +83,8 @@ def h0(K: Hyperopcover):
 
 
 def cech_h0(ctx, c: Opcover):
-    """H0 of the Čech hyperopcover of an opcover."""
-    return h0(kernel_hyperopcover(ctx, c))
+    """H0 of the Čech hyperopcover of an opcover, built once per cover."""
+    return c.cech_h0
 
 
 def split_cover_check(ctx, K: Hyperopcover) -> bool:

@@ -35,12 +35,23 @@ def reduce(ctx, R: FiniteAlgebra, cls: str = "admissible") -> ReductionResult:
     raise ValueError(f"unknown factorization class {cls!r}")
 
 
+def reduced(ctx, R: FiniteAlgebra, cls: str = "admissible"):
+    """(verdict, ell) for "R is reduced" (cls "admissible": ell is
+    admissible) or "R is mono-reduced" (cls "mono": ell is injective)."""
+    h = ell(ctx, R)
+    if cls == "admissible":
+        return ctx.is_admissible(h), h
+    if cls == "mono":
+        return h.is_injective, h
+    raise ValueError(f"unknown factorization class {cls!r}")
+
+
 def is_reduced(ctx, R: FiniteAlgebra) -> bool:
-    return ctx.is_admissible(ell(ctx, R))
+    return reduced(ctx, R)[0]
 
 
 def is_mono_reduced(ctx, R: FiniteAlgebra) -> bool:
-    return ell(ctx, R).is_injective
+    return reduced(ctx, R, "mono")[0]
 
 
 def geometric_iso(ctx, f: Hom):
@@ -71,10 +82,15 @@ def is_geometric_iso(ctx, f: Hom) -> bool:
     return geometric_iso(ctx, f)[0]
 
 
-def is_fixed_point(ctx, R: FiniteAlgebra) -> bool:
-    """Is the counit R -> global sections of Spec R an isomorphism?"""
+def fixed_point(ctx, R: FiniteAlgebra):
+    """(verdict, counit) for "the counit R -> global sections of Spec R is
+    an isomorphism"."""
     _, eps = sp.global_sections(build_spec(ctx, R))
-    return eps.is_bijective
+    return eps.is_bijective, eps
+
+
+def is_fixed_point(ctx, R: FiniteAlgebra) -> bool:
+    return fixed_point(ctx, R)[0]
 
 
 def check_flat_wrt_cover(ctx, p: LocalizationPath, cover: hc.Opcover) -> bool:

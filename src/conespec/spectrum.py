@@ -379,11 +379,11 @@ def restrict(X: SpectralSpace, U: frozenset) -> SpectralSpace:
     )
 
 
-def corestrict_to_open(m: APMap, U: frozenset, XU: SpectralSpace | None = None) -> APMap:
+def corestrict_to_open(m: APMap, U: frozenset) -> APMap:
     """View an APMap whose point image lies in U as a map into restrict(.., U)."""
     if not set(m.point_map) <= set(U):
         raise InvariantViolation("point image does not lie in the open")
-    target = XU if XU is not None else restrict(m.target, U)
+    target = restrict(m.target, U)
     reindex = {p: i for i, p in enumerate(sorted(U))}
     # the sections of `target` are those of m.target, so the stalks carry over
     return APMap(m.source, target, tuple(reindex[q] for q in m.point_map),

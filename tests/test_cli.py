@@ -373,6 +373,60 @@ def test_cli_spec_rounds_runs_one_localization_search(tmp_path, monkeypatch):
         assert len(calls) == 0
 
 
+@pytest.mark.parametrize("prop", ["reduced", "mono-reduced"])
+def test_cli_check_reducedness_builds_one_canonical_map(tmp_path, monkeypatch,
+                                                        prop):
+    """The verdict and the certificate read the same map R -> product of the
+    local-form targets, so its product table is built once."""
+    from conespec import tables
+
+    calls = []
+    real_product = tables.product
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_product(*args, **kwargs)
+
+    monkeypatch.setattr(tables, "product", counting)
+    inp = write(tmp_path, "z12.json", cio.algebra_to_dict(corpus.zn(12)))
+    assert cli.main(["check", "--context", "domain", "--property", prop,
+                     "--input", inp]) == 1
+    assert len(calls) == 1
+
+
+def test_cli_check_flat_cover_builds_the_input_cover_once(tmp_path,
+                                                          monkeypatch):
+    """Z/30 has three local forms, each checked against the same cover: the
+    cover's local forms and its Čech H0 are computed once for all three."""
+    forms, h0s = [], []
+    real_forms = type(ZAR).local_forms_direct
+    real_h0 = hc.h0
+
+    def counting_forms(self, A):
+        forms.append(A.size)
+        return real_forms(self, A)
+
+    def counting_h0(K):
+        h0s.append(K.level0.base.size)
+        return real_h0(K)
+
+    monkeypatch.setattr(type(ZAR), "local_forms_direct", counting_forms)
+    monkeypatch.setattr(hc, "h0", counting_h0)
+    # invert e or 1 - e, for the idempotents 15 and 16 of Z/30 = Z/2 x Z/15
+    Z30 = corpus.zn(30)
+    pos = {int(v): i for i, v in enumerate(Z30.elements)}
+    cover = {"components": [{"steps": [{"datum": [pos[e], pos[31 - e]],
+                                        "branch": "left"}]}
+                            for e in (15, 16)]}
+    inp = write(tmp_path, "z30.json", cio.algebra_to_dict(Z30))
+    cov = write(tmp_path, "cover.json", cover)
+    assert cli.main(["check", "--property", "flat-cover", "--input", inp,
+                     "--cover", cov]) == 0
+    assert forms.count(30) == 1
+    # one H0 of the input cover, and one of its pushout along each form
+    assert h0s.count(30) == 1 and len(h0s) == 4
+
+
 @pytest.mark.parametrize("names, printed", [
     ("chain3,nil3", "points=6 opens=10 epsilon=iso"),
     ("chain3,chain3", "points=9 opens=20 epsilon=iso"),

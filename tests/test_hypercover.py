@@ -38,7 +38,7 @@ def test_is_opcover_examples():
 def test_cech_pairwise_pushouts():
     k2 = by_size(ZAR, Z6, 2)
     k3 = by_size(ZAR, Z6, 3)
-    K = hc.kernel_hyperopcover(ZAR, hc.Opcover("zariski", Z6, (k2, k3)))
+    K = hc.kernel_hyperopcover(hc.Opcover("zariski", Z6, (k2, k3)))
     sizes = {pair: P.size for pair, (P, _, _) in K.level1.items()}
     assert sizes == {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 3}
 
@@ -70,13 +70,13 @@ def test_split_cover_check():
     for ctx, A in [(ZAR, Z6), (ZAR, corpus.zn(4)), (DEI, corpus.flag_monoid())]:
         for cover in hc.enumerate_opcovers(ctx, A):
             if any(k.composite.is_bijective for k in cover.components):
-                assert hc.split_cover_check(ctx, hc.kernel_hyperopcover(ctx, cover))
+                assert hc.split_cover_check(ctx, hc.kernel_hyperopcover(cover))
 
 
 def test_split_cover_check_requires_split_component():
     k2 = by_size(ZAR, Z6, 2)
     k3 = by_size(ZAR, Z6, 3)
-    K = hc.kernel_hyperopcover(ZAR, hc.Opcover("zariski", Z6, (k2, k3)))
+    K = hc.kernel_hyperopcover(hc.Opcover("zariski", Z6, (k2, k3)))
     with pytest.raises(InvariantViolation):
         hc.split_cover_check(ZAR, K)
 
@@ -142,7 +142,7 @@ def test_h0_matches_the_product_scan_oracle():
     n = 0
     for ctx, A in corpus_by_context():
         for cover in hc.enumerate_opcovers(ctx, A, max_components=3):
-            K = hc.kernel_hyperopcover(ctx, cover)
+            K = hc.kernel_hyperopcover(cover)
             E, eta = hc.h0(K)
             E2, eta2 = h0_by_product_scan(K)
             assert any(compose(eta, iso) == eta2
