@@ -53,10 +53,14 @@ CASES = {
     "glue-doubled-z6": ["glue", "--input", "@doubled-z6.json", "--out-dir", "OUT"],
     "glue-deitmar-doubled-e2xe2": ["glue", "--input", "@doubled-e2xe2.json",
                                    "--out-dir", "OUT"],
+    "glue-zariski-doubled-z12": ["glue", "--input", "@doubled-z12.json",
+                                 "--out-dir", "OUT"],
     "nerve-p1-f1": ["nerve", "--input", "@p1-f1.json", "--site-max", "3"],
     "nerve-deitmar-e2-three-charts": ["nerve", "--input",
                                       "@e2-three-charts.json", "--site-max",
                                       "4"],
+    "nerve-deitmar-doubled-chain3": ["nerve", "--input", "@doubled-chain3.json",
+                                     "--site-max", "4"],
 }
 
 
