@@ -59,10 +59,11 @@ def cmd_spec(args) -> int:
     R = cio.algebra_from_dict(cio.load_json(args.input))
     _check_bounds(args, R)
     X = sp.build_spec(ctx, R)
+    # every section, before any file, as each is built on its first read
+    sections = cio.dumps(cio.space_to_dict(X))
     stem = _stem(args.input)
     _write(args.out_dir, f"{stem}.topology.dot", cio.specialization_dot(X))
-    _write(args.out_dir, f"{stem}.sections.json",
-           cio.dumps(cio.space_to_dict(X)))
+    _write(args.out_dir, f"{stem}.sections.json", sections)
     _write(args.out_dir, f"{stem}.stalks.json", cio.dumps(
         {str(p): cio.algebra_to_dict(X.stalk(p)) for p in range(X.n_points)}))
     _, eps = sp.global_sections(X)

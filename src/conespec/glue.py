@@ -15,7 +15,7 @@ import itertools
 from . import hypercover as hc
 from . import spectrum as sp
 from . import tables
-from .contexts import LocalizationPath, factorize, local_forms
+from .contexts import LocalizationPath
 from .errors import CocycleViolation, InvariantViolation
 from .spectrum import APMap, SpectralSpace, build_spec, compose_apmaps, \
     restrict, spec_map
@@ -176,19 +176,18 @@ def _check_glued(ctx, X):
 def is_affine(ctx, X: SpectralSpace):
     """(verdict, witness): is X isomorphic to Spec of its global sections?
 
-    Spec is built only when its point count, the number of local forms of
-    the global sections, matches X; its stalks are the form targets.
+    Spec of the global sections builds its sections on first read, so the
+    isomorphism search reads those at its minimal opens alone, and none
+    when the point counts differ.
     """
-    gamma = X.sections(X.total)
-    forms = local_forms(ctx, gamma)
-    if len(forms) == X.n_points:
-        m = sp.spaces_isomorphic(build_spec(ctx, gamma), X)
-        if m is not None:
-            return True, m
+    Y = build_spec(ctx, X.sections(X.total))
+    m = sp.spaces_isomorphic(Y, X)
+    if m is not None:
+        return True, m
     return False, {
-        "points": (X.n_points, len(forms)),
+        "points": (X.n_points, Y.n_points),
         "stalks": (sorted(X.stalk(p).size for p in range(X.n_points)),
-                   sorted(p.target.size for p in forms)),
+                   sorted(p.target.size for p in Y.forms)),
     }
 
 
@@ -286,23 +285,10 @@ def _nerve_families(ctx, cover: hc.Opcover, at_K) -> list[tuple]:
 
 
 def open_subfunctor_values(ctx, R: FiniteAlgebra, U: frozenset, site):
-    """Per site object: homs R -> S whose local forms all land in U."""
-    forms = local_forms(ctx, R)
-    values = {}
-    for s, S in enumerate(site):
-        hits = []
-        for f in all_homs(R, S):
-            ok = True
-            for q in local_forms(ctx, S):
-                path, _ = factorize(ctx, compose(f, q.composite))
-                idx = [i for i, p in enumerate(forms) if p.sig == path.sig]
-                if len(idx) != 1 or idx[0] not in U:
-                    ok = False
-                    break
-            if ok:
-                hits.append(f)
-        values[s] = hits
-    return values
+    """Per site object: the homs R -> S whose Spec map lands in U."""
+    return {s: [f for f in all_homs(R, S)
+                if set(spec_map(ctx, f).point_map) <= U]
+            for s, S in enumerate(site)}
 
 
 def open_subfunctor_is_representable(ctx, R, k: LocalizationPath, site) -> bool:

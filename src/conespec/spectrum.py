@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 
 from . import contexts as cx
 from . import tables
@@ -26,13 +27,34 @@ from .tables import FiniteAlgebra, Hom, compose, identity
 # sheaves on a finite T0 space
 
 
+class OnRead(Mapping):
+    """The mapping on `keys` whose value at k is `build(k)`, built on its
+    first read and kept."""
+
+    def __init__(self, keys, build):
+        self._values = dict.fromkeys(keys, OnRead)  # OnRead: not built yet
+        self._build = build
+
+    def __getitem__(self, k):
+        if self._values[k] is OnRead:
+            self._values[k] = self._build(k)
+        return self._values[k]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
 class Presheaf:
     """A sheaf on a finite T0 space, by its sections and their stalk cones.
 
     `cones[U]` maps each point p of U, in ascending order, to the projection
     of O(U) onto the stalk at p.  The cone separates sections, so the
     restriction O(U) -> O(V) is the lift of U's legs at the points of V; it
-    is built on its first read and kept.
+    is built on its first read and kept, as the sections and cones of
+    `sheaf_from_stalks` and `restrict` are.
     """
 
     def __init__(self, kind: str, n_points: int, opens: tuple[frozenset, ...],
@@ -60,11 +82,8 @@ class Presheaf:
         return self._res[(U, V)]
 
     def min_open(self, p: int) -> frozenset:
-        best = None
-        for U in self.opens:
-            if p in U and (best is None or U < best):
-                best = U
-        return best
+        # the least open holding p is the first, as the opens go by size
+        return next(U for U in self.opens if p in U)
 
 
 def sort_opens(opens) -> tuple[frozenset, ...]:
@@ -78,7 +97,7 @@ def sheaf_from_stalks(kind: str, stalks, maps: dict) -> Presheaf:
     minimal open U_p, which is p with those q; the maps must commute.  The
     opens are the unions of the U_p, and O(U) is the limit of the stalks at
     the points of U along the maps between them, with its cone of stalk
-    projections.
+    projections; each is built on its first read.
     """
     mins = [frozenset([p]) | {q for (a, q) in maps if a == p}
             for p in range(len(stalks))]
@@ -86,14 +105,18 @@ def sheaf_from_stalks(kind: str, stalks, maps: dict) -> Presheaf:
     for U in mins:
         opens |= {V | U for V in opens}
     opens = sort_opens(opens)
-    sections, cones = {}, {}
-    for U in opens:
+
+    @functools.cache
+    def section(U):
         pts = sorted(U)
         pos = {p: a for a, p in enumerate(pts)}
         arrows = [(pos[p], pos[q], h) for (p, q), h in maps.items() if p in U]
-        sections[U], cone = tables.limit(kind, [stalks[p] for p in pts], arrows)
-        cones[U] = dict(zip(pts, cone))
-    return Presheaf(kind, len(stalks), opens, sections, cones)
+        L, cone = tables.limit(kind, [stalks[p] for p in pts], arrows)
+        return L, dict(zip(pts, cone))
+
+    return Presheaf(kind, len(stalks), opens,
+                    OnRead(opens, lambda U: section(U)[0]),
+                    OnRead(opens, lambda U: section(U)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +199,16 @@ class APMap:
 
     @functools.cached_property
     def section_maps(self) -> dict:
-        return _sections_from_stalks(self.source, self.target,
-                                     self.point_map, self.stalks)
+        """O_S(pre W) is the limit of the stalks of S at the points of pre W,
+        so the map at W is the lift of the legs O_T(W) -> O_T(U_pm(i)) ->
+        O_S(U_i) -> stalk of S at i."""
+        S, T = self.source, self.target
+        legs = [compose(h, S.sheaf.cones[S.min_open(i)][i])
+                for i, h in enumerate(self.stalks)]
+        return {W: tables.lift(
+            T.sections(W), S.sections(P), S.sheaf.lookup(P),
+            [compose(T.sheaf.res(W, T.min_open(self.point_map[i])), legs[i])
+             for i in sorted(P)]) for W in T.opens for P in [self.preimage(W)]}
 
     def preimage(self, U) -> frozenset:
         return frozenset(i for i, q in enumerate(self.point_map) if q in U)
@@ -186,9 +217,7 @@ class APMap:
     def is_iso(self) -> bool:
         """A homeomorphism with bijective stalk maps; under a homeomorphism
         the stalk map at i is the section map at U_pm(i)."""
-        if sorted(set(self.point_map)) != list(range(self.target.n_points)):
-            return False
-        if len(set(self.point_map)) != self.source.n_points:
+        if sorted(self.point_map) != list(range(self.target.n_points)):
             return False
         pre = {self.preimage(U) for U in self.target.opens}
         if pre != set(self.source.opens):
@@ -248,7 +277,9 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
     one form induces on another.
 
     The canonical map R -> O(U) lifts the form composites at the points of
-    U, and the stalk iso at p is the projection of O(U_p) onto T_p.
+    U, and the stalk iso at p is the projection of O(U_p) onto T_p.  Like
+    the sections, each is built on its first read, so a Spec that is only
+    searched for maps builds the limits at its minimal opens alone.
     """
     key = (ctx.name, R)
     if key in _SPEC_CACHE:
@@ -260,9 +291,6 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
         if h is not None:
             maps[(p, q)] = h
     sheaf = sheaf_from_stalks(R.kind, [f.target for f in forms], maps)
-    canonical = {U: tables.lift(R, sheaf.sections[U], sheaf.lookup(U),
-                                [forms[p].composite for p in sheaf.cones[U]])
-                 for U in sheaf.opens}
     space = SpectralSpace(
         ctx_name=ctx.name,
         kind=R.kind,
@@ -270,9 +298,11 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
         sheaf=sheaf,
         base=R,
         forms=forms,
-        canonical=canonical,
-        stalk_iso={p: sheaf.cones[sheaf.min_open(p)][p]
-                   for p in range(len(forms))},
+        canonical=OnRead(sheaf.opens, lambda U: tables.lift(
+            R, sheaf.sections[U], sheaf.lookup(U),
+            [forms[p].composite for p in sheaf.cones[U]])),
+        stalk_iso=OnRead(range(len(forms)),
+                         lambda p: sheaf.cones[sheaf.min_open(p)][p]),
     )
     _SPEC_CACHE[key] = space
     return space
@@ -312,27 +342,6 @@ def ell(ctx, R) -> Hom:
 # the contravariant action and open embeddings
 
 
-def _sections_from_stalks(S: SpectralSpace, X: SpectralSpace, pm,
-                          stalks) -> dict:
-    """Section maps of the map S -> X with point map pm and stalk maps
-    stalks[i]: O_X(U_pm(i)) -> O_S(U_i).
-
-    O_S(pre W) is the limit of the stalks of S at the points of pre W, so the
-    map at W is the unique lift of the legs O_X(W) -> O_X(U_pm(i)) -> O_S(U_i)
-    -> stalk of S at i.
-    """
-    x_min = {q: X.min_open(q) for q in set(pm)}
-    legs = [compose(stalks[i], S.sheaf.cones[S.min_open(i)][i])
-            for i in range(S.n_points)]
-    section_maps = {}
-    for W in X.opens:
-        P = frozenset(i for i, q in enumerate(pm) if q in W)
-        section_maps[W] = tables.lift(
-            X.sections(W), S.sections(P), S.sheaf.lookup(P),
-            [compose(X.sheaf.res(W, x_min[pm[i]]), legs[i]) for i in sorted(P)])
-    return section_maps
-
-
 def spec_map(ctx, f: Hom) -> APMap:
     """The induced map Spec S -> Spec R for f: R -> S."""
     Y = build_spec(ctx, f.source)
@@ -365,12 +374,13 @@ def restrict(X: SpectralSpace, U: frozenset) -> SpectralSpace:
     def remap(V):
         return frozenset(reindex[p] for p in V)
 
-    inside = [V for V in X.opens if V <= U]
-    sheaf = Presheaf(X.kind, len(pts), sort_opens(map(remap, inside)),
-                     {remap(V): X.sections(V) for V in inside},
-                     {remap(V): {reindex[p]: h
-                                 for p, h in X.sheaf.cones[V].items()}
-                      for V in inside})
+    inside = {remap(V): V for V in X.opens if V <= U}
+    opens = sort_opens(inside)
+    sheaf = Presheaf(X.kind, len(pts), opens,
+                     OnRead(opens, lambda V: X.sections(inside[V])),
+                     OnRead(opens, lambda V: {
+                         reindex[p]: h
+                         for p, h in X.sheaf.cones[inside[V]].items()}))
     return SpectralSpace(
         ctx_name=X.ctx_name,
         kind=X.kind,
@@ -428,91 +438,94 @@ def is_spec_iso(ctx, f: Hom) -> bool:
 
 
 def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
-    """All maps S -> X, searched on the minimal opens of X only.
+    """All maps S -> X, by their stalk maps.
 
-    Each continuous point map pm is paired with a hom O_X(U_q) ->
-    O_S(pre U_q) at every minimal open U_q of X, visited in ascending order:
-    it must commute with the smaller minimal opens already chosen, and its
-    stalk map at each i over q must be admissible.  That fixes the map: its
-    stalk maps determine it, as in `spec_map`.  Its lifted section map at a
-    minimal open is the chosen hom; at any other open W the family of legs
-    lies in the limit O_S(pre W) because the chosen homs commute, and the
-    lift commutes with every restriction because stalks separate sections.
-    So the maps come out as a search over every open finds them, in the same
-    order.
+    A map is a continuous point map pm with one admissible stalk map
+    O_X(U_pm(i)) -> O_S(U_i) per point i of S, where the stalk maps at i and
+    at each j in U_i agree on O_X(U_pm(i)) -> O_S(U_j).  That fixes the map:
+    O_S(pre W) is the limit of the stalks at the points of pre W along these
+    restrictions, so the legs through the stalk maps lift to a section map
+    at each open W, and the lifts commute with restriction because stalks
+    separate sections.  The maps come out by point map, in the order of
+    `itertools.product`, then by stalk maps point by point, in the order of
+    `tables.all_homs`.
     """
-    return list(_maps_on_minimal_opens(
-        S, X, itertools.product(range(X.n_points), repeat=S.n_points),
-        tables.all_homs, ctx.is_admissible))
+    return list(_maps_by_stalks(S, X, False, lambda A, B: [
+        h for h in tables.all_homs(A, B) if ctx.is_admissible(h)]))
 
 
-def _maps_on_minimal_opens(S, X, point_maps, homs, admissible):
-    """The maps S -> X over the point maps `point_maps`, whose hom at each
-    minimal open U comes from `homs(O_X(U), O_S(pre U))` and whose stalk
-    maps pass `admissible`, in the order `enumerate_apmaps` describes."""
+def _maps_by_stalks(S, X, injective, stalk_homs):
+    """The maps S -> X, as `enumerate_apmaps` describes, with stalk maps
+    from `stalk_homs(O_X(U_pm(i)), O_S(U_i))`, over injective point maps
+    only if `injective` (then in the order of `itertools.permutations`).
+
+    The maps over one point map are one `tables.compatible_families` join:
+    one object per point i holding its stalk maps, and one per
+    specialization pair (i, j) holding the keys of the maps O_X(U_pm(i)) ->
+    O_S(U_j) that either side gives, which dropped keep the maps distinct.
+    Each stalk list and each pair's arrows are built once per call.
+    """
     if S.kind != X.kind:
         return
-    x_min = [X.min_open(q) for q in range(X.n_points)]
     s_min = [S.min_open(i) for i in range(S.n_points)]
-    minimal = [U for U in X.opens if U in x_min]  # ascending
-    below = {U: [V for V in minimal if V < U] for U in minimal}
-    for pm in point_maps:
-        # continuous: each minimal open U_i lands in U_pm(i), since every
-        # open of a finite space is the union of its points' minimal opens
-        if any(pm[j] not in x_min[q] for q, U in zip(pm, s_min) for j in U):
-            continue
-        pre = {U: frozenset(i for i, q in enumerate(pm) if q in U)
-               for U in X.opens}
-        over = {U: [] for U in minimal}
-        for i, q in enumerate(pm):
-            over[x_min[q]].append(i)
-        assigned: dict = {}
-        stalks: list = [None] * S.n_points
+    x_min = [X.min_open(q) for q in range(X.n_points)]
+    pairs = S.specialization_order()
 
-        def candidates(U):
-            for h in homs(X.sections(U), S.sections(pre[U])):
-                if any(compose(h, S.sheaf.res(pre[U], pre[V]))
-                       != compose(X.sheaf.res(U, V), assigned[V])
-                       for V in below[U]):
-                    continue
-                st = []
-                for i in over[U]:
-                    st.append(compose(h, S.sheaf.res(pre[U], s_min[i])))
-                    if not admissible(st[-1]):
-                        break
-                else:
-                    yield h, st
+    @functools.cache
+    def stalks(q, i):
+        return stalk_homs(X.sections(x_min[q]), S.sections(s_min[i]))
 
-        def rec(idx):
-            if idx == len(minimal):
-                yield APMap(S, X, pm, tuple(stalks))
-                return
-            U = minimal[idx]
-            for h, st in candidates(U):
-                assigned[U] = h
-                for i, s in zip(over[U], st):
-                    stalks[i] = s
-                yield from rec(idx + 1)
+    @functools.cache
+    def meet(i, q, j, r):
+        left = [compose(h, S.sheaf.res(s_min[i], s_min[j])).map
+                for h in stalks(q, i)]
+        right = [compose(X.sheaf.res(x_min[q], x_min[r]), h).map
+                 for h in stalks(r, j)]
+        index = {k: n for n, k in enumerate(dict.fromkeys(left + right))}
+        return [index[k] for k in left], [index[k] for k in right], len(index)
 
-        yield from rec(0)
+    pm = []
+
+    def point_maps():
+        # point by point: the new point k goes to q when the minimal opens
+        # of k and of each placed point land in their images' (continuity)
+        # and some stalk map O_X(U_q) -> O_S(U_k) is there
+        k = len(pm)
+        if k == S.n_points:
+            yield tuple(pm)
+            return
+        for q in range(X.n_points):
+            fits = all(pm[j] in x_min[q] for j in s_min[k] if j < k) and all(
+                q in x_min[pm[i]] for i in range(k) if k in s_min[i])
+            if fits and not (injective and q in pm) and stalks(q, k):
+                pm.append(q)
+                yield from point_maps()
+                pm.pop()
+
+    for p in point_maps():
+        sizes = [len(stalks(q, i)) for i, q in enumerate(p)]
+        arrows = []
+        for i, j in pairs:
+            left, right, size = meet(i, p[i], j, p[j])
+            arrows += [(i, len(sizes), left), (j, len(sizes), right)]
+            sizes.append(size)
+        for f in tables.compatible_families(sizes, arrows):
+            yield APMap(S, X, p, tuple(stalks(q, i)[f[i]]
+                                       for i, q in enumerate(p)))
 
 
 def iter_space_isos(X: SpectralSpace, Y: SpectralSpace):
-    """Isomorphisms X -> Y (as APMaps X -> Y), by the minimal-open search.
+    """Isomorphisms X -> Y (as APMaps X -> Y), by their stalk maps.
 
     With as many opens on each side, a continuous bijection of points is a
-    homeomorphism, and isomorphisms on the minimal opens lift to
-    isomorphisms on every open; an isomorphism is admissible in every
-    context.
+    homeomorphism, and isomorphisms at the stalks lift to isomorphisms on
+    every open; an isomorphism is admissible in every context.
     """
     if X.n_points != Y.n_points or len(X.opens) != len(Y.opens):
         return
-    yield from _maps_on_minimal_opens(
-        X, Y, itertools.permutations(range(Y.n_points)),
-        tables.iter_isomorphisms, lambda h: True)
+    yield from _maps_by_stalks(
+        X, Y, True, lambda A, B: list(tables.iter_isomorphisms(A, B)))
 
 
 def spaces_isomorphic(X: SpectralSpace, Y: SpectralSpace) -> APMap | None:
-    for m in iter_space_isos(X, Y):
-        return m
-    return None
+    return next(iter_space_isos(X, Y), None)

@@ -1,12 +1,13 @@
-"""Maps of spaces from their values on the minimal opens, against the search
-over every open.
+"""Maps of spaces from their stalk maps, against the search over every open.
 
-`enumerate_apmaps` chooses homs only at the minimal opens of the target and
-lifts the rest into limits of stalks; the oracle in `helpers` chooses a hom
-at every open and re-validates each result.  Both must give the same maps,
-in the same order, with the same section maps.  Maps compose and invert
-stalk by stalk; the oracles in `helpers` compose and invert their section
-maps open by open, and must give the same section maps.
+`enumerate_apmaps` chooses one stalk map per source point, joined along the
+specializations, and lifts the section maps into limits of stalks; the
+oracle in `helpers` chooses a hom at every open and re-validates each
+result.  Both must give the same maps, in the same order, with the same
+section maps.  Maps compose and invert stalk by stalk; the oracles in
+`helpers` compose and invert their section maps open by open, and must give
+the same section maps.  The search lists the stalk maps of each pair of
+points once, and reads only the minimal opens of the spaces it searches.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from conespec import tables
 
 from helpers import (compose_apmaps_by_opens, corpus_by_context,
                      enumerate_apmaps_by_opens, glued_row,
-                     invert_apmap_by_opens)
+                     invert_apmap_by_opens, validate_apmap)
 from test_points import golden_space
 
 DEI = C.get_context("deitmar")
@@ -168,3 +169,81 @@ def test_nerve_sheaf_condition_rejects_a_base_value_missing_a_map():
         assert Z6 not in (k2.target, k3.target) and values[Z6]
         values[Z6] = values[Z6][1:]
         assert not gl.nerve_sheaf_condition(ZAR, X, cover, values)
+
+
+# ------------------------------------------------------------- work and sizes
+
+
+def _counting(monkeypatch, module, name):
+    """Record the arguments of each call of module.name."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _minimal_open_diagrams(spaces):
+    """The stalks at the points of each minimal open, in ascending order:
+    the objects of the limit `build_spec` takes there."""
+    return [[Y.forms[p].target for p in sorted(Y.min_open(q))]
+            for Y in spaces for q in range(Y.n_points)]
+
+
+def test_maps_list_the_stalk_homs_of_each_pair_of_points_once(glued,
+                                                              monkeypatch):
+    _, doubled = golden_space("doubled-e2xe2.json")
+    X = sp.build_spec(DEI, corpus.monoid_product("e2", "e2"))
+    pairs = [(G, H) for G in glued.values() for H in glued.values()]
+    pairs += [(X, doubled), (doubled, X)]
+    for S, T in pairs:
+        calls = _counting(monkeypatch, tables, "all_homs")
+        assert sp.enumerate_apmaps(DEI, S, T)
+        assert len(calls) <= S.n_points * T.n_points
+
+
+def test_the_doubled_e2xe2_has_961_maps_to_itself(monkeypatch):
+    """The golden gluing of two Spec e2xe2 along e: 7 points, 26 opens."""
+    ctx, X = golden_space("doubled-e2xe2.json")
+    calls = _counting(monkeypatch, tables, "all_homs")
+    maps = sp.enumerate_apmaps(ctx, X, X)
+    assert len(maps) == 961 and len(calls) <= X.n_points ** 2
+    assert len({m.key for m in maps}) == 961
+    for m in maps:
+        validate_apmap(ctx, m)
+
+
+def test_deitmar_spec_e2xe2xchain3_has_two_automorphisms():
+    """12 points; the factor swap of e2xe2 and the identity."""
+    X = sp.build_spec(DEI, corpus.monoid_product("e2", "e2", "chain3"))
+    autos = list(sp.iter_space_isos(X, X))
+    assert X.n_points == 12 and len(autos) == 2
+    assert autos[0].point_map == tuple(range(12))
+    assert all(m.is_iso for m in autos)
+
+
+def test_searched_specs_build_limits_only_at_their_minimal_opens(monkeypatch):
+    """Spec of the global sections in `is_affine`, and Spec of each site
+    object in `nerve`, are only searched for maps: they build the limits at
+    their minimal opens, each once, and no other."""
+    ZAR = C.get_context("zariski")
+    site = gl.default_site(DEI, 4)
+    for name, search, searched in (
+            ("doubled-z12.json", lambda X: gl.is_affine(ZAR, X)[0],
+             lambda X: [sp.build_spec(ZAR, X.sections(X.total))]),
+            ("doubled-chain3.json", lambda X: gl.nerve(DEI, X, site),
+             lambda X: [sp.build_spec(DEI, A) for A in site])):
+        _, X = golden_space(name)
+        for U in X.opens:
+            X.sections(U)
+        monkeypatch.setattr(sp, "_SPEC_CACHE", {})
+        limits = _counting(monkeypatch, tables, "limit")
+        assert search(X)
+        minimal = _minimal_open_diagrams(searched(X))
+        assert limits and len(limits) <= len(minimal)
+        assert all(list(objects) in minimal for _, objects, _ in limits)
+        # what building them whole would cost
+        assert sum(len(Y.opens) for Y in searched(X)) > len(minimal)

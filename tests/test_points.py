@@ -175,3 +175,12 @@ def test_scheme_equivalence_probe_on_the_full_site():
         n += 1
     assert failing == NOT_BIJECTIVE
     assert n == 3 + 7 + 11 * 11 + 8 * 8
+
+
+def test_probe_of_the_doubled_e2xe2_with_itself_on_the_full_site():
+    """The golden gluing of two Spec e2xe2 along e, over every deitmar site
+    object: its 961 maps to itself are the natural maps of its nerve."""
+    ctx, X = golden_space("doubled-e2xe2.json")
+    rep = gl.scheme_equivalence_probe(ctx, X, X, gl.default_site(ctx))
+    assert (rep["site_size"], rep["n_homs"], rep["n_nats"],
+            rep["bijective"]) == (7, 961, 961, True)

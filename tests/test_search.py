@@ -116,7 +116,9 @@ def test_search_plan_matches_the_scan_on_every_spec_limit(monkeypatch):
     monkeypatch.setattr(tables, "limit", recording)
     for ctx, A in corpus_by_context() + [
             (DEI, corpus.monoid_product("chain3", "chain3", "e2"))]:
-        sp.build_spec(ctx, A)
+        X = sp.build_spec(ctx, A)
+        for U in X.opens:   # each section is built on its first read
+            X.sections(U)
     assert len(diagrams) > 100
     assert max(len(sizes) for sizes, _ in diagrams) >= 18
     for sizes, arrows in diagrams:

@@ -50,7 +50,9 @@ def test_spec_limits_match_product_scan(monkeypatch):
     monkeypatch.setattr(tables, "limit", recording)
     monkeypatch.setattr(sp, "_SPEC_CACHE", {})
     for ctx, A in corpus_by_context():
-        sp.build_spec(ctx, A)
+        X = sp.build_spec(ctx, A)
+        for U in X.opens:   # each section is built on its first read
+            X.sections(U)
     assert len(calls) > 50
     for kind, objects, arrows, out in calls:
         assert out == limit_by_product_scan(kind, objects, arrows)
@@ -72,7 +74,9 @@ def test_lift_matches_the_lookup_route_on_every_spec_limit(monkeypatch):
     monkeypatch.setattr(tables, "lift", by_lookup)
     monkeypatch.setattr(sp, "_SPEC_CACHE", {})
     for ctx, A in corpus_by_context():
-        sp.build_spec(ctx, A)
+        X = sp.build_spec(ctx, A)
+        for U in X.opens:   # each canonical map is built on its first read
+            X.canonical[U]
     assert len(calls) > 50
 
 
