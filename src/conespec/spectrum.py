@@ -461,9 +461,10 @@ def _maps_by_stalks(S, X, injective, stalk_homs):
 
     The maps over one point map are one `tables.compatible_families` join:
     one object per point i holding its stalk maps, and one per
-    specialization pair (i, j) holding the keys of the maps O_X(U_pm(i)) ->
-    O_S(U_j) that either side gives, which dropped keep the maps distinct.
-    Each stalk list and each pair's arrows are built once per call.
+    specialization pair (i, j) holding the maps O_X(U_pm(i)) -> O_S(U_j)
+    that either side gives, functions of the stalk coordinates that are
+    dropped from each family.  Each stalk list and each pair's arrows are
+    built once per call.
     """
     if S.kind != X.kind:
         return
@@ -487,9 +488,8 @@ def _maps_by_stalks(S, X, injective, stalk_homs):
     pm = []
 
     def point_maps():
-        # point by point: the new point k goes to q when the minimal opens
-        # of k and of each placed point land in their images' (continuity)
-        # and some stalk map O_X(U_q) -> O_S(U_k) is there
+        # point by point: k goes to q when the minimal opens of k and of the
+        # placed points land in their images' and k has a stalk map over q
         k = len(pm)
         if k == S.n_points:
             yield tuple(pm)
