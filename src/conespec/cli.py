@@ -134,7 +134,7 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict else EXIT_FALSE
 
 
-def _load_gluing(ctx, doc, args) -> gl.GluingSpec:
+def _load_gluing(specs, doc, args) -> gl.GluingSpec:
     charts = tuple(cio._resolve_algebra(c["algebra"])
                    for c in cio.list_field(doc, "charts", dict))
     if not charts:
@@ -147,8 +147,8 @@ def _load_gluing(ctx, doc, args) -> gl.GluingSpec:
             if type(v) is not int or not 0 <= v < len(charts):
                 raise ValidationError(f"overlap chart index {v!r} out of range",
                                       ov)
-        k_i = cio.path_from_dict(ctx, charts[i], ov["k_i"])
-        k_j = cio.path_from_dict(ctx, charts[j], ov["k_j"])
+        k_i = cio.path_from_dict(specs.ctx, charts[i], ov["k_i"])
+        k_j = cio.path_from_dict(specs.ctx, charts[j], ov["k_j"])
         g = None
         if "iso" in ov:
             iso = ov["iso"]
@@ -160,28 +160,28 @@ def _load_gluing(ctx, doc, args) -> gl.GluingSpec:
             g = tables.Hom(k_j.target, k_i.target, tuple(mapping))
             if not tables.is_hom(g) or not g.is_bijective:
                 raise ValidationError("overlap iso is not an isomorphism", ov)
-        overlaps.append(gl.make_overlap(ctx, charts, i, j, k_i, k_j, g))
-    return gl.GluingSpec(ctx.name, charts, tuple(overlaps))
+        overlaps.append(gl.make_overlap(specs, charts, i, j, k_i, k_j, g))
+    return gl.GluingSpec(charts, tuple(overlaps))
 
 
 def cmd_glue(args) -> int:
     doc = cio.load_object(args.input)
-    ctx = cx.get_context(doc.get("context", args.context))
-    X = gl.glue(ctx, _load_gluing(ctx, doc, args))
+    specs = sp.Specs(cx.get_context(doc.get("context", args.context)))
+    X = gl.glue(specs, _load_gluing(specs, doc, args))
     stem = _stem(args.input)
     _write(args.out_dir, f"{stem}.space.json", cio.dumps(cio.space_to_dict(X)))
     _write(args.out_dir, f"{stem}.topology.dot", cio.specialization_dot(X))
-    verdict, _ = gl.is_affine(ctx, X)
+    verdict, _ = gl.is_affine(specs, X)
     print(f"points={X.n_points} affine={'true' if verdict else 'false'}")
     return EXIT_OK
 
 
-def _space_from_input(ctx, doc, args):
+def _space_from_input(specs, doc, args):
     if "charts" in doc:
-        return gl.glue(ctx, _load_gluing(ctx, doc, args))
+        return gl.glue(specs, _load_gluing(specs, doc, args))
     R = cio.algebra_from_dict(doc)
     _check_bounds(args, R)
-    return sp.build_spec(ctx, R)
+    return specs[R]
 
 
 def cmd_nerve(args) -> int:
@@ -191,9 +191,10 @@ def cmd_nerve(args) -> int:
         raise ValidationError("--site-max must be at least 1", args.site_max)
     doc = cio.load_object(args.input)
     ctx = cx.get_context(doc.get("context", args.context))
-    X = _space_from_input(ctx, doc, args)
+    specs = sp.Specs(ctx)
+    X = _space_from_input(specs, doc, args)
     site = tuple(A for A in gl.default_site(ctx) if A.size <= args.site_max)
-    table = gl.nerve(ctx, X, site)
+    table = gl.nerve(specs, X, site)
     covers = []
     for A in site:
         locs = cx.enumerate_localizations(ctx, A)
@@ -203,11 +204,12 @@ def cmd_nerve(args) -> int:
         if pointwise and not any(k.is_identity_class for k in pointwise):
             covers.append(hc.Opcover(ctx.name, A, tuple(pointwise)))
     # N(X)(K) per algebra K, shared by the sheaf checks so each is computed once
-    values = {A: table.values[s] for s, A in enumerate(site)}
-    sheaf_ok = all(gl.nerve_sheaf_condition(ctx, X, c, values) for c in covers)
+    values = dict(zip(site, table))
+    sheaf_ok = all(gl.nerve_sheaf_condition(specs, X, c, values)
+                   for c in covers)
     report = {
         "site": [list(A.elements) for A in site],
-        "counts": {str(s): len(table.values[s]) for s in range(len(site))},
+        "counts": {str(s): len(maps) for s, maps in enumerate(table)},
         "sheaf_condition": "PASS" if sheaf_ok else "FAIL",
     }
     print(cio.dumps(report), end="")

@@ -17,7 +17,7 @@ from . import spectrum as sp
 from . import tables
 from .contexts import LocalizationPath
 from .errors import CocycleViolation, InvariantViolation
-from .spectrum import APMap, SpectralSpace, build_spec, compose_apmaps, \
+from .spectrum import APMap, SpectralSpace, Specs, compose_apmaps, \
     restrict, spec_map
 from .tables import FiniteAlgebra, Hom, all_homs, compose
 
@@ -33,14 +33,13 @@ class Overlap:
 
 
 class GluingSpec:
-    def __init__(self, ctx_name: str, charts: tuple[FiniteAlgebra, ...],
+    def __init__(self, charts: tuple[FiniteAlgebra, ...],
                  overlaps: tuple[Overlap, ...]):
-        self.ctx_name = ctx_name
         self.charts = charts
         self.overlaps = overlaps
 
 
-def make_overlap(ctx, charts, i: int, j: int,
+def make_overlap(specs: Specs, charts, i: int, j: int,
                  k_i: LocalizationPath, k_j: LocalizationPath,
                  g: Hom | None = None) -> Overlap:
     """Build the overlap by composing the two open-embedding isos.
@@ -49,25 +48,24 @@ def make_overlap(ctx, charts, i: int, j: int,
     Spec g for an isomorphism g: target(k_j) -> target(k_i) when one is
     given, else along any isomorphism of the two spectra, which must exist.
     """
-    Ui, emb_i = sp.open_embedding_data(ctx, charts[i], k_i)
-    Uj, emb_j = sp.open_embedding_data(ctx, charts[j], k_j)
+    _, emb_i = sp.open_embedding_data(specs, charts[i], k_i)
+    _, emb_j = sp.open_embedding_data(specs, charts[j], k_j)
     if g is not None:
-        mid = spec_map(ctx, g)
+        mid = spec_map(specs, g)
     else:
-        mid = sp.spaces_isomorphic(build_spec(ctx, k_i.target),
-                                   build_spec(ctx, k_j.target))
+        mid = sp.spaces_isomorphic(specs[k_i.target], specs[k_j.target])
         if mid is None:
             raise CocycleViolation("overlap spectra are not isomorphic")
     iso = compose_apmaps(compose_apmaps(emb_i, mid), sp.invert_apmap(emb_j))
     return Overlap(i, j, k_i, k_j, iso)
 
 
-def glue(ctx, g: GluingSpec) -> SpectralSpace:
-    spaces = [build_spec(ctx, R) for R in g.charts]
+def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
+    spaces = [specs[R] for R in g.charts]
     opens_by_overlap = []
     for ov in g.overlaps:
-        Ui = sp.distinguished_open(ctx, g.charts[ov.i], ov.k_i, spaces[ov.i].forms)
-        Uj = sp.distinguished_open(ctx, g.charts[ov.j], ov.k_j, spaces[ov.j].forms)
+        Ui = sp.distinguished_open(spaces[ov.i].forms, ov.k_i)
+        Uj = sp.distinguished_open(spaces[ov.j].forms, ov.k_j)
         if not ov.iso.is_iso:
             raise CocycleViolation("overlap identification is not an isomorphism")
         opens_by_overlap.append((Ui, Uj))
@@ -130,13 +128,13 @@ def glue(ctx, g: GluingSpec) -> SpectralSpace:
         compose(cones[c][i], spaces[i].sheaf.res(traces[c][i], traces[d][i]))
         for i in range(nc)]) for c, U in enumerate(mins) for d in U - {c}}
     X = SpectralSpace(
-        ctx_name=ctx.name,
+        ctx_name=specs.ctx.name,
         kind=spaces[0].kind,
         point_labels=tuple(f"c{i}p{p}" for (i, p) in
                            (all_points[c] for c in classes)),
         sheaf=sp.sheaf_from_stalks(spaces[0].kind, stalks, maps),
     )
-    _check_glued(ctx, X)
+    _check_glued(specs.ctx, X)
     return X
 
 
@@ -173,14 +171,14 @@ def _check_glued(ctx, X):
             raise InvariantViolation("glued stalk is not local")
 
 
-def is_affine(ctx, X: SpectralSpace):
+def is_affine(specs: Specs, X: SpectralSpace):
     """(verdict, witness): is X isomorphic to Spec of its global sections?
 
     Spec of the global sections builds its sections on first read, so the
     isomorphism search reads those at its minimal opens alone, and none
     when the point counts differ.
     """
-    Y = build_spec(ctx, X.sections(X.total))
+    Y = specs[X.sections(X.total)]
     m = sp.spaces_isomorphic(Y, X)
     if m is not None:
         return True, m
@@ -195,15 +193,6 @@ def is_affine(ctx, X: SpectralSpace):
 # nerves on a finite site
 
 
-class NerveTable:
-    def __init__(self, ctx_name: str, site: tuple[FiniteAlgebra, ...],
-                 values: dict, space: SpectralSpace):
-        self.ctx_name = ctx_name
-        self.site = site
-        self.values = values    # site index -> list of APMaps Spec S -> X
-        self.space = space
-
-
 def default_site(ctx, max_size: int = 8):
     from . import corpus
 
@@ -215,19 +204,16 @@ def default_site(ctx, max_size: int = 8):
     return tuple(A for A in pool if A.size <= max_size)
 
 
-def nerve(ctx, X: SpectralSpace, site) -> NerveTable:
-    """N(X) on the site: the maps Spec S -> X for each site object S.
+def nerve(specs: Specs, X: SpectralSpace, site) -> list[list[APMap]]:
+    """N(X) on the site: the maps Spec S -> X, one list per site object S.
 
     Site homs act by precomposition with their Spec maps; the action stays
     in the table since each value is the complete set of maps.
     """
-    values = {}
-    for s, S in enumerate(site):
-        values[s] = sp.enumerate_apmaps(ctx, build_spec(ctx, S), X)
-    return NerveTable(ctx.name, tuple(site), values, X)
+    return [sp.enumerate_apmaps(specs.ctx, specs[S], X) for S in site]
 
 
-def nerve_sheaf_condition(ctx, X: SpectralSpace, cover: hc.Opcover,
+def nerve_sheaf_condition(specs: Specs, X: SpectralSpace, cover: hc.Opcover,
                           values: dict) -> bool:
     """N(X)(A) must equal the compatible families over the cover of A.
 
@@ -237,11 +223,11 @@ def nerve_sheaf_condition(ctx, X: SpectralSpace, cover: hc.Opcover,
     """
     def at(K):
         if K not in values:
-            values[K] = sp.enumerate_apmaps(ctx, build_spec(ctx, K), X)
+            values[K] = sp.enumerate_apmaps(specs.ctx, specs[K], X)
         return values[K]
 
-    comp_maps = [spec_map(ctx, k.composite) for k in cover.components]
-    families = _nerve_families(ctx, cover,
+    comp_maps = [spec_map(specs, k.composite) for k in cover.components]
+    families = _nerve_families(specs, cover,
                                [at(k.target) for k in cover.components])
     images = set()
     for phi in at(cover.base):
@@ -252,7 +238,7 @@ def nerve_sheaf_condition(ctx, X: SpectralSpace, cover: hc.Opcover,
     return images == set(families)
 
 
-def _nerve_families(ctx, cover: hc.Opcover, at_K) -> list[tuple]:
+def _nerve_families(specs: Specs, cover: hc.Opcover, at_K) -> list[tuple]:
     """The families of maps Spec K_t -> X, one from each at_K[t], that agree
     after the pushout legs of every pair of components, in lexicographic
     order of their indices; each is the tuple of its maps' keys.
@@ -268,7 +254,7 @@ def _nerve_families(ctx, cover: hc.Opcover, at_K) -> list[tuple]:
     for t, u in itertools.combinations(range(nc), 2):
         _, in_t, in_u = tables.pushout(cover.components[t].composite,
                                        cover.components[u].composite)
-        mt, mu = spec_map(ctx, in_t), spec_map(ctx, in_u)
+        mt, mu = spec_map(specs, in_t), spec_map(specs, in_u)
         left = [compose_apmaps(mt, phi).key for phi in at_K[t]]
         right = [compose_apmaps(mu, phi).key for phi in at_K[u]]
         index = {k: n for n, k in enumerate(dict.fromkeys(left + right))}
@@ -284,17 +270,19 @@ def _nerve_families(ctx, cover: hc.Opcover, at_K) -> list[tuple]:
 # open subfunctors and representability
 
 
-def open_subfunctor_values(ctx, R: FiniteAlgebra, U: frozenset, site):
+def open_subfunctor_values(specs: Specs, R: FiniteAlgebra, U: frozenset,
+                           site):
     """Per site object: the homs R -> S whose Spec map lands in U."""
     return {s: [f for f in all_homs(R, S)
-                if set(spec_map(ctx, f).point_map) <= U]
+                if set(spec_map(specs, f).point_map) <= U]
             for s, S in enumerate(site)}
 
 
-def open_subfunctor_is_representable(ctx, R, k: LocalizationPath, site) -> bool:
+def open_subfunctor_is_representable(specs: Specs, R, k: LocalizationPath,
+                                     site) -> bool:
     """yR at Pts k agrees with the representable of the localization target."""
-    U = sp.distinguished_open(ctx, R, k, None)
-    values = open_subfunctor_values(ctx, R, U, site)
+    U = sp.distinguished_open(specs[R].forms, k)
+    values = open_subfunctor_values(specs, R, U, site)
     for s, S in enumerate(site):
         through = {compose(k.composite, g).map for g in all_homs(k.target, S)}
         if {f.map for f in values[s]} != through:
@@ -302,16 +290,13 @@ def open_subfunctor_is_representable(ctx, R, k: LocalizationPath, site) -> bool:
     return True
 
 
-def nerve_matches_representable(ctx, R: FiniteAlgebra, site) -> bool:
+def nerve_matches_representable(specs: Specs, R: FiniteAlgebra, site) -> bool:
     """N(Spec R)(S) is in natural bijection with Hom(R, S) on the site."""
-    X = build_spec(ctx, R)
-    table = nerve(ctx, X, site)
-    for s, S in enumerate(site):
+    for S, maps in zip(site, nerve(specs, specs[R], site)):
         homs = all_homs(R, S)
-        maps = table.values[s]
         if len(homs) != len(maps):
             return False
-        keys = {spec_map(ctx, f).key for f in homs}
+        keys = {spec_map(specs, f).key for f in homs}
         if keys != {m.key for m in maps}:
             return False
     # naturality: the bijection commutes with the site action for free since
@@ -323,12 +308,12 @@ def nerve_matches_representable(ctx, R: FiniteAlgebra, site) -> bool:
 # affine opens and the communication property
 
 
-def affine_opens(ctx, X: SpectralSpace):
+def affine_opens(specs: Specs, X: SpectralSpace):
     out = {}
     for U in X.opens:
         if not U:
             continue
-        verdict, witness = is_affine(ctx, restrict(X, U))
+        verdict, witness = is_affine(specs, restrict(X, U))
         if verdict:
             out[U] = witness
     return out
@@ -345,10 +330,10 @@ def _distinguished_in(ctx, U, witness):
             for V in sp.distinguished_opens(ctx, witness.source.base)}
 
 
-def affine_communication_check(ctx, X: SpectralSpace) -> bool:
+def affine_communication_check(specs: Specs, X: SpectralSpace) -> bool:
     """Any point in two affine opens lies in a common distinguished open."""
-    aff = affine_opens(ctx, X)
-    dist = {U: _distinguished_in(ctx, U, w) for U, w in aff.items()}
+    aff = affine_opens(specs, X)
+    dist = {U: _distinguished_in(specs.ctx, U, w) for U, w in aff.items()}
     for U in aff:
         for V in aff:
             for p in U & V:
@@ -362,8 +347,9 @@ def affine_communication_check(ctx, X: SpectralSpace) -> bool:
 # scheme equivalence probe
 
 
-def natural_transformations(ctx, NX: NerveTable, NY: NerveTable):
-    """All natural maps NX -> NY over the common site, by one family search.
+def natural_transformations(specs: Specs, site, NX, NY):
+    """All natural maps NX -> NY of two nerves on `site`, by one family
+    search.
 
     Its objects are the pairs (s, m), m in NX(s), each ranging over the
     indices of NY(s); each site hom f: a -> b and each m in NX(a) give the
@@ -371,43 +357,38 @@ def natural_transformations(ctx, NX: NerveTable, NY: NerveTable):
     one tuple of image indices per site object, and they come out in
     lexicographic order.
     """
-    site = NX.site
     n = len(site)
-    x_keys = [{m.key: idx for idx, m in enumerate(NX.values[s])}
-              for s in range(n)]
-    y_keys = [{m.key: idx for idx, m in enumerate(NY.values[s])}
-              for s in range(n)]
-    offset = list(itertools.accumulate(
-        (len(NX.values[s]) for s in range(n)), initial=0))
-    sizes = [len(NY.values[s]) for s in range(n) for _ in NX.values[s]]
+    x_keys = [{m.key: idx for idx, m in enumerate(maps)} for maps in NX]
+    y_keys = [{m.key: idx for idx, m in enumerate(maps)} for maps in NY]
+    offset = list(itertools.accumulate(map(len, NX), initial=0))
+    sizes = [len(NY[s]) for s in range(n) for _ in NX[s]]
     arrows = []
     for a in range(n):
-        if not NX.values[a]:
+        if not NX[a]:
             continue    # no arrow leaves an empty NX(a)
         for b in range(n):
             for f in all_homs(site[a], site[b]):
-                mf = spec_map(ctx, f)
-                ya = [y_keys[b][compose_apmaps(mf, m).key]
-                      for m in NY.values[a]]
-                for i, m in enumerate(NX.values[a]):
+                mf = spec_map(specs, f)
+                ya = [y_keys[b][compose_apmaps(mf, m).key] for m in NY[a]]
+                for i, m in enumerate(NX[a]):
                     fm = x_keys[b][compose_apmaps(mf, m).key]
                     arrows.append((offset[a] + i, offset[b] + fm, ya))
     return [tuple(fam[offset[s]:offset[s + 1]] for s in range(n))
             for fam in tables.compatible_families(sizes, arrows)]
 
 
-def scheme_equivalence_probe(ctx, X: SpectralSpace, Y: SpectralSpace, site):
+def scheme_equivalence_probe(specs: Specs, X: SpectralSpace, Y: SpectralSpace,
+                             site):
     """Compare Hom(X, Y) in spaces with Nat(NX, NY) over the finite site."""
-    homs = sp.enumerate_apmaps(ctx, X, Y)
-    NX = nerve(ctx, X, site)
-    NY = nerve(ctx, Y, site)
-    nats = natural_transformations(ctx, NX, NY)
-    keyed = [{v.key: idx for idx, v in enumerate(NY.values[s])}
-             for s in range(len(site))]
+    homs = sp.enumerate_apmaps(specs.ctx, X, Y)
+    NX = nerve(specs, X, site)
+    NY = nerve(specs, Y, site)
+    nats = natural_transformations(specs, site, NX, NY)
+    keyed = [{v.key: idx for idx, v in enumerate(maps)} for maps in NY]
     # the transformation each map induces; the nats are distinct and sorted
     induced = sorted(
-        tuple(tuple(keyed[s][compose_apmaps(phi, m).key]
-                    for phi in NX.values[s]) for s in range(len(site)))
+        tuple(tuple(keyed[s][compose_apmaps(phi, m).key] for phi in maps)
+              for s, maps in enumerate(NX))
         for m in homs)
     return {
         "site_size": len(site),

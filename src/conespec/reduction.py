@@ -113,7 +113,7 @@ def check_flat_wrt_cover(ctx, p: LocalizationPath, cover: hc.Opcover) -> bool:
 def distop_lattice_bijection(ctx, R: FiniteAlgebra) -> bool:
     """Distinguished opens of Spec R and Spec(red R) match along the unit."""
     res = reduce(ctx, R)
-    m = sp.spec_map(ctx, res.unit)
+    m = sp.spec_map(sp.Specs(ctx), res.unit)
     basis_R = sp.distinguished_opens(ctx, R)
     basis_red = sp.distinguished_opens(ctx, res.algebra)
     image = {U: m.preimage(U) for U in basis_R}

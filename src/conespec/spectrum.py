@@ -254,13 +254,8 @@ def invert_apmap(m: APMap) -> APMap:
 # building Spec
 
 
-_SPEC_CACHE: dict = {}
-
-
-def distinguished_open(ctx, R, k: LocalizationPath, forms=None) -> frozenset:
-    """Pts k: the local forms factoring through k."""
-    if forms is None:
-        forms = local_forms(ctx, R)
+def distinguished_open(forms, k: LocalizationPath) -> frozenset:
+    """Pts k: the indices of the local forms `forms` that factor through k."""
     return frozenset(i for i, p in enumerate(forms)
                      if tables.induced(k.composite, p.composite) is not None)
 
@@ -268,7 +263,7 @@ def distinguished_open(ctx, R, k: LocalizationPath, forms=None) -> frozenset:
 def distinguished_opens(ctx, R) -> set[frozenset]:
     """The distinguished opens Pts k of Spec R, over every localization k."""
     forms = local_forms(ctx, R)
-    return {distinguished_open(ctx, R, k, forms)
+    return {distinguished_open(forms, k)
             for k in cx.enumerate_localizations(ctx, R).values()}
 
 
@@ -281,9 +276,6 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
     the sections, each is built on its first read, so a Spec that is only
     searched for maps builds the limits at its minimal opens alone.
     """
-    key = (ctx.name, R)
-    if key in _SPEC_CACHE:
-        return _SPEC_CACHE[key]
     forms = tuple(local_forms(ctx, R))
     maps = {}
     for p, q in itertools.permutations(range(len(forms)), 2):
@@ -291,7 +283,7 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
         if h is not None:
             maps[(p, q)] = h
     sheaf = sheaf_from_stalks(R.kind, [f.target for f in forms], maps)
-    space = SpectralSpace(
+    return SpectralSpace(
         ctx_name=ctx.name,
         kind=R.kind,
         point_labels=tuple(f"p{i}" for i in range(len(forms))),
@@ -304,8 +296,25 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
         stalk_iso=OnRead(range(len(forms)),
                          lambda p: sheaf.cones[sheaf.min_open(p)][p]),
     )
-    _SPEC_CACHE[key] = space
-    return space
+
+
+class Specs(dict):
+    """One command's workspace: Spec R per algebra R, built on its first
+    read, and in `maps` the Spec map of each hom, built on its first call.
+
+    Maps of spaces compose only along the very same space, so the Specs that
+    a composite passes through, and the Spec maps between them, come from
+    one workspace.
+    """
+
+    def __init__(self, ctx):
+        super().__init__()
+        self.ctx = ctx
+        self.maps = {}
+
+    def __missing__(self, R: FiniteAlgebra) -> SpectralSpace:
+        self[R] = build_spec(self.ctx, R)
+        return self[R]
 
 
 def reduce_admissible(ctx, R):
@@ -342,10 +351,11 @@ def ell(ctx, R) -> Hom:
 # the contravariant action and open embeddings
 
 
-def spec_map(ctx, f: Hom) -> APMap:
-    """The induced map Spec S -> Spec R for f: R -> S."""
-    Y = build_spec(ctx, f.source)
-    X = build_spec(ctx, f.target)
+def spec_map(specs: Specs, f: Hom) -> APMap:
+    """The induced map Spec S -> Spec R for f: R -> S, once per workspace."""
+    if f in specs.maps:
+        return specs.maps[f]
+    ctx, Y, X = specs.ctx, specs[f.source], specs[f.target]
     point_map = []
     stalks = []
     for j, q in enumerate(X.forms):
@@ -363,7 +373,8 @@ def spec_map(ctx, f: Hom) -> APMap:
             compose(Y.stalk_iso[i], compose(ident.inverse(), g)),
             X.stalk_iso[j].inverse(),
         ))
-    return APMap(X, Y, tuple(point_map), tuple(stalks))
+    specs.maps[f] = APMap(X, Y, tuple(point_map), tuple(stalks))
+    return specs.maps[f]
 
 
 def restrict(X: SpectralSpace, U: frozenset) -> SpectralSpace:
@@ -400,11 +411,10 @@ def corestrict_to_open(m: APMap, U: frozenset) -> APMap:
                  m.stalks)
 
 
-def open_embedding_data(ctx, R: FiniteAlgebra, k: LocalizationPath):
+def open_embedding_data(specs: Specs, R: FiniteAlgebra, k: LocalizationPath):
     """(Pts k, iso: restrict(Spec R, Pts k) -> Spec K) for a localization k."""
-    Y = build_spec(ctx, R)
-    U = distinguished_open(ctx, R, k, Y.forms)
-    m = spec_map(ctx, k.composite)
+    U = distinguished_open(specs[R].forms, k)
+    m = spec_map(specs, k.composite)
     if len(set(m.point_map)) != m.source.n_points or set(m.point_map) != set(U):
         raise InvariantViolation("Spec K does not sit over Pts k")
     core = corestrict_to_open(m, U)
@@ -413,9 +423,10 @@ def open_embedding_data(ctx, R: FiniteAlgebra, k: LocalizationPath):
     return U, invert_apmap(core)
 
 
-def open_embedding_check(ctx, R: FiniteAlgebra, k: LocalizationPath) -> bool:
+def open_embedding_check(specs: Specs, R: FiniteAlgebra,
+                         k: LocalizationPath) -> bool:
     try:
-        open_embedding_data(ctx, R, k)
+        open_embedding_data(specs, R, k)
         return True
     except InvariantViolation:
         return False
@@ -430,7 +441,7 @@ def global_sections(X: SpectralSpace):
 
 def is_spec_iso(ctx, f: Hom) -> bool:
     """Direct oracle: does f induce an isomorphism of spectra?"""
-    return spec_map(ctx, f).is_iso
+    return spec_map(Specs(ctx), f).is_iso
 
 
 # ---------------------------------------------------------------------------

@@ -124,14 +124,14 @@ def corpus_by_context():
             + [(contexts.get_context("deitmar"), A) for A in corpus.deitmar_corpus()])
 
 
-def glued_row(ctx, A, k, n_charts=2):
+def glued_row(specs, A, k, n_charts=2):
     """n copies of A glued in a row along Pts k, by the identity of k's
     target on each overlap."""
     charts = (A,) * n_charts
-    overlaps = tuple(glue.make_overlap(ctx, charts, i, i + 1, k, k,
+    overlaps = tuple(glue.make_overlap(specs, charts, i, i + 1, k, k,
                                        tables.identity(k.target))
                      for i in range(n_charts - 1))
-    return glue.GluingSpec(ctx.name, charts, overlaps)
+    return glue.GluingSpec(charts, overlaps)
 
 
 def glued_sections_by_product(spaces, remaps, traces):
@@ -228,17 +228,15 @@ def invert_apmap_by_opens(m: APMap) -> APMap:
                                {V: section_maps[V] for V in m.source.opens})
 
 
-def check_nerve_functorial(ctx, table) -> None:
+def check_nerve_functorial(specs, site, table) -> None:
     """Site homs act on nerve values: each value precomposed with the Spec
     map of a site hom lies in the table, else InvariantViolation."""
-    site = table.site
-    keys = [{m.key for m in table.values[b]}
-            for b in range(len(site))]
+    keys = [{m.key for m in maps} for maps in table]
     for a, A in enumerate(site):
         for b, B in enumerate(site):
             for f in tables.all_homs(A, B):
-                mf = sp.spec_map(ctx, f)
-                for phi in table.values[a]:
+                mf = sp.spec_map(specs, f)
+                for phi in table[a]:
                     if sp.compose_apmaps(mf, phi).key not in keys[b]:
                         raise InvariantViolation("nerve action leaves the table")
 
@@ -367,7 +365,7 @@ def canonical_presheaf(ctx, R):
     n = len(forms)
     by_open: dict = {}
     for path in contexts.enumerate_localizations(ctx, R).values():
-        U = sp.distinguished_open(ctx, R, path, forms)
+        U = sp.distinguished_open(forms, path)
         by_open.setdefault(U, []).append(path)
     opens = set(by_open) | {frozenset(), frozenset(range(n))}
     changed = True
@@ -774,25 +772,20 @@ def space_isos_by_opens(X, Y):
         yield from rec(0)
 
 
-def natural_transformations_by_product(ctx, NX, NY):
+def natural_transformations_by_product(specs, site, NX, NY):
     """Oracle: `glue.natural_transformations` trying every assignment of
     each site object in turn, and checking naturality on the site objects
     assigned so far."""
-    site = NX.site
     n = len(site)
-    x_keys = [{m.key: idx for idx, m in enumerate(NX.values[s])}
-              for s in range(n)]
-    y_keys = [{m.key: idx for idx, m in enumerate(NY.values[s])}
-              for s in range(n)]
+    x_keys = [{m.key: idx for idx, m in enumerate(maps)} for maps in NX]
+    y_keys = [{m.key: idx for idx, m in enumerate(maps)} for maps in NY]
     actions = []  # (a, b, x action as index map, y action as index map)
     for a in range(n):
         for b in range(n):
             for f in tables.all_homs(site[a], site[b]):
-                mf = sp.spec_map(ctx, f)
-                xa = [x_keys[b][sp.compose_apmaps(mf, m).key]
-                      for m in NX.values[a]]
-                ya = [y_keys[b][sp.compose_apmaps(mf, m).key]
-                      for m in NY.values[a]]
+                mf = sp.spec_map(specs, f)
+                xa = [x_keys[b][sp.compose_apmaps(mf, m).key] for m in NX[a]]
+                ya = [y_keys[b][sp.compose_apmaps(mf, m).key] for m in NY[a]]
                 actions.append((a, b, xa, ya))
     results = []
     assignment: list = [None] * n
@@ -810,8 +803,7 @@ def natural_transformations_by_product(ctx, NX, NY):
         if s == n:
             results.append(tuple(assignment))
             return
-        for cand in itertools.product(range(len(NY.values[s])),
-                                      repeat=len(NX.values[s])):
+        for cand in itertools.product(range(len(NY[s])), repeat=len(NX[s])):
             assignment[s] = cand
             if natural_so_far():
                 rec(s + 1)
@@ -821,7 +813,7 @@ def natural_transformations_by_product(ctx, NX, NY):
     return results
 
 
-def nerve_families_by_product(ctx, cover, at_K):
+def nerve_families_by_product(specs, cover, at_K):
     """Oracle: `glue._nerve_families` scanning the product of the component
     values for the families that agree after every pair's pushout legs."""
     keys = [[phi.key for phi in maps] for maps in at_K]
@@ -830,7 +822,7 @@ def nerve_families_by_product(ctx, cover, at_K):
         for u, ku in enumerate(cover.components):
             if t < u:
                 _, in_t, in_u = tables.pushout(kt.composite, ku.composite)
-                mt, mu = sp.spec_map(ctx, in_t), sp.spec_map(ctx, in_u)
+                mt, mu = sp.spec_map(specs, in_t), sp.spec_map(specs, in_u)
                 pair_keys.append((
                     t, u,
                     [sp.compose_apmaps(mt, phi).key for phi in at_K[t]],

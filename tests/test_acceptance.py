@@ -149,8 +149,8 @@ def test_criterion_7_hyperopcover_suite():
         for k in locs.values():
             for l_ in locs.values():
                 _, _, in_l = tables.pushout(k.composite, l_.composite)
-                pk = sp.distinguished_open(ZAR, A, k, forms)
-                pl = sp.distinguished_open(ZAR, A, l_, forms)
+                pk = sp.distinguished_open(forms, k)
+                pl = sp.distinguished_open(forms, l_)
                 joined = compose(l_.composite, in_l)
                 pj = frozenset(
                     i for i, p in enumerate(forms)
@@ -167,43 +167,45 @@ def test_criterion_8_gluing_and_nerve():
     M = corpus.flag_monoid()
     ko = next(k for k in C.enumerate_localizations(DEI, M).values()
               if k.target.size == 1)
-    P1 = gl.glue(DEI, gl.GluingSpec(
-        "deitmar", (M, M), (gl.make_overlap(DEI, (M, M), 0, 1, ko, ko),)))
+    dei, zar = sp.Specs(DEI), sp.Specs(ZAR)
+    P1 = gl.glue(dei, gl.GluingSpec(
+        (M, M), (gl.make_overlap(dei, (M, M), 0, 1, ko, ko),)))
     assert P1.n_points == 3
     gamma = P1.sections(P1.total)
     assert isomorphic(gamma, corpus.by_name("e2xe2"))
-    affine, witness = gl.is_affine(DEI, P1)
+    affine, witness = gl.is_affine(dei, P1)
     assert not affine and witness["points"] == (3, 4)
 
     k2 = next(k for k in C.enumerate_localizations(ZAR, Z6).values()
               if k.target.size == 2)
-    D = gl.glue(ZAR, gl.GluingSpec(
-        "zariski", (Z6, Z6), (gl.make_overlap(ZAR, (Z6, Z6), 0, 1, k2, k2),)))
+    D = gl.glue(zar, gl.GluingSpec(
+        (Z6, Z6), (gl.make_overlap(zar, (Z6, Z6), 0, 1, k2, k2),)))
     assert isomorphic(D.sections(D.total), corpus.ring_product(2, 3, 3))
-    affine, _ = gl.is_affine(ZAR, D)
+    affine, _ = gl.is_affine(zar, D)
     assert affine
 
     zsite = tuple(A for A in gl.default_site(ZAR) if A.size <= 6)
     for R in corpus.zariski_corpus():
         if R.size > 8:
             continue
-        assert gl.nerve_matches_representable(ZAR, R, zsite)
+        assert gl.nerve_matches_representable(zar, R, zsite)
     dsite = tuple(A for A in gl.default_site(DEI) if A.size <= 3)
     for R in corpus.deitmar_corpus():
         if R.size > 4:
             continue
-        assert gl.nerve_matches_representable(DEI, R, dsite)
+        assert gl.nerve_matches_representable(dei, R, dsite)
 
     # scheme nerves satisfy the sheaf condition on the pointwise covers
-    for ctx, X, site in [(DEI, P1, dsite), (ZAR, D, zsite)]:
+    for specs, X, site in [(dei, P1, dsite), (zar, D, zsite)]:
+        ctx = specs.ctx
         for A in site:
             locs = C.enumerate_localizations(ctx, A)
             comps = tuple(locs[p.sig] for p in C.local_forms(ctx, A))
             if comps:
                 assert gl.nerve_sheaf_condition(
-                    ctx, X, hc.Opcover(ctx.name, A, comps), {})
-    assert gl.affine_communication_check(DEI, P1)
-    assert gl.affine_communication_check(ZAR, D)
+                    specs, X, hc.Opcover(ctx.name, A, comps), {})
+    assert gl.affine_communication_check(dei, P1)
+    assert gl.affine_communication_check(zar, D)
     print("criterion 8 PASS: gluing and functor-of-points suite")
 
 

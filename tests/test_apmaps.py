@@ -36,7 +36,8 @@ def _invert_e(A):
 def glued():
     """P^1 over F1, three e2 charts in a row, and chain3 doubled."""
     e2, chain3 = corpus.flag_monoid(), corpus.chain_monoid()
-    return {name: gl.glue(DEI, glued_row(DEI, A, _invert_e(A), n))
+    specs = sp.Specs(DEI)
+    return {name: gl.glue(specs, glued_row(specs, A, _invert_e(A), n))
             for name, A, n in (("p1", e2, 2), ("e2-three-charts", e2, 3),
                                ("doubled-chain3", chain3, 2))}
 
@@ -108,14 +109,14 @@ def test_stalkwise_composition_and_inverse_match_the_open_by_open_oracles(
     # every site-hom Spec map composed with every nerve value of the golden
     # nerve inputs, on their golden sites
     for name, site_max in (("p1-f1.json", 3), ("e2-three-charts.json", 4)):
-        ctx, X = gluings[name]
-        site = gl.default_site(ctx, site_max)
-        table = gl.nerve(ctx, X, site)
+        specs, X = gluings[name]
+        site = gl.default_site(specs.ctx, site_max)
+        table = gl.nerve(specs, X, site)
         for a, A in enumerate(site):
             for b, B in enumerate(site):
                 for f in tables.all_homs(A, B):
-                    mf = sp.spec_map(ctx, f)
-                    for phi in table.values[a]:
+                    mf = sp.spec_map(specs, f)
+                    for phi in table[a]:
                         compare(sp.compose_apmaps(mf, phi),
                                 compose_apmaps_by_opens(mf, phi))
     # and the inverse of every automorphism of deitmar Spec e2xe2, four of
@@ -130,6 +131,7 @@ def test_stalkwise_composition_and_inverse_match_the_open_by_open_oracles(
 
 def test_nerve_sheaf_condition_judges_the_maps_it_is_given(glued):
     site = gl.default_site(DEI, 3)
+    specs = sp.Specs(DEI)
     judged = 0
     for X in glued.values():
         for A in site:
@@ -139,15 +141,15 @@ def test_nerve_sheaf_condition_judges_the_maps_it_is_given(glued):
             if not cover.components:
                 continue
             values = {}
-            assert gl.nerve_sheaf_condition(DEI, X, cover, values)
-            assert values[A] == sp.enumerate_apmaps(DEI, sp.build_spec(DEI, A), X)
+            assert gl.nerve_sheaf_condition(specs, X, cover, values)
+            assert values[A] == sp.enumerate_apmaps(DEI, specs[A], X)
             # a component value missing one map no longer holds every family
             # that comes from N(X)(A)
             for K in values:
                 if K != A and values[K]:
                     cut = dict(values)
                     cut[K] = values[K][1:]
-                    assert not gl.nerve_sheaf_condition(DEI, X, cover, cut)
+                    assert not gl.nerve_sheaf_condition(specs, X, cover, cut)
                     judged += 1
     assert judged > 0
 
@@ -161,14 +163,14 @@ def test_nerve_sheaf_condition_rejects_a_base_value_missing_a_map():
     k2, k3 = (next(k for k in C.enumerate_localizations(ZAR, Z6).values()
                    if k.target.size == n) for n in (2, 3))
     cover = hc.Opcover("zariski", Z6, (k2, k3))
-    ov = gl.make_overlap(ZAR, (Z6, Z6), 0, 1, k2, k2)
-    for X in (sp.build_spec(ZAR, Z6),
-              gl.glue(ZAR, gl.GluingSpec("zariski", (Z6, Z6), (ov,)))):
+    specs = sp.Specs(ZAR)
+    ov = gl.make_overlap(specs, (Z6, Z6), 0, 1, k2, k2)
+    for X in (specs[Z6], gl.glue(specs, gl.GluingSpec((Z6, Z6), (ov,)))):
         values = {}
-        assert gl.nerve_sheaf_condition(ZAR, X, cover, values)
+        assert gl.nerve_sheaf_condition(specs, X, cover, values)
         assert Z6 not in (k2.target, k3.target) and values[Z6]
         values[Z6] = values[Z6][1:]
-        assert not gl.nerve_sheaf_condition(ZAR, X, cover, values)
+        assert not gl.nerve_sheaf_condition(specs, X, cover, values)
 
 
 # ------------------------------------------------------------- work and sizes
@@ -208,13 +210,13 @@ def test_maps_list_the_stalk_homs_of_each_pair_of_points_once(glued,
 
 def test_the_doubled_e2xe2_has_961_maps_to_itself(monkeypatch):
     """The golden gluing of two Spec e2xe2 along e: 7 points, 26 opens."""
-    ctx, X = golden_space("doubled-e2xe2.json")
+    specs, X = golden_space("doubled-e2xe2.json")
     calls = _counting(monkeypatch, tables, "all_homs")
-    maps = sp.enumerate_apmaps(ctx, X, X)
+    maps = sp.enumerate_apmaps(specs.ctx, X, X)
     assert len(maps) == 961 and len(calls) <= X.n_points ** 2
     assert len({m.key for m in maps}) == 961
     for m in maps:
-        validate_apmap(ctx, m)
+        validate_apmap(specs.ctx, m)
 
 
 def test_deitmar_spec_e2xe2xchain3_has_two_automorphisms():
@@ -230,21 +232,21 @@ def test_searched_specs_build_limits_only_at_their_minimal_opens(monkeypatch):
     """Spec of the global sections in `is_affine`, and Spec of each site
     object in `nerve`, are only searched for maps: they build the limits at
     their minimal opens, each once, and no other."""
-    ZAR = C.get_context("zariski")
     site = gl.default_site(DEI, 4)
     for name, search, searched in (
-            ("doubled-z12.json", lambda X: gl.is_affine(ZAR, X)[0],
-             lambda X: [sp.build_spec(ZAR, X.sections(X.total))]),
-            ("doubled-chain3.json", lambda X: gl.nerve(DEI, X, site),
-             lambda X: [sp.build_spec(DEI, A) for A in site])):
-        _, X = golden_space(name)
+            ("doubled-z12.json", lambda specs, X: gl.is_affine(specs, X)[0],
+             lambda specs, X: [specs[X.sections(X.total)]]),
+            ("doubled-chain3.json", lambda specs, X: gl.nerve(specs, X, site),
+             lambda specs, X: [specs[A] for A in site])):
+        glued, X = golden_space(name)
         for U in X.opens:
             X.sections(U)
-        monkeypatch.setattr(sp, "_SPEC_CACHE", {})
+        # a workspace of its own, so that the search builds every Spec it reads
+        specs = sp.Specs(glued.ctx)
         limits = _counting(monkeypatch, tables, "limit")
-        assert search(X)
-        minimal = _minimal_open_diagrams(searched(X))
+        assert search(specs, X)
+        minimal = _minimal_open_diagrams(searched(specs, X))
         assert limits and len(limits) <= len(minimal)
         assert all(list(objects) in minimal for _, objects, _ in limits)
         # and building them whole would take more
-        assert sum(len(Y.opens) for Y in searched(X)) > len(minimal)
+        assert sum(len(Y.opens) for Y in searched(specs, X)) > len(minimal)

@@ -78,10 +78,10 @@ CHECKS = {
     "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
     "build_spec": (sp, lambda r, args: spec_checks(args[0], r)),
     "enumerate_apmaps": (sp, apmaps),
-    "spec_map": (sp, lambda r, args: validate_apmap(args[0], r)),
+    "spec_map": (sp, lambda r, args: validate_apmap(args[0].ctx, r)),
     "compose_apmaps": (sp, apmap),
     "invert_apmap": (sp, apmap),
-    "nerve": (gl, lambda r, args: check_nerve_functorial(args[0], r)),
+    "nerve": (gl, lambda r, args: check_nerve_functorial(args[0], args[2], r)),
 }
 
 
@@ -104,28 +104,28 @@ def checked(monkeypatch):
         for mod in modules:
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, wrapper)
-    # build every space afresh, so that each construction runs checked
-    monkeypatch.setattr(sp, "_SPEC_CACHE", {})
     return fired
 
 
 def test_theorem_backed_results_pass_the_full_checks(checked):
     for ctx, A in corpus_by_context():
-        sp.build_spec(ctx, A)
+        specs = sp.Specs(ctx)
+        specs[A]    # built checked, whether or not A is glued below
         red.reduce(ctx, A, "mono")  # the image subalgebra of ell
         for cover in hc.enumerate_opcovers(ctx, A):
             hc.cech_h0(ctx, cover)
         for k in C.enumerate_localizations(ctx, A).values():
             if not k.composite.is_bijective:
-                gl.glue(ctx, glued_row(ctx, A, k))
+                gl.glue(specs, glued_row(specs, A, k))
     # nerves of P^1 over F1 and of Z/6 doubled at the point (2)
     for name, A, size in (("deitmar", corpus.flag_monoid(), 1),
                           ("zariski", corpus.zn(6), 2)):
         ctx = C.get_context(name)
         k = next(k for k in C.enumerate_localizations(ctx, A).values()
                  if k.target.size == size)
-        X = gl.glue(ctx, glued_row(ctx, A, k))
-        gl.nerve(ctx, X, gl.default_site(ctx, 3))
+        specs = sp.Specs(ctx)
+        X = gl.glue(specs, glued_row(specs, A, k))
+        gl.nerve(specs, X, gl.default_site(ctx, 3))
     assert all(checked.values()), checked
 
 
@@ -145,19 +145,20 @@ def test_check_nerve_functorial_rejects_a_missing_map():
     M = corpus.flag_monoid()
     k = next(k for k in C.enumerate_localizations(ctx, M).values()
              if k.target.size == 1)
-    X = gl.glue(ctx, glued_row(ctx, M, k))
+    specs = sp.Specs(ctx)
+    X = gl.glue(specs, glued_row(specs, M, k))
     # M twice: the identity hom carries the first value onto the second
-    table = gl.nerve(ctx, X, (M, M))
-    check_nerve_functorial(ctx, table)
-    table.values[1] = table.values[1][1:]
+    table = gl.nerve(specs, X, (M, M))
+    check_nerve_functorial(specs, (M, M), table)
+    table[1] = table[1][1:]
     with pytest.raises(InvariantViolation, match="leaves the table"):
-        check_nerve_functorial(ctx, table)
+        check_nerve_functorial(specs, (M, M), table)
 
 
 def test_validate_apmap_rejects_a_corrupted_stalk_map():
     ctx = C.get_context("deitmar")
     M = corpus.flag_monoid()
-    m = sp.spec_map(ctx, tables.identity(M))
+    m = sp.spec_map(sp.Specs(ctx), tables.identity(M))
     validate_apmap(ctx, m)
     # the closed point's stalk is the total sections; sending e to the unit
     # is a hom, but not a local one

@@ -12,8 +12,10 @@ import pytest
 
 from conespec import contexts as C
 from conespec import cli, corpus, glue as gl, hypercover as hc, io as cio
+from conespec import spectrum as sp
 from conespec.tables import all_homs, identity
 from helpers import large_nonassociative_monoid, subprocess_env
+from test_golden import CASES, read_expected, run_case
 
 ZAR = C.get_context("zariski")
 Z6 = corpus.zn(6)
@@ -54,8 +56,6 @@ def test_path_roundtrip():
 
 
 def test_dot_output_lists_points_and_arrows():
-    from conespec import spectrum as sp
-
     X = sp.build_spec(C.get_context("deitmar"), corpus.flag_monoid())
     dot = cio.specialization_dot(X)
     assert dot.startswith("digraph specialization {")
@@ -351,11 +351,31 @@ def test_cli_flat_cover_rejects_components_that_are_not_a_list(tmp_path, capsys)
     assert "field 'components' is not a list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["nerve-deitmar-doubled-chain3",
+                                  "glue-zariski-doubled-z12"])
+def test_cli_builds_each_spec_once_per_command(monkeypatch, name):
+    """`glue` and `nerve` own one workspace each: Spec of each algebra they
+    read is built once, and the next command builds it again."""
+    calls = []
+    real = sp.build_spec
+
+    def counting(ctx, R):
+        calls.append((ctx.name, R))
+        return real(ctx, R)
+
+    monkeypatch.setattr(sp, "build_spec", counting)
+    built = []
+    for _ in range(2):
+        calls.clear()
+        assert run_case(CASES[name]) == read_expected(name)
+        assert calls and len(set(calls)) == len(calls)
+        built.append(list(calls))
+    assert built[0] == built[1]
+
+
 def test_cli_spec_rounds_runs_one_localization_search(tmp_path, monkeypatch):
     """`spec` builds Spec from the local forms and runs no localization
     search, so `--rounds` bounds nothing there."""
-    from conespec import spectrum as sp
-
     calls = []
     real_search = C.enumerate_localizations
 
@@ -366,7 +386,6 @@ def test_cli_spec_rounds_runs_one_localization_search(tmp_path, monkeypatch):
     monkeypatch.setattr(C, "enumerate_localizations", counting)
     inp = write(tmp_path, "z12.json", cio.algebra_to_dict(corpus.zn(12)))
     for rounds in ([], ["--rounds", "20"]):
-        monkeypatch.setattr(sp, "_SPEC_CACHE", {})
         calls.clear()
         assert cli.main(["spec", "--input", inp, "--out-dir", str(tmp_path),
                          *rounds]) == 0
@@ -469,8 +488,6 @@ def test_cli_check_requires_the_files_its_property_reads(tmp_path, capsys):
 
 
 def test_cli_unexpected_error_exit_4_one_line(tmp_path, capsys, monkeypatch):
-    from conespec import spectrum as sp
-
     def boom(*args):
         raise RuntimeError("boom")
 
@@ -488,7 +505,9 @@ def test_nerve_covers_with_an_identity_component_hold(name, site_max):
     the sheaf condition holds on every one of them."""
     doc = cio.load_object(os.path.join(GOLDEN_INPUTS, name))
     ctx = C.get_context(doc["context"])
-    X = cli._space_from_input(ctx, doc, Namespace(size_bound=4096, rounds=None))
+    specs = sp.Specs(ctx)
+    X = cli._space_from_input(specs, doc,
+                              Namespace(size_bound=4096, rounds=None))
     skipped = 0
     for A in gl.default_site(ctx, site_max):
         locs = C.enumerate_localizations(ctx, A)
@@ -496,5 +515,5 @@ def test_nerve_covers_with_an_identity_component_hold(name, site_max):
         if any(k.is_identity_class for k in comps):
             skipped += 1
             cover = hc.Opcover(ctx.name, A, comps)
-            assert gl.nerve_sheaf_condition(ctx, X, cover, {})
+            assert gl.nerve_sheaf_condition(specs, X, cover, {})
     assert skipped > 0

@@ -33,10 +33,11 @@ GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def golden_space(name):
+    """A new workspace in the golden input's context, and its space there."""
     doc = cio.load_object(os.path.join(GOLDEN_INPUTS, name))
-    ctx = C.get_context(doc.get("context", "zariski"))
-    return ctx, cli._space_from_input(
-        ctx, doc, Namespace(size_bound=4096, rounds=None))
+    specs = sp.Specs(C.get_context(doc.get("context", "zariski")))
+    return specs, cli._space_from_input(
+        specs, doc, Namespace(size_bound=4096, rounds=None))
 
 
 def corpus_spaces(max_size=None):
@@ -55,30 +56,20 @@ def corpus_spaces(max_size=None):
 ORACLE_WIDTH = 1_000
 
 
-def test_natural_transformations_match_the_product_oracle(monkeypatch):
-    # both act by the Spec maps of the site homs, the bulk of their time;
-    # build each once for all the pairs
-    memo, real = {}, sp.spec_map
-
-    def spec_map(ctx, f):
-        if (ctx.name, f) not in memo:
-            memo[ctx.name, f] = real(ctx, f)
-        return memo[ctx.name, f]
-
-    monkeypatch.setattr(gl, "spec_map", spec_map)
-    monkeypatch.setattr(sp, "spec_map", spec_map)
+def test_natural_transformations_match_the_product_oracle():
     pairs = found = 0
     for name, group in corpus_spaces(max_size=4).items():
-        ctx = C.get_context(name)
-        site = gl.default_site(ctx, 4)
-        nerves = [gl.nerve(ctx, X, site) for X in group]
+        specs = sp.Specs(C.get_context(name))
+        site = gl.default_site(specs.ctx, 4)
+        nerves = [gl.nerve(specs, X, site) for X in group]
         for NX in nerves:
             for NY in nerves:
-                if any(len(NY.values[s]) ** len(NX.values[s]) > ORACLE_WIDTH
+                if any(len(NY[s]) ** len(NX[s]) > ORACLE_WIDTH
                        for s in range(len(site))):
                     continue
-                nats = gl.natural_transformations(ctx, NX, NY)
-                assert nats == natural_transformations_by_product(ctx, NX, NY)
+                nats = gl.natural_transformations(specs, site, NX, NY)
+                assert nats == natural_transformations_by_product(
+                    specs, site, NX, NY)
                 pairs += 1
                 found += len(nats)
     assert pairs > 100 and found > 100
@@ -87,17 +78,17 @@ def test_natural_transformations_match_the_product_oracle(monkeypatch):
 def test_nerve_families_match_the_product_oracle():
     covers = 0
     for name in ("p1-f1.json", "e2-three-charts.json", "z12.json"):
-        ctx, X = golden_space(name)
+        specs, X = golden_space(name)
         values = {}
-        for A in gl.default_site(ctx, 4):
-            for cover in hc.enumerate_opcovers(ctx, A, 3):
+        for A in gl.default_site(specs.ctx, 4):
+            for cover in hc.enumerate_opcovers(specs.ctx, A, 3):
                 for k in cover.components:
                     if k.target not in values:
                         values[k.target] = sp.enumerate_apmaps(
-                            ctx, sp.build_spec(ctx, k.target), X)
+                            specs.ctx, specs[k.target], X)
                 at_K = [values[k.target] for k in cover.components]
-                assert gl._nerve_families(ctx, cover, at_K) == \
-                    nerve_families_by_product(ctx, cover, at_K)
+                assert gl._nerve_families(specs, cover, at_K) == \
+                    nerve_families_by_product(specs, cover, at_K)
                 covers += 1
     assert covers > 50
 
@@ -124,20 +115,43 @@ def test_space_isos_match_the_search_over_every_open():
 
 
 def test_natural_transformations_stop_at_the_search_bound(monkeypatch):
-    X = sp.build_spec(DEI, corpus.monoid_product("e2", "e2"))
+    specs = sp.Specs(DEI)
     site = gl.default_site(DEI, 4)
-    NX = gl.nerve(DEI, X, site)
-    assert len(gl.natural_transformations(DEI, NX, NX)) == 16
+    NX = gl.nerve(specs, specs[corpus.monoid_product("e2", "e2")], site)
+    assert len(gl.natural_transformations(specs, site, NX, NX)) == 16
     monkeypatch.setattr(tables, "SEARCH_MAX", 10)
     with pytest.raises(SizeBound, match="limit search space too large"):
-        gl.natural_transformations(DEI, NX, NX)
+        gl.natural_transformations(specs, site, NX, NX)
 
 
 def test_probe_on_e2xe2_to_e2_counts_the_four_maps():
-    X = sp.build_spec(DEI, corpus.monoid_product("e2", "e2"))
-    Y = sp.build_spec(DEI, corpus.flag_monoid())
-    rep = gl.scheme_equivalence_probe(DEI, X, Y, gl.default_site(DEI, 4))
+    specs = sp.Specs(DEI)
+    X = specs[corpus.monoid_product("e2", "e2")]
+    Y = specs[corpus.flag_monoid()]
+    rep = gl.scheme_equivalence_probe(specs, X, Y, gl.default_site(DEI, 4))
     assert (rep["n_homs"], rep["n_nats"], rep["bijective"]) == (4, 4, True)
+
+
+def test_a_second_probe_in_one_workspace_builds_no_spec_map(monkeypatch):
+    """The workspace keeps the Spec map of each site hom, so a second probe
+    over the same site factorizes nothing."""
+    calls = []
+    real = sp.factorize
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sp, "factorize", counting)
+    specs = sp.Specs(DEI)
+    X = specs[corpus.monoid_product("e2", "e2")]
+    Y = specs[corpus.flag_monoid()]
+    site = gl.default_site(DEI, 4)
+    first = gl.scheme_equivalence_probe(specs, X, Y, site)
+    assert calls
+    calls.clear()
+    assert gl.scheme_equivalence_probe(specs, X, Y, site) == first
+    assert calls == []
 
 
 # Z/9 has 9 elements and the site stops at 8, so Yoneda does not apply: no
@@ -148,27 +162,28 @@ NOT_BIJECTIVE = {("zariski", corpus.zn(9), corpus.zn(n)) for n in (3, 6, 12)}
 
 def probe_cases():
     """The golden gluings and Spec of every deitmar corpus monoid, each with
-    itself, and every zariski and domain corpus pair."""
+    itself, and every zariski and domain corpus pair, each with the
+    workspace its spaces were built in."""
     for name in ("p1-f1.json", "e2-three-charts.json", "doubled-z6.json"):
-        ctx, X = golden_space(name)
-        yield ctx, name, X, X
+        specs, X = golden_space(name)
+        yield specs, name, X, X
+    specs = sp.Specs(DEI)
     for A in corpus.deitmar_corpus():
-        X = sp.build_spec(DEI, A)
-        yield DEI, ("deitmar", A, A), X, X
+        yield specs, ("deitmar", A, A), specs[A], specs[A]
     for ctx, pool in ((ZAR, corpus.zariski_corpus()),
                       (DOM, corpus.domain_corpus())):
+        specs = sp.Specs(ctx)
         for A in pool:
             for B in pool:
-                yield ctx, (ctx.name, A, B), \
-                    sp.build_spec(ctx, A), sp.build_spec(ctx, B)
+                yield specs, (ctx.name, A, B), specs[A], specs[B]
 
 
 def test_scheme_equivalence_probe_on_the_full_site():
     sites = {ctx.name: gl.default_site(ctx) for ctx in (ZAR, DOM, DEI)}
     failing = set()
     n = 0
-    for ctx, label, X, Y in probe_cases():
-        rep = gl.scheme_equivalence_probe(ctx, X, Y, sites[ctx.name])
+    for specs, label, X, Y in probe_cases():
+        rep = gl.scheme_equivalence_probe(specs, X, Y, sites[specs.ctx.name])
         if not rep["bijective"]:
             assert (rep["n_homs"], rep["n_nats"]) == (0, 1), label
             failing.add(label)
@@ -180,7 +195,7 @@ def test_scheme_equivalence_probe_on_the_full_site():
 def test_probe_of_the_doubled_e2xe2_with_itself_on_the_full_site():
     """The golden gluing of two Spec e2xe2 along e, over every deitmar site
     object: its 961 maps to itself are the natural maps of its nerve."""
-    ctx, X = golden_space("doubled-e2xe2.json")
-    rep = gl.scheme_equivalence_probe(ctx, X, X, gl.default_site(ctx))
+    specs, X = golden_space("doubled-e2xe2.json")
+    rep = gl.scheme_equivalence_probe(specs, X, X, gl.default_site(specs.ctx))
     assert (rep["site_size"], rep["n_homs"], rep["n_nats"],
             rep["bijective"]) == (7, 961, 961, True)

@@ -48,7 +48,7 @@ def test_value_types_compare_and_hash_by_their_fields(cls, fields):
 
 
 def test_apmaps_compare_field_wise():
-    m = sp.spec_map(ZAR, tables.identity(Z6))
+    m = sp.spec_map(sp.Specs(ZAR), tables.identity(Z6))
     copy = sp.APMap(m.source, m.target, m.point_map, tuple(list(m.stalks)))
     assert [m, copy] == [copy, m]
     swapped = sp.APMap(m.source, m.target, m.point_map[::-1], m.stalks)

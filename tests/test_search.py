@@ -112,7 +112,6 @@ def test_search_plan_matches_the_scan_on_every_spec_limit(monkeypatch):
         diagrams.append(([o.size for o in objects], list(arrows)))
         return real_limit(kind, objects, arrows)
 
-    monkeypatch.setattr(sp, "_SPEC_CACHE", {})
     monkeypatch.setattr(tables, "limit", recording)
     for ctx, A in corpus_by_context() + [
             (DEI, corpus.monoid_product("chain3", "chain3", "e2"))]:

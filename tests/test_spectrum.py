@@ -48,7 +48,6 @@ def test_spec_limits_match_product_scan(monkeypatch):
         return out
 
     monkeypatch.setattr(tables, "limit", recording)
-    monkeypatch.setattr(sp, "_SPEC_CACHE", {})
     for ctx, A in corpus_by_context():
         X = sp.build_spec(ctx, A)
         for U in X.opens:   # each section is built on its first read
@@ -72,7 +71,6 @@ def test_lift_matches_the_lookup_route_on_every_spec_limit(monkeypatch):
         return f
 
     monkeypatch.setattr(tables, "lift", by_lookup)
-    monkeypatch.setattr(sp, "_SPEC_CACHE", {})
     for ctx, A in corpus_by_context():
         X = sp.build_spec(ctx, A)
         for U in X.opens:   # each canonical map is built on its first read
@@ -280,9 +278,9 @@ def test_sheafify_trivializes_empty_sections():
 
 
 def test_spec_map_of_identity_is_identity():
-    X = sp.build_spec(ZAR, Z6)
-    m = sp.spec_map(ZAR, identity(Z6))
-    ident = sp.identity_apmap(X)
+    specs = sp.Specs(ZAR)
+    m = sp.spec_map(specs, identity(Z6))
+    ident = sp.identity_apmap(specs[Z6])
     assert m.point_map == ident.point_map
     assert m.section_maps == ident.section_maps
     assert m.is_iso
@@ -291,15 +289,26 @@ def test_spec_map_of_identity_is_identity():
 def test_spec_map_functorial():
     f = all_homs(Z12, Z6)[0]
     g = all_homs(Z6, Z2)[0]
-    direct = sp.spec_map(ZAR, compose(f, g))
-    composite = sp.compose_apmaps(sp.spec_map(ZAR, g), sp.spec_map(ZAR, f))
+    specs = sp.Specs(ZAR)
+    direct = sp.spec_map(specs, compose(f, g))
+    composite = sp.compose_apmaps(sp.spec_map(specs, g), sp.spec_map(specs, f))
     assert direct.point_map == composite.point_map
     assert direct.section_maps == composite.section_maps
 
 
+def test_spec_maps_compose_within_one_workspace_only():
+    f = all_homs(Z12, Z6)[0]
+    g = all_homs(Z6, Z2)[0]
+    one, two = sp.Specs(ZAR), sp.Specs(ZAR)
+    assert sp.spec_map(one, g) is sp.spec_map(one, g)
+    assert sp.spec_map(one, g).source is one[Z2]
+    with pytest.raises(InvariantViolation, match="not composable"):
+        sp.compose_apmaps(sp.spec_map(one, g), sp.spec_map(two, f))
+
+
 def test_spec_map_appears_in_enumeration():
     q = all_homs(Z6, Z3)[0]
-    m = sp.spec_map(ZAR, q)
+    m = sp.spec_map(sp.Specs(ZAR), q)
     found = sp.enumerate_apmaps(ZAR, m.source, m.target)
     assert any(n.point_map == m.point_map and n.section_maps == m.section_maps
                for n in found)
@@ -314,17 +323,18 @@ def test_enumerate_apmaps_counts():
 
 def test_open_embeddings_of_localizations():
     for ctx, A in [(ZAR, Z6), (ZAR, Z12), (DEI, corpus.flag_monoid())]:
+        specs = sp.Specs(ctx)
         for k in C.enumerate_localizations(ctx, A).values():
-            assert sp.open_embedding_check(ctx, A, k)
+            assert sp.open_embedding_check(specs, A, k)
 
 
 def test_embedding_restricts_to_spec_of_target():
-    X = sp.build_spec(ZAR, Z6)
+    specs = sp.Specs(ZAR)
     k = next(p for p in C.enumerate_localizations(ZAR, Z6).values()
              if p.target.size == 2)
-    U, iso = sp.open_embedding_data(ZAR, Z6, k)
+    U, iso = sp.open_embedding_data(specs, Z6, k)
     assert iso.source.n_points == len(U) == 1
-    assert iso.is_iso
+    assert iso.is_iso and iso.target is specs[k.target]
     K = sp.build_spec(ZAR, k.target)
     assert iso.target.sections(iso.target.total) == K.sections(K.total)
 

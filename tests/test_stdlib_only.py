@@ -12,6 +12,27 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "conespec")
 
+# every golden command in one interpreter; prints the module-level dicts,
+# lists and sets of the library that differ afterwards
+STATE_PROBE = """
+import copy, sys
+import conespec.cli, conespec.corpus
+from test_golden import CASES, run_case
+
+def containers():
+    return {f"{name}.{attr}": value for name, mod in sys.modules.items()
+            if name.startswith("conespec.")
+            for attr, value in vars(mod).items()
+            if isinstance(value, (dict, list, set))}
+
+before = {key: copy.copy(value) for key, value in containers().items()}
+for argv in CASES.values():
+    run_case(argv)
+after = containers()
+print(*sorted(key for key in before.keys() | after.keys()
+              if before.get(key) != after.get(key)))
+"""
+
 
 def imported_top_level_modules(path: str) -> set[str]:
     with open(path, encoding="utf-8") as fh:
@@ -50,3 +71,15 @@ def test_cli_import_loads_every_layer_and_nothing_it_does_not_use():
     for layer in ("io", "tables", "contexts", "spectrum", "reduction",
                   "hypercover", "glue"):
         assert f"conespec.{layer}" in out
+
+
+def test_commands_leave_the_library_modules_as_they_found_them():
+    """What a command builds lives in the workspace it owns: running every
+    golden case in one fresh interpreter changes no module-level dict, list
+    or set of the library."""
+    path = os.pathsep.join([os.path.join(ROOT, "src"),
+                            os.path.join(ROOT, "tests")])
+    changed = subprocess.run(
+        [sys.executable, "-c", STATE_PROBE], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path)).stdout.split()
+    assert changed == []
