@@ -7,15 +7,13 @@ Exit codes: 0 success (or property true), 1 property false, 2 input error,
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
 from . import contexts as cx
-from . import glue as gl
-from . import hypercover as hc
 from . import io as cio
-from . import reduction as red
 from . import spectrum as sp
 from . import tables
 from .errors import (
@@ -27,6 +25,26 @@ from .errors import (
     SizeBound,
     ValidationError,
 )
+
+
+def _deferred(layer: str):
+    """The module of `layer`, registered in sys.modules and on the package,
+    whose body runs on its first attribute read.  A layer already imported is
+    returned as it is, so that each layer has one module object."""
+    name = f"{__package__}.{layer}"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    setattr(sys.modules[__package__], layer, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# deferred: uncached imports are compiled, and no subcommand runs all three
+gl, hc, red = map(_deferred, ("glue", "hypercover", "reduction"))
 
 EXIT_OK = 0
 EXIT_FALSE = 1

@@ -64,11 +64,16 @@ CASES = {
 }
 
 
+def resolve(argv, out: str) -> list[str]:
+    """`argv` with its input files and its output directory `out` filled in."""
+    return [os.path.join(INPUTS, a[1:]) if a.startswith("@")
+            else out if a == "OUT" else a for a in argv]
+
+
 def run_case(argv) -> dict[str, bytes]:
     """Exit code, stdout, stderr and written files of one command, as bytes."""
     with tempfile.TemporaryDirectory() as out:
-        args = [os.path.join(INPUTS, a[1:]) if a.startswith("@")
-                else out if a == "OUT" else a for a in argv]
+        args = resolve(argv, out)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(args)
