@@ -1,7 +1,6 @@
 """Spectra of finite rings and monoids under cone-injectivity contexts."""
 
 from .contexts import get_context  # noqa: F401
-from .spectrum import build_spec  # noqa: F401
 from .tables import FiniteAlgebra, Hom, validate  # noqa: F401
 
 __version__ = "0.1.0"

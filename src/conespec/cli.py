@@ -14,7 +14,6 @@ import sys
 
 from . import contexts as cx
 from . import io as cio
-from . import spectrum as sp
 from . import tables
 from .errors import (
     CocycleViolation,
@@ -43,8 +42,9 @@ def _deferred(layer: str):
     return module
 
 
-# deferred: uncached imports are compiled, and no subcommand runs all three
-gl, hc, red = map(_deferred, ("glue", "hypercover", "reduction"))
+# deferred: uncached imports are compiled, and no subcommand runs all four
+gl, hc, red, sp = map(_deferred, ("glue", "hypercover", "reduction",
+                                  "spectrum"))
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -115,13 +115,13 @@ def cmd_check(args) -> int:
         R = cio.algebra_from_dict(cio.load_json(args.input))
         _check_bounds(args, R)
         if prop in ("reduced", "mono-reduced"):
-            verdict, h = red.reduced(
+            verdict, index = red.reduced(
                 ctx, R, "admissible" if prop == "reduced" else "mono")
-            certificate = {"canonical_map": list(h.map)}
+            certificate = {"canonical_map": index}
             if prop == "reduced" and not verdict:
                 collisions = [(x, y) for x in range(R.size)
                               for y in range(x + 1, R.size)
-                              if h.map[x] == h.map[y]]
+                              if index[x] == index[y]]
                 # prefer naming the element identified with zero
                 witness = next((y for x, y in collisions
                                 if R.is_ring and x == R.zero),
@@ -134,8 +134,8 @@ def cmd_check(args) -> int:
                            "global_sections": eps.target.size}
         elif prop == "flat-cover":
             cover_doc = cio.load_object(args.cover)
-            comps = tuple(cio.path_from_dict(ctx, R, p)
-                          for p in cio.list_field(cover_doc, "components"))
+            comps = tuple(cio.path_from_dict(ctx, R, p) for p in
+                          cio.list_field(cover_doc, "components", "cover"))
             cover = hc.Opcover(ctx.name, R, comps)
             if not hc.is_opcover(ctx, cover):
                 raise ValidationError("component family is not an opcover",
@@ -153,20 +153,22 @@ def cmd_check(args) -> int:
 
 
 def _load_gluing(specs, doc, args) -> gl.GluingSpec:
-    charts = tuple(cio._resolve_algebra(c["algebra"])
-                   for c in cio.list_field(doc, "charts", dict))
+    charts = tuple(cio._resolve_algebra(cio.field(c, "algebra", "chart"))
+                   for c in cio.list_field(doc, "charts", "gluing", dict))
     if not charts:
         raise ValidationError("a gluing needs at least one chart", doc)
     _check_bounds(args, *charts)
     overlaps = []
-    for ov in cio.list_field(doc, "overlaps", dict):
-        i, j = ov["i"], ov["j"]
+    for ov in cio.list_field(doc, "overlaps", "gluing", dict):
+        i, j = (cio.field(ov, key, "overlap") for key in ("i", "j"))
         for v in (i, j):
             if type(v) is not int or not 0 <= v < len(charts):
                 raise ValidationError(f"overlap chart index {v!r} out of range",
                                       ov)
-        k_i = cio.path_from_dict(specs.ctx, charts[i], ov["k_i"])
-        k_j = cio.path_from_dict(specs.ctx, charts[j], ov["k_j"])
+        k_i = cio.path_from_dict(specs.ctx, charts[i],
+                                 cio.field(ov, "k_i", "overlap"))
+        k_j = cio.path_from_dict(specs.ctx, charts[j],
+                                 cio.field(ov, "k_j", "overlap"))
         g = None
         if "iso" in ov:
             iso = ov["iso"]
@@ -280,7 +282,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValidationError, KindMismatch, InvalidDatum, CocycleViolation,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SizeBound, DidNotStabilize) as exc:

@@ -17,9 +17,8 @@ from . import spectrum as sp
 from . import tables
 from .contexts import LocalizationPath
 from .errors import CocycleViolation, InvariantViolation
-from .spectrum import APMap, SpectralSpace, Specs, compose_apmaps, \
-    restrict, spec_map
-from .tables import FiniteAlgebra, Hom, all_homs, compose
+from .spectrum import APMap, SpectralSpace, Specs, compose_apmaps, spec_map
+from .tables import FiniteAlgebra, Hom, compose
 
 
 class Overlap:
@@ -264,135 +263,3 @@ def _nerve_families(specs: Specs, cover: hc.Opcover, at_K) -> list[tuple]:
     keys = [[phi.key for phi in maps] for maps in at_K]
     return [tuple(keys[t][x] for t, x in enumerate(f[:nc]))
             for f in tables.compatible_families(sizes, arrows)]
-
-
-# ---------------------------------------------------------------------------
-# open subfunctors and representability
-
-
-def open_subfunctor_values(specs: Specs, R: FiniteAlgebra, U: frozenset,
-                           site):
-    """Per site object: the homs R -> S whose Spec map lands in U."""
-    return {s: [f for f in all_homs(R, S)
-                if set(spec_map(specs, f).point_map) <= U]
-            for s, S in enumerate(site)}
-
-
-def open_subfunctor_is_representable(specs: Specs, R, k: LocalizationPath,
-                                     site) -> bool:
-    """yR at Pts k agrees with the representable of the localization target."""
-    U = sp.distinguished_open(specs[R].forms, k)
-    values = open_subfunctor_values(specs, R, U, site)
-    for s, S in enumerate(site):
-        through = {compose(k.composite, g).map for g in all_homs(k.target, S)}
-        if {f.map for f in values[s]} != through:
-            return False
-    return True
-
-
-def nerve_matches_representable(specs: Specs, R: FiniteAlgebra, site) -> bool:
-    """N(Spec R)(S) is in natural bijection with Hom(R, S) on the site."""
-    for S, maps in zip(site, nerve(specs, specs[R], site)):
-        homs = all_homs(R, S)
-        if len(homs) != len(maps):
-            return False
-        keys = {spec_map(specs, f).key for f in homs}
-        if keys != {m.key for m in maps}:
-            return False
-    # naturality: the bijection commutes with the site action for free since
-    # both sides act by composition with spec maps
-    return True
-
-
-# ---------------------------------------------------------------------------
-# affine opens and the communication property
-
-
-def affine_opens(specs: Specs, X: SpectralSpace):
-    out = {}
-    for U in X.opens:
-        if not U:
-            continue
-        verdict, witness = is_affine(specs, restrict(X, U))
-        if verdict:
-            out[U] = witness
-    return out
-
-
-def _distinguished_in(ctx, U, witness):
-    """Subsets of U that are distinguished opens of the affine model.
-
-    The witness is an iso Spec(sections over U) -> restrict(X, U); push each
-    distinguished open forward along its point map.
-    """
-    pts = sorted(U)
-    return {frozenset(pts[witness.point_map[q]] for q in V)
-            for V in sp.distinguished_opens(ctx, witness.source.base)}
-
-
-def affine_communication_check(specs: Specs, X: SpectralSpace) -> bool:
-    """Any point in two affine opens lies in a common distinguished open."""
-    aff = affine_opens(specs, X)
-    dist = {U: _distinguished_in(specs.ctx, U, w) for U, w in aff.items()}
-    for U in aff:
-        for V in aff:
-            for p in U & V:
-                if not any(p in W and W <= U & V
-                           for W in dist[U] & dist[V]):
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# scheme equivalence probe
-
-
-def natural_transformations(specs: Specs, site, NX, NY):
-    """All natural maps NX -> NY of two nerves on `site`, by one family
-    search.
-
-    Its objects are the pairs (s, m), m in NX(s), each ranging over the
-    indices of NY(s); each site hom f: a -> b and each m in NX(a) give the
-    arrow (a, m) -> (b, f.m) along f's action on NY(a).  A natural map is
-    one tuple of image indices per site object, and they come out in
-    lexicographic order.
-    """
-    n = len(site)
-    x_keys = [{m.key: idx for idx, m in enumerate(maps)} for maps in NX]
-    y_keys = [{m.key: idx for idx, m in enumerate(maps)} for maps in NY]
-    offset = list(itertools.accumulate(map(len, NX), initial=0))
-    sizes = [len(NY[s]) for s in range(n) for _ in NX[s]]
-    arrows = []
-    for a in range(n):
-        if not NX[a]:
-            continue    # no arrow leaves an empty NX(a)
-        for b in range(n):
-            for f in all_homs(site[a], site[b]):
-                mf = spec_map(specs, f)
-                ya = [y_keys[b][compose_apmaps(mf, m).key] for m in NY[a]]
-                for i, m in enumerate(NX[a]):
-                    fm = x_keys[b][compose_apmaps(mf, m).key]
-                    arrows.append((offset[a] + i, offset[b] + fm, ya))
-    return [tuple(fam[offset[s]:offset[s + 1]] for s in range(n))
-            for fam in tables.compatible_families(sizes, arrows)]
-
-
-def scheme_equivalence_probe(specs: Specs, X: SpectralSpace, Y: SpectralSpace,
-                             site):
-    """Compare Hom(X, Y) in spaces with Nat(NX, NY) over the finite site."""
-    homs = sp.enumerate_apmaps(specs.ctx, X, Y)
-    NX = nerve(specs, X, site)
-    NY = nerve(specs, Y, site)
-    nats = natural_transformations(specs, site, NX, NY)
-    keyed = [{v.key: idx for idx, v in enumerate(maps)} for maps in NY]
-    # the transformation each map induces; the nats are distinct and sorted
-    induced = sorted(
-        tuple(tuple(keyed[s][compose_apmaps(phi, m).key] for phi in maps)
-              for s, maps in enumerate(NX))
-        for m in homs)
-    return {
-        "site_size": len(site),
-        "n_homs": len(homs),
-        "n_nats": len(nats),
-        "bijective": induced == nats,
-    }

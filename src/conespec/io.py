@@ -36,18 +36,20 @@ def _rows(d: dict, key: str) -> list:
 
 
 def algebra_from_dict(d: dict) -> FiniteAlgebra:
-    if not isinstance(d, dict) or "kind" not in d:
+    if not isinstance(d, dict):
         raise ValidationError("not an algebra object", d)
+    kind = field(d, "kind", "algebra")
     one = d.get("one", d.get("unit"))
     if one is None:
         raise ValidationError("missing identity index", d)
     zero = d.get("zero")
     if type(one) is not int or (zero is not None and type(zero) is not int):
         raise ValidationError("identity or zero is not an element index", d)
-    if not isinstance(d.get("elements"), list):
+    elements = field(d, "elements", "algebra")
+    if not isinstance(elements, list):
         raise ValidationError("algebra field 'elements' is not a list", d)
     return validate(
-        d["kind"], d["elements"], _rows(d, "mul"),
+        kind, elements, _rows(d, "mul"),
         add=_rows(d, "add") if "add" in d else None, zero=zero, one=one,
     )
 
@@ -65,12 +67,9 @@ def _resolve_algebra(spec) -> FiniteAlgebra:
 def hom_from_dict(d: dict) -> Hom:
     if not isinstance(d, dict):
         raise ValidationError("not a hom object", d)
-    try:
-        source = _resolve_algebra(d["source"])
-        target = _resolve_algebra(d["target"])
-        mapping = d["map"]
-    except KeyError as exc:
-        raise ValidationError(f"hom object misses field {exc}", d) from exc
+    source = _resolve_algebra(field(d, "source", "hom object"))
+    target = _resolve_algebra(field(d, "target", "hom object"))
+    mapping = field(d, "map", "hom object")
     if not isinstance(mapping, list) or not all(
             type(v) is int for v in mapping):
         raise ValidationError("hom map is not a list of element indices", d)
@@ -157,9 +156,17 @@ def load_object(path: str) -> dict:
     return doc
 
 
-def list_field(d: dict, key: str, item=object) -> list:
-    """d[key], which must be a list of `item` values."""
-    value = d[key]
+def field(d: dict, key: str, what: str):
+    """d[key]; a ValidationError names the field when the object `what`
+    lacks it."""
+    if key not in d:
+        raise ValidationError(f"{what} misses field {key!r}", d)
+    return d[key]
+
+
+def list_field(d: dict, key: str, what: str, item=object) -> list:
+    """field(d, key, what), which must be a list of `item` values."""
+    value = field(d, key, what)
     if not isinstance(value, list):
         raise ValidationError(f"field {key!r} is not a list", d)
     if not all(isinstance(v, item) for v in value):

@@ -1,9 +1,10 @@
 """Reduction functors and the geometric-isomorphism test.
 
-red R is the localization part of the canonical map into the product of
+red R is the localization part of the canonical map ell into the product of
 local-form targets; mono R is its image.  Geometric isomorphisms are detected
 by pushing out along every local form and reducing, which agrees with a
-direct comparison of spectra.
+direct comparison of spectra.  Only the fixed-point test and the lattice
+check read a spectrum.
 """
 
 from __future__ import annotations
@@ -13,8 +14,43 @@ from . import spectrum as sp
 from . import tables
 from .contexts import LocalizationPath, factorize, local_forms
 from .errors import InvariantViolation
-from .spectrum import build_spec, ell
 from .tables import FiniteAlgebra, Hom, compose, pushout
+
+
+def ell_families(ctx, R: FiniteAlgebra):
+    """(local forms, families): ell sends r to the family of its images in
+    the local-form targets, `families[r]`."""
+    forms = local_forms(ctx, R)
+    return forms, [tuple(p.composite.map[r] for p in forms)
+                   for r in range(R.size)]
+
+
+def ell(ctx, R) -> Hom:
+    """The canonical map R -> product of all local-form targets."""
+    forms = local_forms(ctx, R)
+    P, projs = tables.product(R.kind, [p.target for p in forms])
+    return tables.lift(R, P, tables.cone_lookup(P, projs),
+                       [p.composite for p in forms])
+
+
+def reduce_admissible(ctx, R):
+    """Factor ell: R -> product of local forms through a localization.
+
+    Returns (red R, unit: R -> red R, admissible residual).  The factoring
+    is computed for the quotient map q: R -> R/ker ell, the image of ell up
+    to isomorphism, so the product is never built.  That gives the same
+    factoring: each step of `factorize` only asks whether a kernel refines
+    that of the map, and q has the kernel of ell; the residuals then differ
+    by the inclusion R/ker ell -> product, and both admissibility notions
+    survive it.  Injectivity (domain) depends on the kernel alone.  For
+    reflecting units (zariski, deitmar): in a finite monoid the units of a
+    submonoid are its elements that are units of the ambient monoid, since
+    an inverse is a power.  So the residual lands in R/ker ell.
+    """
+    _, families = ell_families(ctx, R)
+    _, to_image = tables.quotient_by_sig(R, tables.normalize_sig(families))
+    path, g = factorize(ctx, to_image)
+    return path.target, path.composite, g
 
 
 class ReductionResult:
@@ -28,7 +64,7 @@ class ReductionResult:
 
 def reduce(ctx, R: FiniteAlgebra, cls: str = "admissible") -> ReductionResult:
     if cls == "admissible":
-        return ReductionResult(cls, *sp.reduce_admissible(ctx, R))
+        return ReductionResult(cls, *reduce_admissible(ctx, R))
     if cls == "mono":
         epi, mono = tables.image_factorization(ell(ctx, R))
         return ReductionResult(cls, epi.target, epi, mono)
@@ -36,14 +72,24 @@ def reduce(ctx, R: FiniteAlgebra, cls: str = "admissible") -> ReductionResult:
 
 
 def reduced(ctx, R: FiniteAlgebra, cls: str = "admissible"):
-    """(verdict, ell) for "R is reduced" (cls "admissible": ell is
-    admissible) or "R is mono-reduced" (cls "mono": ell is injective)."""
-    h = ell(ctx, R)
-    if cls == "admissible":
-        return ctx.is_admissible(h), h
-    if cls == "mono":
-        return h.is_injective, h
-    raise ValueError(f"unknown factorization class {cls!r}")
+    """(verdict, ell's map) for "R is reduced" (cls "admissible": ell is
+    admissible) or "R is mono-reduced" (cls "mono": ell is injective).
+
+    Both are read from ell's families, and the map gives the index of each
+    in the product, which is not built.  ell is injective when the families
+    are distinct.  It reflects units (zariski, deitmar) when each family of
+    units comes from a unit of R, as a family is a unit of the product
+    exactly when each of its coordinates is.
+    """
+    if cls not in ("admissible", "mono"):
+        raise ValueError(f"unknown factorization class {cls!r}")
+    forms, families = ell_families(ctx, R)
+    index = tables.product_indices(R.kind, [p.target for p in forms],
+                                   families)
+    if cls == "mono" or ctx.name == "domain":
+        return len(set(families)) == R.size, index
+    return all(r in R.units for r, f in enumerate(families)
+               if all(v in p.target.units for p, v in zip(forms, f))), index
 
 
 def is_reduced(ctx, R: FiniteAlgebra) -> bool:
@@ -85,7 +131,7 @@ def is_geometric_iso(ctx, f: Hom) -> bool:
 def fixed_point(ctx, R: FiniteAlgebra):
     """(verdict, counit) for "the counit R -> global sections of Spec R is
     an isomorphism"."""
-    _, eps = sp.global_sections(build_spec(ctx, R))
+    _, eps = sp.global_sections(sp.build_spec(ctx, R))
     return eps.is_bijective, eps
 
 

@@ -317,36 +317,6 @@ class Specs(dict):
         return self[R]
 
 
-def reduce_admissible(ctx, R):
-    """Factor ell: R -> product of local forms through a localization.
-
-    Returns (red R, unit: R -> red R, admissible residual).  The factoring
-    is computed for the quotient map q: R -> R/ker ell, the image of ell up
-    to isomorphism, so the product is never built.  That gives the same
-    factoring: each step of `factorize` only asks whether a kernel refines
-    that of the map, and q has the kernel of ell; the residuals then differ
-    by the inclusion R/ker ell -> product, and both admissibility notions
-    survive it.  Injectivity (domain) depends on the kernel alone.  For
-    reflecting units (zariski, deitmar): in a finite monoid the units of a
-    submonoid are its elements that are units of the ambient monoid, since
-    an inverse is a power.  So the residual lands in R/ker ell.
-    """
-    forms = local_forms(ctx, R)
-    sig = tables.normalize_sig(tuple(p.composite.map[r] for p in forms)
-                               for r in range(R.size))
-    _, to_image = tables.quotient_by_sig(R, sig)
-    path, g = factorize(ctx, to_image)
-    return path.target, path.composite, g
-
-
-def ell(ctx, R) -> Hom:
-    """The canonical map R -> product of all local-form targets."""
-    forms = local_forms(ctx, R)
-    P, projs = tables.product(R.kind, [p.target for p in forms])
-    return tables.lift(R, P, tables.cone_lookup(P, projs),
-                       [p.composite for p in forms])
-
-
 # ---------------------------------------------------------------------------
 # the contravariant action and open embeddings
 

@@ -222,14 +222,20 @@ def _check_laws(kind, elements, mul, add, zero, one) -> None:
     _check_assoc("mul", mul, gens, elements)
 
 
+def _canonical_order(elements, dist) -> list[int]:
+    """The indices of `elements` in canonical order: the distinguished ones
+    (`dist`) first, then by label."""
+    return sorted(range(len(elements)),
+                  key=lambda i: (0 if i in dist else 1, elements[i]))
+
+
 def _finish(kind, elements, mul, add, zero, one):
     """Canonicalize element order and build the value.
 
     Returns (algebra, pos) where pos[i] is the new index of old element i.
     """
     n = len(elements)
-    dist = {one} | ({zero} if zero is not None else set())
-    order = sorted(range(n), key=lambda i: (0 if i in dist else 1, elements[i]))
+    order = _canonical_order(elements, {one, zero} - {None})
     pos = [0] * n
     for new, old in enumerate(order):
         pos[old] = new
@@ -612,6 +618,28 @@ def product(kind: str, algebras) -> tuple[FiniteAlgebra, list[Hom]]:
     return limit(kind, algebras, [])
 
 
+def product_indices(kind: str, algebras, families) -> list[int]:
+    """The index of each of `families` in `product(kind, algebras)`, with the
+    same size bounds, but without its tables.
+
+    The product's elements are all the families, in canonical order, so an
+    index is the rank of a family's label among theirs.
+    """
+    algebras = list(algebras)
+    if math.prod(a.size for a in algebras) > SEARCH_MAX:
+        raise SizeBound("product carrier too large", SEARCH_MAX)
+    if not algebras:
+        return [0] * len(families)
+    elems = compatible_families([a.size for a in algebras], [])
+    dist = {tuple(a.one for a in algebras)}
+    if kind == RING:
+        dist.add(tuple(a.zero for a in algebras))
+    order = _canonical_order(_family_labels(algebras, elems),
+                             {elems.index(e) for e in dist})
+    rank = {elems[old]: new for new, old in enumerate(order)}
+    return [rank[f] for f in families]
+
+
 def _search_plan(sizes, arrows):
     """Order the objects for the join, with each one's arrow constraints.
 
@@ -723,6 +751,15 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
         [o.size for o in objects], [(i, j, h.map) for i, j, h in arrows]))
 
 
+def _family_labels(objects, elems) -> list[str]:
+    """The label of each family of `elems`: the tuple of its coordinates'
+    labels, or with one object that coordinate's label."""
+    if len(objects) == 1:
+        return [objects[0].elements[e[0]] for e in elems]
+    return ["(" + ",".join(o.elements[v] for o, v in zip(objects, e)) + ")"
+            for e in elems]
+
+
 def limit_from_families(kind: str, objects,
                         elems) -> tuple[FiniteAlgebra, list[Hom]]:
     """The families `elems` of the nonempty list `objects`, as an algebra
@@ -734,13 +771,7 @@ def limit_from_families(kind: str, objects,
     InvariantViolation.
     """
     index = {e: i for i, e in enumerate(elems)}
-    if len(objects) == 1:
-        labels = [objects[0].elements[e[0]] for e in elems]
-    else:
-        labels = [
-            "(" + ",".join(o.elements[v] for o, v in zip(objects, e)) + ")"
-            for e in elems
-        ]
+    labels = _family_labels(objects, elems)
 
     def table(op):
         out = []

@@ -7,7 +7,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from conespec import contexts, corpus, glue, tables
+from conespec import contexts, corpus, glue, reduction, tables
 from conespec import spectrum as sp
 from conespec.errors import DidNotStabilize, InvariantViolation
 from conespec.spectrum import APMap, sort_opens
@@ -383,7 +383,7 @@ def canonical_presheaf(ctx, R):
     for U, paths in by_open.items():
         sig = tables.join_sigs(R.size, [p.sig for p in paths])
         RU, proj = tables.quotient_by_sig(R, sig)
-        red, unit, _ = sp.reduce_admissible(ctx, RU)
+        red, unit, _ = reduction.reduce_admissible(ctx, RU)
         sections[U] = red
         canonical[U] = tables.compose(proj, unit)
     # right Kan extension on the other opens
@@ -833,3 +833,25 @@ def nerve_families_by_product(specs, cover, at_K):
                for t, u, left, right in pair_keys):
             families.append(tuple(keys[t][x] for t, x in enumerate(fam)))
     return families
+
+
+def reduced_by_product(ctx, R, prop):
+    """Oracle: the verdict and certificate of `check --property reduced` or
+    `mono-reduced`, from ell as a hom into the product of the local-form
+    targets, built with its tables and lifted into."""
+    forms = contexts.local_forms(ctx, R)
+    P, projs = tables.product(R.kind, [p.target for p in forms])
+    h = tables.lift(R, P, tables.cone_lookup(P, projs),
+                    [p.composite for p in forms])
+    verdict = ctx.is_admissible(h) if prop == "reduced" else h.is_injective
+    certificate = {"canonical_map": list(h.map)}
+    if prop == "reduced" and not verdict:
+        collisions = [(x, y) for x in range(R.size)
+                      for y in range(x + 1, R.size) if h.map[x] == h.map[y]]
+        # prefer naming the element identified with zero
+        witness = next((y for x, y in collisions
+                        if R.is_ring and x == R.zero),
+                       collisions[0][1] if collisions else None)
+        certificate["witness"] = R.elements[witness] \
+            if witness is not None else None
+    return verdict, certificate

@@ -1,0 +1,178 @@
+"""Checkers for propositions of the paper, over the library's constructions.
+
+Nothing in `conespec` calls these, and no subcommand reaches them: each
+exists so that a test can check a claim about spectra and their functors of
+points on a finite site.  Open subfunctors at distinguished opens are
+representable, the nerve of Spec R is Hom(R, -), affine opens communicate,
+and the maps of spaces X -> Y are the natural maps of their nerves
+(`Probe`).
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+
+from conespec import glue as gl
+from conespec import spectrum as sp
+from conespec import tables
+from conespec.spectrum import compose_apmaps, spec_map
+from conespec.tables import all_homs, compose
+
+
+# ---------------------------------------------------------------------------
+# open subfunctors and representability
+
+
+def open_subfunctor_values(specs, R, U: frozenset, site):
+    """Per site object: the homs R -> S whose Spec map lands in U."""
+    return {s: [f for f in all_homs(R, S)
+                if set(spec_map(specs, f).point_map) <= U]
+            for s, S in enumerate(site)}
+
+
+def open_subfunctor_is_representable(specs, R, k, site) -> bool:
+    """yR at Pts k agrees with the representable of the localization target."""
+    U = sp.distinguished_open(specs[R].forms, k)
+    values = open_subfunctor_values(specs, R, U, site)
+    for s, S in enumerate(site):
+        through = {compose(k.composite, g).map for g in all_homs(k.target, S)}
+        if {f.map for f in values[s]} != through:
+            return False
+    return True
+
+
+def nerve_matches_representable(specs, R, site) -> bool:
+    """N(Spec R)(S) is in natural bijection with Hom(R, S) on the site."""
+    for S, maps in zip(site, gl.nerve(specs, specs[R], site)):
+        homs = all_homs(R, S)
+        if len(homs) != len(maps):
+            return False
+        keys = {spec_map(specs, f).key for f in homs}
+        if keys != {m.key for m in maps}:
+            return False
+    # naturality: the bijection commutes with the site action for free since
+    # both sides act by composition with spec maps
+    return True
+
+
+# ---------------------------------------------------------------------------
+# affine opens and the communication property
+
+
+def affine_opens(specs, X):
+    out = {}
+    for U in X.opens:
+        if not U:
+            continue
+        verdict, witness = gl.is_affine(specs, sp.restrict(X, U))
+        if verdict:
+            out[U] = witness
+    return out
+
+
+def _distinguished_in(ctx, U, witness):
+    """Subsets of U that are distinguished opens of the affine model.
+
+    The witness is an iso Spec(sections over U) -> restrict(X, U); push each
+    distinguished open forward along its point map.
+    """
+    pts = sorted(U)
+    return {frozenset(pts[witness.point_map[q]] for q in V)
+            for V in sp.distinguished_opens(ctx, witness.source.base)}
+
+
+def affine_communication_check(specs, X) -> bool:
+    """Any point in two affine opens lies in a common distinguished open."""
+    aff = affine_opens(specs, X)
+    dist = {U: _distinguished_in(specs.ctx, U, w) for U, w in aff.items()}
+    for U in aff:
+        for V in aff:
+            for p in U & V:
+                if not any(p in W and W <= U & V
+                           for W in dist[U] & dist[V]):
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# scheme equivalence probe
+
+
+class Probe:
+    """Scheme-equivalence probes over one workspace and one finite site.
+
+    The homs between site objects are listed once, and the nerve of each
+    space, with the action of every site hom on it, is enumerated once; the
+    workspace keeps the Spec map of each hom.  Spaces are told apart by
+    identity, as maps of spaces are.
+    """
+
+    def __init__(self, specs, site):
+        self.specs = specs
+        self.site = tuple(site)
+        self._nerves = {}
+        self._actions = {}
+
+    @functools.cached_property
+    def site_homs(self) -> list:
+        """(a, b, f) for every hom f: site[a] -> site[b]."""
+        n = len(self.site)
+        return [(a, b, f) for a, b in itertools.product(range(n), repeat=2)
+                for f in all_homs(self.site[a], self.site[b])]
+
+    def nerve(self, X) -> list:
+        if X not in self._nerves:
+            self._nerves[X] = gl.nerve(self.specs, X, self.site)
+        return self._nerves[X]
+
+    def actions(self, X) -> list:
+        """For each (a, b, f) of `site_homs`, the map f induces from the
+        indices of N(X)(site[a]) to those of N(X)(site[b])."""
+        if X not in self._actions:
+            NX = self.nerve(X)
+            keys = [{m.key: i for i, m in enumerate(maps)} for maps in NX]
+            self._actions[X] = [
+                [keys[b][compose_apmaps(spec_map(self.specs, f), m).key]
+                 for m in NX[a]] for a, b, f in self.site_homs]
+        return self._actions[X]
+
+    def natural_transformations(self, X, Y):
+        """All natural maps NX -> NY, by one family search.
+
+        Its objects are the pairs (s, m), m in NX(s), each ranging over the
+        indices of NY(s); each site hom f: a -> b and each m in NX(a) give
+        the arrow (a, m) -> (b, f.m) along f's action on NY(a).  A natural
+        map is one tuple of image indices per site object, and they come
+        out in lexicographic order.
+        """
+        NX, NY = self.nerve(X), self.nerve(Y)
+        n = len(self.site)
+        offset = list(itertools.accumulate(map(len, NX), initial=0))
+        sizes = [len(NY[s]) for s in range(n) for _ in NX[s]]
+        arrows = []
+        for (a, b, _), xa, ya in zip(self.site_homs, self.actions(X),
+                                      self.actions(Y)):
+            arrows += [(offset[a] + i, offset[b] + fm, ya)
+                       for i, fm in enumerate(xa)]
+        return [tuple(fam[offset[s]:offset[s + 1]] for s in range(n))
+                for fam in tables.compatible_families(sizes, arrows)]
+
+    def __call__(self, X, Y) -> dict:
+        """Compare Hom(X, Y) in spaces with Nat(NX, NY) over the site."""
+        homs = sp.enumerate_apmaps(self.specs.ctx, X, Y)
+        NX, NY = self.nerve(X), self.nerve(Y)
+        nats = self.natural_transformations(X, Y)
+        keyed = [{v.key: idx for idx, v in enumerate(maps)} for maps in NY]
+        # the transformation each map induces; the nats are distinct and
+        # sorted
+        induced = sorted(
+            tuple(tuple(keyed[s][compose_apmaps(phi, m).key] for phi in maps)
+                  for s, maps in enumerate(NX))
+            for m in homs)
+        return {
+            "site_size": len(self.site),
+            "n_homs": len(homs),
+            "n_nats": len(nats),
+            "bijective": induced == nats,
+        }

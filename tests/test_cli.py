@@ -12,7 +12,7 @@ import pytest
 
 from conespec import contexts as C
 from conespec import cli, corpus, glue as gl, hypercover as hc, io as cio
-from conespec import spectrum as sp
+from conespec import reduction as red, spectrum as sp
 from conespec.tables import all_homs, identity
 from helpers import large_nonassociative_monoid, subprocess_env
 from test_golden import CASES, read_expected, run_case
@@ -351,6 +351,49 @@ def test_cli_flat_cover_rejects_components_that_are_not_a_list(tmp_path, capsys)
     assert "field 'components' is not a list" in capsys.readouterr().err
 
 
+def test_cli_names_a_missing_field_with_exit_2(tmp_path, capsys):
+    def fails(argv, message):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    for key in ("i", "j", "k_i", "k_j"):
+        doc = e2_gluing()
+        del doc["overlaps"][0][key]
+        inp = write(tmp_path, "bad.json", doc)
+        for command in ("glue", "nerve"):
+            fails([command, "--input", inp], f"overlap misses field {key!r}")
+    for doc, message in (
+            ({"charts": [{"name": "e2"}], "overlaps": []},
+             "chart misses field 'algebra'"),
+            ({"charts": [{"algebra": "e2"}]}, "gluing misses field 'overlaps'")):
+        fails(["glue", "--input", write(tmp_path, "bad.json", doc)], message)
+    z6 = write(tmp_path, "z6.json", cio.algebra_to_dict(Z6))
+    cover = write(tmp_path, "cover.json", {"parts": []})
+    fails(["check", "--property", "flat-cover", "--input", z6, "--cover",
+           cover], "cover misses field 'components'")
+    hom = write(tmp_path, "hom.json", {"source": "z6", "target": "z2"})
+    fails(["check", "--property", "geometric-iso", "--hom", hom],
+          "hom object misses field 'map'")
+    for key in ("kind", "elements"):
+        doc = cio.algebra_to_dict(Z6)
+        del doc[key]
+        fails(["check", "--property", "reduced", "--input",
+               write(tmp_path, "bad.json", doc)],
+              f"algebra misses field {key!r}")
+
+
+def test_cli_a_key_error_in_the_library_is_exit_4(tmp_path, capsys,
+                                                   monkeypatch):
+    """A KeyError is a fault of the program, not of its input."""
+    def lookup(*args):
+        return {}["missing"]
+
+    monkeypatch.setattr(red, "reduced", lookup)
+    inp = write(tmp_path, "z6.json", cio.algebra_to_dict(Z6))
+    assert cli.main(["check", "--property", "reduced", "--input", inp]) == 4
+    assert capsys.readouterr().err == "internal error: KeyError('missing')\n"
+
+
 @pytest.mark.parametrize("name", ["nerve-deitmar-doubled-chain3",
                                   "glue-zariski-doubled-z12"])
 def test_cli_builds_each_spec_once_per_command(monkeypatch, name):
@@ -396,21 +439,21 @@ def test_cli_spec_rounds_runs_one_localization_search(tmp_path, monkeypatch):
 def test_cli_check_reducedness_builds_one_canonical_map(tmp_path, monkeypatch,
                                                         prop):
     """The verdict and the certificate read the same map R -> product of the
-    local-form targets, so its product table is built once."""
+    local-form targets: its families are ranked once, and the product's
+    tables are never built."""
     from conespec import tables
 
-    calls = []
-    real_product = tables.product
+    calls = {"product": 0, "limit": 0, "product_indices": 0}
+    for name in calls:
+        def counting(*args, real=getattr(tables, name), name=name):
+            calls[name] += 1
+            return real(*args)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real_product(*args, **kwargs)
-
-    monkeypatch.setattr(tables, "product", counting)
+        monkeypatch.setattr(tables, name, counting)
     inp = write(tmp_path, "z12.json", cio.algebra_to_dict(corpus.zn(12)))
     assert cli.main(["check", "--context", "domain", "--property", prop,
                      "--input", inp]) == 1
-    assert len(calls) == 1
+    assert calls == {"product": 0, "limit": 0, "product_indices": 1}
 
 
 def test_cli_check_flat_cover_builds_the_input_cover_once(tmp_path,

@@ -9,6 +9,7 @@ from conespec import corpus, glue as gl, hypercover as hc, spectrum as sp, table
 from conespec.errors import CocycleViolation, InvariantViolation
 from conespec.tables import all_homs, isomorphic
 
+import paper
 from helpers import corpus_by_context, glued_row, glued_sections_by_product
 
 ZAR = C.get_context("zariski")
@@ -228,10 +229,10 @@ def test_nerve_matches_representable_on_site():
     zsite = tuple(A for A in gl.default_site(ZAR) if A.size <= 6)
     zar, dei = sp.Specs(ZAR), sp.Specs(DEI)
     for R in [corpus.zn(2), corpus.zn(4), Z6]:
-        assert gl.nerve_matches_representable(zar, R, zsite)
+        assert paper.nerve_matches_representable(zar, R, zsite)
     dsite = gl.default_site(DEI)
     for R in [corpus.flag_monoid(), corpus.chain_monoid()]:
-        assert gl.nerve_matches_representable(dei, R, dsite)
+        assert paper.nerve_matches_representable(dei, R, dsite)
 
 
 def test_nerve_of_p1_larger_than_representable(f1_p1):
@@ -268,19 +269,19 @@ def test_open_subfunctor_at_distinguished_open():
     k2 = loc_by_size(ZAR, Z6, 2)
     specs = sp.Specs(ZAR)
     U = sp.distinguished_open(specs[Z6].forms, k2)
-    values = gl.open_subfunctor_values(specs, Z6, U, site)
+    values = paper.open_subfunctor_values(specs, Z6, U, site)
     assert len(values[0]) == 1          # the projection Z6 -> Z2
     assert len(values[1]) == 0          # Z3's point misses U
-    assert gl.open_subfunctor_is_representable(specs, Z6, k2, site)
+    assert paper.open_subfunctor_is_representable(specs, Z6, k2, site)
 
 
 def test_open_subfunctor_total_and_empty():
     site = (corpus.zn(2), Z6)
     specs = sp.Specs(ZAR)
-    total = gl.open_subfunctor_values(specs, Z6, specs[Z6].total, site)
+    total = paper.open_subfunctor_values(specs, Z6, specs[Z6].total, site)
     assert [len(total[s]) for s in range(2)] == \
         [len(all_homs(Z6, S)) for S in site]
-    empty = gl.open_subfunctor_values(specs, Z6, frozenset(), site)
+    empty = paper.open_subfunctor_values(specs, Z6, frozenset(), site)
     assert all(len(v) == 0 for v in empty.values())
 
 
@@ -291,7 +292,7 @@ def test_scheme_equivalence_probe_affine():
     specs = sp.Specs(ZAR)
     X = specs[Z6]
     site = tuple(A for A in gl.default_site(ZAR) if A.size <= 6)
-    rep = gl.scheme_equivalence_probe(specs, X, X, site)
+    rep = paper.Probe(specs, site)(X, X)
     assert rep["bijective"] and rep["n_homs"] == len(all_homs(Z6, Z6))
 
 
@@ -299,7 +300,7 @@ def test_scheme_equivalence_probe_p1(f1_p1):
     M = corpus.flag_monoid()
     site = tuple(A for A in gl.default_site(DEI) if A.size <= 3)
     specs = sp.Specs(DEI)
-    rep = gl.scheme_equivalence_probe(specs, f1_p1, specs[M], site)
+    rep = paper.Probe(specs, site)(f1_p1, specs[M])
     assert rep["bijective"]
 
 
@@ -307,12 +308,12 @@ def test_scheme_equivalence_probe_empty_source():
     specs = sp.Specs(ZAR)
     E, X = specs[corpus.trivial_ring()], specs[Z6]
     site = (corpus.zn(2), corpus.zn(3))
-    rep = gl.scheme_equivalence_probe(specs, E, X, site)
+    rep = paper.Probe(specs, site)(E, X)
     assert rep["n_homs"] == 1 and rep["bijective"]
 
 
 def test_affine_communication(f1_p1, doubled_z6):
     zar = sp.Specs(ZAR)
-    assert gl.affine_communication_check(sp.Specs(DEI), f1_p1)
-    assert gl.affine_communication_check(zar, doubled_z6)
-    assert gl.affine_communication_check(zar, zar[Z6])
+    assert paper.affine_communication_check(sp.Specs(DEI), f1_p1)
+    assert paper.affine_communication_check(zar, doubled_z6)
+    assert paper.affine_communication_check(zar, zar[Z6])

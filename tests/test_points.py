@@ -1,11 +1,11 @@
 """The functor of points by the two searches of the library, against the
 brute-force oracles, and the scheme-equivalence probe on the full site.
 
-`natural_transformations` and the nerve sheaf families are joins of
-`tables.compatible_families`, and `iter_space_isos` is the minimal-open map
-search; the oracles in `helpers` try every assignment, scan the product of
-the component values and choose an isomorphism at every open.  Each pair
-must give the same results in the same order.
+`paper.Probe.natural_transformations` and the nerve sheaf families are
+joins of `tables.compatible_families`, and `iter_space_isos` is the
+minimal-open map search; the oracles in `helpers` try every assignment,
+scan the product of the component values and choose an isomorphism at every
+open.  Each pair must give the same results in the same order.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from conespec import spectrum as sp
 from conespec import tables
 from conespec.errors import SizeBound
 
+import paper
 from helpers import (corpus_by_context, natural_transformations_by_product,
                      nerve_families_by_product, space_isos_by_opens)
 
@@ -60,16 +61,16 @@ def test_natural_transformations_match_the_product_oracle():
     pairs = found = 0
     for name, group in corpus_spaces(max_size=4).items():
         specs = sp.Specs(C.get_context(name))
-        site = gl.default_site(specs.ctx, 4)
-        nerves = [gl.nerve(specs, X, site) for X in group]
-        for NX in nerves:
-            for NY in nerves:
+        probe = paper.Probe(specs, gl.default_site(specs.ctx, 4))
+        for X in group:
+            for Y in group:
+                NX, NY = probe.nerve(X), probe.nerve(Y)
                 if any(len(NY[s]) ** len(NX[s]) > ORACLE_WIDTH
-                       for s in range(len(site))):
+                       for s in range(len(probe.site))):
                     continue
-                nats = gl.natural_transformations(specs, site, NX, NY)
+                nats = probe.natural_transformations(X, Y)
                 assert nats == natural_transformations_by_product(
-                    specs, site, NX, NY)
+                    specs, probe.site, NX, NY)
                 pairs += 1
                 found += len(nats)
     assert pairs > 100 and found > 100
@@ -116,25 +117,25 @@ def test_space_isos_match_the_search_over_every_open():
 
 def test_natural_transformations_stop_at_the_search_bound(monkeypatch):
     specs = sp.Specs(DEI)
-    site = gl.default_site(DEI, 4)
-    NX = gl.nerve(specs, specs[corpus.monoid_product("e2", "e2")], site)
-    assert len(gl.natural_transformations(specs, site, NX, NX)) == 16
+    probe = paper.Probe(specs, gl.default_site(DEI, 4))
+    X = specs[corpus.monoid_product("e2", "e2")]
+    assert len(probe.natural_transformations(X, X)) == 16
     monkeypatch.setattr(tables, "SEARCH_MAX", 10)
     with pytest.raises(SizeBound, match="limit search space too large"):
-        gl.natural_transformations(specs, site, NX, NX)
+        probe.natural_transformations(X, X)
 
 
 def test_probe_on_e2xe2_to_e2_counts_the_four_maps():
     specs = sp.Specs(DEI)
     X = specs[corpus.monoid_product("e2", "e2")]
     Y = specs[corpus.flag_monoid()]
-    rep = gl.scheme_equivalence_probe(specs, X, Y, gl.default_site(DEI, 4))
+    rep = paper.Probe(specs, gl.default_site(DEI, 4))(X, Y)
     assert (rep["n_homs"], rep["n_nats"], rep["bijective"]) == (4, 4, True)
 
 
 def test_a_second_probe_in_one_workspace_builds_no_spec_map(monkeypatch):
     """The workspace keeps the Spec map of each site hom, so a second probe
-    over the same site factorizes nothing."""
+    over the same site, with nerves of its own, factorizes nothing."""
     calls = []
     real = sp.factorize
 
@@ -147,11 +148,30 @@ def test_a_second_probe_in_one_workspace_builds_no_spec_map(monkeypatch):
     X = specs[corpus.monoid_product("e2", "e2")]
     Y = specs[corpus.flag_monoid()]
     site = gl.default_site(DEI, 4)
-    first = gl.scheme_equivalence_probe(specs, X, Y, site)
+    first = paper.Probe(specs, site)(X, Y)
     assert calls
     calls.clear()
-    assert gl.scheme_equivalence_probe(specs, X, Y, site) == first
+    assert paper.Probe(specs, site)(X, Y) == first
     assert calls == []
+
+
+def test_a_probe_lists_the_site_homs_and_enumerates_each_nerve_once(
+        monkeypatch):
+    calls = []
+    for home, name in ((paper, "all_homs"), (gl, "nerve")):
+        def counting(*args, real=getattr(home, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(home, name, counting)
+    specs = sp.Specs(DEI)
+    X = specs[corpus.monoid_product("e2", "e2")]
+    Y = specs[corpus.flag_monoid()]
+    probe = paper.Probe(specs, gl.default_site(DEI, 4))
+    reports = [probe(X, Y), probe(Y, X), probe(X, X), probe(X, Y)]
+    assert reports[0] == reports[3]
+    assert (calls.count("all_homs"), calls.count("nerve")) == \
+        (len(probe.site) ** 2, 2)
 
 
 # Z/9 has 9 elements and the site stops at 8, so Yoneda does not apply: no
@@ -162,28 +182,32 @@ NOT_BIJECTIVE = {("zariski", corpus.zn(9), corpus.zn(n)) for n in (3, 6, 12)}
 
 def probe_cases():
     """The golden gluings and Spec of every deitmar corpus monoid, each with
-    itself, and every zariski and domain corpus pair, each with the
-    workspace its spaces were built in."""
+    itself, and every zariski and domain corpus pair, each with a probe over
+    the full site of the workspace its spaces were built in."""
+    def full_site(specs):
+        return paper.Probe(specs, gl.default_site(specs.ctx))
+
     for name in ("p1-f1.json", "e2-three-charts.json", "doubled-z6.json"):
         specs, X = golden_space(name)
-        yield specs, name, X, X
+        yield full_site(specs), name, X, X
     specs = sp.Specs(DEI)
+    probe = full_site(specs)
     for A in corpus.deitmar_corpus():
-        yield specs, ("deitmar", A, A), specs[A], specs[A]
+        yield probe, ("deitmar", A, A), specs[A], specs[A]
     for ctx, pool in ((ZAR, corpus.zariski_corpus()),
                       (DOM, corpus.domain_corpus())):
         specs = sp.Specs(ctx)
+        probe = full_site(specs)
         for A in pool:
             for B in pool:
-                yield specs, (ctx.name, A, B), specs[A], specs[B]
+                yield probe, (ctx.name, A, B), specs[A], specs[B]
 
 
 def test_scheme_equivalence_probe_on_the_full_site():
-    sites = {ctx.name: gl.default_site(ctx) for ctx in (ZAR, DOM, DEI)}
     failing = set()
     n = 0
-    for specs, label, X, Y in probe_cases():
-        rep = gl.scheme_equivalence_probe(specs, X, Y, sites[specs.ctx.name])
+    for probe, label, X, Y in probe_cases():
+        rep = probe(X, Y)
         if not rep["bijective"]:
             assert (rep["n_homs"], rep["n_nats"]) == (0, 1), label
             failing.add(label)
@@ -196,6 +220,6 @@ def test_probe_of_the_doubled_e2xe2_with_itself_on_the_full_site():
     """The golden gluing of two Spec e2xe2 along e, over every deitmar site
     object: its 961 maps to itself are the natural maps of its nerve."""
     specs, X = golden_space("doubled-e2xe2.json")
-    rep = gl.scheme_equivalence_probe(specs, X, X, gl.default_site(specs.ctx))
+    rep = paper.Probe(specs, gl.default_site(specs.ctx))(X, X)
     assert (rep["site_size"], rep["n_homs"], rep["n_nats"],
             rep["bijective"]) == (7, 961, 961, True)

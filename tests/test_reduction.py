@@ -1,18 +1,24 @@
 """Reduction functors, fixed points, and geometric isomorphisms.
 
 The domain-context reduction is cross-checked against a nilradical oracle,
-and the geometric-iso criterion against a direct comparison of spectra.
+the geometric-iso criterion against a direct comparison of spectra, and the
+`reduced` and `mono-reduced` checks against ell built into the product.
 """
 
 from __future__ import annotations
 
+import json
+
+import pytest
+
 from conespec import contexts as C
-from conespec import corpus, hypercover as hc, reduction as red, spectrum as sp
+from conespec import cli, corpus, hypercover as hc, io as cio
+from conespec import reduction as red, spectrum as sp
 from conespec import tables
 from conespec.tables import all_homs, compose, identity, isomorphic
 
 from helpers import (canonical_presheaf, corpus_by_context, quotient,
-                     satisfies_sheaf_condition)
+                     reduced_by_product, satisfies_sheaf_condition)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -62,9 +68,9 @@ def test_mono_reduction_is_image():
 
 def test_reduce_admissible_matches_factorizing_ell():
     for ctx, A in corpus_by_context():
-        ell = sp.ell(ctx, A)
+        ell = red.ell(ctx, A)
         path, g = C.factorize(ctx, ell)
-        algebra, unit, witness = sp.reduce_admissible(ctx, A)
+        algebra, unit, witness = red.reduce_admissible(ctx, A)
         assert unit.kernel_sig() == path.sig
         assert (algebra, unit) == (path.target, path.composite)
         # the residual lands in R/ker ell, which ell embeds in the product
@@ -205,3 +211,73 @@ def test_flat_search_domain_context():
                 if not red.check_flat_wrt_cover(DOM, loc, cover):
                     found.append((A.elements, p.sig, len(cover.components)))
     assert found == []
+
+
+# products of Z/n with three or four local forms in both ring contexts, and
+# labels that are tuples, so that their order in the product is not the
+# order of their values
+PRODUCTS = [(2, 3, 5), (4, 3, 2), (2, 2, 2), (3, 4, 5), (2, 9, 2), (2, 2, 2, 2)]
+
+
+def ell_cases():
+    yield from corpus_by_context()
+    for ns in PRODUCTS:
+        for ctx in (ZAR, DOM):
+            yield ctx, corpus.ring_product(*ns)
+    for n in (30, 60, 42, 100):
+        for ctx in (ZAR, DOM):
+            yield ctx, corpus.zn(n)
+
+
+def run_check(tmp_path, capsys, ctx, A, prop):
+    path = tmp_path / "a.json"
+    path.write_text(cio.dumps(cio.algebra_to_dict(A)))
+    code = cli.main(["check", "--context", ctx.name, "--property", prop,
+                     "--input", str(path)])
+    out, err = capsys.readouterr()
+    return code, (json.loads(out) if out else err)
+
+
+def test_reduced_checks_match_ell_into_the_built_product(tmp_path, capsys):
+    verdicts = set()
+    for ctx, A in ell_cases():
+        for prop in ("reduced", "mono-reduced"):
+            verdict, certificate = reduced_by_product(ctx, A, prop)
+            assert run_check(tmp_path, capsys, ctx, A, prop) == (
+                0 if verdict else 1,
+                {"property": prop, "verdict": verdict,
+                 "certificate": certificate}), (ctx.name, prop, A.elements)
+            verdicts.add((ctx.name, prop, verdict))
+    # in zariski and deitmar ell is injective and reflects units on every
+    # finite algebra, so only domain has false verdicts
+    assert {v for c, _, v in verdicts if c != "domain"} == {True}
+    assert {(p, v) for c, p, v in verdicts if c == "domain"} == {
+        (p, v) for p in ("reduced", "mono-reduced") for v in (True, False)}
+    assert sum(len(C.local_forms(ctx, A)) >= 3
+               for ctx, A in ell_cases()) >= 2 * len(PRODUCTS)
+
+
+def test_reduced_checks_build_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("product tables built")
+
+    monkeypatch.setattr(tables, "product", refuse)
+    monkeypatch.setattr(tables, "limit", refuse)
+    for ctx, A in ell_cases():
+        for cls in ("admissible", "mono"):
+            red.reduced(ctx, A, cls)
+
+
+@pytest.mark.parametrize("prop", ["reduced", "mono-reduced"])
+def test_reduced_checks_refuse_a_product_past_the_search_bounds(
+        monkeypatch, tmp_path, capsys, prop):
+    """As when the product was built: Z/12 has the local forms Z/3 and Z/4,
+    so ell lands in 12 elements, which the join lists by visiting 3 + 12
+    partial families."""
+    for bound, expected in (
+            (11, (3, "resource bound: product carrier too large\n")),
+            (14, (3, "resource bound: limit search space too large\n"))):
+        monkeypatch.setattr(tables, "SEARCH_MAX", bound)
+        assert run_check(tmp_path, capsys, ZAR, Z12, prop) == expected
+    monkeypatch.setattr(tables, "SEARCH_MAX", 15)
+    assert run_check(tmp_path, capsys, ZAR, Z12, prop)[0] == 0

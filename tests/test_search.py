@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from conespec import contexts as C
-from conespec import corpus, spectrum as sp, tables
+from conespec import corpus, reduction as red, spectrum as sp, tables
 
 from helpers import (canonical_presheaf, corpus_by_context,
                      enumerate_localizations_by_quotient,
@@ -51,7 +51,7 @@ def test_factorize_matches_the_oracle_on_reduce_admissible_inputs(
         inputs.append(f)
         return C.factorize(ctx, f, *args, **kwargs)
 
-    monkeypatch.setattr(sp, "factorize", recording)
+    monkeypatch.setattr(red, "factorize", recording)
     canonical_presheaf(ctx, A)  # one reduce_admissible per distinguished open
     assert inputs or A.is_trivial
     for f in inputs:

@@ -1,6 +1,6 @@
 """The library imports nothing outside the standard library and itself, and
 `conespec.cli` starts up without the modules only some calls need: it runs
-`reduction`, `hypercover` and `glue` on their first use."""
+`spectrum`, `reduction`, `hypercover` and `glue` on their first use."""
 
 from __future__ import annotations
 
@@ -75,14 +75,18 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, len(calls))
 """
 
-# the layers each golden case runs besides io, tables, contexts and
-# spectrum; hypercover runs only where a command builds an opcover
+# the layers each golden case runs besides io, tables and contexts: of the
+# checks only fixed-point reads a spectrum, and hypercover runs only where a
+# command builds an opcover
 EXECUTES = {
-    "spec-zariski-z12": (),
+    "spec-zariski-z12": ("spectrum",),
     "check-reduced-zariski-z12": ("reduction",),
+    "check-mono-reduced-domain-z12": ("reduction",),
+    "check-geometric-iso-z6-z2": ("reduction",),
+    "check-fixed-point-deitmar-e2xe2": ("reduction", "spectrum"),
     "check-flat-cover-z6": ("reduction", "hypercover"),
-    "glue-doubled-z6": ("glue",),
-    "nerve-p1-f1": ("glue",),
+    "glue-doubled-z6": ("glue", "spectrum"),
+    "nerve-p1-f1": ("glue", "spectrum"),
 }
 
 
@@ -166,7 +170,7 @@ def test_each_subcommand_runs_only_the_layers_it_uses(case, tmp_path):
     code, *modules = proc.stdout.split()
     assert f"{code}\n".encode() == read_expected(case)["exit"]
     ran = {name.removeprefix("conespec.") for name in modules} & set(PUBLIC)
-    assert ran == {"io", "tables", "contexts", "spectrum", *EXECUTES[case]}
+    assert ran == {"io", "tables", "contexts", *EXECUTES[case]}
 
 
 def test_cli_runs_the_layer_modules_imported_before_it(tmp_path):
