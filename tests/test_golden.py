@@ -50,6 +50,9 @@ CASES = {
                                   "--hom", "@z6-to-z2.json"],
     "check-flat-cover-z6": ["check", "--property", "flat-cover", "--input",
                             "@z6.json", "--cover", "@z6-cover.json"],
+    "check-flat-cover-zariski-multistep": [
+        "check", "--context", "zariski", "--property", "flat-cover", "--input",
+        "@z30.json", "--cover", "@z30-multistep-cover.json"],
     "glue-doubled-z6": ["glue", "--input", "@doubled-z6.json", "--out-dir", "OUT"],
     "glue-deitmar-doubled-e2xe2": ["glue", "--input", "@doubled-e2xe2.json",
                                    "--out-dir", "OUT"],
