@@ -17,7 +17,6 @@ from . import io as cio
 from . import tables
 from .errors import (
     CocycleViolation,
-    DidNotStabilize,
     InvalidDatum,
     InvariantViolation,
     KindMismatch,
@@ -66,7 +65,7 @@ def _stem(path: str) -> str:
 
 
 def _check_bounds(args, *algebras) -> None:
-    if args.size_bound < 1 or (args.rounds is not None and args.rounds < 1):
+    if args.size_bound < 1:
         raise ValidationError("bounds must be at least 1", args.size_bound)
     if any(R.size > args.size_bound for R in algebras):
         raise SizeBound("input algebra exceeds the size bound", args.size_bound)
@@ -140,8 +139,7 @@ def cmd_check(args) -> int:
             if not hc.is_opcover(ctx, cover):
                 raise ValidationError("component family is not an opcover",
                                       cover_doc)
-            locs = cx.enumerate_localizations(ctx, R, max_rounds=args.rounds)
-            per_form = [red.check_flat_wrt_cover(ctx, locs[p.sig], cover)
+            per_form = [red.check_flat_wrt_cover(ctx, p, cover)
                         for p in cover.forms]
             verdict = all(per_form)
             certificate = {"per_form": per_form}
@@ -217,8 +215,7 @@ def cmd_nerve(args) -> int:
     table = gl.nerve(specs, X, site)
     covers = []
     for A in site:
-        locs = cx.enumerate_localizations(ctx, A)
-        pointwise = [locs[p.sig] for p in cx.local_forms(ctx, A)]
+        pointwise = cx.local_forms(ctx, A)
         # an identity component fixes every compatible family, so such a
         # cover always meets the sheaf condition
         if pointwise and not any(k.is_identity_class for k in pointwise):
@@ -244,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--context", default="zariski",
                        choices=["zariski", "domain", "deitmar"])
         p.add_argument("--size-bound", type=int, default=4096)
-        p.add_argument("--rounds", type=int, default=None)
 
     p = sub.add_parser("spec", help="compute Spec of an algebra")
     common(p)
@@ -285,7 +281,7 @@ def main(argv=None) -> int:
             FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SizeBound, DidNotStabilize) as exc:
+    except SizeBound as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except InvariantViolation as exc:

@@ -15,17 +15,19 @@ admissible.  Three contexts are provided:
 
 Because localizations of finite table algebras are surjective, the kernel
 partition of the composite identifies a finite localization up to
-isomorphism over its source; that signature is the dedup key everywhere.
-Each context gives the signature of one attachment (`attach_sig`) without
-building its quotient, so the localization search and `factorize` compare
-signatures first and build a quotient only for a class they keep.
+isomorphism over its source, and localizations are compared by it.  The
+points of Spec R are the local forms (`local_forms`); every other
+localization the library meets is written by a caller or found by
+`factorize`.  Each context gives the signature of one attachment
+(`attach_sig`) without building its quotient, so `factorize` compares
+signatures first and builds a quotient only for a step it takes.
 """
 
 from __future__ import annotations
 
 from . import tables
-from .errors import DidNotStabilize, InvalidDatum, InvariantViolation, KindMismatch
-from .tables import MONOID, RING, FiniteAlgebra, Hom, compose, identity, normalize_sig
+from .errors import InvalidDatum, InvariantViolation, KindMismatch
+from .tables import MONOID, RING, FiniteAlgebra, Hom, compose, identity
 
 
 class CellDatum:
@@ -352,42 +354,6 @@ def _refines(sig, values) -> bool:
     return all(image.setdefault(c, y) == y for c, y in zip(sig, values))
 
 
-def enumerate_localizations(ctx, R, max_rounds: int | None = None
-                            ) -> dict[tuple, LocalizationPath]:
-    """All finite localizations of R up to iso over R, keyed by signature.
-
-    Breadth-first over single-cell attachments; the first (hence shortest,
-    lexicographically least in discovery order) path represents its class.
-    An attachment's signature over R is its step signature read through the
-    path's map, so only a new class has its quotient built.  With
-    `max_rounds`, raises DidNotStabilize if a round after that many still
-    finds new classes.
-    """
-    ctx.accepts(R)
-    start = identity_path(R)
-    found = {start.sig: start}
-    frontier = [start]
-    rounds = 0
-    while frontier:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            raise DidNotStabilize(max_rounds)
-        new = []
-        for path in frontier:
-            K = path.target
-            for datum, branch in ctx.attachments(K):
-                step_sig = ctx.attach_sig(K, datum, branch)
-                if _is_identity_sig(step_sig):
-                    continue
-                sig = normalize_sig(step_sig[x] for x in path.composite.map)
-                if sig not in found:
-                    found[sig] = extend_path(ctx, path, datum, branch,
-                                             tables.quotient_by_sig(K, step_sig))
-                    new.append(found[sig])
-        frontier = new
-    return found
-
-
 def local_forms(ctx, R) -> list[LocalizationPath]:
     """One local form per isomorphism class over R (direct enumeration)."""
     return ctx.local_forms_direct(R)
@@ -431,21 +397,3 @@ def factorize(ctx, f: Hom, shuffle_seed: int | None = None):
     if not ctx.is_admissible(g):
         raise InvariantViolation("residual factor is not admissible")
     return path, g
-
-
-def multi_reflection(ctx, f: Hom):
-    """The unique factoring of f: R -> Q (Q local) through a local form.
-
-    Returns (local_form, admissible_map); raises if existence or uniqueness
-    fails, which would contradict the multi-reflection theorem.
-    """
-    hits = []
-    for p in local_forms(ctx, f.source):
-        h = tables.induced(p.composite, f)
-        if h is not None and ctx.is_admissible(h):
-            hits.append((p, h))
-    if len(hits) != 1:
-        raise InvariantViolation(
-            f"expected exactly one local form under the map, got {len(hits)}"
-        )
-    return hits[0]

@@ -52,12 +52,6 @@ class SizeBound(ConespecError):
         self.bound = bound
 
 
-class DidNotStabilize(ConespecError):
-    def __init__(self, rounds: int):
-        super().__init__(f"bounded saturation did not stabilize within {rounds} rounds")
-        self.rounds = rounds
-
-
 class InvariantViolation(ConespecError):
     """A theorem-backed internal invariant failed; always a bug, exit code 4."""
 

@@ -8,13 +8,12 @@ the two face maps into each level-1 component.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from . import contexts as cx
 from . import tables
 from .contexts import LocalizationPath, local_forms
 from .errors import InvariantViolation
-from .tables import FiniteAlgebra, Hom, pushout
+from .tables import FiniteAlgebra, Hom, compose, pushout
 
 
 class Opcover:
@@ -87,48 +86,24 @@ def cech_h0(ctx, c: Opcover):
     return c.cech_h0
 
 
-def split_cover_check(ctx, K: Hyperopcover) -> bool:
-    """With a level-0 component iso, the base must map isomorphically to H0."""
-    if not any(k.composite.is_bijective for k in K.level0.components):
-        raise InvariantViolation("no split component in the cover")
-    _, eta = h0(K)
-    if not eta.is_bijective:
-        raise InvariantViolation("split cover with non-iso counit")
-    return True
-
-
-def enumerate_opcovers(ctx, R: FiniteAlgebra, max_components: int | None = None):
-    """All covering families of localization classes, smallest first."""
-    locs = list(cx.enumerate_localizations(ctx, R).values())
-    forms = local_forms(ctx, R)
-    hits = [frozenset(i for i, p in enumerate(forms)
-                      if tables.induced(k.composite, p.composite) is not None)
-            for k in locs]
-    everything = frozenset(range(len(forms)))
-    out = []
-    top = max_components if max_components is not None else len(locs)
-    for size in range(1, top + 1):
-        for idxs in itertools.combinations(range(len(locs)), size):
-            if frozenset().union(*(hits[i] for i in idxs)) == everything:
-                out.append(Opcover(ctx.name, R, tuple(locs[i] for i in idxs)))
-    return out
-
-
 def pushout_opcover(ctx, c: Opcover, f: Hom) -> Opcover:
     """The image cover on f's target: each component pushed out along f.
 
-    Components are re-identified with localization classes of the target, so
-    the result carries genuine localization paths.
+    Cells are stable under homs, so an attachment pushed out along a hom g
+    is the attachment at the image of its datum under g.  Each component's
+    steps are replayed on f's target, with g the map that f induces from
+    the matching intermediate target.
     """
     if f.source != c.base:
         raise InvariantViolation("pushed map does not start at the cover base")
-    S = f.target
-    locs = cx.enumerate_localizations(ctx, S)
     pushed = []
     for k in c.components:
-        _, _, in_l = pushout(k.composite, f)
-        key = tables.normalize_sig(in_l.map)
-        if key not in locs:
-            raise InvariantViolation("pushed component is not a localization")
-        pushed.append(locs[key])
-    return Opcover(ctx.name, S, tuple(pushed))
+        path, g = cx.identity_path(f.target), f
+        for datum, branch in k.steps:
+            _, step = ctx.attach(g.source, datum, branch)
+            image = cx.CellDatum(ctx.name, tuple(g.map[x] for x in datum.data))
+            Q, new_step = ctx.attach(path.target, image, branch)
+            path = cx.extend_path(ctx, path, image, branch, (Q, new_step))
+            g = tables.induced(step, compose(g, new_step))
+        pushed.append(path)
+    return Opcover(ctx.name, f.target, tuple(pushed))

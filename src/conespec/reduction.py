@@ -3,8 +3,7 @@
 red R is the localization part of the canonical map ell into the product of
 local-form targets; mono R is its image.  Geometric isomorphisms are detected
 by pushing out along every local form and reducing, which agrees with a
-direct comparison of spectra.  Only the fixed-point test and the lattice
-check read a spectrum.
+direct comparison of spectra.  Only the fixed-point test reads a spectrum.
 """
 
 from __future__ import annotations
@@ -92,14 +91,6 @@ def reduced(ctx, R: FiniteAlgebra, cls: str = "admissible"):
                if all(v in p.target.units for p, v in zip(forms, f))), index
 
 
-def is_reduced(ctx, R: FiniteAlgebra) -> bool:
-    return reduced(ctx, R)[0]
-
-
-def is_mono_reduced(ctx, R: FiniteAlgebra) -> bool:
-    return reduced(ctx, R, "mono")[0]
-
-
 def geometric_iso(ctx, f: Hom):
     """(verdict, certificate) for "f induces an isomorphism of spectra".
 
@@ -124,19 +115,11 @@ def geometric_iso(ctx, f: Hom):
     return True, {"isos": witnesses}
 
 
-def is_geometric_iso(ctx, f: Hom) -> bool:
-    return geometric_iso(ctx, f)[0]
-
-
 def fixed_point(ctx, R: FiniteAlgebra):
     """(verdict, counit) for "the counit R -> global sections of Spec R is
     an isomorphism"."""
     _, eps = sp.global_sections(sp.build_spec(ctx, R))
     return eps.is_bijective, eps
-
-
-def is_fixed_point(ctx, R: FiniteAlgebra) -> bool:
-    return fixed_point(ctx, R)[0]
 
 
 def check_flat_wrt_cover(ctx, p: LocalizationPath, cover: hc.Opcover) -> bool:
@@ -154,15 +137,3 @@ def check_flat_wrt_cover(ctx, p: LocalizationPath, cover: hc.Opcover) -> bool:
         if compose(side1, iso) == eta2:
             return True
     return False
-
-
-def distop_lattice_bijection(ctx, R: FiniteAlgebra) -> bool:
-    """Distinguished opens of Spec R and Spec(red R) match along the unit."""
-    res = reduce(ctx, R)
-    m = sp.spec_map(sp.Specs(ctx), res.unit)
-    basis_R = sp.distinguished_opens(ctx, R)
-    basis_red = sp.distinguished_opens(ctx, res.algebra)
-    image = {U: m.preimage(U) for U in basis_R}
-    if set(image.values()) != basis_red:
-        return False
-    return len(set(image.values())) == len(basis_R)

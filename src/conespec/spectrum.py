@@ -16,11 +16,10 @@ import functools
 import itertools
 from collections.abc import Mapping
 
-from . import contexts as cx
 from . import tables
 from .contexts import LocalizationPath, factorize, local_forms
 from .errors import InvariantViolation
-from .tables import FiniteAlgebra, Hom, compose, identity
+from .tables import FiniteAlgebra, Hom, compose
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +224,6 @@ class APMap:
         return all(h.is_bijective for h in self.stalks)
 
 
-def identity_apmap(X: SpectralSpace) -> APMap:
-    return APMap(X, X, tuple(range(X.n_points)),
-                 tuple(identity(X.stalk(p)) for p in range(X.n_points)))
-
-
 def compose_apmaps(f: APMap, g: APMap) -> APMap:
     """g after f: an APMap from f.source to g.target, stalk by stalk."""
     if f.target is not g.source:
@@ -258,13 +252,6 @@ def distinguished_open(forms, k: LocalizationPath) -> frozenset:
     """Pts k: the indices of the local forms `forms` that factor through k."""
     return frozenset(i for i, p in enumerate(forms)
                      if tables.induced(k.composite, p.composite) is not None)
-
-
-def distinguished_opens(ctx, R) -> set[frozenset]:
-    """The distinguished opens Pts k of Spec R, over every localization k."""
-    forms = local_forms(ctx, R)
-    return {distinguished_open(forms, k)
-            for k in cx.enumerate_localizations(ctx, R).values()}
 
 
 def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
@@ -393,25 +380,11 @@ def open_embedding_data(specs: Specs, R: FiniteAlgebra, k: LocalizationPath):
     return U, invert_apmap(core)
 
 
-def open_embedding_check(specs: Specs, R: FiniteAlgebra,
-                         k: LocalizationPath) -> bool:
-    try:
-        open_embedding_data(specs, R, k)
-        return True
-    except InvariantViolation:
-        return False
-
-
 def global_sections(X: SpectralSpace):
     """Sections at the total open; for Spec spaces also the counit."""
     gamma = X.sections(X.total)
     counit = X.canonical[X.total] if X.canonical is not None else None
     return gamma, counit
-
-
-def is_spec_iso(ctx, f: Hom) -> bool:
-    """Direct oracle: does f induce an isomorphism of spectra?"""
-    return spec_map(Specs(ctx), f).is_iso
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from conespec import contexts, corpus, glue, reduction, tables
 from conespec import spectrum as sp
-from conespec.errors import DidNotStabilize, InvariantViolation
+from conespec.errors import ConespecError, InvariantViolation
 from conespec.spectrum import APMap, sort_opens
 from conespec.tables import RING, Hom
 
@@ -364,7 +364,7 @@ def canonical_presheaf(ctx, R):
     forms = tuple(contexts.local_forms(ctx, R))
     n = len(forms)
     by_open: dict = {}
-    for path in contexts.enumerate_localizations(ctx, R).values():
+    for path in enumerate_localizations(ctx, R).values():
         U = sp.distinguished_open(forms, path)
         by_open.setdefault(U, []).append(path)
     opens = set(by_open) | {frozenset(), frozenset(range(n))}
@@ -530,6 +530,51 @@ def h0_by_product_scan(K):
     return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])
 
 
+class DidNotStabilize(ConespecError):
+    def __init__(self, rounds: int):
+        super().__init__(
+            f"bounded saturation did not stabilize within {rounds} rounds")
+        self.rounds = rounds
+
+
+def enumerate_localizations(ctx, R, max_rounds: int | None = None
+                            ) -> dict[tuple, contexts.LocalizationPath]:
+    """Oracle: all finite localizations of R up to iso over R, keyed by
+    signature (the paper's bounded saturation).
+
+    Breadth-first over single-cell attachments; the first (hence shortest,
+    lexicographically least in discovery order) path represents its class.
+    An attachment's signature over R is its step signature read through the
+    path's map, so only a new class has its quotient built.  With
+    `max_rounds`, raises DidNotStabilize if a round after that many still
+    finds new classes.
+    """
+    ctx.accepts(R)
+    start = contexts.identity_path(R)
+    found = {start.sig: start}
+    frontier = [start]
+    rounds = 0
+    while frontier:
+        rounds += 1
+        if max_rounds is not None and rounds > max_rounds:
+            raise DidNotStabilize(max_rounds)
+        new = []
+        for path in frontier:
+            K = path.target
+            for datum, branch in ctx.attachments(K):
+                step_sig = ctx.attach_sig(K, datum, branch)
+                if contexts._is_identity_sig(step_sig):
+                    continue
+                sig = tables.normalize_sig(step_sig[x]
+                                           for x in path.composite.map)
+                if sig not in found:
+                    found[sig] = contexts.extend_path(
+                        ctx, path, datum, branch,
+                        tables.quotient_by_sig(K, step_sig))
+                    new.append(found[sig])
+        frontier = new
+    return found
+
 
 def enumerate_localizations_by_quotient(ctx, R, max_rounds=None):
     """Oracle: the localization search that builds every attachment's
@@ -571,7 +616,7 @@ def saturate_bounded(ctx, R, max_rounds=None):
         max_rounds = R.size + 2
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    found = contexts.enumerate_localizations(ctx, R, max_rounds)
+    found = enumerate_localizations(ctx, R, max_rounds)
     locs = [p for p in found.values() if ctx.is_local(p.target)]
     return sorted(locs, key=lambda p: p.sig)
 

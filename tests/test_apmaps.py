@@ -19,7 +19,8 @@ from conespec import corpus, glue as gl, hypercover as hc, spectrum as sp
 from conespec import tables
 
 from helpers import (compose_apmaps_by_opens, corpus_by_context,
-                     enumerate_apmaps_by_opens, glued_row,
+                     enumerate_apmaps_by_opens, enumerate_localizations,
+                     glued_row,
                      invert_apmap_by_opens, validate_apmap)
 from test_points import golden_space
 
@@ -28,7 +29,7 @@ DEI = C.get_context("deitmar")
 
 def _invert_e(A):
     """The localization of A inverting its element e (index 1)."""
-    return next(k for k in C.enumerate_localizations(DEI, A).values()
+    return next(k for k in enumerate_localizations(DEI, A).values()
                 if [s[0].data for s in k.steps] == [(1,)])
 
 
@@ -135,7 +136,7 @@ def test_nerve_sheaf_condition_judges_the_maps_it_is_given(glued):
     judged = 0
     for X in glued.values():
         for A in site:
-            locs = C.enumerate_localizations(DEI, A)
+            locs = enumerate_localizations(DEI, A)
             cover = hc.Opcover("deitmar", A, tuple(
                 locs[p.sig] for p in C.local_forms(DEI, A)))
             if not cover.components:
@@ -160,7 +161,7 @@ def test_nerve_sheaf_condition_rejects_a_base_value_missing_a_map():
     # compatible family that comes from no map Spec Z/6 -> X
     ZAR = C.get_context("zariski")
     Z6 = corpus.zn(6)
-    k2, k3 = (next(k for k in C.enumerate_localizations(ZAR, Z6).values()
+    k2, k3 = (next(k for k in enumerate_localizations(ZAR, Z6).values()
                    if k.target.size == n) for n in (2, 3))
     cover = hc.Opcover("zariski", Z6, (k2, k3))
     specs = sp.Specs(ZAR)

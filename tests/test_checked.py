@@ -8,10 +8,11 @@ checked the hard way: the full law checks on each algebra, `is_hom` on each
 lifted map, cone leg, inclusion and pushout injection, `Ideal.is_valid` on
 each principal ideal the domain context quotients by, `spec_checks` on each
 `build_spec`, `validate_apmap` on each map of spaces that `enumerate_apmaps`
-finds and on each `spec_map`, `compose_apmaps` and `invert_apmap`, and
-`check_nerve_functorial` on each nerve table.  A map of spaces holds its
-stalk maps and lifts its section maps on their first read, so validating it
-runs each of those lifts checked.
+finds and on each `spec_map`, `compose_apmaps` and `invert_apmap`,
+`check_nerve_functorial` on each nerve table, and on each cover that
+`pushout_opcover` replays, each component against the pushout it stands
+for.  A map of spaces holds its stalk maps and lifts its section maps on
+their first read, so validating it runs each of those lifts checked.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from conespec import corpus, glue as gl, hypercover as hc, reduction as red
 from conespec import spectrum as sp, tables
 from conespec.errors import InvariantViolation
 
-from helpers import (check_nerve_functorial, corpus_by_context, glued_row,
-                     validate_apmap)
+import paper
+from helpers import (check_nerve_functorial, corpus_by_context,
+                     enumerate_localizations, glued_row, validate_apmap)
 from test_golden import CASES, read_expected, run_case
 
 
@@ -56,6 +58,20 @@ def spec_checks(ctx, X):
         assert tables.compose(X.canonical[X.min_open(p)], iso) == form.composite
 
 
+def pushed_components(cover, args):
+    """Each component replayed along f is the pushout of the original along
+    f: a path out of f's target with the kernel of the pushout injection."""
+    _, c, f = args
+    assert cover.base == f.target
+    assert len(cover.components) == len(c.components)
+    for k, pushed in zip(c.components, cover.components):
+        _, _, in_l = tables.pushout(k.composite, f)
+        assert pushed.source == f.target and len(pushed.steps) == len(k.steps)
+        homs(pushed.composite)
+        assert pushed.sig == tables.normalize_sig(in_l.map), \
+            "pushed component is not the pushout's localization"
+
+
 def apmaps(ms, args):
     ctx = args[0]
     for m in ms:
@@ -76,6 +92,7 @@ CHECKS = {
                             lambda r, args: (laws(r[0]), homs(*r[1]))),
     "subalgebra": (tables, lambda r, args: (laws(r[0]), homs(r[1]))),
     "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
+    "pushout_opcover": (hc, pushed_components),
     "build_spec": (sp, lambda r, args: spec_checks(args[0], r)),
     "enumerate_apmaps": (sp, apmaps),
     "spec_map": (sp, lambda r, args: validate_apmap(args[0].ctx, r)),
@@ -112,16 +129,18 @@ def test_theorem_backed_results_pass_the_full_checks(checked):
         specs = sp.Specs(ctx)
         specs[A]    # built checked, whether or not A is glued below
         red.reduce(ctx, A, "mono")  # the image subalgebra of ell
-        for cover in hc.enumerate_opcovers(ctx, A):
+        for cover in paper.enumerate_opcovers(ctx, A):
             hc.cech_h0(ctx, cover)
-        for k in C.enumerate_localizations(ctx, A).values():
+            for p in C.local_forms(ctx, A):
+                hc.pushout_opcover(ctx, cover, p.composite)
+        for k in enumerate_localizations(ctx, A).values():
             if not k.composite.is_bijective:
                 gl.glue(specs, glued_row(specs, A, k))
     # nerves of P^1 over F1 and of Z/6 doubled at the point (2)
     for name, A, size in (("deitmar", corpus.flag_monoid(), 1),
                           ("zariski", corpus.zn(6), 2)):
         ctx = C.get_context(name)
-        k = next(k for k in C.enumerate_localizations(ctx, A).values()
+        k = next(k for k in enumerate_localizations(ctx, A).values()
                  if k.target.size == size)
         specs = sp.Specs(ctx)
         X = gl.glue(specs, glued_row(specs, A, k))
@@ -140,10 +159,18 @@ def test_checked_cli_runs_match_the_golden_outputs(checked, name):
         assert checked["nerve"] == 1 and checked["enumerate_apmaps"] > 0
 
 
+@pytest.mark.parametrize("name, n_forms", [
+    ("check-flat-cover-z6", 2), ("check-flat-cover-zariski-multistep", 3)])
+def test_checked_flat_cover_runs_match_the_golden_outputs(checked, name,
+                                                          n_forms):
+    assert run_case(CASES[name]) == read_expected(name)
+    assert checked["pushout_opcover"] == n_forms
+
+
 def test_check_nerve_functorial_rejects_a_missing_map():
     ctx = C.get_context("deitmar")
     M = corpus.flag_monoid()
-    k = next(k for k in C.enumerate_localizations(ctx, M).values()
+    k = next(k for k in enumerate_localizations(ctx, M).values()
              if k.target.size == 1)
     specs = sp.Specs(ctx)
     X = gl.glue(specs, glued_row(specs, M, k))

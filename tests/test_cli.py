@@ -14,8 +14,9 @@ from conespec import contexts as C
 from conespec import cli, corpus, glue as gl, hypercover as hc, io as cio
 from conespec import reduction as red, spectrum as sp
 from conespec.tables import all_homs, identity
-from helpers import large_nonassociative_monoid, subprocess_env
-from test_golden import CASES, read_expected, run_case
+from helpers import (enumerate_localizations, large_nonassociative_monoid,
+                     subprocess_env)
+from test_golden import CASES, read_expected, resolve, run_case
 
 ZAR = C.get_context("zariski")
 Z6 = corpus.zn(6)
@@ -50,7 +51,7 @@ def test_hom_roundtrip_and_named_algebras():
 
 def test_path_roundtrip():
     for ctx, A in [(ZAR, Z6), (C.get_context("deitmar"), corpus.flag_monoid())]:
-        for k in C.enumerate_localizations(ctx, A).values():
+        for k in enumerate_localizations(ctx, A).values():
             k2 = cio.path_from_dict(ctx, A, cio.path_to_dict(k))
             assert k2.sig == k.sig
 
@@ -117,7 +118,7 @@ def test_cli_check_geometric_iso(tmp_path, capsys):
 
 def test_cli_glue_and_nerve(tmp_path, capsys):
     dei = C.get_context("deitmar")
-    ko = next(k for k in C.enumerate_localizations(dei, corpus.flag_monoid())
+    ko = next(k for k in enumerate_localizations(dei, corpus.flag_monoid())
               .values() if k.target.size == 1)
     doc = {
         "context": "deitmar",
@@ -176,9 +177,8 @@ def test_cli_size_bound_applies_to_every_input_algebra(tmp_path, capsys, name):
     argv = _golden_argv(argv, tmp_path)
     assert cli.main(argv + ["--size-bound", str(size - 1)]) == 3
     assert "exceeds the size bound" in capsys.readouterr().err
-    for bad in (["--size-bound", "0"], ["--rounds", "0"]):
-        assert cli.main(argv + bad) == 2
-        assert "bounds must be at least 1" in capsys.readouterr().err
+    assert cli.main(argv + ["--size-bound", "0"]) == 2
+    assert "bounds must be at least 1" in capsys.readouterr().err
     assert cli.main(argv + ["--size-bound", str(size)]) in (0, 1)
 
 
@@ -206,12 +206,34 @@ def test_cli_nerve_rejects_site_arguments_before_any_work(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["sheaf_condition"] == "PASS"
 
 
-def test_cli_flat_cover_applies_rounds(tmp_path, capsys):
-    argv = _golden_argv(["check", "--property", "flat-cover", "--input",
-                         "z6.json", "--cover", "z6-cover.json"], tmp_path)
-    assert cli.main(argv + ["--rounds", "1"]) == 3
-    assert "did not stabilize within 1 rounds" in capsys.readouterr().err
-    assert cli.main(argv + ["--rounds", "2"]) == 0
+def test_cli_flat_cover_runs_no_localization_search_and_has_no_rounds(
+        tmp_path, monkeypatch):
+    """`flat-cover` checks the cover at each local form and pushes it along
+    each by replaying its steps, so no command runs the search over every
+    localization class, which only the tests keep; `--rounds`, which bounded
+    that search, is an unknown option."""
+    import helpers
+
+    calls = []
+    real_search = helpers.enumerate_localizations
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(helpers, "enumerate_localizations", counting)
+    name = "check-flat-cover-z6"
+    assert run_case(CASES[name]) == read_expected(name)
+    assert calls == [] and not hasattr(C, "enumerate_localizations")
+    argv = resolve(CASES[name], str(tmp_path)) + ["--rounds", "2"]
+    proc = subprocess.run([sys.executable, "-m", "conespec.cli", *argv],
+                          env=subprocess_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("usage: conespec") == 1
+    assert proc.stderr.endswith(
+        "error: unrecognized arguments: --rounds 2\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_rejects_maps_that_are_not_homs_exit_2(tmp_path):
@@ -246,7 +268,7 @@ def test_cli_kind_mismatch_exit_2_without_traceback(tmp_path):
 def e2_gluing(**overlap) -> dict:
     """Two e2 charts glued where e is invertible; `overlap` overrides fields."""
     dei = C.get_context("deitmar")
-    ko = next(k for k in C.enumerate_localizations(dei, corpus.flag_monoid())
+    ko = next(k for k in enumerate_localizations(dei, corpus.flag_monoid())
               .values() if k.target.size == 1)
     ov = {"i": 0, "j": 1, "k_i": cio.path_to_dict(ko),
           "k_j": cio.path_to_dict(ko)}
@@ -416,25 +438,6 @@ def test_cli_builds_each_spec_once_per_command(monkeypatch, name):
     assert built[0] == built[1]
 
 
-def test_cli_spec_rounds_runs_one_localization_search(tmp_path, monkeypatch):
-    """`spec` builds Spec from the local forms and runs no localization
-    search, so `--rounds` bounds nothing there."""
-    calls = []
-    real_search = C.enumerate_localizations
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real_search(*args, **kwargs)
-
-    monkeypatch.setattr(C, "enumerate_localizations", counting)
-    inp = write(tmp_path, "z12.json", cio.algebra_to_dict(corpus.zn(12)))
-    for rounds in ([], ["--rounds", "20"]):
-        calls.clear()
-        assert cli.main(["spec", "--input", inp, "--out-dir", str(tmp_path),
-                         *rounds]) == 0
-        assert len(calls) == 0
-
-
 @pytest.mark.parametrize("prop", ["reduced", "mono-reduced"])
 def test_cli_check_reducedness_builds_one_canonical_map(tmp_path, monkeypatch,
                                                         prop):
@@ -550,10 +553,10 @@ def test_nerve_covers_with_an_identity_component_hold(name, site_max):
     ctx = C.get_context(doc["context"])
     specs = sp.Specs(ctx)
     X = cli._space_from_input(specs, doc,
-                              Namespace(size_bound=4096, rounds=None))
+                              Namespace(size_bound=4096))
     skipped = 0
     for A in gl.default_site(ctx, site_max):
-        locs = C.enumerate_localizations(ctx, A)
+        locs = enumerate_localizations(ctx, A)
         comps = tuple(locs[p.sig] for p in C.local_forms(ctx, A))
         if any(k.is_identity_class for k in comps):
             skipped += 1

@@ -9,9 +9,11 @@ import pytest
 
 from conespec import contexts as C
 from conespec import corpus, tables
-from conespec.errors import DidNotStabilize, KindMismatch
+from conespec.errors import KindMismatch
 from conespec.tables import MONOID, all_homs, compose, identity, isomorphic
-from helpers import faces_by_subset_search, invert_element, saturate_bounded
+import paper
+from helpers import (DidNotStabilize, enumerate_localizations,
+                     faces_by_subset_search, invert_element, saturate_bounded)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -234,14 +236,14 @@ def test_multi_reflection_unique():
                 if not ctx.is_local(Q):
                     continue
                 for f in all_homs(A, Q):
-                    p, h = C.multi_reflection(ctx, f)
+                    p, h = paper.multi_reflection(ctx, f)
                     assert compose(p.composite, h) == f
 
 
 def test_enumerate_localizations_targets():
-    locs = C.enumerate_localizations(ZAR, Z6)
+    locs = enumerate_localizations(ZAR, Z6)
     assert sorted(p.target.size for p in locs.values()) == [1, 2, 3, 6]
-    locs12 = C.enumerate_localizations(ZAR, Z12)
+    locs12 = enumerate_localizations(ZAR, Z12)
     assert sorted(p.target.size for p in locs12.values()) == [1, 3, 4, 12]
 
 
@@ -261,7 +263,7 @@ def test_induced_exists_exactly_when_the_kernel_refines():
         (DEI, corpus.deitmar_corpus()),
     ]:
         for A in algebras:
-            locs = list(C.enumerate_localizations(ctx, A).values())
+            locs = list(enumerate_localizations(ctx, A).values())
             for k in locs:
                 for p in locs:
                     refines = all(

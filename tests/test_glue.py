@@ -10,7 +10,8 @@ from conespec.errors import CocycleViolation, InvariantViolation
 from conespec.tables import all_homs, isomorphic
 
 import paper
-from helpers import corpus_by_context, glued_row, glued_sections_by_product
+from helpers import (corpus_by_context, enumerate_localizations, glued_row,
+                     glued_sections_by_product)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -20,7 +21,7 @@ Z6 = corpus.zn(6)
 
 
 def loc_by_size(ctx, A, n):
-    return next(k for k in C.enumerate_localizations(ctx, A).values()
+    return next(k for k in enumerate_localizations(ctx, A).values()
                 if k.target.size == n)
 
 
@@ -156,7 +157,7 @@ def _gluings():
     its context."""
     specs = {ctx.name: sp.Specs(ctx) for ctx in (ZAR, DOM, DEI)}
     for ctx, A in corpus_by_context():
-        for k in C.enumerate_localizations(ctx, A).values():
+        for k in enumerate_localizations(ctx, A).values():
             if not k.composite.is_bijective:
                 yield specs[ctx.name], glued_row(specs[ctx.name], A, k)
     dei, zar = specs["deitmar"], specs["zariski"]
@@ -256,7 +257,7 @@ def test_nerve_sheaf_condition_on_covers(f1_p1):
     assert set(values) == {Z6, k2.target, k3.target}
     assert values[Z6] == sp.enumerate_apmaps(ZAR, X6, X6)
     M = corpus.flag_monoid()
-    comps = tuple(C.enumerate_localizations(DEI, M).values())
+    comps = tuple(enumerate_localizations(DEI, M).values())
     assert gl.nerve_sheaf_condition(
         sp.Specs(DEI), f1_p1, hc.Opcover("deitmar", M, comps), {})
 

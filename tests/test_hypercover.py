@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conespec import contexts as C
@@ -9,7 +11,10 @@ from conespec import corpus, hypercover as hc, tables
 from conespec.errors import InvariantViolation
 from conespec.tables import all_homs, compose, isomorphic
 
-from helpers import corpus_by_context, h0_by_product_scan
+import paper
+from helpers import (corpus_by_context, enumerate_localizations,
+                     h0_by_product_scan)
+from test_checked import pushed_components
 
 ZAR = C.get_context("zariski")
 DEI = C.get_context("deitmar")
@@ -19,7 +24,7 @@ Z2, Z3, Z6, Z12 = (corpus.zn(n) for n in (2, 3, 6, 12))
 
 
 def locs_of(ctx, A):
-    return list(C.enumerate_localizations(ctx, A).values())
+    return list(enumerate_localizations(ctx, A).values())
 
 
 def by_size(ctx, A, n):
@@ -68,9 +73,10 @@ def test_h0_flag_monoid_two_component_cover():
 
 def test_split_cover_check():
     for ctx, A in [(ZAR, Z6), (ZAR, corpus.zn(4)), (DEI, corpus.flag_monoid())]:
-        for cover in hc.enumerate_opcovers(ctx, A):
+        for cover in paper.enumerate_opcovers(ctx, A):
             if any(k.composite.is_bijective for k in cover.components):
-                assert hc.split_cover_check(ctx, hc.kernel_hyperopcover(cover))
+                assert paper.split_cover_check(
+                    ctx, hc.kernel_hyperopcover(cover))
 
 
 def test_split_cover_check_requires_split_component():
@@ -78,21 +84,59 @@ def test_split_cover_check_requires_split_component():
     k3 = by_size(ZAR, Z6, 3)
     K = hc.kernel_hyperopcover(hc.Opcover("zariski", Z6, (k2, k3)))
     with pytest.raises(InvariantViolation):
-        hc.split_cover_check(ZAR, K)
+        paper.split_cover_check(ZAR, K)
 
 
 def test_zariski_counit_iso_for_every_opcover():
     for A in [Z6, Z12, corpus.f2x2(), corpus.ring_product(2, 2)]:
-        for cover in hc.enumerate_opcovers(ZAR, A):
+        for cover in paper.enumerate_opcovers(ZAR, A):
             _, eta = hc.cech_h0(ZAR, cover)
             assert eta.is_bijective, (A.elements, len(cover.components))
 
 
 def test_opcovers_closed_under_pushout():
-    for cover in hc.enumerate_opcovers(ZAR, Z6):
+    for cover in paper.enumerate_opcovers(ZAR, Z6):
         for f in locs_of(ZAR, Z6):
             pushed = hc.pushout_opcover(ZAR, cover, f.composite)
             assert hc.is_opcover(ZAR, pushed)
+
+
+def random_path(ctx, A, rng):
+    """A path of 2-4 steps out of A, each step mostly one that changes its
+    target, as a cover document may write it."""
+    path = C.identity_path(A)
+    for _ in range(rng.randint(2, 4)):
+        K = path.target
+        options = [(d, b) for d in ctx.cell_data(K) for b in C.BRANCHES]
+        moving = [(d, b) for d, b in options
+                  if not C._is_identity_sig(ctx.attach_sig(K, d, b))]
+        datum, branch = rng.choice(moving if moving and rng.random() < 0.8
+                                   else options)
+        path = C.extend_path(ctx, path, datum, branch)
+    return path
+
+
+def test_pushed_components_are_the_pushouts_of_their_paths():
+    """`pushout_opcover` replays each component's steps on the target of f;
+    checked mode's `pushed_components` compares each replayed component
+    with the pushout injection along f, for random multi-step paths pushed
+    along every local form and every hom into a corpus algebra of at most
+    12 elements."""
+    cases = corpus_by_context()
+    n = 0
+    for i, (ctx, A) in enumerate(cases):
+        rng = random.Random(1000 + i)
+        comps = tuple(random_path(ctx, A, rng) for _ in range(6))
+        assert max(len(k.steps) for k in comps) >= 3
+        cover = hc.Opcover(ctx.name, A, comps)
+        maps = [p.composite for p in C.local_forms(ctx, A)] + [
+            f for c, B in cases if c is ctx and B.size <= 12
+            for f in all_homs(A, B)]
+        for f in maps:
+            pushed_components(hc.pushout_opcover(ctx, cover, f),
+                              (ctx, cover, f))
+            n += len(comps)
+    assert n >= 1500
 
 
 def test_opcovers_closed_under_composition():
@@ -105,7 +149,7 @@ def test_opcovers_closed_under_composition():
         for sub in locs_of(ZAR, k.target):
             comp = compose(k.composite, sub.composite)
             key = tables.normalize_sig(comp.map)
-            composed.append(C.enumerate_localizations(ZAR, Z12)[key])
+            composed.append(enumerate_localizations(ZAR, Z12)[key])
     cover = hc.Opcover("zariski", Z12, tuple(composed))
     assert hc.is_opcover(ZAR, cover)
 
@@ -141,7 +185,7 @@ def test_h0_matches_the_product_scan_oracle():
     equalizer inside the product, up to the isomorphism compatible with eta."""
     n = 0
     for ctx, A in corpus_by_context():
-        for cover in hc.enumerate_opcovers(ctx, A, max_components=3):
+        for cover in paper.enumerate_opcovers(ctx, A, max_components=3):
             K = hc.kernel_hyperopcover(cover)
             E, eta = hc.h0(K)
             E2, eta2 = h0_by_product_scan(K)

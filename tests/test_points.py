@@ -15,7 +15,7 @@ from argparse import Namespace
 
 import pytest
 
-from conespec import cli, corpus, glue as gl, hypercover as hc, io as cio
+from conespec import cli, corpus, glue as gl, io as cio
 from conespec import contexts as C
 from conespec import spectrum as sp
 from conespec import tables
@@ -38,7 +38,7 @@ def golden_space(name):
     doc = cio.load_object(os.path.join(GOLDEN_INPUTS, name))
     specs = sp.Specs(C.get_context(doc.get("context", "zariski")))
     return specs, cli._space_from_input(
-        specs, doc, Namespace(size_bound=4096, rounds=None))
+        specs, doc, Namespace(size_bound=4096))
 
 
 def corpus_spaces(max_size=None):
@@ -82,7 +82,7 @@ def test_nerve_families_match_the_product_oracle():
         specs, X = golden_space(name)
         values = {}
         for A in gl.default_site(specs.ctx, 4):
-            for cover in hc.enumerate_opcovers(specs.ctx, A, 3):
+            for cover in paper.enumerate_opcovers(specs.ctx, A, 3):
                 for k in cover.components:
                     if k.target not in values:
                         values[k.target] = sp.enumerate_apmaps(

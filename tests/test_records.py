@@ -13,6 +13,7 @@ from conespec import contexts as C
 from conespec import corpus, spectrum as sp, tables
 from conespec.contexts import CellDatum, LocalizationPath
 from conespec.tables import FiniteAlgebra, Hom, Ideal
+from helpers import enumerate_localizations
 
 Z6 = corpus.zn(6)
 ZAR = C.get_context("zariski")
@@ -20,7 +21,7 @@ ZAR = C.get_context("zariski")
 
 def value_fields():
     """(type, field tuple in declaration order) for each value type."""
-    k = next(k for k in C.enumerate_localizations(ZAR, Z6).values()
+    k = next(k for k in enumerate_localizations(ZAR, Z6).values()
              if k.target.size == 2)
     A = Z6
     return [

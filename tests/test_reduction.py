@@ -12,13 +12,15 @@ import json
 import pytest
 
 from conespec import contexts as C
-from conespec import cli, corpus, hypercover as hc, io as cio
+from conespec import cli, corpus, io as cio
 from conespec import reduction as red, spectrum as sp
 from conespec import tables
 from conespec.tables import all_homs, compose, identity, isomorphic
 
-from helpers import (canonical_presheaf, corpus_by_context, quotient,
-                     reduced_by_product, satisfies_sheaf_condition)
+import paper
+from helpers import (canonical_presheaf, corpus_by_context,
+                     enumerate_localizations, quotient, reduced_by_product,
+                     satisfies_sheaf_condition)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -41,7 +43,7 @@ def test_zariski_everything_already_reduced():
             continue
         r = red.reduce(ZAR, A)
         assert r.unit.is_bijective
-        assert red.is_reduced(ZAR, A)
+        assert paper.is_reduced(ZAR, A)
 
 
 def test_domain_reduction_is_nilradical_quotient():
@@ -54,7 +56,7 @@ def test_domain_f2x2_reduces_to_f2():
     r = red.reduce(DOM, corpus.f2x2())
     assert isomorphic(r.algebra, Z2)
     assert r.unit.is_surjective
-    assert not red.is_reduced(DOM, corpus.f2x2())
+    assert not paper.is_reduced(DOM, corpus.f2x2())
     assert DOM.is_admissible(r.factor_witness)
 
 
@@ -62,7 +64,7 @@ def test_mono_reduction_is_image():
     for ctx, A in [(DOM, corpus.f2x2()), (ZAR, Z6), (DEI, corpus.flag_monoid())]:
         r = red.reduce(ctx, A, cls="mono")
         assert r.unit.is_surjective and r.factor_witness.is_injective
-        if red.is_mono_reduced(ctx, A):
+        if paper.is_mono_reduced(ctx, A):
             assert r.unit.is_bijective
 
 
@@ -84,9 +86,9 @@ def test_reduction_idempotent():
         r = red.reduce(ctx, A)
         again = red.reduce(ctx, r.algebra)
         assert again.unit.is_bijective
-        assert red.is_reduced(ctx, r.algebra)
+        assert paper.is_reduced(ctx, r.algebra)
         m = red.reduce(ctx, A, cls="mono")
-        assert red.is_mono_reduced(ctx, m.algebra)
+        assert paper.is_mono_reduced(ctx, m.algebra)
 
 
 def test_epi_reflectivity():
@@ -97,7 +99,7 @@ def test_epi_reflectivity():
         for A in algebras:
             r = red.reduce(ctx, A)
             for S in algebras:
-                if not red.is_reduced(ctx, S):
+                if not paper.is_reduced(ctx, S):
                     continue
                 for f in all_homs(A, S):
                     factors = [g for g in all_homs(r.algebra, S)
@@ -114,17 +116,17 @@ def test_reduction_unit_is_geometric_iso():
             if A.size == 1:
                 continue
             r = red.reduce(ctx, A)
-            assert red.is_geometric_iso(ctx, r.unit)
+            assert paper.is_geometric_iso(ctx, r.unit)
             iso = sp.spaces_isomorphic(sp.build_spec(ctx, r.algebra),
                                        sp.build_spec(ctx, A))
             assert iso is not None
 
 
 def test_geometric_iso_examples():
-    assert red.is_geometric_iso(ZAR, identity(Z6))
-    assert not red.is_geometric_iso(ZAR, all_homs(Z6, Z2)[0])
+    assert paper.is_geometric_iso(ZAR, identity(Z6))
+    assert not paper.is_geometric_iso(ZAR, all_homs(Z6, Z2)[0])
     unit = red.reduce(DOM, corpus.f2x2()).unit
-    assert red.is_geometric_iso(DOM, unit)
+    assert paper.is_geometric_iso(DOM, unit)
 
 
 def test_geometric_iso_agrees_with_spec_oracle():
@@ -142,7 +144,7 @@ def test_geometric_iso_agrees_with_spec_oracle():
     assert len(pool) >= 50
     for ctx, f in pool:
         verdict, cert = red.geometric_iso(ctx, f)
-        assert verdict == sp.is_spec_iso(ctx, f)
+        assert verdict == paper.is_spec_iso(ctx, f)
         if verdict:
             assert all(h.is_bijective for h in cert["isos"])
 
@@ -156,17 +158,17 @@ def test_fixed_points_pass_both_reduced_tests():
         for A in algebras:
             if A.size == 1:
                 continue
-            if red.is_fixed_point(ctx, A):
-                assert red.is_reduced(ctx, A)
-                assert red.is_mono_reduced(ctx, A)
+            if paper.is_fixed_point(ctx, A):
+                assert paper.is_reduced(ctx, A)
+                assert paper.is_mono_reduced(ctx, A)
 
 
 def test_fixed_point_examples():
     for A in corpus.zariski_corpus():
         if A.size > 1:
-            assert red.is_fixed_point(ZAR, A)
-    assert red.is_fixed_point(DEI, corpus.flag_monoid())
-    assert not red.is_fixed_point(DOM, corpus.f2x2())
+            assert paper.is_fixed_point(ZAR, A)
+    assert paper.is_fixed_point(DEI, corpus.flag_monoid())
+    assert not paper.is_fixed_point(DOM, corpus.f2x2())
 
 
 def test_canonical_presheaf_sheafness_matches_fixed_point_zariski():
@@ -174,7 +176,7 @@ def test_canonical_presheaf_sheafness_matches_fixed_point_zariski():
         if A.size == 1:
             continue
         F, _ = canonical_presheaf(ZAR, A)
-        assert satisfies_sheaf_condition(F) == red.is_fixed_point(ZAR, A)
+        assert satisfies_sheaf_condition(F) == paper.is_fixed_point(ZAR, A)
 
 
 def test_distop_lattice_bijection():
@@ -186,15 +188,16 @@ def test_distop_lattice_bijection():
         for A in algebras:
             if A.size == 1:
                 continue
-            assert red.distop_lattice_bijection(ctx, A), (ctx.name, A.elements)
+            assert paper.distop_lattice_bijection(ctx, A), \
+                (ctx.name, A.elements)
 
 
 def test_flatness_of_local_forms_zariski():
     for A in [Z6, Z12, corpus.ring_product(2, 2)]:
-        covers = hc.enumerate_opcovers(ZAR, A)
+        covers = paper.enumerate_opcovers(ZAR, A)
         for p in C.local_forms(ZAR, A):
             key = p.sig
-            loc = C.enumerate_localizations(ZAR, A)[key]
+            loc = enumerate_localizations(ZAR, A)[key]
             for cover in covers:
                 assert red.check_flat_wrt_cover(ZAR, loc, cover)
 
@@ -204,9 +207,9 @@ def test_flat_search_domain_context():
     # known at this scale, and any hit would be a notable counterexample
     found = []
     for A in [Z4, Z6, corpus.f2x2()]:
-        covers = hc.enumerate_opcovers(DOM, A)
+        covers = paper.enumerate_opcovers(DOM, A)
         for p in C.local_forms(DOM, A):
-            loc = C.enumerate_localizations(DOM, A)[p.sig]
+            loc = enumerate_localizations(DOM, A)[p.sig]
             for cover in covers:
                 if not red.check_flat_wrt_cover(DOM, loc, cover):
                     found.append((A.elements, p.sig, len(cover.components)))

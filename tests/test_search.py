@@ -1,9 +1,11 @@
 """The signature-first localization search against the quotient-first oracles.
 
-`enumerate_localizations` and `factorize` decide on attachment signatures and
-build a quotient only for what they keep; the oracles in `helpers` build every
-candidate's quotient.  Both must give the same classes, in the same order,
-with the same representative paths, and the same factorizations.
+`factorize`, and the search over every localization class that the tests
+keep in `helpers.enumerate_localizations`, decide on attachment signatures
+and build a quotient only for what they keep; the `_by_quotient` oracles in
+`helpers` build every candidate's quotient.  Both must give the same classes,
+in the same order, with the same representative paths, and the same
+factorizations.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from conespec import contexts as C
 from conespec import corpus, reduction as red, spectrum as sp, tables
 
 from helpers import (canonical_presheaf, corpus_by_context,
+                     enumerate_localizations,
                      enumerate_localizations_by_quotient,
                      factorize_by_quotient, ideal_generated, quotient,
                      search_plan_by_scan)
@@ -33,7 +36,7 @@ IDS = [f"{ctx.name}-{A.size}-{i}" for i, (ctx, A) in enumerate(CASES)]
 
 @pytest.mark.parametrize("ctx, A", CASES, ids=IDS)
 def test_search_matches_the_quotient_first_oracle(ctx, A):
-    new = C.enumerate_localizations(ctx, A)
+    new = enumerate_localizations(ctx, A)
     old = enumerate_localizations_by_quotient(ctx, A)
     assert list(new) == list(old)
     for sig, path in new.items():
@@ -94,7 +97,7 @@ def test_attach_sig_is_the_kernel_of_attach(ctx, A):
                          ids=[f"{c.name}-{i}" for i, (c, _) in
                               enumerate(corpus_by_context())])
 def test_join_of_localization_kernels_is_their_congruence_closure(ctx, A):
-    sigs = list(C.enumerate_localizations(ctx, A))
+    sigs = list(enumerate_localizations(ctx, A))
     for s1 in sigs:
         for s2 in sigs:
             pairs = [(i, j) for s in (s1, s2) for i in range(A.size)

@@ -22,7 +22,9 @@ from conespec import corpus, spectrum as sp, tables
 from conespec.errors import InvariantViolation
 from conespec.tables import all_homs, compose, identity, is_hom
 
+import paper
 from helpers import (canonical_presheaf, corpus_by_context,
+                     enumerate_localizations,
                      isomorphic_sheaves, limit_by_product_scan, random_presheaf,
                      satisfies_sheaf_condition, sheafify, sheafify_by_plus,
                      spec_by_definition, validate_apmap)
@@ -280,7 +282,7 @@ def test_sheafify_trivializes_empty_sections():
 def test_spec_map_of_identity_is_identity():
     specs = sp.Specs(ZAR)
     m = sp.spec_map(specs, identity(Z6))
-    ident = sp.identity_apmap(specs[Z6])
+    ident = paper.identity_apmap(specs[Z6])
     assert m.point_map == ident.point_map
     assert m.section_maps == ident.section_maps
     assert m.is_iso
@@ -324,13 +326,13 @@ def test_enumerate_apmaps_counts():
 def test_open_embeddings_of_localizations():
     for ctx, A in [(ZAR, Z6), (ZAR, Z12), (DEI, corpus.flag_monoid())]:
         specs = sp.Specs(ctx)
-        for k in C.enumerate_localizations(ctx, A).values():
-            assert sp.open_embedding_check(specs, A, k)
+        for k in enumerate_localizations(ctx, A).values():
+            assert paper.open_embedding_check(specs, A, k)
 
 
 def test_embedding_restricts_to_spec_of_target():
     specs = sp.Specs(ZAR)
-    k = next(p for p in C.enumerate_localizations(ZAR, Z6).values()
+    k = next(p for p in enumerate_localizations(ZAR, Z6).values()
              if p.target.size == 2)
     U, iso = sp.open_embedding_data(specs, Z6, k)
     assert iso.source.n_points == len(U) == 1
@@ -350,7 +352,7 @@ def test_spaces_isomorphic_and_not():
 
 def test_validate_apmap_rejects_discontinuous_point_map():
     X = sp.build_spec(DEI, corpus.flag_monoid())
-    m = sp.identity_apmap(X)
+    m = paper.identity_apmap(X)
     flipped = tuple(reversed(m.point_map))  # swaps the open and closed point
     with pytest.raises(InvariantViolation):
         validate_apmap(DEI, sp.APMap(X, X, flipped, m.stalks))

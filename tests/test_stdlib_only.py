@@ -24,7 +24,7 @@ PUBLIC = {
     "io": ("algebra_from_dict", "hom_from_dict", "space_to_dict"),
     "tables": ("validate", "quotient_by_sig", "congruence_closure", "pushout",
                "limit", "all_homs"),
-    "contexts": ("enumerate_localizations", "local_forms", "factorize"),
+    "contexts": ("local_forms", "factorize"),
     "spectrum": ("build_spec", "spec_map", "enumerate_apmaps"),
     "reduction": ("geometric_iso", "reduce", "check_flat_wrt_cover"),
     "hypercover": ("cech_h0", "pushout_opcover"),
