@@ -206,12 +206,9 @@ def test_cli_nerve_rejects_site_arguments_before_any_work(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["sheaf_condition"] == "PASS"
 
 
-def test_cli_flat_cover_runs_no_localization_search_and_has_no_rounds(
-        tmp_path, monkeypatch):
-    """`flat-cover` checks the cover at each local form and pushes it along
-    each by replaying its steps, so no command runs the search over every
-    localization class, which only the tests keep; `--rounds`, which bounded
-    that search, is an unknown option."""
+def _count_localization_searches(monkeypatch) -> list:
+    """Record each call of the search over every localization class, which
+    only the tests keep; src/ no longer has it."""
     import helpers
 
     calls = []
@@ -222,11 +219,15 @@ def test_cli_flat_cover_runs_no_localization_search_and_has_no_rounds(
         return real_search(*args, **kwargs)
 
     monkeypatch.setattr(helpers, "enumerate_localizations", counting)
-    name = "check-flat-cover-z6"
-    assert run_case(CASES[name]) == read_expected(name)
-    assert calls == [] and not hasattr(C, "enumerate_localizations")
-    argv = resolve(CASES[name], str(tmp_path)) + ["--rounds", "2"]
-    proc = subprocess.run([sys.executable, "-m", "conespec.cli", *argv],
+    assert not hasattr(C, "enumerate_localizations")
+    return calls
+
+
+def _assert_rounds_is_a_usage_error(argv):
+    """`--rounds`, which bounded the localization search, is an unknown
+    option: one usage message, exit 2, no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "conespec.cli", *argv,
+                           "--rounds", "2"],
                           env=subprocess_env(), capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
@@ -234,6 +235,17 @@ def test_cli_flat_cover_runs_no_localization_search_and_has_no_rounds(
     assert proc.stderr.endswith(
         "error: unrecognized arguments: --rounds 2\n")
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_flat_cover_applies_rounds(tmp_path, monkeypatch):
+    """`flat-cover` checks the cover at each local form and pushes it along
+    each by replaying its steps, so it runs no localization search and has
+    no `--rounds` left to apply."""
+    calls = _count_localization_searches(monkeypatch)
+    name = "check-flat-cover-z6"
+    assert run_case(CASES[name]) == read_expected(name)
+    assert calls == []
+    _assert_rounds_is_a_usage_error(resolve(CASES[name], str(tmp_path)))
 
 
 def test_cli_rejects_maps_that_are_not_homs_exit_2(tmp_path):
@@ -436,6 +448,17 @@ def test_cli_builds_each_spec_once_per_command(monkeypatch, name):
         assert calls and len(set(calls)) == len(calls)
         built.append(list(calls))
     assert built[0] == built[1]
+
+
+def test_cli_spec_rounds_runs_one_localization_search(tmp_path, monkeypatch):
+    """`spec` builds Spec from the local forms and runs no localization
+    search, so it has no `--rounds` to bound one."""
+    calls = _count_localization_searches(monkeypatch)
+    inp = write(tmp_path, "z12.json", cio.algebra_to_dict(corpus.zn(12)))
+    argv = ["spec", "--input", inp, "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert calls == []
+    _assert_rounds_is_a_usage_error(argv)
 
 
 @pytest.mark.parametrize("prop", ["reduced", "mono-reduced"])
