@@ -6,11 +6,10 @@ Exit codes: 0 success (or property true), 1 property false, 2 input error,
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import contexts as cx
 from . import io as cio
@@ -41,7 +40,9 @@ def _deferred(layer: str):
     return module
 
 
-# deferred: uncached imports are compiled, and no subcommand runs all four
+# deferred: uncached imports are compiled, and no subcommand runs all four;
+# argparse (with gettext and locale) is imported only by build_parser, which
+# reads the argv that read_argv leaves: help and usage errors
 gl, hc, red, sp = map(_deferred, ("glue", "hypercover", "reduction",
                                   "spectrum"))
 
@@ -53,10 +54,13 @@ EXIT_BUG = 4
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise cio.file_error(exc, path) from None
     return path
 
 
@@ -233,52 +237,92 @@ def cmd_nerve(args) -> int:
     return EXIT_OK if sheaf_ok else EXIT_FALSE
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command line, defined here once: per subcommand its help, its handler
+# and its options, each an option name with the keyword arguments of
+# argparse's add_argument.
+_COMMON = (
+    ("--context", {"default": "zariski",
+                   "choices": ("zariski", "domain", "deitmar")}),
+    ("--size-bound", {"type": int, "default": 4096}),
+)
+COMMANDS = {
+    "spec": ("compute Spec of an algebra", cmd_spec, _COMMON + (
+        ("--input", {"required": True}),
+        ("--out-dir", {"default": "."}),
+    )),
+    "check": ("check a property", cmd_check, _COMMON + (
+        ("--property", {"required": True,
+                        "choices": ("reduced", "mono-reduced", "fixed-point",
+                                    "geometric-iso", "flat-cover")}),
+        ("--input", {}),
+        ("--hom", {}),
+        ("--cover", {}),
+    )),
+    "glue": ("glue charts into a space", cmd_glue, _COMMON + (
+        ("--input", {"required": True}),
+        ("--out-dir", {"default": "."}),
+    )),
+    "nerve": ("nerve report over a finite site", cmd_nerve, _COMMON + (
+        ("--input", {"required": True}),
+        ("--site", {"default": "default"}),
+        ("--site-max", {"type": int, "default": 4}),
+    )),
+}
+
+
+def read_argv(argv):
+    """The namespace argparse gives for `argv`, read without argparse, when
+    argv is a subcommand and then `--option value` pairs: full option names,
+    each at most once, no value starting with "-", every value of a valid
+    type and choice, and every required option given.  Otherwise None."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2:
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for name, kw in options:
+        if name not in given:
+            if kw.get("required"):
+                return None
+            value = kw.get("default")
+        else:
+            value = given.pop(name)
+            if value.startswith("-"):
+                return None
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+        setattr(args, name[2:].replace("-", "_"), value)
+    return None if given else args
+
+
+def build_parser():
+    """The argparse parser of COMMANDS, which prints help and usage errors."""
+    import argparse  # loads gettext and locale, which well-formed argv skips
+
     ap = argparse.ArgumentParser(prog="conespec")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--context", default="zariski",
-                       choices=["zariski", "domain", "deitmar"])
-        p.add_argument("--size-bound", type=int, default=4096)
-
-    p = sub.add_parser("spec", help="compute Spec of an algebra")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_spec)
-
-    p = sub.add_parser("check", help="check a property")
-    common(p)
-    p.add_argument("--property", required=True,
-                   choices=["reduced", "mono-reduced", "fixed-point",
-                            "geometric-iso", "flat-cover"])
-    p.add_argument("--input")
-    p.add_argument("--hom")
-    p.add_argument("--cover")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("glue", help="glue charts into a space")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_glue)
-
-    p = sub.add_parser("nerve", help="nerve report over a finite site")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--site", default="default")
-    p.add_argument("--site-max", type=int, default=4)
-    p.set_defaults(func=cmd_nerve)
+    for command, (text, func, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, kw in options:
+            p.add_argument(name, **kw)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, KindMismatch, InvalidDatum, CocycleViolation,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, KindMismatch, InvalidDatum,
+            CocycleViolation) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SizeBound as exc:

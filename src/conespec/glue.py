@@ -11,12 +11,13 @@ them, so its opens are the sets whose trace in every chart is open.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import hypercover as hc
 from . import spectrum as sp
 from . import tables
-from .contexts import LocalizationPath
-from .errors import CocycleViolation, InvariantViolation
+from .contexts import LocalizationPath, local_forms
+from .errors import CocycleViolation, InvariantViolation, SizeBound
 from .spectrum import APMap, SpectralSpace, Specs, compose_apmaps, spec_map
 from .tables import FiniteAlgebra, Hom, compose
 
@@ -60,6 +61,15 @@ def make_overlap(specs: Specs, charts, i: int, j: int,
 
 
 def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
+    """The colimit of the charts along the overlaps.
+
+    Its sections are families of chart sections, so their size grows with
+    the product of the charts.  As `tables.product` refuses a large
+    carrier, a gluing whose chart product would have tables of more than
+    SEARCH_MAX entries is refused before any work (SizeBound).
+    """
+    if math.prod(R.size for R in g.charts) ** 2 > tables.SEARCH_MAX:
+        raise SizeBound("gluing chart product too large", tables.SEARCH_MAX)
     spaces = [specs[R] for R in g.charts]
     opens_by_overlap = []
     for ov in g.overlaps:
@@ -173,18 +183,24 @@ def _check_glued(ctx, X):
 def is_affine(specs: Specs, X: SpectralSpace):
     """(verdict, witness): is X isomorphic to Spec of its global sections?
 
-    Spec of the global sections builds its sections on first read, so the
-    isomorphism search reads those at its minimal opens alone, and none
-    when the point counts differ.
+    Spec Γ has one point per local form of Γ, and its lattice of opens can
+    be far larger than X's, so it is built only when the forms are as many
+    as X's points; the witness of differing counts is read from the forms.
+    Spec Γ builds its sections on first read, so the isomorphism search
+    reads those at its minimal opens alone.
     """
-    Y = specs[X.sections(X.total)]
-    m = sp.spaces_isomorphic(Y, X)
-    if m is not None:
-        return True, m
+    gamma = X.sections(X.total)
+    forms = local_forms(specs.ctx, gamma)
+    if len(forms) == X.n_points:
+        if gamma not in specs:
+            specs[gamma] = sp.build_spec(specs.ctx, gamma, forms)
+        m = sp.spaces_isomorphic(specs[gamma], X)
+        if m is not None:
+            return True, m
     return False, {
-        "points": (X.n_points, Y.n_points),
+        "points": (X.n_points, len(forms)),
         "stalks": (sorted(X.stalk(p).size for p in range(X.n_points)),
-                   sorted(p.target.size for p in Y.forms)),
+                   sorted(p.target.size for p in forms)),
     }
 
 

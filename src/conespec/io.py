@@ -143,9 +143,25 @@ def specialization_dot(X) -> str:
     return "\n".join(lines) + "\n"
 
 
+def file_error(exc: OSError, path: str) -> ValidationError:
+    """The input error for a file operation on `path` that failed."""
+    return ValidationError(str(exc) if exc.filename else f"{exc}: {path!r}",
+                           path)
+
+
 def load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document in the file `path`; a file that cannot be read, is
+    not UTF-8 text or not JSON is an input error that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise file_error(exc, path) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path!r} is not UTF-8 text: {exc.reason}",
+                              path) from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path!r} is not JSON: {exc}", path) from None
 
 
 def load_object(path: str) -> dict:

@@ -254,16 +254,17 @@ def distinguished_open(forms, k: LocalizationPath) -> frozenset:
                      if tables.induced(k.composite, p.composite) is not None)
 
 
-def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
+def build_spec(ctx, R: FiniteAlgebra, forms=None) -> SpectralSpace:
     """Spec R from its stalks: the local-form targets, along the maps that
-    one form induces on another.
+    one form induces on another; `forms` are R's local forms, when the
+    caller has them.
 
     The canonical map R -> O(U) lifts the form composites at the points of
     U, and the stalk iso at p is the projection of O(U_p) onto T_p.  Like
     the sections, each is built on its first read, so a Spec that is only
     searched for maps builds the limits at its minimal opens alone.
     """
-    forms = tuple(local_forms(ctx, R))
+    forms = tuple(local_forms(ctx, R) if forms is None else forms)
     maps = {}
     for p, q in itertools.permutations(range(len(forms)), 2):
         h = tables.induced(forms[p].composite, forms[q].composite)

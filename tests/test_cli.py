@@ -146,6 +146,74 @@ def test_cli_input_error_exit_2(tmp_path):
     assert cli.main(["spec", "--input", nonassoc]) == 2
 
 
+def test_cli_unusable_file_arguments_are_input_errors(tmp_path, capsys):
+    """A file argument that exists but cannot be read as JSON, and an
+    --out-dir that cannot be written, are input errors: exit 2, one line
+    naming the path."""
+    z6 = write(tmp_path, "z6.json", cio.algebra_to_dict(Z6))
+    not_json = write(tmp_path, "cover.json", "{not json")
+    folder = str(tmp_path / "folder")
+    os.mkdir(folder)
+    plain = write(tmp_path, "plain.txt", "")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    for argv, path in (
+            (["spec", "--input", folder], folder),
+            (["spec", "--input", z6, "--out-dir", plain], plain),
+            (["spec", "--input", z6, "--out-dir", os.path.join(plain, "out")],
+             os.path.join(plain, "out")),
+            (["check", "--property", "reduced", "--input", folder], folder),
+            (["check", "--property", "reduced", "--input", str(binary)],
+             str(binary)),
+            (["check", "--property", "geometric-iso", "--hom", folder], folder),
+            (["check", "--property", "flat-cover", "--input", z6,
+              "--cover", folder], folder),
+            (["check", "--property", "flat-cover", "--input", z6,
+              "--cover", not_json], not_json)):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert repr(path) in err
+
+
+def test_cli_glue_decides_affine_from_the_point_count(tmp_path):
+    """The golden doubled e2xe2 with a third, disjoint e2xe2 chart has 11
+    points, and its global sections e2^6 have 64 local forms: the counts
+    decide, without Spec e2^6 and its millions of opens, in a child whose
+    address space is capped at 512 MiB."""
+    with open(os.path.join(GOLDEN_INPUTS, "doubled-e2xe2.json"),
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["charts"].append(doc["charts"][0])
+    inp = write(tmp_path, "three-charts.json", doc)
+    capped = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+              "from conespec.cli import main; sys.exit(main())")
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, "glue", "--context", "deitmar",
+         "--input", inp, "--out-dir", str(tmp_path / "out")],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "points=11 affine=false\n", "")
+
+
+def test_cli_glue_refuses_a_chart_product_past_the_search_bound(tmp_path,
+                                                                 capsys):
+    """Glued sections are families of chart sections: four Z/6 charts, with
+    6^4 = 1296 families at most, exceed the 1000 whose tables fit in
+    SEARCH_MAX entries, and three (216) do not."""
+    with open(GOLDEN_GLUING, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for n_charts, code in ((4, 3), (3, 0)):
+        doc["charts"] = doc["charts"][:1] * n_charts
+        inp = write(tmp_path, "z6-charts.json", doc)
+        assert cli.main(["glue", "--input", inp,
+                         "--out-dir", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == ("resource bound: gluing chart "
+                                           "product too large\n"
+                                           if code else "")
+
+
 def test_cli_size_bound_exit_3(tmp_path):
     inp = write(tmp_path, "z6.json", cio.algebra_to_dict(Z6))
     assert cli.main(["spec", "--input", inp, "--size-bound", "4"]) == 3
@@ -436,9 +504,9 @@ def test_cli_builds_each_spec_once_per_command(monkeypatch, name):
     calls = []
     real = sp.build_spec
 
-    def counting(ctx, R):
+    def counting(ctx, R, *forms):
         calls.append((ctx.name, R))
-        return real(ctx, R)
+        return real(ctx, R, *forms)
 
     monkeypatch.setattr(sp, "build_spec", counting)
     built = []

@@ -1,19 +1,26 @@
 """The library imports nothing outside the standard library and itself, and
 `conespec.cli` starts up without the modules only some calls need: it runs
-`spectrum`, `reduction`, `hypercover` and `glue` on their first use."""
+`spectrum`, `reduction`, `hypercover` and `glue` on their first use, and
+reads well-formed argv without argparse, which prints help and usage errors
+as it did when it read every command line."""
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import glob
+import io
 import os
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from test_golden import CASES, read_expected, resolve
+from conespec import cli
+from test_golden import CASES, HERE, read_expected, resolve
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "conespec")
@@ -45,8 +52,12 @@ for layer in sys.argv[1:]:
                          and value.__module__ == mod.__name__))
 """
 
-# one command; prints its exit code and the library modules that have run
-# (a deferred module that has not run is not a plain module yet)
+# the modules that only argparse needs: help and usage errors load them
+ARGPARSE = ("argparse", "gettext", "locale")
+
+# one command; prints its exit code, the library modules that have run (a
+# deferred module that has not run is not a plain module yet) and those of
+# ARGPARSE that are loaded
 LAYER_PROBE = """
 import contextlib, io, sys, types
 from conespec import cli
@@ -54,7 +65,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 print(code, *sorted(name for name, mod in sys.modules.items()
                     if name.startswith("conespec.")
-                    and type(mod) is types.ModuleType))
+                    and type(mod) is types.ModuleType
+                    or name in ("argparse", "gettext", "locale")))
 """
 
 # the layers imported before cli: is each the module cli runs, and does a
@@ -150,7 +162,8 @@ def test_cli_import_loads_every_layer_and_nothing_it_does_not_use():
     assert proc.returncode == 0, proc.stderr
     modules, *layers = proc.stdout.splitlines()
     out = modules.split()
-    for name in ("dataclasses", "inspect", "random", "conespec.corpus"):
+    for name in ("dataclasses", "inspect", "random", "conespec.corpus",
+                 *ARGPARSE):
         assert name not in out, f"importing conespec.cli loads {name}"
     # bench/traced.py reads these from sys.modules right after importing cli
     for layer in PUBLIC:
@@ -171,6 +184,7 @@ def test_each_subcommand_runs_only_the_layers_it_uses(case, tmp_path):
     assert f"{code}\n".encode() == read_expected(case)["exit"]
     ran = {name.removeprefix("conespec.") for name in modules} & set(PUBLIC)
     assert ran == {"io", "tables", "contexts", *EXECUTES[case]}
+    assert not set(ARGPARSE) & set(modules)
 
 
 def test_cli_runs_the_layer_modules_imported_before_it(tmp_path):
@@ -210,3 +224,103 @@ def test_commands_leave_the_library_modules_as_they_found_them():
         [sys.executable, "-c", STATE_PROBE], check=True, capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=path)).stdout.split()
     assert changed == []
+
+
+# ---------------------------------------------------------------------------
+# the command line: read directly when well formed, else by argparse
+
+# argv values per option, valid for its type and choices
+VALID = {"--size-bound": ("1", "4096", "+5", " 12", "1_000"),
+         "--site-max": ("3", "4")}
+PLAIN = ("in.json", "out dir", "", "x=1", "default", "zariski")
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, regular): argv built from COMMANDS with every required option
+    and some others, then, unless `regular`, changed in one to three ways
+    that argparse may or may not accept."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    pairs = []
+    for name, kw in cli.COMMANDS[command][2]:
+        if kw.get("required") or draw(st.booleans()):
+            pairs.append([name, draw(st.sampled_from(
+                kw.get("choices") or VALID.get(name, PLAIN)))])
+    pairs = draw(st.permutations(pairs))
+    changes = draw(st.lists(st.sampled_from((
+        "abbreviate", "equals", "repeat", "help", "dash value", "bad int",
+        "bad choice", "drop", "unknown", "stray", "command")), max_size=3))
+    for change in changes:
+        k = draw(st.integers(0, len(pairs)))
+        # an option and its value, if k names one
+        pair = pairs[k] if k < len(pairs) and len(pairs[k]) == 2 else None
+        if change == "abbreviate" and pair and len(pair[0]) > 3:
+            pair[0] = pair[0][:draw(st.integers(3, len(pair[0]) - 1))]
+        elif change == "equals" and pair:
+            pairs[k] = [f"{pair[0]}={pair[1]}"]
+        elif change == "repeat" and pair:
+            # before the pair, so that a bad first value is not overwritten
+            pairs.insert(k, [pair[0], draw(st.sampled_from(
+                PLAIN + VALID["--site-max"] + ("affine",)))])
+        elif change == "help":
+            pairs.insert(k, [draw(st.sampled_from(("-h", "--help")))])
+        elif change == "dash value" and pair:
+            pair[1:] = [draw(st.sampled_from(("-1", "-x", "--", "-")))]
+        elif change == "bad int" and pair:
+            pair[1:] = [draw(st.sampled_from(("x", "1.5", "", "0x10")))]
+        elif change == "bad choice" and pair:
+            pair[1:] = [draw(st.sampled_from(("affine", "", "Zariski")))]
+        elif change == "drop" and pair:
+            del pairs[k]
+        elif change == "unknown":
+            pairs.insert(k, ["--rounds", "2"])
+        elif change == "stray":
+            pairs.insert(k, ["extra"])
+        elif change == "command":
+            command = draw(st.sampled_from(("spe", "", "-h", "Spec", "--input")))
+    return [command, *(t for pair in pairs for t in pair)], not changes
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_the_direct_read_of_argv_is_argparse_s_read(case):
+    argv, regular = case
+    direct = cli.read_argv(argv)
+    if regular:
+        assert direct is not None
+    if direct is not None:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            parsed = cli.build_parser().parse_args(argv)
+        assert vars(parsed) == vars(direct)
+
+
+# help and usage errors -> argv; golden/usage/<name> holds the exit code,
+# stdout and stderr of each with COLUMNS=80, recorded when argparse read
+# every command line
+USAGE = {
+    "help": ["-h"],
+    "help-spec": ["spec", "-h"],
+    "help-check": ["check", "-h"],
+    "help-glue": ["glue", "-h"],
+    "help-nerve": ["nerve", "--help"],
+    "no-command": [],
+    "rounds": ["spec", "--input", "z12.json", "--rounds", "2"],
+    "bad-context": ["spec", "--context", "affine", "--input", "z12.json"],
+    "missing-input": ["glue", "--context", "deitmar"],
+    "size-bound-not-int": ["nerve", "--input", "p1.json", "--size-bound", "x"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE))
+def test_help_and_usage_errors_keep_their_bytes(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(USAGE[name])
+    got = {"exit": f"{exit_.value.code}\n", "stdout": stdout.getvalue(),
+           "stderr": stderr.getvalue()}
+    for stream, text in got.items():
+        with open(os.path.join(HERE, "usage", name, stream), "rb") as fh:
+            assert text.encode() == fh.read(), stream
