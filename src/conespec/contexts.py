@@ -363,27 +363,21 @@ def local_forms(ctx, R) -> list[LocalizationPath]:
 # the (localization, admissible) factorization
 
 
-def factorize(ctx, f: Hom, shuffle_seed: int | None = None):
+def factorize(ctx, f: Hom):
     """Factor f as an admissible map after a finite localization.
 
-    Returns (path, admissible).  With `shuffle_seed` the cell scan order is
-    randomized, which must not change the result up to iso over the source
-    (uniqueness of the factorization).
+    Returns (path, admissible).  The first attachment in `ctx.attachments`
+    order that f factors through is taken at each step; by uniqueness of
+    the factorization any other order gives the same result up to iso over
+    the source.
     """
     ctx.accepts(f.source)
     ctx.accepts(f.target)
-    rng = None
-    if shuffle_seed is not None:
-        import random
-        rng = random.Random(shuffle_seed)
     path = identity_path(f.source)
     g = f
     while True:
         K = path.target
-        options = list(ctx.attachments(K))
-        if rng is not None:
-            rng.shuffle(options)
-        for datum, branch in options:
+        for datum, branch in ctx.attachments(K):
             # g factors through the step iff the step's kernel refines g's
             sig = ctx.attach_sig(K, datum, branch)
             if _is_identity_sig(sig) or not _refines(sig, g.map):

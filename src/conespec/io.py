@@ -79,19 +79,6 @@ def hom_from_dict(d: dict) -> Hom:
     return f
 
 
-def hom_to_dict(f: Hom) -> dict:
-    return {
-        "source": algebra_to_dict(f.source),
-        "target": algebra_to_dict(f.target),
-        "map": list(f.map),
-    }
-
-
-def path_to_dict(p: LocalizationPath) -> dict:
-    return {"steps": [{"datum": list(datum.data), "branch": branch}
-                      for (datum, branch) in p.steps]}
-
-
 def path_from_dict(ctx, R: FiniteAlgebra, d: dict) -> LocalizationPath:
     """Read a localization path, checking each step against its context."""
     steps = d.get("steps", []) if isinstance(d, dict) else None

@@ -1,9 +1,9 @@
 """Reduction functors and the geometric-isomorphism test.
 
 red R is the localization part of the canonical map ell into the product of
-local-form targets; mono R is its image.  Geometric isomorphisms are detected
-by pushing out along every local form and reducing, which agrees with a
-direct comparison of spectra.  Only the fixed-point test reads a spectrum.
+local-form targets.  Geometric isomorphisms are detected by pushing out
+along every local form and reducing, which agrees with a direct comparison
+of spectra.  Only the fixed-point test reads a spectrum.
 """
 
 from __future__ import annotations
@@ -24,14 +24,6 @@ def ell_families(ctx, R: FiniteAlgebra):
                    for r in range(R.size)]
 
 
-def ell(ctx, R) -> Hom:
-    """The canonical map R -> product of all local-form targets."""
-    forms = local_forms(ctx, R)
-    P, projs = tables.product(R.kind, [p.target for p in forms])
-    return tables.lift(R, P, tables.cone_lookup(P, projs),
-                       [p.composite for p in forms])
-
-
 def reduce_admissible(ctx, R):
     """Factor ell: R -> product of local forms through a localization.
 
@@ -50,24 +42,6 @@ def reduce_admissible(ctx, R):
     _, to_image = tables.quotient_by_sig(R, tables.normalize_sig(families))
     path, g = factorize(ctx, to_image)
     return path.target, path.composite, g
-
-
-class ReductionResult:
-    def __init__(self, cls: str, algebra: FiniteAlgebra, unit: Hom,
-                 factor_witness: Hom):
-        self.cls = cls                  # "admissible" or "mono"
-        self.algebra = algebra
-        self.unit = unit
-        self.factor_witness = factor_witness
-
-
-def reduce(ctx, R: FiniteAlgebra, cls: str = "admissible") -> ReductionResult:
-    if cls == "admissible":
-        return ReductionResult(cls, *reduce_admissible(ctx, R))
-    if cls == "mono":
-        epi, mono = tables.image_factorization(ell(ctx, R))
-        return ReductionResult(cls, epi.target, epi, mono)
-    raise ValueError(f"unknown factorization class {cls!r}")
 
 
 def reduced(ctx, R: FiniteAlgebra, cls: str = "admissible"):
@@ -102,8 +76,8 @@ def geometric_iso(ctx, f: Hom):
     witnesses = []
     for idx, p in enumerate(forms):
         _, _, in_p = pushout(f, p.composite)
-        res = reduce(ctx, in_p.target)
-        comp = compose(in_p, res.unit)
+        _, unit, _ = reduce_admissible(ctx, in_p.target)
+        comp = compose(in_p, unit)
         if not comp.is_bijective:
             return False, {"failing_form": idx, "comparison": comp}
         witnesses.append(comp)

@@ -10,8 +10,8 @@ Element labels are strings used only at the I/O boundary; internal
 computation is on indices.  Canonical element order sorts by
 (is-distinguished, label), distinguished elements first.
 
-Input is checked at every size; quotients, limits and subalgebras check the
-hypotheses that make their results valid.
+Input is checked at every size; quotients and limits check the hypotheses
+that make their results valid.
 """
 
 from __future__ import annotations
@@ -75,14 +75,6 @@ class FiniteAlgebra:
     def is_trivial(self) -> bool:
         return len(self.elements) == 1
 
-    def m(self, i: int, j: int) -> int:
-        return self.mul[i][j]
-
-    def a(self, i: int, j: int) -> int:
-        if self.add is None:
-            raise InvariantViolation("a monoid has no addition")
-        return self.add[i][j]
-
     @cached_property
     def units(self) -> frozenset[int]:
         one = self.one
@@ -103,12 +95,6 @@ class FiniteAlgebra:
         for i in range(self.size):
             out.append(self.add[i].index(self.zero))
         return tuple(out)
-
-    def power(self, i: int, k: int) -> int:
-        acc = self.one
-        for _ in range(k):
-            acc = self.mul[acc][i]
-        return acc
 
     @cached_property
     def distinguished(self) -> frozenset[int]:
@@ -259,7 +245,7 @@ def _finish(kind, elements, mul, add, zero, one):
     return alg, pos
 
 
-def validate(kind, elements, mul, add=None, zero=None, one=None, unit=None):
+def validate(kind, elements, mul, add=None, zero=None, one=None):
     """Validate raw tables, returning a canonicalized FiniteAlgebra.
 
     Raises a ValidationError subclass naming the witnessing elements on the
@@ -267,8 +253,6 @@ def validate(kind, elements, mul, add=None, zero=None, one=None, unit=None):
     """
     if kind not in (RING, MONOID):
         raise ValidationError(f"unknown kind {kind!r}")
-    if one is None:
-        one = unit
     if one is None:
         raise ValidationError("missing distinguished unit")
     elements = tuple(str(e) for e in elements)
@@ -431,20 +415,6 @@ class _UF:
         return True
 
 
-def join_sigs(n: int, sigs) -> tuple[int, ...]:
-    """The join of congruences on n elements, given as partition sigs.
-
-    Congruences form a sublattice of the equivalence relations, so their
-    join is the transitive closure of their union: no closure sweep needed.
-    """
-    uf = _UF(n)
-    for sig in sigs:
-        first: dict = {}
-        for i, c in enumerate(sig):
-            uf.union(first.setdefault(c, i), i)
-    return normalize_sig(uf.find(i) for i in range(n))
-
-
 def congruence_closure(A: FiniteAlgebra, pairs) -> tuple[int, ...]:
     """Smallest congruence containing `pairs`, as a normalized partition sig."""
     n = A.size
@@ -521,17 +491,6 @@ class Ideal:
 
     def __hash__(self):
         return hash((self.carrier, self.members))
-
-    def is_valid(self) -> bool:
-        A, I = self.carrier, self.members
-        if A.is_ring:
-            if A.zero not in I:
-                return False
-            return all(A.add[i][j] in I for i in I for j in I) and all(
-                A.mul[i][r] in I for i in I for r in range(A.size)
-            )
-        # the empty subset is a valid monoid ideal
-        return all(A.mul[i][r] in I for i in I for r in range(A.size))
 
 
 def principal_ideal(A: FiniteAlgebra, g: int) -> Ideal:
@@ -741,8 +700,8 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
     """Limit of a finite diagram.
 
     `objects` is a list of algebras, `arrows` a list of (i, j, Hom) meaning a
-    diagram arrow objects[i] -> objects[j].  The limit is the subalgebra of
-    the product consisting of families compatible with every arrow.
+    diagram arrow objects[i] -> objects[j].  The limit consists of the
+    families of the product compatible with every arrow.
     """
     objects = list(objects)
     if not objects:
@@ -826,44 +785,6 @@ def lift(source: FiniteAlgebra, L: FiniteAlgebra, lookup: dict, legs) -> Hom:
                                     for x in range(source.size)))
     except KeyError:
         raise InvariantViolation("family does not lie in the limit") from None
-
-
-def subalgebra(A: FiniteAlgebra, subset) -> tuple[FiniteAlgebra, Hom]:
-    """The subset as an algebra, with its inclusion.
-
-    A subset holding the distinguished elements and closed under the
-    operations inherits every law of A, so only that is checked.
-    """
-    subset = sorted(set(subset))
-    sset = set(subset)
-    if A.one not in sset or (A.is_ring and A.zero not in sset):
-        raise InvariantViolation("subset misses a distinguished element")
-    for i in subset:
-        for j in subset:
-            if A.mul[i][j] not in sset:
-                raise InvariantViolation("subset not closed under mul")
-            if A.is_ring and A.add[i][j] not in sset:
-                raise InvariantViolation("subset not closed under add")
-    index = {v: i for i, v in enumerate(subset)}
-    labels = [A.elements[i] for i in subset]
-    mul = [[index[A.mul[i][j]] for j in subset] for i in subset]
-    add = [[index[A.add[i][j]] for j in subset] for i in subset] if A.is_ring else None
-    S, pos = _finish(A.kind, labels, mul, add,
-                     index[A.zero] if A.is_ring else None, index[A.one])
-    inv = [0] * len(subset)
-    for old, new in enumerate(pos):
-        inv[new] = old
-    incl = Hom(S, A, tuple(subset[inv[new]] for new in range(len(subset))))
-    return S, incl
-
-
-def image_factorization(f: Hom) -> tuple[Hom, Hom]:
-    """f = (mono) o (regular epi) through the image subalgebra."""
-    img = sorted(set(f.map))
-    S, incl = subalgebra(f.target, img)
-    back = {incl.map[i]: i for i in range(S.size)}
-    epi = Hom(f.source, S, tuple(back[v] for v in f.map))
-    return epi, incl
 
 
 # ---------------------------------------------------------------------------
@@ -1003,13 +924,3 @@ def iter_isomorphisms(A: FiniteAlgebra, B: FiniteAlgebra):
             used[c] = False
 
     yield from rec(0)
-
-
-def find_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra) -> Hom | None:
-    for f in iter_isomorphisms(A, B):
-        return f
-    return None
-
-
-def isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
-    return find_isomorphism(A, B) is not None

@@ -8,6 +8,7 @@ import random
 from dataclasses import dataclass
 
 from conespec import contexts, corpus, glue, reduction, tables
+from conespec import io as cio
 from conespec import spectrum as sp
 from conespec.errors import ConespecError, InvariantViolation
 from conespec.spectrum import APMap, sort_opens
@@ -30,6 +31,138 @@ class TablePresheaf:
         return self.restrictions[(U, V)]
 
     min_open = sp.Presheaf.min_open
+
+
+# ---------------------------------------------------------------------------
+# algebra oracles that no command needs
+
+
+def power(A, i: int, k: int) -> int:
+    """i to the k-th power in A."""
+    acc = A.one
+    for _ in range(k):
+        acc = A.mul[acc][i]
+    return acc
+
+
+def is_valid_ideal(I: tables.Ideal) -> bool:
+    """Whether I's members form an ideal of its carrier; the empty subset
+    is a monoid ideal."""
+    A, members = I.carrier, I.members
+    absorbs = all(A.mul[i][r] in members for i in members
+                  for r in range(A.size))
+    if not A.is_ring:
+        return absorbs
+    return A.zero in members and absorbs and all(
+        A.add[i][j] in members for i in members for j in members)
+
+
+def join_sigs(n: int, sigs) -> tuple[int, ...]:
+    """The join of congruences on n elements, given as partition sigs.
+
+    Congruences form a sublattice of the equivalence relations, so their
+    join is the transitive closure of their union: no closure sweep needed.
+    """
+    uf = tables._UF(n)
+    for sig in sigs:
+        first: dict = {}
+        for i, c in enumerate(sig):
+            uf.union(first.setdefault(c, i), i)
+    return tables.normalize_sig(uf.find(i) for i in range(n))
+
+
+def subalgebra(A, subset):
+    """The subset as an algebra, with its inclusion.
+
+    A subset holding the distinguished elements and closed under the
+    operations inherits every law of A, so only that is checked.
+    """
+    subset = sorted(set(subset))
+    sset = set(subset)
+    if A.one not in sset or (A.is_ring and A.zero not in sset):
+        raise InvariantViolation("subset misses a distinguished element")
+    for i in subset:
+        for j in subset:
+            if A.mul[i][j] not in sset:
+                raise InvariantViolation("subset not closed under mul")
+            if A.is_ring and A.add[i][j] not in sset:
+                raise InvariantViolation("subset not closed under add")
+    index = {v: i for i, v in enumerate(subset)}
+    labels = [A.elements[i] for i in subset]
+    mul = [[index[A.mul[i][j]] for j in subset] for i in subset]
+    add = [[index[A.add[i][j]] for j in subset] for i in subset] \
+        if A.is_ring else None
+    S, pos = tables._finish(A.kind, labels, mul, add,
+                            index[A.zero] if A.is_ring else None,
+                            index[A.one])
+    inv = [0] * len(subset)
+    for old, new in enumerate(pos):
+        inv[new] = old
+    incl = Hom(S, A, tuple(subset[inv[new]] for new in range(len(subset))))
+    return S, incl
+
+
+def image_factorization(f: Hom) -> tuple[Hom, Hom]:
+    """f = (mono) o (regular epi) through the image subalgebra."""
+    S, incl = subalgebra(f.target, set(f.map))
+    back = {incl.map[i]: i for i in range(S.size)}
+    epi = Hom(f.source, S, tuple(back[v] for v in f.map))
+    return epi, incl
+
+
+def ell(ctx, R) -> Hom:
+    """The canonical map R -> product of all local-form targets, into the
+    product built with its tables."""
+    forms = contexts.local_forms(ctx, R)
+    P, projs = tables.product(R.kind, [p.target for p in forms])
+    return tables.lift(R, P, tables.cone_lookup(P, projs),
+                       [p.composite for p in forms])
+
+
+def find_isomorphism(A, B) -> Hom | None:
+    return next(tables.iter_isomorphisms(A, B), None)
+
+
+def isomorphic(A, B) -> bool:
+    return find_isomorphism(A, B) is not None
+
+
+def hom_to_dict(f: Hom) -> dict:
+    """The hom document that `io.hom_from_dict` reads, algebras inline."""
+    return {
+        "source": cio.algebra_to_dict(f.source),
+        "target": cio.algebra_to_dict(f.target),
+        "map": list(f.map),
+    }
+
+
+def path_to_dict(p: contexts.LocalizationPath) -> dict:
+    """The path document that `io.path_from_dict` reads."""
+    return {"steps": [{"datum": list(datum.data), "branch": branch}
+                      for (datum, branch) in p.steps]}
+
+
+class ShuffledContext:
+    """`ctx` listing each algebra's attachments in an order shuffled by one
+    generator seeded with `seed`; every other attribute is ctx's.  By
+    uniqueness of the factorization, `factorize` must give the same result
+    up to iso over the source."""
+
+    def __init__(self, ctx, seed: int):
+        self._ctx = ctx
+        self._rng = random.Random(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def attachments(self, K):
+        options = list(self._ctx.attachments(K))
+        self._rng.shuffle(options)
+        return options
+
+
+# ---------------------------------------------------------------------------
+# spaces and presheaves
 
 
 def small_topologies():
@@ -153,7 +286,7 @@ def glued_sections_by_product(spaces, remaps, traces):
         if all(h[res_j[vals[j]]] == res_i[vals[i]]
                for i, j, res_i, res_j, h in overlaps):
             members.append(x)
-    L, incl = tables.subalgebra(P, members)
+    L, incl = subalgebra(P, members)
     return L, [tables.compose(incl, pr) for pr in projs]
 
 
@@ -381,7 +514,7 @@ def canonical_presheaf(ctx, R):
 
     sections, canonical = {}, {}
     for U, paths in by_open.items():
-        sig = tables.join_sigs(R.size, [p.sig for p in paths])
+        sig = join_sigs(R.size, [p.sig for p in paths])
         RU, proj = tables.quotient_by_sig(R, sig)
         red, unit, _ = reduction.reduce_admissible(ctx, RU)
         sections[U] = red
@@ -525,7 +658,7 @@ def h0_by_product_scan(K):
                            tables.compose(projs[i1], in1)))
     members = [x for x in range(P0.size)
                if all(d0.map[x] == d1.map[x] for d0, d1 in conditions)]
-    E, incl = tables.subalgebra(P0, members)
+    E, incl = subalgebra(P0, members)
     lookup = tables.cone_lookup(E, [tables.compose(incl, pr) for pr in projs])
     return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])
 
@@ -621,19 +754,16 @@ def saturate_bounded(ctx, R, max_rounds=None):
     return sorted(locs, key=lambda p: p.sig)
 
 
-def factorize_by_quotient(ctx, f, shuffle_seed=None):
+def factorize_by_quotient(ctx, f):
     """Oracle: `factorize` building every candidate quotient and asking
     `induced` whether f factors through it."""
     ctx.accepts(f.source)
     ctx.accepts(f.target)
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     path = contexts.identity_path(f.source)
     g = f
     while True:
         K = path.target
         options = [(d, b) for d in ctx.cell_data(K) for b in contexts.BRANCHES]
-        if rng is not None:
-            rng.shuffle(options)
         progressed = False
         for datum, branch in options:
             Q, step = ctx.attach(K, datum, branch)
@@ -716,7 +846,7 @@ def quotient(A, ideal_or_pairs):
     monoids) or by the congruence that index pairs generate."""
     if isinstance(ideal_or_pairs, tables.Ideal):
         I = ideal_or_pairs
-        if I.carrier != A or not I.is_valid():
+        if I.carrier != A or not is_valid_ideal(I):
             raise InvariantViolation("not a valid ideal of this algebra")
         if A.is_ring:
             return tables.quotient_by_sig(A, tables.ideal_sig(I))
@@ -884,10 +1014,7 @@ def reduced_by_product(ctx, R, prop):
     """Oracle: the verdict and certificate of `check --property reduced` or
     `mono-reduced`, from ell as a hom into the product of the local-form
     targets, built with its tables and lifted into."""
-    forms = contexts.local_forms(ctx, R)
-    P, projs = tables.product(R.kind, [p.target for p in forms])
-    h = tables.lift(R, P, tables.cone_lookup(P, projs),
-                    [p.composite for p in forms])
+    h = ell(ctx, R)
     verdict = ctx.is_admissible(h) if prop == "reduced" else h.is_injective
     certificate = {"canonical_map": list(h.map)}
     if prop == "reduced" and not verdict:

@@ -52,6 +52,26 @@ def multi_reflection(ctx, f):
     return hits[0]
 
 
+def mono_reduce(ctx, R):
+    """mono R, the image of ell, built from ell's distinct families.
+
+    Returns (mono R, unit: R -> mono R, cone): the families are the
+    elements of mono R, `tables.limit_from_families` gives its tables and
+    its cone into the local-form targets, which is the inclusion into their
+    product, and the unit lifts R into it.  With no local forms mono R is
+    the terminal algebra, the empty product.
+    """
+    forms, families = red.ell_families(ctx, R)
+    if forms:
+        M, cone = tables.limit_from_families(
+            R.kind, [p.target for p in forms], sorted(set(families)))
+    else:
+        M, cone = tables.terminal(R.kind), []
+    unit = tables.lift(R, M, tables.cone_lookup(M, cone),
+                       [p.composite for p in forms])
+    return M, unit, cone
+
+
 def is_reduced(ctx, R) -> bool:
     return red.reduced(ctx, R)[0]
 
@@ -87,10 +107,10 @@ def distinguished_opens(ctx, R) -> set[frozenset]:
 
 def distop_lattice_bijection(ctx, R) -> bool:
     """Distinguished opens of Spec R and Spec(red R) match along the unit."""
-    res = red.reduce(ctx, R)
-    m = spec_map(sp.Specs(ctx), res.unit)
+    algebra, unit, _ = red.reduce_admissible(ctx, R)
+    m = spec_map(sp.Specs(ctx), unit)
     basis_R = distinguished_opens(ctx, R)
-    basis_red = distinguished_opens(ctx, res.algebra)
+    basis_red = distinguished_opens(ctx, algebra)
     image = {U: m.preimage(U) for U in basis_R}
     if set(image.values()) != basis_red:
         return False

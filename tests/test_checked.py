@@ -1,11 +1,11 @@
 """Checked mode: every theorem-backed construction re-verified as it is built.
 
-The library does not re-check maps into limits, limits, subalgebras,
-pushouts (each along a surjection), principal ideals, spectra, Spec maps or
-the site action on nerves, since a theorem guarantees each of them.  Here
+The library does not re-check maps into limits, limits, pushouts (each
+along a surjection), principal ideals, spectra, Spec maps or the site action
+on nerves, since a theorem guarantees each of them.  Here
 those constructors are wrapped, wherever they are bound, and every result is
 checked the hard way: the full law checks on each algebra, `is_hom` on each
-lifted map, cone leg, inclusion and pushout injection, `Ideal.is_valid` on
+lifted map, cone leg and pushout injection, `helpers.is_valid_ideal` on
 each principal ideal the domain context quotients by, `spec_checks` on each
 `build_spec`, `validate_apmap` on each map of spaces that `enumerate_apmaps`
 finds and on each `spec_map`, `compose_apmaps` and `invert_apmap`,
@@ -22,13 +22,14 @@ import sys
 import pytest
 
 from conespec import contexts as C
-from conespec import corpus, glue as gl, hypercover as hc, reduction as red
+from conespec import corpus, glue as gl, hypercover as hc
 from conespec import spectrum as sp, tables
 from conespec.errors import InvariantViolation
 
 import paper
 from helpers import (check_nerve_functorial, corpus_by_context,
-                     enumerate_localizations, glued_row, validate_apmap)
+                     enumerate_localizations, glued_row, is_valid_ideal,
+                     validate_apmap)
 from test_golden import CASES, read_expected, run_case
 
 
@@ -42,7 +43,7 @@ def homs(*fs):
 
 
 def ideal(I):
-    assert I.is_valid()
+    assert is_valid_ideal(I)
 
 
 def spec_checks(ctx, X):
@@ -90,7 +91,6 @@ CHECKS = {
     "limit": (tables, lambda r, args: (laws(r[0]), homs(*r[1]))),
     "limit_from_families": (tables,
                             lambda r, args: (laws(r[0]), homs(*r[1]))),
-    "subalgebra": (tables, lambda r, args: (laws(r[0]), homs(r[1]))),
     "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
     "pushout_opcover": (hc, pushed_components),
     "build_spec": (sp, lambda r, args: spec_checks(args[0], r)),
@@ -128,7 +128,7 @@ def test_theorem_backed_results_pass_the_full_checks(checked):
     for ctx, A in corpus_by_context():
         specs = sp.Specs(ctx)
         specs[A]    # built checked, whether or not A is glued below
-        red.reduce(ctx, A, "mono")  # the image subalgebra of ell
+        paper.mono_reduce(ctx, A)  # ell's image, from its families
         for cover in paper.enumerate_opcovers(ctx, A):
             hc.cech_h0(ctx, cover)
             for p in C.local_forms(ctx, A):

@@ -14,7 +14,8 @@ from conespec import contexts as C
 from conespec import cli, corpus, glue as gl, hypercover as hc, io as cio
 from conespec import reduction as red, spectrum as sp
 from conespec.tables import all_homs, identity
-from helpers import (enumerate_localizations, large_nonassociative_monoid,
+from helpers import (enumerate_localizations, hom_to_dict,
+                     large_nonassociative_monoid, path_to_dict,
                      subprocess_env)
 from test_golden import CASES, read_expected, resolve, run_case
 
@@ -43,7 +44,7 @@ def test_algebra_json_roundtrip_bit_exact():
 
 def test_hom_roundtrip_and_named_algebras():
     f = all_homs(Z6, corpus.zn(2))[0]
-    g = cio.hom_from_dict(cio.hom_to_dict(f))
+    g = cio.hom_from_dict(hom_to_dict(f))
     assert g == f
     h = cio.hom_from_dict({"source": "z6", "target": "z2", "map": list(f.map)})
     assert h == f
@@ -52,7 +53,7 @@ def test_hom_roundtrip_and_named_algebras():
 def test_path_roundtrip():
     for ctx, A in [(ZAR, Z6), (C.get_context("deitmar"), corpus.flag_monoid())]:
         for k in enumerate_localizations(ctx, A).values():
-            k2 = cio.path_from_dict(ctx, A, cio.path_to_dict(k))
+            k2 = cio.path_from_dict(ctx, A, path_to_dict(k))
             assert k2.sig == k.sig
 
 
@@ -105,13 +106,13 @@ def test_cli_check_properties(tmp_path, capsys):
 
 
 def test_cli_check_geometric_iso(tmp_path, capsys):
-    hom = write(tmp_path, "id.json", cio.hom_to_dict(identity(Z6)))
+    hom = write(tmp_path, "id.json", hom_to_dict(identity(Z6)))
     assert cli.main(["check", "--property", "geometric-iso",
                      "--hom", hom]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] is True and "isos" in out["certificate"]
     f = all_homs(Z6, corpus.zn(2))[0]
-    hom2 = write(tmp_path, "proj.json", cio.hom_to_dict(f))
+    hom2 = write(tmp_path, "proj.json", hom_to_dict(f))
     assert cli.main(["check", "--property", "geometric-iso",
                      "--hom", hom2]) == 1
 
@@ -123,8 +124,8 @@ def test_cli_glue_and_nerve(tmp_path, capsys):
     doc = {
         "context": "deitmar",
         "charts": [{"algebra": "e2"}, {"algebra": "e2"}],
-        "overlaps": [{"i": 0, "j": 1, "k_i": cio.path_to_dict(ko),
-                      "k_j": cio.path_to_dict(ko)}],
+        "overlaps": [{"i": 0, "j": 1, "k_i": path_to_dict(ko),
+                      "k_j": path_to_dict(ko)}],
     }
     inp = write(tmp_path, "p1.json", doc)
     assert cli.main(["glue", "--input", inp, "--out-dir", str(tmp_path)]) == 0
@@ -318,7 +319,7 @@ def test_cli_flat_cover_applies_rounds(tmp_path, monkeypatch):
 
 def test_cli_rejects_maps_that_are_not_homs_exit_2(tmp_path):
     f = all_homs(Z6, corpus.zn(2))[0]
-    too_long = cio.hom_to_dict(f)
+    too_long = hom_to_dict(f)
     too_long["map"].append(0)
     constant = {"source": "z6", "target": "z2", "map": [0] * 6}
     for name, doc in [("long.json", too_long), ("const.json", constant)]:
@@ -350,8 +351,8 @@ def e2_gluing(**overlap) -> dict:
     dei = C.get_context("deitmar")
     ko = next(k for k in enumerate_localizations(dei, corpus.flag_monoid())
               .values() if k.target.size == 1)
-    ov = {"i": 0, "j": 1, "k_i": cio.path_to_dict(ko),
-          "k_j": cio.path_to_dict(ko)}
+    ov = {"i": 0, "j": 1, "k_i": path_to_dict(ko),
+          "k_j": path_to_dict(ko)}
     ov.update(overlap)
     return {"context": "deitmar",
             "charts": [{"algebra": "e2"}, {"algebra": "e2"}], "overlaps": [ov]}

@@ -10,10 +10,11 @@ import pytest
 from conespec import contexts as C
 from conespec import corpus, tables
 from conespec.errors import KindMismatch
-from conespec.tables import MONOID, all_homs, compose, identity, isomorphic
+from conespec.tables import MONOID, all_homs, compose, identity
 import paper
-from helpers import (DidNotStabilize, enumerate_localizations,
-                     faces_by_subset_search, invert_element, saturate_bounded)
+from helpers import (DidNotStabilize, ShuffledContext, enumerate_localizations,
+                     faces_by_subset_search, invert_element, isomorphic,
+                     saturate_bounded)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -197,8 +198,8 @@ def test_factorize_unique_and_loc_and_adm_implies_iso():
                     hom_pool.append((ctx, f))
     assert len(hom_pool) >= 50
     for ctx, f in hom_pool:
-        p1, g1 = C.factorize(ctx, f, shuffle_seed=None)
-        p2, g2 = C.factorize(ctx, f, shuffle_seed=11)
+        p1, g1 = C.factorize(ctx, f)
+        p2, g2 = C.factorize(ShuffledContext(ctx, 11), f)
         assert p1.sig == p2.sig
         assert compose(p1.composite, g1) == f
         # a map that is both a localization and admissible is an isomorphism

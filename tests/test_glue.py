@@ -7,11 +7,11 @@ import pytest
 from conespec import contexts as C
 from conespec import corpus, glue as gl, hypercover as hc, spectrum as sp, tables
 from conespec.errors import CocycleViolation, InvariantViolation
-from conespec.tables import all_homs, isomorphic
+from conespec.tables import all_homs
 
 import paper
 from helpers import (corpus_by_context, enumerate_localizations, glued_row,
-                     glued_sections_by_product)
+                     glued_sections_by_product, isomorphic)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")

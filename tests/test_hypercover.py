@@ -9,11 +9,11 @@ import pytest
 from conespec import contexts as C
 from conespec import corpus, hypercover as hc, tables
 from conespec.errors import InvariantViolation
-from conespec.tables import all_homs, compose, isomorphic
+from conespec.tables import all_homs, compose
 
 import paper
 from helpers import (corpus_by_context, enumerate_localizations,
-                     h0_by_product_scan)
+                     h0_by_product_scan, isomorphic)
 from test_checked import pushed_components
 
 ZAR = C.get_context("zariski")

@@ -2,7 +2,8 @@
 
 The domain-context reduction is cross-checked against a nilradical oracle,
 the geometric-iso criterion against a direct comparison of spectra, and the
-`reduced` and `mono-reduced` checks against ell built into the product.
+`reduced` and `mono-reduced` checks, and the mono reduction, against ell
+built into the product.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from conespec import contexts as C
 from conespec import cli, corpus, io as cio
 from conespec import reduction as red, spectrum as sp
 from conespec import tables
-from conespec.tables import all_homs, compose, identity, isomorphic
+from conespec.tables import all_homs, compose, identity
 
 import paper
-from helpers import (canonical_presheaf, corpus_by_context,
-                     enumerate_localizations, quotient, reduced_by_product,
+from helpers import (canonical_presheaf, corpus_by_context, ell,
+                     enumerate_localizations, image_factorization, isomorphic,
+                     power, quotient, reduced_by_product,
                      satisfies_sheaf_condition)
 
 ZAR = C.get_context("zariski")
@@ -32,7 +34,7 @@ Z2, Z3, Z4, Z6, Z12 = (corpus.zn(n) for n in (2, 3, 4, 6, 12))
 def nilradical_quotient_oracle(A):
     """A modulo its nilpotent elements, by direct computation."""
     nil = [x for x in range(A.size)
-           if any(A.power(x, k) == A.zero for k in range(1, A.size + 1))]
+           if any(power(A, x, k) == A.zero for k in range(1, A.size + 1))]
     Q, _ = quotient(A, tables.Ideal(A, frozenset(nil)))
     return Q
 
@@ -41,54 +43,63 @@ def test_zariski_everything_already_reduced():
     for A in corpus.zariski_corpus():
         if A.size == 1:
             continue
-        r = red.reduce(ZAR, A)
-        assert r.unit.is_bijective
+        _, unit, _ = red.reduce_admissible(ZAR, A)
+        assert unit.is_bijective
         assert paper.is_reduced(ZAR, A)
 
 
 def test_domain_reduction_is_nilradical_quotient():
     for A in [Z4, Z6, corpus.zn(8), corpus.zn(9), Z12, corpus.f2x2()]:
-        r = red.reduce(DOM, A)
-        assert isomorphic(r.algebra, nilradical_quotient_oracle(A)), A.elements
+        algebra, _, _ = red.reduce_admissible(DOM, A)
+        assert isomorphic(algebra, nilradical_quotient_oracle(A)), A.elements
 
 
 def test_domain_f2x2_reduces_to_f2():
-    r = red.reduce(DOM, corpus.f2x2())
-    assert isomorphic(r.algebra, Z2)
-    assert r.unit.is_surjective
+    algebra, unit, witness = red.reduce_admissible(DOM, corpus.f2x2())
+    assert isomorphic(algebra, Z2)
+    assert unit.is_surjective
     assert not paper.is_reduced(DOM, corpus.f2x2())
-    assert DOM.is_admissible(r.factor_witness)
+    assert DOM.is_admissible(witness)
 
 
 def test_mono_reduction_is_image():
-    for ctx, A in [(DOM, corpus.f2x2()), (ZAR, Z6), (DEI, corpus.flag_monoid())]:
-        r = red.reduce(ctx, A, cls="mono")
-        assert r.unit.is_surjective and r.factor_witness.is_injective
+    """The mono reduction built from ell's distinct families is the image
+    subalgebra of ell built into the product, as an algebra and as maps:
+    the same unit, and a cone that is the inclusion's composites with the
+    product's projections."""
+    for ctx, A in ell_cases():
+        algebra, unit, cone = paper.mono_reduce(ctx, A)
+        epi, incl = image_factorization(ell(ctx, A))
+        _, projs = tables.product(A.kind, [p.target
+                                           for p in C.local_forms(ctx, A)])
+        assert (algebra, unit) == (epi.target, epi), (ctx.name, A.elements)
+        assert cone == [compose(incl, pr) for pr in projs]
+        assert unit.is_surjective and incl.is_injective
         if paper.is_mono_reduced(ctx, A):
-            assert r.unit.is_bijective
+            assert unit.is_bijective
 
 
 def test_reduce_admissible_matches_factorizing_ell():
     for ctx, A in corpus_by_context():
-        ell = red.ell(ctx, A)
-        path, g = C.factorize(ctx, ell)
+        h = ell(ctx, A)
+        path, g = C.factorize(ctx, h)
         algebra, unit, witness = red.reduce_admissible(ctx, A)
         assert unit.kernel_sig() == path.sig
         assert (algebra, unit) == (path.target, path.composite)
         # the residual lands in R/ker ell, which ell embeds in the product
-        _, q = tables.quotient_by_sig(A, ell.kernel_sig())
-        incl = tables.induced(q, ell)
+        _, q = tables.quotient_by_sig(A, h.kernel_sig())
+        incl = tables.induced(q, h)
         assert incl.is_injective and compose(witness, incl) == g
 
 
 def test_reduction_idempotent():
     for ctx, A in [(DOM, Z4), (DOM, corpus.f2x2()), (DEI, corpus.flag_monoid())]:
-        r = red.reduce(ctx, A)
-        again = red.reduce(ctx, r.algebra)
-        assert again.unit.is_bijective
-        assert paper.is_reduced(ctx, r.algebra)
-        m = red.reduce(ctx, A, cls="mono")
-        assert paper.is_mono_reduced(ctx, m.algebra)
+        algebra, _, _ = red.reduce_admissible(ctx, A)
+        _, again, _ = red.reduce_admissible(ctx, algebra)
+        assert again.is_bijective
+        assert paper.is_reduced(ctx, algebra)
+        mono, _, _ = paper.mono_reduce(ctx, A)
+        assert paper.is_mono_reduced(ctx, mono)
 
 
 def test_epi_reflectivity():
@@ -97,13 +108,13 @@ def test_epi_reflectivity():
         (DEI, corpus.deitmar_corpus()),
     ]:
         for A in algebras:
-            r = red.reduce(ctx, A)
+            algebra, unit, _ = red.reduce_admissible(ctx, A)
             for S in algebras:
                 if not paper.is_reduced(ctx, S):
                     continue
                 for f in all_homs(A, S):
-                    factors = [g for g in all_homs(r.algebra, S)
-                               if compose(r.unit, g) == f]
+                    factors = [g for g in all_homs(algebra, S)
+                               if compose(unit, g) == f]
                     assert len(factors) == 1
 
 
@@ -115,9 +126,9 @@ def test_reduction_unit_is_geometric_iso():
         for A in algebras:
             if A.size == 1:
                 continue
-            r = red.reduce(ctx, A)
-            assert paper.is_geometric_iso(ctx, r.unit)
-            iso = sp.spaces_isomorphic(sp.build_spec(ctx, r.algebra),
+            algebra, unit, _ = red.reduce_admissible(ctx, A)
+            assert paper.is_geometric_iso(ctx, unit)
+            iso = sp.spaces_isomorphic(sp.build_spec(ctx, algebra),
                                        sp.build_spec(ctx, A))
             assert iso is not None
 
@@ -125,7 +136,7 @@ def test_reduction_unit_is_geometric_iso():
 def test_geometric_iso_examples():
     assert paper.is_geometric_iso(ZAR, identity(Z6))
     assert not paper.is_geometric_iso(ZAR, all_homs(Z6, Z2)[0])
-    unit = red.reduce(DOM, corpus.f2x2()).unit
+    _, unit, _ = red.reduce_admissible(DOM, corpus.f2x2())
     assert paper.is_geometric_iso(DOM, unit)
 
 

@@ -18,8 +18,8 @@ from conespec import corpus, reduction as red, spectrum as sp, tables
 from helpers import (canonical_presheaf, corpus_by_context,
                      enumerate_localizations,
                      enumerate_localizations_by_quotient,
-                     factorize_by_quotient, ideal_generated, quotient,
-                     search_plan_by_scan)
+                     factorize_by_quotient, ideal_generated, join_sigs, power,
+                     quotient, search_plan_by_scan)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -74,7 +74,7 @@ def _attach_kernel_by_definition(ctx, A, datum, branch):
         return tuple(range(A.size))
     if ctx is DOM:
         return quotient(A, ideal_generated(A, [v]))[1].kernel_sig()
-    powers = [A.power(v, k) for k in range(A.size + 1)]
+    powers = [power(A, v, k) for k in range(A.size + 1)]
     rep = []
     for x in range(A.size):
         rep.append(next(y for y in range(x + 1) if any(
@@ -102,7 +102,7 @@ def test_join_of_localization_kernels_is_their_congruence_closure(ctx, A):
         for s2 in sigs:
             pairs = [(i, j) for s in (s1, s2) for i in range(A.size)
                      for j in range(A.size) if s[i] == s[j]]
-            assert tables.join_sigs(A.size, [s1, s2]) == \
+            assert join_sigs(A.size, [s1, s2]) == \
                 tables.congruence_closure(A, pairs)
 
 

@@ -33,7 +33,8 @@ PUBLIC = {
                "limit", "all_homs"),
     "contexts": ("local_forms", "factorize"),
     "spectrum": ("build_spec", "spec_map", "enumerate_apmaps"),
-    "reduction": ("geometric_iso", "reduce", "check_flat_wrt_cover"),
+    "reduction": ("geometric_iso", "reduce_admissible",
+                  "check_flat_wrt_cover"),
     "hypercover": ("cech_h0", "pushout_opcover"),
     "glue": ("glue", "is_affine", "nerve"),
 }
