@@ -183,9 +183,9 @@ def _check_glued(ctx, X):
 def is_affine(specs: Specs, X: SpectralSpace):
     """(verdict, witness): is X isomorphic to Spec of its global sections?
 
-    Spec Γ has one point per local form of Γ, and its lattice of opens can
-    be far larger than X's, so it is built only when the forms are as many
-    as X's points; the witness of differing counts is read from the forms.
+    Spec Γ has one point per local form of Γ, so it is built only when the
+    forms are as many as X's points; the witness of differing counts is
+    read from the forms.
     Spec Γ builds its sections on first read, so the isomorphism search
     reads those at its minimal opens alone.
     """

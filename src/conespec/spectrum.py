@@ -2,23 +2,24 @@
 
 The points of Spec R are the isomorphism classes of local forms R -> T_p.
 The minimal open U_p of a point p holds the forms q that p's form factors
-through (its distinguished open), and the opens are the unions of the U_p.
-On a finite T0 space a sheaf is fixed by its stalks and the specialization
-maps between them (Barmak, LNM 2032, 2011; Curry, 2014), so the structure
-sheaf is `sheaf_from_stalks` of the targets T_p along the induced maps
-T_p -> T_q: O(U) is the limit of the T_p over the points p of U, and a
-section lists its stalk coordinates.
+through (its distinguished open).  The U_p fix the space: the opens, their
+unions, are listed only on request, a point map is continuous when it maps
+each U_p into U_pm(p), and a bijection is a homeomorphism when it maps each
+onto U_pm(p).  On a finite T0 space a sheaf is fixed by its stalks and the
+specialization maps between them (Barmak, LNM 2032, 2011; Curry, 2014), so
+the structure sheaf is `sheaf_from_stalks` of the targets T_p along the
+induced maps T_p -> T_q: O(U) is the limit of the T_p over the points p of
+U, and a section lists its stalk coordinates.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Mapping
 
 from . import tables
 from .contexts import LocalizationPath, factorize, local_forms
-from .errors import InvariantViolation
+from .errors import InvariantViolation, SizeBound
 from .tables import FiniteAlgebra, Hom, compose
 
 
@@ -26,45 +27,58 @@ from .tables import FiniteAlgebra, Hom, compose
 # sheaves on a finite T0 space
 
 
-class OnRead(Mapping):
-    """The mapping on `keys` whose value at k is `build(k)`, built on its
-    first read and kept."""
+class OnRead(dict):
+    """The mapping whose value at k is `build(k)`, built on its first read
+    and kept."""
 
-    def __init__(self, keys, build):
-        self._values = dict.fromkeys(keys, OnRead)  # OnRead: not built yet
+    def __init__(self, build):
+        super().__init__()
         self._build = build
 
-    def __getitem__(self, k):
-        if self._values[k] is OnRead:
-            self._values[k] = self._build(k)
-        return self._values[k]
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self):
-        return len(self._values)
+    def __missing__(self, k):
+        self[k] = self._build(k)
+        return self[k]
 
 
 class Presheaf:
-    """A sheaf on a finite T0 space, by its sections and their stalk cones.
+    """A sheaf on a finite T0 space, by the minimal opens `mins[p]` = U_p,
+    the sections and their stalk cones.
 
     `cones[U]` maps each point p of U, in ascending order, to the projection
     of O(U) onto the stalk at p.  The cone separates sections, so the
     restriction O(U) -> O(V) is the lift of U's legs at the points of V; it
-    is built on its first read and kept, as the sections and cones of
-    `sheaf_from_stalks` and `restrict` are.
+    is built on its first read and kept, as the sections and cones are.
     """
 
-    def __init__(self, kind: str, n_points: int, opens: tuple[frozenset, ...],
-                 sections: dict, cones: dict):
+    def __init__(self, kind: str, mins: tuple[frozenset, ...],
+                 sections: OnRead, cones: OnRead):
         self.kind = kind
-        self.n_points = n_points
-        self.opens = opens
+        self.mins = mins            # point -> U_p
         self.sections = sections    # open -> O(U)
         self.cones = cones          # open -> {p: Hom(O(U), stalk at p)}
         self._lookups = {}
         self._res = {}
+
+    @property
+    def n_points(self) -> int:
+        return len(self.mins)
+
+    def min_open(self, p: int) -> frozenset:
+        return self.mins[p]
+
+    @functools.cached_property
+    def opens(self) -> tuple[frozenset, ...]:
+        """Every union of minimal opens, in `sort_opens` order.  They can be
+        exponentially many in the points, so they are counted as bitmasks
+        first and refused past SEARCH_MAX (SizeBound)."""
+        masks = {0}
+        for U in self.mins:
+            bits = sum(1 << p for p in U)
+            masks |= {m | bits for m in masks}
+            if len(masks) > tables.SEARCH_MAX:
+                raise SizeBound("too many opens to list", tables.SEARCH_MAX)
+        return sort_opens(frozenset(p for p in range(self.n_points) if m >> p & 1)
+                          for m in masks)
 
     def lookup(self, U) -> dict:
         """`tables.cone_lookup` of O(U) along its stalk cone."""
@@ -80,10 +94,6 @@ class Presheaf:
                 [self.cones[U][p] for p in self.cones[V]])
         return self._res[(U, V)]
 
-    def min_open(self, p: int) -> frozenset:
-        # the least open holding p is the first, as the opens go by size
-        return next(U for U in self.opens if p in U)
-
 
 def sort_opens(opens) -> tuple[frozenset, ...]:
     return tuple(sorted(opens, key=lambda U: (len(U), sorted(U))))
@@ -93,17 +103,13 @@ def sheaf_from_stalks(kind: str, stalks, maps: dict) -> Presheaf:
     """The sheaf with stalks `stalks[p]` and specialization maps `maps`.
 
     `maps[(p, q)]` is the map stalks[p] -> stalks[q] for each q != p of the
-    minimal open U_p, which is p with those q; the maps must commute.  The
-    opens are the unions of the U_p, and O(U) is the limit of the stalks at
-    the points of U along the maps between them, with its cone of stalk
-    projections; each is built on its first read.
+    minimal open U_p, which is p with those q; the maps must commute.  O(U)
+    is the limit of the stalks at the points of U along the maps between
+    them, with its cone of stalk projections; each is built on its first
+    read.
     """
-    mins = [frozenset([p]) | {q for (a, q) in maps if a == p}
-            for p in range(len(stalks))]
-    opens = {frozenset()}
-    for U in mins:
-        opens |= {V | U for V in opens}
-    opens = sort_opens(opens)
+    mins = tuple(frozenset([p]) | {q for (a, q) in maps if a == p}
+                 for p in range(len(stalks)))
 
     @functools.cache
     def section(U):
@@ -113,9 +119,8 @@ def sheaf_from_stalks(kind: str, stalks, maps: dict) -> Presheaf:
         L, cone = tables.limit(kind, [stalks[p] for p in pts], arrows)
         return L, dict(zip(pts, cone))
 
-    return Presheaf(kind, len(stalks), opens,
-                    OnRead(opens, lambda U: section(U)[0]),
-                    OnRead(opens, lambda U: section(U)[1]))
+    return Presheaf(kind, mins, OnRead(lambda U: section(U)[0]),
+                    OnRead(lambda U: section(U)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +219,13 @@ class APMap:
 
     @property
     def is_iso(self) -> bool:
-        """A homeomorphism with bijective stalk maps; under a homeomorphism
-        the stalk map at i is the section map at U_pm(i)."""
-        if sorted(self.point_map) != list(range(self.target.n_points)):
-            return False
-        pre = {self.preimage(U) for U in self.target.opens}
-        if pre != set(self.source.opens):
+        """A homeomorphism, which carries each minimal open onto its image's,
+        with bijective stalk maps; under a homeomorphism the stalk map at i
+        is the section map at U_pm(i)."""
+        pm = self.point_map
+        if sorted(pm) != list(range(self.target.n_points)) or any(
+                frozenset(pm[j] for j in self.source.min_open(i))
+                != self.target.min_open(q) for i, q in enumerate(pm)):
             return False
         return all(h.is_bijective for h in self.stalks)
 
@@ -278,15 +284,14 @@ def build_spec(ctx, R: FiniteAlgebra, forms=None) -> SpectralSpace:
         sheaf=sheaf,
         base=R,
         forms=forms,
-        canonical=OnRead(sheaf.opens, lambda U: tables.lift(
+        canonical=OnRead(lambda U: tables.lift(
             R, sheaf.sections[U], sheaf.lookup(U),
             [forms[p].composite for p in sheaf.cones[U]])),
-        stalk_iso=OnRead(range(len(forms)),
-                         lambda p: sheaf.cones[sheaf.min_open(p)][p]),
+        stalk_iso=OnRead(lambda p: sheaf.cones[sheaf.mins[p]][p]),
     )
 
 
-class Specs(dict):
+class Specs(OnRead):
     """One command's workspace: Spec R per algebra R, built on its first
     read, and in `maps` the Spec map of each hom, built on its first call.
 
@@ -296,13 +301,9 @@ class Specs(dict):
     """
 
     def __init__(self, ctx):
-        super().__init__()
+        super().__init__(lambda R: build_spec(ctx, R))
         self.ctx = ctx
         self.maps = {}
-
-    def __missing__(self, R: FiniteAlgebra) -> SpectralSpace:
-        self[R] = build_spec(self.ctx, R)
-        return self[R]
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +341,16 @@ def restrict(X: SpectralSpace, U: frozenset) -> SpectralSpace:
     pts = sorted(U)
     reindex = {p: i for i, p in enumerate(pts)}
 
-    def remap(V):
-        return frozenset(reindex[p] for p in V)
+    def unmap(V):
+        return frozenset(pts[i] for i in V)
 
-    inside = {remap(V): V for V in X.opens if V <= U}
-    opens = sort_opens(inside)
-    sheaf = Presheaf(X.kind, len(pts), opens,
-                     OnRead(opens, lambda V: X.sections(inside[V])),
-                     OnRead(opens, lambda V: {
+    sheaf = Presheaf(X.kind,
+                     tuple(frozenset(reindex[q] for q in X.min_open(p))
+                           for p in pts),
+                     OnRead(lambda V: X.sections(unmap(V))),
+                     OnRead(lambda V: {
                          reindex[p]: h
-                         for p, h in X.sheaf.cones[inside[V]].items()}))
+                         for p, h in X.sheaf.cones[unmap(V)].items()}))
     return SpectralSpace(
         ctx_name=X.ctx_name,
         kind=X.kind,
@@ -472,11 +473,12 @@ def _maps_by_stalks(S, X, injective, stalk_homs):
 def iter_space_isos(X: SpectralSpace, Y: SpectralSpace):
     """Isomorphisms X -> Y (as APMaps X -> Y), by their stalk maps.
 
-    With as many opens on each side, a continuous bijection of points is a
-    homeomorphism, and isomorphisms at the stalks lift to isomorphisms on
-    every open; an isomorphism is admissible in every context.
+    With as many specialization pairs on each side, a continuous bijection
+    of points is a homeomorphism, and isomorphisms at the stalks lift to
+    isomorphisms on every open; an isomorphism is admissible in every context.
     """
-    if X.n_points != Y.n_points or len(X.opens) != len(Y.opens):
+    if X.n_points != Y.n_points or (len(X.specialization_order())
+                                    != len(Y.specialization_order())):
         return
     yield from _maps_by_stalks(
         X, Y, True, lambda A, B: list(tables.iter_isomorphisms(A, B)))

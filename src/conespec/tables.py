@@ -407,12 +407,9 @@ class _UF:
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
         if ra > rb:
             ra, rb = rb, ra
         self.p[rb] = ra
-        return True
 
 
 def congruence_closure(A: FiniteAlgebra, pairs) -> tuple[int, ...]:

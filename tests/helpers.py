@@ -30,7 +30,9 @@ class TablePresheaf:
             return tables.identity(self.sections[U])
         return self.restrictions[(U, V)]
 
-    min_open = sp.Presheaf.min_open
+    def min_open(self, p: int) -> frozenset:
+        # the least open holding p is the first, as the opens go by size
+        return next(U for U in self.opens if p in U)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +361,36 @@ def invert_apmap_by_opens(m: APMap) -> APMap:
         section_maps[m.preimage(U)] = m.section_maps[U].inverse()
     return apmap_from_sections(m.target, m.source, inv_points,
                                {V: section_maps[V] for V in m.source.opens})
+
+
+def is_iso_by_opens(m: APMap) -> bool:
+    """Oracle: `APMap.is_iso` taking the preimages of every open of the
+    target, which must be the opens of the source."""
+    if sorted(m.point_map) != list(range(m.target.n_points)):
+        return False
+    if {m.preimage(U) for U in m.target.opens} != set(m.source.opens):
+        return False
+    return all(h.is_bijective for h in m.stalks)
+
+
+def space_isos_by_open_count(X, Y) -> list[APMap]:
+    """Oracle: `spectrum.iter_space_isos` searching only between spaces with
+    as many opens, so that a continuous bijection is a homeomorphism."""
+    if X.n_points != Y.n_points or len(X.opens) != len(Y.opens):
+        return []
+    return list(sp._maps_by_stalks(X, Y, True, lambda A, B: list(
+        tables.iter_isomorphisms(A, B))))
+
+
+def restrict_by_opens(X, U):
+    """Oracle: `spectrum.restrict` from the opens of X inside U.  Returns
+    the reindexed opens, in `sort_opens` order, and per reindexed open its
+    sections and stalk cone."""
+    reindex = {p: i for i, p in enumerate(sorted(U))}
+    inside = {frozenset(reindex[p] for p in V): V for V in X.opens if V <= U}
+    return sort_opens(inside), {
+        V: (X.sections(W), {reindex[p]: h for p, h in X.sheaf.cones[W].items()})
+        for V, W in inside.items()}
 
 
 def check_nerve_functorial(specs, site, table) -> None:

@@ -177,6 +177,17 @@ def test_cli_unusable_file_arguments_are_input_errors(tmp_path, capsys):
         assert repr(path) in err
 
 
+def run_capped(mib: int, *argv):
+    """The command line in a child whose address space is capped at `mib`
+    MiB, so that a command that would fill memory fails fast instead."""
+    capped = ("import resource, sys; "
+              f"resource.setrlimit(resource.RLIMIT_AS, ({mib << 20},) * 2); "
+              "from conespec.cli import main; sys.exit(main())")
+    return subprocess.run([sys.executable, "-c", capped, *argv],
+                          env=subprocess_env(), capture_output=True, text=True,
+                          timeout=60)
+
+
 def test_cli_glue_decides_affine_from_the_point_count(tmp_path):
     """The golden doubled e2xe2 with a third, disjoint e2xe2 chart has 11
     points, and its global sections e2^6 have 64 local forms: the counts
@@ -187,15 +198,42 @@ def test_cli_glue_decides_affine_from_the_point_count(tmp_path):
         doc = json.load(fh)
     doc["charts"].append(doc["charts"][0])
     inp = write(tmp_path, "three-charts.json", doc)
-    capped = ("import resource, sys; "
-              "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
-              "from conespec.cli import main; sys.exit(main())")
-    proc = subprocess.run(
-        [sys.executable, "-c", capped, "glue", "--context", "deitmar",
-         "--input", inp, "--out-dir", str(tmp_path / "out")],
-        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    proc = run_capped(512, "glue", "--context", "deitmar", "--input", inp,
+                      "--out-dir", str(tmp_path / "out"))
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (0, "points=11 affine=false\n", "")
+
+
+def e2_power(tmp_path, k: int) -> str:
+    return write(tmp_path, f"e2-{k}.json",
+                 cio.algebra_to_dict(corpus.monoid_product(*["e2"] * k)))
+
+
+def test_cli_spec_refuses_past_search_max_opens(tmp_path):
+    """Spec e2^6 has 64 points and 7,828,354 opens: listing them is refused
+    after the count passes SEARCH_MAX, before any file is written, in a
+    child whose address space is capped at 384 MiB."""
+    out = tmp_path / "out"
+    proc = run_capped(384, "spec", "--context", "deitmar",
+                      "--input", e2_power(tmp_path, 6), "--out-dir", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (3, "", "resource bound: too many opens to list\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_cli_fixed_point_of_e2_powers_skips_the_opens(tmp_path, k):
+    """In deitmar the closed point's minimal open of Spec e2^k is the whole
+    space, so the global sections are its stalk, e2^k, and the counit is the
+    identity.  Decided in a child whose address space is capped at 384 MiB,
+    which listing the opens of Spec e2^6 would overrun."""
+    proc = run_capped(384, "check", "--context", "deitmar", "--property",
+                      "fixed-point", "--input", e2_power(tmp_path, k))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "certificate": {"counit": list(range(2 ** k)),
+                        "global_sections": 2 ** k},
+        "property": "fixed-point", "verdict": True}
 
 
 def test_cli_glue_refuses_a_chart_product_past_the_search_bound(tmp_path,

@@ -13,6 +13,7 @@ construction checks the constructor on random presheaves too.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -24,10 +25,12 @@ from conespec.tables import all_homs, compose, identity, is_hom
 
 import paper
 from helpers import (canonical_presheaf, corpus_by_context,
-                     enumerate_localizations,
+                     enumerate_localizations, is_iso_by_opens,
                      isomorphic_sheaves, limit_by_product_scan, random_presheaf,
-                     satisfies_sheaf_condition, sheafify, sheafify_by_plus,
-                     spec_by_definition, validate_apmap)
+                     restrict_by_opens, satisfies_sheaf_condition, sheafify,
+                     sheafify_by_plus, small_topologies,
+                     space_isos_by_open_count, spec_by_definition,
+                     validate_apmap)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -242,14 +245,18 @@ def test_sheafify_matches_the_plus_oracle_on_random_presheaves():
     assert seen == {True, False}
 
 
+# a chain of three points, and a chain that forks into two closed points, so
+# that specializations compose
+CHAIN = [frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})]
+FORK = CHAIN + [frozenset({0, 1, 3}), frozenset({0, 1, 2, 3})]
+DEEP_POSETS = [(3, sp.sort_opens(CHAIN)), (4, sp.sort_opens(FORK))]
+
+
 def test_sheafify_matches_the_plus_oracle_on_deep_posets():
-    """Quotient presheaves on a chain of three points and on a chain that
-    forks into two closed points, so that specializations compose."""
-    chain = [frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})]
-    fork = chain + [frozenset({0, 1, 3}), frozenset({0, 1, 2, 3})]
+    """Quotient presheaves on the chain and on the fork."""
     rng = random.Random(5)
     seen = set()
-    for topology in [(3, sp.sort_opens(chain)), (4, sp.sort_opens(fork))] * 15:
+    for topology in DEEP_POSETS * 15:
         F = random_presheaf(rng, topology)
         G, theta, single = sheafify(F)
         H, _, single_plus = sheafify_by_plus(F)
@@ -266,6 +273,45 @@ def test_specialization_order_matches_the_open_scan():
         assert X.specialization_order() == [
             (p, q) for p in range(X.n_points) for q in range(X.n_points)
             if p != q and all(q in U for U in X.opens if p in U)]
+
+
+def _spaces_of_every_shape():
+    """The corpus Specs, and sheaves of random quotient presheaves on the
+    small topologies, the chain and the fork."""
+    rng = random.Random(17)
+    spaces = [sp.build_spec(ctx, A) for ctx, A in corpus_by_context()]
+    for topology in (small_topologies() + DEEP_POSETS) * 2:
+        G, _, _ = sheafify(random_presheaf(rng, topology))
+        spaces.append(sp.SpectralSpace("", G.kind, ("",) * G.n_points, G))
+    return spaces
+
+
+def test_minimal_open_criteria_match_the_open_lattice():
+    """`is_iso` on every point bijection between equal-size spaces, with
+    bijective stalk maps so that the point map decides, `iter_space_isos`
+    on every pair of equal-size spaces, and `restrict` to every open, each
+    against its oracle over all opens."""
+    spaces = _spaces_of_every_shape()
+    verdicts, isos = [], 0
+    for X, Y in itertools.product(spaces, repeat=2):
+        if X.n_points != Y.n_points:
+            continue
+        stalks = tuple(identity(X.stalk(i)) for i in range(X.n_points))
+        for pm in itertools.permutations(range(X.n_points)):
+            m = sp.APMap(X, Y, pm, stalks)
+            verdicts.append(m.is_iso)
+            assert m.is_iso == is_iso_by_opens(m)
+        found = [m.key for m in sp.iter_space_isos(X, Y)]
+        assert found == [m.key for m in space_isos_by_open_count(X, Y)]
+        isos += len(found)
+    assert set(verdicts) == {True, False} and isos > len(spaces)
+    for X in spaces:
+        for U in X.opens:
+            Y = sp.restrict(X, U)
+            opens, sheaf = restrict_by_opens(X, U)
+            assert Y.opens == opens
+            assert all(Y.sections(V) is A and Y.sheaf.cones[V] == cone
+                       for V, (A, cone) in sheaf.items())
 
 
 def test_sheafify_trivializes_empty_sections():
