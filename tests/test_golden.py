@@ -64,6 +64,8 @@ CASES = {
                                       "4"],
     "nerve-deitmar-doubled-chain3": ["nerve", "--input", "@doubled-chain3.json",
                                      "--site-max", "4"],
+    "nerve-zariski-z12": ["nerve", "--context", "zariski", "--input",
+                          "@z12.json", "--site-max", "4"],
 }
 
 

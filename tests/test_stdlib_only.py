@@ -100,6 +100,7 @@ EXECUTES = {
     "check-flat-cover-z6": ("reduction", "hypercover"),
     "glue-doubled-z6": ("glue", "spectrum"),
     "nerve-p1-f1": ("glue", "spectrum"),
+    "nerve-zariski-z12": ("glue", "spectrum", "hypercover"),
 }
 
 
