@@ -152,25 +152,21 @@ def _glued_sections(spaces, remaps, traces):
     of chart projections.
 
     They are the chart-section families that agree on every overlap W_i:
-    the limit of the charts and one object O_i(W_i) per overlap, reached
-    from chart i by restriction and from chart j by restriction then the
-    overlap's section map.  The overlap coordinates are functions of the
-    chart coordinates, so dropping them keeps the families distinct.
+    chart i's section restricted to W_i equals chart j's restricted to W_j
+    and carried over by the overlap's section map.
     """
     nc = len(spaces)
     objects = [spaces[i].sections(traces[i]) for i in range(nc)]
-    arrows = []
+    meets = []
     for ov, Ui, Uj, rj in remaps:
         Wi, Wj = traces[ov.i] & Ui, traces[ov.j] & Uj
         h = ov.iso.section_maps[frozenset(rj[p] for p in Wj)]
-        arrows.append((ov.i, len(objects),
-                       spaces[ov.i].sheaf.res(traces[ov.i], Wi).map))
-        arrows.append((ov.j, len(objects),
-                       compose(spaces[ov.j].sheaf.res(traces[ov.j], Wj), h).map))
-        objects.append(spaces[ov.i].sections(Wi))
-    families = tables.compatible_families([o.size for o in objects], arrows)
-    return tables.limit_from_families(spaces[0].kind, objects[:nc],
-                                      [f[:nc] for f in families])
+        meets.append((ov.i, ov.j,
+                      spaces[ov.i].sheaf.res(traces[ov.i], Wi).map,
+                      compose(spaces[ov.j].sheaf.res(traces[ov.j], Wj), h).map))
+    return tables.limit_from_families(spaces[0].kind, objects,
+                                      tables.agreeing_families(
+                                          [o.size for o in objects], meets))
 
 
 def _check_glued(ctx, X):
@@ -255,27 +251,16 @@ def nerve_sheaf_condition(specs: Specs, X: SpectralSpace, cover: hc.Opcover,
 
 def _nerve_families(specs: Specs, cover: hc.Opcover, at_K) -> list[tuple]:
     """The families of maps Spec K_t -> X, one from each at_K[t], that agree
-    after the pushout legs of every pair of components, in lexicographic
-    order of their indices; each is the tuple of its maps' keys.
-
-    One join: the components, and one object per pair t < u holding the
-    keys that either side reaches after its leg.  Those coordinates are
-    functions of the component coordinates, so dropping them keeps the
-    families distinct.
-    """
-    nc = len(cover.components)
-    sizes = [len(maps) for maps in at_K]
-    arrows = []
-    for t, u in itertools.combinations(range(nc), 2):
+    after the pushout legs of every pair t < u of components, in
+    lexicographic order of their indices; each is the tuple of its maps'
+    keys."""
+    meets = []
+    for t, u in itertools.combinations(range(len(at_K)), 2):
         _, in_t, in_u = tables.pushout(cover.components[t].composite,
                                        cover.components[u].composite)
         mt, mu = spec_map(specs, in_t), spec_map(specs, in_u)
-        left = [compose_apmaps(mt, phi).key for phi in at_K[t]]
-        right = [compose_apmaps(mu, phi).key for phi in at_K[u]]
-        index = {k: n for n, k in enumerate(dict.fromkeys(left + right))}
-        arrows.append((t, len(sizes), [index[k] for k in left]))
-        arrows.append((u, len(sizes), [index[k] for k in right]))
-        sizes.append(len(index))
+        meets.append((t, u, [compose_apmaps(mt, phi).key for phi in at_K[t]],
+                      [compose_apmaps(mu, phi).key for phi in at_K[u]]))
     keys = [[phi.key for phi in maps] for maps in at_K]
-    return [tuple(keys[t][x] for t, x in enumerate(f[:nc]))
-            for f in tables.compatible_families(sizes, arrows)]
+    return [tuple(keys[t][x] for t, x in enumerate(f)) for f in
+            tables.agreeing_families([len(maps) for maps in at_K], meets)]

@@ -1,13 +1,15 @@
-"""Distinguished opcovers, Čech hyperopcovers, and the limit H0.
+"""Distinguished opcovers and their Čech H0.
 
-Only levels 0 and 1 are ever materialized; H0 is one finite limit of the
-level-0 components and the level-1 components over all ordered pairs, along
-the two face maps into each level-1 component.
+H0 is the limit of the truncated Čech diagram: the component elements that
+agree in the pushout of every pair of components.  The pushout of a
+component with itself, and of a pair in the other order, adds no condition,
+so H0 is one join over the unordered pairs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from . import contexts as cx
 from . import tables
@@ -33,14 +35,7 @@ class Opcover:
 
     @functools.cached_property
     def cech_h0(self):
-        return h0(kernel_hyperopcover(self))
-
-
-class Hyperopcover:
-    def __init__(self, level0: Opcover, level1: dict):
-        self.level0 = level0
-        # (i0, i1) -> (pushout algebra, in0, in1)
-        self.level1 = level1
+        return h0(self)
 
 
 def is_opcover(ctx, c: Opcover) -> bool:
@@ -52,37 +47,24 @@ def is_opcover(ctx, c: Opcover) -> bool:
     return True
 
 
-def kernel_hyperopcover(c: Opcover) -> Hyperopcover:
-    """The Čech form: level 1 is the bare pairwise pushout."""
-    level1 = {}
-    for i0, k0 in enumerate(c.components):
-        for i1, k1 in enumerate(c.components):
-            level1[(i0, i1)] = pushout(k0.composite, k1.composite)
-    return Hyperopcover(c, level1)
-
-
-def h0(K: Hyperopcover):
-    """(limit, induced map from the base) of the truncated diagram.
-
-    One limit: the level-0 targets, then each level-1 pushout with its two
-    face arrows in0 from i0 and in1 from i1.  The level-0 coordinates
-    determine the rest, so the map from the base is lifted through them
-    alone.
-    """
-    comps = K.level0.components
-    objects = [k.target for k in comps]
-    arrows = []
-    for (i0, i1), (P, in0, in1) in sorted(K.level1.items()):
-        arrows.append((i0, len(objects), in0))
-        arrows.append((i1, len(objects), in1))
-        objects.append(P)
-    E, cone = tables.limit(K.level0.base.kind, objects, arrows)
-    lookup = tables.cone_lookup(E, cone[:len(comps)])
-    return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])
+def h0(c: Opcover):
+    """(H0, eta: base -> H0): the families of component elements whose
+    images agree along the legs of pushout(k_t, k_u) for every t < u, and
+    the map from the base lifted through the components."""
+    comps = [k.composite for k in c.components]
+    meets = []
+    for t, u in itertools.combinations(range(len(comps)), 2):
+        _, in_t, in_u = pushout(comps[t], comps[u])
+        meets.append((t, u, in_t.map, in_u.map))
+    targets = [k.target for k in comps]
+    E, cone = tables.limit_from_families(c.base.kind, targets,
+                                         tables.agreeing_families(
+                                             [K.size for K in targets], meets))
+    return E, tables.lift(c.base, E, tables.cone_lookup(E, cone), comps)
 
 
 def cech_h0(ctx, c: Opcover):
-    """H0 of the Čech hyperopcover of an opcover, built once per cover."""
+    """The Čech H0 of an opcover, built once per cover."""
     return c.cech_h0
 
 

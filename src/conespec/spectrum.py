@@ -69,14 +69,16 @@ class Presheaf:
     @functools.cached_property
     def opens(self) -> tuple[frozenset, ...]:
         """Every union of minimal opens, in `sort_opens` order.  They can be
-        exponentially many in the points, so they are counted as bitmasks
-        first and refused past SEARCH_MAX (SizeBound)."""
+        exponentially many in the points, so they are collected as bitmasks
+        one at a time first, and refused as soon as they pass SEARCH_MAX
+        (SizeBound)."""
         masks = {0}
         for U in self.mins:
             bits = sum(1 << p for p in U)
-            masks |= {m | bits for m in masks}
-            if len(masks) > tables.SEARCH_MAX:
-                raise SizeBound("too many opens to list", tables.SEARCH_MAX)
+            for m in list(masks):
+                masks.add(m | bits)
+                if len(masks) > tables.SEARCH_MAX:
+                    raise SizeBound("too many opens to list", tables.SEARCH_MAX)
         return sort_opens(frozenset(p for p in range(self.n_points) if m >> p & 1)
                           for m in masks)
 
@@ -415,12 +417,10 @@ def _maps_by_stalks(S, X, injective, stalk_homs):
     from `stalk_homs(O_X(U_pm(i)), O_S(U_i))`, over injective point maps
     only if `injective` (then in the order of `itertools.permutations`).
 
-    The maps over one point map are one `tables.compatible_families` join:
-    one object per point i holding its stalk maps, and one per
-    specialization pair (i, j) holding the maps O_X(U_pm(i)) -> O_S(U_j)
-    that either side gives, functions of the stalk coordinates that are
-    dropped from each family.  Each stalk list and each pair's arrows are
-    built once per call.
+    The maps over one point map are one `tables.agreeing_families` join of
+    the stalk maps at each point i, with a meet per specialization pair
+    (i, j): the maps O_X(U_pm(i)) -> O_S(U_j) that each side gives.  Each
+    stalk list and each meet's key lists are built once per call.
     """
     if S.kind != X.kind:
         return
@@ -434,12 +434,11 @@ def _maps_by_stalks(S, X, injective, stalk_homs):
 
     @functools.cache
     def meet(i, q, j, r):
-        left = [compose(h, S.sheaf.res(s_min[i], s_min[j])).map
-                for h in stalks(q, i)]
-        right = [compose(X.sheaf.res(x_min[q], x_min[r]), h).map
-                 for h in stalks(r, j)]
-        index = {k: n for n, k in enumerate(dict.fromkeys(left + right))}
-        return [index[k] for k in left], [index[k] for k in right], len(index)
+        return (i, j,
+                [compose(h, S.sheaf.res(s_min[i], s_min[j])).map
+                 for h in stalks(q, i)],
+                [compose(X.sheaf.res(x_min[q], x_min[r]), h).map
+                 for h in stalks(r, j)])
 
     pm = []
 
@@ -459,13 +458,9 @@ def _maps_by_stalks(S, X, injective, stalk_homs):
                 pm.pop()
 
     for p in point_maps():
-        sizes = [len(stalks(q, i)) for i, q in enumerate(p)]
-        arrows = []
-        for i, j in pairs:
-            left, right, size = meet(i, p[i], j, p[j])
-            arrows += [(i, len(sizes), left), (j, len(sizes), right)]
-            sizes.append(size)
-        for f in tables.compatible_families(sizes, arrows):
+        for f in tables.agreeing_families(
+                [len(stalks(q, i)) for i, q in enumerate(p)],
+                [meet(i, p[i], j, p[j]) for i, j in pairs]):
             yield APMap(S, X, p, tuple(stalks(q, i)[f[i]]
                                        for i, q in enumerate(p)))
 

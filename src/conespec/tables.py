@@ -693,6 +693,27 @@ def compatible_families(sizes, arrows) -> list[tuple[int, ...]]:
     return out
 
 
+def agreeing_families(sizes, meets) -> list[tuple[int, ...]]:
+    """The families t, one index per object of `sizes`, with left[t[i]] ==
+    right[t[j]] for every meet (i, j, left, right), in lexicographic order.
+
+    `left` and `right` list a hashable key per element of objects i and j.
+    Each meet is one more object of the `compatible_families` join, after
+    the given ones: its keys, in first-occurrence order of left + right,
+    reached from i and from j along the key maps.  Its value is a function
+    of t[i], so dropping it from each family keeps the families distinct.
+    """
+    sizes = list(sizes)
+    n = len(sizes)
+    arrows = []
+    for i, j, left, right in meets:
+        index = {k: x for x, k in enumerate(dict.fromkeys([*left, *right]))}
+        arrows.append((i, len(sizes), [index[k] for k in left]))
+        arrows.append((j, len(sizes), [index[k] for k in right]))
+        sizes.append(len(index))
+    return [f[:n] for f in compatible_families(sizes, arrows)]
+
+
 def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
     """Limit of a finite diagram.
 

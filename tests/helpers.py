@@ -679,7 +679,41 @@ def satisfies_sheaf_condition(F, cap: int = 12) -> bool:
     return True
 
 
-def h0_by_product_scan(K):
+@dataclass
+class Hyperopcover:
+    """The Čech hyperopcover of an opcover, truncated at level 1:
+    `level1[(i0, i1)]` is (pushout, in0, in1) for every ordered pair."""
+    level0: object
+    level1: dict
+
+
+def kernel_hyperopcover(c) -> Hyperopcover:
+    """The Čech form: level 1 is the bare pushout of every ordered pair of
+    components, a component with itself included."""
+    return Hyperopcover(c, {
+        (i0, i1): tables.pushout(k0.composite, k1.composite)
+        for i0, k0 in enumerate(c.components)
+        for i1, k1 in enumerate(c.components)})
+
+
+def h0_by_ordered_pairs(K: Hyperopcover):
+    """Oracle: Čech H0 as one limit of the level-0 targets and each level-1
+    pushout, with its face arrows in0 from i0 and in1 from i1; the map from
+    the base is lifted through the level-0 coordinates, which determine the
+    rest."""
+    comps = K.level0.components
+    objects = [k.target for k in comps]
+    arrows = []
+    for (i0, i1), (P, in0, in1) in sorted(K.level1.items()):
+        arrows.append((i0, len(objects), in0))
+        arrows.append((i1, len(objects), in1))
+        objects.append(P)
+    E, cone = tables.limit(K.level0.base.kind, objects, arrows)
+    lookup = tables.cone_lookup(E, cone[:len(comps)])
+    return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])
+
+
+def h0_by_product_scan(K: Hyperopcover):
     """Oracle: Čech H0 as the families of the product of the level-0
     targets that satisfy every face condition, with the map from the base."""
     comps = K.level0.components

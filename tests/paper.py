@@ -147,11 +147,11 @@ def enumerate_opcovers(ctx, R, max_components: int | None = None):
     return out
 
 
-def split_cover_check(ctx, K) -> bool:
-    """With a level-0 component iso, the base must map isomorphically to H0."""
-    if not any(k.composite.is_bijective for k in K.level0.components):
+def split_cover_check(ctx, cover) -> bool:
+    """With a component iso, the base must map isomorphically to H0."""
+    if not any(k.composite.is_bijective for k in cover.components):
         raise InvariantViolation("no split component in the cover")
-    _, eta = hc.h0(K)
+    _, eta = hc.h0(cover)
     if not eta.is_bijective:
         raise InvariantViolation("split cover with non-iso counit")
     return True

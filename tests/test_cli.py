@@ -211,10 +211,10 @@ def e2_power(tmp_path, k: int) -> str:
 
 def test_cli_spec_refuses_past_search_max_opens(tmp_path):
     """Spec e2^6 has 64 points and 7,828,354 opens: listing them is refused
-    after the count passes SEARCH_MAX, before any file is written, in a
-    child whose address space is capped at 384 MiB."""
+    as soon as the count passes SEARCH_MAX, before any file is written, in
+    a child whose address space is capped at 128 MiB."""
     out = tmp_path / "out"
-    proc = run_capped(384, "spec", "--context", "deitmar",
+    proc = run_capped(128, "spec", "--context", "deitmar",
                       "--input", e2_power(tmp_path, 6), "--out-dir", str(out))
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (3, "", "resource bound: too many opens to list\n")
@@ -601,9 +601,9 @@ def test_cli_check_flat_cover_builds_the_input_cover_once(tmp_path,
         forms.append(A.size)
         return real_forms(self, A)
 
-    def counting_h0(K):
-        h0s.append(K.level0.base.size)
-        return real_h0(K)
+    def counting_h0(c):
+        h0s.append(c.base.size)
+        return real_h0(c)
 
     monkeypatch.setattr(type(ZAR), "local_forms_direct", counting_forms)
     monkeypatch.setattr(hc, "h0", counting_h0)

@@ -1,8 +1,9 @@
 """The functor of points by the two searches of the library, against the
 brute-force oracles, and the scheme-equivalence probe on the full site.
 
-`paper.Probe.natural_transformations` and the nerve sheaf families are
-joins of `tables.compatible_families`, and `iter_space_isos` is the
+`paper.Probe.natural_transformations` is a join of
+`tables.compatible_families`, the nerve sheaf families are one of
+`tables.agreeing_families`, and `iter_space_isos` is the
 minimal-open map search; the oracles in `helpers` try every assignment,
 scan the product of the component values and choose an isomorphism at every
 open.  Each pair must give the same results in the same order.

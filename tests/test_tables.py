@@ -480,6 +480,46 @@ def test_limit_bound_counts_visited_families(monkeypatch):
         limit(MONOID, [M] * 5, arrows)
 
 
+_KEYS = [0, 1, "0", "a", (0,), (0, "a"), None, frozenset({1})]
+
+
+def agreeing_families_by_product_scan(sizes, meets):
+    """Oracle: every family of the product, in lexicographic order, kept
+    when its keys agree on every meet."""
+    return [t for t in itertools.product(*map(range, sizes))
+            if all(left[t[i]] == right[t[j]] for i, j, left, right in meets)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=4), st.data())
+def test_agreeing_families_match_the_product_scan(sizes, data):
+    """Small sizes, keys of mixed hashable types, meets with i == j among
+    them, and the empty meet list: the families and their order are the
+    scan's."""
+    meets = []
+    if sizes:
+        obj = st.integers(0, len(sizes) - 1)
+        for _ in range(data.draw(st.integers(0, 4))):
+            i, j = data.draw(obj), data.draw(obj)
+            left, right = ([data.draw(st.sampled_from(_KEYS))
+                            for _ in range(sizes[k])] for k in (i, j))
+            meets.append((i, j, left, right))
+    assert tables.agreeing_families(sizes, meets) == \
+        agreeing_families_by_product_scan(sizes, meets)
+
+
+def test_agreeing_families_examples():
+    # no meet: the whole product, in lexicographic order
+    assert tables.agreeing_families([2, 2], []) == \
+        [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # a meet of an object with itself keeps the elements whose keys agree
+    assert tables.agreeing_families([3], [(0, 0, "abc", "xbc")]) == \
+        [(1,), (2,)]
+    # keys of several types; 0 meets only the elements keyed 0
+    assert tables.agreeing_families(
+        [3, 2], [(0, 1, [0, "a", (1,)], [(1,), 0])]) == [(0, 1), (2, 0)]
+
+
 def test_limit_rejects_an_arrow_that_is_not_a_hom():
     # the bijection of Z/6 swapping 2 and 4 preserves neither operation
     swap = Hom(Z6, Z6, (0, 1, 4, 3, 2, 5))
