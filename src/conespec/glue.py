@@ -1,9 +1,11 @@
 """Gluing spectra along open subspaces, and the functor-of-points layer.
 
-A glued space is the colimit of its charts.  Its points are the chart points
-identified along the overlap isomorphisms.  The minimal open of a point holds
-the minimal open of each of its chart points, and the stalk there is the
-chart-section families that agree on every overlap.  The space is
+A glued space is the colimit of its charts.  An overlap is a bijection of
+chart points with a stalk iso at each (on a finite T0 space a map of sheaves
+is fixed by its stalk maps: Hartshorne, Ex. II.2.12).  The points are the
+chart points identified along the overlaps.  The minimal open of a point
+holds the minimal open of each of its chart points, and the stalk there is
+the chart-section families that agree on every overlap.  The space is
 `spectrum.sheaf_from_stalks` of these stalks along the restrictions between
 them, so its opens are the sets whose trace in every chart is open.
 """
@@ -23,13 +25,15 @@ from .tables import FiniteAlgebra, Hom, compose
 
 
 class Overlap:
-    def __init__(self, i: int, j: int, k_i: LocalizationPath,
-                 k_j: LocalizationPath, iso: APMap):
+    """Charts i and j glued along Pts k_i and Pts k_j: the point a of chart i
+    goes to the point b = point_map[a] of chart j, with the stalk iso
+    stalks[a]: O_j(U_b) -> O_i(U_a)."""
+
+    def __init__(self, i: int, j: int, point_map: dict, stalks: dict):
         self.i = i
         self.j = j
-        self.k_i = k_i      # localization on chart i cutting out U_i
-        self.k_j = k_j
-        self.iso = iso      # restrict(Spec R_i, U_i) -> restrict(Spec R_j, U_j)
+        self.point_map = point_map
+        self.stalks = stalks
 
 
 class GluingSpec:
@@ -42,22 +46,29 @@ class GluingSpec:
 def make_overlap(specs: Specs, charts, i: int, j: int,
                  k_i: LocalizationPath, k_j: LocalizationPath,
                  g: Hom | None = None) -> Overlap:
-    """Build the overlap by composing the two open-embedding isos.
-
-    The identification goes through Spec of the overlap algebra: along
-    Spec g for an isomorphism g: target(k_j) -> target(k_i) when one is
-    given, else along any isomorphism of the two spectra, which must exist.
+    """Glue charts[i] along k_i to charts[j] along k_j through Spec of the
+    overlap algebra: along Spec g for an isomorphism g: target(k_j) ->
+    target(k_i) when one is given, else along any isomorphism `mid` of the
+    two spectra, which must exist.  The Spec map m of a localization is an
+    open embedding, and a point x of Spec K_i glues m_i(x) to m_j(mid(x)),
+    with the stalk iso of m_j, then mid, then the inverse of m_i's.
     """
-    _, emb_i = sp.open_embedding_data(specs, charts[i], k_i)
-    _, emb_j = sp.open_embedding_data(specs, charts[j], k_j)
+    m_i = spec_map(specs, k_i.composite)
+    m_j = spec_map(specs, k_j.composite)
     if g is not None:
         mid = spec_map(specs, g)
     else:
         mid = sp.spaces_isomorphic(specs[k_i.target], specs[k_j.target])
         if mid is None:
             raise CocycleViolation("overlap spectra are not isomorphic")
-    iso = compose_apmaps(compose_apmaps(emb_i, mid), sp.invert_apmap(emb_j))
-    return Overlap(i, j, k_i, k_j, iso)
+    if len(set(m_i.point_map)) != len(m_i.point_map):
+        raise InvariantViolation("localization is not an open embedding")
+    point_map, stalks = {}, {}
+    for x, (a, y) in enumerate(zip(m_i.point_map, mid.point_map)):
+        point_map[a] = m_j.point_map[y]
+        stalks[a] = compose(compose(m_j.stalks[y], mid.stalks[x]),
+                            m_i.stalks[x].inverse())
+    return Overlap(i, j, point_map, stalks)
 
 
 def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
@@ -71,13 +82,6 @@ def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
     if math.prod(R.size for R in g.charts) ** 2 > tables.SEARCH_MAX:
         raise SizeBound("gluing chart product too large", tables.SEARCH_MAX)
     spaces = [specs[R] for R in g.charts]
-    opens_by_overlap = []
-    for ov in g.overlaps:
-        Ui = sp.distinguished_open(spaces[ov.i].forms, ov.k_i)
-        Uj = sp.distinguished_open(spaces[ov.j].forms, ov.k_j)
-        if not ov.iso.is_iso:
-            raise CocycleViolation("overlap identification is not an isomorphism")
-        opens_by_overlap.append((Ui, Uj))
 
     # identify points; all_points is sorted, so each class is named by its
     # least chart point, the root the union-find keeps
@@ -85,11 +89,9 @@ def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
                   for p in range(X.n_points)]
     number = {x: n for n, x in enumerate(all_points)}
     uf = tables._UF(len(all_points))
-    for ov, (Ui, Uj) in zip(g.overlaps, opens_by_overlap):
-        pts_i, pts_j = sorted(Ui), sorted(Uj)
-        for a, p in enumerate(pts_i):
-            uf.union(number[(ov.i, p)],
-                     number[(ov.j, pts_j[ov.iso.point_map[a]])])
+    for ov in g.overlaps:
+        for a, b in ov.point_map.items():
+            uf.union(number[(ov.i, a)], number[(ov.j, b)])
     roots = [uf.find(n) for n in range(len(all_points))]
     classes = sorted(set(roots))
     index = {c: n for n, c in enumerate(classes)}
@@ -119,16 +121,12 @@ def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
                             for q in spaces[i].min_open(p))
         mins.append(U)
 
-    # per overlap: its opens on charts i and j, and chart j's points of U_j
-    # numbered as in the target of the overlap's iso
-    remaps = [(ov, Ui, Uj, {p: a for a, p in enumerate(sorted(Uj))})
-              for ov, (Ui, Uj) in zip(g.overlaps, opens_by_overlap)]
     traces = [[frozenset(p for p in range(spaces[i].n_points)
                          if glob[(i, p)] in U) for i in range(nc)]
               for U in mins]
     stalks, cones, lookups = [], [], []
     for t in traces:
-        L, cone = _glued_sections(spaces, remaps, t)
+        L, cone = _glued_sections(spaces, g.overlaps, t)
         stalks.append(L)
         cones.append(cone)
         lookups.append(tables.cone_lookup(L, cone))
@@ -147,23 +145,28 @@ def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
     return X
 
 
-def _glued_sections(spaces, remaps, traces):
+def _glued_sections(spaces, overlaps, traces):
     """The sections over the open with chart traces `traces`, with their cone
     of chart projections.
 
-    They are the chart-section families that agree on every overlap W_i:
-    chart i's section restricted to W_i equals chart j's restricted to W_j
-    and carried over by the overlap's section map.
+    They are the chart-section families that agree on every overlap: at
+    each point a of W_i, the points of Pts k_i that the open holds, with b
+    = point_map[a], chart i's section restricted to U_a equals chart j's
+    restricted to U_b and carried over by the stalk iso.  Restrictions to
+    the U_a separate the sections over W_i, so each side's key is the tuple
+    of these values over the points of W_i.
     """
-    nc = len(spaces)
-    objects = [spaces[i].sections(traces[i]) for i in range(nc)]
+    objects = [spaces[i].sections(traces[i]) for i in range(len(spaces))]
     meets = []
-    for ov, Ui, Uj, rj in remaps:
-        Wi, Wj = traces[ov.i] & Ui, traces[ov.j] & Uj
-        h = ov.iso.section_maps[frozenset(rj[p] for p in Wj)]
-        meets.append((ov.i, ov.j,
-                      spaces[ov.i].sheaf.res(traces[ov.i], Wi).map,
-                      compose(spaces[ov.j].sheaf.res(traces[ov.j], Wj), h).map))
+    for ov in overlaps:
+        X, Y, ti, tj = spaces[ov.i], spaces[ov.j], traces[ov.i], traces[ov.j]
+        W = sorted(a for a in ov.point_map if a in ti)
+        left = [X.sheaf.res(ti, X.min_open(a)) for a in W]
+        right = [compose(Y.sheaf.res(tj, Y.min_open(ov.point_map[a])),
+                         ov.stalks[a]) for a in W]
+        keys = [[tuple(h(x) for h in hs) for x in range(A.size)]
+                for hs, A in ((left, objects[ov.i]), (right, objects[ov.j]))]
+        meets.append((ov.i, ov.j, *keys))
     return tables.limit_from_families(spaces[0].kind, objects,
                                       tables.agreeing_families(
                                           [o.size for o in objects], meets))

@@ -177,8 +177,7 @@ class APMap:
     """A map of spaces S -> T by its point map and its stalk maps.
 
     `stalks[i]` is the map O_T(U_pm(i)) -> O_S(U_i).  Stalks fix a sheaf on
-    a finite T0 space, so they fix the map; its section maps, target open
-    W -> Hom(O_T(W), O_S(pre W)), are lifted from them on their first read.
+    a finite T0 space, so they fix the map.
     """
 
     def __init__(self, source: SpectralSpace, target: SpectralSpace,
@@ -203,34 +202,6 @@ class APMap:
         when the maps are."""
         return self.point_map, tuple(h.map for h in self.stalks)
 
-    @functools.cached_property
-    def section_maps(self) -> dict:
-        """O_S(pre W) is the limit of the stalks of S at the points of pre W,
-        so the map at W is the lift of the legs O_T(W) -> O_T(U_pm(i)) ->
-        O_S(U_i) -> stalk of S at i."""
-        S, T = self.source, self.target
-        legs = [compose(h, S.sheaf.cones[S.min_open(i)][i])
-                for i, h in enumerate(self.stalks)]
-        return {W: tables.lift(
-            T.sections(W), S.sections(P), S.sheaf.lookup(P),
-            [compose(T.sheaf.res(W, T.min_open(self.point_map[i])), legs[i])
-             for i in sorted(P)]) for W in T.opens for P in [self.preimage(W)]}
-
-    def preimage(self, U) -> frozenset:
-        return frozenset(i for i, q in enumerate(self.point_map) if q in U)
-
-    @property
-    def is_iso(self) -> bool:
-        """A homeomorphism, which carries each minimal open onto its image's,
-        with bijective stalk maps; under a homeomorphism the stalk map at i
-        is the section map at U_pm(i)."""
-        pm = self.point_map
-        if sorted(pm) != list(range(self.target.n_points)) or any(
-                frozenset(pm[j] for j in self.source.min_open(i))
-                != self.target.min_open(q) for i, q in enumerate(pm)):
-            return False
-        return all(h.is_bijective for h in self.stalks)
-
 
 def compose_apmaps(f: APMap, g: APMap) -> APMap:
     """g after f: an APMap from f.source to g.target, stalk by stalk."""
@@ -242,24 +213,8 @@ def compose_apmaps(f: APMap, g: APMap) -> APMap:
                        for q, h in zip(f.point_map, f.stalks)))
 
 
-def invert_apmap(m: APMap) -> APMap:
-    if not m.is_iso:
-        raise InvariantViolation("only an isomorphism of spaces has an inverse")
-    inv_points = [0] * m.target.n_points
-    for i, q in enumerate(m.point_map):
-        inv_points[q] = i
-    return APMap(m.target, m.source, tuple(inv_points),
-                 tuple(m.stalks[i].inverse() for i in inv_points))
-
-
 # ---------------------------------------------------------------------------
 # building Spec
-
-
-def distinguished_open(forms, k: LocalizationPath) -> frozenset:
-    """Pts k: the indices of the local forms `forms` that factor through k."""
-    return frozenset(i for i, p in enumerate(forms)
-                     if tables.induced(k.composite, p.composite) is not None)
 
 
 def build_spec(ctx, R: FiniteAlgebra, forms=None) -> SpectralSpace:
@@ -309,7 +264,7 @@ class Specs(OnRead):
 
 
 # ---------------------------------------------------------------------------
-# the contravariant action and open embeddings
+# the contravariant action
 
 
 def spec_map(specs: Specs, f: Hom) -> APMap:
@@ -336,52 +291,6 @@ def spec_map(specs: Specs, f: Hom) -> APMap:
         ))
     specs.maps[f] = APMap(X, Y, tuple(point_map), tuple(stalks))
     return specs.maps[f]
-
-
-def restrict(X: SpectralSpace, U: frozenset) -> SpectralSpace:
-    """The open subspace on U, points reindexed in increasing order."""
-    pts = sorted(U)
-    reindex = {p: i for i, p in enumerate(pts)}
-
-    def unmap(V):
-        return frozenset(pts[i] for i in V)
-
-    sheaf = Presheaf(X.kind,
-                     tuple(frozenset(reindex[q] for q in X.min_open(p))
-                           for p in pts),
-                     OnRead(lambda V: X.sections(unmap(V))),
-                     OnRead(lambda V: {
-                         reindex[p]: h
-                         for p, h in X.sheaf.cones[unmap(V)].items()}))
-    return SpectralSpace(
-        ctx_name=X.ctx_name,
-        kind=X.kind,
-        point_labels=tuple(X.point_labels[p] for p in pts),
-        sheaf=sheaf,
-    )
-
-
-def corestrict_to_open(m: APMap, U: frozenset) -> APMap:
-    """View an APMap whose point image lies in U as a map into restrict(.., U)."""
-    if not set(m.point_map) <= set(U):
-        raise InvariantViolation("point image does not lie in the open")
-    target = restrict(m.target, U)
-    reindex = {p: i for i, p in enumerate(sorted(U))}
-    # the sections of `target` are those of m.target, so the stalks carry over
-    return APMap(m.source, target, tuple(reindex[q] for q in m.point_map),
-                 m.stalks)
-
-
-def open_embedding_data(specs: Specs, R: FiniteAlgebra, k: LocalizationPath):
-    """(Pts k, iso: restrict(Spec R, Pts k) -> Spec K) for a localization k."""
-    U = distinguished_open(specs[R].forms, k)
-    m = spec_map(specs, k.composite)
-    if len(set(m.point_map)) != m.source.n_points or set(m.point_map) != set(U):
-        raise InvariantViolation("Spec K does not sit over Pts k")
-    core = corestrict_to_open(m, U)
-    if not core.is_iso:
-        raise InvariantViolation("localization is not an open embedding")
-    return U, invert_apmap(core)
 
 
 def global_sections(X: SpectralSpace):

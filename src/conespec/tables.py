@@ -854,17 +854,10 @@ def all_homs(A: FiniteAlgebra, B: FiniteAlgebra) -> list[Hom]:
             img[A.zero] = B.zero
         for g, v in zip(gens, choice):
             img[g] = v
-        ok = True
+        # the plan derives each other element once, so it only fills in
         for v, opname, i, j in plan:
             table = B.mul if opname == "mul" else B.add
-            w = table[img[i]][img[j]]
-            if img[v] == -1:
-                img[v] = w
-            elif img[v] != w:
-                ok = False
-                break
-        if not ok:
-            continue
+            img[v] = table[img[i]][img[j]]
         f = Hom(A, B, tuple(img))
         if is_hom(f):
             out.append(f)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from conespec import contexts, corpus, glue, reduction, tables
 from conespec import io as cio
 from conespec import spectrum as sp
-from conespec.errors import ConespecError, InvariantViolation
+from conespec.errors import ConespecError, CocycleViolation, InvariantViolation
 from conespec.spectrum import APMap, sort_opens
 from conespec.tables import RING, Hom
 
@@ -269,24 +270,161 @@ def glued_row(specs, A, k, n_charts=2):
     return glue.GluingSpec(charts, overlaps)
 
 
-def glued_sections_by_product(spaces, remaps, traces):
+# ---------------------------------------------------------------------------
+# maps of spaces open by open, open subspaces and overlaps between them
+
+
+def preimage(m: APMap, U) -> frozenset:
+    return frozenset(i for i, q in enumerate(m.point_map) if q in U)
+
+
+def section_maps(m: APMap) -> dict:
+    """Per open W of m's target T, the map O_T(W) -> O_S(pre W), in the
+    order of T's opens.  O_S(pre W) is the limit of the stalks of S at the
+    points of pre W, so the map at W is the lift of the legs O_T(W) ->
+    O_T(U_pm(i)) -> O_S(U_i) -> stalk of S at i."""
+    S, T = m.source, m.target
+    legs = [tables.compose(h, S.sheaf.cones[S.min_open(i)][i])
+            for i, h in enumerate(m.stalks)]
+    return {W: tables.lift(
+        T.sections(W), S.sections(P), S.sheaf.lookup(P),
+        [tables.compose(T.sheaf.res(W, T.min_open(m.point_map[i])), legs[i])
+         for i in sorted(P)]) for W in T.opens for P in [preimage(m, W)]}
+
+
+def is_iso(m: APMap) -> bool:
+    """A homeomorphism, which carries each minimal open onto its image's,
+    with bijective stalk maps; under a homeomorphism the stalk map at i is
+    the section map at U_pm(i)."""
+    pm = m.point_map
+    if sorted(pm) != list(range(m.target.n_points)) or any(
+            frozenset(pm[j] for j in m.source.min_open(i))
+            != m.target.min_open(q) for i, q in enumerate(pm)):
+        return False
+    return all(h.is_bijective for h in m.stalks)
+
+
+def invert_apmap(m: APMap) -> APMap:
+    """The inverse of an isomorphism of spaces, stalk by stalk."""
+    if not is_iso(m):
+        raise InvariantViolation("only an isomorphism of spaces has an inverse")
+    inv_points = [0] * m.target.n_points
+    for i, q in enumerate(m.point_map):
+        inv_points[q] = i
+    return APMap(m.target, m.source, tuple(inv_points),
+                 tuple(m.stalks[i].inverse() for i in inv_points))
+
+
+def distinguished_open(forms, k: contexts.LocalizationPath) -> frozenset:
+    """Pts k: the indices of the local forms `forms` that factor through k."""
+    return frozenset(i for i, p in enumerate(forms)
+                     if tables.induced(k.composite, p.composite) is not None)
+
+
+def restrict(X, U: frozenset):
+    """The open subspace on U, points reindexed in increasing order."""
+    pts = sorted(U)
+    reindex = {p: i for i, p in enumerate(pts)}
+
+    def unmap(V):
+        return frozenset(pts[i] for i in V)
+
+    sheaf = sp.Presheaf(X.kind,
+                        tuple(frozenset(reindex[q] for q in X.min_open(p))
+                              for p in pts),
+                        sp.OnRead(lambda V: X.sections(unmap(V))),
+                        sp.OnRead(lambda V: {
+                            reindex[p]: h
+                            for p, h in X.sheaf.cones[unmap(V)].items()}))
+    return sp.SpectralSpace(
+        ctx_name=X.ctx_name,
+        kind=X.kind,
+        point_labels=tuple(X.point_labels[p] for p in pts),
+        sheaf=sheaf,
+    )
+
+
+def corestrict_to_open(m: APMap, U: frozenset) -> APMap:
+    """View an APMap whose point image lies in U as a map into restrict(.., U)."""
+    if not set(m.point_map) <= set(U):
+        raise InvariantViolation("point image does not lie in the open")
+    target = restrict(m.target, U)
+    reindex = {p: i for i, p in enumerate(sorted(U))}
+    # the sections of `target` are those of m.target, so the stalks carry over
+    return APMap(m.source, target, tuple(reindex[q] for q in m.point_map),
+                 m.stalks)
+
+
+def open_embedding_data(specs, R, k: contexts.LocalizationPath):
+    """(Pts k, iso: restrict(Spec R, Pts k) -> Spec K) for a localization k."""
+    U = distinguished_open(specs[R].forms, k)
+    m = sp.spec_map(specs, k.composite)
+    if len(set(m.point_map)) != m.source.n_points or set(m.point_map) != set(U):
+        raise InvariantViolation("Spec K does not sit over Pts k")
+    core = corestrict_to_open(m, U)
+    if not is_iso(core):
+        raise InvariantViolation("localization is not an open embedding")
+    return U, invert_apmap(core)
+
+
+class OverlapByRestriction:
+    """An overlap as the iso `iso`: restrict(X_i, Ui) -> restrict(X_j, Uj)
+    of open subspaces, whose points go in ascending order.  `point_map` and
+    `stalks` give it in chart points, as `glue.Overlap` does, so that
+    `glue.glue` glues along it."""
+
+    def __init__(self, i, j, Ui, Uj, iso):
+        self.i, self.j, self.Ui, self.Uj, self.iso = i, j, Ui, Uj, iso
+        pts_i, pts_j = sorted(Ui), sorted(Uj)
+        self.point_map = {pts_i[a]: pts_j[b]
+                          for a, b in enumerate(iso.point_map)}
+        self.stalks = {pts_i[a]: h for a, h in enumerate(iso.stalks)}
+
+    @functools.cached_property
+    def section_maps(self) -> dict:
+        return section_maps(self.iso)
+
+
+def overlap_by_restriction(specs, charts, i, j, k_i, k_j, g=None):
+    """Oracle: `glue.make_overlap` through open subspaces.  Each Spec K ->
+    Spec R is corestricted to the open subspace on Pts k and inverted, and
+    the overlap iso is the composite of chart i's inverse, the map of the
+    overlap spectra and chart j's inverse inverted."""
+    Ui, emb_i = open_embedding_data(specs, charts[i], k_i)
+    Uj, emb_j = open_embedding_data(specs, charts[j], k_j)
+    if g is not None:
+        mid = sp.spec_map(specs, g)
+    else:
+        mid = sp.spaces_isomorphic(specs[k_i.target], specs[k_j.target])
+        if mid is None:
+            raise CocycleViolation("overlap spectra are not isomorphic")
+    iso = sp.compose_apmaps(sp.compose_apmaps(emb_i, mid), invert_apmap(emb_j))
+    if not is_iso(iso):
+        raise CocycleViolation("overlap identification is not an isomorphism")
+    return OverlapByRestriction(i, j, Ui, Uj, iso)
+
+
+def glued_sections_by_product(spaces, overlaps, traces):
     """Oracle: `glue._glued_sections` by scanning the product of the chart
     sections, keeping the families whose restrictions agree across every
-    overlap, and taking them as a subalgebra of the product."""
+    overlap, and taking them as a subalgebra of the product.  The overlaps
+    are `overlap_by_restriction`'s, and carry chart j's sections over W_j to
+    chart i's over W_i by the overlap iso's section map."""
     P, projs = tables.product(spaces[0].kind, [spaces[i].sections(traces[i])
                                                for i in range(len(spaces))])
-    overlaps = []
-    for ov, Ui, Uj, rj in remaps:
-        Wi, Wj = traces[ov.i] & Ui, traces[ov.j] & Uj
-        overlaps.append((ov.i, ov.j,
-                         spaces[ov.i].sheaf.res(traces[ov.i], Wi).map,
-                         spaces[ov.j].sheaf.res(traces[ov.j], Wj).map,
-                         ov.iso.section_maps[frozenset(rj[p] for p in Wj)].map))
+    checks = []
+    for ov in overlaps:
+        rj = {p: a for a, p in enumerate(sorted(ov.Uj))}
+        Wi, Wj = traces[ov.i] & ov.Ui, traces[ov.j] & ov.Uj
+        checks.append((ov.i, ov.j,
+                       spaces[ov.i].sheaf.res(traces[ov.i], Wi).map,
+                       spaces[ov.j].sheaf.res(traces[ov.j], Wj).map,
+                       ov.section_maps[frozenset(rj[p] for p in Wj)].map))
     members = []
     for x in range(P.size):
         vals = [pr.map[x] for pr in projs]
         if all(h[res_j[vals[j]]] == res_i[vals[i]]
-               for i, j, res_i, res_j, h in overlaps):
+               for i, j, res_i, res_j, h in checks):
             members.append(x)
     L, incl = subalgebra(P, members)
     return L, [tables.compose(incl, pr) for pr in projs]
@@ -300,26 +438,28 @@ def validate_apmap(ctx, m: APMap) -> None:
     S, T = m.source, m.target
     s_opens = set(S.opens)
     for U in T.opens:
-        if m.preimage(U) not in s_opens:
+        if preimage(m, U) not in s_opens:
             raise InvariantViolation("point map is not continuous")
     for i, h in enumerate(m.stalks):
         if h.source != T.stalk(m.point_map[i]) or h.target != S.stalk(i):
             raise InvariantViolation("stalk map between the wrong stalks")
         if not ctx.is_admissible(h):
             raise InvariantViolation("stalk map is not admissible")
+    maps = section_maps(m)
     for U in T.opens:
-        h = m.section_maps[U]
-        if h.source != T.sections(U) or h.target != S.sections(m.preimage(U)):
+        h = maps[U]
+        if h.source != T.sections(U) or h.target != S.sections(preimage(m, U)):
             raise InvariantViolation("section map between the wrong sections")
         for V in T.opens:
             if V < U:
-                left = tables.compose(h, S.sheaf.res(m.preimage(U), m.preimage(V)))
-                right = tables.compose(T.sheaf.res(U, V), m.section_maps[V])
+                left = tables.compose(h, S.sheaf.res(preimage(m, U),
+                                                     preimage(m, V)))
+                right = tables.compose(T.sheaf.res(U, V), maps[V])
                 if left != right:
                     raise InvariantViolation("section maps ignore restriction")
 
 
-def apmap_from_sections(S, X, pm, section_maps) -> APMap:
+def apmap_from_sections(S, X, pm, maps) -> APMap:
     """The map S -> X with point map pm and a hom at every open of X, by
     its stalk maps; the section maps it lifts from them must be the given
     ones, in the same order."""
@@ -327,10 +467,10 @@ def apmap_from_sections(S, X, pm, section_maps) -> APMap:
     for i, q in enumerate(pm):
         U = X.min_open(q)
         pre = frozenset(j for j, r in enumerate(pm) if r in U)
-        stalks.append(tables.compose(section_maps[U],
+        stalks.append(tables.compose(maps[U],
                                      S.sheaf.res(pre, S.min_open(i))))
     m = APMap(S, X, tuple(pm), tuple(stalks))
-    assert list(m.section_maps.items()) == list(section_maps.items())
+    assert list(section_maps(m).items()) == list(maps.items())
     return m
 
 
@@ -341,34 +481,31 @@ def compose_apmaps_by_opens(f: APMap, g: APMap) -> APMap:
         raise InvariantViolation("maps of spaces not composable")
     point_map = tuple(g.point_map[f.point_map[i]]
                       for i in range(f.source.n_points))
-    section_maps = {}
-    for U in g.target.opens:
-        V = g.preimage(U)
-        section_maps[U] = tables.compose(g.section_maps[U], f.section_maps[V])
-    return apmap_from_sections(f.source, g.target, point_map, section_maps)
+    f_maps, g_maps = section_maps(f), section_maps(g)
+    return apmap_from_sections(f.source, g.target, point_map, {
+        U: tables.compose(g_maps[U], f_maps[preimage(g, U)])
+        for U in g.target.opens})
 
 
 def invert_apmap_by_opens(m: APMap) -> APMap:
-    """Oracle: `spectrum.invert_apmap` inverting the section maps open by
-    open."""
-    if not m.is_iso:
+    """Oracle: `invert_apmap` inverting the section maps open by open."""
+    if not is_iso(m):
         raise InvariantViolation("only an isomorphism of spaces has an inverse")
     inv_points = [0] * m.target.n_points
     for i, q in enumerate(m.point_map):
         inv_points[q] = i
-    section_maps = {}
-    for U in m.target.opens:
-        section_maps[m.preimage(U)] = m.section_maps[U].inverse()
+    inverted = {preimage(m, U): h.inverse()
+                for U, h in section_maps(m).items()}
     return apmap_from_sections(m.target, m.source, inv_points,
-                               {V: section_maps[V] for V in m.source.opens})
+                               {V: inverted[V] for V in m.source.opens})
 
 
 def is_iso_by_opens(m: APMap) -> bool:
-    """Oracle: `APMap.is_iso` taking the preimages of every open of the
-    target, which must be the opens of the source."""
+    """Oracle: `is_iso` taking the preimages of every open of the target,
+    which must be the opens of the source."""
     if sorted(m.point_map) != list(range(m.target.n_points)):
         return False
-    if {m.preimage(U) for U in m.target.opens} != set(m.source.opens):
+    if {preimage(m, U) for U in m.target.opens} != set(m.source.opens):
         return False
     return all(h.is_bijective for h in m.stalks)
 
@@ -383,7 +520,7 @@ def space_isos_by_open_count(X, Y) -> list[APMap]:
 
 
 def restrict_by_opens(X, U):
-    """Oracle: `spectrum.restrict` from the opens of X inside U.  Returns
+    """Oracle: `restrict` from the opens of X inside U.  Returns
     the reindexed opens, in `sort_opens` order, and per reindexed open its
     sections and stalk cone."""
     reindex = {p: i for i, p in enumerate(sorted(U))}
@@ -530,7 +667,7 @@ def canonical_presheaf(ctx, R):
     n = len(forms)
     by_open: dict = {}
     for path in enumerate_localizations(ctx, R).values():
-        U = sp.distinguished_open(forms, path)
+        U = distinguished_open(forms, path)
         by_open.setdefault(U, []).append(path)
     opens = set(by_open) | {frozenset(), frozenset(range(n))}
     changed = True

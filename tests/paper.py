@@ -27,7 +27,8 @@ from conespec.errors import InvariantViolation
 from conespec.spectrum import APMap, compose_apmaps, spec_map
 from conespec.tables import all_homs, compose, identity
 
-from helpers import enumerate_localizations
+from helpers import (distinguished_open, enumerate_localizations, is_iso,
+                     open_embedding_data, preimage, restrict)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,7 @@ def is_fixed_point(ctx, R) -> bool:
 
 def is_spec_iso(ctx, f) -> bool:
     """Direct oracle: does f induce an isomorphism of spectra?"""
-    return spec_map(sp.Specs(ctx), f).is_iso
+    return is_iso(spec_map(sp.Specs(ctx), f))
 
 
 def identity_apmap(X) -> APMap:
@@ -101,7 +102,7 @@ def identity_apmap(X) -> APMap:
 def distinguished_opens(ctx, R) -> set[frozenset]:
     """The distinguished opens Pts k of Spec R, over every localization k."""
     forms = local_forms(ctx, R)
-    return {sp.distinguished_open(forms, k)
+    return {distinguished_open(forms, k)
             for k in enumerate_localizations(ctx, R).values()}
 
 
@@ -111,7 +112,7 @@ def distop_lattice_bijection(ctx, R) -> bool:
     m = spec_map(sp.Specs(ctx), unit)
     basis_R = distinguished_opens(ctx, R)
     basis_red = distinguished_opens(ctx, algebra)
-    image = {U: m.preimage(U) for U in basis_R}
+    image = {U: preimage(m, U) for U in basis_R}
     if set(image.values()) != basis_red:
         return False
     return len(set(image.values())) == len(basis_R)
@@ -119,7 +120,7 @@ def distop_lattice_bijection(ctx, R) -> bool:
 
 def open_embedding_check(specs, R, k) -> bool:
     try:
-        sp.open_embedding_data(specs, R, k)
+        open_embedding_data(specs, R, k)
         return True
     except InvariantViolation:
         return False
@@ -170,7 +171,7 @@ def open_subfunctor_values(specs, R, U: frozenset, site):
 
 def open_subfunctor_is_representable(specs, R, k, site) -> bool:
     """yR at Pts k agrees with the representable of the localization target."""
-    U = sp.distinguished_open(specs[R].forms, k)
+    U = distinguished_open(specs[R].forms, k)
     values = open_subfunctor_values(specs, R, U, site)
     for s, S in enumerate(site):
         through = {compose(k.composite, g).map for g in all_homs(k.target, S)}
@@ -202,7 +203,7 @@ def affine_opens(specs, X):
     for U in X.opens:
         if not U:
             continue
-        verdict, witness = gl.is_affine(specs, sp.restrict(X, U))
+        verdict, witness = gl.is_affine(specs, restrict(X, U))
         if verdict:
             out[U] = witness
     return out

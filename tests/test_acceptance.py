@@ -11,7 +11,7 @@ from conespec import corpus, glue as gl, hypercover as hc, io as cio, \
 from conespec.tables import all_homs, compose
 
 import paper
-from helpers import (ShuffledContext, canonical_presheaf,
+from helpers import (ShuffledContext, canonical_presheaf, distinguished_open,
                      enumerate_localizations, isomorphic, random_presheaf,
                      satisfies_sheaf_condition, sheafify, saturate_bounded)
 
@@ -150,8 +150,8 @@ def test_criterion_7_hyperopcover_suite():
         for k in locs.values():
             for l_ in locs.values():
                 _, _, in_l = tables.pushout(k.composite, l_.composite)
-                pk = sp.distinguished_open(forms, k)
-                pl = sp.distinguished_open(forms, l_)
+                pk = distinguished_open(forms, k)
+                pl = distinguished_open(forms, l_)
                 joined = compose(l_.composite, in_l)
                 pj = frozenset(
                     i for i, p in enumerate(forms)

@@ -8,11 +8,12 @@ checked the hard way: the full law checks on each algebra, `is_hom` on each
 lifted map, cone leg and pushout injection, `helpers.is_valid_ideal` on
 each principal ideal the domain context quotients by, `spec_checks` on each
 `build_spec`, `validate_apmap` on each map of spaces that `enumerate_apmaps`
-finds and on each `spec_map`, `compose_apmaps` and `invert_apmap`,
+finds and on each `spec_map` and `compose_apmaps`, on each `make_overlap`
+its point map and stalk isos against `helpers.overlap_by_restriction`,
 `check_nerve_functorial` on each nerve table, and on each cover that
 `pushout_opcover` replays, each component against the pushout it stands
-for.  A map of spaces holds its stalk maps and lifts its section maps on
-their first read, so validating it runs each of those lifts checked.
+for.  A map of spaces holds its stalk maps, and validating it lifts its
+section maps, each lift checked.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from conespec.errors import InvariantViolation
 import paper
 from helpers import (check_nerve_functorial, corpus_by_context,
                      enumerate_localizations, glued_row, is_valid_ideal,
-                     validate_apmap)
+                     overlap_by_restriction, validate_apmap)
 from test_golden import CASES, read_expected, run_case
 
 
@@ -84,6 +85,13 @@ def apmap(m, args):
     validate_apmap(C.get_context(m.source.ctx_name), m)
 
 
+def overlap(ov, args):
+    """The overlap that the route through open subspaces gives."""
+    old = overlap_by_restriction(*args)
+    assert (ov.i, ov.j, ov.point_map) == (old.i, old.j, old.point_map)
+    assert ov.stalks == old.stalks
+
+
 # name -> (defining module, check of (result, call arguments))
 CHECKS = {
     "lift": (tables, lambda r, args: homs(r)),
@@ -97,7 +105,7 @@ CHECKS = {
     "enumerate_apmaps": (sp, apmaps),
     "spec_map": (sp, lambda r, args: validate_apmap(args[0].ctx, r)),
     "compose_apmaps": (sp, apmap),
-    "invert_apmap": (sp, apmap),
+    "make_overlap": (gl, overlap),
     "nerve": (gl, lambda r, args: check_nerve_functorial(args[0], args[2], r)),
 }
 
@@ -149,11 +157,12 @@ def test_theorem_backed_results_pass_the_full_checks(checked):
 
 
 @pytest.mark.parametrize("name", ["nerve-p1-f1", "glue-doubled-z6",
-                                  "glue-deitmar-doubled-e2xe2"])
+                                  "glue-deitmar-doubled-e2xe2",
+                                  "glue-deitmar-twisted-c3xe2"])
 def test_checked_cli_runs_match_the_golden_outputs(checked, name):
     assert run_case(CASES[name]) == read_expected(name)
     fired = [n for n, count in checked.items() if count]
-    assert {"spec_map", "compose_apmaps", "invert_apmap", "limit_from_families",
+    assert {"spec_map", "make_overlap", "limit_from_families",
             "lift"} <= set(fired)
     if name.startswith("nerve"):
         assert checked["nerve"] == 1 and checked["enumerate_apmaps"] > 0

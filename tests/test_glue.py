@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import functools
+import os
+from argparse import Namespace
+
 import pytest
 
-from conespec import contexts as C
-from conespec import corpus, glue as gl, hypercover as hc, spectrum as sp, tables
+from conespec import cli, contexts as C
+from conespec import corpus, glue as gl, hypercover as hc, io as cio
+from conespec import spectrum as sp, tables
 from conespec.errors import CocycleViolation, InvariantViolation
 from conespec.tables import all_homs
 
 import paper
-from helpers import (corpus_by_context, enumerate_localizations, glued_row,
-                     glued_sections_by_product, isomorphic)
+from helpers import (corpus_by_context, distinguished_open,
+                     enumerate_localizations, glued_row,
+                     glued_sections_by_product, is_iso, isomorphic,
+                     overlap_by_restriction)
+from test_points import GOLDEN_INPUTS
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -106,7 +114,7 @@ def test_doubled_z6_is_affine(doubled_z6):
     gamma = X.sections(X.total)
     assert isomorphic(gamma, corpus.ring_product(2, 3, 3))
     verdict, witness = gl.is_affine(sp.Specs(ZAR), X)
-    assert verdict and witness.is_iso
+    assert verdict and is_iso(witness)
 
 
 def test_glued_stalks_are_local(f1_p1, doubled_z6):
@@ -146,7 +154,8 @@ def test_glue_collapsing_chart_raises():
     ident = loc_by_size(ZAR, A, A.size)
     with pytest.raises(CocycleViolation):
         gl.glue(sp.Specs(ZAR), gl.GluingSpec((A,), (gl.Overlap(
-            0, 0, ident, ident, swapped),)))
+            0, 0, dict(enumerate(swapped.point_map)),
+            dict(enumerate(swapped.stalks))),)))
 
 
 def _gluings():
@@ -154,47 +163,100 @@ def _gluings():
     is not an iso, three e2 charts in a row, the named doublings (P^1 over
     F1, chain3 and Z/12, which the corpus rows include), and one gluing
     along a nontrivial automorphism of the overlap, each in a workspace of
-    its context."""
+    its context.  Each comes as a call that builds its overlaps with
+    `glue.make_overlap`, whatever that name is bound to at the call."""
     specs = {ctx.name: sp.Specs(ctx) for ctx in (ZAR, DOM, DEI)}
     for ctx, A in corpus_by_context():
         for k in enumerate_localizations(ctx, A).values():
             if not k.composite.is_bijective:
-                yield specs[ctx.name], glued_row(specs[ctx.name], A, k)
+                yield specs[ctx.name], functools.partial(
+                    glued_row, specs[ctx.name], A, k)
     dei, zar = specs["deitmar"], specs["zariski"]
     e2, chain3, z12 = corpus.flag_monoid(), corpus.chain_monoid(), corpus.zn(12)
-    yield dei, glued_row(dei, e2, loc_by_size(DEI, e2, 1))
-    yield dei, glued_row(dei, e2, loc_by_size(DEI, e2, 1), 3)
-    yield dei, glued_row(dei, chain3, loc_by_size(DEI, chain3, 1))
-    yield zar, glued_row(zar, z12, loc_by_size(ZAR, z12, 3))
+    for specs_, A, k, n in ((dei, e2, loc_by_size(DEI, e2, 1), 2),
+                            (dei, e2, loc_by_size(DEI, e2, 1), 3),
+                            (dei, chain3, loc_by_size(DEI, chain3, 1), 2),
+                            (zar, z12, loc_by_size(ZAR, z12, 3), 2)):
+        yield specs_, functools.partial(glued_row, specs_, A, k, n)
     # C3 x e2 doubled where (1, e) is inverted, along the automorphism g -> g^2
-    # of the overlap C3, so that the overlap's section maps move elements
+    # of the overlap C3, so that the overlap's stalk isos move elements
     A, _ = tables.product("monoid", [corpus.cyclic_group_monoid(3), e2])
     k = loc_by_size(DEI, A, 3)
     swap = next(g for g in tables.iter_isomorphisms(k.target, k.target)
                 if g != tables.identity(k.target))
-    yield dei, gl.GluingSpec((A, A), (
+    yield dei, lambda: gl.GluingSpec((A, A), (
         gl.make_overlap(dei, (A, A), 0, 1, k, k, swap),))
+    # C5 x e2 doubled where (1, e) is inverted, in a workspace whose open
+    # embedding of Spec C5 moves the stalk by an automorphism of order 4:
+    # the stalk isos of the Spec maps are otherwise identities, whose
+    # inverses are themselves
+    B, _ = tables.product("monoid", [corpus.cyclic_group_monoid(5), e2])
+    k5 = loc_by_size(DEI, B, 5)
+    moved = sp.Specs(DEI)
+    turn = next(g for g in tables.iter_isomorphisms(k5.target, k5.target)
+                if g.inverse() != g)
+    moved.maps[k5.composite] = sp.compose_apmaps(
+        sp.spec_map(moved, turn), sp.spec_map(moved, k5.composite))
+    yield moved, functools.partial(glued_row, moved, B, k5)
+
+
+def _golden_gluings():
+    """The gluing of each golden input that has charts, each in a workspace
+    of its context, as calls like those of `_gluings`."""
+    for name in sorted(os.listdir(GOLDEN_INPUTS)):
+        doc = cio.load_object(os.path.join(GOLDEN_INPUTS, name))
+        if "charts" in doc:
+            specs = sp.Specs(C.get_context(doc.get("context", "zariski")))
+            yield specs, functools.partial(cli._load_gluing, specs, doc,
+                                           Namespace(size_bound=4096))
+
+
+def test_overlaps_match_the_route_through_open_subspaces(monkeypatch):
+    """`make_overlap` reads the point bijection and the stalk isos off the
+    Spec maps; the oracle corestricts each Spec K -> Spec R to the open
+    subspace on Pts k, inverts it and composes.  Both give the same point
+    map and equal stalk homs on every gluing above and on the golden ones."""
+    real, compared = gl.make_overlap, []
+
+    def comparing(*args):
+        new, old = real(*args), overlap_by_restriction(*args)
+        assert (new.i, new.j) == (old.i, old.j)
+        assert new.point_map == old.point_map
+        assert new.stalks == old.stalks
+        compared.append(new)
+        return new
+
+    monkeypatch.setattr(gl, "make_overlap", comparing)
+    for _, build in [*_gluings(), *_golden_gluings()]:
+        build()
+    assert len(compared) > 50
+    # some overlaps carry stalk isos that move elements
+    assert any(h.map != tuple(range(h.source.size))
+               for ov in compared for h in ov.stalks.values())
 
 
 def test_glued_sections_match_the_product_scan(monkeypatch):
-    """The family search gives the stalks, cones, sections and restrictions
-    that the product of the chart sections filtered by the overlaps gives."""
-    real = gl._glued_sections
-
-    def glue_with(build, specs, g):
+    """The family search, keyed by restrictions to minimal opens and stalk
+    isos, gives the stalks, cones, sections and restrictions that the
+    product of the chart sections gives when it is filtered by the section
+    maps of the overlap isos that `overlap_by_restriction` builds."""
+    def glue_with(build_sections, build_overlap, specs, build):
         built = []
 
         def recording(*args):
-            built.append(build(*args))
+            built.append(build_sections(*args))
             return built[-1]
 
-        monkeypatch.setattr(gl, "_glued_sections", recording)
-        return gl.glue(specs, g), built
+        with monkeypatch.context() as m:
+            m.setattr(gl, "make_overlap", build_overlap)
+            m.setattr(gl, "_glued_sections", recording)
+            return gl.glue(specs, build()), built
 
     opens = 0
-    for specs, g in _gluings():
-        X, new = glue_with(real, specs, g)
-        Y, old = glue_with(glued_sections_by_product, specs, g)
+    for specs, build in _gluings():
+        X, new = glue_with(gl._glued_sections, gl.make_overlap, specs, build)
+        Y, old = glue_with(glued_sections_by_product, overlap_by_restriction,
+                           specs, build)
         assert len(new) == len(old) == X.n_points
         for (L, cone), (M, cone_m) in zip(new, old):
             assert L.elements == M.elements
@@ -269,7 +331,7 @@ def test_open_subfunctor_at_distinguished_open():
     site = (corpus.zn(2), corpus.zn(3), Z6)
     k2 = loc_by_size(ZAR, Z6, 2)
     specs = sp.Specs(ZAR)
-    U = sp.distinguished_open(specs[Z6].forms, k2)
+    U = distinguished_open(specs[Z6].forms, k2)
     values = paper.open_subfunctor_values(specs, Z6, U, site)
     assert len(values[0]) == 1          # the projection Z6 -> Z2
     assert len(values[1]) == 0          # Z3's point misses U
