@@ -16,7 +16,6 @@ from . import io as cio
 from . import tables
 from .errors import (
     CocycleViolation,
-    InvalidDatum,
     InvariantViolation,
     KindMismatch,
     SizeBound,
@@ -68,17 +67,21 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _check_bounds(args, *algebras) -> None:
+def _check_inputs(args, ctx, *algebras) -> None:
+    """The size bound, then the kind of each input algebra: the one place
+    where either is checked, so that the library assumes both."""
     if args.size_bound < 1:
         raise ValidationError("bounds must be at least 1", args.size_bound)
     if any(R.size > args.size_bound for R in algebras):
         raise SizeBound("input algebra exceeds the size bound", args.size_bound)
+    for R in algebras:
+        ctx.accepts(R)
 
 
 def cmd_spec(args) -> int:
     ctx = cx.get_context(args.context)
     R = cio.algebra_from_dict(cio.load_json(args.input))
-    _check_bounds(args, R)
+    _check_inputs(args, ctx, R)
     X = sp.build_spec(ctx, R)
     # every section, before any file, as each is built on its first read
     sections = cio.dumps(cio.space_to_dict(X))
@@ -105,7 +108,7 @@ def cmd_check(args) -> int:
             raise ValidationError(f"--property {prop} needs --{name}", name)
     if prop == "geometric-iso":
         f = cio.hom_from_dict(cio.load_json(args.hom))
-        _check_bounds(args, f.source, f.target)
+        _check_inputs(args, ctx, f.source, f.target)
         verdict, cert = red.geometric_iso(ctx, f)
         if verdict:
             certificate = {"isos": [list(h.map) for h in cert["isos"]]}
@@ -116,7 +119,7 @@ def cmd_check(args) -> int:
             certificate = {"extra_form_sig": list(cert["extra_form_sig"])}
     else:
         R = cio.algebra_from_dict(cio.load_json(args.input))
-        _check_bounds(args, R)
+        _check_inputs(args, ctx, R)
         if prop in ("reduced", "mono-reduced"):
             verdict, index = red.reduced(
                 ctx, R, "admissible" if prop == "reduced" else "mono")
@@ -139,7 +142,7 @@ def cmd_check(args) -> int:
             cover_doc = cio.load_object(args.cover)
             comps = tuple(cio.path_from_dict(ctx, R, p) for p in
                           cio.list_field(cover_doc, "components", "cover"))
-            cover = hc.Opcover(ctx.name, R, comps)
+            cover = hc.Opcover(ctx, R, comps)
             if not hc.is_opcover(ctx, cover):
                 raise ValidationError("component family is not an opcover",
                                       cover_doc)
@@ -159,9 +162,11 @@ def _load_gluing(specs, doc, args) -> gl.GluingSpec:
                    for c in cio.list_field(doc, "charts", "gluing", dict))
     if not charts:
         raise ValidationError("a gluing needs at least one chart", doc)
-    _check_bounds(args, *charts)
+    overlap_docs = cio.list_field(doc, "overlaps", "gluing", dict)
+    # before any path is read, as the cell data assume the kind
+    _check_inputs(args, specs.ctx, *charts)
     overlaps = []
-    for ov in cio.list_field(doc, "overlaps", "gluing", dict):
+    for ov in overlap_docs:
         i, j = (cio.field(ov, key, "overlap") for key in ("i", "j"))
         for v in (i, j):
             if type(v) is not int or not 0 <= v < len(charts):
@@ -182,7 +187,7 @@ def _load_gluing(specs, doc, args) -> gl.GluingSpec:
             g = tables.Hom(k_j.target, k_i.target, tuple(mapping))
             if not tables.is_hom(g) or not g.is_bijective:
                 raise ValidationError("overlap iso is not an isomorphism", ov)
-        overlaps.append(gl.make_overlap(specs, charts, i, j, k_i, k_j, g))
+        overlaps.append(gl.make_overlap(specs, i, j, k_i, k_j, g))
     return gl.GluingSpec(charts, tuple(overlaps))
 
 
@@ -202,7 +207,7 @@ def _space_from_input(specs, doc, args):
     if "charts" in doc:
         return gl.glue(specs, _load_gluing(specs, doc, args))
     R = cio.algebra_from_dict(doc)
-    _check_bounds(args, R)
+    _check_inputs(args, specs.ctx, R)
     return specs[R]
 
 
@@ -223,7 +228,7 @@ def cmd_nerve(args) -> int:
         # an identity component fixes every compatible family, so such a
         # cover always meets the sheaf condition
         if pointwise and not any(k.is_identity_class for k in pointwise):
-            covers.append(hc.Opcover(ctx.name, A, tuple(pointwise)))
+            covers.append(hc.Opcover(ctx, A, tuple(pointwise)))
     # N(X)(K) per algebra K, shared by the sheaf checks so each is computed once
     values = dict(zip(site, table))
     sheaf_ok = all(gl.nerve_sheaf_condition(specs, X, c, values)
@@ -321,8 +326,7 @@ def main(argv=None) -> int:
     args = read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, KindMismatch, InvalidDatum,
-            CocycleViolation) as exc:
+    except (ValidationError, KindMismatch, CocycleViolation) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SizeBound as exc:

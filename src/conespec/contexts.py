@@ -13,6 +13,10 @@ admissible.  Three contexts are provided:
 * ``deitmar``  — monoids; a cell is an element a, a branch is trivial or
   inverts a; every monoid is local; admissible maps reflect invertibility.
 
+A caller checks an algebra's kind once, with `accepts`; the other methods
+take algebras of the context's kind and cell data of `cell_data` (or their
+images under homs) as given.
+
 Because localizations of finite table algebras are surjective, the kernel
 partition of the composite identifies a finite localization up to
 isomorphism over its source, and localizations are compared by it.  The
@@ -26,29 +30,16 @@ signatures first and builds a quotient only for a step it takes.
 from __future__ import annotations
 
 from . import tables
-from .errors import InvalidDatum, InvariantViolation, KindMismatch
+from .errors import KindMismatch
 from .tables import MONOID, RING, FiniteAlgebra, Hom, compose, identity
 
 
-class CellDatum:
-    def __init__(self, context: str, data: tuple[int, ...]):
-        self.context = context
-        self.data = data
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.context, self.data) == (other.context, other.data)
-
-    def __hash__(self):
-        return hash((self.context, self.data))
-
-
 class LocalizationPath:
-    """A finite composite of single-cell attachments."""
+    """A finite composite of single-cell attachments.  Each step is a pair
+    (datum, branch), the datum a tuple of element indices."""
 
     def __init__(self, source: FiniteAlgebra,
-                 steps: tuple[tuple[CellDatum, str], ...],
+                 steps: tuple[tuple[tuple[int, ...], str], ...],
                  target: FiniteAlgebra, composite: Hom):
         self.source = source
         self.steps = steps
@@ -85,6 +76,8 @@ class SpectralContext:
     kind: str
 
     def accepts(self, A: FiniteAlgebra) -> None:
+        """Raise KindMismatch unless A is of this context's kind.  The other
+        methods assume it and do not check it again."""
         if A.kind != self.kind:
             raise KindMismatch(f"context {self.name} expects a {self.kind}")
 
@@ -95,7 +88,7 @@ class SpectralContext:
     def is_admissible(self, f: Hom) -> bool:
         raise NotImplementedError
 
-    def cell_data(self, A: FiniteAlgebra) -> list[CellDatum]:
+    def cell_data(self, A: FiniteAlgebra) -> list[tuple[int, ...]]:
         raise NotImplementedError
 
     def attach_sig(self, A, datum, branch) -> tuple[int, ...]:
@@ -107,7 +100,7 @@ class SpectralContext:
 
         A branch of a pair datum acts on the pair's matching entry.
         """
-        return datum.data[0 if branch == "left" else 1]
+        return datum[0 if branch == "left" else 1]
 
     def attach(self, A, datum, branch):
         """The attachment as (quotient, quotient map)."""
@@ -125,7 +118,7 @@ class SpectralContext:
                     yield datum, branch
 
     def local_forms_direct(self, A) -> list[LocalizationPath]:
-        """Context-specific enumeration (the prime-ideal route)."""
+        """One local form per point of Spec A, in kernel-partition order."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -151,7 +144,6 @@ class ZariskiContext(SpectralContext):
     kind = RING
 
     def is_local(self, A):
-        self.accepts(A)
         if A.is_trivial:
             # excluded by the empty cone with trivial summit
             return False
@@ -159,26 +151,15 @@ class ZariskiContext(SpectralContext):
         return all(A.add[i][j] not in A.units for i in non_units for j in non_units)
 
     def is_admissible(self, f):
-        self.accepts(f.source)
-        self.accepts(f.target)
         return _reflects_invertibility(f)
 
     def cell_data(self, A):
-        self.accepts(A)
-        out = []
-        for r in range(A.size):
-            s = A.add[A.one][A.neg[r]]  # s = 1 - r
-            out.append(CellDatum(self.name, (r, s)))
-        return out
+        return [(r, A.add[A.one][A.neg[r]]) for r in range(A.size)]  # s = 1 - r
 
     def attach_sig(self, A, datum, branch):
-        r, s = datum.data
-        if A.add[r][s] != A.one:
-            raise InvalidDatum("r + s must equal 1")
         return tables.inversion_sig(A, self.victim(datum, branch))
 
     def local_forms_direct(self, A):
-        self.accepts(A)
         if A.is_trivial:
             return []
         out = []
@@ -186,11 +167,8 @@ class ZariskiContext(SpectralContext):
             if e == A.one:
                 out.append(identity_path(A))
             else:
-                datum = CellDatum(self.name, (e, A.add[A.one][A.neg[e]]))
-                out.append(extend_path(self, identity_path(A), datum, "left"))
-        for p in out:
-            if not self.is_local(p.target):
-                raise InvariantViolation("localization at a prime is not local")
+                out.append(extend_path(self, identity_path(A),
+                                       (e, A.add[A.one][A.neg[e]]), "left"))
         return sorted(out, key=lambda p: p.sig)
 
 
@@ -199,7 +177,6 @@ class DomainContext(SpectralContext):
     kind = RING
 
     def is_local(self, A):
-        self.accepts(A)
         if A.is_trivial:
             return False
         return all(
@@ -209,28 +186,17 @@ class DomainContext(SpectralContext):
         )
 
     def is_admissible(self, f):
-        self.accepts(f.source)
-        self.accepts(f.target)
         return f.is_injective
 
     def cell_data(self, A):
-        self.accepts(A)
-        return [
-            CellDatum(self.name, (a, b))
-            for a in range(A.size)
-            for b in range(A.size)
-            if A.mul[a][b] == A.zero
-        ]
+        return [(a, b) for a in range(A.size) for b in range(A.size)
+                if A.mul[a][b] == A.zero]
 
     def attach_sig(self, A, datum, branch):
-        a, b = datum.data
-        if A.mul[a][b] != A.zero:
-            raise InvalidDatum("a * b must equal 0")
         return tables.ideal_sig(
             tables.principal_ideal(A, self.victim(datum, branch)))
 
     def local_forms_direct(self, A):
-        self.accepts(A)
         if A.is_trivial:
             return []
         out = []
@@ -245,10 +211,8 @@ class DomainContext(SpectralContext):
                 live = [x for x in img if x != path.target.zero]
                 if not live:
                     break
-                datum = CellDatum(self.name, (live[0], path.target.zero))
-                path = extend_path(self, path, datum, "left")
-            if not self.is_local(path.target):
-                raise InvariantViolation("prime quotient is not a domain")
+                path = extend_path(self, path, (live[0], path.target.zero),
+                                   "left")
             out.append(path)
         return sorted(out, key=lambda p: p.sig)
 
@@ -258,27 +222,22 @@ class DeitmarContext(SpectralContext):
     kind = MONOID
 
     def is_local(self, A):
-        self.accepts(A)
         return True
 
     def is_admissible(self, f):
-        self.accepts(f.source)
-        self.accepts(f.target)
         return _reflects_invertibility(f)
 
     def cell_data(self, A):
-        self.accepts(A)
-        return [CellDatum(self.name, (a,)) for a in range(A.size)]
+        return [(a,) for a in range(A.size)]
 
     def victim(self, datum, branch):
         # the left branch is the trivial cone component
-        return None if branch == "left" else datum.data[0]
+        return None if branch == "left" else datum[0]
 
     def attach_sig(self, A, datum, branch):
-        (a,) = datum.data
         if branch == "left":
             return tuple(range(A.size))
-        return tables.inversion_sig(A, a)
+        return tables.inversion_sig(A, datum[0])
 
     def faces(self, A) -> list[frozenset[int]]:
         """Saturated submonoids; their complements are the prime ideals.
@@ -286,7 +245,6 @@ class DeitmarContext(SpectralContext):
         The faces are the sets F(a) of divisors of powers of a: F(a) is a
         face, and a face F is F(a) for a the product of its elements.
         """
-        self.accepts(A)
         multiples = [set(row) for row in A.mul]
         out = set()
         for a in range(A.size):
@@ -300,18 +258,15 @@ class DeitmarContext(SpectralContext):
         return sorted(out, key=lambda F: (len(F), sorted(F)))
 
     def local_forms_direct(self, A):
-        faces = self.faces(A)
         out = {}
-        for F in faces:
+        for F in self.faces(A):
             path = identity_path(A)
             for a in sorted(F):
                 img = path.composite.map[a]
                 if img in path.target.units:
                     continue
-                path = extend_path(self, path, CellDatum(self.name, (img,)), "right")
+                path = extend_path(self, path, (img,), "right")
             out.setdefault(path.sig, path)
-        if len(out) != len(faces):
-            raise InvariantViolation("points do not match the prime ideals")
         return sorted(out.values(), key=lambda p: p.sig)
 
 
@@ -332,8 +287,8 @@ def get_context(name: str) -> SpectralContext:
 # paths
 
 
-def extend_path(ctx, path: LocalizationPath, datum: CellDatum, branch: str,
-                precomputed=None) -> LocalizationPath:
+def extend_path(ctx, path: LocalizationPath, datum: tuple[int, ...],
+                branch: str, precomputed=None) -> LocalizationPath:
     Q, step = precomputed if precomputed is not None else ctx.attach(
         path.target, datum, branch)
     return LocalizationPath(
@@ -371,8 +326,6 @@ def factorize(ctx, f: Hom):
     the factorization any other order gives the same result up to iso over
     the source.
     """
-    ctx.accepts(f.source)
-    ctx.accepts(f.target)
     path = identity_path(f.source)
     g = f
     while True:
@@ -388,6 +341,4 @@ def factorize(ctx, f: Hom):
             break
         else:
             break
-    if not ctx.is_admissible(g):
-        raise InvariantViolation("residual factor is not admissible")
     return path, g

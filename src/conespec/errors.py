@@ -36,10 +36,6 @@ class BadUnit(ValidationError):
     pass
 
 
-class InvalidDatum(ConespecError):
-    pass
-
-
 class KindMismatch(ConespecError):
     pass
 

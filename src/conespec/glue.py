@@ -43,10 +43,10 @@ class GluingSpec:
         self.overlaps = overlaps
 
 
-def make_overlap(specs: Specs, charts, i: int, j: int,
+def make_overlap(specs: Specs, i: int, j: int,
                  k_i: LocalizationPath, k_j: LocalizationPath,
                  g: Hom | None = None) -> Overlap:
-    """Glue charts[i] along k_i to charts[j] along k_j through Spec of the
+    """Glue chart i along k_i to chart j along k_j through Spec of the
     overlap algebra: along Spec g for an isomorphism g: target(k_j) ->
     target(k_i) when one is given, else along any isomorphism `mid` of the
     two spectra, which must exist.  The Spec map m of a localization is an

@@ -19,19 +19,19 @@ from .tables import FiniteAlgebra, Hom, compose, pushout
 
 
 class Opcover:
-    """A family of localizations of `base`.  The local forms of the base and
-    the Čech H0 depend on the cover alone, so each is built on first read
-    and kept."""
+    """A family of localizations of `base` in the context `ctx`.  The local
+    forms of the base and the Čech H0 depend on the cover alone, so each is
+    built on first read and kept."""
 
-    def __init__(self, ctx_name: str, base: FiniteAlgebra,
+    def __init__(self, ctx, base: FiniteAlgebra,
                  components: tuple[LocalizationPath, ...]):
-        self.ctx_name = ctx_name
+        self.ctx = ctx
         self.base = base
         self.components = components
 
     @functools.cached_property
     def forms(self) -> list[LocalizationPath]:
-        return local_forms(cx.get_context(self.ctx_name), self.base)
+        return local_forms(self.ctx, self.base)
 
     @functools.cached_property
     def cech_h0(self):
@@ -63,11 +63,6 @@ def h0(c: Opcover):
     return E, tables.lift(c.base, E, tables.cone_lookup(E, cone), comps)
 
 
-def cech_h0(ctx, c: Opcover):
-    """The Čech H0 of an opcover, built once per cover."""
-    return c.cech_h0
-
-
 def pushout_opcover(ctx, c: Opcover, f: Hom) -> Opcover:
     """The image cover on f's target: each component pushed out along f.
 
@@ -83,9 +78,9 @@ def pushout_opcover(ctx, c: Opcover, f: Hom) -> Opcover:
         path, g = cx.identity_path(f.target), f
         for datum, branch in k.steps:
             _, step = ctx.attach(g.source, datum, branch)
-            image = cx.CellDatum(ctx.name, tuple(g.map[x] for x in datum.data))
+            image = tuple(g.map[x] for x in datum)
             Q, new_step = ctx.attach(path.target, image, branch)
             path = cx.extend_path(ctx, path, image, branch, (Q, new_step))
             g = tables.induced(step, compose(g, new_step))
         pushed.append(path)
-    return Opcover(ctx.name, f.target, tuple(pushed))
+    return Opcover(ctx, f.target, tuple(pushed))

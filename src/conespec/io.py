@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from . import contexts as cx
-from .contexts import CellDatum, LocalizationPath, identity_path
+from .contexts import LocalizationPath, identity_path
 from .errors import ValidationError
 from .tables import FiniteAlgebra, Hom, is_hom, validate
 
@@ -93,7 +93,7 @@ def path_from_dict(ctx, R: FiniteAlgebra, d: dict) -> LocalizationPath:
             raise ValidationError("step datum is not a list of element indices",
                                   step)
         # the cell data of a context fix the arity, range and relation of a datum
-        datum = CellDatum(ctx.name, tuple(data))
+        datum = tuple(data)
         if datum not in ctx.cell_data(path.target):
             raise ValidationError(f"{data} is not a {ctx.name} cell datum", step)
         path = cx.extend_path(ctx, path, datum, branch)

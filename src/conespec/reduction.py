@@ -100,10 +100,10 @@ def check_flat_wrt_cover(ctx, p: LocalizationPath, cover: hc.Opcover) -> bool:
     """Pushout along p commutes with the Čech limit of this cover."""
     if p.source != cover.base:
         raise InvariantViolation("localization does not start at the cover base")
-    H, eta = hc.cech_h0(ctx, cover)
+    H, eta = cover.cech_h0
     _, _, side1 = pushout(eta, p.composite)        # p_*(H0 K)
     pushed = hc.pushout_opcover(ctx, cover, p.composite)
-    H2, eta2 = hc.cech_h0(ctx, pushed)             # H0(p_* K)
+    H2, eta2 = pushed.cech_h0                      # H0(p_* K)
     # compare as objects under target(p)
     if side1.target.size != H2.size:
         return False

@@ -141,7 +141,7 @@ def hom_to_dict(f: Hom) -> dict:
 
 def path_to_dict(p: contexts.LocalizationPath) -> dict:
     """The path document that `io.path_from_dict` reads."""
-    return {"steps": [{"datum": list(datum.data), "branch": branch}
+    return {"steps": [{"datum": list(datum), "branch": branch}
                       for (datum, branch) in p.steps]}
 
 
@@ -264,7 +264,7 @@ def glued_row(specs, A, k, n_charts=2):
     """n copies of A glued in a row along Pts k, by the identity of k's
     target on each overlap."""
     charts = (A,) * n_charts
-    overlaps = tuple(glue.make_overlap(specs, charts, i, i + 1, k, k,
+    overlaps = tuple(glue.make_overlap(specs, i, i + 1, k, k,
                                        tables.identity(k.target))
                      for i in range(n_charts - 1))
     return glue.GluingSpec(charts, overlaps)
@@ -385,13 +385,13 @@ class OverlapByRestriction:
         return section_maps(self.iso)
 
 
-def overlap_by_restriction(specs, charts, i, j, k_i, k_j, g=None):
+def overlap_by_restriction(specs, i, j, k_i, k_j, g=None):
     """Oracle: `glue.make_overlap` through open subspaces.  Each Spec K ->
     Spec R is corestricted to the open subspace on Pts k and inverted, and
     the overlap iso is the composite of chart i's inverse, the map of the
     overlap spectra and chart j's inverse inverted."""
-    Ui, emb_i = open_embedding_data(specs, charts[i], k_i)
-    Uj, emb_j = open_embedding_data(specs, charts[j], k_j)
+    Ui, emb_i = open_embedding_data(specs, k_i.source, k_i)
+    Uj, emb_j = open_embedding_data(specs, k_j.source, k_j)
     if g is not None:
         mid = sp.spec_map(specs, g)
     else:

@@ -143,7 +143,7 @@ def enumerate_opcovers(ctx, R, max_components: int | None = None):
     for size in range(1, top + 1):
         for idxs in itertools.combinations(range(len(locs)), size):
             if frozenset().union(*(hits[i] for i in idxs)) == everything:
-                out.append(hc.Opcover(ctx.name, R,
+                out.append(hc.Opcover(ctx, R,
                                       tuple(locs[i] for i in idxs)))
     return out
 

@@ -142,7 +142,7 @@ def test_criterion_7_hyperopcover_suite():
         forms = C.local_forms(ZAR, A)
         # Cech counit iso for every enumerated opcover
         for cover in paper.enumerate_opcovers(ZAR, A):
-            _, eta = hc.cech_h0(ZAR, cover)
+            _, eta = cover.cech_h0
             assert eta.is_bijective
             if any(k.composite.is_bijective for k in cover.components):
                 assert paper.split_cover_check(ZAR, cover)
@@ -170,7 +170,7 @@ def test_criterion_8_gluing_and_nerve():
               if k.target.size == 1)
     dei, zar = sp.Specs(DEI), sp.Specs(ZAR)
     P1 = gl.glue(dei, gl.GluingSpec(
-        (M, M), (gl.make_overlap(dei, (M, M), 0, 1, ko, ko),)))
+        (M, M), (gl.make_overlap(dei, 0, 1, ko, ko),)))
     assert P1.n_points == 3
     gamma = P1.sections(P1.total)
     assert isomorphic(gamma, corpus.by_name("e2xe2"))
@@ -180,7 +180,7 @@ def test_criterion_8_gluing_and_nerve():
     k2 = next(k for k in enumerate_localizations(ZAR, Z6).values()
               if k.target.size == 2)
     D = gl.glue(zar, gl.GluingSpec(
-        (Z6, Z6), (gl.make_overlap(zar, (Z6, Z6), 0, 1, k2, k2),)))
+        (Z6, Z6), (gl.make_overlap(zar, 0, 1, k2, k2),)))
     assert isomorphic(D.sections(D.total), corpus.ring_product(2, 3, 3))
     affine, _ = gl.is_affine(zar, D)
     assert affine
@@ -204,7 +204,7 @@ def test_criterion_8_gluing_and_nerve():
             comps = tuple(locs[p.sig] for p in C.local_forms(ctx, A))
             if comps:
                 assert gl.nerve_sheaf_condition(
-                    specs, X, hc.Opcover(ctx.name, A, comps), {})
+                    specs, X, hc.Opcover(ctx, A, comps), {})
     assert paper.affine_communication_check(dei, P1)
     assert paper.affine_communication_check(zar, D)
     print("criterion 8 PASS: gluing and functor-of-points suite")

@@ -31,7 +31,7 @@ DEI = C.get_context("deitmar")
 def _invert_e(A):
     """The localization of A inverting its element e (index 1)."""
     return next(k for k in enumerate_localizations(DEI, A).values()
-                if [s[0].data for s in k.steps] == [(1,)])
+                if [s[0] for s in k.steps] == [(1,)])
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +142,7 @@ def test_nerve_sheaf_condition_judges_the_maps_it_is_given(glued):
     for X in glued.values():
         for A in site:
             locs = enumerate_localizations(DEI, A)
-            cover = hc.Opcover("deitmar", A, tuple(
+            cover = hc.Opcover(DEI, A, tuple(
                 locs[p.sig] for p in C.local_forms(DEI, A)))
             if not cover.components:
                 continue
@@ -168,9 +168,9 @@ def test_nerve_sheaf_condition_rejects_a_base_value_missing_a_map():
     Z6 = corpus.zn(6)
     k2, k3 = (next(k for k in enumerate_localizations(ZAR, Z6).values()
                    if k.target.size == n) for n in (2, 3))
-    cover = hc.Opcover("zariski", Z6, (k2, k3))
+    cover = hc.Opcover(ZAR, Z6, (k2, k3))
     specs = sp.Specs(ZAR)
-    ov = gl.make_overlap(specs, (Z6, Z6), 0, 1, k2, k2)
+    ov = gl.make_overlap(specs, 0, 1, k2, k2)
     for X in (specs[Z6], gl.glue(specs, gl.GluingSpec((Z6, Z6), (ov,)))):
         values = {}
         assert gl.nerve_sheaf_condition(specs, X, cover, values)

@@ -1,12 +1,16 @@
 """Checked mode: every theorem-backed construction re-verified as it is built.
 
 The library does not re-check maps into limits, limits, pushouts (each
-along a surjection), principal ideals, spectra, Spec maps or the site action
-on nerves, since a theorem guarantees each of them.  Here
+along a surjection), principal ideals, local forms, factorizations, spectra,
+Spec maps or the site action on nerves, since a theorem guarantees each of
+them.  Here
 those constructors are wrapped, wherever they are bound, and every result is
 checked the hard way: the full law checks on each algebra, `is_hom` on each
 lifted map, cone leg and pushout injection, `helpers.is_valid_ideal` on
-each principal ideal the domain context quotients by, `spec_checks` on each
+each principal ideal the domain context quotients by, on each `local_forms`
+that every form's target is local and, in deitmar, that the forms are as
+many as the faces, on each `factorize` that its residual factor is
+admissible and the two factors compose to the map, `spec_checks` on each
 `build_spec`, `validate_apmap` on each map of spaces that `enumerate_apmaps`
 finds and on each `spec_map` and `compose_apmaps`, on each `make_overlap`
 its point map and stalk isos against `helpers.overlap_by_restriction`,
@@ -74,6 +78,23 @@ def pushed_components(cover, args):
             "pushed component is not the pushout's localization"
 
 
+def forms_checks(forms, args):
+    """Each local form's target is local; in deitmar the forms are one per
+    face, the complement of a prime ideal."""
+    ctx, A = args
+    assert all(ctx.is_local(p.target) for p in forms)
+    if ctx.name == "deitmar":
+        assert len(forms) == len(ctx.faces(A))
+
+
+def factorization(r, args):
+    """The residual factor is admissible, and after the path it is f."""
+    ctx, f = args
+    path, g = r
+    assert ctx.is_admissible(g)
+    assert tables.compose(path.composite, g) == f
+
+
 def apmaps(ms, args):
     ctx = args[0]
     for m in ms:
@@ -101,6 +122,8 @@ CHECKS = {
                             lambda r, args: (laws(r[0]), homs(*r[1]))),
     "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
     "pushout_opcover": (hc, pushed_components),
+    "local_forms": (C, forms_checks),
+    "factorize": (C, factorization),
     "build_spec": (sp, lambda r, args: spec_checks(args[0], r)),
     "enumerate_apmaps": (sp, apmaps),
     "spec_map": (sp, lambda r, args: validate_apmap(args[0].ctx, r)),
@@ -138,7 +161,7 @@ def test_theorem_backed_results_pass_the_full_checks(checked):
         specs[A]    # built checked, whether or not A is glued below
         paper.mono_reduce(ctx, A)  # ell's image, from its families
         for cover in paper.enumerate_opcovers(ctx, A):
-            hc.cech_h0(ctx, cover)
+            cover.cech_h0    # built checked
             for p in C.local_forms(ctx, A):
                 hc.pushout_opcover(ctx, cover, p.composite)
         for k in enumerate_localizations(ctx, A).values():

@@ -384,6 +384,60 @@ def test_cli_kind_mismatch_exit_2_without_traceback(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+E2 = cio.algebra_to_dict(corpus.flag_monoid())
+
+# every route by which an input algebra reaches a context: (context, argv
+# after the subcommand with "{name}" for a file written from FILES)
+WRONG_KIND = {
+    "spec": ("deitmar", ["spec", "--input", "{z6}"]),
+    "check-reduced": ("zariski", ["check", "--property", "reduced",
+                                  "--input", "{e2}"]),
+    "check-mono-reduced": ("domain", ["check", "--property", "mono-reduced",
+                                      "--input", "{e2}"]),
+    "check-fixed-point": ("deitmar", ["check", "--property", "fixed-point",
+                                      "--input", "{z6}"]),
+    "check-flat-cover": ("zariski", ["check", "--property", "flat-cover",
+                                     "--input", "{e2}", "--cover", "{cover}"]),
+    "check-geometric-iso": ("domain", ["check", "--property", "geometric-iso",
+                                       "--hom", "{hom}"]),
+    "glue-corpus-chart": ("zariski", ["glue", "--input", "{named}"]),
+    "glue-inline-chart": ("deitmar", ["glue", "--input", "{inline}"]),
+    "nerve-algebra": ("domain", ["nerve", "--input", "{e2}"]),
+    "nerve-gluing": ("deitmar", ["nerve", "--input", "{inline}"]),
+}
+FILES = {
+    "z6": cio.algebra_to_dict(Z6),
+    "e2": E2,
+    "cover": {"components": [{"steps": []}]},
+    "hom": {"source": "e2", "target": E2, "map": [0, 1]},
+    "named": {"charts": [{"algebra": "z6"}, {"algebra": "e2"}],
+              "overlaps": []},
+    "inline": {"charts": [{"algebra": cio.algebra_to_dict(Z6)}],
+               "overlaps": []},
+}
+
+
+@pytest.mark.parametrize("route", sorted(WRONG_KIND))
+def test_cli_checks_the_kind_of_every_input_once_after_the_size_bound(
+        tmp_path, capsys, route):
+    """An input algebra of the wrong kind is an input error with the one
+    message of `accepts`, and past the size bound still a resource bound."""
+    context, argv = WRONG_KIND[route]
+    files = {name: write(tmp_path, f"{name}.json", doc)
+             for name, doc in FILES.items()}
+    argv = [a.format(**files) for a in argv] + ["--context", context]
+    if argv[0] in ("spec", "glue"):
+        argv += ["--out-dir", str(tmp_path / "out")]
+    kind = "monoid" if context == "deitmar" else "ring"
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: context {context} expects a {kind}\n")
+    assert cli.main(argv + ["--size-bound", "1"]) == 3
+    assert capsys.readouterr().err == ("resource bound: input algebra "
+                                       "exceeds the size bound\n")
+    assert not (tmp_path / "out").exists()
+
+
 def e2_gluing(**overlap) -> dict:
     """Two e2 charts glued where e is invertible; `overlap` overrides fields."""
     dei = C.get_context("deitmar")
@@ -690,6 +744,6 @@ def test_nerve_covers_with_an_identity_component_hold(name, site_max):
         comps = tuple(locs[p.sig] for p in C.local_forms(ctx, A))
         if any(k.is_identity_class for k in comps):
             skipped += 1
-            cover = hc.Opcover(ctx.name, A, comps)
+            cover = hc.Opcover(ctx, A, comps)
             assert gl.nerve_sheaf_condition(specs, X, cover, {})
     assert skipped > 0

@@ -68,7 +68,7 @@ def test_every_monoid_is_local():
 
 def test_kind_mismatch():
     with pytest.raises(KindMismatch):
-        ZAR.is_local(corpus.flag_monoid())
+        ZAR.accepts(corpus.flag_monoid())
 
 
 def test_admissibility():
@@ -80,19 +80,18 @@ def test_admissibility():
 
 
 def test_attach_matches_invert_and_quotient():
-    datum = C.CellDatum("zariski", (3, 4))  # 3 + 4 = 1 in Z/6
-    Q, step = ZAR.attach(Z6, datum, "left")
+    Q, step = ZAR.attach(Z6, (3, 4), "left")  # 3 + 4 = 1 in Z/6
     Qo, stepo = invert_element(Z6, 3)
     assert Q == Qo and step == stepo and Q.size == 2
 
     P22 = corpus.ring_product(2, 2)
     a = P22.elements.index("(1,0)")
     b = P22.elements.index("(0,1)")
-    Qd, stepd = DOM.attach(P22, C.CellDatum("domain", (a, b)), "left")
+    Qd, stepd = DOM.attach(P22, (a, b), "left")
     assert isomorphic(Qd, Z2)
 
     M = corpus.flag_monoid()
-    Qm, _ = DEI.attach(M, C.CellDatum("deitmar", (M.elements.index("e"),)), "right")
+    Qm, _ = DEI.attach(M, (M.elements.index("e"),), "right")
     assert Qm.size == 1
 
 
@@ -102,15 +101,7 @@ def test_cell_components_are_epic():
         for datum in ctx.cell_data(A)[:6]:
             for branch in C.BRANCHES:
                 Q, step = ctx.attach(A, datum, branch)
-                datum2 = datum
-                if ctx is DEI:
-                    datum2 = C.CellDatum(ctx.name, (step.map[datum.data[0]],))
-                elif ctx is ZAR:
-                    datum2 = C.CellDatum(
-                        ctx.name, (step.map[datum.data[0]], step.map[datum.data[1]]))
-                else:
-                    datum2 = C.CellDatum(
-                        ctx.name, (step.map[datum.data[0]], step.map[datum.data[1]]))
+                datum2 = tuple(step.map[x] for x in datum)
                 Q2, step2 = ctx.attach(Q, datum2, branch)
                 assert step2.is_bijective
 

@@ -48,7 +48,7 @@ def doubled_z6():
 def glue_two(ctx, A, k):
     """Two copies of A glued along Pts k, in a workspace of their own."""
     specs = sp.Specs(ctx)
-    ov = gl.make_overlap(specs, (A, A), 0, 1, k, k)
+    ov = gl.make_overlap(specs, 0, 1, k, k)
     return gl.glue(specs, gl.GluingSpec((A, A), (ov,)))
 
 
@@ -127,7 +127,7 @@ def test_glue_rejects_a_glued_stalk_that_is_not_local(monkeypatch):
     k = loc_by_size(ZAR, Z6, 2)
     specs = sp.Specs(ZAR)
     g = gl.GluingSpec((Z6, Z6),
-                      (gl.make_overlap(specs, (Z6, Z6), 0, 1, k, k),))
+                      (gl.make_overlap(specs, 0, 1, k, k),))
     glued = []
 
     def recording(*args, real=sp.sheaf_from_stalks):
@@ -185,7 +185,7 @@ def _gluings():
     swap = next(g for g in tables.iter_isomorphisms(k.target, k.target)
                 if g != tables.identity(k.target))
     yield dei, lambda: gl.GluingSpec((A, A), (
-        gl.make_overlap(dei, (A, A), 0, 1, k, k, swap),))
+        gl.make_overlap(dei, 0, 1, k, k, swap),))
     # C5 x e2 doubled where (1, e) is inverted, in a workspace whose open
     # embedding of Spec C5 moves the stalk by an automorphism of order 4:
     # the stalk isos of the Spec maps are otherwise identities, whose
@@ -314,14 +314,14 @@ def test_nerve_sheaf_condition_on_covers(f1_p1):
     X6 = zar[Z6]
     values = {}
     assert gl.nerve_sheaf_condition(zar, X6,
-                                    hc.Opcover("zariski", Z6, (k2, k3)), values)
+                                    hc.Opcover(ZAR, Z6, (k2, k3)), values)
     # N(X)(K) for the base and each component, each computed once
     assert set(values) == {Z6, k2.target, k3.target}
     assert values[Z6] == sp.enumerate_apmaps(ZAR, X6, X6)
     M = corpus.flag_monoid()
     comps = tuple(enumerate_localizations(DEI, M).values())
     assert gl.nerve_sheaf_condition(
-        sp.Specs(DEI), f1_p1, hc.Opcover("deitmar", M, comps), {})
+        sp.Specs(DEI), f1_p1, hc.Opcover(DEI, M, comps), {})
 
 
 # -------------------------------------------------------------- open subfunctor

@@ -36,10 +36,10 @@ def by_size(ctx, A, n):
 def test_is_opcover_examples():
     k2 = by_size(ZAR, Z6, 2)
     k3 = by_size(ZAR, Z6, 3)
-    assert hc.is_opcover(ZAR, hc.Opcover("zariski", Z6, (k2, k3)))
-    assert not hc.is_opcover(ZAR, hc.Opcover("zariski", Z6, (k2,)))
+    assert hc.is_opcover(ZAR, hc.Opcover(ZAR, Z6, (k2, k3)))
+    assert not hc.is_opcover(ZAR, hc.Opcover(ZAR, Z6, (k2,)))
     ident = by_size(ZAR, Z6, 6)
-    assert hc.is_opcover(ZAR, hc.Opcover("zariski", Z6, (ident,)))
+    assert hc.is_opcover(ZAR, hc.Opcover(ZAR, Z6, (ident,)))
 
 
 @pytest.fixture
@@ -63,7 +63,7 @@ def test_cech_pairwise_pushouts(pushouts):
     and none of the pair in the other order."""
     k2 = by_size(ZAR, Z6, 2)
     k3 = by_size(ZAR, Z6, 3)
-    hc.h0(hc.Opcover("zariski", Z6, (k2, k3)))
+    hc.h0(hc.Opcover(ZAR, Z6, (k2, k3)))
     assert [(f, g, P.size) for f, g, P in pushouts] == \
         [(k2.composite, k3.composite, 1)]
 
@@ -88,23 +88,23 @@ def test_h0_takes_one_pushout_per_unordered_pair(pushouts):
 def test_h0_crt_cover_is_iso():
     k2 = by_size(ZAR, Z6, 2)
     k3 = by_size(ZAR, Z6, 3)
-    H, eta = hc.cech_h0(ZAR, hc.Opcover("zariski", Z6, (k2, k3)))
+    H, eta = hc.Opcover(ZAR, Z6, (k2, k3)).cech_h0
     assert H.size == 6 and eta.is_bijective
 
 
 def test_h0_identity_cover():
     for ctx, A in [(ZAR, Z6), (DEI, corpus.flag_monoid())]:
         ident = by_size(ctx, A, A.size)
-        H, eta = hc.cech_h0(ctx, hc.Opcover(ctx.name, A, (ident,)))
+        H, eta = hc.Opcover(ctx, A, (ident,)).cech_h0
         assert eta.is_bijective and H.size == A.size
 
 
 def test_h0_flag_monoid_two_component_cover():
     M = corpus.flag_monoid()
     comps = tuple(locs_of(DEI, M))
-    cover = hc.Opcover("deitmar", M, comps)
+    cover = hc.Opcover(DEI, M, comps)
     assert hc.is_opcover(DEI, cover)
-    H, eta = hc.cech_h0(DEI, cover)
+    H, eta = cover.cech_h0
     assert eta.is_bijective and H.size == 2
 
 
@@ -119,13 +119,13 @@ def test_split_cover_check_requires_split_component():
     k2 = by_size(ZAR, Z6, 2)
     k3 = by_size(ZAR, Z6, 3)
     with pytest.raises(InvariantViolation):
-        paper.split_cover_check(ZAR, hc.Opcover("zariski", Z6, (k2, k3)))
+        paper.split_cover_check(ZAR, hc.Opcover(ZAR, Z6, (k2, k3)))
 
 
 def test_zariski_counit_iso_for_every_opcover():
     for A in [Z6, Z12, corpus.f2x2(), corpus.ring_product(2, 2)]:
         for cover in paper.enumerate_opcovers(ZAR, A):
-            _, eta = hc.cech_h0(ZAR, cover)
+            _, eta = cover.cech_h0
             assert eta.is_bijective, (A.elements, len(cover.components))
 
 
@@ -163,7 +163,7 @@ def test_pushed_components_are_the_pushouts_of_their_paths():
         rng = random.Random(1000 + i)
         comps = tuple(random_path(ctx, A, rng) for _ in range(6))
         assert max(len(k.steps) for k in comps) >= 3
-        cover = hc.Opcover(ctx.name, A, comps)
+        cover = hc.Opcover(ctx, A, comps)
         maps = [p.composite for p in C.local_forms(ctx, A)] + [
             f for c, B in cases if c is ctx and B.size <= 12
             for f in all_homs(A, B)]
@@ -177,7 +177,7 @@ def test_pushed_components_are_the_pushouts_of_their_paths():
 def test_opcovers_closed_under_composition():
     k2 = by_size(ZAR, Z12, 4)
     k3 = by_size(ZAR, Z12, 3)
-    base_cover = hc.Opcover("zariski", Z12, (k2, k3))
+    base_cover = hc.Opcover(ZAR, Z12, (k2, k3))
     assert hc.is_opcover(ZAR, base_cover)
     composed = []
     for k in base_cover.components:
@@ -185,17 +185,17 @@ def test_opcovers_closed_under_composition():
             comp = compose(k.composite, sub.composite)
             key = tables.normalize_sig(comp.map)
             composed.append(enumerate_localizations(ZAR, Z12)[key])
-    cover = hc.Opcover("zariski", Z12, tuple(composed))
+    cover = hc.Opcover(ZAR, Z12, tuple(composed))
     assert hc.is_opcover(ZAR, cover)
 
 
 def test_h0_contravariant_along_refinement():
     k2 = by_size(ZAR, Z6, 2)
     k3 = by_size(ZAR, Z6, 3)
-    coarse = hc.Opcover("zariski", Z6, (k2, k3))
-    fine = hc.Opcover("zariski", Z6, tuple(locs_of(ZAR, Z6)))
-    Hc, etac = hc.cech_h0(ZAR, coarse)
-    Hf, etaf = hc.cech_h0(ZAR, fine)
+    coarse = hc.Opcover(ZAR, Z6, (k2, k3))
+    fine = hc.Opcover(ZAR, Z6, tuple(locs_of(ZAR, Z6)))
+    Hc, etac = coarse.cech_h0
+    Hf, etaf = fine.cech_h0
     mediating = [h for h in all_homs(Hf, Hc) if compose(etaf, h) == etac]
     assert mediating
 
@@ -212,7 +212,7 @@ def test_jointly_monic_families_cover_reduced_domain_rings():
                     for x in range(A.size) for y in range(x + 1, A.size)
                 )
                 if jointly_monic:
-                    assert hc.is_opcover(DOM, hc.Opcover("domain", A, fam))
+                    assert hc.is_opcover(DOM, hc.Opcover(DOM, A, fam))
 
 
 def test_h0_matches_the_product_scan_oracle():

@@ -11,7 +11,7 @@ import pytest
 
 from conespec import contexts as C
 from conespec import corpus, spectrum as sp, tables
-from conespec.contexts import CellDatum, LocalizationPath
+from conespec.contexts import LocalizationPath
 from conespec.tables import FiniteAlgebra, Hom, Ideal
 from helpers import enumerate_localizations
 
@@ -28,7 +28,6 @@ def value_fields():
         (FiniteAlgebra, (A.kind, A.elements, A.mul, A.one, A.add, A.zero)),
         (Hom, (A, k.target, k.composite.map)),
         (Ideal, (A, frozenset({0, 2, 4}))),
-        (CellDatum, ("zariski", (2, 3))),
         (LocalizationPath, (k.source, k.steps, k.target, k.composite)),
     ]
 

@@ -35,7 +35,7 @@ PUBLIC = {
     "spectrum": ("build_spec", "spec_map", "enumerate_apmaps"),
     "reduction": ("geometric_iso", "reduce_admissible",
                   "check_flat_wrt_cover"),
-    "hypercover": ("cech_h0", "pushout_opcover"),
+    "hypercover": ("h0", "pushout_opcover"),
     "glue": ("glue", "is_affine", "nerve"),
 }
 
