@@ -143,10 +143,10 @@ def cmd_check(args) -> int:
             comps = tuple(cio.path_from_dict(ctx, R, p) for p in
                           cio.list_field(cover_doc, "components", "cover"))
             cover = hc.Opcover(ctx, R, comps)
-            if not hc.is_opcover(ctx, cover):
+            if not hc.is_opcover(cover):
                 raise ValidationError("component family is not an opcover",
                                       cover_doc)
-            per_form = [red.check_flat_wrt_cover(ctx, p, cover)
+            per_form = [red.check_flat_wrt_cover(p, cover)
                         for p in cover.forms]
             verdict = all(per_form)
             certificate = {"per_form": per_form}

@@ -38,7 +38,7 @@ class Opcover:
         return h0(self)
 
 
-def is_opcover(ctx, c: Opcover) -> bool:
+def is_opcover(c: Opcover) -> bool:
     """Every local form of the base factors through some component."""
     for p in c.forms:
         if not any(tables.induced(k.composite, p.composite) is not None
@@ -63,7 +63,7 @@ def h0(c: Opcover):
     return E, tables.lift(c.base, E, tables.cone_lookup(E, cone), comps)
 
 
-def pushout_opcover(ctx, c: Opcover, f: Hom) -> Opcover:
+def pushout_opcover(c: Opcover, f: Hom) -> Opcover:
     """The image cover on f's target: each component pushed out along f.
 
     Cells are stable under homs, so an attachment pushed out along a hom g
@@ -73,7 +73,7 @@ def pushout_opcover(ctx, c: Opcover, f: Hom) -> Opcover:
     """
     if f.source != c.base:
         raise InvariantViolation("pushed map does not start at the cover base")
-    pushed = []
+    ctx, pushed = c.ctx, []
     for k in c.components:
         path, g = cx.identity_path(f.target), f
         for datum, branch in k.steps:

@@ -96,13 +96,13 @@ def fixed_point(ctx, R: FiniteAlgebra):
     return eps.is_bijective, eps
 
 
-def check_flat_wrt_cover(ctx, p: LocalizationPath, cover: hc.Opcover) -> bool:
+def check_flat_wrt_cover(p: LocalizationPath, cover: hc.Opcover) -> bool:
     """Pushout along p commutes with the Čech limit of this cover."""
     if p.source != cover.base:
         raise InvariantViolation("localization does not start at the cover base")
     H, eta = cover.cech_h0
     _, _, side1 = pushout(eta, p.composite)        # p_*(H0 K)
-    pushed = hc.pushout_opcover(ctx, cover, p.composite)
+    pushed = hc.pushout_opcover(cover, p.composite)
     H2, eta2 = pushed.cech_h0                      # H0(p_* K)
     # compare as objects under target(p)
     if side1.target.size != H2.size:

@@ -60,6 +60,76 @@ def is_valid_ideal(I: tables.Ideal) -> bool:
         A.add[i][j] in members for i in members for j in members)
 
 
+def quotient_by_rows(A, sig):
+    """Oracle: `tables.quotient_by_sig` with the congruence checked on
+    every row of each table, in O(n^2), instead of on A's generators."""
+    sig = tables.normalize_sig(sig)
+    if sig == tuple(range(A.size)):
+        return A, tables.identity(A)
+    k = max(sig) + 1
+    reps = [-1] * k
+    labels = [""] * k
+    for i, c in enumerate(sig):
+        if reps[c] < 0:
+            reps[c] = i
+            labels[c] = A.elements[i]
+        else:
+            labels[c] = min(labels[c], A.elements[i])
+
+    def class_table(name, table):
+        classes = [tuple(map(sig.__getitem__, row)) for row in table]
+        for x, c in enumerate(sig):
+            if classes[x] != classes[reps[c]]:
+                raise InvariantViolation(
+                    f"partition is not a congruence: {name} separates "
+                    f"{A.elements[x]} from {A.elements[reps[c]]}")
+        return [[classes[r][s] for s in reps] for r in reps]
+
+    Q, pos = tables._finish(
+        A.kind, labels, class_table("mul", A.mul),
+        class_table("add", A.add) if A.is_ring else None,
+        sig[A.zero] if A.is_ring else None, sig[A.one])
+    return Q, Hom(A, Q, tuple(pos[c] for c in sig))
+
+
+def is_hom_on_all_pairs(f: Hom) -> bool:
+    """Oracle: `tables.is_hom` with the operations checked on every pair
+    of source elements, in O(n^2), instead of against the generators."""
+    A, B, m = f.source, f.target, f.map
+    if len(m) != A.size or any(not (0 <= v < B.size) for v in m):
+        return False
+    if m[A.one] != B.one or A.kind != B.kind:
+        return False
+    if A.is_ring and m[A.zero] != B.zero:
+        return False
+    return all(m[A.mul[i][j]] == B.mul[m[i]][m[j]] and
+               (not A.is_ring or m[A.add[i][j]] == B.add[m[i]][m[j]])
+               for i in range(A.size) for j in range(A.size))
+
+
+def congruence_closure_on_all_columns(A, pairs) -> tuple[int, ...]:
+    """Oracle: `tables.congruence_closure` sweeping every column z of each
+    table, not only the generators, until no class splits."""
+    n = A.size
+    uf = tables._UF(n)
+    for a, b in pairs:
+        uf.union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for table in [A.mul] + ([A.add] if A.is_ring else []):
+            for z in range(n):
+                seen: dict = {}
+                for x in range(n):
+                    rx, rz = uf.find(x), uf.find(table[x][z])
+                    if rx not in seen:
+                        seen[rx] = rz
+                    elif uf.find(seen[rx]) != rz:
+                        uf.union(seen[rx], rz)
+                        changed = True
+    return tables.normalize_sig(uf.find(i) for i in range(n))
+
+
 def join_sigs(n: int, sigs) -> tuple[int, ...]:
     """The join of congruences on n elements, given as partition sigs.
 

@@ -3,10 +3,13 @@
 The library does not re-check maps into limits, limits, pushouts (each
 along a surjection), principal ideals, local forms, factorizations, spectra,
 Spec maps or the site action on nerves, since a theorem guarantees each of
-them.  Here
-those constructors are wrapped, wherever they are bound, and every result is
-checked the hard way: the full law checks on each algebra, `is_hom` on each
-lifted map, cone leg and pushout injection, `helpers.is_valid_ideal` on
+them, and it checks quotients, congruence closures and homs on generators
+only.  Here those constructors are wrapped, wherever they are bound, and
+every result is checked the hard way: the full law checks on each algebra,
+`helpers.is_hom_on_all_pairs` on each lifted map, cone leg and pushout
+injection, each `quotient_by_sig` against `helpers.quotient_by_rows` and
+each `congruence_closure` against
+`helpers.congruence_closure_on_all_columns`, `helpers.is_valid_ideal` on
 each principal ideal the domain context quotients by, on each `local_forms`
 that every form's target is local and, in deitmar, that the forms are as
 many as the faces, on each `factorize` that its residual factor is
@@ -32,9 +35,11 @@ from conespec import spectrum as sp, tables
 from conespec.errors import InvariantViolation
 
 import paper
-from helpers import (check_nerve_functorial, corpus_by_context,
-                     enumerate_localizations, glued_row, is_valid_ideal,
-                     overlap_by_restriction, validate_apmap)
+from helpers import (check_nerve_functorial,
+                     congruence_closure_on_all_columns, corpus_by_context,
+                     enumerate_localizations, glued_row, is_hom_on_all_pairs,
+                     is_valid_ideal, overlap_by_restriction, quotient_by_rows,
+                     validate_apmap)
 from test_golden import CASES, read_expected, run_case
 
 
@@ -44,7 +49,7 @@ def laws(A):
 
 def homs(*fs):
     for f in fs:
-        assert tables.is_hom(f)
+        assert is_hom_on_all_pairs(f)
 
 
 def ideal(I):
@@ -60,14 +65,26 @@ def spec_checks(ctx, X):
     for p, form in enumerate(X.forms):
         assert ctx.is_local(X.stalk(p))
         iso = X.stalk_iso[p]
-        assert iso.is_bijective and tables.is_hom(iso)
+        assert iso.is_bijective and is_hom_on_all_pairs(iso)
         assert tables.compose(X.canonical[X.min_open(p)], iso) == form.composite
+
+
+def quotient(r, args):
+    """The quotient that checking the congruence on every row gives."""
+    assert r == quotient_by_rows(*args)
+    laws(r[0])
+    homs(r[1])
+
+
+def closure(r, args):
+    """The closure that sweeping every column of each table gives."""
+    assert r == congruence_closure_on_all_columns(*args)
 
 
 def pushed_components(cover, args):
     """Each component replayed along f is the pushout of the original along
     f: a path out of f's target with the kernel of the pushout injection."""
-    _, c, f = args
+    c, f = args
     assert cover.base == f.target
     assert len(cover.components) == len(c.components)
     for k, pushed in zip(c.components, cover.components):
@@ -121,6 +138,8 @@ CHECKS = {
     "limit_from_families": (tables,
                             lambda r, args: (laws(r[0]), homs(*r[1]))),
     "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
+    "quotient_by_sig": (tables, quotient),
+    "congruence_closure": (tables, closure),
     "pushout_opcover": (hc, pushed_components),
     "local_forms": (C, forms_checks),
     "factorize": (C, factorization),
@@ -163,7 +182,7 @@ def test_theorem_backed_results_pass_the_full_checks(checked):
         for cover in paper.enumerate_opcovers(ctx, A):
             cover.cech_h0    # built checked
             for p in C.local_forms(ctx, A):
-                hc.pushout_opcover(ctx, cover, p.composite)
+                hc.pushout_opcover(cover, p.composite)
         for k in enumerate_localizations(ctx, A).values():
             if not k.composite.is_bijective:
                 gl.glue(specs, glued_row(specs, A, k))

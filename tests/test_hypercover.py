@@ -36,10 +36,10 @@ def by_size(ctx, A, n):
 def test_is_opcover_examples():
     k2 = by_size(ZAR, Z6, 2)
     k3 = by_size(ZAR, Z6, 3)
-    assert hc.is_opcover(ZAR, hc.Opcover(ZAR, Z6, (k2, k3)))
-    assert not hc.is_opcover(ZAR, hc.Opcover(ZAR, Z6, (k2,)))
+    assert hc.is_opcover(hc.Opcover(ZAR, Z6, (k2, k3)))
+    assert not hc.is_opcover(hc.Opcover(ZAR, Z6, (k2,)))
     ident = by_size(ZAR, Z6, 6)
-    assert hc.is_opcover(ZAR, hc.Opcover(ZAR, Z6, (ident,)))
+    assert hc.is_opcover(hc.Opcover(ZAR, Z6, (ident,)))
 
 
 @pytest.fixture
@@ -103,7 +103,7 @@ def test_h0_flag_monoid_two_component_cover():
     M = corpus.flag_monoid()
     comps = tuple(locs_of(DEI, M))
     cover = hc.Opcover(DEI, M, comps)
-    assert hc.is_opcover(DEI, cover)
+    assert hc.is_opcover(cover)
     H, eta = cover.cech_h0
     assert eta.is_bijective and H.size == 2
 
@@ -132,8 +132,8 @@ def test_zariski_counit_iso_for_every_opcover():
 def test_opcovers_closed_under_pushout():
     for cover in paper.enumerate_opcovers(ZAR, Z6):
         for f in locs_of(ZAR, Z6):
-            pushed = hc.pushout_opcover(ZAR, cover, f.composite)
-            assert hc.is_opcover(ZAR, pushed)
+            pushed = hc.pushout_opcover(cover, f.composite)
+            assert hc.is_opcover(pushed)
 
 
 def random_path(ctx, A, rng):
@@ -168,8 +168,7 @@ def test_pushed_components_are_the_pushouts_of_their_paths():
             f for c, B in cases if c is ctx and B.size <= 12
             for f in all_homs(A, B)]
         for f in maps:
-            pushed_components(hc.pushout_opcover(ctx, cover, f),
-                              (ctx, cover, f))
+            pushed_components(hc.pushout_opcover(cover, f), (cover, f))
             n += len(comps)
     assert n >= 1500
 
@@ -178,7 +177,7 @@ def test_opcovers_closed_under_composition():
     k2 = by_size(ZAR, Z12, 4)
     k3 = by_size(ZAR, Z12, 3)
     base_cover = hc.Opcover(ZAR, Z12, (k2, k3))
-    assert hc.is_opcover(ZAR, base_cover)
+    assert hc.is_opcover(base_cover)
     composed = []
     for k in base_cover.components:
         for sub in locs_of(ZAR, k.target):
@@ -186,7 +185,7 @@ def test_opcovers_closed_under_composition():
             key = tables.normalize_sig(comp.map)
             composed.append(enumerate_localizations(ZAR, Z12)[key])
     cover = hc.Opcover(ZAR, Z12, tuple(composed))
-    assert hc.is_opcover(ZAR, cover)
+    assert hc.is_opcover(cover)
 
 
 def test_h0_contravariant_along_refinement():
@@ -212,7 +211,7 @@ def test_jointly_monic_families_cover_reduced_domain_rings():
                     for x in range(A.size) for y in range(x + 1, A.size)
                 )
                 if jointly_monic:
-                    assert hc.is_opcover(DOM, hc.Opcover(DOM, A, fam))
+                    assert hc.is_opcover(hc.Opcover(DOM, A, fam))
 
 
 def test_h0_matches_the_product_scan_oracle():
@@ -237,7 +236,7 @@ def test_h0_matches_the_ordered_pairs_oracle():
     verdicts = []
     for ctx, A in corpus_by_context():
         for cover in paper.enumerate_opcovers(ctx, A):
-            for c in [cover] + [hc.pushout_opcover(ctx, cover, p.composite)
+            for c in [cover] + [hc.pushout_opcover(cover, p.composite)
                                 for p in C.local_forms(ctx, A)]:
                 E, eta = hc.h0(c)
                 E2, eta2 = h0_by_ordered_pairs(kernel_hyperopcover(c))

@@ -210,7 +210,7 @@ def test_flatness_of_local_forms_zariski():
             key = p.sig
             loc = enumerate_localizations(ZAR, A)[key]
             for cover in covers:
-                assert red.check_flat_wrt_cover(ZAR, loc, cover)
+                assert red.check_flat_wrt_cover(loc, cover)
 
 
 def test_flat_search_domain_context():
@@ -222,7 +222,7 @@ def test_flat_search_domain_context():
         for p in C.local_forms(DOM, A):
             loc = enumerate_localizations(DOM, A)[p.sig]
             for cover in covers:
-                if not red.check_flat_wrt_cover(DOM, loc, cover):
+                if not red.check_flat_wrt_cover(loc, cover):
                     found.append((A.elements, p.sig, len(cover.components)))
     assert found == []
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conespec import corpus, tables
+from conespec.contexts import local_forms
 from conespec.errors import (
     InvariantViolation,
     NoDistributivity,
@@ -41,14 +42,18 @@ from conespec.tables import (
     validate,
 )
 from helpers import (
+    congruence_closure_on_all_columns,
+    corpus_by_context,
     find_isomorphism,
     ideal_generated,
     image_factorization,
     invert_element,
+    is_hom_on_all_pairs,
     isomorphic,
     large_nonassociative_monoid,
     limit_by_product_scan,
     quotient,
+    quotient_by_rows,
     subprocess_env,
 )
 
@@ -309,6 +314,161 @@ def test_coset_quotient_matches_congruence_closure():
             sig = congruence_closure(A, [(i, A.zero) for i in I.members])
             assert (Q, proj) == quotient_by_sig(A, sig)
             assert Q.size == len(coset_quotient_oracle(A, I.members))
+
+
+# ------------------------------------- checks on generators vs. the row oracles
+
+POOL = [corpus.by_name(name) for name in corpus.names()] + [
+    corpus.zn(24), corpus.ring_product(2, 2, 3),
+    corpus.monoid_product("e2", "chain3"), corpus.monoid_product("c2", "nil3"),
+    corpus.monoid_product("e2", "e2", "nil3")]
+
+
+def set_partitions(n):
+    """Every partition of range(n), as a normalized sig."""
+    if n == 0:
+        yield ()
+        return
+    for sig in set_partitions(n - 1):
+        for c in range(max(sig, default=-1) + 2):
+            yield sig + (c,)
+
+
+def draw_partition(A, data):
+    """Random classes, a congruence closure of random pairs, or such a
+    closure with one element moved, which may or may not stay a congruence."""
+    n = A.size
+    way = data.draw(st.sampled_from(["random", "closure", "moved"]))
+    if way == "random":
+        return tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                        max_size=n)))
+    index = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=3))
+    sig = list(congruence_closure_on_all_columns(A, pairs))
+    if way == "moved":
+        sig[data.draw(index)] = data.draw(index)
+    return tuple(sig)
+
+
+def same_quotient(A, sig) -> bool:
+    """Whether quotient_by_sig raises exactly when the row oracle does, and
+    otherwise builds the same quotient; returns whether sig is a congruence."""
+    try:
+        expected = quotient_by_rows(A, sig)
+    except InvariantViolation:
+        with pytest.raises(InvariantViolation, match="not a congruence"):
+            quotient_by_sig(A, sig)
+        return False
+    assert quotient_by_sig(A, sig) == expected
+    return True
+
+
+def test_quotient_checks_every_partition_of_small_algebras_like_the_rows():
+    verdicts = [same_quotient(A, sig) for A in POOL if A.size <= 6
+                for sig in set_partitions(A.size)]
+    assert len(verdicts) > 500 and any(verdicts) and not all(verdicts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(POOL), st.data())
+def test_quotient_checks_random_partitions_like_the_rows(A, data):
+    same_quotient(A, draw_partition(A, data))
+
+
+def test_quotient_matches_the_rows_on_every_congruence_the_corpus_meets():
+    for ctx, A in corpus_by_context():
+        sigs = [p.composite.kernel_sig() for p in local_forms(ctx, A)]
+        sigs += [tables.inversion_sig(A, a) for a in range(A.size)]
+        sigs += [f.kernel_sig() for B in POOL if B.size <= 4
+                 for f in all_homs(A, B)]
+        if A.is_ring:
+            sigs += [tables.ideal_sig(tables.principal_ideal(A, g))
+                     for g in range(A.size)]
+        for sig in sigs:
+            assert same_quotient(A, sig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(POOL), st.data())
+def test_congruence_closure_matches_the_sweep_of_every_column(A, data):
+    index = st.integers(0, A.size - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=4))
+    sig = congruence_closure(A, pairs)
+    assert sig == congruence_closure_on_all_columns(A, pairs)
+    assert same_quotient(A, sig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(POOL), st.sampled_from(POOL), st.data())
+def test_is_hom_matches_the_check_of_every_pair_on_random_maps(A, B, data):
+    m = data.draw(st.lists(st.integers(0, B.size - 1), min_size=A.size,
+                           max_size=A.size))
+    if A.kind == B.kind and data.draw(st.booleans()):
+        m[A.one] = B.one
+        if A.is_ring:
+            m[A.zero] = B.zero
+    f = Hom(A, B, tuple(m))
+    assert is_hom(f) == is_hom_on_all_pairs(f)
+
+
+def test_is_hom_matches_the_check_of_every_pair_on_all_hom_candidates(
+        monkeypatch):
+    verdicts = []
+
+    def both(f):
+        verdicts.append(is_hom(f))
+        assert verdicts[-1] == is_hom_on_all_pairs(f)
+        return verdicts[-1]
+
+    monkeypatch.setattr(tables, "is_hom", both)
+    for A in POOL:
+        for B in POOL:
+            if A.size <= 12 and B.size <= 6:
+                all_homs(A, B)
+    assert len(verdicts) > 1000 and any(verdicts) and not all(verdicts)
+
+
+def counting_copy(A):
+    """A with table rows that count every entry read, and the count."""
+    reads = [0]
+
+    class Row(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+        def __iter__(self):
+            reads[0] += len(self)
+            return tuple.__iter__(self)
+
+    def rows(table):
+        return None if table is None else tuple(map(Row, table))
+
+    return tables.FiniteAlgebra(A.kind, A.elements, rows(A.mul), A.one,
+                                rows(A.add), A.zero), reads
+
+
+def test_quotient_reads_table_entries_at_generators_and_classes_only():
+    # 736 = 0 mod 8 and 1 mod 105: inverting it leaves Z/105
+    Z840 = corpus.zn(840)
+    A, reads = counting_copy(Z840)
+    sig = tables.inversion_sig(Z840, Z840.elements.index("736"))
+    Q, proj = quotient_by_sig(A, sig)
+    n, k = A.size, Q.size
+    assert k == 105
+    # 1 generates Z/840 under addition, so O(n * |G| + k^2) is O(n + k^2),
+    # not the 2 n^2 = 1.4 million reads of a check on every row
+    assert reads[0] <= 4 * (n + k * k)
+    assert (Q, proj) == quotient_by_rows(Z840, sig)
+
+
+def test_is_hom_reads_the_source_tables_at_generators_only():
+    A, reads = counting_copy(corpus.zn(840))
+    B = corpus.zn(105)
+    f = Hom(A, B, tuple(B.elements.index(str(int(x) % 105))
+                        for x in A.elements))
+    assert is_hom(f)
+    assert reads[0] <= 4 * A.size    # |G| = 1, as above
 
 
 def test_quotient_f2x2_by_x():
