@@ -61,8 +61,6 @@ def make_overlap(specs: Specs, i: int, j: int,
         mid = sp.spaces_isomorphic(specs[k_i.target], specs[k_j.target])
         if mid is None:
             raise CocycleViolation("overlap spectra are not isomorphic")
-    if len(set(m_i.point_map)) != len(m_i.point_map):
-        raise InvariantViolation("localization is not an open embedding")
     point_map, stalks = {}, {}
     for x, (a, y) in enumerate(zip(m_i.point_map, mid.point_map)):
         point_map[a] = m_j.point_map[y]

@@ -276,13 +276,9 @@ def spec_map(specs: Specs, f: Hom) -> APMap:
     stalks = []
     for j, q in enumerate(X.forms):
         path, g = factorize(ctx, compose(f, q.composite))
-        hit = [i for i, p in enumerate(Y.forms) if p.sig == path.sig]
-        if len(hit) != 1:
-            raise InvariantViolation("localization part is not a local form")
-        i = hit[0]
+        # by theorem, the one local form of its sig, identified by an iso
+        i = [p.sig for p in Y.forms].index(path.sig)
         ident = tables.induced(path.composite, Y.forms[i].composite)
-        if ident is None or not ident.is_bijective:
-            raise InvariantViolation("local form identification not an iso")
         point_map.append(i)
         # the stalk map O_Y-stalk(i) -> O_X-stalk(j)
         stalks.append(compose(

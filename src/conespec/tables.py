@@ -174,8 +174,9 @@ def _check_laws(kind, elements, mul, add, zero, one) -> None:
     """Full axiom check at every size, in O(n^2 * |generators|)."""
     n = len(elements)
     rng = range(n)
+    # the first asymmetric pair in row-major order has i < j
     for i in rng:
-        for j in rng:
+        for j in range(i + 1, n):
             if mul[i][j] != mul[j][i]:
                 raise NonCommutative(
                     f"mul({elements[i]},{elements[j]}) != mul({elements[j]},{elements[i]})",
@@ -188,7 +189,7 @@ def _check_laws(kind, elements, mul, add, zero, one) -> None:
         _check_assoc("mul", mul, _generators(mul, one), elements)
         return
     for i in rng:
-        for j in rng:
+        for j in range(i + 1, n):
             if add[i][j] != add[j][i]:
                 raise NonCommutative(
                     f"add({elements[i]},{elements[j]}) not commutative", (i, j)
@@ -594,7 +595,7 @@ def product_indices(kind: str, algebras, families) -> list[int]:
         raise SizeBound("product carrier too large", SEARCH_MAX)
     if not algebras:
         return [0] * len(families)
-    elems = compatible_families([a.size for a in algebras], [])
+    elems = agreeing_families([a.size for a in algebras], [])
     dist = {tuple(a.one for a in algebras)}
     if kind == RING:
         dist.add(tuple(a.zero for a in algebras))
@@ -604,23 +605,22 @@ def product_indices(kind: str, algebras, families) -> list[int]:
     return [rank[f] for f in families]
 
 
-def _search_plan(sizes, arrows):
-    """Order the objects for the join, with each one's arrow constraints.
+def _search_plan(sizes, meets):
+    """Order the objects for the join, with the checks each one must pass.
 
-    Next comes the object with the most arrows to those already placed,
-    ties going to the lower index: the least (-links, index) on a heap whose
-    stale entries, left behind when links grow, are skipped.  For each
-    object the plan lists the arrows from placed objects, which force its
-    value, the arrows into placed objects, which restrict it to a preimage,
-    and its loops; plus, when no arrow forces it, the preimages along its
-    first arrow into.
+    Next comes the object with the most meets to those already placed, ties
+    going to the lower index: the least (-links, index) on a heap whose
+    stale entries, left behind when links grow, are skipped.  Object v gets
+    a check (own, u, other), own[t[v]] == other[t[u]], per loop and meet to
+    a placed u; and, if it has such a u, its elements by key along the meet
+    whose own side has the most keys (an arrow's target side is a range, so
+    its index forces the value).
     """
     n = len(sizes)
     incident = [[] for _ in range(n)]
-    for i, j, h in arrows:
-        incident[i].append((i, j, h))
-        if j != i:
-            incident[j].append((i, j, h))
+    for meet in meets:
+        for k in {meet[0], meet[1]}:
+            incident[k].append(meet)
     links = [0] * n
     placed = [False] * n
     heap = [(0, u) for u in range(n)]
@@ -631,44 +631,38 @@ def _search_plan(sizes, arrows):
             if not placed[v] and -key == links[v]:
                 break
         placed[v] = True
-        forced, into, loops = [], [], []
-        for i, j, h in incident[v]:
-            other = j if i == v else i
-            if i == j:
-                loops.append(h)
-            elif not placed[other]:
-                links[other] += 1
-                heapq.heappush(heap, (-links[other], other))
-            elif j == v:
-                forced.append((i, h))
+        checks = []
+        for i, j, left, right in incident[v]:
+            u, own, other = (j, left, right) if i == v else (i, right, left)
+            if placed[u]:
+                checks.append((own, u, other))
             else:
-                into.append((j, h))
-        pre = None
-        if into and not forced:
-            j, h = into[0]
-            pre = [[] for _ in range(sizes[j])]
-            for x, y in enumerate(h):
-                pre[y].append(x)
-        plan.append((v, forced, into, loops, pre))
+                links[u] += 1
+                heapq.heappush(heap, (-links[u], u))
+        index = None
+        joins = [c for c in checks if c[1] != v]
+        if joins:
+            own, u, other = max(joins, key=lambda c: len(set(c[0])))
+            by_key = {}
+            for x, k in enumerate(own):
+                by_key.setdefault(k, []).append(x)
+            index = (u, other, by_key)
+        plan.append((v, checks, index))
     return plan
 
 
-def compatible_families(sizes, arrows) -> list[tuple[int, ...]]:
-    """The families compatible with every arrow, in lexicographic order.
+def agreeing_families(sizes, meets) -> list[tuple[int, ...]]:
+    """The families t, one index per object of `sizes`, with left[t[i]] ==
+    right[t[j]] for every meet (i, j, left, right), in lexicographic order.
 
-    The objects are finite sets {0, .., sizes[i] - 1}, and an arrow (i, j,
-    map) is a map of them: map[x] is the image in object j of element x of
-    object i.  A family is a tuple of one element per object with
-    map[t[i]] == t[j] for every arrow.  `limit` is this search, on the
-    index maps of its homs, followed by `limit_from_families`.
-
-    A backtracking join along `_search_plan`: an object's value is forced
-    by an arrow from a placed object, else drawn from the preimage of a
-    placed target's value along an arrow into it, else free.  Raises
-    SizeBound once more than SEARCH_MAX partial families are visited.
+    `left` and `right` list a hashable key per element of objects i and j;
+    an arrow i -> j with index map h is the meet (i, j, h, range(sizes[j])).
+    A backtracking join along `_search_plan`, where a value is visited once
+    it passes every check.  Raises SizeBound once more than SEARCH_MAX
+    partial families are visited.
     """
     n = len(sizes)
-    plan = _search_plan(sizes, arrows)
+    plan = _search_plan(sizes, meets)
     t = [0] * n
     out = []
     visited = 0
@@ -678,48 +672,23 @@ def compatible_families(sizes, arrows) -> list[tuple[int, ...]]:
         if depth == n:
             out.append(tuple(t))
             return
-        v, forced, into, loops, pre = plan[depth]
-        if forced:
-            i, h = forced[0]
-            candidates = (h[t[i]],)
-        elif pre is not None:
-            candidates = pre[t[into[0][0]]]
-        else:
+        v, checks, index = plan[depth]
+        if index is None:
             candidates = range(sizes[v])
+        else:
+            u, other, by_key = index
+            candidates = by_key.get(other[t[u]], ())
         for x in candidates:
-            if all(h[t[i]] == x for i, h in forced) \
-                    and all(h[x] == t[j] for j, h in into) \
-                    and all(h[x] == x for h in loops):
+            t[v] = x
+            if all(own[x] == other[t[u]] for own, u, other in checks):
                 visited += 1
                 if visited > SEARCH_MAX:
                     raise SizeBound("limit search space too large", SEARCH_MAX)
-                t[v] = x
                 extend(depth + 1)
 
     extend(0)
     out.sort()
     return out
-
-
-def agreeing_families(sizes, meets) -> list[tuple[int, ...]]:
-    """The families t, one index per object of `sizes`, with left[t[i]] ==
-    right[t[j]] for every meet (i, j, left, right), in lexicographic order.
-
-    `left` and `right` list a hashable key per element of objects i and j.
-    Each meet is one more object of the `compatible_families` join, after
-    the given ones: its keys, in first-occurrence order of left + right,
-    reached from i and from j along the key maps.  Its value is a function
-    of t[i], so dropping it from each family keeps the families distinct.
-    """
-    sizes = list(sizes)
-    n = len(sizes)
-    arrows = []
-    for i, j, left, right in meets:
-        index = {k: x for x, k in enumerate(dict.fromkeys([*left, *right]))}
-        arrows.append((i, len(sizes), [index[k] for k in left]))
-        arrows.append((j, len(sizes), [index[k] for k in right]))
-        sizes.append(len(index))
-    return [f[:n] for f in compatible_families(sizes, arrows)]
 
 
 def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
@@ -732,8 +701,9 @@ def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
     objects = list(objects)
     if not objects:
         return terminal(kind), []
-    return limit_from_families(kind, objects, compatible_families(
-        [o.size for o in objects], [(i, j, h.map) for i, j, h in arrows]))
+    return limit_from_families(kind, objects, agreeing_families(
+        [o.size for o in objects],
+        [(i, j, h.map, range(objects[j].size)) for i, j, h in arrows]))
 
 
 def _family_labels(objects, elems) -> list[str]:

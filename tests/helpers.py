@@ -1056,15 +1056,10 @@ def factorize_by_quotient(ctx, f):
     return path, g
 
 
-def search_plan_by_scan(sizes, arrows):
+def search_plan_by_scan(sizes, meets):
     """Oracle: `tables._search_plan` choosing each next object by a scan of
     every unplaced object for the most links, ties to the lower index."""
     n = len(sizes)
-    incident = [[] for _ in range(n)]
-    for i, j, h in arrows:
-        incident[i].append((i, j, h))
-        if j != i:
-            incident[j].append((i, j, h))
     links = [0] * n
     placed = [False] * n
     plan = []
@@ -1072,25 +1067,31 @@ def search_plan_by_scan(sizes, arrows):
         v = max((u for u in range(n) if not placed[u]),
                 key=lambda u: (links[u], -u))
         placed[v] = True
-        forced, into, loops = [], [], []
-        for i, j, h in incident[v]:
-            other = j if i == v else i
-            if i == j:
-                loops.append(h)
-            elif not placed[other]:
-                links[other] += 1
-            elif j == v:
-                forced.append((i, h))
+        checks = []
+        for i, j, left, right in meets:
+            if v not in (i, j):
+                continue
+            u, own, other = (j, left, right) if i == v else (i, right, left)
+            if placed[u]:
+                checks.append((own, u, other))
             else:
-                into.append((j, h))
-        pre = None
-        if into and not forced:
-            j, h = into[0]
-            pre = [[] for _ in range(sizes[j])]
-            for x, y in enumerate(h):
-                pre[y].append(x)
-        plan.append((v, forced, into, loops, pre))
+                links[u] += 1
+        # the index: elements by key along the first meet to a placed
+        # object with the most distinct keys on v's side
+        index = None
+        for own, u, other in checks:
+            if u != v and (index is None or len(set(own)) > len(index[2])):
+                index = (u, other, {k: [x for x, y in enumerate(own) if y == k]
+                                    for k in own})
+        plan.append((v, checks, index))
     return plan
+
+
+def agreeing_families_by_product_scan(sizes, meets):
+    """Oracle: every family of the product, in lexicographic order, kept
+    when its keys agree on every meet."""
+    return [t for t in itertools.product(*map(range, sizes))
+            if all(left[t[i]] == right[t[j]] for i, j, left, right in meets)]
 
 
 def ideal_generated(A, gens) -> tables.Ideal:

@@ -280,21 +280,21 @@ class Probe:
 
         Its objects are the pairs (s, m), m in NX(s), each ranging over the
         indices of NY(s); each site hom f: a -> b and each m in NX(a) give
-        the arrow (a, m) -> (b, f.m) along f's action on NY(a).  A natural
-        map is one tuple of image indices per site object, and they come
-        out in lexicographic order.
+        the arrow (a, m) -> (b, f.m) along f's action on NY(a), a meet of
+        the join.  A natural map is one tuple of image indices per site
+        object, and they come out in lexicographic order.
         """
         NX, NY = self.nerve(X), self.nerve(Y)
         n = len(self.site)
         offset = list(itertools.accumulate(map(len, NX), initial=0))
         sizes = [len(NY[s]) for s in range(n) for _ in NX[s]]
-        arrows = []
+        meets = []
         for (a, b, _), xa, ya in zip(self.site_homs, self.actions(X),
                                       self.actions(Y)):
-            arrows += [(offset[a] + i, offset[b] + fm, ya)
-                       for i, fm in enumerate(xa)]
+            meets += [(offset[a] + i, offset[b] + fm, ya, range(len(NY[b])))
+                      for i, fm in enumerate(xa)]
         return [tuple(fam[offset[s]:offset[s + 1]] for s in range(n))
-                for fam in tables.compatible_families(sizes, arrows)]
+                for fam in tables.agreeing_families(sizes, meets)]
 
     def __call__(self, X, Y) -> dict:
         """Compare Hom(X, Y) in spaces with Nat(NX, NY) over the site."""

@@ -2,29 +2,34 @@
 
 The library does not re-check maps into limits, limits, pushouts (each
 along a surjection), principal ideals, local forms, factorizations, spectra,
-Spec maps or the site action on nerves, since a theorem guarantees each of
-them, and it checks quotients, congruence closures and homs on generators
-only.  Here those constructors are wrapped, wherever they are bound, and
-every result is checked the hard way: the full law checks on each algebra,
-`helpers.is_hom_on_all_pairs` on each lifted map, cone leg and pushout
-injection, each `quotient_by_sig` against `helpers.quotient_by_rows` and
-each `congruence_closure` against
-`helpers.congruence_closure_on_all_columns`, `helpers.is_valid_ideal` on
-each principal ideal the domain context quotients by, on each `local_forms`
-that every form's target is local and, in deitmar, that the forms are as
-many as the faces, on each `factorize` that its residual factor is
-admissible and the two factors compose to the map, `spec_checks` on each
-`build_spec`, `validate_apmap` on each map of spaces that `enumerate_apmaps`
-finds and on each `spec_map` and `compose_apmaps`, on each `make_overlap`
-its point map and stalk isos against `helpers.overlap_by_restriction`,
-`check_nerve_functorial` on each nerve table, and on each cover that
-`pushout_opcover` replays, each component against the pushout it stands
-for.  A map of spaces holds its stalk maps, and validating it lifts its
-section maps, each lift checked.
+Spec maps, overlaps or the site action on nerves, since a theorem
+guarantees each of them, and it checks quotients, congruence closures and
+homs on generators only.  Here those constructors are wrapped, wherever
+they are bound, and every result is checked the hard way: the full law
+checks on each algebra, `helpers.is_hom_on_all_pairs` on each lifted map,
+cone leg and pushout injection, each `quotient_by_sig` against
+`helpers.quotient_by_rows` and each `congruence_closure` against
+`helpers.congruence_closure_on_all_columns`, each `agreeing_families` join
+against `helpers.agreeing_families_by_product_scan` when the product has at
+most 10^4 families, `helpers.is_valid_ideal` on each principal ideal the
+domain context quotients by, on each `local_forms` that every form's target
+is local and, in deitmar, that the forms are as many as the faces, on each
+`factorize` that its residual factor is admissible and the two factors
+compose to the map, `spec_checks` on each `build_spec`, `validate_apmap` on
+each map of spaces that `enumerate_apmaps` finds and on each
+`compose_apmaps`, on each `spec_map` that each point's localization part is
+exactly one local form, identified with it by an iso, and `validate_apmap`,
+on each `make_overlap` that the Spec maps of both localizations are
+injective on points, and its point map and stalk isos against
+`helpers.overlap_by_restriction`, `check_nerve_functorial` on each nerve
+table, and on each cover that `pushout_opcover` replays, each component
+against the pushout it stands for.  A map of spaces holds its stalk maps,
+and validating it lifts its section maps, each lift checked.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import pytest
@@ -35,7 +40,8 @@ from conespec import spectrum as sp, tables
 from conespec.errors import InvariantViolation
 
 import paper
-from helpers import (check_nerve_functorial,
+from helpers import (agreeing_families_by_product_scan,
+                     check_nerve_functorial,
                      congruence_closure_on_all_columns, corpus_by_context,
                      enumerate_localizations, glued_row, is_hom_on_all_pairs,
                      is_valid_ideal, overlap_by_restriction, quotient_by_rows,
@@ -123,8 +129,36 @@ def apmap(m, args):
     validate_apmap(C.get_context(m.source.ctx_name), m)
 
 
+def families(r, args):
+    """The families that scanning the product gives, when it is small."""
+    sizes, meets = args
+    if math.prod(sizes) <= 10**4:
+        assert r == agreeing_families_by_product_scan(sizes, meets)
+
+
+def spec_map_checks(m, args):
+    """At each point, the localization part of the factorization is exactly
+    one local form and is identified with it by an iso; the map is then
+    validated as a map of spaces."""
+    specs, f = args
+    Y, X = specs[f.source], specs[f.target]
+    for q in X.forms:
+        path, _ = C.factorize(specs.ctx, tables.compose(f, q.composite))
+        hit = [p for p in Y.forms if p.sig == path.sig]
+        assert len(hit) == 1, "localization part is not a local form"
+        ident = tables.induced(path.composite, hit[0].composite)
+        assert ident is not None and ident.is_bijective, \
+            "local form identification is not an iso"
+    validate_apmap(specs.ctx, m)
+
+
 def overlap(ov, args):
-    """The overlap that the route through open subspaces gives."""
+    """The overlap that the route through open subspaces gives, between
+    charts whose localizations' Spec maps are injective on points."""
+    specs, _, _, k_i, k_j = args[:5]
+    for k in (k_i, k_j):
+        pm = sp.spec_map(specs, k.composite).point_map
+        assert len(set(pm)) == len(pm), "localization is not an open embedding"
     old = overlap_by_restriction(*args)
     assert (ov.i, ov.j, ov.point_map) == (old.i, old.j, old.point_map)
     assert ov.stalks == old.stalks
@@ -135,6 +169,7 @@ CHECKS = {
     "lift": (tables, lambda r, args: homs(r)),
     "principal_ideal": (tables, lambda r, args: ideal(r)),
     "limit": (tables, lambda r, args: (laws(r[0]), homs(*r[1]))),
+    "agreeing_families": (tables, families),
     "limit_from_families": (tables,
                             lambda r, args: (laws(r[0]), homs(*r[1]))),
     "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
@@ -145,7 +180,7 @@ CHECKS = {
     "factorize": (C, factorization),
     "build_spec": (sp, lambda r, args: spec_checks(args[0], r)),
     "enumerate_apmaps": (sp, apmaps),
-    "spec_map": (sp, lambda r, args: validate_apmap(args[0].ctx, r)),
+    "spec_map": (sp, spec_map_checks),
     "compose_apmaps": (sp, apmap),
     "make_overlap": (gl, overlap),
     "nerve": (gl, lambda r, args: check_nerve_functorial(args[0], args[2], r)),

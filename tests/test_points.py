@@ -1,12 +1,12 @@
 """The functor of points by the two searches of the library, against the
 brute-force oracles, and the scheme-equivalence probe on the full site.
 
-`paper.Probe.natural_transformations` is a join of
-`tables.compatible_families`, the nerve sheaf families are one of
-`tables.agreeing_families`, and `iter_space_isos` is the
-minimal-open map search; the oracles in `helpers` try every assignment,
-scan the product of the component values and choose an isomorphism at every
-open.  Each pair must give the same results in the same order.
+`paper.Probe.natural_transformations` and the nerve sheaf families are
+each one `tables.agreeing_families` join (the first with an arrow, as a
+meet, per site hom and value), and `iter_space_isos` is the minimal-open
+map search; the oracles in `helpers` try every assignment, scan the
+product of the component values and choose an isomorphism at every open.
+Each pair must give the same results in the same order.
 """
 
 from __future__ import annotations

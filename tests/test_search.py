@@ -124,6 +124,6 @@ def test_search_plan_matches_the_scan_on_every_spec_limit(monkeypatch):
     assert len(diagrams) > 100
     assert max(len(sizes) for sizes, _ in diagrams) >= 18
     for sizes, arrows in diagrams:
-        arrows = [(i, j, h.map) for i, j, h in arrows]
-        assert tables._search_plan(sizes, arrows) == \
-            search_plan_by_scan(sizes, arrows)
+        meets = [(i, j, h.map, range(sizes[j])) for i, j, h in arrows]
+        assert tables._search_plan(sizes, meets) == \
+            search_plan_by_scan(sizes, meets)

@@ -42,6 +42,7 @@ from conespec.tables import (
     validate,
 )
 from helpers import (
+    agreeing_families_by_product_scan,
     congruence_closure_on_all_columns,
     corpus_by_context,
     find_isomorphism,
@@ -54,6 +55,7 @@ from helpers import (
     limit_by_product_scan,
     quotient,
     quotient_by_rows,
+    search_plan_by_scan,
     subprocess_env,
 )
 
@@ -140,6 +142,42 @@ def test_validate_flags_noncommutative_mul():
     with pytest.raises(NonCommutative) as ei:
         validate(MONOID, ["1", "e"], mul, one=0)
     assert ei.value.witness
+
+
+def _first_asymmetric_pair(table):
+    """The first (i, j) in row-major order of all n^2 with table[i][j] !=
+    table[j][i], or None."""
+    n = len(table)
+    return next(((i, j) for i in range(n) for j in range(n)
+                 if table[i][j] != table[j][i]), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.booleans(), st.data())
+def test_noncommutative_witness_is_the_first_of_a_full_scan(n, in_add, data):
+    """Commutativity is tested for i < j only; on random tables that are not
+    commutative the witness and message are those of the scan over all n^2
+    ordered pairs.  Random tables fail at mul; a ring with Z/n's
+    multiplication and a random addition fails at add."""
+    rows = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+    table = data.draw(rows)
+    i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                     .filter(lambda p: p[0] != p[1]))
+    table[i][j] = (table[j][i] + 1) % n    # at least one asymmetric pair
+    labels = [f"x{k}" for k in range(n)]
+    if in_add:
+        zn = [[(a * b) % n for b in range(n)] for a in range(n)]
+        with pytest.raises(NonCommutative) as ei:
+            validate(RING, labels, zn, add=table, zero=0, one=1)
+    else:
+        with pytest.raises(NonCommutative) as ei:
+            validate(MONOID, labels, table, one=0)
+    a, b = _first_asymmetric_pair(table)
+    assert ei.value.witness == (a, b)
+    x, y = labels[a], labels[b]
+    assert str(ei.value) == (f"add({x},{y}) not commutative" if in_add
+                             else f"mul({x},{y}) != mul({y},{x})")
 
 
 def test_validate_monoid_e2():
@@ -643,19 +681,12 @@ def test_limit_bound_counts_visited_families(monkeypatch):
 _KEYS = [0, 1, "0", "a", (0,), (0, "a"), None, frozenset({1})]
 
 
-def agreeing_families_by_product_scan(sizes, meets):
-    """Oracle: every family of the product, in lexicographic order, kept
-    when its keys agree on every meet."""
-    return [t for t in itertools.product(*map(range, sizes))
-            if all(left[t[i]] == right[t[j]] for i, j, left, right in meets)]
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 3), max_size=4), st.data())
 def test_agreeing_families_match_the_product_scan(sizes, data):
     """Small sizes, keys of mixed hashable types, meets with i == j among
     them, and the empty meet list: the families and their order are the
-    scan's."""
+    scan's, and the join's plan is `helpers.search_plan_by_scan`'s."""
     meets = []
     if sizes:
         obj = st.integers(0, len(sizes) - 1)
@@ -666,6 +697,19 @@ def test_agreeing_families_match_the_product_scan(sizes, data):
             meets.append((i, j, left, right))
     assert tables.agreeing_families(sizes, meets) == \
         agreeing_families_by_product_scan(sizes, meets)
+    assert tables._search_plan(sizes, meets) == \
+        search_plan_by_scan(sizes, meets)
+
+
+def test_meet_bound_counts_only_the_objects_visited(monkeypatch):
+    # two objects of 3 meeting on equal keys: 3 values of the first, each
+    # forcing one of the second, 6 visits in all, with no object for the meet
+    meets = [(0, 1, range(3), range(3))]
+    monkeypatch.setattr(tables, "SEARCH_MAX", 6)
+    assert tables.agreeing_families([3, 3], meets) == [(0, 0), (1, 1), (2, 2)]
+    monkeypatch.setattr(tables, "SEARCH_MAX", 5)
+    with pytest.raises(SizeBound, match="limit search space too large"):
+        tables.agreeing_families([3, 3], meets)
 
 
 def test_agreeing_families_examples():
