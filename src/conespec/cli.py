@@ -39,11 +39,13 @@ def _deferred(layer: str):
     return module
 
 
-# deferred: uncached imports are compiled, and no subcommand runs all four;
+# deferred: uncached imports are compiled, and no subcommand runs all five
+# (homs, the hom and iso search, runs only through spectrum and reduction);
 # argparse (with gettext and locale) is imported only by build_parser, which
 # reads the argv that read_argv leaves: help and usage errors
 gl, hc, red, sp = map(_deferred, ("glue", "hypercover", "reduction",
                                   "spectrum"))
+_deferred("homs")
 
 EXIT_OK = 0
 EXIT_FALSE = 1

@@ -2,16 +2,9 @@
 
 A context fixes the cone set semantically: which algebras it accepts, what a
 cell attachment at an object is, which objects are local, and which maps are
-admissible.  Three contexts are provided:
-
-* ``zariski``  — rings; cells are pairs (r, s) with r + s = 1, a branch
-  inverts r or s; local objects are nontrivial local rings; admissible maps
-  reflect invertibility.
-* ``domain``   — rings; cells are pairs (a, b) with a*b = 0, a branch kills
-  a or b by a quotient; local objects are nontrivial integral domains;
-  admissible maps are injective.
-* ``deitmar``  — monoids; a cell is an element a, a branch is trivial or
-  inverts a; every monoid is local; admissible maps reflect invertibility.
+admissible.  Each of the three, ``zariski`` and ``domain`` on rings and
+``deitmar`` on monoids, is a module of its name holding its class and its one
+instance, ``CONTEXT``.
 
 A caller checks an algebra's kind once, with `accepts`; the other methods
 take algebras of the context's kind and cell data of `cell_data` (or their
@@ -29,9 +22,11 @@ signatures first and builds a quotient only for a step it takes.
 
 from __future__ import annotations
 
+import importlib
+
 from . import tables
 from .errors import KindMismatch
-from .tables import MONOID, RING, FiniteAlgebra, Hom, compose, identity
+from .tables import FiniteAlgebra, Hom, compose, identity
 
 
 class LocalizationPath:
@@ -139,148 +134,26 @@ def _primitive_idempotents(A: FiniteAlgebra) -> list[int]:
             and {f for f in A.idempotents if A.mul[e][f] == f} == {A.zero, e}]
 
 
-class ZariskiContext(SpectralContext):
-    name = "zariski"
-    kind = RING
-
-    def is_local(self, A):
-        if A.is_trivial:
-            # excluded by the empty cone with trivial summit
-            return False
-        non_units = [i for i in range(A.size) if i not in A.units]
-        return all(A.add[i][j] not in A.units for i in non_units for j in non_units)
-
-    def is_admissible(self, f):
-        return _reflects_invertibility(f)
-
-    def cell_data(self, A):
-        return [(r, A.add[A.one][A.neg[r]]) for r in range(A.size)]  # s = 1 - r
-
-    def attach_sig(self, A, datum, branch):
-        return tables.inversion_sig(A, self.victim(datum, branch))
-
-    def local_forms_direct(self, A):
-        if A.is_trivial:
-            return []
-        out = []
-        for e in _primitive_idempotents(A):
-            if e == A.one:
-                out.append(identity_path(A))
-            else:
-                out.append(extend_path(self, identity_path(A),
-                                       (e, A.add[A.one][A.neg[e]]), "left"))
-        return sorted(out, key=lambda p: p.sig)
+# the class of each context, in the module of its name with its instance
+_CLASSES = {"zariski": "ZariskiContext", "domain": "DomainContext",
+            "deitmar": "DeitmarContext"}
 
 
-class DomainContext(SpectralContext):
-    name = "domain"
-    kind = RING
-
-    def is_local(self, A):
-        if A.is_trivial:
-            return False
-        return all(
-            A.mul[i][j] != A.zero
-            for i in range(A.size) if i != A.zero
-            for j in range(A.size) if j != A.zero
-        )
-
-    def is_admissible(self, f):
-        return f.is_injective
-
-    def cell_data(self, A):
-        return [(a, b) for a in range(A.size) for b in range(A.size)
-                if A.mul[a][b] == A.zero]
-
-    def attach_sig(self, A, datum, branch):
-        return tables.ideal_sig(
-            tables.principal_ideal(A, self.victim(datum, branch)))
-
-    def local_forms_direct(self, A):
-        if A.is_trivial:
-            return []
-        out = []
-        for e in _primitive_idempotents(A):
-            # p = preimage of the maximal ideal of the local factor eA
-            eA = sorted({A.mul[e][r] for r in range(A.size)})
-            units_eA = {x for x in eA if any(A.mul[x][y] == e for y in eA)}
-            prime = [r for r in range(A.size) if A.mul[e][r] not in units_eA]
-            path = identity_path(A)
-            while True:
-                img = sorted({path.composite.map[r] for r in prime})
-                live = [x for x in img if x != path.target.zero]
-                if not live:
-                    break
-                path = extend_path(self, path, (live[0], path.target.zero),
-                                   "left")
-            out.append(path)
-        return sorted(out, key=lambda p: p.sig)
-
-
-class DeitmarContext(SpectralContext):
-    name = "deitmar"
-    kind = MONOID
-
-    def is_local(self, A):
-        return True
-
-    def is_admissible(self, f):
-        return _reflects_invertibility(f)
-
-    def cell_data(self, A):
-        return [(a,) for a in range(A.size)]
-
-    def victim(self, datum, branch):
-        # the left branch is the trivial cone component
-        return None if branch == "left" else datum[0]
-
-    def attach_sig(self, A, datum, branch):
-        if branch == "left":
-            return tuple(range(A.size))
-        return tables.inversion_sig(A, datum[0])
-
-    def faces(self, A) -> list[frozenset[int]]:
-        """Saturated submonoids; their complements are the prime ideals.
-
-        The faces are the sets F(a) of divisors of powers of a: F(a) is a
-        face, and a face F is F(a) for a the product of its elements.
-        """
-        multiples = [set(row) for row in A.mul]
-        out = set()
-        for a in range(A.size):
-            powers = {A.one}
-            p = a
-            while p not in powers:
-                powers.add(p)
-                p = A.mul[p][a]
-            out.add(frozenset(x for x in range(A.size)
-                              if not multiples[x].isdisjoint(powers)))
-        return sorted(out, key=lambda F: (len(F), sorted(F)))
-
-    def local_forms_direct(self, A):
-        out = {}
-        for F in self.faces(A):
-            path = identity_path(A)
-            for a in sorted(F):
-                img = path.composite.map[a]
-                if img in path.target.units:
-                    continue
-                path = extend_path(self, path, (img,), "right")
-            out.setdefault(path.sig, path)
-        return sorted(out.values(), key=lambda p: p.sig)
-
-
-_CONTEXTS = {
-    "zariski": ZariskiContext(),
-    "domain": DomainContext(),
-    "deitmar": DeitmarContext(),
-}
+def __getattr__(attr: str):
+    """The context classes are still names of this module (PEP 562), read off
+    their own modules on first use, for callers that patch or wrap them."""
+    for name, cls in _CLASSES.items():
+        if attr == cls:
+            return getattr(importlib.import_module(f".{name}", __package__),
+                           cls)
+    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
 
 
 def get_context(name: str) -> SpectralContext:
-    if not isinstance(name, str) or name not in _CONTEXTS:
+    if not isinstance(name, str) or name not in _CLASSES:
         raise KindMismatch(f"unknown context {name!r}")
-    return _CONTEXTS[name]
+    cls = __getattr__(_CLASSES[name])
+    return importlib.import_module(cls.__module__).CONTEXT
 
 
 # ---------------------------------------------------------------------------

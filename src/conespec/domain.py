@@ -1,0 +1,54 @@
+"""The domain context: a branch of a cell a*b = 0 kills a or b."""
+
+from . import tables
+from .contexts import (SpectralContext, _primitive_idempotents, extend_path,
+                       identity_path)
+from .tables import RING
+
+
+class DomainContext(SpectralContext):
+    name = "domain"
+    kind = RING
+
+    def is_local(self, A):
+        if A.is_trivial:
+            return False
+        return all(
+            A.mul[i][j] != A.zero
+            for i in range(A.size) if i != A.zero
+            for j in range(A.size) if j != A.zero
+        )
+
+    def is_admissible(self, f):
+        return f.is_injective
+
+    def cell_data(self, A):
+        return [(a, b) for a in range(A.size) for b in range(A.size)
+                if A.mul[a][b] == A.zero]
+
+    def attach_sig(self, A, datum, branch):
+        return tables.ideal_sig(
+            tables.principal_ideal(A, self.victim(datum, branch)))
+
+    def local_forms_direct(self, A):
+        if A.is_trivial:
+            return []
+        out = []
+        for e in _primitive_idempotents(A):
+            # p = preimage of the maximal ideal of the local factor eA
+            eA = sorted({A.mul[e][r] for r in range(A.size)})
+            units_eA = {x for x in eA if any(A.mul[x][y] == e for y in eA)}
+            prime = [r for r in range(A.size) if A.mul[e][r] not in units_eA]
+            path = identity_path(A)
+            while True:
+                img = sorted({path.composite.map[r] for r in prime})
+                live = [x for x in img if x != path.target.zero]
+                if not live:
+                    break
+                path = extend_path(self, path, (live[0], path.target.zero),
+                                   "left")
+            out.append(path)
+        return sorted(out, key=lambda p: p.sig)
+
+
+CONTEXT = DomainContext()

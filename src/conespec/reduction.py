@@ -8,6 +8,7 @@ of spectra.  Only the fixed-point test reads a spectrum.
 
 from __future__ import annotations
 
+from . import homs
 from . import hypercover as hc
 from . import spectrum as sp
 from . import tables
@@ -107,7 +108,7 @@ def check_flat_wrt_cover(p: LocalizationPath, cover: hc.Opcover) -> bool:
     # compare as objects under target(p)
     if side1.target.size != H2.size:
         return False
-    for iso in tables.iter_isomorphisms(side1.target, H2):
+    for iso in homs.iter_isomorphisms(side1.target, H2):
         if compose(side1, iso) == eta2:
             return True
     return False

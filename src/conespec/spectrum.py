@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from . import tables
+from . import homs, tables
 from .contexts import LocalizationPath, factorize, local_forms
 from .errors import InvariantViolation, SizeBound
 from .tables import FiniteAlgebra, Hom, compose
@@ -71,7 +71,13 @@ class Presheaf:
         """Every union of minimal opens, in `sort_opens` order.  They can be
         exponentially many in the points, so they are collected as bitmasks
         one at a time first, and refused as soon as they pass SEARCH_MAX
-        (SizeBound)."""
+        (SizeBound).  The unions of the minimal opens of an antichain's
+        subsets are distinct, so a space of width w has at least 2^w opens,
+        and when 2^w passes SEARCH_MAX they are refused before any is listed.
+        The width is computed only for spaces of 2^n_points > SEARCH_MAX."""
+        if 1 << self.n_points > tables.SEARCH_MAX and \
+                1 << self.width() > tables.SEARCH_MAX:
+            raise SizeBound("too many opens to list", tables.SEARCH_MAX)
         masks = {0}
         for U in self.mins:
             bits = sum(1 << p for p in U)
@@ -81,6 +87,36 @@ class Presheaf:
                     raise SizeBound("too many opens to list", tables.SEARCH_MAX)
         return sort_opens(frozenset(p for p in range(self.n_points) if m >> p & 1)
                           for m in masks)
+
+    def width(self) -> int:
+        """The most points of an antichain of the specialization order.
+
+        By Dilworth's theorem that is the fewest chains covering the points,
+        which is the number of points less a maximum matching of each p to
+        a point of U_p other than p (Fulkerson 1956).  The matching grows by
+        one shortest augmenting path per point, found breadth first.
+        """
+        above: list[int | None] = [None] * self.n_points  # q -> its match p
+        below: list[int | None] = [None] * self.n_points  # p -> its match q
+        for root in range(self.n_points):
+            via, frontier, end = {}, [root], None  # via: q -> the p reaching it
+            while frontier and end is None:
+                step = []
+                for p in frontier:
+                    for q in self.mins[p]:
+                        if q != p and q not in via:
+                            via[q] = p
+                            if above[q] is None:
+                                end = q
+                                break
+                            step.append(above[q])
+                    if end is not None:
+                        break
+                frontier = step
+            while end is not None:          # flip the path back to root
+                p = via[end]
+                above[end], below[p], end = p, end, below[p]
+        return self.n_points - sum(q is not None for q in below)
 
     def lookup(self, U) -> dict:
         """`tables.cone_lookup` of O(U) along its stalk cone."""
@@ -311,10 +347,10 @@ def enumerate_apmaps(ctx, S: SpectralSpace, X: SpectralSpace) -> list[APMap]:
     at each open W, and the lifts commute with restriction because stalks
     separate sections.  The maps come out by point map, in the order of
     `itertools.product`, then by stalk maps point by point, in the order of
-    `tables.all_homs`.
+    `homs.all_homs`.
     """
     return list(_maps_by_stalks(S, X, False, lambda A, B: [
-        h for h in tables.all_homs(A, B) if ctx.is_admissible(h)]))
+        h for h in homs.all_homs(A, B) if ctx.is_admissible(h)]))
 
 
 def _maps_by_stalks(S, X, injective, stalk_homs):
@@ -381,7 +417,7 @@ def iter_space_isos(X: SpectralSpace, Y: SpectralSpace):
                                     != len(Y.specialization_order())):
         return
     yield from _maps_by_stalks(
-        X, Y, True, lambda A, B: list(tables.iter_isomorphisms(A, B)))
+        X, Y, True, lambda A, B: list(homs.iter_isomorphisms(A, B)))
 
 
 def spaces_isomorphic(X: SpectralSpace, Y: SpectralSpace) -> APMap | None:

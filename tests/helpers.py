@@ -8,7 +8,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from conespec import contexts, corpus, glue, reduction, tables
+from conespec import contexts, corpus, glue, homs, reduction, tables
 from conespec import io as cio
 from conespec import spectrum as sp
 from conespec.errors import ConespecError, CocycleViolation, InvariantViolation
@@ -193,7 +193,7 @@ def ell(ctx, R) -> Hom:
 
 
 def find_isomorphism(A, B) -> Hom | None:
-    return next(tables.iter_isomorphisms(A, B), None)
+    return next(homs.iter_isomorphisms(A, B), None)
 
 
 def isomorphic(A, B) -> bool:
@@ -586,7 +586,7 @@ def space_isos_by_open_count(X, Y) -> list[APMap]:
     if X.n_points != Y.n_points or len(X.opens) != len(Y.opens):
         return []
     return list(sp._maps_by_stalks(X, Y, True, lambda A, B: list(
-        tables.iter_isomorphisms(A, B))))
+        homs.iter_isomorphisms(A, B))))
 
 
 def restrict_by_opens(X, U):
@@ -606,7 +606,7 @@ def check_nerve_functorial(specs, site, table) -> None:
     keys = [{m.key for m in maps} for maps in table]
     for a, A in enumerate(site):
         for b, B in enumerate(site):
-            for f in tables.all_homs(A, B):
+            for f in homs.all_homs(A, B):
                 mf = sp.spec_map(specs, f)
                 for phi in table[a]:
                     if sp.compose_apmaps(mf, phi).key not in keys[b]:
@@ -1158,7 +1158,7 @@ def enumerate_apmaps_by_opens(ctx, S, X):
         assigned: dict = {}
 
         def candidates(U):
-            for h in tables.all_homs(X.sections(U), S.sections(pre[U])):
+            for h in homs.all_homs(X.sections(U), S.sections(pre[U])):
                 ok = all(
                     tables.compose(h, S.sheaf.res(pre[U], pre[V]))
                     == tables.compose(X.sheaf.res(U, V), assigned[V])
@@ -1204,7 +1204,7 @@ def space_isos_by_opens(X, Y):
                 yield apmap_from_sections(X, Y, pm, dict(assigned))
                 return
             U = y_opens_asc[idx]
-            for h in tables.iter_isomorphisms(Y.sections(U), X.sections(pre[U])):
+            for h in homs.iter_isomorphisms(Y.sections(U), X.sections(pre[U])):
                 ok = True
                 for V in y_opens_asc[:idx]:
                     if V < U:
@@ -1231,7 +1231,7 @@ def natural_transformations_by_product(specs, site, NX, NY):
     actions = []  # (a, b, x action as index map, y action as index map)
     for a in range(n):
         for b in range(n):
-            for f in tables.all_homs(site[a], site[b]):
+            for f in homs.all_homs(site[a], site[b]):
                 mf = sp.spec_map(specs, f)
                 xa = [x_keys[b][sp.compose_apmaps(mf, m).key] for m in NX[a]]
                 ya = [y_keys[b][sp.compose_apmaps(mf, m).key] for m in NY[a]]

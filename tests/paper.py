@@ -25,7 +25,8 @@ from conespec import tables
 from conespec.contexts import local_forms
 from conespec.errors import InvariantViolation
 from conespec.spectrum import APMap, compose_apmaps, spec_map
-from conespec.tables import all_homs, compose, identity
+from conespec.homs import all_homs
+from conespec.tables import compose, identity
 
 from helpers import (distinguished_open, enumerate_localizations, is_iso,
                      open_embedding_data, preimage, restrict)

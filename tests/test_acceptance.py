@@ -8,7 +8,8 @@ import random
 from conespec import contexts as C
 from conespec import corpus, glue as gl, hypercover as hc, io as cio, \
     reduction as red, spectrum as sp, tables
-from conespec.tables import all_homs, compose
+from conespec.homs import all_homs
+from conespec.tables import compose
 
 import paper
 from helpers import (ShuffledContext, canonical_presheaf, distinguished_open,

@@ -16,7 +16,7 @@ import pytest
 
 from conespec import contexts as C
 from conespec import corpus, glue as gl, hypercover as hc, spectrum as sp
-from conespec import tables
+from conespec import homs, tables
 
 import helpers
 from helpers import (compose_apmaps_by_opens, corpus_by_context,
@@ -120,7 +120,7 @@ def test_stalkwise_composition_and_inverse_match_the_open_by_open_oracles(
         table = gl.nerve(specs, X, site)
         for a, A in enumerate(site):
             for b, B in enumerate(site):
-                for f in tables.all_homs(A, B):
+                for f in homs.all_homs(A, B):
                     mf = sp.spec_map(specs, f)
                     for phi in table[a]:
                         compare(sp.compose_apmaps(mf, phi),
@@ -207,7 +207,7 @@ def test_maps_list_the_stalk_homs_of_each_pair_of_points_once(glued,
     X = sp.build_spec(DEI, corpus.monoid_product("e2", "e2"))
     pairs = [(G, H) for G in glued.values() for H in glued.values()]
     pairs += [(X, doubled), (doubled, X)]
-    calls = _counting(monkeypatch, tables, "all_homs")
+    calls = _counting(monkeypatch, homs, "all_homs")
     for S, T in pairs:
         calls.clear()
         assert sp.enumerate_apmaps(DEI, S, T)
@@ -217,7 +217,7 @@ def test_maps_list_the_stalk_homs_of_each_pair_of_points_once(glued,
 def test_the_doubled_e2xe2_has_961_maps_to_itself(monkeypatch):
     """The golden gluing of two Spec e2xe2 along e: 7 points, 26 opens."""
     specs, X = golden_space("doubled-e2xe2.json")
-    calls = _counting(monkeypatch, tables, "all_homs")
+    calls = _counting(monkeypatch, homs, "all_homs")
     maps = sp.enumerate_apmaps(specs.ctx, X, X)
     assert len(maps) == 961 and len(calls) <= X.n_points ** 2
     assert len({m.key for m in maps}) == 961

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from argparse import Namespace
 
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from conespec import contexts as C
 from conespec import cli, corpus, glue as gl, hypercover as hc, io as cio
 from conespec import reduction as red, spectrum as sp
-from conespec.tables import all_homs, identity
+from conespec.homs import all_homs
+from conespec.tables import identity
 from helpers import (enumerate_localizations, hom_to_dict,
                      large_nonassociative_monoid, path_to_dict,
                      subprocess_env)
@@ -210,12 +212,16 @@ def e2_power(tmp_path, k: int) -> str:
 
 
 def test_cli_spec_refuses_past_search_max_opens(tmp_path):
-    """Spec e2^6 has 64 points and 7,828,354 opens: listing them is refused
-    as soon as the count passes SEARCH_MAX, before any file is written, in
-    a child whose address space is capped at 128 MiB."""
+    """Spec e2^6 has 64 points and 7,828,354 opens: an antichain of 20
+    points gives 2^20 > SEARCH_MAX of them, so listing them is refused
+    before any is listed and before any file is written, in under a second
+    in a child whose address space is capped at 128 MiB."""
     out = tmp_path / "out"
+    inp = e2_power(tmp_path, 6)
+    start = time.perf_counter()
     proc = run_capped(128, "spec", "--context", "deitmar",
-                      "--input", e2_power(tmp_path, 6), "--out-dir", str(out))
+                      "--input", inp, "--out-dir", str(out))
+    assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (3, "", "resource bound: too many opens to list\n")
     assert not out.exists()

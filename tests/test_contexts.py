@@ -10,7 +10,8 @@ import pytest
 from conespec import contexts as C
 from conespec import corpus, tables
 from conespec.errors import KindMismatch
-from conespec.tables import MONOID, all_homs, compose, identity
+from conespec.homs import all_homs
+from conespec.tables import MONOID, compose, identity
 import paper
 from helpers import (DidNotStabilize, ShuffledContext, enumerate_localizations,
                      faces_by_subset_search, invert_element, isomorphic,

@@ -10,9 +10,9 @@ import pytest
 
 from conespec import cli, contexts as C
 from conespec import corpus, glue as gl, hypercover as hc, io as cio
-from conespec import spectrum as sp, tables
+from conespec import homs, spectrum as sp, tables
 from conespec.errors import CocycleViolation, InvariantViolation
-from conespec.tables import all_homs
+from conespec.homs import all_homs
 
 import paper
 from helpers import (corpus_by_context, distinguished_open,
@@ -182,7 +182,7 @@ def _gluings():
     # of the overlap C3, so that the overlap's stalk isos move elements
     A, _ = tables.product("monoid", [corpus.cyclic_group_monoid(3), e2])
     k = loc_by_size(DEI, A, 3)
-    swap = next(g for g in tables.iter_isomorphisms(k.target, k.target)
+    swap = next(g for g in homs.iter_isomorphisms(k.target, k.target)
                 if g != tables.identity(k.target))
     yield dei, lambda: gl.GluingSpec((A, A), (
         gl.make_overlap(dei, 0, 1, k, k, swap),))
@@ -193,7 +193,7 @@ def _gluings():
     B, _ = tables.product("monoid", [corpus.cyclic_group_monoid(5), e2])
     k5 = loc_by_size(DEI, B, 5)
     moved = sp.Specs(DEI)
-    turn = next(g for g in tables.iter_isomorphisms(k5.target, k5.target)
+    turn = next(g for g in homs.iter_isomorphisms(k5.target, k5.target)
                 if g.inverse() != g)
     moved.maps[k5.composite] = sp.compose_apmaps(
         sp.spec_map(moved, turn), sp.spec_map(moved, k5.composite))

@@ -8,9 +8,10 @@ import random
 import pytest
 
 from conespec import contexts as C
-from conespec import corpus, hypercover as hc, tables
+from conespec import corpus, homs, hypercover as hc, tables
 from conespec.errors import InvariantViolation
-from conespec.tables import all_homs, compose
+from conespec.homs import all_homs
+from conespec.tables import compose
 
 import paper
 from helpers import (corpus_by_context, enumerate_localizations,
@@ -223,7 +224,7 @@ def test_h0_matches_the_product_scan_oracle():
             E, eta = hc.h0(cover)
             E2, eta2 = h0_by_product_scan(kernel_hyperopcover(cover))
             assert any(compose(eta, iso) == eta2
-                       for iso in tables.iter_isomorphisms(E, E2))
+                       for iso in homs.iter_isomorphisms(E, E2))
             n += 1
     assert n > 100
 
@@ -241,7 +242,7 @@ def test_h0_matches_the_ordered_pairs_oracle():
                 E, eta = hc.h0(c)
                 E2, eta2 = h0_by_ordered_pairs(kernel_hyperopcover(c))
                 assert any(compose(eta, iso) == eta2
-                           for iso in tables.iter_isomorphisms(E, E2))
+                           for iso in homs.iter_isomorphisms(E, E2))
                 assert eta.is_bijective == eta2.is_bijective
                 verdicts.append(eta.is_bijective)
     assert len(verdicts) > 400 and not all(verdicts) and any(verdicts)

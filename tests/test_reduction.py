@@ -16,7 +16,8 @@ from conespec import contexts as C
 from conespec import cli, corpus, io as cio
 from conespec import reduction as red, spectrum as sp
 from conespec import tables
-from conespec.tables import all_homs, compose, identity
+from conespec.homs import all_homs
+from conespec.tables import compose, identity
 
 import paper
 from helpers import (canonical_presheaf, corpus_by_context, ell,

@@ -21,7 +21,8 @@ import pytest
 from conespec import contexts as C
 from conespec import corpus, spectrum as sp, tables
 from conespec.errors import InvariantViolation
-from conespec.tables import all_homs, compose, identity, is_hom
+from conespec.homs import all_homs
+from conespec.tables import compose, identity, is_hom
 
 import paper
 from helpers import (canonical_presheaf, corpus_by_context,
@@ -274,6 +275,46 @@ def test_specialization_order_matches_the_open_scan():
         assert X.specialization_order() == [
             (p, q) for p in range(X.n_points) for q in range(X.n_points)
             if p != q and all(q in U for U in X.opens if p in U)]
+
+
+def _random_order(rng, n):
+    """The minimal opens of a random partial order on n points: each point
+    lies over a random set of points before it, relabelled at random."""
+    below = []
+    for p in range(n):
+        below.append(set().union(*({q} | below[q] for q in range(p)
+                                   if rng.random() < 0.3)))
+    label = rng.sample(range(n), n)
+    mins = [frozenset()] * n
+    for p in range(n):
+        mins[label[p]] = frozenset({label[p]} | {label[q] for q in below[p]})
+    return tuple(mins)
+
+
+def test_width_is_the_largest_antichain():
+    """`Presheaf.width`, by matching, against a search of the point sets in
+    which no point's minimal open holds another, smallest first: on the
+    corpus Specs, on deitmar Specs of products of e2 and chain3, whose
+    orders are deeper and wider, and on random orders."""
+    sheaves = [sp.build_spec(ctx, A).sheaf for ctx, A in corpus_by_context()]
+    sheaves += [sp.build_spec(DEI, corpus.monoid_product(*names)).sheaf
+                for names in (("e2",) * 3, ("e2",) * 4, ("chain3", "e2"),
+                              ("chain3", "chain3"), ("chain3", "e2", "e2"))]
+    rng = random.Random(29)
+    sheaves += [sp.Presheaf("monoid", _random_order(rng, rng.randint(1, 9)),
+                            None, None) for _ in range(200)]
+    widths = []
+    for F in sheaves:
+        width = 0
+        # an antichain's subsets are antichains: stop at the first size
+        # that has none
+        while any(all(q not in F.mins[p] for p in S for q in S if q != p)
+                  for S in itertools.combinations(range(F.n_points),
+                                                  width + 1)):
+            width += 1
+        assert F.width() == width
+        widths.append(width)
+    assert widths[-205:-200] == [3, 6, 2, 3, 4]
 
 
 def _spaces_of_every_shape():

@@ -1,8 +1,9 @@
 """The library imports nothing outside the standard library and itself, and
 `conespec.cli` starts up without the modules only some calls need: it runs
-`spectrum`, `reduction`, `hypercover` and `glue` on their first use, and
-reads well-formed argv without argparse, which prints help and usage errors
-as it did when it read every command line."""
+`spectrum`, `reduction`, `hypercover`, `glue` and the hom search `homs` on
+their first use, imports only the context a command names, and reads
+well-formed argv without argparse, which prints help and usage errors as it
+did when it read every command line."""
 
 from __future__ import annotations
 
@@ -25,12 +26,14 @@ from test_golden import CASES, HERE, read_expected, resolve
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "conespec")
 
-# a few public functions of each layer, which bench/traced.py wraps after
-# reading the layer's names with vars() right after importing conespec.cli
+# a few public functions of each layer that importing conespec.cli loads or
+# registers, which bench/traced.py wraps after reading the layer's names with
+# vars() right after importing conespec.cli (its LAYERS lacks homs)
 PUBLIC = {
     "io": ("algebra_from_dict", "hom_from_dict", "space_to_dict"),
     "tables": ("validate", "quotient_by_sig", "congruence_closure", "pushout",
-               "limit", "all_homs"),
+               "limit"),
+    "homs": ("all_homs", "iter_isomorphisms"),
     "contexts": ("local_forms", "factorize"),
     "spectrum": ("build_spec", "spec_map", "enumerate_apmaps"),
     "reduction": ("geometric_iso", "reduce_admissible",
@@ -52,6 +55,9 @@ for layer in sys.argv[1:]:
                          if isinstance(value, types.FunctionType)
                          and value.__module__ == mod.__name__))
 """
+
+# the context modules: get_context imports the one it is asked for
+CONTEXTS = ("zariski", "domain", "deitmar")
 
 # the modules that only argparse needs: help and usage errors load them
 ARGPARSE = ("argparse", "gettext", "locale")
@@ -88,19 +94,33 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, len(calls))
 """
 
-# the layers each golden case runs besides io, tables and contexts: of the
-# checks only fixed-point reads a spectrum, and hypercover runs only where a
-# command builds an opcover
+# the context and the layers each golden case runs besides io, tables and
+# contexts: of the checks only fixed-point reads a spectrum, hypercover runs
+# only where a command builds an opcover, and homs only where one searches
+# for maps or isomorphisms (not where a glue document gives its overlaps)
 EXECUTES = {
-    "spec-zariski-z12": ("spectrum",),
-    "check-reduced-zariski-z12": ("reduction",),
-    "check-mono-reduced-domain-z12": ("reduction",),
-    "check-geometric-iso-z6-z2": ("reduction",),
-    "check-fixed-point-deitmar-e2xe2": ("reduction", "spectrum"),
-    "check-flat-cover-z6": ("reduction", "hypercover"),
-    "glue-doubled-z6": ("glue", "spectrum"),
-    "nerve-p1-f1": ("glue", "spectrum"),
-    "nerve-zariski-z12": ("glue", "spectrum", "hypercover"),
+    "spec-zariski-z12": ("zariski", "spectrum"),
+    "spec-domain-z6": ("domain", "spectrum"),
+    "spec-deitmar-e2xe2": ("deitmar", "spectrum"),
+    "spec-deitmar-chain3xe2": ("deitmar", "spectrum"),
+    "check-reduced-domain-f2x2": ("domain", "reduction"),
+    "check-reduced-zariski-z12": ("zariski", "reduction"),
+    "check-reduced-domain-z12": ("domain", "reduction"),
+    "check-mono-reduced-domain-z12": ("domain", "reduction"),
+    "check-geometric-iso-z6-z2": ("zariski", "reduction"),
+    "check-fixed-point-deitmar-e2xe2": ("deitmar", "reduction", "spectrum"),
+    "check-flat-cover-z6": ("zariski", "reduction", "hypercover", "homs"),
+    "check-flat-cover-zariski-multistep": ("zariski", "reduction",
+                                           "hypercover", "homs"),
+    "glue-doubled-z6": ("zariski", "glue", "spectrum", "homs"),
+    "glue-deitmar-doubled-e2xe2": ("deitmar", "glue", "spectrum", "homs"),
+    "glue-zariski-doubled-z12": ("zariski", "glue", "spectrum", "homs"),
+    "glue-deitmar-twisted-c3xe2": ("deitmar", "glue", "spectrum"),
+    "nerve-p1-f1": ("deitmar", "glue", "spectrum", "homs"),
+    "nerve-deitmar-e2-three-charts": ("deitmar", "glue", "spectrum", "homs"),
+    "nerve-deitmar-doubled-chain3": ("deitmar", "glue", "spectrum", "homs"),
+    "nerve-zariski-z12": ("zariski", "glue", "spectrum", "hypercover",
+                          "homs"),
 }
 
 
@@ -116,10 +136,13 @@ def run_child(code: str, *argv: str, src: str = os.path.join(ROOT, "src")):
 
 
 # every golden command in one interpreter; prints the module-level dicts,
-# lists and sets of the library that differ afterwards
+# lists and sets of the library that differ afterwards.  Every library module
+# is loaded first, so that one a command loads is not new state
 STATE_PROBE = """
-import copy, sys
-import conespec.cli, conespec.corpus
+import copy, importlib, pkgutil, sys
+import conespec.cli
+for info in pkgutil.iter_modules(conespec.__path__):
+    importlib.import_module("conespec." + info.name)
 from test_golden import CASES, run_case
 
 def containers():
@@ -165,7 +188,7 @@ def test_cli_import_loads_every_layer_and_nothing_it_does_not_use():
     modules, *layers = proc.stdout.splitlines()
     out = modules.split()
     for name in ("dataclasses", "inspect", "random", "conespec.corpus",
-                 *ARGPARSE):
+                 *(f"conespec.{c}" for c in CONTEXTS), *ARGPARSE):
         assert name not in out, f"importing conespec.cli loads {name}"
     # bench/traced.py reads these from sys.modules right after importing cli
     for layer in PUBLIC:
@@ -184,7 +207,8 @@ def test_each_subcommand_runs_only_the_layers_it_uses(case, tmp_path):
     assert proc.returncode == 0, proc.stderr
     code, *modules = proc.stdout.split()
     assert f"{code}\n".encode() == read_expected(case)["exit"]
-    ran = {name.removeprefix("conespec.") for name in modules} & set(PUBLIC)
+    ran = {name.removeprefix("conespec.") for name in modules} & \
+        {*PUBLIC, *CONTEXTS}
     assert ran == {"io", "tables", "contexts", *EXECUTES[case]}
     assert not set(ARGPARSE) & set(modules)
 

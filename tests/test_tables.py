@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conespec import corpus, tables
+from conespec import corpus, homs, tables
 from conespec.contexts import local_forms
 from conespec.errors import (
     InvariantViolation,
@@ -26,11 +26,11 @@ from conespec.errors import (
     SizeBound,
     ValidationError,
 )
+from conespec.homs import all_homs
 from conespec.tables import (
     MONOID,
     RING,
     Hom,
-    all_homs,
     compose,
     congruence_closure,
     identity,
@@ -458,7 +458,7 @@ def test_is_hom_matches_the_check_of_every_pair_on_all_hom_candidates(
         assert verdicts[-1] == is_hom_on_all_pairs(f)
         return verdicts[-1]
 
-    monkeypatch.setattr(tables, "is_hom", both)
+    monkeypatch.setattr(homs, "is_hom", both)
     for A in POOL:
         for B in POOL:
             if A.size <= 12 and B.size <= 6:
@@ -822,14 +822,14 @@ def test_subalgebra_and_image_factorization():
 
 def test_invariants_hold_under_python_O():
     script = (
-        "from conespec import corpus, tables\n"
+        "from conespec import corpus, homs, tables\n"
         "from conespec.errors import InvariantViolation\n"
         "Z6 = corpus.zn(6)\n"
-        "incl = tables.all_homs(corpus.zn(2), corpus.ring_product(2, 2))[0]\n"
+        "incl = homs.all_homs(corpus.zn(2), corpus.ring_product(2, 2))[0]\n"
         "for call in (lambda: tables.quotient_by_sig(Z6, (0, 0, 1, 2, 3, 4)),\n"
         "             lambda: tables.limit_from_families(\n"
         "                 Z6.kind, [Z6], [(0,), (1,)]),\n"
-        "             lambda: tables.all_homs(Z6, corpus.zn(2))[0].inverse(),\n"
+        "             lambda: homs.all_homs(Z6, corpus.zn(2))[0].inverse(),\n"
         "             lambda: tables.lift(Z6, Z6, {}, [tables.identity(Z6)]),\n"
         "             lambda: tables.pushout(incl, incl)):\n"
         "    try:\n"
