@@ -60,6 +60,9 @@ CASES = {
                                  "--out-dir", "OUT"],
     "glue-deitmar-twisted-c3xe2": ["glue", "--input", "@twisted-c3xe2.json",
                                    "--out-dir", "OUT"],
+    "glue-deitmar-three-charts-c3xe2": ["glue", "--input",
+                                        "@three-charts-c3xe2.json",
+                                        "--out-dir", "OUT"],
     "nerve-p1-f1": ["nerve", "--input", "@p1-f1.json", "--site-max", "3"],
     "nerve-deitmar-e2-three-charts": ["nerve", "--input",
                                       "@e2-three-charts.json", "--site-max",

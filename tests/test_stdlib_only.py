@@ -116,6 +116,7 @@ EXECUTES = {
     "glue-deitmar-doubled-e2xe2": ("deitmar", "glue", "spectrum", "homs"),
     "glue-zariski-doubled-z12": ("zariski", "glue", "spectrum", "homs"),
     "glue-deitmar-twisted-c3xe2": ("deitmar", "glue", "spectrum"),
+    "glue-deitmar-three-charts-c3xe2": ("deitmar", "glue", "spectrum"),
     "nerve-p1-f1": ("deitmar", "glue", "spectrum", "homs"),
     "nerve-deitmar-e2-three-charts": ("deitmar", "glue", "spectrum", "homs"),
     "nerve-deitmar-doubled-chain3": ("deitmar", "glue", "spectrum", "homs"),
