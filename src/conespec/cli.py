@@ -92,8 +92,7 @@ def cmd_spec(args) -> int:
     _write(args.out_dir, f"{stem}.sections.json", sections)
     _write(args.out_dir, f"{stem}.stalks.json", cio.dumps(
         {str(p): cio.algebra_to_dict(X.stalk(p)) for p in range(X.n_points)}))
-    _, eps = sp.global_sections(X)
-    verdict = "iso" if eps is not None and eps.is_bijective else "not-iso"
+    verdict = "iso" if X.canonical[X.total].is_bijective else "not-iso"
     print(f"points={X.n_points} opens={len(X.opens)} epsilon={verdict}")
     return EXIT_OK
 

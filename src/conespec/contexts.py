@@ -31,24 +31,29 @@ from .tables import FiniteAlgebra, Hom, compose, identity
 
 class LocalizationPath:
     """A finite composite of single-cell attachments.  Each step is a pair
-    (datum, branch), the datum a tuple of element indices."""
+    (datum, branch), the datum a tuple of element indices; the composite
+    runs from the path's source to its target."""
 
-    def __init__(self, source: FiniteAlgebra,
-                 steps: tuple[tuple[tuple[int, ...], str], ...],
-                 target: FiniteAlgebra, composite: Hom):
-        self.source = source
+    def __init__(self, steps: tuple[tuple[tuple[int, ...], str], ...],
+                 composite: Hom):
         self.steps = steps
-        self.target = target
         self.composite = composite
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.source, self.steps, self.target, self.composite) ==
-                (other.source, other.steps, other.target, other.composite))
+        return (self.steps, self.composite) == (other.steps, other.composite)
 
     def __hash__(self):
-        return hash((self.source, self.steps, self.target, self.composite))
+        return hash((self.steps, self.composite))
+
+    @property
+    def source(self) -> FiniteAlgebra:
+        return self.composite.source
+
+    @property
+    def target(self) -> FiniteAlgebra:
+        return self.composite.target
 
     @property
     def sig(self) -> tuple[int, ...]:
@@ -60,7 +65,7 @@ class LocalizationPath:
 
 
 def identity_path(R: FiniteAlgebra) -> LocalizationPath:
-    return LocalizationPath(R, (), R, identity(R))
+    return LocalizationPath((), identity(R))
 
 
 BRANCHES = ("left", "right")
@@ -161,15 +166,13 @@ def get_context(name: str) -> SpectralContext:
 
 
 def extend_path(ctx, path: LocalizationPath, datum: tuple[int, ...],
-                branch: str, precomputed=None) -> LocalizationPath:
-    Q, step = precomputed if precomputed is not None else ctx.attach(
-        path.target, datum, branch)
-    return LocalizationPath(
-        path.source,
-        path.steps + ((datum, branch),),
-        Q,
-        compose(path.composite, step),
-    )
+                branch: str, step: Hom | None = None) -> LocalizationPath:
+    """`path` followed by the attachment (datum, branch) at its target;
+    `step` is that attachment's map, when the caller has it."""
+    if step is None:
+        _, step = ctx.attach(path.target, datum, branch)
+    return LocalizationPath(path.steps + ((datum, branch),),
+                            compose(path.composite, step))
 
 
 def _is_identity_sig(sig) -> bool:
@@ -208,8 +211,8 @@ def factorize(ctx, f: Hom):
             sig = ctx.attach_sig(K, datum, branch)
             if _is_identity_sig(sig) or not _refines(sig, g.map):
                 continue
-            Q, step = tables.quotient_by_sig(K, sig)
-            path = extend_path(ctx, path, datum, branch, (Q, step))
+            _, step = tables.quotient_by_sig(K, sig)
+            path = extend_path(ctx, path, datum, branch, step)
             g = tables.induced(step, g)
             break
         else:

@@ -130,15 +130,12 @@ def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
         lookups.append(tables.cone_lookup(L, cone))
     # the restriction from U_c to U_d, lifted from the chart projections
     maps = {(c, d): tables.lift(stalks[c], stalks[d], lookups[d], [
-        compose(cones[c][i], spaces[i].sheaf.res(traces[c][i], traces[d][i]))
+        compose(cones[c][i], spaces[i].res(traces[c][i], traces[d][i]))
         for i in range(nc)]) for c, U in enumerate(mins) for d in U - {c}}
-    X = SpectralSpace(
-        ctx_name=specs.ctx.name,
-        kind=spaces[0].kind,
-        point_labels=tuple(f"c{i}p{p}" for (i, p) in
-                           (all_points[c] for c in classes)),
-        sheaf=sp.sheaf_from_stalks(spaces[0].kind, stalks, maps),
-    )
+    X = sp.sheaf_from_stalks(
+        specs.ctx.name, spaces[0].kind,
+        tuple(f"c{i}p{p}" for (i, p) in (all_points[c] for c in classes)),
+        stalks, maps)
     _check_glued(specs.ctx, X)
     return X
 
@@ -154,13 +151,13 @@ def _glued_sections(spaces, overlaps, traces):
     the U_a separate the sections over W_i, so each side's key is the tuple
     of these values over the points of W_i.
     """
-    objects = [spaces[i].sections(traces[i]) for i in range(len(spaces))]
+    objects = [spaces[i].sections[traces[i]] for i in range(len(spaces))]
     meets = []
     for ov in overlaps:
         X, Y, ti, tj = spaces[ov.i], spaces[ov.j], traces[ov.i], traces[ov.j]
         W = sorted(a for a in ov.point_map if a in ti)
-        left = [X.sheaf.res(ti, X.min_open(a)) for a in W]
-        right = [compose(Y.sheaf.res(tj, Y.min_open(ov.point_map[a])),
+        left = [X.res(ti, X.min_open(a)) for a in W]
+        right = [compose(Y.res(tj, Y.min_open(ov.point_map[a])),
                          ov.stalks[a]) for a in W]
         keys = [[tuple(h(x) for h in hs) for x in range(A.size)]
                 for hs, A in ((left, objects[ov.i]), (right, objects[ov.j]))]
@@ -186,7 +183,7 @@ def is_affine(specs: Specs, X: SpectralSpace):
     Spec Γ builds its sections on first read, so the isomorphism search
     reads those at its minimal opens alone.
     """
-    gamma = X.sections(X.total)
+    gamma = X.sections[X.total]
     forms = local_forms(specs.ctx, gamma)
     if len(forms) == X.n_points:
         if gamma not in specs:

@@ -79,8 +79,8 @@ def pushout_opcover(c: Opcover, f: Hom) -> Opcover:
         for datum, branch in k.steps:
             _, step = ctx.attach(g.source, datum, branch)
             image = tuple(g.map[x] for x in datum)
-            Q, new_step = ctx.attach(path.target, image, branch)
-            path = cx.extend_path(ctx, path, image, branch, (Q, new_step))
+            _, new_step = ctx.attach(path.target, image, branch)
+            path = cx.extend_path(ctx, path, image, branch, new_step)
             g = tables.induced(step, compose(g, new_step))
         pushed.append(path)
     return Opcover(ctx, f.target, tuple(pushed))

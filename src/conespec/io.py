@@ -113,7 +113,7 @@ def space_to_dict(X) -> dict:
         "context": X.ctx_name,
         "points": list(X.point_labels),
         "opens": [sorted(U) for U in X.opens],
-        "sections": {open_key(U): algebra_to_dict(X.sections(U))
+        "sections": {open_key(U): algebra_to_dict(X.sections[U])
                      for U in X.opens},
         "stalks": {str(p): algebra_to_dict(X.stalk(p))
                    for p in range(X.n_points)},

@@ -93,7 +93,8 @@ def geometric_iso(ctx, f: Hom):
 def fixed_point(ctx, R: FiniteAlgebra):
     """(verdict, counit) for "the counit R -> global sections of Spec R is
     an isomorphism"."""
-    _, eps = sp.global_sections(sp.build_spec(ctx, R))
+    X = sp.build_spec(ctx, R)
+    eps = X.canonical[X.total]
     return eps.is_bijective, eps
 
 

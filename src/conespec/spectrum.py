@@ -24,7 +24,7 @@ from .tables import FiniteAlgebra, Hom, compose
 
 
 # ---------------------------------------------------------------------------
-# sheaves on a finite T0 space
+# finite T0 spaces with a sheaf, and maps between them
 
 
 class OnRead(dict):
@@ -40,31 +40,57 @@ class OnRead(dict):
         return self[k]
 
 
-class Presheaf:
-    """A sheaf on a finite T0 space, by the minimal opens `mins[p]` = U_p,
+class SpectralSpace:
+    """A finite T0 space with a sheaf, by the minimal opens `mins[p]` = U_p,
     the sections and their stalk cones.
 
     `cones[U]` maps each point p of U, in ascending order, to the projection
     of O(U) onto the stalk at p.  The cone separates sections, so the
-    restriction O(U) -> O(V) is the lift of U's legs at the points of V; it
-    is built on its first read and kept, as the sections and cones are.
+    restriction O(U) -> O(V) is the lift of U's legs at the points of V.
+    Sections, cones, their lookups and the restrictions are each built on
+    their first read and kept.  A Spec also holds its base algebra, its
+    local forms, the canonical maps and the stalk isos (None on glued
+    spaces).
     """
 
-    def __init__(self, kind: str, mins: tuple[frozenset, ...],
-                 sections: OnRead, cones: OnRead):
+    def __init__(self, ctx_name: str, kind: str, point_labels: tuple[str, ...],
+                 mins: tuple[frozenset, ...], sections: OnRead, cones: OnRead):
+        self.ctx_name = ctx_name
         self.kind = kind
+        self.point_labels = point_labels
         self.mins = mins            # point -> U_p
         self.sections = sections    # open -> O(U)
         self.cones = cones          # open -> {p: Hom(O(U), stalk at p)}
-        self._lookups = {}
-        self._res = {}
+        self._lookups = OnRead(lambda U: tables.cone_lookup(
+            sections[U], list(cones[U].values())))
+        self._res = OnRead(lambda UV: tables.lift(
+            sections[UV[0]], sections[UV[1]], self._lookups[UV[1]],
+            [cones[UV[0]][p] for p in cones[UV[1]]]))
+        self.base: FiniteAlgebra | None = None
+        self.forms: tuple[LocalizationPath, ...] | None = None
+        self.canonical: OnRead | None = None  # open -> Hom(base, section)
+        self.stalk_iso: OnRead | None = None  # point -> Hom(stalk, local target)
 
     @property
     def n_points(self) -> int:
         return len(self.mins)
 
+    @property
+    def total(self) -> frozenset:
+        return frozenset(range(self.n_points))
+
     def min_open(self, p: int) -> frozenset:
         return self.mins[p]
+
+    def stalk(self, p: int) -> FiniteAlgebra:
+        return self.sections[self.mins[p]]
+
+    def lookup(self, U) -> dict:
+        """`tables.cone_lookup` of O(U) along its stalk cone."""
+        return self._lookups[U]
+
+    def res(self, U, V) -> Hom:
+        return self._res[(U, V)]
 
     @functools.cached_property
     def opens(self) -> tuple[frozenset, ...]:
@@ -118,27 +144,20 @@ class Presheaf:
                 above[end], below[p], end = p, end, below[p]
         return self.n_points - sum(q is not None for q in below)
 
-    def lookup(self, U) -> dict:
-        """`tables.cone_lookup` of O(U) along its stalk cone."""
-        if U not in self._lookups:
-            self._lookups[U] = tables.cone_lookup(self.sections[U],
-                                                  list(self.cones[U].values()))
-        return self._lookups[U]
-
-    def res(self, U, V) -> Hom:
-        if (U, V) not in self._res:
-            self._res[(U, V)] = tables.lift(
-                self.sections[U], self.sections[V], self.lookup(V),
-                [self.cones[U][p] for p in self.cones[V]])
-        return self._res[(U, V)]
+    def specialization_order(self):
+        """Pairs (p, q) with p in the closure of {q}, i.e. q in U_p."""
+        return [(p, q) for p in range(self.n_points)
+                for q in sorted(self.mins[p]) if q != p]
 
 
 def sort_opens(opens) -> tuple[frozenset, ...]:
     return tuple(sorted(opens, key=lambda U: (len(U), sorted(U))))
 
 
-def sheaf_from_stalks(kind: str, stalks, maps: dict) -> Presheaf:
-    """The sheaf with stalks `stalks[p]` and specialization maps `maps`.
+def sheaf_from_stalks(ctx_name: str, kind: str, point_labels: tuple[str, ...],
+                      stalks, maps: dict) -> SpectralSpace:
+    """The space with the sheaf whose stalks are `stalks[p]` and whose
+    specialization maps are `maps`.
 
     `maps[(p, q)]` is the map stalks[p] -> stalks[q] for each q != p of the
     minimal open U_p, which is p with those q; the maps must commute.  O(U)
@@ -157,56 +176,9 @@ def sheaf_from_stalks(kind: str, stalks, maps: dict) -> Presheaf:
         L, cone = tables.limit(kind, [stalks[p] for p in pts], arrows)
         return L, dict(zip(pts, cone))
 
-    return Presheaf(kind, mins, OnRead(lambda U: section(U)[0]),
-                    OnRead(lambda U: section(U)[1]))
-
-
-# ---------------------------------------------------------------------------
-# spectral spaces
-
-
-class SpectralSpace:
-    def __init__(self, ctx_name: str, kind: str, point_labels: tuple[str, ...],
-                 sheaf: Presheaf,
-                 # Spec-only data (None on glued spaces)
-                 base: FiniteAlgebra | None = None,
-                 forms: tuple[LocalizationPath, ...] | None = None,
-                 canonical: dict | None = None,
-                 stalk_iso: dict | None = None):
-        self.ctx_name = ctx_name
-        self.kind = kind
-        self.point_labels = point_labels
-        self.sheaf = sheaf
-        self.base = base
-        self.forms = forms
-        self.canonical = canonical      # open -> Hom(base, section)
-        self.stalk_iso = stalk_iso      # point -> Hom(stalk section, local target)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.point_labels)
-
-    @property
-    def opens(self):
-        return self.sheaf.opens
-
-    @property
-    def total(self) -> frozenset:
-        return frozenset(range(self.n_points))
-
-    def min_open(self, p: int) -> frozenset:
-        return self.sheaf.min_open(p)
-
-    def stalk(self, p: int) -> FiniteAlgebra:
-        return self.sheaf.sections[self.min_open(p)]
-
-    def sections(self, U) -> FiniteAlgebra:
-        return self.sheaf.sections[U]
-
-    def specialization_order(self):
-        """Pairs (p, q) with p in the closure of {q}, i.e. q in U_p."""
-        return [(p, q) for p in range(self.n_points)
-                for q in sorted(self.min_open(p)) if q != p]
+    return SpectralSpace(ctx_name, kind, point_labels, mins,
+                         OnRead(lambda U: section(U)[0]),
+                         OnRead(lambda U: section(U)[1]))
 
 
 class APMap:
@@ -269,19 +241,15 @@ def build_spec(ctx, R: FiniteAlgebra, forms=None) -> SpectralSpace:
         h = tables.induced(forms[p].composite, forms[q].composite)
         if h is not None:
             maps[(p, q)] = h
-    sheaf = sheaf_from_stalks(R.kind, [f.target for f in forms], maps)
-    return SpectralSpace(
-        ctx_name=ctx.name,
-        kind=R.kind,
-        point_labels=tuple(f"p{i}" for i in range(len(forms))),
-        sheaf=sheaf,
-        base=R,
-        forms=forms,
-        canonical=OnRead(lambda U: tables.lift(
-            R, sheaf.sections[U], sheaf.lookup(U),
-            [forms[p].composite for p in sheaf.cones[U]])),
-        stalk_iso=OnRead(lambda p: sheaf.cones[sheaf.mins[p]][p]),
-    )
+    X = sheaf_from_stalks(ctx.name, R.kind,
+                          tuple(f"p{i}" for i in range(len(forms))),
+                          [f.target for f in forms], maps)
+    X.base, X.forms = R, forms
+    X.canonical = OnRead(lambda U: tables.lift(
+        R, X.sections[U], X.lookup(U),
+        [forms[p].composite for p in X.cones[U]]))
+    X.stalk_iso = OnRead(lambda p: X.cones[X.mins[p]][p])
+    return X
 
 
 class Specs(OnRead):
@@ -325,13 +293,6 @@ def spec_map(specs: Specs, f: Hom) -> APMap:
     return specs.maps[f]
 
 
-def global_sections(X: SpectralSpace):
-    """Sections at the total open; for Spec spaces also the counit."""
-    gamma = X.sections(X.total)
-    counit = X.canonical[X.total] if X.canonical is not None else None
-    return gamma, counit
-
-
 # ---------------------------------------------------------------------------
 # exhaustive APMap enumeration (maps of AP-spaces)
 
@@ -371,14 +332,14 @@ def _maps_by_stalks(S, X, injective, stalk_homs):
 
     @functools.cache
     def stalks(q, i):
-        return stalk_homs(X.sections(x_min[q]), S.sections(s_min[i]))
+        return stalk_homs(X.sections[x_min[q]], S.sections[s_min[i]])
 
     @functools.cache
     def meet(i, q, j, r):
         return (i, j,
-                [compose(h, S.sheaf.res(s_min[i], s_min[j])).map
+                [compose(h, S.res(s_min[i], s_min[j])).map
                  for h in stalks(q, i)],
-                [compose(X.sheaf.res(x_min[q], x_min[r]), h).map
+                [compose(X.res(x_min[q], x_min[r]), h).map
                  for h in stalks(r, j)])
 
     pm = []

@@ -354,11 +354,11 @@ def section_maps(m: APMap) -> dict:
     points of pre W, so the map at W is the lift of the legs O_T(W) ->
     O_T(U_pm(i)) -> O_S(U_i) -> stalk of S at i."""
     S, T = m.source, m.target
-    legs = [tables.compose(h, S.sheaf.cones[S.min_open(i)][i])
+    legs = [tables.compose(h, S.cones[S.min_open(i)][i])
             for i, h in enumerate(m.stalks)]
     return {W: tables.lift(
-        T.sections(W), S.sections(P), S.sheaf.lookup(P),
-        [tables.compose(T.sheaf.res(W, T.min_open(m.point_map[i])), legs[i])
+        T.sections[W], S.sections[P], S.lookup(P),
+        [tables.compose(T.res(W, T.min_open(m.point_map[i])), legs[i])
          for i in sorted(P)]) for W in T.opens for P in [preimage(m, W)]}
 
 
@@ -399,19 +399,12 @@ def restrict(X, U: frozenset):
     def unmap(V):
         return frozenset(pts[i] for i in V)
 
-    sheaf = sp.Presheaf(X.kind,
-                        tuple(frozenset(reindex[q] for q in X.min_open(p))
-                              for p in pts),
-                        sp.OnRead(lambda V: X.sections(unmap(V))),
-                        sp.OnRead(lambda V: {
-                            reindex[p]: h
-                            for p, h in X.sheaf.cones[unmap(V)].items()}))
     return sp.SpectralSpace(
-        ctx_name=X.ctx_name,
-        kind=X.kind,
-        point_labels=tuple(X.point_labels[p] for p in pts),
-        sheaf=sheaf,
-    )
+        X.ctx_name, X.kind, tuple(X.point_labels[p] for p in pts),
+        tuple(frozenset(reindex[q] for q in X.min_open(p)) for p in pts),
+        sp.OnRead(lambda V: X.sections[unmap(V)]),
+        sp.OnRead(lambda V: {reindex[p]: h
+                             for p, h in X.cones[unmap(V)].items()}))
 
 
 def corestrict_to_open(m: APMap, U: frozenset) -> APMap:
@@ -480,15 +473,15 @@ def glued_sections_by_product(spaces, overlaps, traces):
     overlap, and taking them as a subalgebra of the product.  The overlaps
     are `overlap_by_restriction`'s, and carry chart j's sections over W_j to
     chart i's over W_i by the overlap iso's section map."""
-    P, projs = tables.product(spaces[0].kind, [spaces[i].sections(traces[i])
+    P, projs = tables.product(spaces[0].kind, [spaces[i].sections[traces[i]]
                                                for i in range(len(spaces))])
     checks = []
     for ov in overlaps:
         rj = {p: a for a, p in enumerate(sorted(ov.Uj))}
         Wi, Wj = traces[ov.i] & ov.Ui, traces[ov.j] & ov.Uj
         checks.append((ov.i, ov.j,
-                       spaces[ov.i].sheaf.res(traces[ov.i], Wi).map,
-                       spaces[ov.j].sheaf.res(traces[ov.j], Wj).map,
+                       spaces[ov.i].res(traces[ov.i], Wi).map,
+                       spaces[ov.j].res(traces[ov.j], Wj).map,
                        ov.section_maps[frozenset(rj[p] for p in Wj)].map))
     members = []
     for x in range(P.size):
@@ -518,13 +511,13 @@ def validate_apmap(ctx, m: APMap) -> None:
     maps = section_maps(m)
     for U in T.opens:
         h = maps[U]
-        if h.source != T.sections(U) or h.target != S.sections(preimage(m, U)):
+        if h.source != T.sections[U] or h.target != S.sections[preimage(m, U)]:
             raise InvariantViolation("section map between the wrong sections")
         for V in T.opens:
             if V < U:
-                left = tables.compose(h, S.sheaf.res(preimage(m, U),
-                                                     preimage(m, V)))
-                right = tables.compose(T.sheaf.res(U, V), maps[V])
+                left = tables.compose(h, S.res(preimage(m, U),
+                                               preimage(m, V)))
+                right = tables.compose(T.res(U, V), maps[V])
                 if left != right:
                     raise InvariantViolation("section maps ignore restriction")
 
@@ -538,7 +531,7 @@ def apmap_from_sections(S, X, pm, maps) -> APMap:
         U = X.min_open(q)
         pre = frozenset(j for j, r in enumerate(pm) if r in U)
         stalks.append(tables.compose(maps[U],
-                                     S.sheaf.res(pre, S.min_open(i))))
+                                     S.res(pre, S.min_open(i))))
     m = APMap(S, X, tuple(pm), tuple(stalks))
     assert list(section_maps(m).items()) == list(maps.items())
     return m
@@ -596,7 +589,7 @@ def restrict_by_opens(X, U):
     reindex = {p: i for i, p in enumerate(sorted(U))}
     inside = {frozenset(reindex[p] for p in V): V for V in X.opens if V <= U}
     return sort_opens(inside), {
-        V: (X.sections(W), {reindex[p]: h for p, h in X.sheaf.cones[W].items()})
+        V: (X.sections[W], {reindex[p]: h for p, h in X.cones[W].items()})
         for V, W in inside.items()}
 
 
@@ -706,9 +699,10 @@ def sheafify(F):
     `single` records whether every theta is injective, i.e. F was separated
     (a single plus construction would have sufficed)."""
     mins = [F.min_open(p) for p in range(F.n_points)]
-    G = sp.sheaf_from_stalks(F.kind, [F.sections[U] for U in mins], {
-        (p, q): F.res(mins[p], mins[q])
-        for p in range(F.n_points) for q in mins[p] if q != p})
+    G = sp.sheaf_from_stalks(
+        "", F.kind, ("",) * F.n_points, [F.sections[U] for U in mins], {
+            (p, q): F.res(mins[p], mins[q])
+            for p in range(F.n_points) for q in mins[p] if q != p})
     assert G.opens == F.opens
     theta = {U: tables.lift(F.sections[U], G.sections[U], G.lookup(U),
                             [F.res(U, mins[p]) for p in sorted(U)])
@@ -802,13 +796,10 @@ def spec_by_definition(ctx, R):
 
 
 def isomorphic_sheaves(G, H) -> bool:
-    """Whether the (pre)sheaves G and H on one space are isomorphic, by
-    `space_isos_by_opens` on the spaces they make (a TablePresheaf has no
-    stalk cones for the minimal-open search to lift into)."""
-    def space(F):
-        return sp.SpectralSpace("", F.kind, ("",) * F.n_points, F)
-
-    return next(space_isos_by_opens(space(G), space(H)), None) is not None
+    """Whether the sheaf G and the (pre)sheaf H on one space are isomorphic,
+    by `space_isos_by_opens` from G to H (a TablePresheaf has no stalk
+    cones for the minimal-open search to lift into, so G must have them)."""
+    return next(space_isos_by_opens(G, H), None) is not None
 
 
 def is_separated(F) -> bool:
@@ -976,7 +967,7 @@ def enumerate_localizations(ctx, R, max_rounds: int | None = None
                 if sig not in found:
                     found[sig] = contexts.extend_path(
                         ctx, path, datum, branch,
-                        tables.quotient_by_sig(K, step_sig))
+                        tables.quotient_by_sig(K, step_sig)[1])
                     new.append(found[sig])
         frontier = new
     return found
@@ -999,11 +990,10 @@ def enumerate_localizations_by_quotient(ctx, R, max_rounds=None):
         for path in frontier:
             for datum in ctx.cell_data(path.target):
                 for branch in contexts.BRANCHES:
-                    Q, step = ctx.attach(path.target, datum, branch)
+                    _, step = ctx.attach(path.target, datum, branch)
                     if step.is_bijective:
                         continue
-                    ext = contexts.extend_path(ctx, path, datum, branch,
-                                               (Q, step))
+                    ext = contexts.extend_path(ctx, path, datum, branch, step)
                     if ext.sig not in found:
                         found[ext.sig] = ext
                         new.append(ext)
@@ -1039,13 +1029,13 @@ def factorize_by_quotient(ctx, f):
         options = [(d, b) for d in ctx.cell_data(K) for b in contexts.BRANCHES]
         progressed = False
         for datum, branch in options:
-            Q, step = ctx.attach(K, datum, branch)
+            _, step = ctx.attach(K, datum, branch)
             if step.is_bijective:
                 continue
             h = tables.induced(step, g)
             if h is None:
                 continue
-            path = contexts.extend_path(ctx, path, datum, branch, (Q, step))
+            path = contexts.extend_path(ctx, path, datum, branch, step)
             g = h
             progressed = True
             break
@@ -1158,13 +1148,13 @@ def enumerate_apmaps_by_opens(ctx, S, X):
         assigned: dict = {}
 
         def candidates(U):
-            for h in homs.all_homs(X.sections(U), S.sections(pre[U])):
+            for h in homs.all_homs(X.sections[U], S.sections[pre[U]]):
                 ok = all(
-                    tables.compose(h, S.sheaf.res(pre[U], pre[V]))
-                    == tables.compose(X.sheaf.res(U, V), assigned[V])
+                    tables.compose(h, S.res(pre[U], pre[V]))
+                    == tables.compose(X.res(U, V), assigned[V])
                     for V in x_opens_asc if V in assigned and V < U)
                 if ok and all(ctx.is_admissible(tables.compose(
-                        h, S.sheaf.res(pre[U], S.min_open(i))))
+                        h, S.res(pre[U], S.min_open(i))))
                         for i in min_points.get(U, ())):
                     yield h
 
@@ -1204,12 +1194,12 @@ def space_isos_by_opens(X, Y):
                 yield apmap_from_sections(X, Y, pm, dict(assigned))
                 return
             U = y_opens_asc[idx]
-            for h in homs.iter_isomorphisms(Y.sections(U), X.sections(pre[U])):
+            for h in homs.iter_isomorphisms(Y.sections[U], X.sections[pre[U]]):
                 ok = True
                 for V in y_opens_asc[:idx]:
                     if V < U:
-                        left = tables.compose(h, X.sheaf.res(pre[U], pre[V]))
-                        right = tables.compose(Y.sheaf.res(U, V), assigned[V])
+                        left = tables.compose(h, X.res(pre[U], pre[V]))
+                        right = tables.compose(Y.res(U, V), assigned[V])
                         if left != right:
                             ok = False
                             break

@@ -43,16 +43,15 @@ def test_criterion_1_spec_z6_and_z12():
     assert X.n_points == 2 and len(X.opens) == 4
     assert sorted(X.stalk(i).size for i in range(2)) == [2, 3]
     assert isomorphic(X.stalk(0), Z2) or isomorphic(X.stalk(0), Z3)
-    gamma, eps = sp.global_sections(X)
-    assert isomorphic(gamma, Z6) and eps.is_bijective
+    assert isomorphic(X.sections[X.total], Z6)
+    assert X.canonical[X.total].is_bijective
     Y = sp.build_spec(ZAR, Z12)
     assert Y.n_points == 2
     assert sorted(Y.stalk(i).size for i in range(2)) == [3, 4]
     stalks = [Y.stalk(i) for i in range(2)]
     assert any(isomorphic(s, corpus.zn(4)) for s in stalks)
     assert any(isomorphic(s, Z3) for s in stalks)
-    _, eps12 = sp.global_sections(Y)
-    assert eps12.is_bijective
+    assert Y.canonical[Y.total].is_bijective
     print("criterion 1 PASS: Spec Z/6 and Z/12 zariski facts")
 
 
@@ -173,7 +172,7 @@ def test_criterion_8_gluing_and_nerve():
     P1 = gl.glue(dei, gl.GluingSpec(
         (M, M), (gl.make_overlap(dei, 0, 1, ko, ko),)))
     assert P1.n_points == 3
-    gamma = P1.sections(P1.total)
+    gamma = P1.sections[P1.total]
     assert isomorphic(gamma, corpus.by_name("e2xe2"))
     affine, witness = gl.is_affine(dei, P1)
     assert not affine and witness["points"] == (3, 4)
@@ -182,7 +181,7 @@ def test_criterion_8_gluing_and_nerve():
               if k.target.size == 2)
     D = gl.glue(zar, gl.GluingSpec(
         (Z6, Z6), (gl.make_overlap(zar, 0, 1, k2, k2),)))
-    assert isomorphic(D.sections(D.total), corpus.ring_product(2, 3, 3))
+    assert isomorphic(D.sections[D.total], corpus.ring_product(2, 3, 3))
     affine, _ = gl.is_affine(zar, D)
     assert affine
 

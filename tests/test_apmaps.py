@@ -241,12 +241,12 @@ def test_searched_specs_build_limits_only_at_their_minimal_opens(monkeypatch):
     site = gl.default_site(DEI, 4)
     for name, search, searched in (
             ("doubled-z12.json", lambda specs, X: gl.is_affine(specs, X)[0],
-             lambda specs, X: [specs[X.sections(X.total)]]),
+             lambda specs, X: [specs[X.sections[X.total]]]),
             ("doubled-chain3.json", lambda specs, X: gl.nerve(specs, X, site),
              lambda specs, X: [specs[A] for A in site])):
         glued, X = golden_space(name)
         for U in X.opens:
-            X.sections(U)
+            X.sections[U]
         # a workspace of its own, so that the search builds every Spec it reads
         specs = sp.Specs(glued.ctx)
         limits = _counting(monkeypatch, tables, "limit")

@@ -61,7 +61,7 @@ def test_f1_p1_shape(f1_p1):
     # one open generic point; each closed point's smallest open is its chart
     assert sorted(len(X.min_open(p)) for p in range(3)) == [1, 2, 2]
     assert len(X.opens) == 5
-    gamma = X.sections(X.total)
+    gamma = X.sections[X.total]
     assert isomorphic(gamma, corpus.by_name("e2xe2"))
 
 
@@ -86,7 +86,7 @@ def test_is_affine_agrees_with_the_full_comparison(f1_p1, doubled_z6):
     for ctx, X in [(DEI, f1_p1), (ZAR, doubled_z6), (DEI, along_total),
                    (DOM, domain_z6)]:
         verdict, witness = gl.is_affine(sp.Specs(ctx), X)
-        Y = sp.build_spec(ctx, X.sections(X.total))
+        Y = sp.build_spec(ctx, X.sections[X.total])
         assert verdict == (sp.spaces_isomorphic(Y, X) is not None)
         if not verdict:
             assert witness == {
@@ -111,7 +111,7 @@ def test_doubled_e2xe2_has_seven_points_and_is_not_affine():
 def test_doubled_z6_is_affine(doubled_z6):
     X = doubled_z6
     assert X.n_points == 3
-    gamma = X.sections(X.total)
+    gamma = X.sections[X.total]
     assert isomorphic(gamma, corpus.ring_product(2, 3, 3))
     verdict, witness = gl.is_affine(sp.Specs(ZAR), X)
     assert verdict and is_iso(witness)
@@ -264,8 +264,8 @@ def test_glued_sections_match_the_product_scan(monkeypatch):
             assert (L.one, L.zero) == (M.one, M.zero)
             assert cone == cone_m
         assert X.opens == Y.opens
-        assert all(X.sections(U) == Y.sections(U) for U in X.opens)
-        assert all(X.sheaf.res(U, V) == Y.sheaf.res(U, V)
+        assert all(X.sections[U] == Y.sections[U] for U in X.opens)
+        assert all(X.res(U, V) == Y.res(U, V)
                    for U in X.opens for V in X.opens if V <= U)
         opens += len(X.opens)
     assert opens > 200

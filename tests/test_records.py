@@ -28,7 +28,7 @@ def value_fields():
         (FiniteAlgebra, (A.kind, A.elements, A.mul, A.one, A.add, A.zero)),
         (Hom, (A, k.target, k.composite.map)),
         (Ideal, (A, frozenset({0, 2, 4}))),
-        (LocalizationPath, (k.source, k.steps, k.target, k.composite)),
+        (LocalizationPath, (k.steps, k.composite)),
     ]
 
 

@@ -120,7 +120,7 @@ def test_search_plan_matches_the_scan_on_every_spec_limit(monkeypatch):
             (DEI, corpus.monoid_product("chain3", "chain3", "e2"))]:
         X = sp.build_spec(ctx, A)
         for U in X.opens:   # each section is built on its first read
-            X.sections(U)
+            X.sections[U]
     assert len(diagrams) > 100
     assert max(len(sizes) for sizes, _ in diagrams) >= 18
     for sizes, arrows in diagrams:

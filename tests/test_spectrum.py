@@ -33,6 +33,7 @@ from helpers import (canonical_presheaf, corpus_by_context,
                      section_maps, sheafify, sheafify_by_plus,
                      small_topologies, space_isos_by_open_count,
                      spec_by_definition, validate_apmap)
+from test_points import golden_space
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -58,7 +59,7 @@ def test_spec_limits_match_product_scan(monkeypatch):
     for ctx, A in corpus_by_context():
         X = sp.build_spec(ctx, A)
         for U in X.opens:   # each section is built on its first read
-            X.sections(U)
+            X.sections[U]
     assert len(calls) > 50
     for kind, objects, arrows, out in calls:
         assert out == limit_by_product_scan(kind, objects, arrows)
@@ -85,20 +86,52 @@ def test_lift_matches_the_lookup_route_on_every_spec_limit(monkeypatch):
     assert len(calls) > 50
 
 
+@pytest.mark.parametrize("space", ["spec-chain3xe2", "glue-doubled-e2xe2"])
+def test_each_section_cone_lookup_and_restriction_is_built_once(
+        space, monkeypatch):
+    """Reading every section, cone, lookup and restriction twice calls
+    `tables.limit` once per open whose section is not yet built (a glued
+    space has built its stalks to check that they are local; a Spec has
+    built none), `tables.cone_lookup` once per open and `tables.lift` once
+    per pair V <= U of opens."""
+    if space.startswith("spec"):
+        X = sp.build_spec(DEI, corpus.monoid_product("chain3", "e2"))
+    else:
+        _, X = golden_space("doubled-e2xe2.json")
+    unbuilt = [U for U in X.opens if U not in X.sections]
+    assert len(unbuilt) == len(X.opens) - (X.n_points if X.base is None else 0)
+    pairs = [(U, V) for U in X.opens for V in X.opens if V <= U]
+    calls = dict.fromkeys(("limit", "cone_lookup", "lift"), 0)
+    for name in calls:
+        def counting(*args, name=name, real=getattr(tables, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(tables, name, counting)
+    for _ in range(2):
+        for U in X.opens:
+            X.sections[U], X.cones[U], X.lookup(U)
+        for U, V in pairs:
+            X.res(U, V)
+    assert calls == {"limit": len(unbuilt), "cone_lookup": len(X.opens),
+                     "lift": len(pairs)}
+    assert len(pairs) >= 50
+
+
 def test_spec_z6_zariski():
     X = sp.build_spec(ZAR, Z6)
     assert X.n_points == 2
     assert len(X.opens) == 4  # discrete
     assert sorted(X.stalk(i).size for i in range(2)) == [2, 3]
-    gamma, eps = sp.global_sections(X)
-    assert gamma.size == 6 and eps.is_bijective
+    assert X.sections[X.total].size == 6
+    assert X.canonical[X.total].is_bijective
     assert X.specialization_order() == []
 
 
 def test_spec_z4_single_point():
     X = sp.build_spec(ZAR, Z4)
     assert X.n_points == 1
-    assert X.sections(X.total).size == 4
+    assert X.sections[X.total].size == 4
     assert X.stalk(0).size == 4
 
 
@@ -106,15 +139,15 @@ def test_spec_z12_zariski():
     X = sp.build_spec(ZAR, Z12)
     assert X.n_points == 2
     assert sorted(X.stalk(i).size for i in range(2)) == [3, 4]
-    gamma, eps = sp.global_sections(X)
-    assert gamma.size == 12 and eps.is_bijective
+    assert X.sections[X.total].size == 12
+    assert X.canonical[X.total].is_bijective
 
 
 def test_spec_trivial_ring_is_empty():
     X = sp.build_spec(ZAR, corpus.trivial_ring())
     assert X.n_points == 0
     assert X.opens == (frozenset(),)
-    assert X.sections(X.total).size == 1
+    assert X.sections[X.total].size == 1
 
 
 def test_spec_flag_monoid_is_sierpinski():
@@ -124,7 +157,7 @@ def test_spec_flag_monoid_is_sierpinski():
     assert X.specialization_order() == [(1, 0)]
     open_pt = next(p for p in range(2) if len(X.min_open(p)) == 1)
     assert X.stalk(open_pt).size == 1
-    assert X.sections(X.total).size == 2
+    assert X.sections[X.total].size == 2
 
 
 def test_spec_domain_context_z6():
@@ -157,7 +190,7 @@ def test_build_spec_matches_the_definition(ctx, A):
     _, G, canonical, _ = spec_by_definition(ctx, A)
     assert X.opens == G.opens
     for U in X.opens:
-        assert X.sections(U).size == G.sections[U].size
+        assert X.sections[U].size == G.sections[U].size
         assert X.canonical[U].kernel_sig() == canonical[U].kernel_sig()
     assert X.canonical[X.total].is_bijective == \
         canonical[X.total].is_bijective
@@ -178,7 +211,7 @@ def test_structure_sheaves_satisfy_sheaf_condition():
     ]:
         for A in algebras:
             X = sp.build_spec(ctx, A)
-            assert satisfies_sheaf_condition(X.sheaf), (ctx.name, A.elements)
+            assert satisfies_sheaf_condition(X), (ctx.name, A.elements)
 
 
 def test_zariski_canonical_presheaves_already_sheaves():
@@ -292,19 +325,21 @@ def _random_order(rng, n):
 
 
 def test_width_is_the_largest_antichain():
-    """`Presheaf.width`, by matching, against a search of the point sets in
+    """`SpectralSpace.width`, by matching, against a search of the point sets in
     which no point's minimal open holds another, smallest first: on the
     corpus Specs, on deitmar Specs of products of e2 and chain3, whose
     orders are deeper and wider, and on random orders."""
-    sheaves = [sp.build_spec(ctx, A).sheaf for ctx, A in corpus_by_context()]
-    sheaves += [sp.build_spec(DEI, corpus.monoid_product(*names)).sheaf
-                for names in (("e2",) * 3, ("e2",) * 4, ("chain3", "e2"),
-                              ("chain3", "chain3"), ("chain3", "e2", "e2"))]
+    spaces = [sp.build_spec(ctx, A) for ctx, A in corpus_by_context()]
+    spaces += [sp.build_spec(DEI, corpus.monoid_product(*names))
+               for names in (("e2",) * 3, ("e2",) * 4, ("chain3", "e2"),
+                             ("chain3", "chain3"), ("chain3", "e2", "e2"))]
     rng = random.Random(29)
-    sheaves += [sp.Presheaf("monoid", _random_order(rng, rng.randint(1, 9)),
-                            None, None) for _ in range(200)]
+    for _ in range(200):
+        mins = _random_order(rng, rng.randint(1, 9))
+        spaces.append(sp.SpectralSpace("", "monoid", ("",) * len(mins), mins,
+                                       None, None))
     widths = []
-    for F in sheaves:
+    for F in spaces:
         width = 0
         # an antichain's subsets are antichains: stop at the first size
         # that has none
@@ -323,8 +358,7 @@ def _spaces_of_every_shape():
     rng = random.Random(17)
     spaces = [sp.build_spec(ctx, A) for ctx, A in corpus_by_context()]
     for topology in (small_topologies() + DEEP_POSETS) * 2:
-        G, _, _ = sheafify(random_presheaf(rng, topology))
-        spaces.append(sp.SpectralSpace("", G.kind, ("",) * G.n_points, G))
+        spaces.append(sheafify(random_presheaf(rng, topology))[0])
     return spaces
 
 
@@ -352,7 +386,7 @@ def test_minimal_open_criteria_match_the_open_lattice():
             Y = restrict(X, U)
             opens, sheaf = restrict_by_opens(X, U)
             assert Y.opens == opens
-            assert all(Y.sections(V) is A and Y.sheaf.cones[V] == cone
+            assert all(Y.sections[V] is A and Y.cones[V] == cone
                        for V, (A, cone) in sheaf.items())
 
 
@@ -426,7 +460,7 @@ def test_embedding_restricts_to_spec_of_target():
     assert iso.source.n_points == len(U) == 1
     assert is_iso(iso) and iso.target is specs[k.target]
     K = sp.build_spec(ZAR, k.target)
-    assert iso.target.sections(iso.target.total) == K.sections(K.total)
+    assert iso.target.sections[iso.target.total] == K.sections[K.total]
 
 
 def test_spaces_isomorphic_and_not():
@@ -450,4 +484,4 @@ def test_restrict_total_is_identity_shape():
     X = sp.build_spec(ZAR, Z12)
     Y = restrict(X, X.total)
     assert Y.opens == X.opens
-    assert all(Y.sections(U) == X.sections(U) for U in X.opens)
+    assert all(Y.sections[U] == X.sections[U] for U in X.opens)

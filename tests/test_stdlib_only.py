@@ -202,6 +202,11 @@ def test_cli_import_loads_every_layer_and_nothing_it_does_not_use():
         assert not missing, f"vars(conespec.{layer}) lacks {sorted(missing)}"
 
 
+def test_executes_names_every_golden_case():
+    """A golden case that EXECUTES leaves out would go unchecked below."""
+    assert sorted(EXECUTES) == sorted(CASES)
+
+
 @pytest.mark.parametrize("case", sorted(EXECUTES))
 def test_each_subcommand_runs_only_the_layers_it_uses(case, tmp_path):
     proc = run_child(LAYER_PROBE, *resolve(CASES[case], str(tmp_path)))
