@@ -199,8 +199,8 @@ def cmd_glue(args) -> int:
     stem = _stem(args.input)
     _write(args.out_dir, f"{stem}.space.json", cio.dumps(cio.space_to_dict(X)))
     _write(args.out_dir, f"{stem}.topology.dot", cio.specialization_dot(X))
-    verdict, _ = gl.is_affine(specs, X)
-    print(f"points={X.n_points} affine={'true' if verdict else 'false'}")
+    affine = gl.is_affine(specs, X) is not None
+    print(f"points={X.n_points} affine={'true' if affine else 'false'}")
     return EXIT_OK
 
 
@@ -225,7 +225,7 @@ def cmd_nerve(args) -> int:
     table = gl.nerve(specs, X, site)
     covers = []
     for A in site:
-        pointwise = cx.local_forms(ctx, A)
+        pointwise = ctx.local_forms(A)
         # an identity component fixes every compatible family, so such a
         # cover always meets the sheaf condition
         if pointwise and not any(k.is_identity_class for k in pointwise):

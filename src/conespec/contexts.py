@@ -15,7 +15,8 @@ partition of the composite identifies a finite localization up to
 isomorphism over its source, and localizations are compared by it.  The
 points of Spec R are the local forms (`local_forms`); every other
 localization the library meets is written by a caller or found by
-`factorize`.  Each context gives the signature of one attachment
+`factorize`.  Their number (`point_count`) is read off the algebra without
+building any of them.  Each context gives the signature of one attachment
 (`attach_sig`) without building its quotient, so `factorize` compares
 signatures first and builds a quotient only for a step it takes.
 """
@@ -117,9 +118,13 @@ class SpectralContext:
                     seen.add(v)
                     yield datum, branch
 
-    def local_forms_direct(self, A) -> list[LocalizationPath]:
+    def local_forms(self, A) -> list[LocalizationPath]:
         """One local form per point of Spec A, in kernel-partition order."""
         raise NotImplementedError
+
+    def point_count(self, A) -> int:
+        """How many points Spec A has, one per local factor of the ring."""
+        return len(_primitive_idempotents(A))
 
     def __repr__(self):
         return f"<context {self.name}>"
@@ -183,11 +188,6 @@ def _refines(sig, values) -> bool:
     """Whether the partition `sig` refines the kernel of `values`."""
     image: dict = {}
     return all(image.setdefault(c, y) == y for c, y in zip(sig, values))
-
-
-def local_forms(ctx, R) -> list[LocalizationPath]:
-    """One local form per isomorphism class over R (direct enumeration)."""
-    return ctx.local_forms_direct(R)
 
 
 # ---------------------------------------------------------------------------

@@ -48,17 +48,23 @@ class DeitmarContext(SpectralContext):
                               if not multiples[x].isdisjoint(powers)))
         return sorted(out, key=lambda F: (len(F), sorted(F)))
 
-    def local_forms_direct(self, A):
-        out = {}
+    def point_count(self, A):
+        return len(self.faces(A))
+
+    def local_forms(self, A):
+        """One per face F, inverting F: one attachment at the product of
+        F's non-units, none for the unit face.  A face is the preimage of
+        the units of its localization, so distinct faces give distinct
+        kernels."""
+        out = []
         for F in self.faces(A):
+            a = A.one
+            for x in F - A.units:
+                a = A.mul[a][x]
             path = identity_path(A)
-            for a in sorted(F):
-                img = path.composite.map[a]
-                if img in path.target.units:
-                    continue
-                path = extend_path(self, path, (img,), "right")
-            out.setdefault(path.sig, path)
-        return sorted(out.values(), key=lambda p: p.sig)
+            out.append(path if a == A.one else
+                       extend_path(self, path, (a,), "right"))
+        return sorted(out, key=lambda p: p.sig)
 
 
 CONTEXT = DeitmarContext()

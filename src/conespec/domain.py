@@ -30,9 +30,7 @@ class DomainContext(SpectralContext):
         return tables.ideal_sig(
             tables.principal_ideal(A, self.victim(datum, branch)))
 
-    def local_forms_direct(self, A):
-        if A.is_trivial:
-            return []
+    def local_forms(self, A):
         out = []
         for e in _primitive_idempotents(A):
             # p = preimage of the maximal ideal of the local factor eA

@@ -18,7 +18,7 @@ import math
 from . import hypercover as hc
 from . import spectrum as sp
 from . import tables
-from .contexts import LocalizationPath, local_forms
+from .contexts import LocalizationPath
 from .errors import CocycleViolation, InvariantViolation, SizeBound
 from .spectrum import APMap, SpectralSpace, Specs, compose_apmaps, spec_map
 from .tables import FiniteAlgebra, Hom, compose
@@ -116,7 +116,7 @@ def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
             if d not in U:
                 U.add(d)
                 todo.extend(glob[(i, q)] for i, p in chart_points[d]
-                            for q in spaces[i].min_open(p))
+                            for q in spaces[i].mins[p])
         mins.append(U)
 
     traces = [[frozenset(p for p in range(spaces[i].n_points)
@@ -156,8 +156,8 @@ def _glued_sections(spaces, overlaps, traces):
     for ov in overlaps:
         X, Y, ti, tj = spaces[ov.i], spaces[ov.j], traces[ov.i], traces[ov.j]
         W = sorted(a for a in ov.point_map if a in ti)
-        left = [X.res(ti, X.min_open(a)) for a in W]
-        right = [compose(Y.res(tj, Y.min_open(ov.point_map[a])),
+        left = [X.res(ti, X.mins[a]) for a in W]
+        right = [compose(Y.res(tj, Y.mins[ov.point_map[a]]),
                          ov.stalks[a]) for a in W]
         keys = [[tuple(h(x) for h in hs) for x in range(A.size)]
                 for hs, A in ((left, objects[ov.i]), (right, objects[ov.j]))]
@@ -174,28 +174,17 @@ def _check_glued(ctx, X):
             raise InvariantViolation("glued stalk is not local")
 
 
-def is_affine(specs: Specs, X: SpectralSpace):
-    """(verdict, witness): is X isomorphic to Spec of its global sections?
+def is_affine(specs: Specs, X: SpectralSpace) -> APMap | None:
+    """An isomorphism Spec Γ -> X, Γ the global sections of X, or None.
 
-    Spec Γ has one point per local form of Γ, so it is built only when the
-    forms are as many as X's points; the witness of differing counts is
-    read from the forms.
-    Spec Γ builds its sections on first read, so the isomorphism search
-    reads those at its minimal opens alone.
+    Spec Γ has `point_count(Γ)` points, so it is built only when they are
+    as many as X's.  It builds its sections on first read, so the
+    isomorphism search reads those at its minimal opens alone.
     """
     gamma = X.sections[X.total]
-    forms = local_forms(specs.ctx, gamma)
-    if len(forms) == X.n_points:
-        if gamma not in specs:
-            specs[gamma] = sp.build_spec(specs.ctx, gamma, forms)
-        m = sp.spaces_isomorphic(specs[gamma], X)
-        if m is not None:
-            return True, m
-    return False, {
-        "points": (X.n_points, len(forms)),
-        "stalks": (sorted(X.stalk(p).size for p in range(X.n_points)),
-                   sorted(p.target.size for p in forms)),
-    }
+    if specs.ctx.point_count(gamma) != X.n_points:
+        return None
+    return sp.spaces_isomorphic(specs[gamma], X)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import itertools
 
 from . import contexts as cx
 from . import tables
-from .contexts import LocalizationPath, local_forms
+from .contexts import LocalizationPath
 from .errors import InvariantViolation
 from .tables import FiniteAlgebra, Hom, compose, pushout
 
@@ -31,7 +31,7 @@ class Opcover:
 
     @functools.cached_property
     def forms(self) -> list[LocalizationPath]:
-        return local_forms(self.ctx, self.base)
+        return self.ctx.local_forms(self.base)
 
     @functools.cached_property
     def cech_h0(self):

@@ -12,7 +12,7 @@ from . import homs
 from . import hypercover as hc
 from . import spectrum as sp
 from . import tables
-from .contexts import LocalizationPath, factorize, local_forms
+from .contexts import LocalizationPath, factorize
 from .errors import InvariantViolation
 from .tables import FiniteAlgebra, Hom, compose, pushout
 
@@ -20,7 +20,7 @@ from .tables import FiniteAlgebra, Hom, compose, pushout
 def ell_families(ctx, R: FiniteAlgebra):
     """(local forms, families): ell sends r to the family of its images in
     the local-form targets, `families[r]`."""
-    forms = local_forms(ctx, R)
+    forms = ctx.local_forms(R)
     return forms, [tuple(p.composite.map[r] for p in forms)
                    for r in range(R.size)]
 
@@ -73,7 +73,7 @@ def geometric_iso(ctx, f: Hom):
     must give back that target.  The certificate is the family of comparison
     isos, or the first failing local form.
     """
-    forms = local_forms(ctx, f.source)
+    forms = ctx.local_forms(f.source)
     witnesses = []
     for idx, p in enumerate(forms):
         _, _, in_p = pushout(f, p.composite)
@@ -83,7 +83,7 @@ def geometric_iso(ctx, f: Hom):
             return False, {"failing_form": idx, "comparison": comp}
         witnesses.append(comp)
     # surjectivity on points: every local form of S must come from one of R
-    for q in local_forms(ctx, f.target):
+    for q in ctx.local_forms(f.target):
         path, _ = factorize(ctx, compose(f, q.composite))
         if not any(path.sig == p.sig for p in forms):
             return False, {"extra_form_sig": path.sig}

@@ -18,7 +18,7 @@ import functools
 import itertools
 
 from . import homs, tables
-from .contexts import LocalizationPath, factorize, local_forms
+from .contexts import LocalizationPath, factorize
 from .errors import InvariantViolation, SizeBound
 from .tables import FiniteAlgebra, Hom, compose
 
@@ -78,9 +78,6 @@ class SpectralSpace:
     @property
     def total(self) -> frozenset:
         return frozenset(range(self.n_points))
-
-    def min_open(self, p: int) -> frozenset:
-        return self.mins[p]
 
     def stalk(self, p: int) -> FiniteAlgebra:
         return self.sections[self.mins[p]]
@@ -225,17 +222,16 @@ def compose_apmaps(f: APMap, g: APMap) -> APMap:
 # building Spec
 
 
-def build_spec(ctx, R: FiniteAlgebra, forms=None) -> SpectralSpace:
+def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
     """Spec R from its stalks: the local-form targets, along the maps that
-    one form induces on another; `forms` are R's local forms, when the
-    caller has them.
+    one form induces on another.
 
     The canonical map R -> O(U) lifts the form composites at the points of
     U, and the stalk iso at p is the projection of O(U_p) onto T_p.  Like
     the sections, each is built on its first read, so a Spec that is only
     searched for maps builds the limits at its minimal opens alone.
     """
-    forms = tuple(local_forms(ctx, R) if forms is None else forms)
+    forms = tuple(ctx.local_forms(R))
     maps = {}
     for p, q in itertools.permutations(range(len(forms)), 2):
         h = tables.induced(forms[p].composite, forms[q].composite)
@@ -326,20 +322,18 @@ def _maps_by_stalks(S, X, injective, stalk_homs):
     """
     if S.kind != X.kind:
         return
-    s_min = [S.min_open(i) for i in range(S.n_points)]
-    x_min = [X.min_open(q) for q in range(X.n_points)]
     pairs = S.specialization_order()
 
     @functools.cache
     def stalks(q, i):
-        return stalk_homs(X.sections[x_min[q]], S.sections[s_min[i]])
+        return stalk_homs(X.sections[X.mins[q]], S.sections[S.mins[i]])
 
     @functools.cache
     def meet(i, q, j, r):
         return (i, j,
-                [compose(h, S.res(s_min[i], s_min[j])).map
+                [compose(h, S.res(S.mins[i], S.mins[j])).map
                  for h in stalks(q, i)],
-                [compose(X.res(x_min[q], x_min[r]), h).map
+                [compose(X.res(X.mins[q], X.mins[r]), h).map
                  for h in stalks(r, j)])
 
     pm = []
@@ -352,8 +346,8 @@ def _maps_by_stalks(S, X, injective, stalk_homs):
             yield tuple(pm)
             return
         for q in range(X.n_points):
-            fits = all(pm[j] in x_min[q] for j in s_min[k] if j < k) and all(
-                q in x_min[pm[i]] for i in range(k) if k in s_min[i])
+            fits = all(pm[j] in X.mins[q] for j in S.mins[k] if j < k) and all(
+                q in X.mins[pm[i]] for i in range(k) if k in S.mins[i])
             if fits and not (injective and q in pm) and stalks(q, k):
                 pm.append(q)
                 yield from point_maps()

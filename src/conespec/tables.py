@@ -78,10 +78,8 @@ class FiniteAlgebra:
 
     @cached_property
     def units(self) -> frozenset[int]:
-        one = self.one
-        return frozenset(
-            i for i in range(self.size) if any(r == one for r in self.mul[i])
-        )
+        return frozenset(i for i in range(self.size)
+                         if self.one in self.mul[i])
 
     @cached_property
     def idempotents(self) -> frozenset[int]:

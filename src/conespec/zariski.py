@@ -26,9 +26,7 @@ class ZariskiContext(SpectralContext):
     def attach_sig(self, A, datum, branch):
         return tables.inversion_sig(A, self.victim(datum, branch))
 
-    def local_forms_direct(self, A):
-        if A.is_trivial:
-            return []
+    def local_forms(self, A):
         out = []
         for e in _primitive_idempotents(A):
             if e == A.one:

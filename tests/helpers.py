@@ -31,9 +31,11 @@ class TablePresheaf:
             return tables.identity(self.sections[U])
         return self.restrictions[(U, V)]
 
-    def min_open(self, p: int) -> frozenset:
+    @functools.cached_property
+    def mins(self) -> tuple[frozenset, ...]:
         # the least open holding p is the first, as the opens go by size
-        return next(U for U in self.opens if p in U)
+        return tuple(next(U for U in self.opens if p in U)
+                     for p in range(self.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def image_factorization(f: Hom) -> tuple[Hom, Hom]:
 def ell(ctx, R) -> Hom:
     """The canonical map R -> product of all local-form targets, into the
     product built with its tables."""
-    forms = contexts.local_forms(ctx, R)
+    forms = ctx.local_forms(R)
     P, projs = tables.product(R.kind, [p.target for p in forms])
     return tables.lift(R, P, tables.cone_lookup(P, projs),
                        [p.composite for p in forms])
@@ -302,6 +304,22 @@ def faces_by_subset_search(A) -> list[frozenset[int]]:
     return sorted(out, key=lambda F: (len(F), sorted(F)))
 
 
+def deitmar_forms_stepwise(A) -> list[contexts.LocalizationPath]:
+    """Oracle: the deitmar local forms of a monoid, one per face F, built by
+    inverting the image of each element of F in turn that is not yet a
+    unit, kept once per kernel and in kernel-partition order."""
+    ctx = contexts.get_context("deitmar")
+    out = {}
+    for F in ctx.faces(A):
+        path = contexts.identity_path(A)
+        for a in sorted(F):
+            img = path.composite.map[a]
+            if img not in path.target.units:
+                path = contexts.extend_path(ctx, path, (img,), "right")
+        out.setdefault(path.sig, path)
+    return sorted(out.values(), key=lambda p: p.sig)
+
+
 def large_nonassociative_monoid(n: int = 65):
     """Labels and mul table of a commutative, unital, non-associative magma.
 
@@ -354,11 +372,11 @@ def section_maps(m: APMap) -> dict:
     points of pre W, so the map at W is the lift of the legs O_T(W) ->
     O_T(U_pm(i)) -> O_S(U_i) -> stalk of S at i."""
     S, T = m.source, m.target
-    legs = [tables.compose(h, S.cones[S.min_open(i)][i])
+    legs = [tables.compose(h, S.cones[S.mins[i]][i])
             for i, h in enumerate(m.stalks)]
     return {W: tables.lift(
         T.sections[W], S.sections[P], S.lookup(P),
-        [tables.compose(T.res(W, T.min_open(m.point_map[i])), legs[i])
+        [tables.compose(T.res(W, T.mins[m.point_map[i]]), legs[i])
          for i in sorted(P)]) for W in T.opens for P in [preimage(m, W)]}
 
 
@@ -368,8 +386,8 @@ def is_iso(m: APMap) -> bool:
     the section map at U_pm(i)."""
     pm = m.point_map
     if sorted(pm) != list(range(m.target.n_points)) or any(
-            frozenset(pm[j] for j in m.source.min_open(i))
-            != m.target.min_open(q) for i, q in enumerate(pm)):
+            frozenset(pm[j] for j in m.source.mins[i])
+            != m.target.mins[q] for i, q in enumerate(pm)):
         return False
     return all(h.is_bijective for h in m.stalks)
 
@@ -401,7 +419,7 @@ def restrict(X, U: frozenset):
 
     return sp.SpectralSpace(
         X.ctx_name, X.kind, tuple(X.point_labels[p] for p in pts),
-        tuple(frozenset(reindex[q] for q in X.min_open(p)) for p in pts),
+        tuple(frozenset(reindex[q] for q in X.mins[p]) for p in pts),
         sp.OnRead(lambda V: X.sections[unmap(V)]),
         sp.OnRead(lambda V: {reindex[p]: h
                              for p, h in X.cones[unmap(V)].items()}))
@@ -528,10 +546,10 @@ def apmap_from_sections(S, X, pm, maps) -> APMap:
     ones, in the same order."""
     stalks = []
     for i, q in enumerate(pm):
-        U = X.min_open(q)
+        U = X.mins[q]
         pre = frozenset(j for j, r in enumerate(pm) if r in U)
         stalks.append(tables.compose(maps[U],
-                                     S.res(pre, S.min_open(i))))
+                                     S.res(pre, S.mins[i])))
     m = APMap(S, X, tuple(pm), tuple(stalks))
     assert list(section_maps(m).items()) == list(maps.items())
     return m
@@ -649,7 +667,7 @@ def plus_construction(F):
     minimal opens as its finest element, so the Heller-Rowe colimit collapses
     to H0 of that cover.
     """
-    min_open = {p: F.min_open(p) for p in range(F.n_points)}
+    mins = F.mins
     new_sections = {}
     cones = {}
     thetas = {}
@@ -658,20 +676,20 @@ def plus_construction(F):
         pair_opens = []
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
-                pair_opens.append((a, b, min_open[pts[a]] & min_open[pts[b]]))
-        objects = [F.sections[min_open[p]] for p in pts]
+                pair_opens.append((a, b, mins[pts[a]] & mins[pts[b]]))
+        objects = [F.sections[mins[p]] for p in pts]
         arrows = []
         base = len(objects)
         for k, (a, b, W) in enumerate(pair_opens):
             objects.append(F.sections[W])
-            arrows.append((a, base + k, F.res(min_open[pts[a]], W)))
-            arrows.append((b, base + k, F.res(min_open[pts[b]], W)))
+            arrows.append((a, base + k, F.res(mins[pts[a]], W)))
+            arrows.append((b, base + k, F.res(mins[pts[b]], W)))
         L, cone = tables.limit(F.kind, objects, arrows)
         new_sections[U] = L
         lookup = tables.cone_lookup(L, cone)
         cones[U] = (pts, pair_opens, cone, lookup)
         thetas[U] = tables.lift(F.sections[U], L, lookup,
-                                [F.res(U, min_open[p]) for p in pts]
+                                [F.res(U, mins[p]) for p in pts]
                                 + [F.res(U, W) for (_, _, W) in pair_opens])
     new_restrictions = {}
     for U in F.opens:
@@ -683,7 +701,7 @@ def plus_construction(F):
             ptsV, pairsV, _, lookupV = cones[V]
             # V's pair coordinates recomputed through U's point coordinates
             legs = [coneU[posU[p]] for p in ptsV] + [
-                tables.compose(coneU[posU[ptsV[a]]], F.res(min_open[ptsV[a]], W))
+                tables.compose(coneU[posU[ptsV[a]]], F.res(mins[ptsV[a]], W))
                 for (a, _, W) in pairsV]
             new_restrictions[(U, V)] = tables.lift(
                 new_sections[U], new_sections[V], lookupV, legs)
@@ -698,7 +716,7 @@ def sheafify(F):
     them.  Returns (sheaf, theta, single): theta maps F to the sheaf, and
     `single` records whether every theta is injective, i.e. F was separated
     (a single plus construction would have sufficed)."""
-    mins = [F.min_open(p) for p in range(F.n_points)]
+    mins = F.mins
     G = sp.sheaf_from_stalks(
         "", F.kind, ("",) * F.n_points, [F.sections[U] for U in mins], {
             (p, q): F.res(mins[p], mins[q])
@@ -727,7 +745,7 @@ def canonical_presheaf(ctx, R):
     distinguished opens inside it.  Returns (F, canonical), with canonical[U]
     the map R -> F(U).
     """
-    forms = tuple(contexts.local_forms(ctx, R))
+    forms = tuple(ctx.local_forms(R))
     n = len(forms)
     by_open: dict = {}
     for path in enumerate_localizations(ctx, R).values():
@@ -808,7 +826,7 @@ def is_separated(F) -> bool:
         pts = sorted(U)
         seen = set()
         for x in range(F.sections[U].size):
-            key = tuple(F.res(U, F.min_open(p)).map[x] for p in pts)
+            key = tuple(F.res(U, F.mins[p]).map[x] for p in pts)
             if key in seen:
                 return False
             seen.add(key)
@@ -836,7 +854,7 @@ def covers_of(F, U, cap: int = 12):
                 if frozenset().union(*fam) == U:
                     yield list(fam)
     else:
-        mins = sorted({F.min_open(p) for p in U}, key=sorted)
+        mins = sorted({F.mins[p] for p in U}, key=sorted)
         yield mins
         for a in range(len(subs)):
             for b in range(a, len(subs)):
@@ -1144,7 +1162,7 @@ def enumerate_apmaps_by_opens(ctx, S, X):
             continue
         min_points = {}
         for i in range(S.n_points):
-            min_points.setdefault(X.min_open(pm[i]), []).append(i)
+            min_points.setdefault(X.mins[pm[i]], []).append(i)
         assigned: dict = {}
 
         def candidates(U):
@@ -1154,7 +1172,7 @@ def enumerate_apmaps_by_opens(ctx, S, X):
                     == tables.compose(X.res(U, V), assigned[V])
                     for V in x_opens_asc if V in assigned and V < U)
                 if ok and all(ctx.is_admissible(tables.compose(
-                        h, S.res(pre[U], S.min_open(i))))
+                        h, S.res(pre[U], S.mins[i])))
                         for i in min_points.get(U, ())):
                     yield h
 

@@ -22,7 +22,6 @@ from conespec import hypercover as hc
 from conespec import reduction as red
 from conespec import spectrum as sp
 from conespec import tables
-from conespec.contexts import local_forms
 from conespec.errors import InvariantViolation
 from conespec.spectrum import APMap, compose_apmaps, spec_map
 from conespec.homs import all_homs
@@ -43,7 +42,7 @@ def multi_reflection(ctx, f):
     fails, which would contradict the multi-reflection theorem.
     """
     hits = []
-    for p in local_forms(ctx, f.source):
+    for p in ctx.local_forms(f.source):
         h = tables.induced(p.composite, f)
         if h is not None and ctx.is_admissible(h):
             hits.append((p, h))
@@ -102,7 +101,7 @@ def identity_apmap(X) -> APMap:
 
 def distinguished_opens(ctx, R) -> set[frozenset]:
     """The distinguished opens Pts k of Spec R, over every localization k."""
-    forms = local_forms(ctx, R)
+    forms = ctx.local_forms(R)
     return {distinguished_open(forms, k)
             for k in enumerate_localizations(ctx, R).values()}
 
@@ -134,7 +133,7 @@ def open_embedding_check(specs, R, k) -> bool:
 def enumerate_opcovers(ctx, R, max_components: int | None = None):
     """All covering families of localization classes, smallest first."""
     locs = list(enumerate_localizations(ctx, R).values())
-    forms = local_forms(ctx, R)
+    forms = ctx.local_forms(R)
     hits = [frozenset(i for i, p in enumerate(forms)
                       if tables.induced(k.composite, p.composite) is not None)
             for k in locs]
@@ -204,9 +203,9 @@ def affine_opens(specs, X):
     for U in X.opens:
         if not U:
             continue
-        verdict, witness = gl.is_affine(specs, restrict(X, U))
-        if verdict:
-            out[U] = witness
+        iso = gl.is_affine(specs, restrict(X, U))
+        if iso is not None:
+            out[U] = iso
     return out
 
 

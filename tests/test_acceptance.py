@@ -63,7 +63,7 @@ def test_criterion_2_sierpinski():
     faces = DEI.faces(M)
     primes = [frozenset(range(M.size)) - F for F in faces]
     assert sorted(len(p) for p in primes) == [0, 1]
-    open_pt = next(p for p in range(2) if len(X.min_open(p)) == 1)
+    open_pt = next(p for p in range(2) if len(X.mins[p]) == 1)
     assert X.stalk(open_pt).size == 1
     assert X.specialization_order() == [(1 - open_pt, open_pt)] or \
         X.specialization_order() == [(1, 0)]
@@ -128,7 +128,7 @@ def test_criterion_6_saturation_matches_local_forms():
     ]:
         for A in algebras:
             assert A.size <= 12
-            direct = {p.sig for p in C.local_forms(ctx, A)}
+            direct = {p.sig for p in ctx.local_forms(A)}
             bounded = {p.sig for p in saturate_bounded(ctx, A)}
             assert direct == bounded
     print("criterion 6 PASS: bounded saturation matches local forms")
@@ -139,7 +139,7 @@ def test_criterion_7_hyperopcover_suite():
         if A.size == 1:
             continue
         locs = enumerate_localizations(ZAR, A)
-        forms = C.local_forms(ZAR, A)
+        forms = ZAR.local_forms(A)
         # Cech counit iso for every enumerated opcover
         for cover in paper.enumerate_opcovers(ZAR, A):
             _, eta = cover.cech_h0
@@ -174,16 +174,15 @@ def test_criterion_8_gluing_and_nerve():
     assert P1.n_points == 3
     gamma = P1.sections[P1.total]
     assert isomorphic(gamma, corpus.by_name("e2xe2"))
-    affine, witness = gl.is_affine(dei, P1)
-    assert not affine and witness["points"] == (3, 4)
+    assert gl.is_affine(dei, P1) is None
+    assert DEI.point_count(gamma) == 4
 
     k2 = next(k for k in enumerate_localizations(ZAR, Z6).values()
               if k.target.size == 2)
     D = gl.glue(zar, gl.GluingSpec(
         (Z6, Z6), (gl.make_overlap(zar, 0, 1, k2, k2),)))
     assert isomorphic(D.sections[D.total], corpus.ring_product(2, 3, 3))
-    affine, _ = gl.is_affine(zar, D)
-    assert affine
+    assert gl.is_affine(zar, D) is not None
 
     zsite = tuple(A for A in gl.default_site(ZAR) if A.size <= 6)
     for R in corpus.zariski_corpus():
@@ -201,7 +200,7 @@ def test_criterion_8_gluing_and_nerve():
         ctx = specs.ctx
         for A in site:
             locs = enumerate_localizations(ctx, A)
-            comps = tuple(locs[p.sig] for p in C.local_forms(ctx, A))
+            comps = tuple(locs[p.sig] for p in ctx.local_forms(A))
             if comps:
                 assert gl.nerve_sheaf_condition(
                     specs, X, hc.Opcover(ctx, A, comps), {})
@@ -226,5 +225,5 @@ def test_criterion_9_sheafification():
         G2, theta2, single2 = sheafify(G)
         assert single2 and all(theta2[U].is_bijective for U in G.opens)
         for p in range(F.n_points):
-            assert theta[F.min_open(p)].is_bijective
+            assert theta[F.mins[p]].is_bijective
     print("criterion 9 PASS: sheafification idempotent and stalk-preserving")

@@ -143,7 +143,7 @@ def test_nerve_sheaf_condition_judges_the_maps_it_is_given(glued):
         for A in site:
             locs = enumerate_localizations(DEI, A)
             cover = hc.Opcover(DEI, A, tuple(
-                locs[p.sig] for p in C.local_forms(DEI, A)))
+                locs[p.sig] for p in DEI.local_forms(A)))
             if not cover.components:
                 continue
             values = {}
@@ -197,7 +197,7 @@ def _counting(monkeypatch, module, name):
 def _minimal_open_diagrams(spaces):
     """The stalks at the points of each minimal open, in ascending order:
     the objects of the limit `build_spec` takes there."""
-    return [[Y.forms[p].target for p in sorted(Y.min_open(q))]
+    return [[Y.forms[p].target for p in sorted(Y.mins[q])]
             for Y in spaces for q in range(Y.n_points)]
 
 
@@ -240,7 +240,7 @@ def test_searched_specs_build_limits_only_at_their_minimal_opens(monkeypatch):
     their minimal opens, each once, and no other."""
     site = gl.default_site(DEI, 4)
     for name, search, searched in (
-            ("doubled-z12.json", lambda specs, X: gl.is_affine(specs, X)[0],
+            ("doubled-z12.json", gl.is_affine,
              lambda specs, X: [specs[X.sections[X.total]]]),
             ("doubled-chain3.json", lambda specs, X: gl.nerve(specs, X, site),
              lambda specs, X: [specs[A] for A in site])):

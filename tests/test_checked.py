@@ -12,8 +12,9 @@ cone leg and pushout injection, each `quotient_by_sig` against
 `helpers.congruence_closure_on_all_columns`, each `agreeing_families` join
 against `helpers.agreeing_families_by_product_scan` when the product has at
 most 10^4 families, `helpers.is_valid_ideal` on each principal ideal the
-domain context quotients by, on each `local_forms` that every form's target
-is local and, in deitmar, that the forms are as many as the faces, on each
+domain context quotients by, on each context's `local_forms` that every
+form's target is local and, in deitmar, that the forms are one per face with
+distinct kernels, on each
 `factorize` that its residual factor is admissible and the two factors
 compose to the map, `spec_checks` on each `build_spec`, `validate_apmap` on
 each map of spaces that `enumerate_apmaps` finds and on each
@@ -72,7 +73,7 @@ def spec_checks(ctx, X):
         assert ctx.is_local(X.stalk(p))
         iso = X.stalk_iso[p]
         assert iso.is_bijective and is_hom_on_all_pairs(iso)
-        assert tables.compose(X.canonical[X.min_open(p)], iso) == form.composite
+        assert tables.compose(X.canonical[X.mins[p]], iso) == form.composite
 
 
 def quotient(r, args):
@@ -103,11 +104,13 @@ def pushed_components(cover, args):
 
 def forms_checks(forms, args):
     """Each local form's target is local; in deitmar the forms are one per
-    face, the complement of a prime ideal."""
+    face, the complement of a prime ideal, and distinct faces give distinct
+    kernels."""
     ctx, A = args
     assert all(ctx.is_local(p.target) for p in forms)
     if ctx.name == "deitmar":
         assert len(forms) == len(ctx.faces(A))
+        assert len({p.sig for p in forms}) == len(forms)
 
 
 def factorization(r, args):
@@ -164,7 +167,11 @@ def overlap(ov, args):
     assert ov.stalks == old.stalks
 
 
-# name -> (defining module, check of (result, call arguments))
+CONTEXT_CLASSES = tuple(type(C.get_context(name))
+                        for name in ("zariski", "domain", "deitmar"))
+
+# name -> (defining module, or the classes whose method it is, check of
+# (result, call arguments))
 CHECKS = {
     "lift": (tables, lambda r, args: homs(r)),
     "principal_ideal": (tables, lambda r, args: ideal(r)),
@@ -176,7 +183,7 @@ CHECKS = {
     "quotient_by_sig": (tables, quotient),
     "congruence_closure": (tables, closure),
     "pushout_opcover": (hc, pushed_components),
-    "local_forms": (C, forms_checks),
+    "local_forms": (CONTEXT_CLASSES, forms_checks),
     "factorize": (C, factorization),
     "build_spec": (sp, lambda r, args: spec_checks(args[0], r)),
     "enumerate_apmaps": (sp, apmaps),
@@ -194,18 +201,24 @@ def checked(monkeypatch):
     modules = [m for name, m in sys.modules.items()
                if name == "conespec" or name.startswith("conespec.")]
     for name, (home, check) in CHECKS.items():
-        real = getattr(home, name)
+        for owner in home if isinstance(home, tuple) else (home,):
+            real = getattr(owner, name)
 
-        def wrapper(*args, real=real, name=name, check=check, **kwargs):
-            result = real(*args, **kwargs)
-            check(result, args)
-            fired[name] += 1
-            return result
+            def wrapper(*args, real=real, name=name, check=check, **kwargs):
+                result = real(*args, **kwargs)
+                check(result, args)
+                fired[name] += 1
+                return result
 
-        # rebind the name in every module that imported it, its own included
-        for mod in modules:
-            if getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, wrapper)
+            if isinstance(owner, type):
+                # a method: its arguments start with the instance
+                monkeypatch.setattr(owner, name, wrapper)
+                continue
+            # rebind the name in every module that imported it, its own
+            # included
+            for mod in modules:
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, wrapper)
     return fired
 
 
@@ -216,7 +229,7 @@ def test_theorem_backed_results_pass_the_full_checks(checked):
         paper.mono_reduce(ctx, A)  # ell's image, from its families
         for cover in paper.enumerate_opcovers(ctx, A):
             cover.cech_h0    # built checked
-            for p in C.local_forms(ctx, A):
+            for p in ctx.local_forms(A):
                 hc.pushout_opcover(cover, p.composite)
         for k in enumerate_localizations(ctx, A).values():
             if not k.composite.is_bijective:
@@ -276,7 +289,7 @@ def test_validate_apmap_rejects_a_corrupted_stalk_map():
     # the closed point's stalk is the total sections; sending e to the unit
     # is a hom, but not a local one
     i = next(i for i in range(m.source.n_points)
-             if m.source.min_open(i) == m.source.total)
+             if m.source.mins[i] == m.source.total)
     G, H = m.stalks[i].source, m.stalks[i].target
     collapse = tables.Hom(G, H, (H.one,) * G.size)
     assert tables.is_hom(collapse) and collapse != m.stalks[i]

@@ -654,7 +654,7 @@ def test_cli_check_flat_cover_builds_the_input_cover_once(tmp_path,
     """Z/30 has three local forms, each checked against the same cover: the
     cover's local forms and its Čech H0 are computed once for all three."""
     forms, h0s = [], []
-    real_forms = type(ZAR).local_forms_direct
+    real_forms = type(ZAR).local_forms
     real_h0 = hc.h0
 
     def counting_forms(self, A):
@@ -665,7 +665,7 @@ def test_cli_check_flat_cover_builds_the_input_cover_once(tmp_path,
         h0s.append(c.base.size)
         return real_h0(c)
 
-    monkeypatch.setattr(type(ZAR), "local_forms_direct", counting_forms)
+    monkeypatch.setattr(type(ZAR), "local_forms", counting_forms)
     monkeypatch.setattr(hc, "h0", counting_h0)
     # invert e or 1 - e, for the idempotents 15 and 16 of Z/30 = Z/2 x Z/15
     Z30 = corpus.zn(30)
@@ -747,7 +747,7 @@ def test_nerve_covers_with_an_identity_component_hold(name, site_max):
     skipped = 0
     for A in gl.default_site(ctx, site_max):
         locs = enumerate_localizations(ctx, A)
-        comps = tuple(locs[p.sig] for p in C.local_forms(ctx, A))
+        comps = tuple(locs[p.sig] for p in ctx.local_forms(A))
         if any(k.is_identity_class for k in comps):
             skipped += 1
             cover = hc.Opcover(ctx, A, comps)

@@ -13,7 +13,8 @@ from conespec.errors import KindMismatch
 from conespec.homs import all_homs
 from conespec.tables import MONOID, compose, identity
 import paper
-from helpers import (DidNotStabilize, ShuffledContext, enumerate_localizations,
+from helpers import (DidNotStabilize, ShuffledContext, corpus_by_context,
+                     deitmar_forms_stepwise, enumerate_localizations,
                      faces_by_subset_search, invert_element, isomorphic,
                      saturate_bounded)
 
@@ -110,16 +111,16 @@ def test_cell_components_are_epic():
 def test_local_forms_z6_against_prime_oracle():
     primes = prime_ideals_ring(Z6)
     assert len(primes) == 2
-    forms = C.local_forms(ZAR, Z6)
+    forms = ZAR.local_forms(Z6)
     assert sorted(p.target.size for p in forms) == [2, 3]
-    dforms = C.local_forms(DOM, Z6)
+    dforms = DOM.local_forms(Z6)
     assert sorted(p.target.size for p in dforms) == [2, 3]
 
 
 def test_local_forms_against_prime_oracle_corpus():
     for A in corpus.zariski_corpus():
         primes = prime_ideals_ring(A) if A.size <= 8 else None
-        forms = C.local_forms(ZAR, A)
+        forms = ZAR.local_forms(A)
         if primes is not None:
             assert len(forms) == len(primes)
         for p in forms:
@@ -127,21 +128,53 @@ def test_local_forms_against_prime_oracle_corpus():
 
 
 def test_local_forms_z4_is_identity_class():
-    forms = C.local_forms(ZAR, Z4)
+    forms = ZAR.local_forms(Z4)
     assert len(forms) == 1 and forms[0].is_identity_class
 
 
 def test_local_forms_trivial_ring_empty():
-    assert C.local_forms(ZAR, corpus.trivial_ring()) == []
-    assert C.local_forms(DOM, corpus.trivial_ring()) == []
+    assert ZAR.local_forms(corpus.trivial_ring()) == []
+    assert DOM.local_forms(corpus.trivial_ring()) == []
 
 
 def test_deitmar_local_forms_are_prime_ideals():
     M = corpus.flag_monoid()
     faces = DEI.faces(M)
     assert [sorted(M.elements[i] for i in F) for F in faces] == [["1"], ["1", "e"]]
-    forms = C.local_forms(DEI, M)
+    forms = DEI.local_forms(M)
     assert sorted(p.target.size for p in forms) == [1, 2]
+
+
+# monoid powers and ring products beyond the corpus, the largest of 64 and
+# 60 elements
+MONOID_POWERS = ([("e2",) * k for k in range(1, 7)]
+                 + [("chain3",) * k for k in range(1, 4)]
+                 + [("chain3", "nil3"), ("e2", "chain3", "nil3")])
+RING_PRODUCTS = [(2, 2), (2, 3), (2, 2, 2), (4, 3), (2, 3, 5), (2, 3, 5, 2)]
+
+
+def test_point_count_is_the_number_of_local_forms():
+    cases = corpus_by_context() + [
+        (DEI, corpus.monoid_product(*names)) for names in MONOID_POWERS] + [
+        (ctx, corpus.ring_product(*ns)) for ctx in (ZAR, DOM)
+        for ns in RING_PRODUCTS]
+    for ctx, A in cases:
+        assert ctx.point_count(A) == len(ctx.local_forms(A)), \
+            (ctx.name, A.elements)
+
+
+def test_deitmar_forms_invert_each_face_in_one_step():
+    """One inversion at the product of a face's non-units gives the forms
+    that inverting its elements one at a time gives."""
+    monoids = corpus.deitmar_corpus() + [corpus.monoid_product(*names)
+                                         for names in MONOID_POWERS]
+    for A in monoids:
+        forms, oracle = DEI.local_forms(A), deitmar_forms_stepwise(A)
+        assert [p.sig for p in forms] == [p.sig for p in oracle]
+        assert [p.composite for p in forms] == [p.composite for p in oracle]
+        assert [p.target for p in forms] == [p.target for p in oracle]
+        assert all(len(p.steps) == (0 if p.is_identity_class else 1)
+                   for p in forms)
 
 
 def test_saturate_agrees_with_local_forms_everywhere():
@@ -151,7 +184,7 @@ def test_saturate_agrees_with_local_forms_everywhere():
         (DEI, corpus.deitmar_corpus()),
     ]:
         for A in algebras:
-            direct = {p.sig for p in C.local_forms(ctx, A)}
+            direct = {p.sig for p in ctx.local_forms(A)}
             bounded = {p.sig for p in saturate_bounded(ctx, A)}
             assert direct == bounded, (ctx.name, A.elements)
 

@@ -19,7 +19,7 @@ from helpers import (corpus_by_context, distinguished_open,
                      enumerate_localizations, glued_row,
                      glued_sections_by_product, is_iso, isomorphic,
                      overlap_by_restriction)
-from test_points import GOLDEN_INPUTS
+from test_points import GOLDEN_INPUTS, golden_space
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -59,16 +59,16 @@ def test_f1_p1_shape(f1_p1):
     X = f1_p1
     assert X.n_points == 3
     # one open generic point; each closed point's smallest open is its chart
-    assert sorted(len(X.min_open(p)) for p in range(3)) == [1, 2, 2]
+    assert sorted(len(X.mins[p]) for p in range(3)) == [1, 2, 2]
     assert len(X.opens) == 5
     gamma = X.sections[X.total]
     assert isomorphic(gamma, corpus.by_name("e2xe2"))
 
 
 def test_f1_p1_not_affine(f1_p1):
-    verdict, witness = gl.is_affine(sp.Specs(DEI), f1_p1)
-    assert not verdict
-    assert witness["points"] == (3, 4)  # Spec of {1,e}^2 has 4 points
+    assert gl.is_affine(sp.Specs(DEI), f1_p1) is None
+    # Spec of {1,e}^2 has 4 points
+    assert DEI.point_count(f1_p1.sections[f1_p1.total]) == 4
 
 
 def test_glue_along_total_gives_chart_back():
@@ -85,15 +85,13 @@ def test_is_affine_agrees_with_the_full_comparison(f1_p1, doubled_z6):
     verdicts = []
     for ctx, X in [(DEI, f1_p1), (ZAR, doubled_z6), (DEI, along_total),
                    (DOM, domain_z6)]:
-        verdict, witness = gl.is_affine(sp.Specs(ctx), X)
+        iso = gl.is_affine(sp.Specs(ctx), X)
         Y = sp.build_spec(ctx, X.sections[X.total])
+        verdict = iso is not None
         assert verdict == (sp.spaces_isomorphic(Y, X) is not None)
-        if not verdict:
-            assert witness == {
-                "points": (X.n_points, Y.n_points),
-                "stalks": (sorted(X.stalk(p).size for p in range(X.n_points)),
-                           sorted(Y.stalk(p).size for p in range(Y.n_points))),
-            }
+        assert ctx.point_count(Y.base) == Y.n_points
+        if verdict:
+            assert is_iso(iso) and iso.target is X
         verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
@@ -103,9 +101,29 @@ def test_doubled_e2xe2_has_seven_points_and_is_not_affine():
     M = corpus.by_name("e2xe2")
     X = glue_two(DEI, M, loc_by_size(DEI, M, 1))
     assert X.n_points == 7
-    verdict, witness = gl.is_affine(sp.Specs(DEI), X)
-    assert not verdict
-    assert witness["points"] == (7, 16)
+    assert gl.is_affine(sp.Specs(DEI), X) is None
+    assert DEI.point_count(X.sections[X.total]) == 16
+
+
+def test_is_affine_counts_the_points_before_it_builds_a_local_form(
+        monkeypatch):
+    """Spec of the golden doubled e2xe2's global sections would have 16
+    points against its 7, so `is_affine` builds no local form and no Spec."""
+    specs, X = golden_space("doubled-e2xe2.json")
+    calls = {"local_forms": 0, "build_spec": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(type(DEI), "local_forms",
+                        counting("local_forms", type(DEI).local_forms))
+    monkeypatch.setattr(sp, "build_spec", counting("build_spec", sp.build_spec))
+    assert gl.is_affine(specs, X) is None
+    assert calls == {"local_forms": 0, "build_spec": 0}
+    assert (X.n_points, DEI.point_count(X.sections[X.total])) == (7, 16)
 
 
 def test_doubled_z6_is_affine(doubled_z6):
@@ -113,8 +131,8 @@ def test_doubled_z6_is_affine(doubled_z6):
     assert X.n_points == 3
     gamma = X.sections[X.total]
     assert isomorphic(gamma, corpus.ring_product(2, 3, 3))
-    verdict, witness = gl.is_affine(sp.Specs(ZAR), X)
-    assert verdict and is_iso(witness)
+    iso = gl.is_affine(sp.Specs(ZAR), X)
+    assert iso is not None and is_iso(iso)
 
 
 def test_glued_stalks_are_local(f1_p1, doubled_z6):

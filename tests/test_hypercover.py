@@ -165,7 +165,7 @@ def test_pushed_components_are_the_pushouts_of_their_paths():
         comps = tuple(random_path(ctx, A, rng) for _ in range(6))
         assert max(len(k.steps) for k in comps) >= 3
         cover = hc.Opcover(ctx, A, comps)
-        maps = [p.composite for p in C.local_forms(ctx, A)] + [
+        maps = [p.composite for p in ctx.local_forms(A)] + [
             f for c, B in cases if c is ctx and B.size <= 12
             for f in all_homs(A, B)]
         for f in maps:
@@ -238,7 +238,7 @@ def test_h0_matches_the_ordered_pairs_oracle():
     for ctx, A in corpus_by_context():
         for cover in paper.enumerate_opcovers(ctx, A):
             for c in [cover] + [hc.pushout_opcover(cover, p.composite)
-                                for p in C.local_forms(ctx, A)]:
+                                for p in ctx.local_forms(A)]:
                 E, eta = hc.h0(c)
                 E2, eta2 = h0_by_ordered_pairs(kernel_hyperopcover(c))
                 assert any(compose(eta, iso) == eta2

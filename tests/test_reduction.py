@@ -72,7 +72,7 @@ def test_mono_reduction_is_image():
         algebra, unit, cone = paper.mono_reduce(ctx, A)
         epi, incl = image_factorization(ell(ctx, A))
         _, projs = tables.product(A.kind, [p.target
-                                           for p in C.local_forms(ctx, A)])
+                                           for p in ctx.local_forms(A)])
         assert (algebra, unit) == (epi.target, epi), (ctx.name, A.elements)
         assert cone == [compose(incl, pr) for pr in projs]
         assert unit.is_surjective and incl.is_injective
@@ -207,7 +207,7 @@ def test_distop_lattice_bijection():
 def test_flatness_of_local_forms_zariski():
     for A in [Z6, Z12, corpus.ring_product(2, 2)]:
         covers = paper.enumerate_opcovers(ZAR, A)
-        for p in C.local_forms(ZAR, A):
+        for p in ZAR.local_forms(A):
             key = p.sig
             loc = enumerate_localizations(ZAR, A)[key]
             for cover in covers:
@@ -220,7 +220,7 @@ def test_flat_search_domain_context():
     found = []
     for A in [Z4, Z6, corpus.f2x2()]:
         covers = paper.enumerate_opcovers(DOM, A)
-        for p in C.local_forms(DOM, A):
+        for p in DOM.local_forms(A):
             loc = enumerate_localizations(DOM, A)[p.sig]
             for cover in covers:
                 if not red.check_flat_wrt_cover(loc, cover):
@@ -268,7 +268,7 @@ def test_reduced_checks_match_ell_into_the_built_product(tmp_path, capsys):
     assert {v for c, _, v in verdicts if c != "domain"} == {True}
     assert {(p, v) for c, p, v in verdicts if c == "domain"} == {
         (p, v) for p in ("reduced", "mono-reduced") for v in (True, False)}
-    assert sum(len(C.local_forms(ctx, A)) >= 3
+    assert sum(len(ctx.local_forms(A)) >= 3
                for ctx, A in ell_cases()) >= 2 * len(PRODUCTS)
 
 

@@ -155,7 +155,7 @@ def test_spec_flag_monoid_is_sierpinski():
     assert X.n_points == 2
     assert len(X.opens) == 3  # one point open, the other closed
     assert X.specialization_order() == [(1, 0)]
-    open_pt = next(p for p in range(2) if len(X.min_open(p)) == 1)
+    open_pt = next(p for p in range(2) if len(X.mins[p]) == 1)
     assert X.stalk(open_pt).size == 1
     assert X.sections[X.total].size == 2
 
@@ -195,7 +195,7 @@ def test_build_spec_matches_the_definition(ctx, A):
     assert X.canonical[X.total].is_bijective == \
         canonical[X.total].is_bijective
     for p in range(X.n_points):
-        U = X.min_open(p)
+        U = X.mins[p]
         iso = tables.induced(canonical[U], X.canonical[U])
         assert iso is not None and iso.is_bijective and is_hom(iso)
 
@@ -229,7 +229,7 @@ def test_stalks_match_local_forms():
         for i, form in enumerate(X.forms):
             iso = X.stalk_iso[i]
             assert iso.is_bijective
-            assert compose(X.canonical[X.min_open(i)], iso) == form.composite
+            assert compose(X.canonical[X.mins[i]], iso) == form.composite
             assert ctx.is_local(X.stalk(i))
 
 
@@ -249,7 +249,7 @@ def test_sheafify_randomized_presheaves():
         assert single2 and all(theta2[U].is_bijective for U in G.opens)
         # stalks are preserved: theta is bijective on minimal opens
         for p in range(F.n_points):
-            assert theta[F.min_open(p)].is_bijective
+            assert theta[F.mins[p]].is_bijective
     assert seen_double and seen_single
 
 

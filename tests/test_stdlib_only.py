@@ -34,7 +34,7 @@ PUBLIC = {
     "tables": ("validate", "quotient_by_sig", "congruence_closure", "pushout",
                "limit"),
     "homs": ("all_homs", "iter_isomorphisms"),
-    "contexts": ("local_forms", "factorize"),
+    "contexts": ("get_context", "factorize"),
     "spectrum": ("build_spec", "spec_map", "enumerate_apmaps"),
     "reduction": ("geometric_iso", "reduce_admissible",
                   "check_flat_wrt_cover"),
