@@ -228,7 +228,7 @@ def cmd_nerve(args) -> int:
         pointwise = ctx.local_forms(A)
         # an identity component fixes every compatible family, so such a
         # cover always meets the sheaf condition
-        if pointwise and not any(k.is_identity_class for k in pointwise):
+        if pointwise and not any(k.is_bijective for k in pointwise):
             covers.append(hc.Opcover(ctx, A, tuple(pointwise)))
     # N(X)(K) per algebra K, shared by the sheaf checks so each is computed once
     values = dict(zip(site, table))

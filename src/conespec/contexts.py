@@ -10,8 +10,8 @@ A caller checks an algebra's kind once, with `accepts`; the other methods
 take algebras of the context's kind and cell data of `cell_data` (or their
 images under homs) as given.
 
-Because localizations of finite table algebras are surjective, the kernel
-partition of the composite identifies a finite localization up to
+A localization is its map, a finite composite of attachments.  On finite
+tables it is surjective, so its kernel partition identifies it up to
 isomorphism over its source, and localizations are compared by it.  The
 points of Spec R are the local forms (`local_forms`); every other
 localization the library meets is written by a caller or found by
@@ -28,45 +28,6 @@ import importlib
 from . import tables
 from .errors import KindMismatch
 from .tables import FiniteAlgebra, Hom, compose, identity
-
-
-class LocalizationPath:
-    """A finite composite of single-cell attachments.  Each step is a pair
-    (datum, branch), the datum a tuple of element indices; the composite
-    runs from the path's source to its target."""
-
-    def __init__(self, steps: tuple[tuple[tuple[int, ...], str], ...],
-                 composite: Hom):
-        self.steps = steps
-        self.composite = composite
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.steps, self.composite) == (other.steps, other.composite)
-
-    def __hash__(self):
-        return hash((self.steps, self.composite))
-
-    @property
-    def source(self) -> FiniteAlgebra:
-        return self.composite.source
-
-    @property
-    def target(self) -> FiniteAlgebra:
-        return self.composite.target
-
-    @property
-    def sig(self) -> tuple[int, ...]:
-        return self.composite.kernel_sig()
-
-    @property
-    def is_identity_class(self) -> bool:
-        return self.composite.is_bijective
-
-
-def identity_path(R: FiniteAlgebra) -> LocalizationPath:
-    return LocalizationPath((), identity(R))
 
 
 BRANCHES = ("left", "right")
@@ -118,7 +79,7 @@ class SpectralContext:
                     seen.add(v)
                     yield datum, branch
 
-    def local_forms(self, A) -> list[LocalizationPath]:
+    def local_forms(self, A) -> list[Hom]:
         """One local form per point of Spec A, in kernel-partition order."""
         raise NotImplementedError
 
@@ -166,20 +127,6 @@ def get_context(name: str) -> SpectralContext:
     return importlib.import_module(cls.__module__).CONTEXT
 
 
-# ---------------------------------------------------------------------------
-# paths
-
-
-def extend_path(ctx, path: LocalizationPath, datum: tuple[int, ...],
-                branch: str, step: Hom | None = None) -> LocalizationPath:
-    """`path` followed by the attachment (datum, branch) at its target;
-    `step` is that attachment's map, when the caller has it."""
-    if step is None:
-        _, step = ctx.attach(path.target, datum, branch)
-    return LocalizationPath(path.steps + ((datum, branch),),
-                            compose(path.composite, step))
-
-
 def _is_identity_sig(sig) -> bool:
     return max(sig) + 1 == len(sig)
 
@@ -197,24 +144,25 @@ def _refines(sig, values) -> bool:
 def factorize(ctx, f: Hom):
     """Factor f as an admissible map after a finite localization.
 
-    Returns (path, admissible).  The first attachment in `ctx.attachments`
-    order that f factors through is taken at each step; by uniqueness of
-    the factorization any other order gives the same result up to iso over
-    the source.
+    Returns (localization, admissible), the localization the composite of
+    the attachments taken.  The first attachment in `ctx.attachments` order
+    that f factors through is taken at each step; by uniqueness of the
+    factorization any other order gives the same result up to iso over the
+    source.
     """
-    path = identity_path(f.source)
+    loc = identity(f.source)
     g = f
     while True:
-        K = path.target
+        K = loc.target
         for datum, branch in ctx.attachments(K):
             # g factors through the step iff the step's kernel refines g's
             sig = ctx.attach_sig(K, datum, branch)
             if _is_identity_sig(sig) or not _refines(sig, g.map):
                 continue
             _, step = tables.quotient_by_sig(K, sig)
-            path = extend_path(ctx, path, datum, branch, step)
+            loc = compose(loc, step)
             g = tables.induced(step, g)
             break
         else:
             break
-    return path, g
+    return loc, g

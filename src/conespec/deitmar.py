@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from . import tables
-from .contexts import (SpectralContext, _reflects_invertibility, extend_path,
-                       identity_path)
-from .tables import MONOID
+from .contexts import SpectralContext, _reflects_invertibility
+from .tables import MONOID, Hom
 
 
 class DeitmarContext(SpectralContext):
@@ -53,18 +52,16 @@ class DeitmarContext(SpectralContext):
 
     def local_forms(self, A):
         """One per face F, inverting F: one attachment at the product of
-        F's non-units, none for the unit face.  A face is the preimage of
-        the units of its localization, so distinct faces give distinct
-        kernels."""
+        F's non-units, the identity for the unit face.  A face is the
+        preimage of the units of its localization, so distinct faces give
+        distinct kernels."""
         out = []
         for F in self.faces(A):
             a = A.one
             for x in F - A.units:
                 a = A.mul[a][x]
-            path = identity_path(A)
-            out.append(path if a == A.one else
-                       extend_path(self, path, (a,), "right"))
-        return sorted(out, key=lambda p: p.sig)
+            out.append(self.attach(A, (a,), "right")[1])
+        return sorted(out, key=Hom.kernel_sig)
 
 
 CONTEXT = DeitmarContext()

@@ -1,9 +1,8 @@
 """The domain context: a branch of a cell a*b = 0 kills a or b."""
 
 from . import tables
-from .contexts import (SpectralContext, _primitive_idempotents, extend_path,
-                       identity_path)
-from .tables import RING
+from .contexts import SpectralContext, _primitive_idempotents
+from .tables import RING, Hom, compose, identity
 
 
 class DomainContext(SpectralContext):
@@ -37,16 +36,15 @@ class DomainContext(SpectralContext):
             eA = sorted({A.mul[e][r] for r in range(A.size)})
             units_eA = {x for x in eA if any(A.mul[x][y] == e for y in eA)}
             prime = [r for r in range(A.size) if A.mul[e][r] not in units_eA]
-            path = identity_path(A)
+            loc = identity(A)
             while True:
-                img = sorted({path.composite.map[r] for r in prime})
-                live = [x for x in img if x != path.target.zero]
+                K = loc.target
+                live = sorted({loc.map[r] for r in prime} - {K.zero})
                 if not live:
                     break
-                path = extend_path(self, path, (live[0], path.target.zero),
-                                   "left")
-            out.append(path)
-        return sorted(out, key=lambda p: p.sig)
+                loc = compose(loc, self.attach(K, (live[0], K.zero), "left")[1])
+            out.append(loc)
+        return sorted(out, key=Hom.kernel_sig)
 
 
 CONTEXT = DomainContext()

@@ -18,7 +18,6 @@ import math
 from . import hypercover as hc
 from . import spectrum as sp
 from . import tables
-from .contexts import LocalizationPath
 from .errors import CocycleViolation, InvariantViolation, SizeBound
 from .spectrum import APMap, SpectralSpace, Specs, compose_apmaps, spec_map
 from .tables import FiniteAlgebra, Hom, compose
@@ -43,8 +42,7 @@ class GluingSpec:
         self.overlaps = overlaps
 
 
-def make_overlap(specs: Specs, i: int, j: int,
-                 k_i: LocalizationPath, k_j: LocalizationPath,
+def make_overlap(specs: Specs, i: int, j: int, k_i: Hom, k_j: Hom,
                  g: Hom | None = None) -> Overlap:
     """Glue chart i along k_i to chart j along k_j through Spec of the
     overlap algebra: along Spec g for an isomorphism g: target(k_j) ->
@@ -53,8 +51,8 @@ def make_overlap(specs: Specs, i: int, j: int,
     open embedding, and a point x of Spec K_i glues m_i(x) to m_j(mid(x)),
     with the stalk iso of m_j, then mid, then the inverse of m_i's.
     """
-    m_i = spec_map(specs, k_i.composite)
-    m_j = spec_map(specs, k_j.composite)
+    m_i = spec_map(specs, k_i)
+    m_j = spec_map(specs, k_j)
     if g is not None:
         mid = spec_map(specs, g)
     else:
@@ -224,7 +222,7 @@ def nerve_sheaf_condition(specs: Specs, X: SpectralSpace, cover: hc.Opcover,
             values[K] = sp.enumerate_apmaps(specs.ctx, specs[K], X)
         return values[K]
 
-    comp_maps = [spec_map(specs, k.composite) for k in cover.components]
+    comp_maps = [spec_map(specs, k) for k in cover.components]
     families = _nerve_families(specs, cover,
                                [at(k.target) for k in cover.components])
     images = set()
@@ -243,8 +241,7 @@ def _nerve_families(specs: Specs, cover: hc.Opcover, at_K) -> list[tuple]:
     keys."""
     meets = []
     for t, u in itertools.combinations(range(len(at_K)), 2):
-        _, in_t, in_u = tables.pushout(cover.components[t].composite,
-                                       cover.components[u].composite)
+        _, in_t, in_u = tables.pushout(cover.components[t], cover.components[u])
         mt, mu = spec_map(specs, in_t), spec_map(specs, in_u)
         meets.append((t, u, [compose_apmaps(mt, phi).key for phi in at_K[t]],
                       [compose_apmaps(mu, phi).key for phi in at_K[u]]))

@@ -11,11 +11,9 @@ from __future__ import annotations
 import functools
 import itertools
 
-from . import contexts as cx
 from . import tables
-from .contexts import LocalizationPath
 from .errors import InvariantViolation
-from .tables import FiniteAlgebra, Hom, compose, pushout
+from .tables import FiniteAlgebra, Hom, pushout
 
 
 class Opcover:
@@ -24,13 +22,13 @@ class Opcover:
     built on first read and kept."""
 
     def __init__(self, ctx, base: FiniteAlgebra,
-                 components: tuple[LocalizationPath, ...]):
+                 components: tuple[Hom, ...]):
         self.ctx = ctx
         self.base = base
         self.components = components
 
     @functools.cached_property
-    def forms(self) -> list[LocalizationPath]:
+    def forms(self) -> list[Hom]:
         return self.ctx.local_forms(self.base)
 
     @functools.cached_property
@@ -41,8 +39,7 @@ class Opcover:
 def is_opcover(c: Opcover) -> bool:
     """Every local form of the base factors through some component."""
     for p in c.forms:
-        if not any(tables.induced(k.composite, p.composite) is not None
-                   for k in c.components):
+        if not any(tables.induced(k, p) is not None for k in c.components):
             return False
     return True
 
@@ -51,7 +48,7 @@ def h0(c: Opcover):
     """(H0, eta: base -> H0): the families of component elements whose
     images agree along the legs of pushout(k_t, k_u) for every t < u, and
     the map from the base lifted through the components."""
-    comps = [k.composite for k in c.components]
+    comps = c.components
     meets = []
     for t, u in itertools.combinations(range(len(comps)), 2):
         _, in_t, in_u = pushout(comps[t], comps[u])
@@ -66,21 +63,10 @@ def h0(c: Opcover):
 def pushout_opcover(c: Opcover, f: Hom) -> Opcover:
     """The image cover on f's target: each component pushed out along f.
 
-    Cells are stable under homs, so an attachment pushed out along a hom g
-    is the attachment at the image of its datum under g.  Each component's
-    steps are replayed on f's target, with g the map that f induces from
-    the matching intermediate target.
+    Cells are stable under homs, so the pushout of a localization along a
+    hom is again a localization, the map out of f's target.
     """
     if f.source != c.base:
         raise InvariantViolation("pushed map does not start at the cover base")
-    ctx, pushed = c.ctx, []
-    for k in c.components:
-        path, g = cx.identity_path(f.target), f
-        for datum, branch in k.steps:
-            _, step = ctx.attach(g.source, datum, branch)
-            image = tuple(g.map[x] for x in datum)
-            _, new_step = ctx.attach(path.target, image, branch)
-            path = cx.extend_path(ctx, path, image, branch, new_step)
-            g = tables.induced(step, compose(g, new_step))
-        pushed.append(path)
-    return Opcover(ctx, f.target, tuple(pushed))
+    return Opcover(c.ctx, f.target,
+                   tuple(pushout(k, f)[2] for k in c.components))

@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 
 from . import contexts as cx
-from .contexts import LocalizationPath, identity_path
 from .errors import ValidationError
-from .tables import FiniteAlgebra, Hom, is_hom, validate
+from .tables import FiniteAlgebra, Hom, compose, identity, is_hom, validate
 
 
 def algebra_to_dict(A: FiniteAlgebra) -> dict:
@@ -79,12 +78,13 @@ def hom_from_dict(d: dict) -> Hom:
     return f
 
 
-def path_from_dict(ctx, R: FiniteAlgebra, d: dict) -> LocalizationPath:
-    """Read a localization path, checking each step against its context."""
+def path_from_dict(ctx, R: FiniteAlgebra, d: dict) -> Hom:
+    """Read a localization from its steps, checking each against its
+    context: the composite of their attachments."""
     steps = d.get("steps", []) if isinstance(d, dict) else None
     if not isinstance(steps, list) or not all(isinstance(s, dict) for s in steps):
         raise ValidationError("path is not an object with a list of steps", d)
-    path = identity_path(R)
+    loc = identity(R)
     for step in steps:
         data, branch = step.get("datum"), step.get("branch")
         if branch not in cx.BRANCHES:
@@ -94,10 +94,10 @@ def path_from_dict(ctx, R: FiniteAlgebra, d: dict) -> LocalizationPath:
                                   step)
         # the cell data of a context fix the arity, range and relation of a datum
         datum = tuple(data)
-        if datum not in ctx.cell_data(path.target):
+        if datum not in ctx.cell_data(loc.target):
             raise ValidationError(f"{data} is not a {ctx.name} cell datum", step)
-        path = cx.extend_path(ctx, path, datum, branch)
-    return path
+        loc = compose(loc, ctx.attach(loc.target, datum, branch)[1])
+    return loc
 
 
 def dumps(obj) -> str:

@@ -12,7 +12,7 @@ from . import homs
 from . import hypercover as hc
 from . import spectrum as sp
 from . import tables
-from .contexts import LocalizationPath, factorize
+from .contexts import factorize
 from .errors import InvariantViolation
 from .tables import FiniteAlgebra, Hom, compose, pushout
 
@@ -21,14 +21,14 @@ def ell_families(ctx, R: FiniteAlgebra):
     """(local forms, families): ell sends r to the family of its images in
     the local-form targets, `families[r]`."""
     forms = ctx.local_forms(R)
-    return forms, [tuple(p.composite.map[r] for p in forms)
+    return forms, [tuple(p.map[r] for p in forms)
                    for r in range(R.size)]
 
 
 def reduce_admissible(ctx, R):
     """Factor ell: R -> product of local forms through a localization.
 
-    Returns (red R, unit: R -> red R, admissible residual).  The factoring
+    Returns (unit: R -> red R, admissible residual).  The factoring
     is computed for the quotient map q: R -> R/ker ell, the image of ell up
     to isomorphism, so the product is never built.  That gives the same
     factoring: each step of `factorize` only asks whether a kernel refines
@@ -41,8 +41,7 @@ def reduce_admissible(ctx, R):
     """
     _, families = ell_families(ctx, R)
     _, to_image = tables.quotient_by_sig(R, tables.normalize_sig(families))
-    path, g = factorize(ctx, to_image)
-    return path.target, path.composite, g
+    return factorize(ctx, to_image)
 
 
 def reduced(ctx, R: FiniteAlgebra, cls: str = "admissible"):
@@ -76,17 +75,18 @@ def geometric_iso(ctx, f: Hom):
     forms = ctx.local_forms(f.source)
     witnesses = []
     for idx, p in enumerate(forms):
-        _, _, in_p = pushout(f, p.composite)
-        _, unit, _ = reduce_admissible(ctx, in_p.target)
+        _, _, in_p = pushout(f, p)
+        unit, _ = reduce_admissible(ctx, in_p.target)
         comp = compose(in_p, unit)
         if not comp.is_bijective:
             return False, {"failing_form": idx, "comparison": comp}
         witnesses.append(comp)
     # surjectivity on points: every local form of S must come from one of R
+    kernels = {p.kernel_sig() for p in forms}
     for q in ctx.local_forms(f.target):
-        path, _ = factorize(ctx, compose(f, q.composite))
-        if not any(path.sig == p.sig for p in forms):
-            return False, {"extra_form_sig": path.sig}
+        sig = factorize(ctx, compose(f, q))[0].kernel_sig()
+        if sig not in kernels:
+            return False, {"extra_form_sig": sig}
     return True, {"isos": witnesses}
 
 
@@ -98,13 +98,13 @@ def fixed_point(ctx, R: FiniteAlgebra):
     return eps.is_bijective, eps
 
 
-def check_flat_wrt_cover(p: LocalizationPath, cover: hc.Opcover) -> bool:
+def check_flat_wrt_cover(p: Hom, cover: hc.Opcover) -> bool:
     """Pushout along p commutes with the Čech limit of this cover."""
     if p.source != cover.base:
         raise InvariantViolation("localization does not start at the cover base")
     H, eta = cover.cech_h0
-    _, _, side1 = pushout(eta, p.composite)        # p_*(H0 K)
-    pushed = hc.pushout_opcover(cover, p.composite)
+    _, _, side1 = pushout(eta, p)                  # p_*(H0 K)
+    pushed = hc.pushout_opcover(cover, p)
     H2, eta2 = pushed.cech_h0                      # H0(p_* K)
     # compare as objects under target(p)
     if side1.target.size != H2.size:

@@ -18,7 +18,7 @@ import functools
 import itertools
 
 from . import homs, tables
-from .contexts import LocalizationPath, factorize
+from .contexts import factorize
 from .errors import InvariantViolation, SizeBound
 from .tables import FiniteAlgebra, Hom, compose
 
@@ -67,7 +67,7 @@ class SpectralSpace:
             sections[UV[0]], sections[UV[1]], self._lookups[UV[1]],
             [cones[UV[0]][p] for p in cones[UV[1]]]))
         self.base: FiniteAlgebra | None = None
-        self.forms: tuple[LocalizationPath, ...] | None = None
+        self.forms: tuple[Hom, ...] | None = None
         self.canonical: OnRead | None = None  # open -> Hom(base, section)
         self.stalk_iso: OnRead | None = None  # point -> Hom(stalk, local target)
 
@@ -234,7 +234,7 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
     forms = tuple(ctx.local_forms(R))
     maps = {}
     for p, q in itertools.permutations(range(len(forms)), 2):
-        h = tables.induced(forms[p].composite, forms[q].composite)
+        h = tables.induced(forms[p], forms[q])
         if h is not None:
             maps[(p, q)] = h
     X = sheaf_from_stalks(ctx.name, R.kind,
@@ -243,7 +243,7 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
     X.base, X.forms = R, forms
     X.canonical = OnRead(lambda U: tables.lift(
         R, X.sections[U], X.lookup(U),
-        [forms[p].composite for p in X.cones[U]]))
+        [forms[p] for p in X.cones[U]]))
     X.stalk_iso = OnRead(lambda p: X.cones[X.mins[p]][p])
     return X
 
@@ -274,11 +274,12 @@ def spec_map(specs: Specs, f: Hom) -> APMap:
     ctx, Y, X = specs.ctx, specs[f.source], specs[f.target]
     point_map = []
     stalks = []
+    by_kernel = {p.kernel_sig(): i for i, p in enumerate(Y.forms)}
     for j, q in enumerate(X.forms):
-        path, g = factorize(ctx, compose(f, q.composite))
-        # by theorem, the one local form of its sig, identified by an iso
-        i = [p.sig for p in Y.forms].index(path.sig)
-        ident = tables.induced(path.composite, Y.forms[i].composite)
+        loc, g = factorize(ctx, compose(f, q))
+        # by theorem, the one local form of its kernel, identified by an iso
+        i = by_kernel[loc.kernel_sig()]
+        ident = tables.induced(loc, Y.forms[i])
         point_map.append(i)
         # the stalk map O_Y-stalk(i) -> O_X-stalk(j)
         stalks.append(compose(

@@ -2,8 +2,8 @@
 
 from . import tables
 from .contexts import (SpectralContext, _primitive_idempotents,
-                       _reflects_invertibility, extend_path, identity_path)
-from .tables import RING
+                       _reflects_invertibility)
+from .tables import RING, Hom
 
 
 class ZariskiContext(SpectralContext):
@@ -27,14 +27,11 @@ class ZariskiContext(SpectralContext):
         return tables.inversion_sig(A, self.victim(datum, branch))
 
     def local_forms(self, A):
-        out = []
-        for e in _primitive_idempotents(A):
-            if e == A.one:
-                out.append(identity_path(A))
-            else:
-                out.append(extend_path(self, identity_path(A),
-                                       (e, A.add[A.one][A.neg[e]]), "left"))
-        return sorted(out, key=lambda p: p.sig)
+        """One per primitive idempotent e, inverting e (the identity for
+        e = 1)."""
+        out = [self.attach(A, (e, A.add[A.one][A.neg[e]]), "left")[1]
+               for e in _primitive_idempotents(A)]
+        return sorted(out, key=Hom.kernel_sig)
 
 
 CONTEXT = ZariskiContext()

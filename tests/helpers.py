@@ -190,8 +190,7 @@ def ell(ctx, R) -> Hom:
     product built with its tables."""
     forms = ctx.local_forms(R)
     P, projs = tables.product(R.kind, [p.target for p in forms])
-    return tables.lift(R, P, tables.cone_lookup(P, projs),
-                       [p.composite for p in forms])
+    return tables.lift(R, P, tables.cone_lookup(P, projs), forms)
 
 
 def find_isomorphism(A, B) -> Hom | None:
@@ -211,10 +210,27 @@ def hom_to_dict(f: Hom) -> dict:
     }
 
 
-def path_to_dict(p: contexts.LocalizationPath) -> dict:
-    """The path document that `io.path_from_dict` reads."""
+def path_to_dict(steps) -> dict:
+    """The path document of a list of (datum, branch) steps, which
+    `io.path_from_dict` reads."""
     return {"steps": [{"datum": list(datum), "branch": branch}
-                      for (datum, branch) in p.steps]}
+                      for (datum, branch) in steps]}
+
+
+def pushout_by_replay(ctx, steps, f: Hom) -> Hom:
+    """Oracle: the localization of f's source with (datum, branch) `steps`,
+    pushed out along f by replaying each step on f's target.  Cells are
+    stable under homs, so an attachment pushed out along a hom g is the
+    attachment at the image of its datum under g, with g the map that f
+    induces from the matching intermediate target."""
+    pushed, g = tables.identity(f.target), f
+    for datum, branch in steps:
+        _, step = ctx.attach(g.source, datum, branch)
+        image = tuple(g.map[x] for x in datum)
+        _, new_step = ctx.attach(pushed.target, image, branch)
+        pushed = tables.compose(pushed, new_step)
+        g = tables.induced(step, tables.compose(g, new_step))
+    return pushed
 
 
 class ShuffledContext:
@@ -304,20 +320,21 @@ def faces_by_subset_search(A) -> list[frozenset[int]]:
     return sorted(out, key=lambda F: (len(F), sorted(F)))
 
 
-def deitmar_forms_stepwise(A) -> list[contexts.LocalizationPath]:
+def deitmar_forms_stepwise(A) -> list[Hom]:
     """Oracle: the deitmar local forms of a monoid, one per face F, built by
     inverting the image of each element of F in turn that is not yet a
     unit, kept once per kernel and in kernel-partition order."""
     ctx = contexts.get_context("deitmar")
     out = {}
     for F in ctx.faces(A):
-        path = contexts.identity_path(A)
+        loc = tables.identity(A)
         for a in sorted(F):
-            img = path.composite.map[a]
-            if img not in path.target.units:
-                path = contexts.extend_path(ctx, path, (img,), "right")
-        out.setdefault(path.sig, path)
-    return sorted(out.values(), key=lambda p: p.sig)
+            img = loc.map[a]
+            if img not in loc.target.units:
+                loc = tables.compose(loc, ctx.attach(loc.target, (img,),
+                                                     "right")[1])
+        out.setdefault(loc.kernel_sig(), loc)
+    return sorted(out.values(), key=Hom.kernel_sig)
 
 
 def large_nonassociative_monoid(n: int = 65):
@@ -403,10 +420,10 @@ def invert_apmap(m: APMap) -> APMap:
                  tuple(m.stalks[i].inverse() for i in inv_points))
 
 
-def distinguished_open(forms, k: contexts.LocalizationPath) -> frozenset:
+def distinguished_open(forms, k: Hom) -> frozenset:
     """Pts k: the indices of the local forms `forms` that factor through k."""
     return frozenset(i for i, p in enumerate(forms)
-                     if tables.induced(k.composite, p.composite) is not None)
+                     if tables.induced(k, p) is not None)
 
 
 def restrict(X, U: frozenset):
@@ -436,10 +453,10 @@ def corestrict_to_open(m: APMap, U: frozenset) -> APMap:
                  m.stalks)
 
 
-def open_embedding_data(specs, R, k: contexts.LocalizationPath):
+def open_embedding_data(specs, R, k: Hom):
     """(Pts k, iso: restrict(Spec R, Pts k) -> Spec K) for a localization k."""
     U = distinguished_open(specs[R].forms, k)
-    m = sp.spec_map(specs, k.composite)
+    m = sp.spec_map(specs, k)
     if len(set(m.point_map)) != m.source.n_points or set(m.point_map) != set(U):
         raise InvariantViolation("Spec K does not sit over Pts k")
     core = corestrict_to_open(m, U)
@@ -765,10 +782,10 @@ def canonical_presheaf(ctx, R):
 
     sections, canonical = {}, {}
     for U, paths in by_open.items():
-        sig = join_sigs(R.size, [p.sig for p in paths])
+        sig = join_sigs(R.size, [p.kernel_sig() for p in paths])
         RU, proj = tables.quotient_by_sig(R, sig)
-        red, unit, _ = reduction.reduce_admissible(ctx, RU)
-        sections[U] = red
+        unit, _ = reduction.reduce_admissible(ctx, RU)
+        sections[U] = unit.target
         canonical[U] = tables.compose(proj, unit)
     # right Kan extension on the other opens
     sub_basis = {U: [W for W in opens if W in by_open and W <= U]
@@ -907,7 +924,7 @@ def kernel_hyperopcover(c) -> Hyperopcover:
     """The Čech form: level 1 is the bare pushout of every ordered pair of
     components, a component with itself included."""
     return Hyperopcover(c, {
-        (i0, i1): tables.pushout(k0.composite, k1.composite)
+        (i0, i1): tables.pushout(k0, k1)
         for i0, k0 in enumerate(c.components)
         for i1, k1 in enumerate(c.components)})
 
@@ -926,7 +943,7 @@ def h0_by_ordered_pairs(K: Hyperopcover):
         objects.append(P)
     E, cone = tables.limit(K.level0.base.kind, objects, arrows)
     lookup = tables.cone_lookup(E, cone[:len(comps)])
-    return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])
+    return E, tables.lift(K.level0.base, E, lookup, comps)
 
 
 def h0_by_product_scan(K: Hyperopcover):
@@ -942,7 +959,7 @@ def h0_by_product_scan(K: Hyperopcover):
                if all(d0.map[x] == d1.map[x] for d0, d1 in conditions)]
     E, incl = subalgebra(P0, members)
     lookup = tables.cone_lookup(E, [tables.compose(incl, pr) for pr in projs])
-    return E, tables.lift(K.level0.base, E, lookup, [k.composite for k in comps])
+    return E, tables.lift(K.level0.base, E, lookup, comps)
 
 
 class DidNotStabilize(ConespecError):
@@ -952,21 +969,23 @@ class DidNotStabilize(ConespecError):
         self.rounds = rounds
 
 
-def enumerate_localizations(ctx, R, max_rounds: int | None = None
-                            ) -> dict[tuple, contexts.LocalizationPath]:
+def enumerate_localizations(ctx, R, max_rounds: int | None = None,
+                            steps: dict | None = None) -> dict[tuple, Hom]:
     """Oracle: all finite localizations of R up to iso over R, keyed by
     signature (the paper's bounded saturation).
 
     Breadth-first over single-cell attachments; the first (hence shortest,
-    lexicographically least in discovery order) path represents its class.
-    An attachment's signature over R is its step signature read through the
-    path's map, so only a new class has its quotient built.  With
-    `max_rounds`, raises DidNotStabilize if a round after that many still
-    finds new classes.
+    lexicographically least in discovery order) path of attachments
+    represents its class, and `steps`, when given, gets each class's
+    (datum, branch) steps under its signature.  An attachment's signature
+    over R is its step signature read through the path's map, so only a new
+    class has its quotient built.  With `max_rounds`, raises
+    DidNotStabilize if a round after that many still finds new classes.
     """
     ctx.accepts(R)
-    start = contexts.identity_path(R)
-    found = {start.sig: start}
+    start = tables.identity(R)
+    found = {start.kernel_sig(): start}
+    trail = {start.kernel_sig(): ()}
     frontier = [start]
     rounds = 0
     while frontier:
@@ -974,20 +993,22 @@ def enumerate_localizations(ctx, R, max_rounds: int | None = None
         if max_rounds is not None and rounds > max_rounds:
             raise DidNotStabilize(max_rounds)
         new = []
-        for path in frontier:
-            K = path.target
+        for loc in frontier:
+            K = loc.target
             for datum, branch in ctx.attachments(K):
                 step_sig = ctx.attach_sig(K, datum, branch)
                 if contexts._is_identity_sig(step_sig):
                     continue
-                sig = tables.normalize_sig(step_sig[x]
-                                           for x in path.composite.map)
+                sig = tables.normalize_sig(step_sig[x] for x in loc.map)
                 if sig not in found:
-                    found[sig] = contexts.extend_path(
-                        ctx, path, datum, branch,
-                        tables.quotient_by_sig(K, step_sig)[1])
+                    found[sig] = tables.compose(
+                        loc, tables.quotient_by_sig(K, step_sig)[1])
+                    trail[sig] = (trail[loc.kernel_sig()]
+                                  + ((datum, branch),))
                     new.append(found[sig])
         frontier = new
+    if steps is not None:
+        steps.update(trail)
     return found
 
 
@@ -996,8 +1017,8 @@ def enumerate_localizations_by_quotient(ctx, R, max_rounds=None):
     quotient, dedups by the composite's signature, and skips bijective steps.
     """
     ctx.accepts(R)
-    start = contexts.identity_path(R)
-    found = {start.sig: start}
+    start = tables.identity(R)
+    found = {start.kernel_sig(): start}
     frontier = [start]
     rounds = 0
     while frontier:
@@ -1005,15 +1026,15 @@ def enumerate_localizations_by_quotient(ctx, R, max_rounds=None):
         if max_rounds is not None and rounds > max_rounds:
             raise DidNotStabilize(max_rounds)
         new = []
-        for path in frontier:
-            for datum in ctx.cell_data(path.target):
+        for loc in frontier:
+            for datum in ctx.cell_data(loc.target):
                 for branch in contexts.BRANCHES:
-                    _, step = ctx.attach(path.target, datum, branch)
+                    _, step = ctx.attach(loc.target, datum, branch)
                     if step.is_bijective:
                         continue
-                    ext = contexts.extend_path(ctx, path, datum, branch, step)
-                    if ext.sig not in found:
-                        found[ext.sig] = ext
+                    ext = tables.compose(loc, step)
+                    if ext.kernel_sig() not in found:
+                        found[ext.kernel_sig()] = ext
                         new.append(ext)
         frontier = new
     return found
@@ -1032,7 +1053,7 @@ def saturate_bounded(ctx, R, max_rounds=None):
         raise ValueError("max_rounds must be >= 1")
     found = enumerate_localizations(ctx, R, max_rounds)
     locs = [p for p in found.values() if ctx.is_local(p.target)]
-    return sorted(locs, key=lambda p: p.sig)
+    return sorted(locs, key=Hom.kernel_sig)
 
 
 def factorize_by_quotient(ctx, f):
@@ -1040,10 +1061,10 @@ def factorize_by_quotient(ctx, f):
     `induced` whether f factors through it."""
     ctx.accepts(f.source)
     ctx.accepts(f.target)
-    path = contexts.identity_path(f.source)
+    loc = tables.identity(f.source)
     g = f
     while True:
-        K = path.target
+        K = loc.target
         options = [(d, b) for d in ctx.cell_data(K) for b in contexts.BRANCHES]
         progressed = False
         for datum, branch in options:
@@ -1053,7 +1074,7 @@ def factorize_by_quotient(ctx, f):
             h = tables.induced(step, g)
             if h is None:
                 continue
-            path = contexts.extend_path(ctx, path, datum, branch, step)
+            loc = tables.compose(loc, step)
             g = h
             progressed = True
             break
@@ -1061,7 +1082,7 @@ def factorize_by_quotient(ctx, f):
             break
     if not ctx.is_admissible(g):
         raise InvariantViolation("residual factor is not admissible")
-    return path, g
+    return loc, g
 
 
 def search_plan_by_scan(sizes, meets):
@@ -1278,7 +1299,7 @@ def nerve_families_by_product(specs, cover, at_K):
     for t, kt in enumerate(cover.components):
         for u, ku in enumerate(cover.components):
             if t < u:
-                _, in_t, in_u = tables.pushout(kt.composite, ku.composite)
+                _, in_t, in_u = tables.pushout(kt, ku)
                 mt, mu = sp.spec_map(specs, in_t), sp.spec_map(specs, in_u)
                 pair_keys.append((
                     t, u,

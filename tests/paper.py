@@ -43,7 +43,7 @@ def multi_reflection(ctx, f):
     """
     hits = []
     for p in ctx.local_forms(f.source):
-        h = tables.induced(p.composite, f)
+        h = tables.induced(p, f)
         if h is not None and ctx.is_admissible(h):
             hits.append((p, h))
     if len(hits) != 1:
@@ -68,8 +68,7 @@ def mono_reduce(ctx, R):
             R.kind, [p.target for p in forms], sorted(set(families)))
     else:
         M, cone = tables.terminal(R.kind), []
-    unit = tables.lift(R, M, tables.cone_lookup(M, cone),
-                       [p.composite for p in forms])
+    unit = tables.lift(R, M, tables.cone_lookup(M, cone), forms)
     return M, unit, cone
 
 
@@ -108,10 +107,10 @@ def distinguished_opens(ctx, R) -> set[frozenset]:
 
 def distop_lattice_bijection(ctx, R) -> bool:
     """Distinguished opens of Spec R and Spec(red R) match along the unit."""
-    algebra, unit, _ = red.reduce_admissible(ctx, R)
+    unit, _ = red.reduce_admissible(ctx, R)
     m = spec_map(sp.Specs(ctx), unit)
     basis_R = distinguished_opens(ctx, R)
-    basis_red = distinguished_opens(ctx, algebra)
+    basis_red = distinguished_opens(ctx, unit.target)
     image = {U: preimage(m, U) for U in basis_R}
     if set(image.values()) != basis_red:
         return False
@@ -135,7 +134,7 @@ def enumerate_opcovers(ctx, R, max_components: int | None = None):
     locs = list(enumerate_localizations(ctx, R).values())
     forms = ctx.local_forms(R)
     hits = [frozenset(i for i, p in enumerate(forms)
-                      if tables.induced(k.composite, p.composite) is not None)
+                      if tables.induced(k, p) is not None)
             for k in locs]
     everything = frozenset(range(len(forms)))
     out = []
@@ -150,7 +149,7 @@ def enumerate_opcovers(ctx, R, max_components: int | None = None):
 
 def split_cover_check(ctx, cover) -> bool:
     """With a component iso, the base must map isomorphically to H0."""
-    if not any(k.composite.is_bijective for k in cover.components):
+    if not any(k.is_bijective for k in cover.components):
         raise InvariantViolation("no split component in the cover")
     _, eta = hc.h0(cover)
     if not eta.is_bijective:
@@ -174,7 +173,7 @@ def open_subfunctor_is_representable(specs, R, k, site) -> bool:
     U = distinguished_open(specs[R].forms, k)
     values = open_subfunctor_values(specs, R, U, site)
     for s, S in enumerate(site):
-        through = {compose(k.composite, g).map for g in all_homs(k.target, S)}
+        through = {compose(k, g).map for g in all_homs(k.target, S)}
         if {f.map for f in values[s]} != through:
             return False
     return True

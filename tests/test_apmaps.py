@@ -31,7 +31,7 @@ DEI = C.get_context("deitmar")
 def _invert_e(A):
     """The localization of A inverting its element e (index 1)."""
     return next(k for k in enumerate_localizations(DEI, A).values()
-                if [s[0] for s in k.steps] == [(1,)])
+                if k.kernel_sig() == tables.inversion_sig(A, 1))
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ def test_nerve_sheaf_condition_judges_the_maps_it_is_given(glued):
         for A in site:
             locs = enumerate_localizations(DEI, A)
             cover = hc.Opcover(DEI, A, tuple(
-                locs[p.sig] for p in DEI.local_forms(A)))
+                locs[p.kernel_sig()] for p in DEI.local_forms(A)))
             if not cover.components:
                 continue
             values = {}

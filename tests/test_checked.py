@@ -23,9 +23,10 @@ exactly one local form, identified with it by an iso, and `validate_apmap`,
 on each `make_overlap` that the Spec maps of both localizations are
 injective on points, and its point map and stalk isos against
 `helpers.overlap_by_restriction`, `check_nerve_functorial` on each nerve
-table, and on each cover that `pushout_opcover` replays, each component
-against the pushout it stands for.  A map of spaces holds its stalk maps,
-and validating it lifts its section maps, each lift checked.
+table, and on each cover that `pushout_opcover` pushes out, that each
+component is a surjective hom closing the pushout square.  A map of spaces
+holds its stalk maps, and validating it lifts its section maps, each lift
+checked.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def spec_checks(ctx, X):
         assert ctx.is_local(X.stalk(p))
         iso = X.stalk_iso[p]
         assert iso.is_bijective and is_hom_on_all_pairs(iso)
-        assert tables.compose(X.canonical[X.mins[p]], iso) == form.composite
+        assert tables.compose(X.canonical[X.mins[p]], iso) == form
 
 
 def quotient(r, args):
@@ -89,17 +90,17 @@ def closure(r, args):
 
 
 def pushed_components(cover, args):
-    """Each component replayed along f is the pushout of the original along
-    f: a path out of f's target with the kernel of the pushout injection."""
+    """Each component pushed out along f is a surjective hom out of f's
+    target that closes the pushout square of the original and f."""
     c, f = args
     assert cover.base == f.target
     assert len(cover.components) == len(c.components)
     for k, pushed in zip(c.components, cover.components):
-        _, _, in_l = tables.pushout(k.composite, f)
-        assert pushed.source == f.target and len(pushed.steps) == len(k.steps)
-        homs(pushed.composite)
-        assert pushed.sig == tables.normalize_sig(in_l.map), \
-            "pushed component is not the pushout's localization"
+        assert pushed.source == f.target and pushed.is_surjective
+        homs(pushed)
+        _, in_k, _ = tables.pushout(k, f)
+        assert tables.compose(k, in_k) == tables.compose(f, pushed), \
+            "pushed component does not close the pushout square"
 
 
 def forms_checks(forms, args):
@@ -110,15 +111,16 @@ def forms_checks(forms, args):
     assert all(ctx.is_local(p.target) for p in forms)
     if ctx.name == "deitmar":
         assert len(forms) == len(ctx.faces(A))
-        assert len({p.sig for p in forms}) == len(forms)
+        assert len({p.kernel_sig() for p in forms}) == len(forms)
 
 
 def factorization(r, args):
-    """The residual factor is admissible, and after the path it is f."""
+    """The residual factor is admissible, and after the localization it is
+    f."""
     ctx, f = args
-    path, g = r
+    loc, g = r
     assert ctx.is_admissible(g)
-    assert tables.compose(path.composite, g) == f
+    assert tables.compose(loc, g) == f
 
 
 def apmaps(ms, args):
@@ -146,10 +148,10 @@ def spec_map_checks(m, args):
     specs, f = args
     Y, X = specs[f.source], specs[f.target]
     for q in X.forms:
-        path, _ = C.factorize(specs.ctx, tables.compose(f, q.composite))
-        hit = [p for p in Y.forms if p.sig == path.sig]
+        path, _ = C.factorize(specs.ctx, tables.compose(f, q))
+        hit = [p for p in Y.forms if p.kernel_sig() == path.kernel_sig()]
         assert len(hit) == 1, "localization part is not a local form"
-        ident = tables.induced(path.composite, hit[0].composite)
+        ident = tables.induced(path, hit[0])
         assert ident is not None and ident.is_bijective, \
             "local form identification is not an iso"
     validate_apmap(specs.ctx, m)
@@ -160,7 +162,7 @@ def overlap(ov, args):
     charts whose localizations' Spec maps are injective on points."""
     specs, _, _, k_i, k_j = args[:5]
     for k in (k_i, k_j):
-        pm = sp.spec_map(specs, k.composite).point_map
+        pm = sp.spec_map(specs, k).point_map
         assert len(set(pm)) == len(pm), "localization is not an open embedding"
     old = overlap_by_restriction(*args)
     assert (ov.i, ov.j, ov.point_map) == (old.i, old.j, old.point_map)
@@ -230,9 +232,9 @@ def test_theorem_backed_results_pass_the_full_checks(checked):
         for cover in paper.enumerate_opcovers(ctx, A):
             cover.cech_h0    # built checked
             for p in ctx.local_forms(A):
-                hc.pushout_opcover(cover, p.composite)
+                hc.pushout_opcover(cover, p)
         for k in enumerate_localizations(ctx, A).values():
-            if not k.composite.is_bijective:
+            if not k.is_bijective:
                 gl.glue(specs, glued_row(specs, A, k))
     # nerves of P^1 over F1 and of Z/6 doubled at the point (2)
     for name, A, size in (("deitmar", corpus.flag_monoid(), 1),

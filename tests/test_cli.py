@@ -16,7 +16,7 @@ from conespec import cli, corpus, glue as gl, hypercover as hc, io as cio
 from conespec import reduction as red, spectrum as sp
 from conespec.homs import all_homs
 from conespec.tables import identity
-from helpers import (enumerate_localizations, hom_to_dict,
+from helpers import (corpus_by_context, enumerate_localizations, hom_to_dict,
                      large_nonassociative_monoid, path_to_dict,
                      subprocess_env)
 from test_golden import CASES, read_expected, resolve, run_case
@@ -53,10 +53,11 @@ def test_hom_roundtrip_and_named_algebras():
 
 
 def test_path_roundtrip():
-    for ctx, A in [(ZAR, Z6), (C.get_context("deitmar"), corpus.flag_monoid())]:
-        for k in enumerate_localizations(ctx, A).values():
-            k2 = cio.path_from_dict(ctx, A, path_to_dict(k))
-            assert k2.sig == k.sig
+    """Reading the oracle's steps of each localization gives its map."""
+    for ctx, A in corpus_by_context():
+        steps = {}
+        for sig, k in enumerate_localizations(ctx, A, steps=steps).items():
+            assert cio.path_from_dict(ctx, A, path_to_dict(steps[sig])) == k
 
 
 def test_dot_output_lists_points_and_arrows():
@@ -120,16 +121,7 @@ def test_cli_check_geometric_iso(tmp_path, capsys):
 
 
 def test_cli_glue_and_nerve(tmp_path, capsys):
-    dei = C.get_context("deitmar")
-    ko = next(k for k in enumerate_localizations(dei, corpus.flag_monoid())
-              .values() if k.target.size == 1)
-    doc = {
-        "context": "deitmar",
-        "charts": [{"algebra": "e2"}, {"algebra": "e2"}],
-        "overlaps": [{"i": 0, "j": 1, "k_i": path_to_dict(ko),
-                      "k_j": path_to_dict(ko)}],
-    }
-    inp = write(tmp_path, "p1.json", doc)
+    inp = write(tmp_path, "p1.json", e2_gluing())
     assert cli.main(["glue", "--input", inp, "--out-dir", str(tmp_path)]) == 0
     assert "affine=false" in capsys.readouterr().out
     assert cli.main(["nerve", "--input", inp, "--site-max", "2"]) == 0
@@ -446,11 +438,11 @@ def test_cli_checks_the_kind_of_every_input_once_after_the_size_bound(
 
 def e2_gluing(**overlap) -> dict:
     """Two e2 charts glued where e is invertible; `overlap` overrides fields."""
-    dei = C.get_context("deitmar")
-    ko = next(k for k in enumerate_localizations(dei, corpus.flag_monoid())
-              .values() if k.target.size == 1)
-    ov = {"i": 0, "j": 1, "k_i": path_to_dict(ko),
-          "k_j": path_to_dict(ko)}
+    steps = {}
+    locs = enumerate_localizations(C.get_context("deitmar"),
+                                   corpus.flag_monoid(), steps=steps)
+    ko = next(steps[sig] for sig, k in locs.items() if k.target.size == 1)
+    ov = {"i": 0, "j": 1, "k_i": path_to_dict(ko), "k_j": path_to_dict(ko)}
     ov.update(overlap)
     return {"context": "deitmar",
             "charts": [{"algebra": "e2"}, {"algebra": "e2"}], "overlaps": [ov]}
@@ -747,8 +739,8 @@ def test_nerve_covers_with_an_identity_component_hold(name, site_max):
     skipped = 0
     for A in gl.default_site(ctx, site_max):
         locs = enumerate_localizations(ctx, A)
-        comps = tuple(locs[p.sig] for p in ctx.local_forms(A))
-        if any(k.is_identity_class for k in comps):
+        comps = tuple(locs[p.kernel_sig()] for p in ctx.local_forms(A))
+        if any(k.is_bijective for k in comps):
             skipped += 1
             cover = hc.Opcover(ctx, A, comps)
             assert gl.nerve_sheaf_condition(specs, X, cover, {})

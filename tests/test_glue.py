@@ -186,7 +186,7 @@ def _gluings():
     specs = {ctx.name: sp.Specs(ctx) for ctx in (ZAR, DOM, DEI)}
     for ctx, A in corpus_by_context():
         for k in enumerate_localizations(ctx, A).values():
-            if not k.composite.is_bijective:
+            if not k.is_bijective:
                 yield specs[ctx.name], functools.partial(
                     glued_row, specs[ctx.name], A, k)
     dei, zar = specs["deitmar"], specs["zariski"]
@@ -213,8 +213,8 @@ def _gluings():
     moved = sp.Specs(DEI)
     turn = next(g for g in homs.iter_isomorphisms(k5.target, k5.target)
                 if g.inverse() != g)
-    moved.maps[k5.composite] = sp.compose_apmaps(
-        sp.spec_map(moved, turn), sp.spec_map(moved, k5.composite))
+    moved.maps[k5] = sp.compose_apmaps(
+        sp.spec_map(moved, turn), sp.spec_map(moved, k5))
     yield moved, functools.partial(glued_row, moved, B, k5)
 
 

@@ -11,12 +11,12 @@ from conespec import contexts as C
 from conespec import corpus, homs, hypercover as hc, tables
 from conespec.errors import InvariantViolation
 from conespec.homs import all_homs
-from conespec.tables import compose
+from conespec.tables import compose, identity
 
 import paper
 from helpers import (corpus_by_context, enumerate_localizations,
                      h0_by_ordered_pairs, h0_by_product_scan, isomorphic,
-                     kernel_hyperopcover)
+                     kernel_hyperopcover, pushout_by_replay)
 from test_checked import pushed_components
 
 ZAR = C.get_context("zariski")
@@ -66,7 +66,7 @@ def test_cech_pairwise_pushouts(pushouts):
     k3 = by_size(ZAR, Z6, 3)
     hc.h0(hc.Opcover(ZAR, Z6, (k2, k3)))
     assert [(f, g, P.size) for f, g, P in pushouts] == \
-        [(k2.composite, k3.composite, 1)]
+        [(k2, k3, 1)]
 
 
 def test_h0_takes_one_pushout_per_unordered_pair(pushouts):
@@ -77,7 +77,7 @@ def test_h0_takes_one_pushout_per_unordered_pair(pushouts):
         for cover in paper.enumerate_opcovers(ctx, A):
             pushouts.clear()
             hc.h0(cover)
-            comps = [k.composite for k in cover.components]
+            comps = [k for k in cover.components]
             n = len(comps)
             assert len(pushouts) == n * (n - 1) // 2
             assert [(f, g) for f, g, _ in pushouts] == \
@@ -112,7 +112,7 @@ def test_h0_flag_monoid_two_component_cover():
 def test_split_cover_check():
     for ctx, A in [(ZAR, Z6), (ZAR, corpus.zn(4)), (DEI, corpus.flag_monoid())]:
         for cover in paper.enumerate_opcovers(ctx, A):
-            if any(k.composite.is_bijective for k in cover.components):
+            if any(k.is_bijective for k in cover.components):
                 assert paper.split_cover_check(ctx, cover)
 
 
@@ -133,44 +133,50 @@ def test_zariski_counit_iso_for_every_opcover():
 def test_opcovers_closed_under_pushout():
     for cover in paper.enumerate_opcovers(ZAR, Z6):
         for f in locs_of(ZAR, Z6):
-            pushed = hc.pushout_opcover(cover, f.composite)
+            pushed = hc.pushout_opcover(cover, f)
             assert hc.is_opcover(pushed)
 
 
 def random_path(ctx, A, rng):
-    """A path of 2-4 steps out of A, each step mostly one that changes its
-    target, as a cover document may write it."""
-    path = C.identity_path(A)
+    """(steps, localization): a path of 2-4 (datum, branch) steps out of A,
+    each step mostly one that changes its target, as a cover document may
+    write it, and the composite of its attachments."""
+    steps, loc = [], identity(A)
     for _ in range(rng.randint(2, 4)):
-        K = path.target
+        K = loc.target
         options = [(d, b) for d in ctx.cell_data(K) for b in C.BRANCHES]
         moving = [(d, b) for d, b in options
                   if not C._is_identity_sig(ctx.attach_sig(K, d, b))]
         datum, branch = rng.choice(moving if moving and rng.random() < 0.8
                                    else options)
-        path = C.extend_path(ctx, path, datum, branch)
-    return path
+        steps.append((datum, branch))
+        loc = compose(loc, ctx.attach(K, datum, branch)[1])
+    return steps, loc
 
 
 def test_pushed_components_are_the_pushouts_of_their_paths():
-    """`pushout_opcover` replays each component's steps on the target of f;
-    checked mode's `pushed_components` compares each replayed component
-    with the pushout injection along f, for random multi-step paths pushed
-    along every local form and every hom into a corpus algebra of at most
-    12 elements."""
+    """`pushout_opcover` pushes each component out along f by
+    `tables.pushout`; each pushed component is the one that replaying the
+    component's steps on the target of f gives, and passes checked mode's
+    `pushed_components`, for random multi-step paths pushed along every
+    local form and every hom into a corpus algebra of at most 12
+    elements."""
     cases = corpus_by_context()
     n = 0
     for i, (ctx, A) in enumerate(cases):
         rng = random.Random(1000 + i)
-        comps = tuple(random_path(ctx, A, rng) for _ in range(6))
-        assert max(len(k.steps) for k in comps) >= 3
-        cover = hc.Opcover(ctx, A, comps)
-        maps = [p.composite for p in ctx.local_forms(A)] + [
+        paths = [random_path(ctx, A, rng) for _ in range(6)]
+        assert max(len(steps) for steps, _ in paths) >= 3
+        cover = hc.Opcover(ctx, A, tuple(k for _, k in paths))
+        maps = ctx.local_forms(A) + [
             f for c, B in cases if c is ctx and B.size <= 12
             for f in all_homs(A, B)]
         for f in maps:
-            pushed_components(hc.pushout_opcover(cover, f), (cover, f))
-            n += len(comps)
+            pushed = hc.pushout_opcover(cover, f)
+            pushed_components(pushed, (cover, f))
+            assert list(pushed.components) == [
+                pushout_by_replay(ctx, steps, f) for steps, _ in paths]
+            n += len(paths)
     assert n >= 1500
 
 
@@ -182,7 +188,7 @@ def test_opcovers_closed_under_composition():
     composed = []
     for k in base_cover.components:
         for sub in locs_of(ZAR, k.target):
-            comp = compose(k.composite, sub.composite)
+            comp = compose(k, sub)
             key = tables.normalize_sig(comp.map)
             composed.append(enumerate_localizations(ZAR, Z12)[key])
     cover = hc.Opcover(ZAR, Z12, tuple(composed))
@@ -208,7 +214,7 @@ def test_jointly_monic_families_cover_reduced_domain_rings():
         for r in range(1, len(locs) + 1):
             for fam in itertools.combinations(locs, r):
                 jointly_monic = all(
-                    any(k.composite.map[x] != k.composite.map[y] for k in fam)
+                    any(k.map[x] != k.map[y] for k in fam)
                     for x in range(A.size) for y in range(x + 1, A.size)
                 )
                 if jointly_monic:
@@ -237,7 +243,7 @@ def test_h0_matches_the_ordered_pairs_oracle():
     verdicts = []
     for ctx, A in corpus_by_context():
         for cover in paper.enumerate_opcovers(ctx, A):
-            for c in [cover] + [hc.pushout_opcover(cover, p.composite)
+            for c in [cover] + [hc.pushout_opcover(cover, p)
                                 for p in ctx.local_forms(A)]:
                 E, eta = hc.h0(c)
                 E2, eta2 = h0_by_ordered_pairs(kernel_hyperopcover(c))

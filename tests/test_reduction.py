@@ -44,20 +44,21 @@ def test_zariski_everything_already_reduced():
     for A in corpus.zariski_corpus():
         if A.size == 1:
             continue
-        _, unit, _ = red.reduce_admissible(ZAR, A)
+        unit, _ = red.reduce_admissible(ZAR, A)
         assert unit.is_bijective
         assert paper.is_reduced(ZAR, A)
 
 
 def test_domain_reduction_is_nilradical_quotient():
     for A in [Z4, Z6, corpus.zn(8), corpus.zn(9), Z12, corpus.f2x2()]:
-        algebra, _, _ = red.reduce_admissible(DOM, A)
-        assert isomorphic(algebra, nilradical_quotient_oracle(A)), A.elements
+        unit, _ = red.reduce_admissible(DOM, A)
+        assert isomorphic(unit.target, nilradical_quotient_oracle(A)), \
+            A.elements
 
 
 def test_domain_f2x2_reduces_to_f2():
-    algebra, unit, witness = red.reduce_admissible(DOM, corpus.f2x2())
-    assert isomorphic(algebra, Z2)
+    unit, witness = red.reduce_admissible(DOM, corpus.f2x2())
+    assert isomorphic(unit.target, Z2)
     assert unit.is_surjective
     assert not paper.is_reduced(DOM, corpus.f2x2())
     assert DOM.is_admissible(witness)
@@ -84,9 +85,9 @@ def test_reduce_admissible_matches_factorizing_ell():
     for ctx, A in corpus_by_context():
         h = ell(ctx, A)
         path, g = C.factorize(ctx, h)
-        algebra, unit, witness = red.reduce_admissible(ctx, A)
-        assert unit.kernel_sig() == path.sig
-        assert (algebra, unit) == (path.target, path.composite)
+        unit, witness = red.reduce_admissible(ctx, A)
+        assert unit.kernel_sig() == path.kernel_sig()
+        assert unit == path
         # the residual lands in R/ker ell, which ell embeds in the product
         _, q = tables.quotient_by_sig(A, h.kernel_sig())
         incl = tables.induced(q, h)
@@ -95,8 +96,8 @@ def test_reduce_admissible_matches_factorizing_ell():
 
 def test_reduction_idempotent():
     for ctx, A in [(DOM, Z4), (DOM, corpus.f2x2()), (DEI, corpus.flag_monoid())]:
-        algebra, _, _ = red.reduce_admissible(ctx, A)
-        _, again, _ = red.reduce_admissible(ctx, algebra)
+        algebra = red.reduce_admissible(ctx, A)[0].target
+        again, _ = red.reduce_admissible(ctx, algebra)
         assert again.is_bijective
         assert paper.is_reduced(ctx, algebra)
         mono, _, _ = paper.mono_reduce(ctx, A)
@@ -109,12 +110,12 @@ def test_epi_reflectivity():
         (DEI, corpus.deitmar_corpus()),
     ]:
         for A in algebras:
-            algebra, unit, _ = red.reduce_admissible(ctx, A)
+            unit, _ = red.reduce_admissible(ctx, A)
             for S in algebras:
                 if not paper.is_reduced(ctx, S):
                     continue
                 for f in all_homs(A, S):
-                    factors = [g for g in all_homs(algebra, S)
+                    factors = [g for g in all_homs(unit.target, S)
                                if compose(unit, g) == f]
                     assert len(factors) == 1
 
@@ -127,9 +128,9 @@ def test_reduction_unit_is_geometric_iso():
         for A in algebras:
             if A.size == 1:
                 continue
-            algebra, unit, _ = red.reduce_admissible(ctx, A)
+            unit, _ = red.reduce_admissible(ctx, A)
             assert paper.is_geometric_iso(ctx, unit)
-            iso = sp.spaces_isomorphic(sp.build_spec(ctx, algebra),
+            iso = sp.spaces_isomorphic(sp.build_spec(ctx, unit.target),
                                        sp.build_spec(ctx, A))
             assert iso is not None
 
@@ -137,7 +138,7 @@ def test_reduction_unit_is_geometric_iso():
 def test_geometric_iso_examples():
     assert paper.is_geometric_iso(ZAR, identity(Z6))
     assert not paper.is_geometric_iso(ZAR, all_homs(Z6, Z2)[0])
-    _, unit, _ = red.reduce_admissible(DOM, corpus.f2x2())
+    unit, _ = red.reduce_admissible(DOM, corpus.f2x2())
     assert paper.is_geometric_iso(DOM, unit)
 
 
@@ -208,7 +209,7 @@ def test_flatness_of_local_forms_zariski():
     for A in [Z6, Z12, corpus.ring_product(2, 2)]:
         covers = paper.enumerate_opcovers(ZAR, A)
         for p in ZAR.local_forms(A):
-            key = p.sig
+            key = p.kernel_sig()
             loc = enumerate_localizations(ZAR, A)[key]
             for cover in covers:
                 assert red.check_flat_wrt_cover(loc, cover)
@@ -221,10 +222,10 @@ def test_flat_search_domain_context():
     for A in [Z4, Z6, corpus.f2x2()]:
         covers = paper.enumerate_opcovers(DOM, A)
         for p in DOM.local_forms(A):
-            loc = enumerate_localizations(DOM, A)[p.sig]
+            loc = enumerate_localizations(DOM, A)[p.kernel_sig()]
             for cover in covers:
                 if not red.check_flat_wrt_cover(loc, cover):
-                    found.append((A.elements, p.sig, len(cover.components)))
+                    found.append((A.elements, p.kernel_sig(), len(cover.components)))
     assert found == []
 
 

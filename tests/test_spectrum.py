@@ -229,7 +229,7 @@ def test_stalks_match_local_forms():
         for i, form in enumerate(X.forms):
             iso = X.stalk_iso[i]
             assert iso.is_bijective
-            assert compose(X.canonical[X.mins[i]], iso) == form.composite
+            assert compose(X.canonical[X.mins[i]], iso) == form
             assert ctx.is_local(X.stalk(i))
 
 

@@ -414,7 +414,7 @@ def test_quotient_checks_random_partitions_like_the_rows(A, data):
 
 def test_quotient_matches_the_rows_on_every_congruence_the_corpus_meets():
     for ctx, A in corpus_by_context():
-        sigs = [p.composite.kernel_sig() for p in ctx.local_forms(A)]
+        sigs = [p.kernel_sig() for p in ctx.local_forms(A)]
         sigs += [tables.inversion_sig(A, a) for a in range(A.size)]
         sigs += [f.kernel_sig() for B in POOL if B.size <= 4
                  for f in all_homs(A, B)]
