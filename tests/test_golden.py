@@ -48,6 +48,12 @@ CASES = {
                                         "@e2xe2.json"],
     "check-geometric-iso-z6-z2": ["check", "--property", "geometric-iso",
                                   "--hom", "@z6-to-z2.json"],
+    "check-geometric-iso-domain-z12-z6": ["check", "--context", "domain",
+                                          "--property", "geometric-iso",
+                                          "--hom", "@z12-to-z6.json"],
+    "check-geometric-iso-domain-z12-z4": ["check", "--context", "domain",
+                                          "--property", "geometric-iso",
+                                          "--hom", "@z12-to-z4.json"],
     "check-flat-cover-z6": ["check", "--property", "flat-cover", "--input",
                             "@z6.json", "--cover", "@z6-cover.json"],
     "check-flat-cover-zariski-multistep": [

@@ -108,6 +108,8 @@ EXECUTES = {
     "check-reduced-domain-z12": ("domain", "reduction"),
     "check-mono-reduced-domain-z12": ("domain", "reduction"),
     "check-geometric-iso-z6-z2": ("zariski", "reduction"),
+    "check-geometric-iso-domain-z12-z6": ("domain", "reduction"),
+    "check-geometric-iso-domain-z12-z4": ("domain", "reduction"),
     "check-fixed-point-deitmar-e2xe2": ("deitmar", "reduction", "spectrum"),
     "check-flat-cover-z6": ("zariski", "reduction", "hypercover", "homs"),
     "check-flat-cover-zariski-multistep": ("zariski", "reduction",
