@@ -14,11 +14,14 @@ A localization is its map, a finite composite of attachments.  On finite
 tables it is surjective, so its kernel partition identifies it up to
 isomorphism over its source, and localizations are compared by it.  The
 points of Spec R are the local forms (`local_forms`); every other
-localization the library meets is written by a caller or found by
-`factorize`.  Their number (`point_count`) is read off the algebra without
-building any of them.  Each context gives the signature of one attachment
-(`attach_sig`) without building its quotient, so `factorize` compares
-signatures first and builds a quotient only for a step it takes.
+localization the library meets is written by a caller or is the
+localization part of a map.  Their number (`point_count`) is read off the
+algebra without building any of them.  Each context gives the kernel of an
+attachment (`attach_sig`) and of a map's localization part
+(`localization_sig`) in closed form, so `factorize` builds one quotient
+where the small-object argument attaches one cell after another: zariski
+and deitmar invert the preimage of the units, one inversion at their
+product; domain kills the kernel.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from __future__ import annotations
 import importlib
 
 from . import tables
-from .errors import KindMismatch
-from .tables import FiniteAlgebra, Hom, compose, identity
+from .errors import InvariantViolation, KindMismatch
+from .tables import FiniteAlgebra, Hom
 
 
 BRANCHES = ("left", "right")
@@ -58,26 +61,17 @@ class SpectralContext:
         raise NotImplementedError
 
     def victim(self, datum, branch):
-        """The element an attachment kills or inverts; None for the identity.
-
-        A branch of a pair datum acts on the pair's matching entry.
-        """
+        """The element an attachment kills or inverts: a branch of a pair
+        datum acts on the pair's matching entry."""
         return datum[0 if branch == "left" else 1]
 
     def attach(self, A, datum, branch):
         """The attachment as (quotient, quotient map)."""
         return tables.quotient_by_sig(A, self.attach_sig(A, datum, branch))
 
-    def attachments(self, A):
-        """The (datum, branch) pairs of A in scan order, skipping any whose
-        victim an earlier pair already had, since its step would be the same."""
-        seen = set()
-        for datum in self.cell_data(A):
-            for branch in BRANCHES:
-                v = self.victim(datum, branch)
-                if v not in seen:
-                    seen.add(v)
-                    yield datum, branch
+    def localization_sig(self, f: Hom) -> tuple[int, ...]:
+        """Kernel partition of the localization part of f (not built)."""
+        raise NotImplementedError
 
     def local_forms(self, A) -> list[Hom]:
         """One local form per point of Spec A, in kernel-partition order."""
@@ -94,6 +88,15 @@ class SpectralContext:
 def _reflects_invertibility(f: Hom) -> bool:
     return all(r in f.source.units for r in range(f.source.size)
                if f.map[r] in f.target.units)
+
+
+def _unit_preimage_inversion_sig(f: Hom) -> tuple[int, ...]:
+    """Inverting the r with f(r) a unit, one inversion at their product."""
+    A, a = f.source, f.source.one
+    for r in range(A.size):
+        if f.map[r] in f.target.units:
+            a = A.mul[a][r]
+    return tables.inversion_sig(A, a)
 
 
 def _primitive_idempotents(A: FiniteAlgebra) -> list[int]:
@@ -127,16 +130,6 @@ def get_context(name: str) -> SpectralContext:
     return importlib.import_module(cls.__module__).CONTEXT
 
 
-def _is_identity_sig(sig) -> bool:
-    return max(sig) + 1 == len(sig)
-
-
-def _refines(sig, values) -> bool:
-    """Whether the partition `sig` refines the kernel of `values`."""
-    image: dict = {}
-    return all(image.setdefault(c, y) == y for c, y in zip(sig, values))
-
-
 # ---------------------------------------------------------------------------
 # the (localization, admissible) factorization
 
@@ -144,25 +137,12 @@ def _refines(sig, values) -> bool:
 def factorize(ctx, f: Hom):
     """Factor f as an admissible map after a finite localization.
 
-    Returns (localization, admissible), the localization the composite of
-    the attachments taken.  The first attachment in `ctx.attachments` order
-    that f factors through is taken at each step; by uniqueness of the
-    factorization any other order gives the same result up to iso over the
-    source.
+    Returns (localization, admissible): the quotient of f's source by
+    `ctx.localization_sig(f)`, and the map it induces.  By uniqueness of the
+    factorization it is the one that attaching cells step by step gives.
     """
-    loc = identity(f.source)
-    g = f
-    while True:
-        K = loc.target
-        for datum, branch in ctx.attachments(K):
-            # g factors through the step iff the step's kernel refines g's
-            sig = ctx.attach_sig(K, datum, branch)
-            if _is_identity_sig(sig) or not _refines(sig, g.map):
-                continue
-            _, step = tables.quotient_by_sig(K, sig)
-            loc = compose(loc, step)
-            g = tables.induced(step, g)
-            break
-        else:
-            break
+    loc = tables.quotient_by_sig(f.source, ctx.localization_sig(f))[1]
+    g = tables.induced(loc, f)
+    if g is None:
+        raise InvariantViolation("f does not factor through its localization")
     return loc, g

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from . import tables
-from .contexts import SpectralContext, _reflects_invertibility
+from .contexts import (SpectralContext, _reflects_invertibility,
+                       _unit_preimage_inversion_sig)
 from .tables import MONOID, Hom
 
 
@@ -20,14 +21,13 @@ class DeitmarContext(SpectralContext):
     def cell_data(self, A):
         return [(a,) for a in range(A.size)]
 
-    def victim(self, datum, branch):
-        # the left branch is the trivial cone component
-        return None if branch == "left" else datum[0]
-
     def attach_sig(self, A, datum, branch):
-        if branch == "left":
+        if branch == "left":  # the trivial cone component
             return tuple(range(A.size))
         return tables.inversion_sig(A, datum[0])
+
+    def localization_sig(self, f):
+        return _unit_preimage_inversion_sig(f)
 
     def faces(self, A) -> list[frozenset[int]]:
         """Saturated submonoids; their complements are the prime ideals.

@@ -2,7 +2,7 @@
 
 from . import tables
 from .contexts import SpectralContext, _primitive_idempotents
-from .tables import RING, Hom, compose, identity
+from .tables import RING, Hom
 
 
 class DomainContext(SpectralContext):
@@ -29,21 +29,20 @@ class DomainContext(SpectralContext):
         return tables.ideal_sig(
             tables.principal_ideal(A, self.victim(datum, branch)))
 
+    def localization_sig(self, f):
+        return f.kernel_sig()
+
     def local_forms(self, A):
+        """One per primitive idempotent e: the quotient by the prime that
+        is the preimage of the maximal ideal of the local factor eA."""
         out = []
         for e in _primitive_idempotents(A):
-            # p = preimage of the maximal ideal of the local factor eA
             eA = sorted({A.mul[e][r] for r in range(A.size)})
             units_eA = {x for x in eA if any(A.mul[x][y] == e for y in eA)}
-            prime = [r for r in range(A.size) if A.mul[e][r] not in units_eA]
-            loc = identity(A)
-            while True:
-                K = loc.target
-                live = sorted({loc.map[r] for r in prime} - {K.zero})
-                if not live:
-                    break
-                loc = compose(loc, self.attach(K, (live[0], K.zero), "left")[1])
-            out.append(loc)
+            prime = frozenset(r for r in range(A.size)
+                              if A.mul[e][r] not in units_eA)
+            out.append(tables.quotient_by_sig(
+                A, tables.ideal_sig(tables.Ideal(A, prime)))[1])
         return sorted(out, key=Hom.kernel_sig)
 
 

@@ -31,13 +31,13 @@ def reduce_admissible(ctx, R):
     Returns (unit: R -> red R, admissible residual).  The factoring
     is computed for the quotient map q: R -> R/ker ell, the image of ell up
     to isomorphism, so the product is never built.  That gives the same
-    factoring: each step of `factorize` only asks whether a kernel refines
-    that of the map, and q has the kernel of ell; the residuals then differ
-    by the inclusion R/ker ell -> product, and both admissibility notions
-    survive it.  Injectivity (domain) depends on the kernel alone.  For
-    reflecting units (zariski, deitmar): in a finite monoid the units of a
-    submonoid are its elements that are units of the ambient monoid, since
-    an inverse is a power.  So the residual lands in R/ker ell.
+    factoring: q and ell have the same kernel, and the same preimage of the
+    units, since a family is a unit of the product exactly when each of its
+    coordinates is, and in a finite monoid the units of a submonoid are its
+    elements that are units of the ambient monoid (an inverse is a power).
+    The localization part reads only these (`localization_sig`), and the
+    residuals then differ by the inclusion R/ker ell -> product, which both
+    admissibility notions survive.
     """
     _, families = ell_families(ctx, R)
     _, to_image = tables.quotient_by_sig(R, tables.normalize_sig(families))
@@ -84,7 +84,7 @@ def geometric_iso(ctx, f: Hom):
     # surjectivity on points: every local form of S must come from one of R
     kernels = {p.kernel_sig() for p in forms}
     for q in ctx.local_forms(f.target):
-        sig = factorize(ctx, compose(f, q))[0].kernel_sig()
+        sig = ctx.localization_sig(compose(f, q))
         if sig not in kernels:
             return False, {"extra_form_sig": sig}
     return True, {"isos": witnesses}

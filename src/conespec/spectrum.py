@@ -18,7 +18,6 @@ import functools
 import itertools
 
 from . import homs, tables
-from .contexts import factorize
 from .errors import InvariantViolation, SizeBound
 from .tables import FiniteAlgebra, Hom, compose
 
@@ -276,16 +275,16 @@ def spec_map(specs: Specs, f: Hom) -> APMap:
     stalks = []
     by_kernel = {p.kernel_sig(): i for i, p in enumerate(Y.forms)}
     for j, q in enumerate(X.forms):
-        loc, g = factorize(ctx, compose(f, q))
-        # by theorem, the one local form of its kernel, identified by an iso
-        i = by_kernel[loc.kernel_sig()]
-        ident = tables.induced(loc, Y.forms[i])
+        fq = compose(f, q)
+        # by theorem, the localization part of fq is a local form of R
+        i = by_kernel.get(ctx.localization_sig(fq))
+        g = None if i is None else tables.induced(Y.forms[i], fq)
+        if g is None:
+            raise InvariantViolation("a localization part is not a local form")
         point_map.append(i)
         # the stalk map O_Y-stalk(i) -> O_X-stalk(j)
-        stalks.append(compose(
-            compose(Y.stalk_iso[i], compose(ident.inverse(), g)),
-            X.stalk_iso[j].inverse(),
-        ))
+        stalks.append(compose(compose(Y.stalk_iso[i], g),
+                              X.stalk_iso[j].inverse()))
     specs.maps[f] = APMap(X, Y, tuple(point_map), tuple(stalks))
     return specs.maps[f]
 

@@ -233,23 +233,50 @@ def pushout_by_replay(ctx, steps, f: Hom) -> Hom:
     return pushed
 
 
+# ---------------------------------------------------------------------------
+# the small-object argument, step by step
+
+
+def victim(ctx, datum, branch):
+    """The element an attachment kills or inverts; None for the identity,
+    which the left branch of a deitmar cell is (the trivial cone component).
+    """
+    if ctx.name == "deitmar":
+        return None if branch == "left" else datum[0]
+    return ctx.victim(datum, branch)
+
+
+def is_identity_sig(sig) -> bool:
+    return max(sig) + 1 == len(sig)
+
+
+def attachments(ctx, A) -> list[tuple]:
+    """The (datum, branch) pairs of A in scan order, skipping any whose
+    victim an earlier pair already had, since its step would be the same;
+    shuffled by its generator when ctx is a `ShuffledContext`."""
+    seen, out = set(), []
+    for datum in ctx.cell_data(A):
+        for branch in contexts.BRANCHES:
+            v = victim(ctx, datum, branch)
+            if v not in seen:
+                seen.add(v)
+                out.append((datum, branch))
+    if isinstance(ctx, ShuffledContext):
+        ctx.rng.shuffle(out)
+    return out
+
+
 class ShuffledContext:
-    """`ctx` listing each algebra's attachments in an order shuffled by one
-    generator seeded with `seed`; every other attribute is ctx's.  By
-    uniqueness of the factorization, `factorize` must give the same result
-    up to iso over the source."""
+    """`ctx` whose `attachments` come in an order shuffled by one generator
+    seeded with `seed`; every other attribute is ctx's.  By uniqueness of
+    the factorization, the stepwise oracles must give the same results."""
 
     def __init__(self, ctx, seed: int):
         self._ctx = ctx
-        self._rng = random.Random(seed)
+        self.rng = random.Random(seed)
 
     def __getattr__(self, name):
         return getattr(self._ctx, name)
-
-    def attachments(self, K):
-        options = list(self._ctx.attachments(K))
-        self._rng.shuffle(options)
-        return options
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +362,28 @@ def deitmar_forms_stepwise(A) -> list[Hom]:
                                                      "right")[1])
         out.setdefault(loc.kernel_sig(), loc)
     return sorted(out.values(), key=Hom.kernel_sig)
+
+
+def domain_forms_stepwise(A) -> list[Hom]:
+    """Oracle: the domain local forms of a ring, one per primitive
+    idempotent e, killing the image of the least live element of the prime
+    over e, one attachment at a time, until the prime is gone."""
+    ctx = contexts.get_context("domain")
+    out = []
+    for e in contexts._primitive_idempotents(A):
+        eA = sorted({A.mul[e][r] for r in range(A.size)})
+        units_eA = {x for x in eA if any(A.mul[x][y] == e for y in eA)}
+        prime = [r for r in range(A.size) if A.mul[e][r] not in units_eA]
+        loc = tables.identity(A)
+        while True:
+            K = loc.target
+            live = sorted({loc.map[r] for r in prime} - {K.zero})
+            if not live:
+                break
+            loc = tables.compose(loc, ctx.attach(K, (live[0], K.zero),
+                                                 "left")[1])
+        out.append(loc)
+    return sorted(out, key=Hom.kernel_sig)
 
 
 def large_nonassociative_monoid(n: int = 65):
@@ -995,9 +1044,9 @@ def enumerate_localizations(ctx, R, max_rounds: int | None = None,
         new = []
         for loc in frontier:
             K = loc.target
-            for datum, branch in ctx.attachments(K):
+            for datum, branch in attachments(ctx, K):
                 step_sig = ctx.attach_sig(K, datum, branch)
-                if contexts._is_identity_sig(step_sig):
+                if is_identity_sig(step_sig):
                     continue
                 sig = tables.normalize_sig(step_sig[x] for x in loc.map)
                 if sig not in found:
@@ -1057,17 +1106,18 @@ def saturate_bounded(ctx, R, max_rounds=None):
 
 
 def factorize_by_quotient(ctx, f):
-    """Oracle: `factorize` building every candidate quotient and asking
-    `induced` whether f factors through it."""
+    """Oracle: the small-object argument that `factorize` short-cuts.  At
+    each step it builds the quotient of each attachment in `attachments`
+    order and takes the first non-identity one that f factors through, as
+    `induced` says, until none does."""
     ctx.accepts(f.source)
     ctx.accepts(f.target)
     loc = tables.identity(f.source)
     g = f
     while True:
         K = loc.target
-        options = [(d, b) for d in ctx.cell_data(K) for b in contexts.BRANCHES]
         progressed = False
-        for datum, branch in options:
+        for datum, branch in attachments(ctx, K):
             _, step = ctx.attach(K, datum, branch)
             if step.is_bijective:
                 continue

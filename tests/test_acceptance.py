@@ -13,8 +13,9 @@ from conespec.tables import compose
 
 import paper
 from helpers import (ShuffledContext, canonical_presheaf, distinguished_open,
-                     enumerate_localizations, isomorphic, random_presheaf,
-                     satisfies_sheaf_condition, sheafify, saturate_bounded)
+                     enumerate_localizations, factorize_by_quotient, isomorphic,
+                     random_presheaf, satisfies_sheaf_condition, sheafify,
+                     saturate_bounded)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -96,13 +97,15 @@ def test_criterion_5_factorization_system():
     pool = hom_pool()
     assert len(pool) >= 200
     for ctx, f in pool:
-        p1, g1 = C.factorize(ctx, f)
-        p2, g2 = C.factorize(ShuffledContext(ctx, 23), f)
-        assert p1.kernel_sig() == p2.kernel_sig()
-        assert compose(p1, g1) == f
-        assert ctx.is_admissible(g1)
-        if ctx.is_admissible(p1):
-            assert p1.is_bijective
+        loc, g = C.factorize(ctx, f)
+        # unique: attaching cells in any order gives the same factorization
+        for seed in (23, 24, 25):
+            assert factorize_by_quotient(ShuffledContext(ctx, seed), f) \
+                == (loc, g)
+        assert compose(loc, g) == f
+        assert ctx.is_admissible(g)
+        if ctx.is_admissible(loc):
+            assert loc.is_bijective
     # cancellation on composable pairs sampled from the pool
     checked = 0
     by_ctx = {}

@@ -9,12 +9,13 @@ import pytest
 
 from conespec import contexts as C
 from conespec import corpus, tables
-from conespec.errors import KindMismatch
+from conespec.errors import InvariantViolation, KindMismatch
 from conespec.homs import all_homs
 from conespec.tables import MONOID, compose, identity
 import paper
 from helpers import (DidNotStabilize, ShuffledContext, corpus_by_context,
-                     deitmar_forms_stepwise, enumerate_localizations,
+                     deitmar_forms_stepwise, domain_forms_stepwise,
+                     enumerate_localizations, factorize_by_quotient,
                      faces_by_subset_search, invert_element, isomorphic,
                      saturate_bounded)
 
@@ -180,6 +181,15 @@ def test_deitmar_forms_invert_each_face_in_one_step():
             assert p == tables.quotient_by_sig(A, tables.inversion_sig(A, a))[1]
 
 
+def test_domain_forms_kill_each_prime_in_one_step():
+    """One quotient by the prime gives the forms that killing its elements
+    one at a time gives."""
+    rings = corpus.domain_corpus() + [corpus.ring_product(*ns)
+                                      for ns in RING_PRODUCTS]
+    for A in rings:
+        assert DOM.local_forms(A) == domain_forms_stepwise(A), A.elements
+
+
 def test_saturate_agrees_with_local_forms_everywhere():
     for ctx, algebras in [
         (ZAR, corpus.zariski_corpus()),
@@ -226,13 +236,26 @@ def test_factorize_unique_and_loc_and_adm_implies_iso():
                     hom_pool.append((ctx, f))
     assert len(hom_pool) >= 50
     for ctx, f in hom_pool:
-        p1, g1 = C.factorize(ctx, f)
-        p2, g2 = C.factorize(ShuffledContext(ctx, 11), f)
-        assert p1.kernel_sig() == p2.kernel_sig()
-        assert compose(p1, g1) == f
+        loc, g = C.factorize(ctx, f)
+        # the stepwise oracle gives it whatever order it attaches cells in
+        for seed in (11, 12, 13):
+            assert factorize_by_quotient(ShuffledContext(ctx, seed), f) \
+                == (loc, g)
+        assert compose(loc, g) == f
         # a map that is both a localization and admissible is an isomorphism
-        if ctx.is_admissible(p1):
-            assert p1.is_bijective
+        if ctx.is_admissible(loc):
+            assert loc.is_bijective
+
+
+def test_factorize_raises_when_f_misses_its_localization():
+    """A localization part that f does not factor through breaks a
+    theorem, so `factorize` raises instead of returning no residual."""
+    class TooCoarse(type(ZAR)):
+        def localization_sig(self, f):
+            return (0,) * f.source.size
+
+    with pytest.raises(InvariantViolation, match="does not factor"):
+        C.factorize(TooCoarse(), all_homs(Z6, Z2)[0])
 
 
 def test_cancellation_lemma():

@@ -15,8 +15,8 @@ from conespec.tables import compose, identity
 
 import paper
 from helpers import (corpus_by_context, enumerate_localizations,
-                     h0_by_ordered_pairs, h0_by_product_scan, isomorphic,
-                     kernel_hyperopcover, pushout_by_replay)
+                     h0_by_ordered_pairs, h0_by_product_scan, is_identity_sig,
+                     isomorphic, kernel_hyperopcover, pushout_by_replay)
 from test_checked import pushed_components
 
 ZAR = C.get_context("zariski")
@@ -146,7 +146,7 @@ def random_path(ctx, A, rng):
         K = loc.target
         options = [(d, b) for d in ctx.cell_data(K) for b in C.BRANCHES]
         moving = [(d, b) for d, b in options
-                  if not C._is_identity_sig(ctx.attach_sig(K, d, b))]
+                  if not is_identity_sig(ctx.attach_sig(K, d, b))]
         datum, branch = rng.choice(moving if moving and rng.random() < 0.8
                                    else options)
         steps.append((datum, branch))

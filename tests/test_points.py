@@ -137,15 +137,16 @@ def test_probe_on_e2xe2_to_e2_counts_the_four_maps():
 
 def test_a_second_probe_in_one_workspace_builds_no_spec_map(monkeypatch):
     """The workspace keeps the Spec map of each site hom, so a second probe
-    over the same site, with nerves of its own, factorizes nothing."""
+    over the same site, with nerves of its own, reads no localization part
+    off a map."""
     calls = []
-    real = sp.factorize
+    real = type(DEI).localization_sig
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(sp, "factorize", counting)
+    monkeypatch.setattr(type(DEI), "localization_sig", counting)
     specs = sp.Specs(DEI)
     X = specs[corpus.monoid_product("e2", "e2")]
     Y = specs[corpus.flag_monoid()]

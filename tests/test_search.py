@@ -1,10 +1,11 @@
-"""The signature-first localization search against the quotient-first oracles.
+"""The short-cut localization routes against the quotient-first oracles.
 
-`factorize`, and the search over every localization class that the tests
-keep in `helpers.enumerate_localizations`, decide on attachment signatures
-and build a quotient only for what they keep; the `_by_quotient` oracles in
-`helpers` build every candidate's quotient.  Both must give the same classes,
-in the same order, with the same representative paths, and the same
+The search over every localization class that the tests keep in
+`helpers.enumerate_localizations` decides on attachment signatures and builds
+a quotient only for what it keeps, and `factorize` builds one quotient, by
+`localization_sig`; the `_by_quotient` oracles in `helpers` build every
+candidate's quotient, one step at a time.  Both must give the same classes,
+in the same order, with the same representative maps, and the same
 factorizations.
 """
 
@@ -14,12 +15,13 @@ import pytest
 
 from conespec import contexts as C
 from conespec import corpus, reduction as red, spectrum as sp, tables
+from conespec.homs import all_homs
 
 from helpers import (canonical_presheaf, corpus_by_context,
                      enumerate_localizations,
                      enumerate_localizations_by_quotient,
                      factorize_by_quotient, ideal_generated, join_sigs, power,
-                     quotient, search_plan_by_scan)
+                     quotient, search_plan_by_scan, victim)
 
 ZAR = C.get_context("zariski")
 DOM = C.get_context("domain")
@@ -63,11 +65,26 @@ def test_factorize_matches_the_oracle_on_reduce_admissible_inputs(
         assert g == old_g
 
 
+def test_factorize_is_the_stepwise_factorization_on_every_small_hom():
+    """On every hom between corpus algebras (at most 12 elements each), in
+    each context, the one quotient by `localization_sig` is the
+    factorization that attaching cells one at a time gives."""
+    pool = [(ctx, f) for ctx, algebras in
+            ((ZAR, corpus.zariski_corpus()), (DOM, corpus.domain_corpus()),
+             (DEI, corpus.deitmar_corpus()))
+            for A in algebras for B in algebras for f in all_homs(A, B)]
+    assert len(pool) == 213
+    for ctx, f in pool:
+        loc, g = C.factorize(ctx, f)
+        assert (loc, g) == factorize_by_quotient(ctx, f)
+        assert ctx.localization_sig(f) == loc.kernel_sig()
+
+
 def _attach_kernel_by_definition(ctx, A, datum, branch):
     """The kernel of one attachment, from the definitions: inverting a
     identifies x and y iff a^k x = a^k y for some k; killing v is the
     quotient by the ideal that v generates, closed under addition."""
-    v = ctx.victim(datum, branch)
+    v = victim(ctx, datum, branch)
     if v is None:
         return tuple(range(A.size))
     if ctx is DOM:

@@ -430,6 +430,27 @@ def test_spec_maps_compose_within_one_workspace_only():
         sp.compose_apmaps(sp.spec_map(one, g), sp.spec_map(two, f))
 
 
+class CoarsestLocalization(type(ZAR)):
+    """zariski, reading every localization part as the one-class kernel."""
+
+    def localization_sig(self, f):
+        return (0,) * f.source.size
+
+
+class FirstFormLocalization(type(ZAR)):
+    """zariski, reading every localization part as its first local form's
+    kernel: a form's, but not one that every map factors through."""
+
+    def localization_sig(self, f):
+        return self.local_forms(f.source)[0].kernel_sig()
+
+
+@pytest.mark.parametrize("cls", [CoarsestLocalization, FirstFormLocalization])
+def test_spec_map_raises_when_a_localization_part_is_no_form(cls):
+    with pytest.raises(InvariantViolation, match="not a local form"):
+        sp.spec_map(sp.Specs(cls()), identity(Z6))
+
+
 def test_spec_map_appears_in_enumeration():
     q = all_homs(Z6, Z3)[0]
     m = sp.spec_map(sp.Specs(ZAR), q)
