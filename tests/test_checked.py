@@ -12,14 +12,15 @@ cone leg and pushout injection, each `quotient_by_sig` against
 `helpers.congruence_closure_on_all_columns`, each `agreeing_families` join
 against `helpers.agreeing_families_by_product_scan` when the product has at
 most 10^4 families, `helpers.is_valid_ideal` on each principal ideal the
-domain context quotients by, on each context's `local_forms` that every
-form's target is local and, in deitmar, that the forms are one per face with
-distinct kernels, on each
+domain context attaches along and each ideal it partitions into cosets (the
+prime of each domain local form among them), on each context's
+`local_forms` that every form's target is local and, in deitmar, that the
+forms are one per face with distinct kernels, on each
 `factorize` that its residual factor is admissible and the two factors
 compose to the map, `spec_checks` on each `build_spec`, `validate_apmap` on
 each map of spaces that `enumerate_apmaps` finds and on each
 `compose_apmaps`, on each `spec_map` that each point's localization part is
-exactly one local form, identified with it by an iso, and `validate_apmap`,
+one of the local forms itself, and `validate_apmap`,
 on each `make_overlap` that the Spec maps of both localizations are
 injective on points, and its point map and stalk isos against
 `helpers.overlap_by_restriction`, `check_nerve_functorial` on each nerve
@@ -142,18 +143,14 @@ def families(r, args):
 
 
 def spec_map_checks(m, args):
-    """At each point, the localization part of the factorization is exactly
-    one local form and is identified with it by an iso; the map is then
+    """At each point, the localization part of the factorization is one of
+    the local forms itself, with no identifying iso; the map is then
     validated as a map of spaces."""
     specs, f = args
     Y, X = specs[f.source], specs[f.target]
     for q in X.forms:
-        path, _ = C.factorize(specs.ctx, tables.compose(f, q))
-        hit = [p for p in Y.forms if p.kernel_sig() == path.kernel_sig()]
-        assert len(hit) == 1, "localization part is not a local form"
-        ident = tables.induced(path, hit[0])
-        assert ident is not None and ident.is_bijective, \
-            "local form identification is not an iso"
+        loc, _ = C.factorize(specs.ctx, tables.compose(f, q))
+        assert loc in Y.forms, "localization part is not a local form"
     validate_apmap(specs.ctx, m)
 
 
@@ -177,6 +174,7 @@ CONTEXT_CLASSES = tuple(type(C.get_context(name))
 CHECKS = {
     "lift": (tables, lambda r, args: homs(r)),
     "principal_ideal": (tables, lambda r, args: ideal(r)),
+    "ideal_sig": (tables, lambda r, args: ideal(args[0])),
     "limit": (tables, lambda r, args: (laws(r[0]), homs(*r[1]))),
     "agreeing_families": (tables, families),
     "limit_from_families": (tables,
