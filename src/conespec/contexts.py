@@ -70,8 +70,13 @@ class SpectralContext:
         return tables.quotient_by_sig(A, self.attach_sig(A, datum, branch))
 
     def localization_sig(self, f: Hom) -> tuple[int, ...]:
-        """Kernel partition of the localization part of f (not built)."""
-        raise NotImplementedError
+        """Kernel partition of the localization part of f (not built):
+        inverting the r with f(r) a unit, one inversion at their product."""
+        A, a = f.source, f.source.one
+        for r in range(A.size):
+            if f.map[r] in f.target.units:
+                a = A.mul[a][r]
+        return tables.inversion_sig(A, a)
 
     def local_forms(self, A) -> list[Hom]:
         """One local form per point of Spec A, in kernel-partition order."""
@@ -88,15 +93,6 @@ class SpectralContext:
 def _reflects_invertibility(f: Hom) -> bool:
     return all(r in f.source.units for r in range(f.source.size)
                if f.map[r] in f.target.units)
-
-
-def _unit_preimage_inversion_sig(f: Hom) -> tuple[int, ...]:
-    """Inverting the r with f(r) a unit, one inversion at their product."""
-    A, a = f.source, f.source.one
-    for r in range(A.size):
-        if f.map[r] in f.target.units:
-            a = A.mul[a][r]
-    return tables.inversion_sig(A, a)
 
 
 def _primitive_idempotents(A: FiniteAlgebra) -> list[int]:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from . import tables
-from .contexts import (SpectralContext, _reflects_invertibility,
-                       _unit_preimage_inversion_sig)
+from .contexts import SpectralContext, _reflects_invertibility
 from .tables import MONOID, Hom
 
 
@@ -25,9 +24,6 @@ class DeitmarContext(SpectralContext):
         if branch == "left":  # the trivial cone component
             return tuple(range(A.size))
         return tables.inversion_sig(A, datum[0])
-
-    def localization_sig(self, f):
-        return _unit_preimage_inversion_sig(f)
 
     def faces(self, A) -> list[frozenset[int]]:
         """Saturated submonoids; their complements are the prime ideals.

@@ -2,7 +2,7 @@
 
 from . import tables
 from .contexts import (SpectralContext, _primitive_idempotents,
-                       _reflects_invertibility, _unit_preimage_inversion_sig)
+                       _reflects_invertibility)
 from .tables import RING, Hom
 
 
@@ -25,9 +25,6 @@ class ZariskiContext(SpectralContext):
 
     def attach_sig(self, A, datum, branch):
         return tables.inversion_sig(A, self.victim(datum, branch))
-
-    def localization_sig(self, f):
-        return _unit_preimage_inversion_sig(f)
 
     def local_forms(self, A):
         """One per primitive idempotent e, inverting e (the identity for

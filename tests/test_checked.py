@@ -20,7 +20,7 @@ forms are one per face with distinct kernels, on each
 compose to the map, `spec_checks` on each `build_spec`, `validate_apmap` on
 each map of spaces that `enumerate_apmaps` finds and on each
 `compose_apmaps`, on each `spec_map` that each point's localization part is
-one of the local forms itself, and `validate_apmap`,
+exactly one of the local forms itself, and `validate_apmap`,
 on each `make_overlap` that the Spec maps of both localizations are
 injective on points, and its point map and stalk isos against
 `helpers.overlap_by_restriction`, `check_nerve_functorial` on each nerve
@@ -143,14 +143,15 @@ def families(r, args):
 
 
 def spec_map_checks(m, args):
-    """At each point, the localization part of the factorization is one of
-    the local forms itself, with no identifying iso; the map is then
+    """At each point, the localization part of the factorization is exactly
+    one of the local forms itself, with no identifying iso; the map is then
     validated as a map of spaces."""
     specs, f = args
     Y, X = specs[f.source], specs[f.target]
     for q in X.forms:
         loc, _ = C.factorize(specs.ctx, tables.compose(f, q))
-        assert loc in Y.forms, "localization part is not a local form"
+        assert Y.forms.count(loc) == 1, \
+            "localization part is not exactly one local form"
     validate_apmap(specs.ctx, m)
 
 
