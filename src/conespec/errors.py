@@ -41,7 +41,9 @@ class KindMismatch(ConespecError):
 
 
 class SizeBound(ConespecError):
-    """A product, a limit search or the CLI's input check exceeded its bound."""
+    """A bound was exceeded: a product carrier, the partial families a join
+    visits, the opens a space lists, glue's chart product (each
+    `tables.SEARCH_MAX`), or the CLI's input bound (`--size-bound`)."""
 
     def __init__(self, message: str, bound: int):
         super().__init__(message)

@@ -122,10 +122,10 @@ def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
               for U in mins]
     stalks, cones, lookups = [], [], []
     for t in traces:
-        L, cone = _glued_sections(spaces, g.overlaps, t)
+        L, cone, lookup = _glued_sections(spaces, g.overlaps, t)
         stalks.append(L)
         cones.append(cone)
-        lookups.append(tables.cone_lookup(L, cone))
+        lookups.append(lookup)
     # the restriction from U_c to U_d, lifted from the chart projections
     maps = {(c, d): tables.lift(stalks[c], stalks[d], lookups[d], [
         compose(cones[c][i], spaces[i].res(traces[c][i], traces[d][i]))
@@ -140,7 +140,7 @@ def glue(specs: Specs, g: GluingSpec) -> SpectralSpace:
 
 def _glued_sections(spaces, overlaps, traces):
     """The sections over the open with chart traces `traces`, with their cone
-    of chart projections.
+    of chart projections and its lookup.
 
     They are the chart-section families that agree on every overlap: at
     each point a of W_i, the points of Pts k_i that the open holds, with b
@@ -160,9 +160,7 @@ def _glued_sections(spaces, overlaps, traces):
         keys = [[tuple(h(x) for h in hs) for x in range(A.size)]
                 for hs, A in ((left, objects[ov.i]), (right, objects[ov.j]))]
         meets.append((ov.i, ov.j, *keys))
-    return tables.limit_from_families(spaces[0].kind, objects,
-                                      tables.agreeing_families(
-                                          [o.size for o in objects], meets))
+    return tables.limit(spaces[0].kind, objects, meets)
 
 
 def _check_glued(ctx, X):

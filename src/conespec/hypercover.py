@@ -53,11 +53,8 @@ def h0(c: Opcover):
     for t, u in itertools.combinations(range(len(comps)), 2):
         _, in_t, in_u = pushout(comps[t], comps[u])
         meets.append((t, u, in_t.map, in_u.map))
-    targets = [k.target for k in comps]
-    E, cone = tables.limit_from_families(c.base.kind, targets,
-                                         tables.agreeing_families(
-                                             [K.size for K in targets], meets))
-    return E, tables.lift(c.base, E, tables.cone_lookup(E, cone), comps)
+    E, _, lookup = tables.limit(c.base.kind, [k.target for k in comps], meets)
+    return E, tables.lift(c.base, E, lookup, comps)
 
 
 def pushout_opcover(c: Opcover, f: Hom) -> Opcover:

@@ -38,7 +38,7 @@ def algebra_from_dict(d: dict) -> FiniteAlgebra:
     if not isinstance(d, dict):
         raise ValidationError("not an algebra object", d)
     kind = field(d, "kind", "algebra")
-    one = d.get("one", d.get("unit"))
+    one = d.get("one")
     if one is None:
         raise ValidationError("missing identity index", d)
     zero = d.get("zero")

@@ -46,24 +46,25 @@ class SpectralSpace:
     `cones[U]` maps each point p of U, in ascending order, to the projection
     of O(U) onto the stalk at p.  The cone separates sections, so the
     restriction O(U) -> O(V) is the lift of U's legs at the points of V.
-    Sections, cones, their lookups and the restrictions are each built on
-    their first read and kept.  A Spec also holds its base algebra, its
+    `lookups[U]` maps the family of cone values of each section back to it.
+    Sections, cones, lookups and restrictions are each built on their first
+    read and kept.  A Spec also holds its base algebra, its
     local forms, the canonical maps and the stalk isos (None on glued
     spaces).
     """
 
     def __init__(self, ctx_name: str, kind: str, point_labels: tuple[str, ...],
-                 mins: tuple[frozenset, ...], sections: OnRead, cones: OnRead):
+                 mins: tuple[frozenset, ...], sections: OnRead, cones: OnRead,
+                 lookups: OnRead):
         self.ctx_name = ctx_name
         self.kind = kind
         self.point_labels = point_labels
         self.mins = mins            # point -> U_p
         self.sections = sections    # open -> O(U)
         self.cones = cones          # open -> {p: Hom(O(U), stalk at p)}
-        self._lookups = OnRead(lambda U: tables.cone_lookup(
-            sections[U], list(cones[U].values())))
+        self.lookups = lookups      # open -> {cone values: section}
         self._res = OnRead(lambda UV: tables.lift(
-            sections[UV[0]], sections[UV[1]], self._lookups[UV[1]],
+            sections[UV[0]], sections[UV[1]], lookups[UV[1]],
             [cones[UV[0]][p] for p in cones[UV[1]]]))
         self.base: FiniteAlgebra | None = None
         self.forms: tuple[Hom, ...] | None = None
@@ -80,10 +81,6 @@ class SpectralSpace:
 
     def stalk(self, p: int) -> FiniteAlgebra:
         return self.sections[self.mins[p]]
-
-    def lookup(self, U) -> dict:
-        """`tables.cone_lookup` of O(U) along its stalk cone."""
-        return self._lookups[U]
 
     def res(self, U, V) -> Hom:
         return self._res[(U, V)]
@@ -158,8 +155,8 @@ def sheaf_from_stalks(ctx_name: str, kind: str, point_labels: tuple[str, ...],
     `maps[(p, q)]` is the map stalks[p] -> stalks[q] for each q != p of the
     minimal open U_p, which is p with those q; the maps must commute.  O(U)
     is the limit of the stalks at the points of U along the maps between
-    them, with its cone of stalk projections; each is built on its first
-    read.
+    them, with its cone of stalk projections and its lookup; each is built
+    on its first read.
     """
     mins = tuple(frozenset([p]) | {q for (a, q) in maps if a == p}
                  for p in range(len(stalks)))
@@ -168,13 +165,15 @@ def sheaf_from_stalks(ctx_name: str, kind: str, point_labels: tuple[str, ...],
     def section(U):
         pts = sorted(U)
         pos = {p: a for a, p in enumerate(pts)}
-        arrows = [(pos[p], pos[q], h) for (p, q), h in maps.items() if p in U]
-        L, cone = tables.limit(kind, [stalks[p] for p in pts], arrows)
-        return L, dict(zip(pts, cone))
+        meets = [(pos[p], pos[q], h.map, range(stalks[q].size))
+                 for (p, q), h in maps.items() if p in U]
+        L, cone, lookup = tables.limit(kind, [stalks[p] for p in pts], meets)
+        return L, dict(zip(pts, cone)), lookup
 
     return SpectralSpace(ctx_name, kind, point_labels, mins,
                          OnRead(lambda U: section(U)[0]),
-                         OnRead(lambda U: section(U)[1]))
+                         OnRead(lambda U: section(U)[1]),
+                         OnRead(lambda U: section(U)[2]))
 
 
 class APMap:
@@ -241,7 +240,7 @@ def build_spec(ctx, R: FiniteAlgebra) -> SpectralSpace:
                           [f.target for f in forms], maps)
     X.base, X.forms = R, forms
     X.canonical = OnRead(lambda U: tables.lift(
-        R, X.sections[U], X.lookup(U),
+        R, X.sections[U], X.lookups[U],
         [forms[p] for p in X.cones[U]]))
     X.stalk_iso = OnRead(lambda p: X.cones[X.mins[p]][p])
     return X

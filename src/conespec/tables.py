@@ -36,7 +36,8 @@ from .errors import (
 RING = "ring"
 MONOID = "monoid"
 
-# a product carrier, and the partial families a limit visits, stay below this
+# a product carrier, the partial families a join visits, the opens a space
+# lists and glue's chart product stay below this (else SizeBound)
 SEARCH_MAX = 10**6
 
 
@@ -577,28 +578,21 @@ def product(kind: str, algebras) -> tuple[FiniteAlgebra, list[Hom]]:
         raise InvariantViolation(f"product of {kind}s given another kind")
     if math.prod(a.size for a in algebras) > SEARCH_MAX:
         raise SizeBound("product carrier too large", SEARCH_MAX)
-    return limit(kind, algebras, [])
+    return limit(kind, algebras, [])[:2]
 
 
 def product_indices(kind: str, algebras, families) -> list[int]:
     """The index of each of `families` in `product(kind, algebras)`, with the
     same size bounds, but without its tables.
 
-    The product's elements are all the families, in canonical order, so an
-    index is the rank of a family's label among theirs.
+    The product's elements are all the families, in canonical order.
     """
     algebras = list(algebras)
     if math.prod(a.size for a in algebras) > SEARCH_MAX:
         raise SizeBound("product carrier too large", SEARCH_MAX)
-    if not algebras:
-        return [0] * len(families)
-    elems = agreeing_families([a.size for a in algebras], [])
-    dist = {tuple(a.one for a in algebras)}
-    if kind == RING:
-        dist.add(tuple(a.zero for a in algebras))
-    order = _canonical_order(_family_labels(algebras, elems),
-                             {elems.index(e) for e in dist})
-    rank = {elems[old]: new for new, old in enumerate(order)}
+    order, _ = _canonical_families(kind, algebras, agreeing_families(
+        [a.size for a in algebras], []))
+    rank = {e: i for i, e in enumerate(order)}
     return [rank[f] for f in families]
 
 
@@ -688,89 +682,76 @@ def agreeing_families(sizes, meets) -> list[tuple[int, ...]]:
     return out
 
 
-def limit(kind: str, objects, arrows) -> tuple[FiniteAlgebra, list[Hom]]:
-    """Limit of a finite diagram.
+def limit(kind: str, objects,
+          meets) -> tuple[FiniteAlgebra, list[Hom], dict]:
+    """Limit of a finite diagram, as (L, cone, lookup).
 
-    `objects` is a list of algebras, `arrows` a list of (i, j, Hom) meaning a
-    diagram arrow objects[i] -> objects[j].  The limit consists of the
-    families of the product compatible with every arrow.
+    `meets` are those of `agreeing_families`: an arrow objects[i] ->
+    objects[j] with hom h is the meet (i, j, h.map, range(objects[j].size)).
+    L's elements are the agreeing families in canonical order, the cone is
+    their coordinate projections, and `lookup` maps each family to its
+    element.  Families agreeing along homs are closed under the operations,
+    so they inherit every law; closure is checked as the tables are built,
+    else InvariantViolation.  The empty diagram gives the terminal algebra.
     """
     objects = list(objects)
     if not objects:
-        return terminal(kind), []
-    return limit_from_families(kind, objects, agreeing_families(
-        [o.size for o in objects],
-        [(i, j, h.map, range(objects[j].size)) for i, j, h in arrows]))
-
-
-def _family_labels(objects, elems) -> list[str]:
-    """The label of each family of `elems`: the tuple of its coordinates'
-    labels, or with one object that coordinate's label."""
-    if len(objects) == 1:
-        return [objects[0].elements[e[0]] for e in elems]
-    return ["(" + ",".join(o.elements[v] for o, v in zip(objects, e)) + ")"
-            for e in elems]
-
-
-def limit_from_families(kind: str, objects,
-                        elems) -> tuple[FiniteAlgebra, list[Hom]]:
-    """The families `elems` of the nonempty list `objects`, as an algebra
-    with its cone of coordinate projections.
-
-    The families must be distinct and closed under the componentwise
-    operations, as those compatible with a diagram of homs are; then they
-    inherit every law.  Closure is checked as the tables are built, else
-    InvariantViolation.
-    """
-    index = {e: i for i, e in enumerate(elems)}
-    labels = _family_labels(objects, elems)
+        return terminal(kind), [], {(): 0}
+    elems, labels = _canonical_families(kind, objects, agreeing_families(
+        [o.size for o in objects], meets))
+    lookup = {e: i for i, e in enumerate(elems)}
 
     def table(op):
         out = []
         for e1 in elems:
             rows = [t[x] for t, x in zip(op, e1)]
-            out.append([index[tuple(map(getitem, rows, e2))] for e2 in elems])
-        return out
+            out.append(tuple([lookup[tuple(map(getitem, rows, e2))]
+                              for e2 in elems]))
+        return tuple(out)
 
     try:
-        one = index[tuple(o.one for o in objects)]
+        one = lookup[tuple(o.one for o in objects)]
         mul = table([o.mul for o in objects])
         add = zero = None
         if kind == RING:
-            zero = index[tuple(o.zero for o in objects)]
+            zero = lookup[tuple(o.zero for o in objects)]
             add = table([o.add for o in objects])
     except KeyError:
         raise InvariantViolation(
             "limit is not closed under the operations") from None
-    Lm, pos = _finish(kind, labels, mul, add, zero, one)
-    inv = [0] * len(elems)
-    for old, new in enumerate(pos):
-        inv[new] = old
-    cone = [
-        Hom(Lm, o, tuple(elems[inv[new]][i] for new in range(len(elems))))
-        for i, o in enumerate(objects)
-    ]
-    return Lm, cone
+    L = FiniteAlgebra(kind, tuple(labels), mul, one, add, zero)
+    cone = [Hom(L, o, m) for o, m in zip(objects, zip(*elems))]
+    return L, cone, lookup
 
 
-def cone_lookup(A: FiniteAlgebra, cone) -> dict:
-    """Map the family of cone values of each element of A back to it."""
-    table = {}
-    for y in range(A.size):
-        key = tuple(h.map[y] for h in cone)
-        if key in table:
-            raise InvariantViolation("cone does not separate elements")
-        table[key] = y
-    return table
+def _canonical_families(kind, objects, families):
+    """`families` of `objects` in canonical order, with their labels: those
+    of the distinguished elements first, then by label, ties keeping the
+    given order, as `_finish` orders a table.
+
+    A family's label is the tuple of its coordinates' labels, or with one
+    object that coordinate's label.
+    """
+    if len(objects) == 1:
+        labels = [objects[0].elements[e[0]] for e in families]
+    else:
+        labels = ["(" + ",".join(o.elements[v] for o, v in zip(objects, e))
+                  + ")" for e in families]
+    dist = {tuple(o.one for o in objects)}
+    if kind == RING:
+        dist.add(tuple(o.zero for o in objects))
+    order = _canonical_order(labels, {i for i, e in enumerate(families)
+                                      if e in dist})
+    return [families[i] for i in order], [labels[i] for i in order]
 
 
 def lift(source: FiniteAlgebra, L: FiniteAlgebra, lookup: dict, legs) -> Hom:
     """The map source -> L whose composites with L's cone are `legs`.
 
-    `lookup` is `cone_lookup(L, cone)` and each leg a hom out of `source`
-    into the matching cone object.  The map exists iff every family of leg
-    values lies in L, else InvariantViolation; it is a hom because the cone
-    separates and the legs are homs, so the result is not re-checked.
+    `lookup` is the one `limit` returned with L, and each leg a hom out of
+    `source` into the matching cone object.  The map exists iff every family
+    of leg values lies in L, else InvariantViolation; it is a hom because the
+    cone separates and the legs are homs, so the result is not re-checked.
     """
     maps = [h.map for h in legs]
     try:

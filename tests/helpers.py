@@ -177,6 +177,24 @@ def subalgebra(A, subset):
     return S, incl
 
 
+def cone_lookup(A, cone) -> dict:
+    """Oracle: the lookup `tables.limit` returns, by scanning the cone values
+    of each element of A; InvariantViolation if the cone does not separate
+    the elements."""
+    table = {}
+    for y in range(A.size):
+        key = tuple(h.map[y] for h in cone)
+        if key in table:
+            raise InvariantViolation("cone does not separate elements")
+        table[key] = y
+    return table
+
+
+def arrow_meets(objects, arrows) -> list[tuple]:
+    """The meets of `tables.limit` for diagram arrows (i, j, Hom)."""
+    return [(i, j, h.map, range(objects[j].size)) for i, j, h in arrows]
+
+
 def image_factorization(f: Hom) -> tuple[Hom, Hom]:
     """f = (mono) o (regular epi) through the image subalgebra."""
     S, incl = subalgebra(f.target, set(f.map))
@@ -190,7 +208,7 @@ def ell(ctx, R) -> Hom:
     product built with its tables."""
     forms = ctx.local_forms(R)
     P, projs = tables.product(R.kind, [p.target for p in forms])
-    return tables.lift(R, P, tables.cone_lookup(P, projs), forms)
+    return tables.lift(R, P, cone_lookup(P, projs), forms)
 
 
 def find_isomorphism(A, B) -> Hom | None:
@@ -441,7 +459,7 @@ def section_maps(m: APMap) -> dict:
     legs = [tables.compose(h, S.cones[S.mins[i]][i])
             for i, h in enumerate(m.stalks)]
     return {W: tables.lift(
-        T.sections[W], S.sections[P], S.lookup(P),
+        T.sections[W], S.sections[P], S.lookups[P],
         [tables.compose(T.res(W, T.mins[m.point_map[i]]), legs[i])
          for i in sorted(P)]) for W in T.opens for P in [preimage(m, W)]}
 
@@ -488,7 +506,8 @@ def restrict(X, U: frozenset):
         tuple(frozenset(reindex[q] for q in X.mins[p]) for p in pts),
         sp.OnRead(lambda V: X.sections[unmap(V)]),
         sp.OnRead(lambda V: {reindex[p]: h
-                             for p, h in X.cones[unmap(V)].items()}))
+                             for p, h in X.cones[unmap(V)].items()}),
+        sp.OnRead(lambda V: X.lookups[unmap(V)]))
 
 
 def corestrict_to_open(m: APMap, U: frozenset) -> APMap:
@@ -554,9 +573,10 @@ def overlap_by_restriction(specs, i, j, k_i, k_j, g=None):
 def glued_sections_by_product(spaces, overlaps, traces):
     """Oracle: `glue._glued_sections` by scanning the product of the chart
     sections, keeping the families whose restrictions agree across every
-    overlap, and taking them as a subalgebra of the product.  The overlaps
-    are `overlap_by_restriction`'s, and carry chart j's sections over W_j to
-    chart i's over W_i by the overlap iso's section map."""
+    overlap, and taking them as a subalgebra of the product, with its cone
+    and lookup.  The overlaps are `overlap_by_restriction`'s, and carry
+    chart j's sections over W_j to chart i's over W_i by the overlap iso's
+    section map."""
     P, projs = tables.product(spaces[0].kind, [spaces[i].sections[traces[i]]
                                                for i in range(len(spaces))])
     checks = []
@@ -574,7 +594,8 @@ def glued_sections_by_product(spaces, overlaps, traces):
                for i, j, res_i, res_j, h in checks):
             members.append(x)
     L, incl = subalgebra(P, members)
-    return L, [tables.compose(incl, pr) for pr in projs]
+    cone = [tables.compose(incl, pr) for pr in projs]
+    return L, cone, cone_lookup(L, cone)
 
 
 def validate_apmap(ctx, m: APMap) -> None:
@@ -690,17 +711,19 @@ def check_nerve_functorial(specs, site, table) -> None:
                         raise InvariantViolation("nerve action leaves the table")
 
 
-def limit_by_product_scan(kind, objects, arrows):
-    """Oracle: a finite limit by scanning every family of the product.
+def limit_by_product_scan(kind, objects, meets):
+    """Oracle: `tables.limit` by scanning every family of the product.
 
-    The families compatible with every arrow, in product order, become the
-    elements; the operations act componentwise.
+    The families that agree on every meet, in product order, become the
+    elements; the operations act componentwise, and `_finish` puts them in
+    canonical order.
     """
     objects = list(objects)
     if not objects:
-        return tables.terminal(kind), []
+        return tables.terminal(kind), [], {(): 0}
     elems = [t for t in itertools.product(*[range(o.size) for o in objects])
-             if all(h.map[t[i]] == t[j] for (i, j, h) in arrows)]
+             if all(left[t[i]] == right[t[j]]
+                    for (i, j, left, right) in meets)]
     index = {e: i for i, e in enumerate(elems)}
     if len(objects) == 1:
         labels = [objects[0].elements[e[0]] for e in elems]
@@ -723,7 +746,7 @@ def limit_by_product_scan(kind, objects, arrows):
         inv[new] = old
     cone = [Hom(L, o, tuple(elems[inv[new]][i] for new in range(len(elems))))
             for i, o in enumerate(objects)]
-    return L, cone
+    return L, cone, cone_lookup(L, cone)
 
 
 def plus_construction(F):
@@ -750,9 +773,9 @@ def plus_construction(F):
             objects.append(F.sections[W])
             arrows.append((a, base + k, F.res(mins[pts[a]], W)))
             arrows.append((b, base + k, F.res(mins[pts[b]], W)))
-        L, cone = tables.limit(F.kind, objects, arrows)
+        L, cone, lookup = tables.limit(F.kind, objects,
+                                       arrow_meets(objects, arrows))
         new_sections[U] = L
-        lookup = tables.cone_lookup(L, cone)
         cones[U] = (pts, pair_opens, cone, lookup)
         thetas[U] = tables.lift(F.sections[U], L, lookup,
                                 [F.res(U, mins[p]) for p in pts]
@@ -788,7 +811,7 @@ def sheafify(F):
             (p, q): F.res(mins[p], mins[q])
             for p in range(F.n_points) for q in mins[p] if q != p})
     assert G.opens == F.opens
-    theta = {U: tables.lift(F.sections[U], G.sections[U], G.lookup(U),
+    theta = {U: tables.lift(F.sections[U], G.sections[U], G.lookups[U],
                             [F.res(U, mins[p]) for p in sorted(U)])
              for U in F.opens}
     return G, theta, all(t.is_injective for t in theta.values())
@@ -847,10 +870,11 @@ def canonical_presheaf(ctx, R):
         arrows = [(a, b, _class_map(canonical[Wa], canonical[Wb]))
                   for a, Wa in enumerate(subs) for b, Wb in enumerate(subs)
                   if Wb < Wa]
-        L, cone = tables.limit(R.kind, [sections[W] for W in subs], arrows)
+        objects = [sections[W] for W in subs]
+        L, cone, kan_lookups[U] = tables.limit(
+            R.kind, objects, arrow_meets(objects, arrows))
         sections[U] = L
         kan_cones[U] = dict(zip(subs, cone))
-        kan_lookups[U] = tables.cone_lookup(L, cone)
         canonical[U] = tables.lift(R, L, kan_lookups[U],
                                    [canonical[W] for W in subs])
     restrictions = {}
@@ -990,8 +1014,9 @@ def h0_by_ordered_pairs(K: Hyperopcover):
         arrows.append((i0, len(objects), in0))
         arrows.append((i1, len(objects), in1))
         objects.append(P)
-    E, cone = tables.limit(K.level0.base.kind, objects, arrows)
-    lookup = tables.cone_lookup(E, cone[:len(comps)])
+    E, cone, _ = tables.limit(K.level0.base.kind, objects,
+                              arrow_meets(objects, arrows))
+    lookup = cone_lookup(E, cone[:len(comps)])
     return E, tables.lift(K.level0.base, E, lookup, comps)
 
 
@@ -1007,7 +1032,7 @@ def h0_by_product_scan(K: Hyperopcover):
     members = [x for x in range(P0.size)
                if all(d0.map[x] == d1.map[x] for d0, d1 in conditions)]
     E, incl = subalgebra(P0, members)
-    lookup = tables.cone_lookup(E, [tables.compose(incl, pr) for pr in projs])
+    lookup = cone_lookup(E, [tables.compose(incl, pr) for pr in projs])
     return E, tables.lift(K.level0.base, E, lookup, comps)
 
 

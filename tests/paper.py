@@ -54,22 +54,17 @@ def multi_reflection(ctx, f):
 
 
 def mono_reduce(ctx, R):
-    """mono R, the image of ell, built from ell's distinct families.
+    """mono R, the image of ell up to isomorphism, from ell's families.
 
-    Returns (mono R, unit: R -> mono R, cone): the families are the
-    elements of mono R, `tables.limit_from_families` gives its tables and
-    its cone into the local-form targets, which is the inclusion into their
-    product, and the unit lifts R into it.  With no local forms mono R is
-    the terminal algebra, the empty product.
+    Returns (mono R, unit: R -> mono R, cone): mono R is R/ker ell, the
+    quotient by the partition of R into ell's families, the unit is its
+    quotient map, and the cone into the local-form targets is induced from
+    the forms, which is the inclusion into their product.  With no local
+    forms mono R is trivial, as the empty product is.
     """
     forms, families = red.ell_families(ctx, R)
-    if forms:
-        M, cone = tables.limit_from_families(
-            R.kind, [p.target for p in forms], sorted(set(families)))
-    else:
-        M, cone = tables.terminal(R.kind), []
-    unit = tables.lift(R, M, tables.cone_lookup(M, cone), forms)
-    return M, unit, cone
+    M, unit = tables.quotient_by_sig(R, tables.normalize_sig(families))
+    return M, unit, [tables.induced(unit, p) for p in forms]
 
 
 def is_reduced(ctx, R) -> bool:

@@ -7,9 +7,11 @@ guarantees each of them, and it checks quotients, congruence closures and
 homs on generators only.  Here those constructors are wrapped, wherever
 they are bound, and every result is checked the hard way: the full law
 checks on each algebra, `helpers.is_hom_on_all_pairs` on each lifted map,
-cone leg and pushout injection, each `quotient_by_sig` against
-`helpers.quotient_by_rows` and each `congruence_closure` against
-`helpers.congruence_closure_on_all_columns`, each `agreeing_families` join
+cone leg and pushout injection, each `limit`'s lookup against
+`helpers.cone_lookup` (the scan that checks that its cone separates), each
+`quotient_by_sig` against `helpers.quotient_by_rows` and each
+`congruence_closure` against `helpers.congruence_closure_on_all_columns`,
+each `agreeing_families` join
 against `helpers.agreeing_families_by_product_scan` when the product has at
 most 10^4 families, `helpers.is_valid_ideal` on each principal ideal the
 domain context attaches along and each ideal it partitions into cosets (the
@@ -44,7 +46,7 @@ from conespec.errors import InvariantViolation
 
 import paper
 from helpers import (agreeing_families_by_product_scan,
-                     check_nerve_functorial,
+                     check_nerve_functorial, cone_lookup,
                      congruence_closure_on_all_columns, corpus_by_context,
                      enumerate_localizations, glued_row, is_hom_on_all_pairs,
                      is_valid_ideal, overlap_by_restriction, quotient_by_rows,
@@ -59,6 +61,15 @@ def laws(A):
 def homs(*fs):
     for f in fs:
         assert is_hom_on_all_pairs(f)
+
+
+def limit_checks(r, args):
+    """A limit's laws and cone legs, and its lookup, which is the scan of
+    its cone values that checks the cone separates."""
+    L, cone, lookup = r
+    laws(L)
+    homs(*cone)
+    assert lookup == cone_lookup(L, cone)
 
 
 def ideal(I):
@@ -176,10 +187,8 @@ CHECKS = {
     "lift": (tables, lambda r, args: homs(r)),
     "principal_ideal": (tables, lambda r, args: ideal(r)),
     "ideal_sig": (tables, lambda r, args: ideal(args[0])),
-    "limit": (tables, lambda r, args: (laws(r[0]), homs(*r[1]))),
+    "limit": (tables, limit_checks),
     "agreeing_families": (tables, families),
-    "limit_from_families": (tables,
-                            lambda r, args: (laws(r[0]), homs(*r[1]))),
     "pushout": (tables, lambda r, args: (laws(r[0]), homs(*r[1:]))),
     "quotient_by_sig": (tables, quotient),
     "congruence_closure": (tables, closure),
@@ -253,8 +262,7 @@ def test_theorem_backed_results_pass_the_full_checks(checked):
 def test_checked_cli_runs_match_the_golden_outputs(checked, name):
     assert run_case(CASES[name]) == read_expected(name)
     fired = [n for n, count in checked.items() if count]
-    assert {"spec_map", "make_overlap", "limit_from_families",
-            "lift"} <= set(fired)
+    assert {"spec_map", "make_overlap", "limit", "lift"} <= set(fired)
     if name.startswith("nerve"):
         assert checked["nerve"] == 1 and checked["enumerate_apmaps"] > 0
 

@@ -575,6 +575,15 @@ def test_cli_names_a_missing_field_with_exit_2(tmp_path, capsys):
               f"algebra misses field {key!r}")
 
 
+def test_cli_reads_the_identity_only_from_one(tmp_path, capsys):
+    """The schema names the identity `one`; a `unit` field is not read."""
+    doc = cio.algebra_to_dict(Z6)
+    doc["unit"] = doc.pop("one")
+    bad = write(tmp_path, "bad.json", doc)
+    assert cli.main(["check", "--property", "reduced", "--input", bad]) == 2
+    assert "missing identity index" in capsys.readouterr().err
+
+
 def test_cli_a_key_error_in_the_library_is_exit_4(tmp_path, capsys,
                                                    monkeypatch):
     """A KeyError is a fault of the program, not of its input."""

@@ -276,11 +276,11 @@ def test_glued_sections_match_the_product_scan(monkeypatch):
         Y, old = glue_with(glued_sections_by_product, overlap_by_restriction,
                            specs, build)
         assert len(new) == len(old) == X.n_points
-        for (L, cone), (M, cone_m) in zip(new, old):
+        for (L, cone, lookup), (M, cone_m, lookup_m) in zip(new, old):
             assert L.elements == M.elements
             assert (L.mul, L.add) == (M.mul, M.add)
             assert (L.one, L.zero) == (M.one, M.zero)
-            assert cone == cone_m
+            assert cone == cone_m and lookup == lookup_m
         assert X.opens == Y.opens
         assert all(X.sections[U] == Y.sections[U] for U in X.opens)
         assert all(X.res(U, V) == Y.res(U, V)

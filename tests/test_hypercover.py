@@ -100,6 +100,15 @@ def test_h0_identity_cover():
         assert eta.is_bijective and H.size == A.size
 
 
+def test_h0_of_the_empty_cover_is_terminal():
+    """The empty limit, like O of the empty open and the empty product."""
+    for ctx, A in [(ZAR, corpus.trivial_ring()), (ZAR, Z6),
+                   (DEI, corpus.flag_monoid())]:
+        H, eta = hc.Opcover(ctx, A, ()).cech_h0
+        assert H == tables.terminal(A.kind) == tables.product(A.kind, [])[0]
+        assert eta == tables.Hom(A, H, (0,) * A.size)
+
+
 def test_h0_flag_monoid_two_component_cover():
     M = corpus.flag_monoid()
     comps = tuple(locs_of(DEI, M))

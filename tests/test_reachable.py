@@ -9,7 +9,9 @@ an attribute of its name.  A reached class runs its bases, decorators and
 class-level statements; its dunder methods are reached with it, as Python
 calls them implicitly.  So the check over-approximates what runs: a
 function named only in a branch that no caller takes still counts as
-reached.  Code that only tests call lives under `tests/`.
+reached.  Code that only tests call lives under `tests/`; the narrower
+rule that each public module-level function is named by some other code in
+`src/conespec/` is checked on its own too.
 """
 
 from __future__ import annotations
@@ -82,6 +84,41 @@ def unreachable(src: str) -> list[str]:
                 seen |= references(runs)
                 grew = True
     return sorted(set(defs) - reached)
+
+
+def uncalled(src: str) -> list[str]:
+    """The public module-level functions of the modules in `src` that no
+    other top-level definition or statement there names, as
+    "module.name"."""
+    nodes = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        nodes += [(module, node, references([node])) for node in tree.body]
+    return [f"{module}.{node.name}" for module, node, _ in nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and not any({node.name, "." + node.name} & refs
+                        for _, other, refs in nodes if other is not node)]
+
+
+def test_every_public_function_of_the_library_has_a_caller_in_it():
+    kept = uncalled(SRC)
+    assert not kept, f"only tests call {kept}; move them to tests/"
+
+
+def test_the_caller_check_finds_a_function_left_for_tests(tmp_path):
+    (tmp_path / "tables.py").write_text(
+        "def limit(objects):\n    return _build(objects), {}\n\n\n"
+        "def _build(objects):\n    return objects\n\n\n"
+        "def cone_lookup(cone):\n    return cone_lookup(cone[1:])\n",
+        encoding="utf-8")
+    (tmp_path / "spectrum.py").write_text(
+        "from . import tables\n\n\n"
+        "def section(U):\n    return tables.limit(U)\n\n\n"
+        "SECTION = section\n", encoding="utf-8")
+    assert uncalled(str(tmp_path)) == ["tables.cone_lookup"]
 
 
 def test_every_definition_in_the_library_is_reachable_from_a_command():

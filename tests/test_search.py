@@ -125,10 +125,10 @@ def test_search_plan_matches_the_scan_on_every_spec_limit(monkeypatch):
     diagrams = []
     real_limit = tables.limit
 
-    def recording(kind, objects, arrows):
+    def recording(kind, objects, meets):
         objects = list(objects)
-        diagrams.append(([o.size for o in objects], list(arrows)))
-        return real_limit(kind, objects, arrows)
+        diagrams.append(([o.size for o in objects], list(meets)))
+        return real_limit(kind, objects, meets)
 
     monkeypatch.setattr(tables, "limit", recording)
     for ctx, A in corpus_by_context() + [
@@ -138,7 +138,6 @@ def test_search_plan_matches_the_scan_on_every_spec_limit(monkeypatch):
             X.sections[U]
     assert len(diagrams) > 100
     assert max(len(sizes) for sizes, _ in diagrams) >= 18
-    for sizes, arrows in diagrams:
-        meets = [(i, j, h.map, range(sizes[j])) for i, j, h in arrows]
+    for sizes, meets in diagrams:
         assert tables._search_plan(sizes, meets) == \
             search_plan_by_scan(sizes, meets)

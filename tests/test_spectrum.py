@@ -50,9 +50,9 @@ def test_spec_limits_match_product_scan(monkeypatch):
     calls = []
     real_limit = tables.limit
 
-    def recording(kind, objects, arrows):
-        out = real_limit(kind, objects, arrows)
-        calls.append((kind, objects, arrows, out))
+    def recording(kind, objects, meets):
+        out = real_limit(kind, objects, meets)
+        calls.append((kind, objects, meets, out))
         return out
 
     monkeypatch.setattr(tables, "limit", recording)
@@ -61,8 +61,8 @@ def test_spec_limits_match_product_scan(monkeypatch):
         for U in X.opens:   # each section is built on its first read
             X.sections[U]
     assert len(calls) > 50
-    for kind, objects, arrows, out in calls:
-        assert out == limit_by_product_scan(kind, objects, arrows)
+    for kind, objects, meets, out in calls:
+        assert out == limit_by_product_scan(kind, objects, meets)
 
 
 def test_lift_matches_the_lookup_route_on_every_spec_limit(monkeypatch):
@@ -92,8 +92,8 @@ def test_each_section_cone_lookup_and_restriction_is_built_once(
     """Reading every section, cone, lookup and restriction twice calls
     `tables.limit` once per open whose section is not yet built (a glued
     space has built its stalks to check that they are local; a Spec has
-    built none), `tables.cone_lookup` once per open and `tables.lift` once
-    per pair V <= U of opens."""
+    built none), which gives the lookup too, and `tables.lift` once per
+    pair V <= U of opens."""
     if space.startswith("spec"):
         X = sp.build_spec(DEI, corpus.monoid_product("chain3", "e2"))
     else:
@@ -101,20 +101,22 @@ def test_each_section_cone_lookup_and_restriction_is_built_once(
     unbuilt = [U for U in X.opens if U not in X.sections]
     assert len(unbuilt) == len(X.opens) - (X.n_points if X.base is None else 0)
     pairs = [(U, V) for U in X.opens for V in X.opens if V <= U]
-    calls = dict.fromkeys(("limit", "cone_lookup", "lift"), 0)
+    calls = dict.fromkeys(("limit", "lift"), 0)
     for name in calls:
         def counting(*args, name=name, real=getattr(tables, name)):
             calls[name] += 1
             return real(*args)
 
         monkeypatch.setattr(tables, name, counting)
+    reads = []
     for _ in range(2):
-        for U in X.opens:
-            X.sections[U], X.cones[U], X.lookup(U)
+        reads.append([(X.sections[U], X.cones[U], X.lookups[U])
+                      for U in X.opens])
         for U, V in pairs:
             X.res(U, V)
-    assert calls == {"limit": len(unbuilt), "cone_lookup": len(X.opens),
-                     "lift": len(pairs)}
+    assert calls == {"limit": len(unbuilt), "lift": len(pairs)}
+    assert all(a is b for first, again in zip(*reads)
+               for a, b in zip(first, again))
     assert len(pairs) >= 50
 
 
@@ -337,7 +339,7 @@ def test_width_is_the_largest_antichain():
     for _ in range(200):
         mins = _random_order(rng, rng.randint(1, 9))
         spaces.append(sp.SpectralSpace("", "monoid", ("",) * len(mins), mins,
-                                       None, None))
+                                       None, None, None))
     widths = []
     for F in spaces:
         width = 0

@@ -42,6 +42,8 @@ from conespec.tables import (
 )
 from helpers import (
     agreeing_families_by_product_scan,
+    arrow_meets,
+    cone_lookup,
     congruence_closure_on_all_columns,
     corpus_by_context,
     find_isomorphism,
@@ -624,13 +626,33 @@ def test_unary_product():
 
 
 def test_limit_one_object():
-    L, cone = limit(RING, [Z6], [])
-    assert L == Z6
+    L, cone, lookup = limit(RING, [Z6], [])
+    assert L == Z6 and cone == [identity(Z6)]
+    assert lookup == {(x,): x for x in range(Z6.size)}
+
+
+def test_limit_of_the_empty_diagram_is_terminal():
+    for kind in (RING, MONOID):
+        assert limit(kind, [], []) == (tables.terminal(kind), [], {(): 0})
+
+
+def test_product_indices_are_the_product_elements():
+    """Each family of cone values of the built product is indexed at its
+    element, also for the empty product."""
+    for kind, algebras in ((RING, [Z2, Z3, Z2]), (RING, [Z6]), (RING, []),
+                           (MONOID, [corpus.flag_monoid(),
+                                     corpus.chain_monoid()])):
+        P, projs = product(kind, algebras)
+        families = [tuple(pr.map[x] for pr in projs) for x in range(P.size)]
+        assert tables.product_indices(kind, algebras, families) == \
+            list(range(P.size))
 
 
 def test_pullback_z6_over_z2():
     q = all_homs(Z6, Z2)[0]
-    L, cone = limit(RING, [Z6, Z6, Z2], [(0, 2, q), (1, 2, q)])
+    objects = [Z6, Z6, Z2]
+    L, cone, _ = limit(RING, objects,
+                       arrow_meets(objects, [(0, 2, q), (1, 2, q)]))
     assert L.size == 18
     assert isomorphic(L, corpus.ring_product(2, 3, 3))
     # oracle: elementwise filtering of the raw product
@@ -660,21 +682,22 @@ def test_limit_matches_product_scan_on_random_diagrams(kind, data):
         homs = all_homs(objects[i], objects[j])
         if homs:
             arrows.append((i, j, data.draw(st.sampled_from(homs))))
-    assert limit(kind, objects, arrows) == \
-        limit_by_product_scan(kind, objects, arrows)
+    meets = arrow_meets(objects, arrows)
+    assert limit(kind, objects, meets) == \
+        limit_by_product_scan(kind, objects, meets)
 
 
 def test_limit_bound_counts_visited_families(monkeypatch):
     # a chain of five identities: 3 values per object are visited, 15 in
     # all, while the product of the objects has 3^5 = 243 families
     M = corpus.chain_monoid()
-    arrows = [(i, i + 1, identity(M)) for i in range(4)]
+    meets = arrow_meets([M] * 5, [(i, i + 1, identity(M)) for i in range(4)])
     monkeypatch.setattr(tables, "SEARCH_MAX", 15)
-    L, _ = limit(MONOID, [M] * 5, arrows)
+    L, _, _ = limit(MONOID, [M] * 5, meets)
     assert L.size == 3
     monkeypatch.setattr(tables, "SEARCH_MAX", 14)
     with pytest.raises(SizeBound, match="limit search space too large"):
-        limit(MONOID, [M] * 5, arrows)
+        limit(MONOID, [M] * 5, meets)
 
 
 _KEYS = [0, 1, "0", "a", (0,), (0, "a"), None, frozenset({1})]
@@ -729,7 +752,7 @@ def test_limit_rejects_an_arrow_that_is_not_a_hom():
     for objects, arrows in (([Z6, Z6], [(0, 1, swap)]), ([Z6], [(0, 0, swap)])):
         with pytest.raises(InvariantViolation,
                            match="limit is not closed under the operations"):
-            limit(RING, objects, arrows)
+            limit(RING, objects, arrow_meets(objects, arrows))
 
 
 # ------------------------------------------------------------------ isomorphism
@@ -747,16 +770,19 @@ def test_induced_checks_its_hypothesis():
 
 
 def test_cone_lookup_rejects_a_cone_that_does_not_separate():
-    P, projs = product(RING, [Z2, Z3])
-    assert tables.cone_lookup(P, projs)[(1, 2)] == P.elements.index("(1,2)")
+    """The oracle scan agrees with the lookup `limit` returns, and refuses
+    a cone that does not separate."""
+    P, projs, lookup = limit(RING, [Z2, Z3], [])
+    assert lookup[(1, 2)] == P.elements.index("(1,2)")
+    assert cone_lookup(P, projs) == lookup
     with pytest.raises(InvariantViolation):
-        tables.cone_lookup(P, projs[:1])
+        cone_lookup(P, projs[:1])
 
 
 def test_lift_is_the_map_into_the_limit():
-    P, projs = product(RING, [Z2, Z3])
+    P, projs, lookup = limit(RING, [Z2, Z3], [])
     legs = [all_homs(Z6, Z2)[0], all_homs(Z6, Z3)[0]]
-    f = tables.lift(Z6, P, tables.cone_lookup(P, projs), legs)
+    f = tables.lift(Z6, P, lookup, legs)
     assert f.is_bijective and [compose(f, pr) for pr in projs] == legs
 
 
@@ -764,9 +790,10 @@ def test_lift_rejects_a_family_outside_the_limit():
     A = corpus.ring_product(2, 2)
     swap = next(h for h in all_homs(A, A) if h != identity(A))
     # the diagonal of A x A holds no family (a, swap(a)) with a != swap(a)
-    L, cone = limit(RING, [A, A], [(0, 1, identity(A))])
+    L, _, lookup = limit(RING, [A, A], arrow_meets([A, A],
+                                                   [(0, 1, identity(A))]))
     with pytest.raises(InvariantViolation, match="does not lie in the limit"):
-        tables.lift(A, L, tables.cone_lookup(L, cone), [identity(A), swap])
+        tables.lift(A, L, lookup, [identity(A), swap])
 
 
 def test_find_isomorphism_matches_bijection_oracle():
@@ -826,8 +853,8 @@ def test_invariants_hold_under_python_O():
         "Z6 = corpus.zn(6)\n"
         "incl = homs.all_homs(corpus.zn(2), corpus.ring_product(2, 2))[0]\n"
         "for call in (lambda: tables.quotient_by_sig(Z6, (0, 0, 1, 2, 3, 4)),\n"
-        "             lambda: tables.limit_from_families(\n"
-        "                 Z6.kind, [Z6], [(0,), (1,)]),\n"
+        "             lambda: tables.limit(\n"
+        "                 Z6.kind, [Z6], [(0, 0, (0, 1, 4, 3, 2, 5), range(6))]),\n"
         "             lambda: homs.all_homs(Z6, corpus.zn(2))[0].inverse(),\n"
         "             lambda: tables.lift(Z6, Z6, {}, [tables.identity(Z6)]),\n"
         "             lambda: tables.pushout(incl, incl)):\n"
